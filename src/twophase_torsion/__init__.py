@@ -15,13 +15,10 @@ from .params import (
     PerturbationSpec,
     ProblemParams,
     ValidationVerdict,
-    eigenvalue,
     multiplicity,
-    spec_from_pairs,
     validate,
 )
 from .pde_oracle import (
-    JOBS_ENV_VAR,
     AngularProfile,
     InterfaceOrderingError,
     OracleRun,
@@ -91,7 +88,6 @@ __all__ = [
     "FidelityReport",
     "FidelityVerdict",
     "InterfaceOrderingError",
-    "JOBS_ENV_VAR",
     "ModeIndex",
     "ModeKind",
     "ModeProfile",
@@ -115,7 +111,6 @@ __all__ = [
     "closed_form_mode",
     "denom_F",
     "differentiate_energy",
-    "eigenvalue",
     "emit_spectrum_csv",
     "enclosed_areas",
     "factored_discriminant",
@@ -136,7 +131,6 @@ __all__ = [
     "run_secondvar_suite",
     "solve_energy",
     "solve_mode_oracle",
-    "spec_from_pairs",
     "spectrum",
     "sphere_area",
     "total_second_variation",

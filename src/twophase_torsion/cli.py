@@ -33,16 +33,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _build_params(args: argparse.Namespace) -> ProblemParams:
-    if args.dim < 2:
-        raise CliError("dim must be an integer >= 2")
-    if not 0.0 < args.radius < 1.0:
-        raise CliError("radius must lie in (0,1)")
-    if not args.sigma > 0.0:
-        raise CliError("sigma must be positive")
-    return ProblemParams(dim=args.dim, core_radius=args.radius, sigma=args.sigma)
-
-
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -104,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    params = _build_params(args)
+    params = ProblemParams(args.dim, args.radius, args.sigma)
     if args.kmax < 2:
         raise CliError("kmax must be >= 2")
     verdict = classify(params, args.kmax)
@@ -113,7 +103,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    params = _build_params(args)
+    params = ProblemParams(args.dim, args.radius, args.sigma)
     if args.kmax < 1:
         raise CliError("kmax must be >= 1")
     path = SpectrumPath.ASSEMBLED if args.path == "assembled" else SpectrumPath.PRINTED

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,14 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if not isinstance(self.dim, int) or self.dim < 2:
             raise ValueError("dim must be an integer >= 2")
+        if not math.isfinite(self.core_radius):
+            raise ValueError("radius must be finite")
         if not 0.0 < self.core_radius < 1.0:
-            raise ValueError("core_radius must lie in (0,1)")
+            raise ValueError("radius must lie in (0,1)")
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
-
-
-def eigenvalue(dim: int, degree: int) -> float:
-    """Laplace-Beltrami eigenvalue k(N+k-2) of degree-k harmonics on S^{N-1}."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    return float(degree * (dim + degree - 2))
 
 
 def multiplicity(dim: int, degree: int) -> int:
@@ -149,55 +144,6 @@ class PerturbationSpec:
     def max_degree(self) -> int:
         return max((index.degree for index in self.modes), default=0)
 
-    # -- line-based text form: "degree order alpha_in alpha_out" records ----
-
-    def to_text(self) -> str:
-        """Serialize to the documented line grammar.
-
-        One record per mode, fields separated by whitespace:
-            degree order alpha_in alpha_out
-        An optional directive line "allow_mean = true" precedes the records.
-        '#' starts a comment.  Records are emitted sorted by (degree, order)
-        with 17-significant-digit decimals, so output is deterministic.
-        """
-        lines = []
-        if self.allow_mean:
-            lines.append("allow_mean = true")
-        for index, (alpha_in, alpha_out) in self.sorted_items():
-            lines.append(
-                f"{index.degree} {index.order} {alpha_in:.17g} {alpha_out:.17g}"
-            )
-        return "\n".join(lines) + "\n" if lines else ""
-
-    @classmethod
-    def from_text(cls, text: str) -> "PerturbationSpec":
-        """Parse the line grammar produced by to_text."""
-        allow_mean = False
-        modes: dict[ModeIndex, tuple[float, float]] = {}
-        for raw_line in text.splitlines():
-            line = raw_line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, _, value = (part.strip() for part in line.partition("="))
-                if key != "allow_mean":
-                    raise ValueError(f"unknown directive {key!r}")
-                if value not in ("true", "false"):
-                    raise ValueError("allow_mean must be 'true' or 'false'")
-                allow_mean = value == "true"
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ValueError(
-                    f"mode record needs 4 fields 'degree order alpha_in "
-                    f"alpha_out', got {raw_line!r}"
-                )
-            index = ModeIndex(int(fields[0]), int(fields[1]))
-            if index in modes:
-                raise ValueError(f"duplicate mode record for {index}")
-            modes[index] = (float(fields[2]), float(fields[3]))
-        return cls(modes=modes, allow_mean=allow_mean)
-
 
 def validate(spec: PerturbationSpec, constraint: Constraint) -> ValidationVerdict:
     """Check a perturbation against the volume (and barycenter) constraints.
@@ -221,13 +167,3 @@ def validate(spec: PerturbationSpec, constraint: Constraint) -> ValidationVerdic
             )
     return ValidationVerdict(constraint=constraint, violations=tuple(violations))
 
-
-def spec_from_pairs(
-    pairs: Iterable[tuple[int, int, float, float]], allow_mean: bool = False
-) -> PerturbationSpec:
-    """Build a PerturbationSpec from (degree, order, alpha_in, alpha_out) rows."""
-    modes = {
-        ModeIndex(degree, order): (alpha_in, alpha_out)
-        for degree, order, alpha_in, alpha_out in pairs
-    }
-    return PerturbationSpec(modes=modes, allow_mean=allow_mean)

@@ -39,8 +39,6 @@ second variation.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -48,8 +46,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .params import ModeIndex, PerturbationSpec, ProblemParams
-
-JOBS_ENV_VAR = "TWOPHASE_TORSION_JOBS"
 
 DEFAULT_RADIAL_POINTS = 512
 DEFAULT_ANGULAR_MODES = 64
@@ -418,15 +414,6 @@ def _richardson(estimates: list[float]) -> float:
     return table[-1][0]
 
 
-def _parallel_jobs() -> int:
-    value = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        jobs = int(value)
-    except ValueError as exc:
-        raise ValueError(f"{JOBS_ENV_VAR} must be an integer") from exc
-    return max(1, jobs)
-
-
 def differentiate_energy(
     family: PerturbedDomainFamily,
     t0: float = DEFAULT_STEP,
@@ -450,19 +437,9 @@ def differentiate_energy(
     steps = [t0 / 2.0**level for level in range(levels + 1)]
     samples = sorted({0.0} | {sign * h for h in steps for sign in (+1.0, -1.0)})
 
-    jobs = _parallel_jobs()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as executor:
-            energies = list(
-                executor.map(
-                    lambda t: solve_energy(family.at(t), radial_points, angular_modes),
-                    samples,
-                )
-            )
-    else:
-        energies = [
-            solve_energy(family.at(t), radial_points, angular_modes) for t in samples
-        ]
+    energies = [
+        solve_energy(family.at(t), radial_points, angular_modes) for t in samples
+    ]
     energy_of = dict(zip(samples, energies))
 
     base = energy_of[0.0]

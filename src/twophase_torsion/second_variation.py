@@ -55,7 +55,7 @@ class SecondVariationSpectrum:
     source: SpectrumPath
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpectrum:
     """Assemble e_in, e_out, e_res from the boundary-integral formula.
 
@@ -67,6 +67,8 @@ def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpec
         e_res = -(2/N) w'_in(1)  + (2 R^N / N) Dw'_out
 
     Cached per (params, degree); the cache only memoizes a pure function.
+    Its bound holds the 2700 keys of the verify suites and the fidelity
+    report together, and keeps long parameter sweeps from growing memory.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")

@@ -12,11 +12,17 @@ modes excluded) and reports:
 A LocalMaximum verdict is a finite certificate: degrees 1..k_max checked
 directly, degrees beyond covered by the strict decrease of the spectrum in
 the degree.  The verdict records k_max for that reason.
+
+Signs are judged per degree against a rounding floor relative to that
+degree's row scale max(|e_in|, |e_out|, |e_res|), not against an absolute
+threshold: e_in is O(|1 - sigma|), so any fixed floor misjudges it near
+sigma = 1.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,12 +34,15 @@ from .params import (
     validate,
 )
 from .second_variation import (
+    SecondVariationSpectrum,
     SpectrumPath,
     assemble_spectrum,
     resonance_analysis,
     total_second_variation,
 )
-from .tolerances import ABS_FLOOR
+
+# Rounding floor of a spectrum entry, in units of its row scale.
+SIGN_FLOOR = 8.0 * sys.float_info.epsilon
 
 
 class Channel(enum.Enum):
@@ -103,14 +112,21 @@ class StabilityVerdict:
         }
 
 
-def _coupled_supremum_positive(e_in: float, e_res: float, e_out: float) -> bool:
-    """Whether Q(t) = e_in t^2 + e_res t + e_out attains values > ABS_FLOOR."""
-    if e_in > ABS_FLOOR:
+def _row_scale(values: SecondVariationSpectrum) -> float:
+    return max(abs(values.e_in), abs(values.e_out), abs(values.e_res))
+
+
+def _coupled_supremum_positive(values: SecondVariationSpectrum) -> bool:
+    """Whether Q(t) = e_in t^2 + e_res t + e_out attains positive values.
+
+    With e_in <= 0 that happens iff e_out > 0 or the discriminant is
+    positive (a positive vertex value, or a nonconstant linear Q).
+    """
+    scale = _row_scale(values)
+    if values.e_in > SIGN_FLOOR * scale or values.e_out > SIGN_FLOOR * scale:
         return True
-    if abs(e_in) <= ABS_FLOOR:
-        return abs(e_res) > ABS_FLOOR or e_out > ABS_FLOOR
-    vertex_value = e_out - e_res * e_res / (4.0 * e_in)
-    return vertex_value > ABS_FLOOR
+    discriminant = values.e_res**2 - 4.0 * values.e_in * values.e_out
+    return discriminant > SIGN_FLOOR * scale * scale
 
 
 def positive_mode_set(
@@ -123,12 +139,13 @@ def positive_mode_set(
     positive: list[tuple[int, Channel]] = []
     for degree in range(1, k_max + 1):
         values = assemble_spectrum(params, degree)
-        if values.e_in > ABS_FLOOR:
+        floor = SIGN_FLOOR * _row_scale(values)
+        if values.e_in > floor:
             positive.append((degree, Channel.INNER_ALONE))
         if degree >= 2:
-            if values.e_out > ABS_FLOOR:
+            if values.e_out > floor:
                 positive.append((degree, Channel.OUTER_ALONE))
-            if _coupled_supremum_positive(values.e_in, values.e_res, values.e_out):
+            if _coupled_supremum_positive(values):
                 positive.append((degree, Channel.COUPLED))
     return positive
 
@@ -146,9 +163,10 @@ def _negative_witness(params: ProblemParams, k_max: int) -> Optional[Perturbatio
     """Smallest degree with a strictly negative channel, preferring inner."""
     for degree in range(1, k_max + 1):
         values = assemble_spectrum(params, degree)
-        if values.e_in < -ABS_FLOOR:
+        floor = SIGN_FLOOR * _row_scale(values)
+        if values.e_in < -floor:
             return _unit_spec(degree, Channel.INNER_ALONE)
-        if degree >= 2 and values.e_out < -ABS_FLOOR:
+        if degree >= 2 and values.e_out < -floor:
             return _unit_spec(degree, Channel.OUTER_ALONE)
     return None
 

@@ -1,9 +1,10 @@
-"""Single source of truth for numerical comparison tolerances.
+"""Shared numerical comparison tolerances.
 
-Every analytic-path comparison in this package uses relative tolerance
-REL_TOL with absolute floor ABS_FLOOR.  Looser, experiment-specific
-tolerances (PDE discretization error, finite-difference truncation) are
-declared at the call site, never here.
+Printed-vs-independent comparisons use relative tolerance REL_TOL with
+absolute floor ABS_FLOOR.  Looser, experiment-specific tolerances (PDE
+discretization error, finite-difference truncation) are named with the
+acceptance criteria in `reporting`, and the classifier's sign floor in
+`stability`.
 """
 
 from __future__ import annotations
@@ -13,11 +14,6 @@ ABS_FLOOR = 1e-14
 
 # Contract tolerance for the transmission-system solver residuals.
 RESIDUAL_TOL = 1e-12
-
-
-def close(a: float, b: float, rel: float = REL_TOL, floor: float = ABS_FLOOR) -> bool:
-    """True if a and b agree to relative tolerance rel with absolute floor."""
-    return abs(a - b) <= max(rel * max(abs(a), abs(b)), floor)
 
 
 def rel_deviation(a: float, b: float, floor: float = ABS_FLOOR) -> float:

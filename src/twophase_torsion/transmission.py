@@ -91,7 +91,7 @@ def denom_F(params: ProblemParams, degree: int) -> float:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8192)
 def solve_mode_oracle(
     params: ProblemParams, degree: int, kind: ModeKind
 ) -> ModeProfile:
@@ -105,6 +105,10 @@ def solve_mode_oracle(
     Solved in the scaled unknowns (B R^k, C R^{2-N-k}, D R^k) so the matrix
     stays well conditioned for large k and small R.  Raises if the backward
     error of any condition exceeds the 1e-12 relative contract.
+
+    Cached per argument triple; the bound holds the 5400 keys of the verify
+    suites and the fidelity report together, and keeps long parameter
+    sweeps from growing memory.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -197,53 +201,20 @@ def _harmonic_2d(index: ModeIndex, theta: float) -> float:
     return math.sin(k * theta) / math.sqrt(math.pi)
 
 
-def _harmonic_3d(index: ModeIndex, polar: float, azimuth: float) -> float:
-    """Real orthonormal spherical harmonics on S^2, order i mapped to
-    m = i - k - 1 in {-k..k}."""
-    from scipy import special
-
-    k = index.degree
-    m = index.order - k - 1
-    m_abs = abs(m)
-    if hasattr(special, "sph_harm_y"):
-        y = special.sph_harm_y(k, m_abs, polar, azimuth)
-    else:
-        y = special.sph_harm(m_abs, k, azimuth, polar)
-    if m == 0:
-        return float(np.real(y))
-    if m > 0:
-        return math.sqrt(2.0) * (-1.0) ** m * float(np.real(y))
-    return math.sqrt(2.0) * (-1.0) ** m_abs * float(np.imag(y))
-
-
 def harmonic_value(dim: int, index: ModeIndex, angle) -> float:
-    """Evaluate the real orthonormal harmonic Y_{k,i} at a point of S^{N-1}.
+    """Evaluate the real orthonormal harmonic Y_{k,i} on the circle (N=2).
 
-    The point is a polar angle (N=2), a (polar, azimuth) pair (N=3), or a
-    unit vector of length N.
+    The point is a polar angle or a unit vector (x, y).
     """
+    if dim != 2:
+        raise ValueError("pointwise harmonic evaluation supports dim 2 only")
     index.check_order(dim)
-    if dim == 2:
-        if np.ndim(angle) == 0:
-            theta = float(angle)
-        else:
-            x, y = np.asarray(angle, dtype=float)
-            theta = math.atan2(y, x)
-        return _harmonic_2d(index, theta)
-    if dim == 3:
-        point = np.asarray(angle, dtype=float)
-        if point.shape == (2,):
-            polar, azimuth = point
-        elif point.shape == (3,):
-            norm = float(np.linalg.norm(point))
-            if not math.isclose(norm, 1.0, rel_tol=1e-8):
-                raise ValueError("angle vector must lie on the unit sphere")
-            polar = math.acos(min(1.0, max(-1.0, point[2] / norm)))
-            azimuth = math.atan2(point[1], point[0])
-        else:
-            raise ValueError("N=3 angle must be (polar, azimuth) or a 3-vector")
-        return _harmonic_3d(index, polar, azimuth)
-    raise ValueError("pointwise harmonic evaluation supports dim 2 and 3 only")
+    if np.ndim(angle) == 0:
+        theta = float(angle)
+    else:
+        x, y = np.asarray(angle, dtype=float)
+        theta = math.atan2(y, x)
+    return _harmonic_2d(index, theta)
 
 
 def u_prime_value(
@@ -254,8 +225,8 @@ def u_prime_value(
     Inner branch for r <= R, outer branch for r > R; modes superposed
     linearly with the spec coefficients.
     """
-    if params.dim not in (2, 3):
-        raise ValueError("u' evaluation supports dim 2 and 3 only")
+    if params.dim != 2:
+        raise ValueError("u' evaluation supports dim 2 only")
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must lie in [0,1]")
     inside = r <= params.core_radius

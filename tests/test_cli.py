@@ -117,12 +117,11 @@ def test_verify_fast_suites_pass(capsys):
         assert out.strip().endswith("0 failed")
 
 
-def test_verify_pde_suite_passes(capsys, monkeypatch):
-    # the slowest suite; parallel energy solves keep it tolerable
-    monkeypatch.setenv("TWOPHASE_TORSION_JOBS", "4")
+def test_verify_pde_suite_passes(capsys):
+    # reuses the oracle runs of the acceptance tests when they ran first
     code, out, _ = run_cli(capsys, ["verify", "pde"])
     assert code == 0, out
-    assert out.strip().endswith("0 failed")
+    assert out.strip().endswith("pde: 4 passed, 0 failed")
 
 
 def test_verify_rejects_unknown_suite(capsys):
@@ -211,3 +210,18 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
+
+
+def test_non_finite_parameters_are_rejected(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, ["classify", "--dim", "2", "--radius", "0.5", "--sigma", "inf"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "sigma must be finite\n"
+
+    path = tmp_path / "infinite.json"
+    path.write_text('{"radius": 0.5, "sigma": Infinity}', encoding="utf-8")
+    code, _, err = run_cli(capsys, ["oracle", "--config", str(path)])
+    assert code == 2
+    assert err == "invalid oracle config: sigma must be finite\n"

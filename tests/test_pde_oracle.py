@@ -8,7 +8,6 @@ import pytest
 from twophase_torsion.exact_state import baseline_energy
 from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
 from twophase_torsion.pde_oracle import (
-    JOBS_ENV_VAR,
     AngularProfile,
     InterfaceOrderingError,
     PerturbedDomainFamily,
@@ -150,28 +149,6 @@ def test_differentiate_energy_single_level_has_no_rate():
     )
     assert len(run.t_samples) == 5
     assert math.isnan(run.convergence_rate)
-
-
-def test_parallel_execution_matches_serial(monkeypatch):
-    spec = PerturbationSpec({ModeIndex(2, 1): (0.0, 1.0)})
-    family = PerturbedDomainFamily.from_spec(PARAMS, spec)
-    monkeypatch.setenv(JOBS_ENV_VAR, "1")
-    serial = differentiate_energy(
-        family, t0=0.02, levels=1, radial_points=64, angular_modes=8
-    )
-    monkeypatch.setenv(JOBS_ENV_VAR, "3")
-    parallel = differentiate_energy(
-        family, t0=0.02, levels=1, radial_points=64, angular_modes=8
-    )
-    assert parallel.energies == serial.energies
-    assert parallel.d2 == serial.d2
-
-
-def test_jobs_variable_must_be_an_integer(monkeypatch):
-    family = PerturbedDomainFamily.from_spec(PARAMS, PerturbationSpec({}))
-    monkeypatch.setenv(JOBS_ENV_VAR, "many")
-    with pytest.raises(ValueError, match=JOBS_ENV_VAR):
-        differentiate_energy(family, radial_points=64, angular_modes=8)
 
 
 def test_config_construction():

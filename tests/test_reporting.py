@@ -4,6 +4,9 @@ import pytest
 
 from twophase_torsion.params import Constraint, ModeIndex, ProblemParams, validate
 from twophase_torsion.reporting import (
+    CRITERIA,
+    SUITE_CRITERIA,
+    SUITES,
     FidelityVerdict,
     build_fidelity_report,
     emit_spectrum_csv,
@@ -133,3 +136,9 @@ def test_monotonicity_suite_passes():
     assert len(results) == 1
     assert results[0].passed, results[0].detail
     assert "105" in results[0].name
+
+
+def test_suites_cover_each_criterion_once():
+    assert set(SUITE_CRITERIA) == set(SUITES)
+    numbers = [number for suite in SUITE_CRITERIA.values() for number in suite]
+    assert sorted(numbers) == list(range(1, 13)) == sorted(CRITERIA)

@@ -9,13 +9,18 @@ from twophase_torsion.params import (
     ProblemParams,
     validate,
 )
-from twophase_torsion.second_variation import SpectrumPath, total_second_variation
+from twophase_torsion.second_variation import (
+    SpectrumPath,
+    assemble_spectrum,
+    total_second_variation,
+)
 from twophase_torsion.stability import (
     Channel,
     Classification,
     classify,
     positive_mode_set,
 )
+from twophase_torsion.transmission import solve_mode_oracle
 
 
 def test_harder_core_is_a_local_maximum():
@@ -109,3 +114,26 @@ def test_mode_table_matches_the_scan_length():
     assert len(verdict.mode_table) == 12
     degrees = [row[0] for row in verdict.mode_table]
     assert degrees == list(range(1, 13))
+
+
+def test_verdict_next_to_single_phase():
+    # e_in(1) is O(|1 - sigma|): 1.25e-16 and 1.39e-17 at the two sigmas
+    # below 1, where the softer core is a saddle
+    for sigma in (1.0 - 1e-15, 0.9999999999999999):
+        verdict = classify(ProblemParams(2, 0.5, sigma), k_max=30)
+        assert verdict.classification is Classification.SADDLE, sigma
+    verdict = classify(ProblemParams(2, 0.5, 1.0 + 1e-15), k_max=30)
+    assert verdict.classification is Classification.LOCAL_MAXIMUM
+    verdict = classify(ProblemParams(2, 0.5, 1.0), k_max=30)
+    assert verdict.classification is Classification.NEUTRAL_SINGLE_PHASE
+
+
+def test_caches_stay_bounded():
+    caches = (solve_mode_oracle, assemble_spectrum)
+    misses_before = [cached.cache_info().misses for cached in caches]
+    for i in range(150):  # 150 x 30 degrees: 9000 mode solves, 4500 spectra
+        classify(ProblemParams(2, 0.3 + 0.002 * i, 3.0), k_max=30)
+    for cached, before in zip(caches, misses_before):
+        info = cached.cache_info()
+        assert info.misses - before > info.maxsize
+        assert info.currsize <= info.maxsize

@@ -159,30 +159,6 @@ def test_harmonics_are_orthonormal_on_the_circle():
                 assert inner == pytest.approx(0.0, abs=1e-12)
 
 
-def test_harmonics_are_orthonormal_on_the_sphere():
-    # product Gauss-type grid; trapezoid in azimuth is exact for low degrees
-    n_polar, n_azimuth = 80, 80
-    polar = math.pi * (np.arange(n_polar) + 0.5) / n_polar
-    azimuth = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-    weight = (math.pi / n_polar) * (2.0 * math.pi / n_azimuth)
-    indices = [ModeIndex(1, 1), ModeIndex(1, 2), ModeIndex(1, 3), ModeIndex(2, 3)]
-    values = {}
-    for index in indices:
-        grid = np.array(
-            [
-                [harmonic_value(3, index, (p, a)) for a in azimuth]
-                for p in polar
-            ]
-        )
-        values[index] = grid
-    sin_polar = np.sin(polar)[:, np.newaxis]
-    for a in indices:
-        for b in indices:
-            inner = weight * float(np.sum(values[a] * values[b] * sin_polar))
-            expected = 1.0 if a == b else 0.0
-            assert inner == pytest.approx(expected, abs=1e-3)
-
-
 def test_harmonic_value_accepts_unit_vectors():
     theta = 0.7
     index = ModeIndex(2, 1)
@@ -190,21 +166,10 @@ def test_harmonic_value_accepts_unit_vectors():
     vector = harmonic_value(2, index, (math.cos(theta), math.sin(theta)))
     assert scalar == pytest.approx(vector, rel=1e-14)
 
-    point = np.array([0.2, -0.4, 0.6])
-    point /= np.linalg.norm(point)
-    polar = math.acos(point[2])
-    azimuth = math.atan2(point[1], point[0])
-    index3 = ModeIndex(2, 2)
-    assert harmonic_value(3, index3, point) == pytest.approx(
-        harmonic_value(3, index3, (polar, azimuth)), rel=1e-12
-    )
-
 
 def test_harmonic_value_rejects_bad_input():
-    with pytest.raises(ValueError, match="unit sphere"):
-        harmonic_value(3, ModeIndex(1, 1), (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="dim 2 and 3"):
-        harmonic_value(4, ModeIndex(1, 1), 0.0)
+    with pytest.raises(ValueError, match="dim 2 only"):
+        harmonic_value(3, ModeIndex(1, 1), (0.0, 0.0))
     with pytest.raises(ValueError, match="exceeds multiplicity"):
         harmonic_value(2, ModeIndex(1, 3), 0.0)
 
@@ -253,8 +218,8 @@ def test_u_prime_superposes_modes_linearly():
 
 def test_u_prime_rejects_unsupported_input():
     spec = PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)})
-    with pytest.raises(ValueError, match="dim 2 and 3"):
-        u_prime_value(spec, ProblemParams(4, 0.5, 2.0), 0.5, 0.0)
+    with pytest.raises(ValueError, match="dim 2 only"):
+        u_prime_value(spec, ProblemParams(3, 0.5, 2.0), 0.5, 0.0)
     with pytest.raises(ValueError, match=r"\[0,1\]"):
         u_prime_value(spec, PARAMS, 1.5, 0.0)
     mean_spec = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)}, allow_mean=True)
