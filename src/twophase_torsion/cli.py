@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from .params import ProblemParams
-from .pde_oracle import run_from_config
+from .pde_oracle import InterfaceOrderingError, SolveError, run_from_config
 from .reporting import SUITES, build_fidelity_report, emit_spectrum_csv, presets
 from .second_variation import SpectrumPath
 from .stability import classify
@@ -165,6 +165,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         run = run_from_config(config)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"invalid oracle config: {exc}") from exc
+    except (InterfaceOrderingError, SolveError) as exc:
+        raise CliError(f"oracle failed: {exc}") from exc
     _write_output(_json_text(run.to_document()), args.out)
     return 0
 

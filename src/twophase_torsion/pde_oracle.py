@@ -22,10 +22,12 @@ and the scheme is the Ritz minimizer over functions piecewise linear in s
 and trigonometric in theta, with coefficients sampled at radial cell
 midpoints (conservative, second order) and theta-derivatives applied by the
 periodic spectral differentiation matrix.  The center collapses to a single
-unknown.  The resulting symmetric block-tridiagonal system is solved by a
-block Cholesky-Thomas sweep, and the energy of the discrete solution is
-recovered variationally as E = u . q, with the load q integrated exactly for
-the piecewise-linear Jacobian.
+unknown.  The assembled system K u = q is symmetric positive definite and
+block tridiagonal, with the load q integrated exactly for the
+piecewise-linear Jacobian.  The energy of the discrete solution is
+E = u . q = q^T K^{-1} q, so u itself is never formed: a forward block
+LDL^T sweep gives E = sum_b z_b^T S_b^{-1} z_b over the Schur complements
+S_b and carried loads z_b, with no back-substitution.
 
 The perturbation family
 
@@ -39,6 +41,7 @@ second variation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -215,40 +218,43 @@ def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
     return np.concatenate([inner, outer]), j_in
 
 
-def _block_thomas_solve(
-    diag_blocks: list[np.ndarray], upper_blocks: list[np.ndarray], rhs: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Solve a symmetric positive definite block-tridiagonal system.
+def _forward_energy(
+    center: tuple[float, np.ndarray, float],
+    diag: np.ndarray,
+    upper: np.ndarray,
+    loads: np.ndarray,
+) -> float:
+    """E = q . K^{-1} q for a symmetric positive definite block-tridiagonal K.
 
-    diag_blocks[i] is square (sizes may vary), upper_blocks[i] couples block
-    i to block i+1, and the subdiagonal is the transpose.
+    center = (D_0, U_0, q_0) is the 1x1 center block, its coupling row and
+    its load.  diag[i], upper[i] and loads[i] belong to block i + 1, and
+    upper[i] couples it to block i + 2; the last upper block couples to the
+    dropped Dirichlet node, and its product is never used.  Each Schur
+    complement S_b = D_b - U_{b-1}^T S_{b-1}^{-1} U_{b-1} is factored once
+    and solved once against [U_b | z_b], with the carried load
+    z_b = q_b - U_{b-1}^T S_{b-1}^{-1} z_{b-1}; E = sum_b z_b . S_b^{-1} z_b
+    needs no back-substitution.
     """
-    n = len(diag_blocks)
-    factors = []
-    carried = list(rhs)
-    mod_diag = [block.copy() for block in diag_blocks]
+    d0, u0, q0 = center
+    m = diag.shape[1]
+    energy = q0 * q0 / d0
+    coupling = np.outer(u0, np.append(u0, q0)) / d0  # U^T S^{-1} [U | z]
     try:
-        for i in range(n):
-            if i > 0:
-                upper = upper_blocks[i - 1]
-                solved = cho_solve(factors[i - 1], upper)
-                mod_diag[i] -= upper.T @ solved
-                mod_diag[i] = 0.5 * (mod_diag[i] + mod_diag[i].T)
-                carried[i] = carried[i] - upper.T @ cho_solve(
-                    factors[i - 1], carried[i - 1]
-                )
-            factors.append(cho_factor(mod_diag[i], lower=True))
-        solution = [np.empty(0)] * n
-        solution[n - 1] = cho_solve(factors[n - 1], carried[n - 1])
-        for i in range(n - 2, -1, -1):
-            solution[i] = cho_solve(
-                factors[i], carried[i] - upper_blocks[i] @ solution[i + 1]
-            )
-        return solution
+        for block, upper_block, load in zip(diag, upper, loads):
+            carried = load - coupling[:, m]
+            factor = cho_factor(block - coupling[:, :m], lower=True, check_finite=False)
+            rhs = np.column_stack((upper_block, carried))
+            solved = cho_solve(factor, rhs, check_finite=False)
+            energy += carried @ solved[:, m]
+            coupling = upper_block.T @ solved
     except np.linalg.LinAlgError as exc:
         raise SolveError("block factorization failed") from exc
+    if not np.isfinite(energy):
+        raise SolveError("energy is not finite")
+    return float(energy)
 
 
+@np.errstate(all="ignore")  # a non-finite energy raises SolveError instead
 def solve_energy(
     family: PerturbedDomainFamily,
     radial_points: int = DEFAULT_RADIAL_POINTS,
@@ -267,85 +273,64 @@ def solve_energy(
     rho_in, drho_in, rho_out, drho_out = family.boundary_radii(theta)
 
     s_nodes, j_in = _radial_grid(radius, radial_points)
-    n_cells = radial_points
     diff = spectral_diff_matrix(m)
 
-    # map phi, its s-slope (constant per segment), and theta-derivative
+    # cell fields, one row per radial cell: the map phi at the cell's left
+    # node, midpoint and right node, its s-slope (constant per segment) and
+    # its theta-derivative at the midpoint
+    inner = (np.arange(radial_points) < j_in)[:, np.newaxis]
+    h = np.diff(s_nodes)[:, np.newaxis]
+    s = np.stack([s_nodes[:-1], 0.5 * (s_nodes[:-1] + s_nodes[1:]), s_nodes[1:]])
+    s = s[:, :, np.newaxis]
+    s_half = s[1]
     slope_inner = rho_in / radius
     slope_outer = (rho_out - rho_in) / (1.0 - radius)
+    phi_left, phi, phi_right = np.where(
+        inner, s * slope_inner, rho_in + (s - radius) * slope_outer
+    )
+    phi_s = np.where(inner, slope_inner, slope_outer)
+    phi_theta = np.where(
+        inner,
+        s_half * drho_in / radius,
+        drho_in + (s_half - radius) * (drho_out - drho_in) / (1.0 - radius),
+    )
+    conductivity = np.where(inner, sigma, 1.0)
+    a11 = conductivity * (phi * phi + phi_theta * phi_theta) / (phi * phi_s)
+    a12 = -conductivity * phi_theta / phi
+    a22 = conductivity * phi_s / phi
 
-    def cell_fields(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        s_half = 0.5 * (s_nodes[j] + s_nodes[j + 1])
-        if j < j_in:
-            phi = s_half * slope_inner
-            phi_s = slope_inner
-            phi_theta = s_half * drho_in / radius
-            conductivity = sigma
-        else:
-            phi = rho_in + (s_half - radius) * slope_outer
-            phi_s = slope_outer
-            phi_theta = drho_in + (s_half - radius) * (drho_out - drho_in) / (
-                1.0 - radius
-            )
-            conductivity = 1.0
-        return phi, phi_s, phi_theta, conductivity
+    # A cell's stiffness blocks are linear in three coefficient rows:
+    #   area   (dtheta/h) A11, as diag(area)
+    #   shear  dtheta A12, as sym and skew parts of sg = shear[:, None] * diff
+    #   bend   (dtheta h/4) A22, as diff^T diag(bend) diff
+    # with left-left k00 = area - sym + bend, right-right k11 = area + sym +
+    # bend and left-right k01 = -area + skew + bend.  Node i = 1..n-1 takes
+    # k00 of cell i plus k11 of cell i-1 and couples to node i+1 by k01 of
+    # cell i, so each stack of node blocks is one product of (summed) cell
+    # coefficients with a fixed basis of m x m matrices.
+    area = (dtheta / h) * a11
+    shear = dtheta * a12
+    bend = (dtheta * h / 4.0) * a22
+    shear_rows = np.eye(m)[:, :, np.newaxis] * diff  # [k, i, l] = delta_ki diff_il
+    sym = 0.5 * (shear_rows + shear_rows.transpose(0, 2, 1))
+    bend_basis = diff[:, :, np.newaxis] * diff[:, np.newaxis, :]
+    diag_basis = np.concatenate([bend_basis, sym]).reshape(2 * m, m * m)
+    upper_basis = np.concatenate([bend_basis, sym - shear_rows]).reshape(2 * m, m * m)
+    on_diagonal = np.arange(m)
+    diag = np.concatenate([bend[1:] + bend[:-1], shear[:-1] - shear[1:]], axis=1)
+    diag = (diag @ diag_basis).reshape(-1, m, m)
+    diag[:, on_diagonal, on_diagonal] += area[1:] + area[:-1]
+    upper = (np.concatenate([bend[1:], shear[1:]], axis=1) @ upper_basis).reshape(-1, m, m)
+    upper[:, on_diagonal, on_diagonal] -= area[1:]
 
-    def node_jacobian(j: int, cell: int) -> np.ndarray:
-        """phi * phi_s at node j using the slope of the given cell."""
-        s = s_nodes[j]
-        if cell < j_in:
-            return (s * slope_inner) * slope_inner
-        phi = rho_in + (s - radius) * slope_outer
-        return phi * slope_outer
+    jac_left = phi_left * phi_s
+    jac_right = phi_right * phi_s
+    load_left = dtheta * h * (2.0 * jac_left + jac_right) / 6.0
+    load_right = dtheta * h * (jac_left + 2.0 * jac_right) / 6.0
 
-    n_blocks = n_cells  # center + nodes 1..n_cells-1 (node n_cells is Dirichlet)
-    diag_blocks: list[np.ndarray] = [np.zeros((1, 1))]
-    diag_blocks += [np.zeros((m, m)) for _ in range(n_blocks - 1)]
-    upper_blocks: list[np.ndarray] = [np.zeros((1, m))]
-    upper_blocks += [np.zeros((m, m)) for _ in range(n_blocks - 2)]
-    rhs: list[np.ndarray] = [np.zeros(1)] + [np.zeros(m) for _ in range(n_blocks - 1)]
-
-    for j in range(n_cells):
-        h = s_nodes[j + 1] - s_nodes[j]
-        phi, phi_s, phi_theta, conductivity = cell_fields(j)
-        a11 = conductivity * (phi * phi + phi_theta * phi_theta) / (phi * phi_s)
-        a12 = -conductivity * phi_theta / phi
-        a22 = conductivity * phi_s / phi
-
-        a_block = (dtheta / h) * np.diag(a11)
-        sg = a12[:, np.newaxis] * diff
-        sym_sg = 0.5 * (sg + sg.T)
-        skew_sg = 0.5 * (sg.T - sg)
-        w_block = (dtheta * h / 4.0) * (diff.T @ (a22[:, np.newaxis] * diff))
-
-        k00 = a_block - dtheta * sym_sg + w_block
-        k11 = a_block + dtheta * sym_sg + w_block
-        k01 = -a_block + dtheta * skew_sg + w_block
-
-        jac_left = node_jacobian(j, j)
-        jac_right = node_jacobian(j + 1, j)
-        load_left = dtheta * h * (2.0 * jac_left + jac_right) / 6.0
-        load_right = dtheta * h * (jac_left + 2.0 * jac_right) / 6.0
-
-        if j == 0:
-            # center: u is a single unknown, the constant angular mode
-            ones = np.ones(m)
-            diag_blocks[0][0, 0] = ones @ a_block @ ones
-            upper_blocks[0][0, :] = -(ones @ a_block) - 0.5 * dtheta * (ones @ sg)
-            diag_blocks[1] += k11
-            rhs[0][0] = np.sum(load_left)
-            rhs[1] += load_right
-        else:
-            diag_blocks[j] += k00
-            rhs[j] += load_left
-            if j + 1 < n_cells:
-                diag_blocks[j + 1] += k11
-                upper_blocks[j] += k01
-                rhs[j + 1] += load_right
-            # j + 1 == n_cells: Dirichlet node, row and column dropped
-
-    solution = _block_thomas_solve(diag_blocks, upper_blocks, rhs)
-    return float(sum(np.dot(u, q) for u, q in zip(solution, rhs)))
+    # center: u is a single unknown, the constant angular mode
+    center = (np.sum(area[0]), -area[0] - 0.5 * (shear[0] @ diff), np.sum(load_left[0]))
+    return _forward_energy(center, diag, upper, load_left[1:] + load_right[:-1])
 
 
 def enclosed_areas(
@@ -430,11 +415,15 @@ def differentiate_energy(
     last two extrapolants, small when E(t) is smooth (near-quadratic) at
     this scale.
     """
+    if not math.isfinite(t0):
+        raise ValueError("t0 must be finite")
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    steps = [t0 / 2.0**level for level in range(levels + 1)]
+    steps = [math.ldexp(t0, -level) for level in range(levels + 1)]
+    if not sys.float_info.min <= steps[-1] * steps[-1] <= sys.float_info.max:
+        raise ValueError("t0 out of range: (t0/2^levels)^2 must be a normal float")
     samples = sorted({0.0} | {sign * h for h in steps for sign in (+1.0, -1.0)})
 
     energies = [

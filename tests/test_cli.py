@@ -221,7 +221,37 @@ def test_non_finite_parameters_are_rejected(tmp_path, capsys):
     assert err == "sigma must be finite\n"
 
     path = tmp_path / "infinite.json"
-    path.write_text('{"radius": 0.5, "sigma": Infinity}', encoding="utf-8")
-    code, _, err = run_cli(capsys, ["oracle", "--config", str(path)])
+    for entries, message in (
+        ('"sigma": Infinity', "sigma must be finite"),
+        ('"sigma": 2.0, "t0": Infinity', "t0 must be finite"),
+        ('"sigma": 2.0, "t0": NaN', "t0 must be finite"),
+    ):
+        path.write_text(f'{{"radius": 0.5, {entries}}}', encoding="utf-8")
+        code, _, err = run_cli(capsys, ["oracle", "--config", str(path)])
+        assert code == 2
+        assert err == f"invalid oracle config: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # InterfaceOrderingError: the outer boundary dips inside the core
+        (
+            {"t0": 0.9, "modes": [{"degree": 2, "alpha_out": 1.0}]},
+            "interface ordering 0 < rho_D < rho_Omega violated",
+        ),
+        # SolveError: the stiffness overflows
+        (
+            {"sigma": 1e300, "modes": [{"degree": 2, "alpha_in": 1.0}]},
+            "block factorization failed",
+        ),
+    ],
+)
+def test_oracle_reports_solver_failures(tmp_path, capsys, overrides, message):
+    config = {"radius": 0.5, "sigma": 2.0, "radial_points": 16, "angular_modes": 8}
+    path = tmp_path / "failing.json"
+    path.write_text(json.dumps({**config, **overrides}), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["oracle", "--config", str(path)])
     assert code == 2
-    assert err == "invalid oracle config: sigma must be finite\n"
+    assert out == ""
+    assert err == f"oracle failed: {message}\n"

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from twophase_torsion import pde_oracle
 from twophase_torsion.exact_state import baseline_energy
 from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
 from twophase_torsion.pde_oracle import (
     AngularProfile,
     InterfaceOrderingError,
     PerturbedDomainFamily,
+    SolveError,
     differentiate_energy,
     enclosed_areas,
     family_from_config,
@@ -136,10 +138,103 @@ def test_differentiate_energy_returns_a_complete_run():
 
 def test_differentiate_energy_validates_input():
     family = PerturbedDomainFamily.from_spec(PARAMS, PerturbationSpec({}))
-    with pytest.raises(ValueError, match="t0"):
+    with pytest.raises(ValueError, match="^t0 must be positive$"):
         differentiate_energy(family, t0=0.0)
     with pytest.raises(ValueError, match="levels"):
         differentiate_energy(family, levels=0)
+    for t0 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^t0 must be finite$"):
+            differentiate_energy(family, t0=t0)
+    # (t0/2^levels)^2 must be a normal float: 1e-300 underflows to zero,
+    # 1e-154 to a subnormal, and 1e300 overflows
+    for t0, levels in ((1e-300, 2), (1e-154, 1), (1e300, 2), (1e-10, 1000)):
+        with pytest.raises(ValueError, match=r"^t0 out of range: \(t0/2\^levels\)\^2"):
+            differentiate_energy(family, t0=t0, levels=levels)
+
+
+def test_solve_energy_raises_when_the_energy_is_not_finite():
+    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
+    overflowing = PerturbedDomainFamily.from_spec(ProblemParams(2, 0.5, 1e308), spec)
+    with pytest.raises(SolveError, match="^energy is not finite$"):
+        solve_energy(overflowing, radial_points=16, angular_modes=8)
+    singular = PerturbedDomainFamily.from_spec(ProblemParams(2, 0.5, 1e300), spec)
+    with pytest.raises(SolveError, match="^block factorization failed$"):
+        solve_energy(singular, radial_points=16, angular_modes=8)
+
+
+def _captured_system(monkeypatch, family, radial_points, angular_modes):
+    """solve_energy's result and the dense matrix and load it assembled."""
+    captured = []
+    forward = pde_oracle._forward_energy
+
+    def capture(*system):
+        captured.extend(system)
+        return forward(*system)
+
+    monkeypatch.setattr(pde_oracle, "_forward_energy", capture)
+    energy = solve_energy(family, radial_points, angular_modes)
+    (center, center_upper, center_load), diag, upper, loads = captured
+    m = angular_modes
+    size = 1 + len(diag) * m
+    matrix = np.zeros((size, size))
+    matrix[0, 0] = center
+    matrix[0, 1 : 1 + m] = matrix[1 : 1 + m, 0] = center_upper
+    for i, block in enumerate(diag):
+        rows = slice(1 + i * m, 1 + (i + 1) * m)
+        matrix[rows, rows] = block
+        if i + 1 < len(diag):  # the last upper block couples to the Dirichlet node
+            cols = slice(1 + (i + 1) * m, 1 + (i + 2) * m)
+            matrix[rows, cols] = upper[i]
+            matrix[cols, rows] = upper[i].T
+    return energy, matrix, np.concatenate([[center_load], loads.ravel()])
+
+
+@pytest.mark.parametrize("radial_points", [16, 4])
+def test_forward_sweep_equals_a_dense_solve(monkeypatch, radial_points):
+    # radial_points = 4 leaves three m x m blocks, so the block after the
+    # center is next to the last one
+    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.5), ModeIndex(3, 2): (0.0, 1.0)})
+    family = PerturbedDomainFamily.from_spec(PARAMS, spec).at(0.03)
+    energy, matrix, load = _captured_system(monkeypatch, family, radial_points, 8)
+    assert energy == pytest.approx(load @ np.linalg.solve(matrix, load), rel=1e-12)
+
+
+# E(-0.01), E(0.01) at 64x16 computed by an independent implementation of
+# the same scheme: a per-cell assembly loop and a block Cholesky-Thomas solve
+REFERENCE_ENERGIES = [
+    (ProblemParams(2, 0.5, 2.0), ModeIndex(1, 1), (1.0, 0.0),
+     (0.38040870620939343, 0.380408706209395)),
+    (ProblemParams(2, 0.4, 0.5), ModeIndex(2, 2), (0.0, 1.0),
+     (0.4027093702942107, 0.40270937029421044)),
+    (ProblemParams(2, 0.6, 3.0), ModeIndex(3, 1), (1.0, 1.0),
+     (0.35870868327550304, 0.3587086832754983)),
+]
+
+
+@pytest.mark.parametrize("params, mode, alphas, energies", REFERENCE_ENERGIES)
+def test_solve_energy_matches_reference_energies(params, mode, alphas, energies):
+    family = PerturbedDomainFamily.from_spec(params, PerturbationSpec({mode: alphas}))
+    for t, expected in zip((-0.01, 0.01), energies):
+        assert solve_energy(family.at(t), 64, 16) == pytest.approx(expected, rel=1e-12)
+
+
+def test_sweep_factors_and_solves_each_block_once(monkeypatch):
+    # the benchmark trace counts calls through these module attributes
+    calls = {"cho_factor": 0, "cho_solve": 0}
+    for name in calls:
+        original = getattr(pde_oracle, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pde_oracle, name, counted)
+    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
+    family = PerturbedDomainFamily.from_spec(PARAMS, spec).at(0.01)
+    radial_points = 32
+    solve_energy(family, radial_points, 8)
+    assert 1 <= calls["cho_factor"] <= radial_points
+    assert 1 <= calls["cho_solve"] <= radial_points
 
 
 def test_differentiate_energy_single_level_has_no_rate():
