@@ -16,6 +16,7 @@ from .params import (
     ProblemParams,
     ValidationVerdict,
     multiplicity,
+    presets,
     validate,
 )
 from .pde_oracle import (
@@ -25,7 +26,6 @@ from .pde_oracle import (
     PerturbedDomainFamily,
     SolveError,
     differentiate_energy,
-    enclosed_areas,
     family_from_config,
     run_from_config,
     solve_energy,
@@ -38,14 +38,12 @@ from .reporting import (
     FidelityVerdict,
     build_fidelity_report,
     emit_spectrum_csv,
-    presets,
     run_coefficients_suite,
     run_monotonicity_suite,
     run_pde_suite,
     run_secondvar_suite,
 )
 from .second_variation import (
-    ResonanceAnalysis,
     SecondVariationSpectrum,
     SpectrumPath,
     assemble_spectrum,
@@ -54,7 +52,6 @@ from .second_variation import (
     g_factor,
     monotonicity_functions,
     printed_spectrum,
-    resonance_analysis,
     spectrum,
     total_second_variation,
 )
@@ -71,9 +68,7 @@ from .transmission import (
     TransmissionSolveError,
     closed_form_mode,
     denom_F,
-    harmonic_value,
     solve_mode_oracle,
-    u_prime_value,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +90,6 @@ __all__ = [
     "PerturbationSpec",
     "PerturbedDomainFamily",
     "ProblemParams",
-    "ResonanceAnalysis",
     "SUITES",
     "SecondVariationSpectrum",
     "SolveError",
@@ -112,18 +106,15 @@ __all__ = [
     "denom_F",
     "differentiate_energy",
     "emit_spectrum_csv",
-    "enclosed_areas",
     "factored_discriminant",
     "family_from_config",
     "first_variation",
     "g_factor",
-    "harmonic_value",
     "monotonicity_functions",
     "multiplicity",
     "positive_mode_set",
     "presets",
     "printed_spectrum",
-    "resonance_analysis",
     "run_coefficients_suite",
     "run_from_config",
     "run_monotonicity_suite",

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .params import ProblemParams
 from .pde_oracle import InterfaceOrderingError, SolveError, run_from_config
-from .reporting import SUITES, build_fidelity_report, emit_spectrum_csv, presets
+from .reporting import SUITES, build_fidelity_report, emit_spectrum_csv
 from .second_variation import SpectrumPath
 from .stability import classify
 
@@ -95,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     params = ProblemParams(args.dim, args.radius, args.sigma)
-    if args.kmax < 2:
-        raise CliError("kmax must be >= 2")
     verdict = classify(params, args.kmax)
     _write_output(_json_text(verdict.to_document()), args.out)
     return 0
@@ -104,8 +102,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = ProblemParams(args.dim, args.radius, args.sigma)
-    if args.kmax < 1:
-        raise CliError("kmax must be >= 1")
     path = SpectrumPath.ASSEMBLED if args.path == "assembled" else SpectrumPath.PRINTED
     _write_output(emit_spectrum_csv(params, args.kmax, path), args.out)
     return 0
@@ -142,25 +138,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise CliError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"config is not valid JSON: {exc}") from exc
-    if "preset" in config:
-        preset_table = presets()
-        name = config.pop("preset")
-        if name not in preset_table:
-            known = ", ".join(sorted(preset_table))
-            raise CliError(f"unknown preset {name!r} (known: {known})")
-        spec = preset_table[name]
-        config.setdefault(
-            "modes",
-            [
-                {
-                    "degree": mode.degree,
-                    "order": mode.order,
-                    "alpha_in": pair[0],
-                    "alpha_out": pair[1],
-                }
-                for mode, pair in spec.sorted_items()
-            ],
-        )
     try:
         run = run_from_config(config)
     except (KeyError, TypeError, ValueError) as exc:
@@ -185,10 +162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -1,5 +1,5 @@
 """Problem parameters, spherical-harmonic mode bookkeeping, and perturbation
-specifications with constraint validation.
+specifications with constraint validation and named presets.
 
 The geometry is a core ball of radius R inside the unit ball of R^N, with
 conductivity sigma in the core and 1 outside.  Boundary perturbations are
@@ -133,17 +133,6 @@ class PerturbationSpec:
     def sorted_items(self) -> list[tuple[ModeIndex, tuple[float, float]]]:
         return sorted(self.modes.items(), key=lambda item: item[0])
 
-    def barycenter_admissible(self) -> bool:
-        """True iff every degree-1 mode has outer coefficient zero."""
-        return all(
-            pair[1] == 0.0
-            for index, pair in self.modes.items()
-            if index.degree == 1
-        )
-
-    def max_degree(self) -> int:
-        return max((index.degree for index in self.modes), default=0)
-
 
 def validate(spec: PerturbationSpec, constraint: Constraint) -> ValidationVerdict:
     """Check a perturbation against the volume (and barycenter) constraints.
@@ -167,3 +156,24 @@ def validate(spec: PerturbationSpec, constraint: Constraint) -> ValidationVerdic
             )
     return ValidationVerdict(constraint=constraint, violations=tuple(violations))
 
+
+def presets() -> dict[str, PerturbationSpec]:
+    """Named resonance-case perturbations.
+
+    case-i    interface degree 3 against boundary degree 5 (no resonance),
+    case-ii   same degree 5, different orders (no resonance),
+    case-iii  same mode, aligned coefficients (resonance),
+    case-iv   same mode, opposed coefficients (resonance),
+    case-v    the translation-like coupled degree-1 mode (neutral direction).
+    """
+    return {
+        "case-i": PerturbationSpec(
+            {ModeIndex(3, 1): (1.0, 0.0), ModeIndex(5, 1): (0.0, 1.0)}
+        ),
+        "case-ii": PerturbationSpec(
+            {ModeIndex(5, 1): (1.0, 0.0), ModeIndex(5, 2): (0.0, 1.0)}
+        ),
+        "case-iii": PerturbationSpec({ModeIndex(5, 1): (1.0, 1.0)}),
+        "case-iv": PerturbationSpec({ModeIndex(5, 1): (1.0, -1.0)}),
+        "case-v": PerturbationSpec({ModeIndex(1, 1): (1.0, 1.0)}),
+    }

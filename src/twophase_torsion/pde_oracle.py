@@ -43,12 +43,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .params import ModeIndex, PerturbationSpec, ProblemParams
+from .params import ModeIndex, PerturbationSpec, ProblemParams, presets
 
 DEFAULT_RADIAL_POINTS = 512
 DEFAULT_ANGULAR_MODES = 64
@@ -102,9 +101,6 @@ class AngularProfile:
 
     def max_degree(self) -> int:
         return max((degree for degree, _, _ in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return all(coeff == 0.0 for _, _, coeff in self.terms)
 
 
 @dataclass(frozen=True)
@@ -262,8 +258,7 @@ def solve_energy(
 ) -> float:
     """Energy of the perturbed configuration at the family's amplitude."""
     m = angular_modes
-    if m % 2 != 0 or m < 4:
-        raise ValueError("angular_modes must be even and >= 4")
+    diff = spectral_diff_matrix(m)  # first, as it also validates m
     if 2 * family.max_degree() >= m:
         raise ValueError("angular_modes too small for the perturbation degree")
     radius, sigma = family.params.core_radius, family.params.sigma
@@ -273,7 +268,6 @@ def solve_energy(
     rho_in, drho_in, rho_out, drho_out = family.boundary_radii(theta)
 
     s_nodes, j_in = _radial_grid(radius, radial_points)
-    diff = spectral_diff_matrix(m)
 
     # cell fields, one row per radial cell: the map phi at the cell's left
     # node, midpoint and right node, its s-slope (constant per segment) and
@@ -331,19 +325,6 @@ def solve_energy(
     # center: u is a single unknown, the constant angular mode
     center = (np.sum(area[0]), -area[0] - 0.5 * (shear[0] @ diff), np.sum(load_left[0]))
     return _forward_energy(center, diag, upper, load_left[1:] + load_right[:-1])
-
-
-def enclosed_areas(
-    family: PerturbedDomainFamily, angular_modes: int = DEFAULT_ANGULAR_MODES
-) -> tuple[float, float]:
-    """Quadrature areas of the core and of the whole perturbed domain."""
-    theta = 2.0 * math.pi * np.arange(angular_modes) / angular_modes
-    rho_in, _, rho_out, _ = family.boundary_radii(theta)
-    dtheta = 2.0 * math.pi / angular_modes
-    return (
-        0.5 * dtheta * float(np.sum(rho_in**2)),
-        0.5 * dtheta * float(np.sum(rho_out**2)),
-    )
 
 
 @dataclass(frozen=True)
@@ -410,10 +391,10 @@ def differentiate_energy(
 
     Samples t in {0} union {+-t0/2^l}; d1 and d2 are the Richardson limits of
     the first and second central differences.  The convergence rate is the
-    observed reduction order of successive raw second differences (needs
-    levels >= 2); the extrapolation agreement is the relative gap between the
-    last two extrapolants, small when E(t) is smooth (near-quadratic) at
-    this scale.
+    observed reduction order of successive raw second differences; it is NaN
+    when levels < 2 or either spacing is zero.  The extrapolation agreement
+    is the relative gap between the last two extrapolants, small when E(t)
+    is smooth (near-quadratic) at this scale.
     """
     if not math.isfinite(t0):
         raise ValueError("t0 must be finite")
@@ -437,15 +418,12 @@ def differentiate_energy(
     d1 = _richardson(d1_raw)
     d2 = _richardson(d2_raw)
 
+    rate = float("nan")  # no rate without two nonzero spacings
     if levels >= 2:
         spacing_coarse = abs(d2_raw[0] - d2_raw[1])
         spacing_fine = abs(d2_raw[1] - d2_raw[2])
         if spacing_fine > 0.0 and spacing_coarse > 0.0:
             rate = math.log2(spacing_coarse / spacing_fine)
-        else:
-            rate = 2.0  # differences below roundoff: treat as converged
-    else:
-        rate = float("nan")
 
     penultimate = _richardson(d2_raw[:-1])
     agreement = abs(d2 - penultimate) / max(abs(d2), 1e-12)
@@ -463,27 +441,81 @@ def differentiate_energy(
     )
 
 
+_CONFIG_KEYS = frozenset(
+    {
+        "dim", "radius", "sigma", "modes", "preset", "allow_mean", "exact_area",
+        "t0", "levels", "radial_points", "angular_modes",
+    }
+)
+_MODE_KEYS = frozenset({"degree", "order", "alpha_in", "alpha_out"})
+_JSON_TYPES = {
+    int: "integer", float: "number", bool: "boolean", str: "string", list: "list"
+}
+
+
+def _check_keys(record, keys: frozenset, what: str) -> None:
+    """record must be a JSON object with no key outside keys."""
+    if not isinstance(record, dict):
+        raise TypeError(f"{what} must be a JSON object")
+    unknown = sorted(set(record) - keys)
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+
+
+def _field(record: dict, key: str, kind: type, default=None):
+    """record[key] as kind, which must also be its JSON type: an integer is
+    a number, but a boolean is neither and a fraction is no integer.  With
+    no default the key is required."""
+    if key not in record:
+        if default is None:
+            raise KeyError(key)
+        return default
+    value = record[key]
+    accepted = (int, float) if kind is float else (kind,)
+    if type(value) not in accepted:
+        raise TypeError(f"{key} must be a JSON {_JSON_TYPES[kind]}")
+    return kind(value)
+
+
 def family_from_config(config: dict) -> PerturbedDomainFamily:
     """Build a domain family from a configuration dictionary.
 
-    Expected keys: dim, radius, sigma, and modes (a list of records with
-    degree, order, alpha_in, alpha_out); optional exact_area flag.
+    Keys: dim (default 2), radius, sigma, and either preset (a name from
+    params.presets) or modes (a list of records with degree, order,
+    alpha_in, alpha_out); optional allow_mean and exact_area flags, and the
+    run keys of run_from_config.  Unknown keys, values of the wrong JSON type
+    and preset together with modes are rejected.
     """
+    _check_keys(config, _CONFIG_KEYS, "config")
     params = ProblemParams(
-        dim=int(config.get("dim", 2)),
-        core_radius=float(config["radius"]),
-        sigma=float(config["sigma"]),
+        dim=_field(config, "dim", int, 2),
+        core_radius=_field(config, "radius", float),
+        sigma=_field(config, "sigma", float),
     )
-    modes = {}
-    for record in config.get("modes", []):
-        index = ModeIndex(int(record["degree"]), int(record.get("order", 1)))
-        modes[index] = (
-            float(record.get("alpha_in", 0.0)),
-            float(record.get("alpha_out", 0.0)),
-        )
-    spec = PerturbationSpec(modes=modes, allow_mean=bool(config.get("allow_mean", False)))
+    allow_mean = _field(config, "allow_mean", bool, False)
+    if "preset" in config:
+        if "modes" in config:
+            raise ValueError("give either preset or modes, not both")
+        table = presets()
+        name = _field(config, "preset", str)
+        if name not in table:
+            known = ", ".join(sorted(table))
+            raise ValueError(f"unknown preset {name!r} (known: {known})")
+        spec = table[name]
+    else:
+        modes = {}
+        for record in _field(config, "modes", list, []):
+            _check_keys(record, _MODE_KEYS, "mode")
+            index = ModeIndex(
+                _field(record, "degree", int), _field(record, "order", int, 1)
+            )
+            modes[index] = (
+                _field(record, "alpha_in", float, 0.0),
+                _field(record, "alpha_out", float, 0.0),
+            )
+        spec = PerturbationSpec(modes=modes, allow_mean=allow_mean)
     return PerturbedDomainFamily.from_spec(
-        params, spec, exact_area=bool(config.get("exact_area", True))
+        params, spec, exact_area=_field(config, "exact_area", bool, True)
     )
 
 
@@ -492,8 +524,8 @@ def run_from_config(config: dict) -> OracleRun:
     family = family_from_config(config)
     return differentiate_energy(
         family,
-        t0=float(config.get("t0", DEFAULT_STEP)),
-        levels=int(config.get("levels", DEFAULT_LEVELS)),
-        radial_points=int(config.get("radial_points", DEFAULT_RADIAL_POINTS)),
-        angular_modes=int(config.get("angular_modes", DEFAULT_ANGULAR_MODES)),
+        t0=_field(config, "t0", float, DEFAULT_STEP),
+        levels=_field(config, "levels", int, DEFAULT_LEVELS),
+        radial_points=_field(config, "radial_points", int, DEFAULT_RADIAL_POINTS),
+        angular_modes=_field(config, "angular_modes", int, DEFAULT_ANGULAR_MODES),
     )

@@ -1,5 +1,5 @@
-"""Fidelity report, spectrum emitters, resonance presets, and the acceptance
-criteria behind the verify suites.
+"""Fidelity report, spectrum emitter, and the acceptance criteria behind the
+verify suites.
 
 The fidelity report compares every printed closed-form expression (six mode
 coefficients, three spectrum entries) against the independent computation
@@ -27,7 +27,6 @@ import numpy as np
 from .exact_state import baseline_energy
 from .params import ModeIndex, PerturbationSpec, ProblemParams
 from .pde_oracle import (
-    DEFAULT_ANGULAR_MODES,
     DEFAULT_RADIAL_POINTS,
     OracleRun,
     PerturbedDomainFamily,
@@ -39,7 +38,6 @@ from .second_variation import (
     assemble_spectrum,
     monotonicity_functions,
     printed_spectrum,
-    resonance_analysis,
     spectrum,
     total_second_variation,
 )
@@ -237,34 +235,11 @@ def emit_spectrum_csv(params: ProblemParams, kmax: int, path: SpectrumPath) -> s
     lines = ["k,e_in,e_out,e_res,delta"]
     for degree in range(1, kmax + 1):
         values = spectrum(params, degree, path)
-        delta = values.e_res**2 - 4.0 * values.e_in * values.e_out
         lines.append(
             f"{degree},{values.e_in:.17g},{values.e_out:.17g},"
-            f"{values.e_res:.17g},{delta:.17g}"
+            f"{values.e_res:.17g},{values.discriminant:.17g}"
         )
     return "\n".join(lines) + "\n"
-
-
-def presets() -> dict[str, PerturbationSpec]:
-    """Named resonance-case perturbations.
-
-    case-i    interface degree 3 against boundary degree 5 (no resonance),
-    case-ii   same degree 5, different orders (no resonance),
-    case-iii  same mode, aligned coefficients (resonance),
-    case-iv   same mode, opposed coefficients (resonance),
-    case-v    the translation-like coupled degree-1 mode (neutral direction).
-    """
-    return {
-        "case-i": PerturbationSpec(
-            {ModeIndex(3, 1): (1.0, 0.0), ModeIndex(5, 1): (0.0, 1.0)}
-        ),
-        "case-ii": PerturbationSpec(
-            {ModeIndex(5, 1): (1.0, 0.0), ModeIndex(5, 2): (0.0, 1.0)}
-        ),
-        "case-iii": PerturbationSpec({ModeIndex(5, 1): (1.0, 1.0)}),
-        "case-iv": PerturbationSpec({ModeIndex(5, 1): (1.0, -1.0)}),
-        "case-v": PerturbationSpec({ModeIndex(1, 1): (1.0, 1.0)}),
-    }
 
 
 @dataclass(frozen=True)
@@ -459,24 +434,23 @@ def resonance_structure() -> CheckResult:
             for sigma in RESONANCE_SIGMAS:
                 params = ProblemParams(dim, radius, sigma)
                 for degree in SPECTRUM_DEGREES:
-                    analysis = resonance_analysis(params, degree, SpectrumPath.ASSEMBLED)
+                    values = assemble_spectrum(params, degree)
                     if degree == 1:
                         scale = max(
-                            analysis.q_linear**2,
-                            abs(4.0 * analysis.q_leading * analysis.q_constant),
+                            values.e_res**2, abs(4.0 * values.e_in * values.e_out)
                         )
-                        if abs(analysis.discriminant) > RESONANCE_TOL * scale:
+                        if abs(values.discriminant) > RESONANCE_TOL * scale:
                             failures.append(f"delta(1) at {params}")
                         total = total_second_variation(
                             combined, params, SpectrumPath.ASSEMBLED
                         )
-                        value_scale = abs(analysis.q_leading) + abs(analysis.q_constant)
+                        value_scale = abs(values.e_in) + abs(values.e_out)
                         if abs(total) > RESONANCE_TOL * value_scale:
                             failures.append(f"Q(1) != 0 at k=1, {params}")
                     else:
-                        if analysis.discriminant > 0.0:
+                        if values.discriminant > 0.0:
                             failures.append(f"delta({degree}) > 0 at {params}")
-                        if not np.all(analysis.q_value(RESONANCE_RATIOS) < 0.0):
+                        if not np.all(values.q_value(RESONANCE_RATIOS) < 0.0):
                             failures.append(f"Q(t) >= 0 at k={degree}, {params}")
     return _result(
         "resonance: delta <= 0, delta(1) = 0, Q < 0 for k >= 2 (sigma > 1)", failures
@@ -501,28 +475,19 @@ class OracleRuns:
     witnesses: dict[str, OracleRun]
 
 
-def oracle_runs(
-    radial_points: int = DEFAULT_RADIAL_POINTS,
-    angular_modes: int = DEFAULT_ANGULAR_MODES,
-) -> OracleRuns:
-    """The oracle runs of criteria 9-12, computed once per grid."""
-    return _oracle_runs(radial_points, angular_modes)
+@functools.cache
+def oracle_runs() -> OracleRuns:
+    """The oracle runs of criteria 9-12 on the default grid, computed once."""
 
-
-@functools.lru_cache(maxsize=4)
-def _oracle_runs(radial_points: int, angular_modes: int) -> OracleRuns:
     def run(params: ProblemParams, spec: PerturbationSpec) -> OracleRun:
-        family = PerturbedDomainFamily.from_spec(params, spec)
-        return differentiate_energy(
-            family, radial_points=radial_points, angular_modes=angular_modes
-        )
+        return differentiate_energy(PerturbedDomainFamily.from_spec(params, spec))
 
     baseline = {}
     for params in BASELINE_PARAMS:
         family = PerturbedDomainFamily.from_spec(params, PerturbationSpec({}))
         baseline[params] = (
-            solve_energy(family, radial_points, angular_modes),
-            solve_energy(family, radial_points // 2, angular_modes),
+            solve_energy(family),
+            solve_energy(family, DEFAULT_RADIAL_POINTS // 2),
         )
 
     start = time.perf_counter()
@@ -550,13 +515,10 @@ def _oracle_runs(radial_points: int, angular_modes: int) -> OracleRuns:
     return OracleRuns(baseline, harder, harder_seconds, saddle, witnesses)
 
 
-def pde_baseline(
-    radial_points: int = DEFAULT_RADIAL_POINTS,
-    angular_modes: int = DEFAULT_ANGULAR_MODES,
-) -> CheckResult:
+def pde_baseline() -> CheckResult:
     """9. The unperturbed energy matches the closed form, with second-order
     convergence between the half and the full radial grid."""
-    runs = oracle_runs(radial_points, angular_modes)
+    runs = oracle_runs()
     low, high = ORDER_RANGE
     failures, orders = [], []
     for params, (fine, coarse) in runs.baseline.items():
@@ -576,12 +538,9 @@ def pde_baseline(
     )
 
 
-def first_variation_vanishes(
-    radial_points: int = DEFAULT_RADIAL_POINTS,
-    angular_modes: int = DEFAULT_ANGULAR_MODES,
-) -> CheckResult:
+def first_variation_vanishes() -> CheckResult:
     """10. Fitted first derivatives vanish for volume-preserving families."""
-    runs = oracle_runs(radial_points, angular_modes)
+    runs = oracle_runs()
     failures = []
     for degree in FIRST_VARIATION_DEGREES:
         for channel, _ in _CHANNELS:
@@ -596,13 +555,10 @@ def first_variation_vanishes(
     )
 
 
-def second_variation_match(
-    radial_points: int = DEFAULT_RADIAL_POINTS,
-    angular_modes: int = DEFAULT_ANGULAR_MODES,
-) -> CheckResult:
+def second_variation_match() -> CheckResult:
     """11. Fitted second derivatives match the assembled spectrum, and the
     coupled run recovers the cross term."""
-    runs = oracle_runs(radial_points, angular_modes).harder
+    runs = oracle_runs().harder
     values = assemble_spectrum(HARDER_CORE, CROSS_DEGREE)
     failures = []
     for channel, analytic in (("inner", values.e_in), ("outer", values.e_out)):
@@ -624,13 +580,10 @@ def second_variation_match(
     )
 
 
-def classifier_reproduction(
-    radial_points: int = DEFAULT_RADIAL_POINTS,
-    angular_modes: int = DEFAULT_ANGULAR_MODES,
-) -> CheckResult:
+def classifier_reproduction() -> CheckResult:
     """12. LocalMaximum for the harder core; Saddle for the softer core, with
     both witnesses confirmed in sign and size by the oracle."""
-    runs = oracle_runs(radial_points, angular_modes)
+    runs = oracle_runs()
     failures = []
     harder = classify(HARDER_CORE, CLASSIFY_KMAX).classification
     if harder is not Classification.LOCAL_MAXIMUM:
@@ -662,7 +615,7 @@ def classifier_reproduction(
     )
 
 
-CRITERIA: dict[int, Callable[..., CheckResult]] = {
+CRITERIA: dict[int, Callable[[], CheckResult]] = {
     1: transmission_residuals,
     2: denominator_positivity,
     3: closed_form_fidelity,
@@ -685,8 +638,8 @@ SUITE_CRITERIA: dict[str, tuple[int, ...]] = {
 }
 
 
-def _run_suite(suite: str, **grid: int) -> list[CheckResult]:
-    return [CRITERIA[number](**grid) for number in SUITE_CRITERIA[suite]]
+def _run_suite(suite: str) -> list[CheckResult]:
+    return [CRITERIA[number]() for number in SUITE_CRITERIA[suite]]
 
 
 def run_coefficients_suite() -> list[CheckResult]:
@@ -704,12 +657,9 @@ def run_monotonicity_suite() -> list[CheckResult]:
     return _run_suite("monotonicity")
 
 
-def run_pde_suite(
-    radial_points: int = DEFAULT_RADIAL_POINTS,
-    angular_modes: int = DEFAULT_ANGULAR_MODES,
-) -> list[CheckResult]:
-    """Criteria 9-12, from the shared oracle runs on the given grid."""
-    return _run_suite("pde", radial_points=radial_points, angular_modes=angular_modes)
+def run_pde_suite() -> list[CheckResult]:
+    """Criteria 9-12, from the shared oracle runs."""
+    return _run_suite("pde")
 
 
 SUITES: dict[str, Callable[[], list[CheckResult]]] = {

@@ -22,9 +22,10 @@ classification consumes the Assembled path, which is the one that is
 self-consistent (translation invariance e_in(1) = e_out(1)) and confirmed by
 the PDE oracle.
 
-Also provided: the resonance quadratic Q(t) = e_in t^2 + e_res t + e_out with
-its discriminant and factored form, the proof functions a, b, c certifying
-monotone decrease of the spectrum, and the first variation.
+Also provided: the closed-form factorization of the discriminant of the
+resonance quadratic Q(t) = e_in t^2 + e_res t + e_out, the proof functions
+a, b, c certifying monotone decrease of the spectrum, and the first
+variation.
 """
 
 from __future__ import annotations
@@ -46,13 +47,24 @@ class SpectrumPath(enum.Enum):
 
 @dataclass(frozen=True)
 class SecondVariationSpectrum:
-    """Per-degree quadratic-form coefficients of the second variation."""
+    """Per-degree quadratic-form coefficients of the second variation, with
+    the resonance quadratic Q they define."""
 
     degree: int
     e_in: float
     e_out: float
     e_res: float
     source: SpectrumPath
+
+    @property
+    def discriminant(self) -> float:
+        """delta = e_res^2 - 4 e_in e_out, the discriminant of Q."""
+        return self.e_res * self.e_res - 4.0 * self.e_in * self.e_out
+
+    def q_value(self, t):
+        """The coupled-mode quadratic Q(t) = e_in t^2 + e_res t + e_out at
+        the ratio t = alpha_in/alpha_out of same-mode coefficients."""
+        return self.e_in * t * t + self.e_res * t + self.e_out
 
 
 @functools.lru_cache(maxsize=4096)
@@ -159,28 +171,6 @@ def total_second_variation(
     return total
 
 
-@dataclass(frozen=True)
-class ResonanceAnalysis:
-    """The coupled-mode quadratic Q(t) = e_in t^2 + e_res t + e_out.
-
-    t is the ratio alpha_in/alpha_out of same-mode coefficients.  The
-    discriminant field is q_linear^2 - 4 q_leading q_constant; the factored
-    field evaluates the closed-form factorization of the discriminant, which
-    tracks the assembled-path discriminant.
-    """
-
-    degree: int
-    q_leading: float
-    q_linear: float
-    q_constant: float
-    discriminant: float
-    g_factor: float
-    discriminant_factored: float
-
-    def q_value(self, t: float) -> float:
-        return self.q_leading * t * t + self.q_linear * t + self.q_constant
-
-
 def g_factor(params: ProblemParams, degree: int) -> float:
     """G = (sigma-1) k (N-1+k)(R^{2-N-2k} - 1) + (N-2+2k) R^{2-N-2k}."""
     n, radius, sigma = params.dim, params.core_radius, params.sigma
@@ -204,25 +194,6 @@ def factored_discriminant(params: ProblemParams, degree: int) -> float:
         sigma * n * n * f_denom * f_denom
     )
     return prefactor * bracket * g_factor(params, degree)
-
-
-def resonance_analysis(
-    params: ProblemParams, degree: int, path: SpectrumPath
-) -> ResonanceAnalysis:
-    """Q coefficients, discriminant (direct and factored), and G for degree k."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    values = spectrum(params, degree, path)
-    discriminant = values.e_res * values.e_res - 4.0 * values.e_in * values.e_out
-    return ResonanceAnalysis(
-        degree=degree,
-        q_leading=values.e_in,
-        q_linear=values.e_res,
-        q_constant=values.e_out,
-        discriminant=discriminant,
-        g_factor=g_factor(params, degree),
-        discriminant_factored=factored_discriminant(params, degree),
-    )
 
 
 def monotonicity_functions(

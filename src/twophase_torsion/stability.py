@@ -37,7 +37,6 @@ from .second_variation import (
     SecondVariationSpectrum,
     SpectrumPath,
     assemble_spectrum,
-    resonance_analysis,
     total_second_variation,
 )
 
@@ -125,8 +124,7 @@ def _coupled_supremum_positive(values: SecondVariationSpectrum) -> bool:
     scale = _row_scale(values)
     if values.e_in > SIGN_FLOOR * scale or values.e_out > SIGN_FLOOR * scale:
         return True
-    discriminant = values.e_res**2 - 4.0 * values.e_in * values.e_out
-    return discriminant > SIGN_FLOOR * scale * scale
+    return values.discriminant > SIGN_FLOOR * scale * scale
 
 
 def positive_mode_set(
@@ -180,14 +178,13 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
     sigma < 1 the degree-1 inner channel supplies the positive witness.
     """
     if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+        raise ValueError("kmax must be >= 2")
 
     mode_table = []
     for degree in range(1, k_max + 1):
         values = assemble_spectrum(params, degree)
-        analysis = resonance_analysis(params, degree, SpectrumPath.ASSEMBLED)
         mode_table.append(
-            (degree, values.e_in, values.e_out, values.e_res, analysis.discriminant)
+            (degree, values.e_in, values.e_out, values.e_res, values.discriminant)
         )
 
     positive = tuple(positive_mode_set(params, k_max))

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact_state import traces
-from .params import ModeIndex, PerturbationSpec, ProblemParams
+from .params import ProblemParams
 from .tolerances import RESIDUAL_TOL
 
 
@@ -44,8 +43,7 @@ class ModeProfile:
     """Radial coefficients of one harmonic mode of u'.
 
     inner_coeff multiplies r^k in the core; outer_sing and outer_reg multiply
-    r^{2-N-k} and r^k in the shell; denom is the common denominator F > 0 of
-    the closed forms, recorded for reporting.
+    r^{2-N-k} and r^k in the shell.
     """
 
     kind: ModeKind
@@ -53,13 +51,10 @@ class ModeProfile:
     inner_coeff: float
     outer_sing: float
     outer_reg: float
-    denom: float
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if not self.denom > 0.0:
-            raise ValueError("denom must be positive")
 
     def inner_value(self, params: ProblemParams, r: float) -> float:
         return self.inner_coeff * r**self.degree
@@ -152,7 +147,6 @@ def solve_mode_oracle(
         inner_coeff=b * radius ** (-k),
         outer_sing=c * radius ** (n - 2 + k),
         outer_reg=d * radius ** (-k),
-        denom=denom_F(params, k),
     )
 
 
@@ -179,7 +173,6 @@ def closed_form_mode(
             inner_coeff=(1.0 - sigma) * radius ** (-k + 1) * ((n - 2 + k) * rho) / f_denom,
             outer_sing=c_coeff,
             outer_reg=-c_coeff,
-            denom=f_denom,
         )
     return ModeProfile(
         kind=kind,
@@ -187,63 +180,4 @@ def closed_form_mode(
         inner_coeff=(n - 2 + 2 * k) * rho / f_denom,
         outer_sing=(1.0 - sigma) * k / f_denom,
         outer_reg=(n - 2 + k + k * sigma) * rho / f_denom,
-        denom=f_denom,
     )
-
-
-def _harmonic_2d(index: ModeIndex, theta: float) -> float:
-    """Real orthonormal harmonics on the circle: cos/sin(k theta)/sqrt(pi)."""
-    k, order = index.degree, index.order
-    if k == 0:
-        return 1.0 / math.sqrt(2.0 * math.pi)
-    if order == 1:
-        return math.cos(k * theta) / math.sqrt(math.pi)
-    return math.sin(k * theta) / math.sqrt(math.pi)
-
-
-def harmonic_value(dim: int, index: ModeIndex, angle) -> float:
-    """Evaluate the real orthonormal harmonic Y_{k,i} on the circle (N=2).
-
-    The point is a polar angle or a unit vector (x, y).
-    """
-    if dim != 2:
-        raise ValueError("pointwise harmonic evaluation supports dim 2 only")
-    index.check_order(dim)
-    if np.ndim(angle) == 0:
-        theta = float(angle)
-    else:
-        x, y = np.asarray(angle, dtype=float)
-        theta = math.atan2(y, x)
-    return _harmonic_2d(index, theta)
-
-
-def u_prime_value(
-    spec: PerturbationSpec, params: ProblemParams, r: float, angle
-) -> float:
-    """Pointwise shape derivative u'(r theta) from oracle-validated profiles.
-
-    Inner branch for r <= R, outer branch for r > R; modes superposed
-    linearly with the spec coefficients.
-    """
-    if params.dim != 2:
-        raise ValueError("u' evaluation supports dim 2 only")
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("r must lie in [0,1]")
-    inside = r <= params.core_radius
-    total = 0.0
-    for index, (alpha_in, alpha_out) in spec.sorted_items():
-        if alpha_in == 0.0 and alpha_out == 0.0:
-            continue
-        if index.degree == 0:
-            raise ValueError("degree-0 modes have no mode profile")
-        y_value = harmonic_value(params.dim, index, angle)
-        for alpha, kind in ((alpha_in, ModeKind.INNER), (alpha_out, ModeKind.OUTER)):
-            if alpha == 0.0:
-                continue
-            profile = solve_mode_oracle(params, index.degree, kind)
-            if inside:
-                radial = profile.inner_value(params, r)
-            else:
-                radial = profile.outer_value(params, r)
-            total += alpha * radial * y_value
-    return total

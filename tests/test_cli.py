@@ -255,3 +255,38 @@ def test_oracle_reports_solver_failures(tmp_path, capsys, overrides, message):
     assert code == 2
     assert out == ""
     assert err == f"oracle failed: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"radial_point": 64}, "unknown config key 'radial_point'"),
+        ({"modes": [{"degree": 2, "alpha": 1.0}]}, "unknown mode key 'alpha'"),
+        ({"modes": [{"degree": 2.7, "alpha_in": 1.0}]}, "degree must be a JSON integer"),
+        ({"modes": [{"degree": 2, "order": True}]}, "order must be a JSON integer"),
+        ({"radial_points": 32.9}, "radial_points must be a JSON integer"),
+        ({"levels": "2"}, "levels must be a JSON integer"),
+        ({"radius": "0.5"}, "radius must be a JSON number"),
+        ({"modes": [{"degree": 2, "alpha_in": False}]}, "alpha_in must be a JSON number"),
+        ({"exact_area": "false"}, "exact_area must be a JSON boolean"),
+        ({"allow_mean": "no"}, "allow_mean must be a JSON boolean"),
+        ({"modes": {"degree": 2}}, "modes must be a JSON list"),
+        ({"modes": [2]}, "mode must be a JSON object"),
+        ({"preset": ["case-i"]}, "preset must be a JSON string"),
+        (
+            {"preset": "case-iii", "modes": [{"degree": 2, "alpha_in": 1.0}]},
+            "give either preset or modes, not both",
+        ),
+        ([0.5, 2.0], "config must be a JSON object"),
+    ],
+)
+def test_oracle_rejects_malformed_configs(tmp_path, capsys, config, message):
+    base = {"radius": 0.5, "sigma": 2.0, "radial_points": 16, "angular_modes": 8}
+    if isinstance(config, dict):
+        config = {**base, **config}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["oracle", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"invalid oracle config: {message}\n"

@@ -89,15 +89,16 @@ def test_spec_coerces_tuple_keys_and_defaults_to_zero():
     spec = PerturbationSpec({(2, 1): (1.5, -0.5)})
     assert spec.coefficients(ModeIndex(2, 1)) == (1.5, -0.5)
     assert spec.coefficients(ModeIndex(3, 1)) == (0.0, 0.0)
-    assert spec.max_degree() == 2
-    assert PerturbationSpec({}).max_degree() == 0
 
 
 def test_barycenter_admissibility():
-    assert PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}).barycenter_admissible()
-    assert not PerturbationSpec({ModeIndex(1, 1): (0.0, 1.0)}).barycenter_admissible()
+    def admissible(spec):
+        return validate(spec, Constraint.VOLUME_AND_BARYCENTER).ok
+
+    assert admissible(PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
+    assert not admissible(PerturbationSpec({ModeIndex(1, 1): (0.0, 1.0)}))
     # degree >= 2 outer coefficients are unconstrained
-    assert PerturbationSpec({ModeIndex(2, 1): (0.0, 1.0)}).barycenter_admissible()
+    assert admissible(PerturbationSpec({ModeIndex(2, 1): (0.0, 1.0)}))
 
 
 def test_validate_volume_only():

@@ -14,7 +14,6 @@ from twophase_torsion.pde_oracle import (
     PerturbedDomainFamily,
     SolveError,
     differentiate_energy,
-    enclosed_areas,
     family_from_config,
     run_from_config,
     solve_energy,
@@ -50,8 +49,24 @@ def test_angular_profile_evaluation():
     # L^2 mean square of 3 Y_{2,1} over the circle: 9 / (2 pi)
     assert profile.mean_square() == pytest.approx(9.0 / (2.0 * math.pi), rel=1e-14)
     assert profile.max_degree() == 2
-    assert not profile.is_zero()
-    assert AngularProfile(terms=()).is_zero()
+
+
+def test_harmonics_are_orthonormal_on_the_circle():
+    thetas = 2.0 * math.pi * np.arange(400) / 400
+    weight = 2.0 * math.pi / 400
+    indices = [(0, 1), (1, 1), (1, 2), (3, 2)]
+    values = {
+        index: AngularProfile(terms=(index + (1.0,),)).evaluate(thetas)
+        for index in indices
+    }
+    for index in indices:
+        norm = weight * float(np.sum(values[index] ** 2))
+        assert norm == pytest.approx(1.0, abs=1e-12)
+    for a in indices:
+        for b in indices:
+            if a != b:
+                inner = weight * float(np.sum(values[a] * values[b]))
+                assert inner == pytest.approx(0.0, abs=1e-12)
 
 
 def test_family_boundary_radii_at_zero_are_concentric():
@@ -65,14 +80,22 @@ def test_family_boundary_radii_at_zero_are_concentric():
     assert drho_out == pytest.approx(np.zeros(9), abs=1e-15)
 
 
+def enclosed_areas(family, angular_modes=256):
+    """Quadrature areas of the core and of the whole perturbed domain."""
+    theta = 2.0 * math.pi * np.arange(angular_modes) / angular_modes
+    rho_in, _, rho_out, _ = family.boundary_radii(theta)
+    dtheta = 2.0 * math.pi / angular_modes
+    return 0.5 * dtheta * np.sum(rho_in**2), 0.5 * dtheta * np.sum(rho_out**2)
+
+
 def test_exact_area_family_preserves_both_areas():
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.5), ModeIndex(3, 1): (0.0, 1.0)})
     family = PerturbedDomainFamily.from_spec(PARAMS, spec)
-    base_in, base_out = enclosed_areas(family.at(0.0), angular_modes=256)
+    base_in, base_out = enclosed_areas(family.at(0.0))
     assert base_in == pytest.approx(math.pi * 0.25, rel=1e-12)
     assert base_out == pytest.approx(math.pi, rel=1e-12)
     for t in (0.02, -0.05, 0.1):
-        area_in, area_out = enclosed_areas(family.at(t), angular_modes=256)
+        area_in, area_out = enclosed_areas(family.at(t))
         assert area_in == pytest.approx(base_in, rel=1e-12)
         assert area_out == pytest.approx(base_out, rel=1e-12)
 
@@ -80,9 +103,9 @@ def test_exact_area_family_preserves_both_areas():
 def test_linear_family_changes_area_at_second_order():
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
     family = PerturbedDomainFamily.from_spec(PARAMS, spec, exact_area=False)
-    base_in, _ = enclosed_areas(family.at(0.0), angular_modes=256)
+    base_in, _ = enclosed_areas(family.at(0.0))
     t = 0.1
-    area_in, _ = enclosed_areas(family.at(t), angular_modes=256)
+    area_in, _ = enclosed_areas(family.at(t))
     # mean-zero linear boundary motion: area drift = (t^2/2) |g|_2^2
     drift = 0.5 * t * t * spec.coefficients(ModeIndex(2, 1))[0] ** 2
     assert area_in - base_in == pytest.approx(drift, rel=1e-10)
@@ -246,6 +269,18 @@ def test_differentiate_energy_single_level_has_no_rate():
     assert math.isnan(run.convergence_rate)
 
 
+def test_differentiate_energy_has_no_rate_below_roundoff():
+    # the steps are so small that E(+-h) == E(0): every second difference
+    # is 0, so no convergence rate can be observed
+    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
+    family = PerturbedDomainFamily.from_spec(PARAMS, spec)
+    run = differentiate_energy(
+        family, t0=1e-150, levels=2, radial_points=32, angular_modes=8
+    )
+    assert run.d2 == 0.0
+    assert math.isnan(run.convergence_rate)
+
+
 def test_config_construction():
     config = {
         "dim": 2,
@@ -260,7 +295,7 @@ def test_config_construction():
     family = family_from_config(config)
     assert family.params == PARAMS
     assert family.inner_shape.terms == ((2, 1, 1.0),)
-    assert family.outer_shape.is_zero()
+    assert family.outer_shape.terms == ()
     run = run_from_config(config)
     assert run.radial_points == 64
     assert len(run.t_samples) == 5

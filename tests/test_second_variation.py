@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
@@ -10,10 +11,8 @@ from twophase_torsion.second_variation import (
     assemble_spectrum,
     factored_discriminant,
     first_variation,
-    g_factor,
     monotonicity_functions,
     printed_spectrum,
-    resonance_analysis,
     spectrum,
     total_second_variation,
 )
@@ -107,43 +106,30 @@ def test_total_second_variation_rejects_mean_modes_and_bad_orders():
 def test_resonance_analysis_consistency():
     for params in SAMPLE_PARAMS:
         for degree in (1, 2, 5):
-            analysis = resonance_analysis(params, degree, SpectrumPath.ASSEMBLED)
             values = assemble_spectrum(params, degree)
-            assert analysis.q_leading == values.e_in
-            assert analysis.q_linear == values.e_res
-            assert analysis.q_constant == values.e_out
-            assert analysis.discriminant == pytest.approx(
+            assert values.discriminant == pytest.approx(
                 values.e_res**2 - 4.0 * values.e_in * values.e_out, rel=1e-14
             )
-            assert analysis.g_factor == pytest.approx(
-                g_factor(params, degree), rel=1e-15
-            )
-            q_at_one = analysis.q_value(1.0)
+            q_at_one = values.q_value(1.0)
             assert q_at_one == pytest.approx(
                 values.e_in + values.e_out + values.e_res, rel=1e-13, abs=1e-15
+            )
+            ratios = np.array([-2.0, 0.5, 3.0])
+            assert values.q_value(ratios) == pytest.approx(
+                [values.q_value(float(t)) for t in ratios], rel=1e-15
             )
 
 
 def test_factored_discriminant_tracks_the_assembled_discriminant():
     for params in SAMPLE_PARAMS:
         for degree in (1, 2, 3, 7, 20):
-            analysis = resonance_analysis(params, degree, SpectrumPath.ASSEMBLED)
+            values = assemble_spectrum(params, degree)
             scale = max(
-                analysis.q_linear**2,
-                abs(4.0 * analysis.q_leading * analysis.q_constant),
-                1e-30,
+                values.e_res**2, abs(4.0 * values.e_in * values.e_out), 1e-30
             )
-            assert analysis.discriminant_factored == pytest.approx(
-                analysis.discriminant, abs=1e-10 * scale
+            assert factored_discriminant(params, degree) == pytest.approx(
+                values.discriminant, abs=1e-10 * scale
             )
-            assert analysis.discriminant_factored == pytest.approx(
-                factored_discriminant(params, degree), rel=1e-15
-            )
-
-
-def test_resonance_rejects_degree_zero():
-    with pytest.raises(ValueError):
-        resonance_analysis(PARAMS, 0, SpectrumPath.ASSEMBLED)
 
 
 def test_monotonicity_functions_negative_on_samples():

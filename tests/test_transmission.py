@@ -1,20 +1,15 @@
-"""Per-mode transmission solves, closed forms, and pointwise u' evaluation."""
+"""Per-mode transmission solves and closed forms."""
 
-import math
-
-import numpy as np
 import pytest
 
 from twophase_torsion.exact_state import traces
-from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
+from twophase_torsion.params import ProblemParams
 from twophase_torsion.transmission import (
     ModeKind,
     ModeProfile,
     closed_form_mode,
     denom_F,
-    harmonic_value,
     solve_mode_oracle,
-    u_prime_value,
 )
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
@@ -40,9 +35,7 @@ def test_denom_f_rejects_degree_zero():
 
 def test_mode_profile_validation():
     with pytest.raises(ValueError, match="degree"):
-        ModeProfile(ModeKind.INNER, 0, 0.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="denom"):
-        ModeProfile(ModeKind.INNER, 1, 0.0, 0.0, 0.0, -1.0)
+        ModeProfile(ModeKind.INNER, 0, 0.0, 0.0, 0.0)
 
 
 def test_oracle_is_zero_for_single_phase_inner_modes():
@@ -134,94 +127,3 @@ def test_printed_inner_b_disagrees_with_the_oracle():
     oracle = solve_mode_oracle(PARAMS, 1, ModeKind.INNER)
     deviation = abs(printed.inner_coeff - oracle.inner_coeff) / abs(oracle.inner_coeff)
     assert deviation > 1e-3
-
-
-def test_closed_form_records_the_common_denominator():
-    profile = closed_form_mode(PARAMS, 4, ModeKind.OUTER)
-    assert profile.denom == pytest.approx(denom_F(PARAMS, 4), rel=1e-15)
-
-
-def test_harmonics_are_orthonormal_on_the_circle():
-    thetas = 2.0 * math.pi * np.arange(400) / 400
-    weight = 2.0 * math.pi / 400
-    indices = [ModeIndex(0, 1), ModeIndex(1, 1), ModeIndex(1, 2), ModeIndex(3, 2)]
-    values = {
-        index: np.array([harmonic_value(2, index, t) for t in thetas])
-        for index in indices
-    }
-    for index in indices:
-        norm = weight * float(np.sum(values[index] ** 2))
-        assert norm == pytest.approx(1.0, abs=1e-12)
-    for a in indices:
-        for b in indices:
-            if a != b:
-                inner = weight * float(np.sum(values[a] * values[b]))
-                assert inner == pytest.approx(0.0, abs=1e-12)
-
-
-def test_harmonic_value_accepts_unit_vectors():
-    theta = 0.7
-    index = ModeIndex(2, 1)
-    scalar = harmonic_value(2, index, theta)
-    vector = harmonic_value(2, index, (math.cos(theta), math.sin(theta)))
-    assert scalar == pytest.approx(vector, rel=1e-14)
-
-
-def test_harmonic_value_rejects_bad_input():
-    with pytest.raises(ValueError, match="dim 2 only"):
-        harmonic_value(3, ModeIndex(1, 1), (0.0, 0.0))
-    with pytest.raises(ValueError, match="exceeds multiplicity"):
-        harmonic_value(2, ModeIndex(1, 3), 0.0)
-
-
-def test_u_prime_boundary_values():
-    theta = 1.1
-    inner_spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
-    outer_spec = PerturbationSpec({ModeIndex(2, 1): (0.0, 1.0)})
-    assert u_prime_value(inner_spec, PARAMS, 1.0, theta) == pytest.approx(0.0, abs=1e-14)
-    expected = (1.0 / PARAMS.dim) * harmonic_value(2, ModeIndex(2, 1), theta)
-    assert u_prime_value(outer_spec, PARAMS, 1.0, theta) == pytest.approx(
-        expected, rel=1e-12
-    )
-
-
-def test_u_prime_jumps_by_the_normal_derivative_mismatch():
-    # inner perturbation: [u'] = -[d_n u] (h_in . n) across the interface
-    theta = 0.3
-    spec = PerturbationSpec({ModeIndex(3, 1): (2.0, 0.0)})
-    radius = PARAMS.core_radius
-    below = u_prime_value(spec, PARAMS, radius, theta)
-    above = u_prime_value(spec, PARAMS, radius * (1.0 + 1e-12), theta)
-    jump = -traces(PARAMS).jump_dn * 2.0 * harmonic_value(2, ModeIndex(3, 1), theta)
-    assert above - below == pytest.approx(jump, rel=1e-9)
-
-    # outer perturbation: u' is continuous across the interface
-    outer_spec = PerturbationSpec({ModeIndex(3, 1): (0.0, 2.0)})
-    below = u_prime_value(outer_spec, PARAMS, radius, theta)
-    above = u_prime_value(outer_spec, PARAMS, radius * (1.0 + 1e-12), theta)
-    assert above == pytest.approx(below, rel=1e-9)
-
-
-def test_u_prime_superposes_modes_linearly():
-    theta = 2.0
-    spec_a = PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)})
-    spec_b = PerturbationSpec({ModeIndex(2, 2): (0.0, 1.5)})
-    spec_ab = PerturbationSpec(
-        {ModeIndex(1, 1): (1.0, 0.0), ModeIndex(2, 2): (0.0, 1.5)}
-    )
-    total = u_prime_value(spec_ab, PARAMS, 0.7, theta)
-    parts = u_prime_value(spec_a, PARAMS, 0.7, theta) + u_prime_value(
-        spec_b, PARAMS, 0.7, theta
-    )
-    assert total == pytest.approx(parts, rel=1e-13)
-
-
-def test_u_prime_rejects_unsupported_input():
-    spec = PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)})
-    with pytest.raises(ValueError, match="dim 2 only"):
-        u_prime_value(spec, ProblemParams(3, 0.5, 2.0), 0.5, 0.0)
-    with pytest.raises(ValueError, match=r"\[0,1\]"):
-        u_prime_value(spec, PARAMS, 1.5, 0.0)
-    mean_spec = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)}, allow_mean=True)
-    with pytest.raises(ValueError, match="degree-0"):
-        u_prime_value(mean_spec, PARAMS, 0.5, 0.0)
