@@ -46,6 +46,7 @@ from .reporting import (
 from .second_variation import (
     SecondVariationSpectrum,
     SpectrumPath,
+    SpectrumTable,
     assemble_spectrum,
     factored_discriminant,
     first_variation,
@@ -53,6 +54,7 @@ from .second_variation import (
     monotonicity_functions,
     printed_spectrum,
     spectrum,
+    spectrum_table,
     total_second_variation,
 )
 from .stability import (
@@ -63,12 +65,14 @@ from .stability import (
     positive_mode_set,
 )
 from .transmission import (
+    FloatRangeError,
     ModeKind,
     ModeProfile,
+    ModeTable,
     TransmissionSolveError,
     closed_form_mode,
     denom_F,
-    solve_mode_oracle,
+    solve_modes,
 )
 
 __version__ = "0.1.0"
@@ -82,10 +86,12 @@ __all__ = [
     "FidelityEntry",
     "FidelityReport",
     "FidelityVerdict",
+    "FloatRangeError",
     "InterfaceOrderingError",
     "ModeIndex",
     "ModeKind",
     "ModeProfile",
+    "ModeTable",
     "OracleRun",
     "PerturbationSpec",
     "PerturbedDomainFamily",
@@ -94,6 +100,7 @@ __all__ = [
     "SecondVariationSpectrum",
     "SolveError",
     "SpectrumPath",
+    "SpectrumTable",
     "StabilityVerdict",
     "StateTraces",
     "TransmissionSolveError",
@@ -121,8 +128,9 @@ __all__ = [
     "run_pde_suite",
     "run_secondvar_suite",
     "solve_energy",
-    "solve_mode_oracle",
+    "solve_modes",
     "spectrum",
+    "spectrum_table",
     "sphere_area",
     "total_second_variation",
     "traces",

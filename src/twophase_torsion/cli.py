@@ -42,7 +42,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 
 def _json_text(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, kmax_default: int) -> None:

@@ -360,7 +360,10 @@ class OracleRun:
             "energies": list(self.energies),
             "d1": self.d1,
             "d2": self.d2,
-            "convergence_rate": self.convergence_rate,
+            # JSON has no NaN: an unobservable rate is null
+            "convergence_rate": (
+                None if math.isnan(self.convergence_rate) else self.convergence_rate
+            ),
             "extrapolation_agreement": self.extrapolation_agreement,
         }
 
@@ -453,6 +456,13 @@ _JSON_TYPES = {
 }
 
 
+class MissingKeyError(KeyError):
+    """A required config key is absent."""
+
+    def __str__(self) -> str:
+        return f"missing required key {self.args[0]!r}"
+
+
 def _check_keys(record, keys: frozenset, what: str) -> None:
     """record must be a JSON object with no key outside keys."""
     if not isinstance(record, dict):
@@ -468,7 +478,7 @@ def _field(record: dict, key: str, kind: type, default=None):
     no default the key is required."""
     if key not in record:
         if default is None:
-            raise KeyError(key)
+            raise MissingKeyError(key)
         return default
     value = record[key]
     accepted = (int, float) if kind is float else (kind,)

@@ -38,7 +38,7 @@ from .second_variation import (
     assemble_spectrum,
     monotonicity_functions,
     printed_spectrum,
-    spectrum,
+    spectrum_table,
     total_second_variation,
 )
 from .stability import Classification, StabilityVerdict, classify
@@ -48,13 +48,13 @@ from .transmission import (
     TransmissionSolveError,
     closed_form_mode,
     denom_F,
-    solve_mode_oracle,
 )
 
 GRID_DIMS = (2, 3, 4)
 GRID_SIGMAS = (0.1, 0.5, 1.0, 2.0, 10.0)
 GRID_RADII = (0.2, 0.5, 0.8)
 GRID_DEGREES = tuple(range(1, 21))
+GRID_KMAX = GRID_DEGREES[-1]
 
 GRID_DESCRIPTION = (
     "N in {2,3,4} x sigma in {0.1,0.5,1,2,10} x R in {0.2,0.5,0.8} x k in 1..20"
@@ -169,6 +169,7 @@ def build_fidelity_report(
             worst[formula] = (deviation, printed, reference, point)
 
     for params in params_list:
+        table = spectrum_table(params, max(degrees))
         for degree in degrees:
             point = (
                 f"N={params.dim}, sigma={params.sigma:g}, "
@@ -176,7 +177,7 @@ def build_fidelity_report(
             )
             for kind in ModeKind:
                 printed_profile = closed_form_mode(params, degree, kind)
-                oracle_profile = solve_mode_oracle(params, degree, kind)
+                oracle_profile = table.modes.profile(degree, kind)
                 profile_scale = max(
                     abs(oracle_profile.inner_coeff),
                     abs(oracle_profile.outer_sing),
@@ -192,7 +193,7 @@ def build_fidelity_report(
                             profile_scale,
                         )
             printed_values = printed_spectrum(params, degree)
-            assembled_values = assemble_spectrum(params, degree)
+            assembled_values = table.row(degree)
             spectrum_scale = max(
                 abs(assembled_values.e_in),
                 abs(assembled_values.e_out),
@@ -232,11 +233,14 @@ def emit_spectrum_csv(params: ProblemParams, kmax: int, path: SpectrumPath) -> s
     """CSV rows k, e_in, e_out, e_res, delta with 17 significant digits."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    if path is SpectrumPath.ASSEMBLED:
+        rows = spectrum_table(params, kmax).rows()
+    else:
+        rows = [printed_spectrum(params, degree) for degree in range(1, kmax + 1)]
     lines = ["k,e_in,e_out,e_res,delta"]
-    for degree in range(1, kmax + 1):
-        values = spectrum(params, degree, path)
+    for values in rows:
         lines.append(
-            f"{degree},{values.e_in:.17g},{values.e_out:.17g},"
+            f"{values.degree},{values.e_in:.17g},{values.e_out:.17g},"
             f"{values.e_res:.17g},{values.discriminant:.17g}"
         )
     return "\n".join(lines) + "\n"
@@ -260,7 +264,7 @@ def _result(name: str, failures: list[str], detail: str = "") -> CheckResult:
 # and 8 draw on the grid above; the other grids and every tolerance are
 # named here.
 
-SPECTRUM_DEGREES = range(1, 51)  # criteria 5, 6, 8
+SPECTRUM_KMAX = 50  # criteria 4, 5, 6, 8
 RANDOM_SEED = 12345  # criterion 2
 RANDOM_SAMPLES = 1000
 PROOF_DIMS = range(2, 7)  # criterion 7
@@ -295,12 +299,10 @@ def transmission_residuals() -> CheckResult:
     solver raises when it does not, so completing the sweep is the check."""
     failures = []
     for params in grid_params():
-        for degree in GRID_DEGREES:
-            for kind in ModeKind:
-                try:
-                    solve_mode_oracle(params, degree, kind)
-                except (TransmissionSolveError, ValueError) as exc:
-                    failures.append(f"{params}, k={degree}, {kind.value}: {exc}")
+        try:
+            spectrum_table(params, GRID_KMAX)
+        except (TransmissionSolveError, ValueError) as exc:
+            failures.append(f"{params}: {exc}")
     solves = len(grid_params()) * len(GRID_DEGREES) * len(ModeKind)
     return _result(
         f"transmission residuals < {RESIDUAL_TOL:g} across grid",
@@ -337,9 +339,10 @@ def closed_form_fidelity() -> CheckResult:
     """3. The printed shell coefficients C_in, D_in match the solve."""
     worst = (0.0, "")
     for params in grid_params():
+        modes = spectrum_table(params, GRID_KMAX).modes
         for degree in GRID_DEGREES:
             printed = closed_form_mode(params, degree, ModeKind.INNER)
-            oracle = solve_mode_oracle(params, degree, ModeKind.INNER)
+            oracle = modes.profile(degree, ModeKind.INNER)
             for field in ("outer_sing", "outer_reg"):
                 deviation = rel_deviation(
                     getattr(printed, field), getattr(oracle, field), _NO_FLOOR
@@ -357,7 +360,7 @@ def translation_invariance() -> CheckResult:
     """4. e_in(1) = e_out(1) on the grid."""
     worst = (0.0, "")
     for params in grid_params():
-        values = assemble_spectrum(params, 1)
+        values = spectrum_table(params, SPECTRUM_KMAX).row(1)
         deviation = rel_deviation(values.e_in, values.e_out, _NO_FLOOR)
         if deviation > worst[0]:
             worst = (deviation, str(params))
@@ -374,8 +377,8 @@ def single_phase_degeneracy() -> CheckResult:
     for dim in GRID_DIMS:
         for radius in GRID_RADII:
             params = ProblemParams(dim, radius, 1.0)
-            for degree in SPECTRUM_DEGREES:
-                values = assemble_spectrum(params, degree)
+            for values in spectrum_table(params, SPECTRUM_KMAX).rows():
+                degree = values.degree
                 if abs(values.e_in) > SINGLE_PHASE_TOL:
                     failures.append(f"e_in({degree}) at {params}")
                 if degree == 1 and abs(values.e_out) > SINGLE_PHASE_TOL:
@@ -390,8 +393,8 @@ def spectrum_monotonicity() -> CheckResult:
     failures = []
     for params in grid_params():
         previous = None
-        for degree in SPECTRUM_DEGREES:
-            values = assemble_spectrum(params, degree)
+        for values in spectrum_table(params, SPECTRUM_KMAX).rows():
+            degree = values.degree
             if previous is not None:
                 if not values.e_out < previous.e_out:
                     failures.append(f"e_out({degree}) at {params}")
@@ -400,7 +403,7 @@ def spectrum_monotonicity() -> CheckResult:
             previous = values
     return _result(
         "assembled e_out (and e_in for sigma != 1) strictly decreasing, "
-        f"k=1..{SPECTRUM_DEGREES[-1]}",
+        f"k=1..{SPECTRUM_KMAX}",
         failures,
     )
 
@@ -433,8 +436,8 @@ def resonance_structure() -> CheckResult:
         for radius in GRID_RADII:
             for sigma in RESONANCE_SIGMAS:
                 params = ProblemParams(dim, radius, sigma)
-                for degree in SPECTRUM_DEGREES:
-                    values = assemble_spectrum(params, degree)
+                for values in spectrum_table(params, SPECTRUM_KMAX).rows():
+                    degree = values.degree
                     if degree == 1:
                         scale = max(
                             values.e_res**2, abs(4.0 * values.e_in * values.e_out)

@@ -8,7 +8,8 @@ sum alpha_out Y_{k,i} on the outer boundary,
                            + alpha_in alpha_out e_res(k) }.
 
 Two computation paths are provided.  The Assembled path reduces the
-boundary-integral formula for E'' per mode using oracle-validated profiles:
+boundary-integral formula for E'' per mode using oracle-validated profiles,
+for a whole ladder of degrees 1..kmax at once (`spectrum_table`):
 
     E'' = +2 int_{|x|=1} grad u . grad u' (h.n) + 2 int_{|x|=1} d_n u d_nn u (h.n)^2
           -2 int_{|x|=R} [sigma grad u . grad u'] (h.n)
@@ -35,9 +36,11 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exact_state import sphere_area, traces
 from .params import ModeIndex, PerturbationSpec, ProblemParams
-from .transmission import ModeKind, denom_F, solve_mode_oracle
+from .transmission import FloatRangeError, ModeTable, denom_F, solve_modes
 
 
 class SpectrumPath(enum.Enum):
@@ -67,9 +70,49 @@ class SecondVariationSpectrum:
         return self.e_in * t * t + self.e_res * t + self.e_out
 
 
-@functools.lru_cache(maxsize=4096)
-def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpectrum:
-    """Assemble e_in, e_out, e_res from the boundary-integral formula.
+@dataclass(frozen=True, eq=False)
+class SpectrumTable:
+    """The assembled spectrum of degrees 1..kmax and the mode table it was
+    assembled from; e_in, e_out and e_res are read-only, finite, and
+    indexed by degree - 1."""
+
+    modes: ModeTable
+    e_in: np.ndarray
+    e_out: np.ndarray
+    e_res: np.ndarray
+
+    @property
+    def kmax(self) -> int:
+        return len(self.e_in)
+
+    def row(self, degree: int) -> SecondVariationSpectrum:
+        if not 1 <= degree <= self.kmax:
+            raise ValueError(f"degree must lie in 1..{self.kmax}")
+        index = degree - 1
+        return SecondVariationSpectrum(
+            degree,
+            float(self.e_in[index]),
+            float(self.e_out[index]),
+            float(self.e_res[index]),
+            SpectrumPath.ASSEMBLED,
+        )
+
+    def rows(self) -> list[SecondVariationSpectrum]:
+        return [
+            SecondVariationSpectrum(degree, e_in, e_out, e_res, SpectrumPath.ASSEMBLED)
+            for degree, e_in, e_out, e_res in zip(
+                range(1, self.kmax + 1),
+                self.e_in.tolist(),
+                self.e_out.tolist(),
+                self.e_res.tolist(),
+            )
+        ]
+
+
+@functools.lru_cache(maxsize=512)
+def spectrum_table(params: ProblemParams, kmax: int) -> SpectrumTable:
+    """Assemble e_in, e_out, e_res of degrees 1..kmax from the
+    boundary-integral formula.
 
     With w the radial profile of the mode (from the transmission solve) and
     Dw' := w'_+(R) - w'_-(R) the derivative jump at the interface:
@@ -78,48 +121,55 @@ def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpec
         e_out = -(2/N) w'_out(1) + 2/N^2
         e_res = -(2/N) w'_in(1)  + (2 R^N / N) Dw'_out
 
-    Cached per (params, degree); the cache only memoizes a pure function.
-    Its bound holds the 2700 keys of the verify suites and the fidelity
-    report together, and keeps long parameter sweeps from growing memory.
+    Raises FloatRangeError at the first degree whose entries leave the
+    float range.  This is the one cache of the analytic path, keyed by
+    (params, kmax); its bound holds the 126 tables of the verify suites and
+    the fidelity report together, and keeps long parameter sweeps from
+    growing memory.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    modes = solve_modes(params, kmax)
     n, radius, sigma = params.dim, params.core_radius, params.sigma
-    inner = solve_mode_oracle(params, degree, ModeKind.INNER)
-    outer = solve_mode_oracle(params, degree, ModeKind.OUTER)
-
-    jump_in = inner.outer_derivative(params, radius) - inner.inner_derivative(
-        params, radius
-    )
-    jump_out = outer.outer_derivative(params, radius) - outer.inner_derivative(
-        params, radius
-    )
+    inner, outer = modes.derivatives  # columns w'_-(R), w'_+(R), w'_+(1)
     r_pow = radius**n
 
-    e_in = (2.0 * r_pow / n) * jump_in + 2.0 * r_pow * (1.0 - sigma) / (
-        n * n * sigma
-    )
-    e_out = -(2.0 / n) * outer.outer_derivative(params, 1.0) + 2.0 / (n * n)
-    e_res = -(2.0 / n) * inner.outer_derivative(params, 1.0) + (
-        2.0 * r_pow / n
-    ) * jump_out
-    return SecondVariationSpectrum(
-        degree=degree, e_in=e_in, e_out=e_out, e_res=e_res, source=SpectrumPath.ASSEMBLED
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        jump_in = inner[:, 1] - inner[:, 0]
+        jump_out = outer[:, 1] - outer[:, 0]
+        e_in = (2.0 * r_pow / n) * jump_in + 2.0 * r_pow * (1.0 - sigma) / (
+            n * n * sigma
+        )
+        e_out = -(2.0 / n) * outer[:, 2] + 2.0 / (n * n)
+        e_res = -(2.0 / n) * inner[:, 2] + (2.0 * r_pow / n) * jump_out
+    FloatRangeError.check(np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res))
+    for column in (e_in, e_out, e_res):
+        column.flags.writeable = False
+    return SpectrumTable(modes, e_in, e_out, e_res)
+
+
+def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpectrum:
+    """Row `degree` of the assembled spectrum (see spectrum_table)."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    return spectrum_table(params, degree).row(degree)
 
 
 def printed_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpectrum:
     """Evaluate the closed-form spectrum expressions verbatim.
 
-    Reference values for the fidelity report; see assemble_spectrum for the
-    path consumed downstream.
+    Reference values for the fidelity report; see spectrum_table for the
+    path consumed downstream.  Raises FloatRangeError when a value leaves
+    the float range.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     n, radius, sigma = params.dim, params.core_radius, params.sigma
     k = degree
-    f_denom = denom_F(params, k)
-    rho = radius ** (2 - n - 2 * k)
+    try:
+        f_denom = denom_F(params, k)
+        rho = radius ** (2 - n - 2 * k)
+        r_lead = radius ** (1 - k)
+    except OverflowError:
+        raise FloatRangeError(degree) from None
 
     e_in = (
         (2.0 * radius**n / n)
@@ -133,10 +183,12 @@ def printed_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpect
         / f_denom
     )
     e_res = (
-        (4.0 * (sigma - 1.0) * radius ** (1 - k) / n)
+        (4.0 * (sigma - 1.0) * r_lead / n)
         * ((n - 2) * k + 2 * k * k)
         / f_denom
     )
+    if not (math.isfinite(e_in) and math.isfinite(e_out) and math.isfinite(e_res)):
+        raise FloatRangeError(degree)
     return SecondVariationSpectrum(
         degree=degree, e_in=e_in, e_out=e_out, e_res=e_res, source=SpectrumPath.PRINTED
     )

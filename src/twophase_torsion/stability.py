@@ -36,7 +36,7 @@ from .params import (
 from .second_variation import (
     SecondVariationSpectrum,
     SpectrumPath,
-    assemble_spectrum,
+    spectrum_table,
     total_second_variation,
 )
 
@@ -127,16 +127,12 @@ def _coupled_supremum_positive(values: SecondVariationSpectrum) -> bool:
     return values.discriminant > SIGN_FLOOR * scale * scale
 
 
-def positive_mode_set(
-    params: ProblemParams, k_max: int
+def _positive_modes(
+    rows: list[SecondVariationSpectrum],
 ) -> list[tuple[int, Channel]]:
-    """All (degree, channel) with strictly positive assembled second variation,
-    restricted to barycenter-admissible channels (no outer degree-1)."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     positive: list[tuple[int, Channel]] = []
-    for degree in range(1, k_max + 1):
-        values = assemble_spectrum(params, degree)
+    for values in rows:
+        degree = values.degree
         floor = SIGN_FLOOR * _row_scale(values)
         if values.e_in > floor:
             positive.append((degree, Channel.INNER_ALONE))
@@ -148,6 +144,16 @@ def positive_mode_set(
     return positive
 
 
+def positive_mode_set(
+    params: ProblemParams, k_max: int
+) -> list[tuple[int, Channel]]:
+    """All (degree, channel) with strictly positive assembled second variation,
+    restricted to barycenter-admissible channels (no outer degree-1)."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    return _positive_modes(spectrum_table(params, k_max).rows())
+
+
 def _unit_spec(degree: int, channel: Channel) -> PerturbationSpec:
     alpha = {
         Channel.INNER_ALONE: (1.0, 0.0),
@@ -157,10 +163,12 @@ def _unit_spec(degree: int, channel: Channel) -> PerturbationSpec:
     return PerturbationSpec(modes={ModeIndex(degree, 1): alpha})
 
 
-def _negative_witness(params: ProblemParams, k_max: int) -> Optional[PerturbationSpec]:
+def _negative_witness(
+    rows: list[SecondVariationSpectrum],
+) -> Optional[PerturbationSpec]:
     """Smallest degree with a strictly negative channel, preferring inner."""
-    for degree in range(1, k_max + 1):
-        values = assemble_spectrum(params, degree)
+    for values in rows:
+        degree = values.degree
         floor = SIGN_FLOOR * _row_scale(values)
         if values.e_in < -floor:
             return _unit_spec(degree, Channel.INNER_ALONE)
@@ -180,15 +188,13 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
     if k_max < 2:
         raise ValueError("kmax must be >= 2")
 
-    mode_table = []
-    for degree in range(1, k_max + 1):
-        values = assemble_spectrum(params, degree)
-        mode_table.append(
-            (degree, values.e_in, values.e_out, values.e_res, values.discriminant)
-        )
-
-    positive = tuple(positive_mode_set(params, k_max))
-    witness_negative = _negative_witness(params, k_max)
+    rows = spectrum_table(params, k_max).rows()
+    mode_table = tuple(
+        (values.degree, values.e_in, values.e_out, values.e_res, values.discriminant)
+        for values in rows
+    )
+    positive = tuple(_positive_modes(rows))
+    witness_negative = _negative_witness(rows)
     note = ""
 
     if params.sigma == 1.0:

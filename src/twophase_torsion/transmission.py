@@ -14,13 +14,19 @@ authoritative source consumed downstream) and the closed-form coefficient
 expressions evaluated verbatim.  The two are compared by the fidelity report,
 which is where any discrepancy is surfaced; the closed forms are never
 silently patched.
+
+The numerical solve covers a whole degree ladder at once: `solve_modes`
+stacks the systems of degrees 1..kmax and both kinds, solves the stack in one
+call and returns a `ModeTable`.  Every power of R is taken with Python's
+scalar pow, one value per degree, so row k does not depend on kmax.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -34,8 +40,42 @@ class ModeKind(enum.Enum):
     OUTER = "Outer"
 
 
+KINDS = tuple(ModeKind)  # axis 0 of a ModeTable
+
+
 class TransmissionSolveError(RuntimeError):
     """The 3x3 mode system was singular or left a residual above contract."""
+
+
+class FloatRangeError(ValueError):
+    """A degree of the ladder takes a value outside the float range."""
+
+    def __init__(self, degree: int) -> None:
+        super().__init__(f"degree {degree} leaves float range for these parameters")
+        self.degree = degree
+
+    @classmethod
+    def check(cls, finite: np.ndarray) -> None:
+        """Raise at the first degree whose flag is False; the flags are
+        indexed by degree - 1."""
+        if not finite.all():
+            raise cls(int(np.argmin(finite)) + 1)
+
+
+def _scalar_powers(base: float, exponents: Iterable[int]) -> np.ndarray:
+    """base**e for each exponent by Python's scalar pow, inf past float range.
+
+    numpy's vectorised pow differs from the scalar one by an ulp on about 5%
+    of these inputs; the scalar pow gives each degree the value a per-degree
+    evaluation gives, whatever the length of the ladder.
+    """
+    values = []
+    for exponent in exponents:
+        try:
+            values.append(base**exponent)
+        except OverflowError:
+            values.append(math.inf)
+    return np.array(values)
 
 
 @dataclass(frozen=True)
@@ -56,24 +96,6 @@ class ModeProfile:
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 
-    def inner_value(self, params: ProblemParams, r: float) -> float:
-        return self.inner_coeff * r**self.degree
-
-    def inner_derivative(self, params: ProblemParams, r: float) -> float:
-        k = self.degree
-        return self.inner_coeff * k * r ** (k - 1)
-
-    def outer_value(self, params: ProblemParams, r: float) -> float:
-        n, k = params.dim, self.degree
-        return self.outer_sing * r ** (2 - n - k) + self.outer_reg * r**k
-
-    def outer_derivative(self, params: ProblemParams, r: float) -> float:
-        n, k = params.dim, self.degree
-        return (
-            self.outer_sing * (2 - n - k) * r ** (1 - n - k)
-            + self.outer_reg * k * r ** (k - 1)
-        )
-
 
 def denom_F(params: ProblemParams, degree: int) -> float:
     """Common denominator F = N(N-2+k+k sigma)R^{2-N-2k} + kN(1-sigma) > 0."""
@@ -86,68 +108,113 @@ def denom_F(params: ProblemParams, degree: int) -> float:
     )
 
 
-@functools.lru_cache(maxsize=8192)
-def solve_mode_oracle(
-    params: ProblemParams, degree: int, kind: ModeKind
-) -> ModeProfile:
-    """Solve the degree-k mode system numerically, unit mode coefficient.
+@dataclass(frozen=True, eq=False)
+class ModeTable:
+    """The mode profiles of degrees 1..kmax, both kinds.
+
+    Arrays are indexed [kind, degree - 1, column], kinds in KINDS order.
+    coefficients holds (B, C, D) of each profile; derivatives holds the
+    radial derivatives w'(R) in the core, w'(R) in the shell and w'(1), the
+    traces the boundary-integral assembly of the spectrum reads.  Both are
+    read-only and finite.
+    """
+
+    coefficients: np.ndarray
+    derivatives: np.ndarray
+
+    @property
+    def kmax(self) -> int:
+        return self.coefficients.shape[1]
+
+    def profile(self, degree: int, kind: ModeKind) -> ModeProfile:
+        if not 1 <= degree <= self.kmax:
+            raise ValueError(f"degree must lie in 1..{self.kmax}")
+        b, c, d = self.coefficients[KINDS.index(kind), degree - 1].tolist()
+        return ModeProfile(kind, degree, b, c, d)
+
+
+def solve_modes(params: ProblemParams, kmax: int) -> ModeTable:
+    """Solve the mode systems of degrees 1..kmax, both kinds, in one call.
 
     Conditions at the interface r = R and the boundary r = 1:
       (i)   flux jump zero:   w_+' (R) - sigma w_-' (R) = 0
       (ii)  value jump:       w_+(R) - w_-(R) = -[d_n u]   (Inner) or 0 (Outer)
       (iii) boundary value:   w(1) = 0 (Inner) or -d_n u(1) = 1/N (Outer)
 
-    Solved in the scaled unknowns (B R^k, C R^{2-N-k}, D R^k) so the matrix
-    stays well conditioned for large k and small R.  Raises if the backward
-    error of any condition exceeds the 1e-12 relative contract.
-
-    Cached per argument triple; the bound holds the 5400 keys of the verify
-    suites and the fidelity report together, and keeps long parameter
-    sweeps from growing memory.
+    Solved in the scaled unknowns (B R^k, C R^{2-N-k}, D R^k) so each matrix
+    stays well conditioned for large k and small R.  Raises
+    TransmissionSolveError if the backward error of any condition exceeds
+    the 1e-12 relative contract, and FloatRangeError at the first degree
+    whose system or profile leaves the float range.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     n, radius, sigma = params.dim, params.core_radius, params.sigma
-    k = degree
     state = traces(params)
+    ks = range(1, kmax + 1)
+    degrees = np.arange(1.0, kmax + 1.0)
 
-    jump_value = -state.jump_dn if kind is ModeKind.INNER else 0.0
-    boundary_value = 0.0 if kind is ModeKind.INNER else 1.0 / n
-
-    matrix = np.array(
-        [
-            [-sigma * k, float(2 - n - k), float(k)],
-            [-1.0, 1.0, 1.0],
-            [0.0, radius ** (n - 2 + 2 * k), 1.0],
-        ]
-    )
-    rhs = np.array([0.0, jump_value, boundary_value * radius**k])
-
-    try:
-        scaled = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise TransmissionSolveError(
-            f"singular mode system at degree {k}, kind {kind.value}"
-        ) from exc
-
-    # backward error per condition, relative to the row magnitudes
-    row_terms = np.abs(matrix * scaled[np.newaxis, :]).sum(axis=1) + np.abs(rhs)
-    residual = np.abs(matrix @ scaled - rhs)
-    rel_residual = residual / np.maximum(row_terms, np.finfo(float).tiny)
-    if np.any(rel_residual > RESIDUAL_TOL):
-        raise TransmissionSolveError(
-            f"mode system residual {rel_residual.max():.3e} exceeds "
-            f"{RESIDUAL_TOL:.0e} at degree {k}, kind {kind.value}"
+    # overflow is not an error here: FloatRangeError reports where it happened
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices = np.zeros((len(KINDS), kmax, 3, 3))
+        matrices[:, :, 0, 0] = -sigma * degrees
+        matrices[:, :, 0, 1] = 2 - n - degrees
+        matrices[:, :, 0, 2] = degrees
+        matrices[:, :, 1] = (-1.0, 1.0, 1.0)
+        matrices[:, :, 2, 1] = _scalar_powers(radius, (n - 2 + 2 * k for k in ks))
+        matrices[:, :, 2, 2] = 1.0
+        rhs = np.zeros((len(KINDS), kmax, 3))
+        rhs[0, :, 1] = -state.jump_dn
+        rhs[1, :, 2] = (1.0 / n) * _scalar_powers(radius, ks)
+        FloatRangeError.check(
+            np.isfinite(matrices).all(axis=(0, 2, 3)) & np.isfinite(rhs).all(axis=(0, 2))
         )
 
-    b, c, d = (float(value) for value in scaled)
-    return ModeProfile(
-        kind=kind,
-        degree=k,
-        inner_coeff=b * radius ** (-k),
-        outer_sing=c * radius ** (n - 2 + k),
-        outer_reg=d * radius ** (-k),
+        try:
+            scaled = np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise TransmissionSolveError(
+                f"singular mode system among degrees 1..{kmax}"
+            ) from exc
+
+        # backward error per condition, relative to the row magnitudes
+        terms = matrices * scaled[..., np.newaxis, :]
+        residual = np.abs(terms.sum(axis=-1) - rhs)
+        row_terms = np.abs(terms).sum(axis=-1) + np.abs(rhs)
+        rel_residual = residual / np.maximum(row_terms, np.finfo(float).tiny)
+        failed = (rel_residual > RESIDUAL_TOL).any(axis=-1)
+        if failed.any():
+            index = int(np.argmax(failed.any(axis=0)))
+            kind = 0 if failed[0, index] else 1
+            raise TransmissionSolveError(
+                f"mode system residual {rel_residual[kind, index].max():.3e} exceeds "
+                f"{RESIDUAL_TOL:.0e} at degree {index + 1}, kind {KINDS[kind].value}"
+            )
+
+        r_minus_k = _scalar_powers(radius, (-k for k in ks))
+        inner_coeff = scaled[..., 0] * r_minus_k
+        outer_sing = scaled[..., 1] * _scalar_powers(radius, (n - 2 + k for k in ks))
+        outer_reg = scaled[..., 2] * r_minus_k
+        r_sing = _scalar_powers(radius, (1 - n - k for k in ks))  # r^{1-N-k} at R
+        r_reg = _scalar_powers(radius, (k - 1 for k in ks))  # r^{k-1} at R
+        sing_slope = outer_sing * (2 - n - degrees)
+        reg_slope = outer_reg * degrees
+        derivatives = np.stack(
+            [
+                inner_coeff * degrees * r_reg,
+                sing_slope * r_sing + reg_slope * r_reg,
+                sing_slope + reg_slope,  # at r = 1 both powers are 1
+            ],
+            axis=-1,
+        )
+    coefficients = np.stack([inner_coeff, outer_sing, outer_reg], axis=-1)
+    FloatRangeError.check(
+        np.isfinite(coefficients).all(axis=(0, 2))
+        & np.isfinite(derivatives).all(axis=(0, 2))
     )
+    coefficients.flags.writeable = False
+    derivatives.flags.writeable = False
+    return ModeTable(coefficients, derivatives)
 
 
 def closed_form_mode(
@@ -156,7 +223,7 @@ def closed_form_mode(
     """Evaluate the printed closed-form coefficients verbatim.
 
     These are reference expressions for the fidelity report; downstream
-    computation uses solve_mode_oracle instead.
+    computation uses solve_modes instead.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")

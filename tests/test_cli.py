@@ -70,6 +70,26 @@ def test_missing_subcommand_fails_with_one_line(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, degree",
+    [
+        (["spectrum", "--dim", "2", "--radius", "0.5", "--sigma", "2", "--kmax", "3000"], 1019),
+        (
+            ["spectrum", "--dim", "2", "--radius", "0.5", "--sigma", "2", "--kmax", "3000",
+             "--path", "printed"],
+            503,
+        ),
+        (["classify", "--dim", "4", "--radius", "0.05", "--sigma", "2", "--kmax", "300"], 234),
+        (["classify", "--dim", "2", "--radius", "0.2", "--sigma", "2", "--kmax", "500"], 440),
+    ],
+)
+def test_degrees_past_float_range_are_diagnosed(capsys, argv, degree):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"degree {degree} leaves float range for these parameters\n"
+
+
 def test_spectrum_csv_output(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -162,6 +182,21 @@ def test_oracle_runs_from_a_config_file(tmp_path, capsys):
     assert "d1" in document and "d2" in document
 
 
+def test_oracle_document_is_strict_json(tmp_path, capsys):
+    # one level observes no convergence rate; the document says null, not NaN
+    config = {"radius": 0.5, "sigma": 2.0, "levels": 1, "radial_points": 16, "angular_modes": 8}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["oracle", "--config", str(path)])
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in the document")
+
+    document = json.loads(out, parse_constant=reject)
+    assert document["convergence_rate"] is None
+
+
 def test_oracle_accepts_presets(tmp_path, capsys):
     config = {
         "preset": "case-iii",
@@ -203,6 +238,15 @@ def test_oracle_reports_unreadable_config(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["oracle", "--config", str(bad)])
     assert code != 0
     assert "not valid JSON" in err
+
+
+def test_oracle_names_a_missing_key(tmp_path, capsys):
+    path = tmp_path / "no-radius.json"
+    path.write_text(json.dumps({"sigma": 2.0}), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["oracle", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "invalid oracle config: missing required key 'radius'\n"
 
 
 def test_output_is_deterministic(capsys):

@@ -302,5 +302,6 @@ def test_config_construction():
 
 
 def test_config_requires_radius():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as excinfo:
         family_from_config({"sigma": 2.0})
+    assert str(excinfo.value) == "missing required key 'radius'"

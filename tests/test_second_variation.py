@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
 from twophase_torsion.second_variation import (
@@ -14,10 +16,11 @@ from twophase_torsion.second_variation import (
     monotonicity_functions,
     printed_spectrum,
     spectrum,
+    spectrum_table,
     total_second_variation,
 )
 from twophase_torsion.exact_state import sphere_area, traces
-from twophase_torsion.transmission import denom_F
+from twophase_torsion.transmission import FloatRangeError, denom_F
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
 
@@ -35,6 +38,66 @@ def test_assembled_reference_values():
     assert values.e_out == pytest.approx(-0.5425531914893618, rel=1e-12)
     assert values.e_res == pytest.approx(0.17021276595744683, rel=1e-12)
     assert values.source is SpectrumPath.ASSEMBLED
+
+
+# (e_in, e_out, e_res) of the per-degree solve and assembly that the batched
+# table replaced, to 17 significant digits
+REFERENCE_SPECTRUM = [
+    (ProblemParams(2, 0.5, 2.0), 1,
+     (-0.090909090909090912, -0.090909090909090939, 0.18181818181818182)),
+    (ProblemParams(2, 0.5, 1.0), 7, (0.0, -3.0, 0.0)),
+    (ProblemParams(3, 0.2, 10.0), 50,
+     (-0.068242468239564438, -10.888888888888888, 1.6510474133009849e-35)),
+    (ProblemParams(4, 0.8, 0.1), 13,
+     (-4.5020009624345594, -1.4951473007471721, -0.14123213631182871)),
+    (ProblemParams(5, 0.35, 0.5), 50,
+     (-0.0067174131410256349, -3.9199999999999999, -1.2661262364522025e-24)),
+    (ProblemParams(2, 0.05, 0.001), 30,
+     (-36.138899850149855, -14.5, -2.7883853707518419e-39)),
+]
+
+
+@pytest.mark.parametrize("params, degree, expected", REFERENCE_SPECTRUM)
+def test_assembled_spectrum_matches_pinned_values(params, degree, expected):
+    for values in (assemble_spectrum(params, degree), spectrum_table(params, 50).row(degree)):
+        assert (values.e_in, values.e_out, values.e_res) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    radius=st.floats(0.05, 0.95),
+    log_sigma=st.floats(math.log(1e-3), math.log(1e3)),
+    kmax=st.integers(1, 60),
+    data=st.data(),
+)
+def test_table_rows_do_not_depend_on_kmax(dim, radius, log_sigma, kmax, data):
+    params = ProblemParams(dim, radius, math.exp(log_sigma))
+    degree = data.draw(st.integers(1, kmax), label="degree")
+    full, short = spectrum_table(params, kmax), spectrum_table(params, degree)
+    index = degree - 1
+    for name in ("e_in", "e_out", "e_res"):
+        assert getattr(full, name)[index].tobytes() == getattr(short, name)[index].tobytes()
+    for name in ("coefficients", "derivatives"):
+        assert (
+            getattr(full.modes, name)[:, index].tobytes()
+            == getattr(short.modes, name)[:, index].tobytes()
+        )
+
+
+def test_spectrum_past_float_range_names_the_first_degree():
+    cases = [
+        (lambda: spectrum_table(PARAMS, 3000), 1019),
+        (lambda: printed_spectrum(PARAMS, 503), 503),
+        (lambda: spectrum_table(ProblemParams(4, 0.05, 2.0), 300), 234),
+        # 1/sigma leaves float range: the interface jump of d_n u is infinite
+        (lambda: spectrum_table(ProblemParams(2, 0.5, 1e-320), 5), 1),
+    ]
+    for compute, degree in cases:
+        with pytest.raises(FloatRangeError) as excinfo:
+            compute()
+        assert excinfo.value.degree == degree
+    assert math.isfinite(printed_spectrum(PARAMS, 502).e_in)
 
 
 def test_degree_one_closed_forms():

@@ -11,7 +11,7 @@ from twophase_torsion.params import (
 )
 from twophase_torsion.second_variation import (
     SpectrumPath,
-    assemble_spectrum,
+    spectrum_table,
     total_second_variation,
 )
 from twophase_torsion.stability import (
@@ -20,7 +20,6 @@ from twophase_torsion.stability import (
     classify,
     positive_mode_set,
 )
-from twophase_torsion.transmission import solve_mode_oracle
 
 
 def test_harder_core_is_a_local_maximum():
@@ -129,11 +128,10 @@ def test_verdict_next_to_single_phase():
 
 
 def test_caches_stay_bounded():
-    caches = (solve_mode_oracle, assemble_spectrum)
-    misses_before = [cached.cache_info().misses for cached in caches]
-    for i in range(150):  # 150 x 30 degrees: 9000 mode solves, 4500 spectra
-        classify(ProblemParams(2, 0.3 + 0.002 * i, 3.0), k_max=30)
-    for cached, before in zip(caches, misses_before):
-        info = cached.cache_info()
-        assert info.misses - before > info.maxsize
-        assert info.currsize <= info.maxsize
+    before = spectrum_table.cache_info()
+    count = before.maxsize + 100  # one table per classification
+    for i in range(count):
+        classify(ProblemParams(2, 0.3 + 0.4 * i / count, 3.0), k_max=30)
+    info = spectrum_table.cache_info()
+    assert info.misses - before.misses > info.maxsize
+    assert info.currsize <= info.maxsize
