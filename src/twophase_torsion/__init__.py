@@ -53,17 +53,10 @@ from .second_variation import (
     g_factor,
     monotonicity_functions,
     printed_spectrum,
-    spectrum,
     spectrum_table,
     total_second_variation,
 )
-from .stability import (
-    Channel,
-    Classification,
-    StabilityVerdict,
-    classify,
-    positive_mode_set,
-)
+from .stability import Channel, Classification, StabilityVerdict, classify
 from .transmission import (
     FloatRangeError,
     ModeKind,
@@ -119,7 +112,6 @@ __all__ = [
     "g_factor",
     "monotonicity_functions",
     "multiplicity",
-    "positive_mode_set",
     "presets",
     "printed_spectrum",
     "run_coefficients_suite",
@@ -129,7 +121,6 @@ __all__ = [
     "run_secondvar_suite",
     "solve_energy",
     "solve_modes",
-    "spectrum",
     "spectrum_table",
     "sphere_area",
     "total_second_variation",

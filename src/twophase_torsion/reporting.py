@@ -20,7 +20,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .pde_oracle import (
 )
 from .second_variation import (
     SpectrumPath,
-    assemble_spectrum,
     monotonicity_functions,
     printed_spectrum,
     spectrum_table,
@@ -104,12 +103,6 @@ class FidelityReport:
     grid_description: str
     entries: tuple[FidelityEntry, ...]
 
-    def entry(self, formula_id: str) -> FidelityEntry:
-        for item in self.entries:
-            if item.formula_id == formula_id:
-                return item
-        raise KeyError(formula_id)
-
     def to_document(self) -> dict:
         return {
             "grid": self.grid_description,
@@ -139,16 +132,9 @@ _SPECTRUM_FIELDS = ("E_in", "E_out", "E_res")
 _SQUARE_FIELD = "E_res_k1_perfect_square"
 
 
-def build_fidelity_report(
-    params_list: Optional[Iterable[ProblemParams]] = None,
-    degrees: Iterable[int] = GRID_DEGREES,
-    grid_description: str = GRID_DESCRIPTION,
-) -> FidelityReport:
-    """Compare printed vs independent values per formula, worst case wins."""
-    if params_list is None:
-        params_list = grid_params()
-    degrees = tuple(degrees)
-
+def build_fidelity_report() -> FidelityReport:
+    """Compare printed vs independent values per formula over the grid,
+    worst case wins."""
     formula_ids = list(_COEFFICIENT_FIELDS) + list(_SPECTRUM_FIELDS) + [_SQUARE_FIELD]
     worst: dict[str, tuple[float, float, float, str]] = {
         formula: (0.0, 0.0, 0.0, "") for formula in formula_ids
@@ -168,9 +154,9 @@ def build_fidelity_report(
         if deviation >= worst[formula][0]:
             worst[formula] = (deviation, printed, reference, point)
 
-    for params in params_list:
-        table = spectrum_table(params, max(degrees))
-        for degree in degrees:
+    for params in grid_params():
+        table = spectrum_table(params, GRID_KMAX)
+        for degree in GRID_DEGREES:
             point = (
                 f"N={params.dim}, sigma={params.sigma:g}, "
                 f"R={params.core_radius:g}, k={degree}"
@@ -226,7 +212,7 @@ def build_fidelity_report(
                 note="" if matched else _MISMATCH_NOTE,
             )
         )
-    return FidelityReport(grid_description=grid_description, entries=tuple(entries))
+    return FidelityReport(grid_description=GRID_DESCRIPTION, entries=tuple(entries))
 
 
 def emit_spectrum_csv(params: ProblemParams, kmax: int, path: SpectrumPath) -> str:
@@ -278,7 +264,7 @@ BASELINE_PARAMS = (ProblemParams(2, 0.5, 1.0), HARDER_CORE)  # criterion 9
 SOFTER_CORE = ProblemParams(2, 0.5, 0.5)  # criterion 12
 FIRST_VARIATION_DEGREES = (1, 2, 3)  # criterion 10
 CROSS_DEGREE = 2  # criterion 11
-CLASSIFY_KMAX = 30  # criterion 12
+CLASSIFY_KMAX = 30  # criteria 11, 12: the tables of both cores
 
 TRANSLATION_TOL = 1e-12  # criterion 4, relative
 SINGLE_PHASE_TOL = 1e-12  # criterion 5, absolute
@@ -436,7 +422,8 @@ def resonance_structure() -> CheckResult:
         for radius in GRID_RADII:
             for sigma in RESONANCE_SIGMAS:
                 params = ProblemParams(dim, radius, sigma)
-                for values in spectrum_table(params, SPECTRUM_KMAX).rows():
+                table = spectrum_table(params, SPECTRUM_KMAX)
+                for values in table.rows():
                     degree = values.degree
                     if degree == 1:
                         scale = max(
@@ -444,9 +431,7 @@ def resonance_structure() -> CheckResult:
                         )
                         if abs(values.discriminant) > RESONANCE_TOL * scale:
                             failures.append(f"delta(1) at {params}")
-                        total = total_second_variation(
-                            combined, params, SpectrumPath.ASSEMBLED
-                        )
+                        total = total_second_variation(combined, table)
                         value_scale = abs(values.e_in) + abs(values.e_out)
                         if abs(total) > RESONANCE_TOL * value_scale:
                             failures.append(f"Q(1) != 0 at k=1, {params}")
@@ -562,7 +547,7 @@ def second_variation_match() -> CheckResult:
     """11. Fitted second derivatives match the assembled spectrum, and the
     coupled run recovers the cross term."""
     runs = oracle_runs().harder
-    values = assemble_spectrum(HARDER_CORE, CROSS_DEGREE)
+    values = spectrum_table(HARDER_CORE, CLASSIFY_KMAX).row(CROSS_DEGREE)
     failures = []
     for channel, analytic in (("inner", values.e_in), ("outer", values.e_out)):
         deviation = abs(runs[CROSS_DEGREE, channel].d2 - analytic) / abs(analytic)
@@ -594,6 +579,7 @@ def classifier_reproduction() -> CheckResult:
     verdict = runs.saddle
     if verdict.classification is not Classification.SADDLE:
         failures.append(f"sigma={SOFTER_CORE.sigma:g}: {verdict.classification.value}")
+    table = spectrum_table(SOFTER_CORE, CLASSIFY_KMAX)
     for label, witness, sign in (
         ("positive", verdict.witness_positive, 1.0),
         ("negative", verdict.witness_negative, -1.0),
@@ -601,7 +587,7 @@ def classifier_reproduction() -> CheckResult:
         if witness is None:
             failures.append(f"no {label} witness")
             continue
-        analytic = total_second_variation(witness, SOFTER_CORE, SpectrumPath.ASSEMBLED)
+        analytic = total_second_variation(witness, table)
         d2 = runs.witnesses[label].d2
         deviation = abs(d2 - analytic) / abs(analytic)
         if not sign * analytic > 0.0:

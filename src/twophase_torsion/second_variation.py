@@ -7,9 +7,9 @@ sum alpha_out Y_{k,i} on the outer boundary,
     E''(Phi) = sum_{k,i} { alpha_in^2 e_in(k) + alpha_out^2 e_out(k)
                            + alpha_in alpha_out e_res(k) }.
 
-Two computation paths are provided.  The Assembled path reduces the
-boundary-integral formula for E'' per mode using oracle-validated profiles,
-for a whole ladder of degrees 1..kmax at once (`spectrum_table`):
+The spectrum of a parameter point is one table: `spectrum_table(params,
+kmax)` reduces the boundary-integral formula for E'' per mode using
+oracle-validated profiles, for the whole ladder of degrees 1..kmax at once,
 
     E'' = +2 int_{|x|=1} grad u . grad u' (h.n) + 2 int_{|x|=1} d_n u d_nn u (h.n)^2
           -2 int_{|x|=R} [sigma grad u . grad u'] (h.n)
@@ -17,11 +17,13 @@ for a whole ladder of degrees 1..kmax at once (`spectrum_table`):
 
 with u radial, so grad u . grad u' = (d_r u)(d_r u') on each sphere, and the
 surface integrals of Y^2 contributing R^{N-1} at the interface and 1 at the
-boundary.  The PrintedFormula path evaluates the closed-form spectrum
-verbatim.  The two paths are compared in the fidelity report; downstream
-classification consumes the Assembled path, which is the one that is
-self-consistent (translation invariance e_in(1) = e_out(1)) and confirmed by
-the PDE oracle.
+boundary.  Every quadratic form E''(Phi) is summed from the rows of such a
+table (`total_second_variation(spec, table)`), so a caller that holds the
+table of its parameter point reads the form from it.  This assembled
+spectrum is the one consumed downstream: it is self-consistent (translation
+invariance e_in(1) = e_out(1)) and confirmed by the PDE oracle.  The
+closed-form spectrum is evaluated verbatim by `printed_spectrum`, for the
+fidelity report and the printed path of the CSV emitter (`SpectrumPath`).
 
 Also provided: the closed-form factorization of the discriminant of the
 resonance quadratic Q(t) = e_in t^2 + e_res t + e_out, the proof functions
@@ -57,7 +59,6 @@ class SecondVariationSpectrum:
     e_in: float
     e_out: float
     e_res: float
-    source: SpectrumPath
 
     @property
     def discriminant(self) -> float:
@@ -72,10 +73,11 @@ class SecondVariationSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """The assembled spectrum of degrees 1..kmax and the mode table it was
-    assembled from; e_in, e_out and e_res are read-only, finite, and
+    """The assembled spectrum of degrees 1..kmax at params and the mode table
+    it was assembled from; e_in, e_out and e_res are read-only, finite, and
     indexed by degree - 1."""
 
+    params: ProblemParams
     modes: ModeTable
     e_in: np.ndarray
     e_out: np.ndarray
@@ -87,19 +89,18 @@ class SpectrumTable:
 
     def row(self, degree: int) -> SecondVariationSpectrum:
         if not 1 <= degree <= self.kmax:
-            raise ValueError(f"degree must lie in 1..{self.kmax}")
+            raise ValueError(f"degree {degree} lies outside the spectrum table 1..{self.kmax}")
         index = degree - 1
         return SecondVariationSpectrum(
             degree,
             float(self.e_in[index]),
             float(self.e_out[index]),
             float(self.e_res[index]),
-            SpectrumPath.ASSEMBLED,
         )
 
     def rows(self) -> list[SecondVariationSpectrum]:
         return [
-            SecondVariationSpectrum(degree, e_in, e_out, e_res, SpectrumPath.ASSEMBLED)
+            SecondVariationSpectrum(degree, e_in, e_out, e_res)
             for degree, e_in, e_out, e_res in zip(
                 range(1, self.kmax + 1),
                 self.e_in.tolist(),
@@ -123,7 +124,7 @@ def spectrum_table(params: ProblemParams, kmax: int) -> SpectrumTable:
 
     Raises FloatRangeError at the first degree whose entries leave the
     float range.  This is the one cache of the analytic path, keyed by
-    (params, kmax); its bound holds the 126 tables of the verify suites and
+    (params, kmax); its bound holds the 99 tables of the verify suites and
     the fidelity report together, and keeps long parameter sweeps from
     growing memory.
     """
@@ -143,7 +144,7 @@ def spectrum_table(params: ProblemParams, kmax: int) -> SpectrumTable:
     FloatRangeError.check(np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res))
     for column in (e_in, e_out, e_res):
         column.flags.writeable = False
-    return SpectrumTable(modes, e_in, e_out, e_res)
+    return SpectrumTable(params, modes, e_in, e_out, e_res)
 
 
 def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpectrum:
@@ -189,23 +190,12 @@ def printed_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpect
     )
     if not (math.isfinite(e_in) and math.isfinite(e_out) and math.isfinite(e_res)):
         raise FloatRangeError(degree)
-    return SecondVariationSpectrum(
-        degree=degree, e_in=e_in, e_out=e_out, e_res=e_res, source=SpectrumPath.PRINTED
-    )
+    return SecondVariationSpectrum(degree, e_in, e_out, e_res)
 
 
-def spectrum(
-    params: ProblemParams, degree: int, path: SpectrumPath
-) -> SecondVariationSpectrum:
-    if path is SpectrumPath.ASSEMBLED:
-        return assemble_spectrum(params, degree)
-    return printed_spectrum(params, degree)
-
-
-def total_second_variation(
-    spec: PerturbationSpec, params: ProblemParams, path: SpectrumPath
-) -> float:
-    """Quadratic form E''(Phi) summed over the modes stored in the spec."""
+def total_second_variation(spec: PerturbationSpec, table: SpectrumTable) -> float:
+    """Quadratic form E''(Phi) summed over the modes stored in the spec, from
+    the rows of the spectrum table of its parameter point."""
     total = 0.0
     for index, (alpha_in, alpha_out) in spec.sorted_items():
         if index.degree == 0:
@@ -213,8 +203,8 @@ def total_second_variation(
                 "degree-0 modes are not volume preserving; the second "
                 "variation is defined on volume-preserving perturbations"
             )
-        index.check_order(params.dim)
-        values = spectrum(params, index.degree, path)
+        index.check_order(table.params.dim)
+        values = table.row(index.degree)
         total += (
             alpha_in * alpha_in * values.e_in
             + alpha_out * alpha_out * values.e_out

@@ -35,7 +35,6 @@ from .params import (
 )
 from .second_variation import (
     SecondVariationSpectrum,
-    SpectrumPath,
     spectrum_table,
     total_second_variation,
 )
@@ -144,16 +143,6 @@ def _positive_modes(
     return positive
 
 
-def positive_mode_set(
-    params: ProblemParams, k_max: int
-) -> list[tuple[int, Channel]]:
-    """All (degree, channel) with strictly positive assembled second variation,
-    restricted to barycenter-admissible channels (no outer degree-1)."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    return _positive_modes(spectrum_table(params, k_max).rows())
-
-
 def _unit_spec(degree: int, channel: Channel) -> PerturbationSpec:
     alpha = {
         Channel.INNER_ALONE: (1.0, 0.0),
@@ -188,7 +177,8 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
     if k_max < 2:
         raise ValueError("kmax must be >= 2")
 
-    rows = spectrum_table(params, k_max).rows()
+    table = spectrum_table(params, k_max)
+    rows = table.rows()
     mode_table = tuple(
         (values.degree, values.e_in, values.e_out, values.e_res, values.discriminant)
         for values in rows
@@ -222,12 +212,8 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
                 raise AssertionError("witness must satisfy both constraints")
 
     if classification is Classification.SADDLE:
-        positive_value = total_second_variation(
-            witness_positive, params, SpectrumPath.ASSEMBLED
-        )
-        negative_value = total_second_variation(
-            witness_negative, params, SpectrumPath.ASSEMBLED
-        )
+        positive_value = total_second_variation(witness_positive, table)
+        negative_value = total_second_variation(witness_negative, table)
         if not (positive_value > 0.0 and negative_value < 0.0):
             raise AssertionError("saddle witnesses must have opposite signs")
 

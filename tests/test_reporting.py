@@ -11,17 +11,23 @@ from twophase_torsion.params import (
 )
 from twophase_torsion.reporting import (
     CRITERIA,
+    GRID_DESCRIPTION,
     SUITE_CRITERIA,
     SUITES,
     FidelityVerdict,
     build_fidelity_report,
     emit_spectrum_csv,
     grid_params,
+    resonance_structure,
     run_coefficients_suite,
     run_monotonicity_suite,
     run_secondvar_suite,
 )
-from twophase_torsion.second_variation import SpectrumPath, assemble_spectrum
+from twophase_torsion.second_variation import (
+    SpectrumPath,
+    assemble_spectrum,
+    spectrum_table,
+)
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
 
@@ -39,12 +45,16 @@ EXPECTED_VERDICTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def report():
+    return build_fidelity_report()
+
+
 def test_default_grid_size():
     assert len(grid_params()) == 45  # 3 dims x 5 sigmas x 3 radii
 
 
-def test_fidelity_report_full_grid_verdicts():
-    report = build_fidelity_report()
+def test_fidelity_report_full_grid_verdicts(report):
     assert [entry.formula_id for entry in report.entries] == list(EXPECTED_VERDICTS)
     for entry in report.entries:
         assert entry.verdict is EXPECTED_VERDICTS[entry.formula_id], entry.formula_id
@@ -57,16 +67,15 @@ def test_fidelity_report_full_grid_verdicts():
         assert entry.worst_point
 
 
-def test_fidelity_report_document_and_lookup():
-    report = build_fidelity_report(
-        params_list=[PARAMS], degrees=(1, 2), grid_description="single point"
-    )
+def test_fidelity_report_document_and_lookup(report):
     document = report.to_document()
-    assert document["grid"] == "single point"
-    assert len(document["entries"]) == 10
-    assert report.entry("B_in").verdict is FidelityVerdict.MISMATCH
-    with pytest.raises(KeyError):
-        report.entry("Z_in")
+    assert document["grid"] == GRID_DESCRIPTION
+    entries = {entry["formula"]: entry for entry in document["entries"]}
+    assert list(entries) == list(EXPECTED_VERDICTS)
+    for entry in report.entries:
+        assert entries[entry.formula_id] == entry.to_document()
+    assert entries["B_in"]["verdict"] == "Mismatch"
+    assert entries["E_res"]["verdict"] == "Match"
 
 
 def test_spectrum_csv_layout():
@@ -139,6 +148,14 @@ def test_monotonicity_suite_passes():
     assert len(results) == 1
     assert results[0].passed, results[0].detail
     assert "105" in results[0].name
+
+
+def test_resonance_criterion_reads_one_table_per_parameter_point():
+    # the degree-1 totals read the kmax table of the loop: 3 dims x 3 radii
+    # x 3 sigmas
+    spectrum_table.cache_clear()
+    assert resonance_structure().passed
+    assert spectrum_table.cache_info().misses == 27
 
 
 def test_suites_cover_each_criterion_once():

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
 from twophase_torsion.second_variation import (
-    SpectrumPath,
     assemble_spectrum,
     factored_discriminant,
     first_variation,
     monotonicity_functions,
     printed_spectrum,
-    spectrum,
     spectrum_table,
     total_second_variation,
 )
@@ -37,7 +35,6 @@ def test_assembled_reference_values():
     assert values.e_in == pytest.approx(-0.1077127659574468, rel=1e-12)
     assert values.e_out == pytest.approx(-0.5425531914893618, rel=1e-12)
     assert values.e_res == pytest.approx(0.17021276595744683, rel=1e-12)
-    assert values.source is SpectrumPath.ASSEMBLED
 
 
 # (e_in, e_out, e_res) of the per-degree solve and assembly that the batched
@@ -126,12 +123,6 @@ def test_printed_diagonal_entries_disagree_with_assembled():
     assembled = assemble_spectrum(PARAMS, 2)
     assert abs(printed.e_in - assembled.e_in) > 1e-3 * abs(assembled.e_in)
     assert abs(printed.e_out - assembled.e_out) > 1e-3 * abs(assembled.e_out)
-    assert printed.source is SpectrumPath.PRINTED
-
-
-def test_spectrum_dispatches_on_path():
-    assert spectrum(PARAMS, 3, SpectrumPath.ASSEMBLED) == assemble_spectrum(PARAMS, 3)
-    assert spectrum(PARAMS, 3, SpectrumPath.PRINTED) == printed_spectrum(PARAMS, 3)
 
 
 def test_spectrum_rejects_degree_zero():
@@ -145,7 +136,7 @@ def test_total_second_variation_combines_modes():
     spec = PerturbationSpec(
         {ModeIndex(2, 1): (1.0, -0.5), ModeIndex(3, 2): (0.0, 2.0)}
     )
-    total = total_second_variation(spec, PARAMS, SpectrumPath.ASSEMBLED)
+    total = total_second_variation(spec, spectrum_table(PARAMS, 3))
     v2 = assemble_spectrum(PARAMS, 2)
     v3 = assemble_spectrum(PARAMS, 3)
     expected = (
@@ -158,12 +149,21 @@ def test_total_second_variation_combines_modes():
 
 
 def test_total_second_variation_rejects_mean_modes_and_bad_orders():
+    table = spectrum_table(PARAMS, 3)
     mean_spec = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)}, allow_mean=True)
     with pytest.raises(ValueError, match="volume"):
-        total_second_variation(mean_spec, PARAMS, SpectrumPath.ASSEMBLED)
+        total_second_variation(mean_spec, table)
     bad_order = PerturbationSpec({ModeIndex(1, 3): (1.0, 0.0)})
     with pytest.raises(ValueError, match="multiplicity"):
-        total_second_variation(bad_order, PARAMS, SpectrumPath.ASSEMBLED)
+        total_second_variation(bad_order, table)
+
+
+def test_total_second_variation_rejects_modes_past_the_table():
+    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0), ModeIndex(4, 1): (0.0, 1.0)})
+    with pytest.raises(ValueError, match=r"^degree 4 lies outside the spectrum table 1\.\.3$"):
+        total_second_variation(spec, spectrum_table(PARAMS, 3))
+    total = total_second_variation(spec, spectrum_table(PARAMS, 4))
+    assert total == assemble_spectrum(PARAMS, 2).e_in + assemble_spectrum(PARAMS, 4).e_out
 
 
 def test_resonance_analysis_consistency():

@@ -5,21 +5,11 @@ import pytest
 from twophase_torsion.params import (
     Constraint,
     ModeIndex,
-    PerturbationSpec,
     ProblemParams,
     validate,
 )
-from twophase_torsion.second_variation import (
-    SpectrumPath,
-    spectrum_table,
-    total_second_variation,
-)
-from twophase_torsion.stability import (
-    Channel,
-    Classification,
-    classify,
-    positive_mode_set,
-)
+from twophase_torsion.second_variation import spectrum_table, total_second_variation
+from twophase_torsion.stability import Channel, Classification, classify
 
 
 def test_harder_core_is_a_local_maximum():
@@ -29,9 +19,7 @@ def test_harder_core_is_a_local_maximum():
     assert verdict.positive_modes == ()
     assert verdict.witness_positive is None
     assert verdict.witness_negative is not None
-    total = total_second_variation(
-        verdict.witness_negative, params, SpectrumPath.ASSEMBLED
-    )
+    total = total_second_variation(verdict.witness_negative, spectrum_table(params, 30))
     assert total < 0.0
 
 
@@ -42,12 +30,9 @@ def test_softer_core_is_a_saddle():
     assert (1, Channel.INNER_ALONE) in verdict.positive_modes
     assert verdict.witness_positive is not None
     assert verdict.witness_negative is not None
-    positive = total_second_variation(
-        verdict.witness_positive, params, SpectrumPath.ASSEMBLED
-    )
-    negative = total_second_variation(
-        verdict.witness_negative, params, SpectrumPath.ASSEMBLED
-    )
+    table = spectrum_table(params, 30)
+    positive = total_second_variation(verdict.witness_positive, table)
+    negative = total_second_variation(verdict.witness_negative, table)
     assert positive > 0.0
     assert negative < 0.0
 
@@ -72,7 +57,7 @@ def test_single_phase_is_neutral():
 
 def test_positive_modes_respect_the_barycenter_constraint():
     params = ProblemParams(2, 0.5, 0.5)
-    positive = positive_mode_set(params, 10)
+    positive = classify(params, 10).positive_modes
     # degree 1: only the inner channel may appear even though the outer
     # diagonal entry is positive there, because outer degree-1 modes are
     # translations excluded by the barycenter constraint
@@ -84,14 +69,12 @@ def test_positive_modes_respect_the_barycenter_constraint():
 
 def test_local_maximum_has_no_positive_modes_over_a_long_scan():
     for params in (ProblemParams(2, 0.5, 2.0), ProblemParams(3, 0.8, 10.0)):
-        assert positive_mode_set(params, 50) == []
+        assert classify(params, 50).positive_modes == ()
 
 
 def test_classify_rejects_short_scans():
     with pytest.raises(ValueError):
         classify(ProblemParams(2, 0.5, 2.0), k_max=1)
-    with pytest.raises(ValueError):
-        positive_mode_set(ProblemParams(2, 0.5, 2.0), 0)
 
 
 def test_verdict_document_shape():
@@ -135,3 +118,11 @@ def test_caches_stay_bounded():
     info = spectrum_table.cache_info()
     assert info.misses - before.misses > info.maxsize
     assert info.currsize <= info.maxsize
+
+
+def test_saddle_classification_builds_one_table():
+    # the saddle-witness totals read the scan table, not tables of their own
+    spectrum_table.cache_clear()
+    verdict = classify(ProblemParams(2, 0.5, 0.5), 30)
+    assert verdict.classification is Classification.SADDLE
+    assert spectrum_table.cache_info().misses == 1
