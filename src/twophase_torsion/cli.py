@@ -93,6 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once: parsing leaves it unchanged
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     params = ProblemParams(args.dim, args.radius, args.sigma)
     verdict = classify(params, args.kmax)
@@ -158,9 +161,8 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _DISPATCH[args.command](args)
     except (CliError, ValueError) as exc:
         print(str(exc), file=sys.stderr)

@@ -25,9 +25,13 @@ periodic spectral differentiation matrix.  The center collapses to a single
 unknown.  The assembled system K u = q is symmetric positive definite and
 block tridiagonal, with the load q integrated exactly for the
 piecewise-linear Jacobian.  The energy of the discrete solution is
-E = u . q = q^T K^{-1} q, so u itself is never formed: a forward block
-LDL^T sweep gives E = sum_b z_b^T S_b^{-1} z_b over the Schur complements
-S_b and carried loads z_b, with no back-substitution.
+E = u . q = q^T K^{-1} q, so u itself is never formed: a forward one-sided
+block Cholesky sweep factors each Schur complement S_b = L_b L_b^T and gives
+E = sum_b |L_b^{-1} z_b|^2 over the carried loads z_b, with one triangular
+solve per block and no back-substitution.  The sweep calls LAPACK directly:
+cho_factor and cho_solve are this module's names for the potrf and trtrs
+bindings, kept because the benchmark's tracer (bench/spans.py) times and
+counts the per-block calls through those two module attributes.
 
 The perturbation family
 
@@ -45,7 +49,8 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+# LAPACK potrf and trtrs under the names bench/spans.py traces (module docstring)
+from scipy.linalg.lapack import dpotrf as cho_factor, dtrtrs as cho_solve
 
 from .params import ModeIndex, PerturbationSpec, ProblemParams, presets
 
@@ -226,25 +231,31 @@ def _forward_energy(
     its load.  diag[i], upper[i] and loads[i] belong to block i + 1, and
     upper[i] couples it to block i + 2; the last upper block couples to the
     dropped Dirichlet node, and its product is never used.  Each Schur
-    complement S_b = D_b - U_{b-1}^T S_{b-1}^{-1} U_{b-1} is factored once
-    and solved once against [U_b | z_b], with the carried load
-    z_b = q_b - U_{b-1}^T S_{b-1}^{-1} z_{b-1}; E = sum_b z_b . S_b^{-1} z_b
-    needs no back-substitution.
+    complement S_b = D_b - U_{b-1}^T S_{b-1}^{-1} U_{b-1} is factored once,
+    S_b = L_b L_b^T, and one triangular solve forms
+    W_b = L_b^{-1} [U_b | z_b] with the carried load
+    z_b = q_b - U_{b-1}^T S_{b-1}^{-1} z_{b-1}.  Then
+    U_b^T S_b^{-1} [U_b | z_b] = W_b[:, :m]^T W_b is what block b + 1 needs,
+    and E = sum_b |L_b^{-1} z_b|^2 needs no back-substitution.
     """
     d0, u0, q0 = center
     m = diag.shape[1]
     energy = q0 * q0 / d0
     coupling = np.outer(u0, np.append(u0, q0)) / d0  # U^T S^{-1} [U | z]
-    try:
-        for block, upper_block, load in zip(diag, upper, loads):
-            carried = load - coupling[:, m]
-            factor = cho_factor(block - coupling[:, :m], lower=True, check_finite=False)
-            rhs = np.column_stack((upper_block, carried))
-            solved = cho_solve(factor, rhs, check_finite=False)
-            energy += carried @ solved[:, m]
-            coupling = upper_block.T @ solved
-    except np.linalg.LinAlgError as exc:
-        raise SolveError("block factorization failed") from exc
+    schur = np.empty((m, m), order="F")  # Fortran order: LAPACK works in place
+    rhs = np.empty((m, m + 1), order="F")
+    for block, upper_block, load in zip(diag, upper, loads):
+        np.subtract(block, coupling[:, :m], out=schur)
+        factor, info = cho_factor(schur, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise SolveError("block factorization failed")
+        rhs[:, :m] = upper_block
+        np.subtract(load, coupling[:, m], out=rhs[:, m])
+        solved, info = cho_solve(factor, rhs, lower=1, overwrite_b=1)
+        if info != 0:
+            raise SolveError("block factorization failed")
+        energy += solved[:, m] @ solved[:, m]
+        coupling = solved[:, :m].T @ solved
     if not np.isfinite(energy):
         raise SolveError("energy is not finite")
     return float(energy)

@@ -1,9 +1,14 @@
 """Command-line surface: arguments, validation, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twophase_torsion
 from twophase_torsion.cli import main
 
 
@@ -61,6 +66,41 @@ def test_parameter_diagnostics_are_single_line(capsys):
         code, _, err = run_cli(capsys, argv)
         assert code != 0
         assert err == message + "\n"
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # main shares one parser between calls: failed calls, in parsing and
+    # after it, must leave nothing behind for the calls that follow
+    config = tmp_path / "run.json"
+    config.write_text(
+        json.dumps({"radius": 0.5, "sigma": 2.0, "preset": "case-iii", "levels": 1,
+                    "radial_points": 16, "angular_modes": 16}),
+        encoding="utf-8",
+    )
+    point = ["--dim", "2", "--radius", "0.5", "--sigma", "0.5", "--kmax", "6"]
+    calls = [
+        ["classify", "--dim", "1", "--radius", "0.5", "--sigma", "2"],
+        ["classify", "--dim", "2", "--radius", "0.5"],
+        ["classify", *point],
+        ["spectrum", *point],
+        ["oracle", "--config", str(config)],
+    ]
+    in_process = [run_cli(capsys, argv) for argv in calls]
+    paths = [str(Path(twophase_torsion.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    processes = [
+        subprocess.Popen(
+            [sys.executable, "-m", "twophase_torsion.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for argv in calls
+    ]
+    fresh = []
+    for process in processes:
+        out, err = process.communicate(timeout=120)
+        fresh.append((process.returncode, out, err))
+    assert [code for code, _, _ in in_process] == [2, 2, 0, 0, 0]
+    assert in_process == fresh
 
 
 def test_missing_subcommand_fails_with_one_line(capsys):
