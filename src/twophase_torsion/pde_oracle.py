@@ -26,12 +26,26 @@ unknown.  The assembled system K u = q is symmetric positive definite and
 block tridiagonal, with the load q integrated exactly for the
 piecewise-linear Jacobian.  The energy of the discrete solution is
 E = u . q = q^T K^{-1} q, so u itself is never formed: a forward one-sided
-block Cholesky sweep factors each Schur complement S_b = L_b L_b^T and gives
-E = sum_b |L_b^{-1} z_b|^2 over the carried loads z_b, with one triangular
-solve per block and no back-substitution.  The sweep calls LAPACK directly:
-cho_factor and cho_solve are this module's names for the potrf and trtrs
-bindings, kept because the benchmark's tracer (bench/spans.py) times and
-counts the per-block calls through those two module attributes.
+block Cholesky sweep (Golub & Van Loan, section 4.5) factors each Schur
+complement S_b = L_b L_b^T and gives E = sum_b |L_b^{-1} z_b|^2 over the
+carried loads z_b, with no back-substitution.
+
+Each block b is stored as two (m+1) x m C-order slabs, [q_b; D_b] and
+[.; U_b^T], whose transposes are the Fortran-order panels [q_b | D_b] and
+[z_b | U_b] that LAPACK and BLAS update in place.  Per block the sweep makes
+three calls: one dgemm Schur update [z_b | S_b] = [q_b | D_b] - W[:, 1:]^T W
+with the previous block's panel W = L_{b-1}^{-1} [z_{b-1} | U_{b-1}], a Cholesky
+factorization of S_b in place, and one triangular solve that turns
+[z_b | U_b] into the next W.  The center unknown enters as the 1 x (m+1)
+panel [q_0 | U_0]/sqrt(D_0), a 1x1 block.  cho_factor and cho_solve are this
+module's names for the LAPACK potrf and trtrs bindings, kept because the
+benchmark's tracer (bench/spans.py) times and counts the per-block calls
+through those two module attributes.
+
+What does not depend on t -- the spectral differentiation matrix, the bases
+that map cell coefficients to node blocks, and the two block stacks -- lives
+in one workspace per differentiate_energy run, shared by its samples and
+freed when the run returns.
 
 The perturbation family
 
@@ -47,8 +61,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 # LAPACK potrf and trtrs under the names bench/spans.py traces (module docstring)
 from scipy.linalg.lapack import dpotrf as cho_factor, dtrtrs as cho_solve
 
@@ -219,43 +235,68 @@ def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
     return np.concatenate([inner, outer]), j_in
 
 
+class _Workspace:
+    """The t-independent part of a solve on one grid, shared by a run's samples.
+
+    The spectral differentiation matrix and the bases that map a cell's
+    coefficient rows to its node blocks depend only on the angular grid, and
+    the block stacks only on the grid's size.  Every solve overwrites all of
+    both stacks before it reads them, so no result depends on whether a
+    workspace is reused.
+    """
+
+    def __init__(self, radial_points: int, angular_modes: int) -> None:
+        m = angular_modes
+        self.diff = diff = spectral_diff_matrix(m)  # first, as it also validates m
+        shear_rows = np.eye(m)[:, :, np.newaxis] * diff  # [k, i, l] = delta_ki diff_il
+        sym = 0.5 * (shear_rows + shear_rows.transpose(0, 2, 1))
+        bend_basis = diff[:, :, np.newaxis] * diff[:, np.newaxis, :]
+        self.diag_basis = np.concatenate([bend_basis, sym]).reshape(2 * m, m * m)
+        # transposed, so that the product is the stack of U_b^T
+        upper_basis = np.concatenate([bend_basis, sym - shear_rows])
+        self.upper_basis_t = upper_basis.transpose(0, 2, 1).reshape(2 * m, m * m)
+        self.shape = (radial_points - 1, m + 1, m)
+
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The [q_b; D_b] and [.; U_b^T] slabs of every block, allocated by
+        the first solve, after it has validated the grid."""
+        return np.empty(self.shape), np.empty(self.shape)
+
+
 def _forward_energy(
-    center: tuple[float, np.ndarray, float],
-    diag: np.ndarray,
-    upper: np.ndarray,
-    loads: np.ndarray,
+    center: tuple[float, np.ndarray, float], faces: np.ndarray, couplings: np.ndarray
 ) -> float:
     """E = q . K^{-1} q for a symmetric positive definite block-tridiagonal K.
 
     center = (D_0, U_0, q_0) is the 1x1 center block, its coupling row and
-    its load.  diag[i], upper[i] and loads[i] belong to block i + 1, and
-    upper[i] couples it to block i + 2; the last upper block couples to the
-    dropped Dirichlet node, and its product is never used.  Each Schur
-    complement S_b = D_b - U_{b-1}^T S_{b-1}^{-1} U_{b-1} is factored once,
-    S_b = L_b L_b^T, and one triangular solve forms
-    W_b = L_b^{-1} [U_b | z_b] with the carried load
-    z_b = q_b - U_{b-1}^T S_{b-1}^{-1} z_{b-1}.  Then
-    U_b^T S_b^{-1} [U_b | z_b] = W_b[:, :m]^T W_b is what block b + 1 needs,
-    and E = sum_b |L_b^{-1} z_b|^2 needs no back-substitution.
+    its load.  faces[i] = [q; D] and couplings[i] = [.; U^T] hold the load,
+    diagonal block and upper block of block i + 1, where U couples it to
+    block i + 2; the last upper block couples to the dropped Dirichlet node,
+    so only the load column of the last panel is used.  Both stacks are
+    overwritten.
+
+    The previous block's panel W = L^{-1} [z | U] (for the center the 1x1
+    block's [q_0 | U_0]/sqrt(D_0)) enters block b through one dgemm,
+    [z_b | S_b] = [q_b | D_b] - W[:, 1:]^T W, in place in faces[b].T, which
+    gives the Schur complement S_b = D_b - U^T S^{-1} U and the carried load
+    z_b = q_b - U^T S^{-1} z.  S_b = L_b L_b^T is factored in place, and one
+    triangular solve turns couplings[b].T = [z_b | U_b] into the next panel.
+    Row 0 of each coupling slab then holds L_b^{-1} z_b, and
+    E = q_0^2/D_0 + sum_b |L_b^{-1} z_b|^2 needs no back-substitution.
     """
     d0, u0, q0 = center
-    m = diag.shape[1]
-    energy = q0 * q0 / d0
-    coupling = np.outer(u0, np.append(u0, q0)) / d0  # U^T S^{-1} [U | z]
-    schur = np.empty((m, m), order="F")  # Fortran order: LAPACK works in place
-    rhs = np.empty((m, m + 1), order="F")
-    for block, upper_block, load in zip(diag, upper, loads):
-        np.subtract(block, coupling[:, :m], out=schur)
-        factor, info = cho_factor(schur, lower=1, clean=0, overwrite_a=1)
+    panel = np.append(q0, u0)[np.newaxis, :] / np.sqrt(d0)
+    for face, coupling in zip(faces, couplings):
+        head = dgemm(-1.0, panel[:, 1:], panel, 1.0, face.T, trans_a=1, overwrite_c=1)
+        factor, info = cho_factor(head[:, 1:], lower=1, clean=0, overwrite_a=1)
         if info != 0:
             raise SolveError("block factorization failed")
-        rhs[:, :m] = upper_block
-        np.subtract(load, coupling[:, m], out=rhs[:, m])
-        solved, info = cho_solve(factor, rhs, lower=1, overwrite_b=1)
+        coupling[0] = head[:, 0]
+        panel, info = cho_solve(factor, coupling.T, lower=1, overwrite_b=1)
         if info != 0:
             raise SolveError("block factorization failed")
-        energy += solved[:, m] @ solved[:, m]
-        coupling = solved[:, :m].T @ solved
+    energy = q0 * q0 / d0 + np.sum(np.square(couplings[:, 0, :]))
     if not np.isfinite(energy):
         raise SolveError("energy is not finite")
     return float(energy)
@@ -266,10 +307,19 @@ def solve_energy(
     family: PerturbedDomainFamily,
     radial_points: int = DEFAULT_RADIAL_POINTS,
     angular_modes: int = DEFAULT_ANGULAR_MODES,
+    *,
+    workspace: _Workspace | None = None,
 ) -> float:
-    """Energy of the perturbed configuration at the family's amplitude."""
+    """Energy of the perturbed configuration at the family's amplitude.
+
+    workspace, built for the same grid, carries the t-independent operator
+    and the block stacks from one solve to the next; without one the solve
+    builds its own.
+    """
     m = angular_modes
-    diff = spectral_diff_matrix(m)  # first, as it also validates m
+    if workspace is None:
+        workspace = _Workspace(radial_points, m)  # first, as it also validates m
+    diff = workspace.diff
     if 2 * family.max_degree() >= m:
         raise ValueError("angular_modes too small for the perturbation degree")
     radius, sigma = family.params.core_radius, family.params.sigma
@@ -312,30 +362,30 @@ def solve_energy(
     # bend and left-right k01 = -area + skew + bend.  Node i = 1..n-1 takes
     # k00 of cell i plus k11 of cell i-1 and couples to node i+1 by k01 of
     # cell i, so each stack of node blocks is one product of (summed) cell
-    # coefficients with a fixed basis of m x m matrices.
+    # coefficients with a fixed basis of m x m matrices, written straight
+    # into rows 1..m of the block slabs.
     area = (dtheta / h) * a11
     shear = dtheta * a12
     bend = (dtheta * h / 4.0) * a22
-    shear_rows = np.eye(m)[:, :, np.newaxis] * diff  # [k, i, l] = delta_ki diff_il
-    sym = 0.5 * (shear_rows + shear_rows.transpose(0, 2, 1))
-    bend_basis = diff[:, :, np.newaxis] * diff[:, np.newaxis, :]
-    diag_basis = np.concatenate([bend_basis, sym]).reshape(2 * m, m * m)
-    upper_basis = np.concatenate([bend_basis, sym - shear_rows]).reshape(2 * m, m * m)
+    faces, couplings = workspace.stacks
+    blocks = radial_points - 1
     on_diagonal = np.arange(m)
     diag = np.concatenate([bend[1:] + bend[:-1], shear[:-1] - shear[1:]], axis=1)
-    diag = (diag @ diag_basis).reshape(-1, m, m)
-    diag[:, on_diagonal, on_diagonal] += area[1:] + area[:-1]
-    upper = (np.concatenate([bend[1:], shear[1:]], axis=1) @ upper_basis).reshape(-1, m, m)
-    upper[:, on_diagonal, on_diagonal] -= area[1:]
+    np.matmul(diag, workspace.diag_basis, out=faces.reshape(blocks, -1)[:, m:])
+    faces[:, 1 + on_diagonal, on_diagonal] += area[1:] + area[:-1]
+    upper = np.concatenate([bend[1:], shear[1:]], axis=1)
+    np.matmul(upper, workspace.upper_basis_t, out=couplings.reshape(blocks, -1)[:, m:])
+    couplings[:, 1 + on_diagonal, on_diagonal] -= area[1:]
 
     jac_left = phi_left * phi_s
     jac_right = phi_right * phi_s
     load_left = dtheta * h * (2.0 * jac_left + jac_right) / 6.0
     load_right = dtheta * h * (jac_left + 2.0 * jac_right) / 6.0
+    np.add(load_left[1:], load_right[:-1], out=faces[:, 0, :])
 
     # center: u is a single unknown, the constant angular mode
     center = (np.sum(area[0]), -area[0] - 0.5 * (shear[0] @ diff), np.sum(load_left[0]))
-    return _forward_energy(center, diag, upper, load_left[1:] + load_right[:-1])
+    return _forward_energy(center, faces, couplings)
 
 
 @dataclass(frozen=True)
@@ -421,8 +471,11 @@ def differentiate_energy(
         raise ValueError("t0 out of range: (t0/2^levels)^2 must be a normal float")
     samples = sorted({0.0} | {sign * h for h in steps for sign in (+1.0, -1.0)})
 
+    # one workspace for the run's samples, freed when the run returns
+    workspace = _Workspace(radial_points, angular_modes)
     energies = [
-        solve_energy(family.at(t), radial_points, angular_modes) for t in samples
+        solve_energy(family.at(t), radial_points, angular_modes, workspace=workspace)
+        for t in samples
     ]
     energy_of = dict(zip(samples, energies))
 

@@ -192,13 +192,16 @@ def _captured_system(monkeypatch, family, radial_points, angular_modes):
     captured = []
     forward = pde_oracle._forward_energy
 
-    def capture(*system):
-        captured.extend(system)
-        return forward(*system)
+    def capture(center, faces, couplings):
+        # the sweep overwrites both stacks, so keep what the assembly wrote
+        captured.extend((center, faces.copy(), couplings.copy()))
+        return forward(center, faces, couplings)
 
     monkeypatch.setattr(pde_oracle, "_forward_energy", capture)
     energy = solve_energy(family, radial_points, angular_modes)
-    (center, center_upper, center_load), diag, upper, loads = captured
+    (center, center_upper, center_load), faces, couplings = captured
+    loads, diag = faces[:, 0], faces[:, 1:]  # slabs [q; D]
+    upper = couplings[:, 1:].transpose(0, 2, 1)  # slabs [.; U^T]
     m = angular_modes
     size = 1 + len(diag) * m
     matrix = np.zeros((size, size))
@@ -224,24 +227,33 @@ def test_forward_sweep_equals_a_dense_solve(monkeypatch, radial_points):
     assert energy == pytest.approx(load @ np.linalg.solve(matrix, load), rel=1e-12)
 
 
+# each angular grid with the degrees it resolves (2 degree < m)
+ANGULAR_GRIDS = st.sampled_from([4, 6, 8, 12]).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, min(3, (m - 1) // 2)))
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     radius=st.floats(0.2, 0.8),
     log_sigma=st.floats(math.log(0.1), math.log(10.0)),
-    degree=st.integers(1, 3),
+    grid=ANGULAR_GRIDS,
     order=st.integers(1, 2),
     alphas=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),  # inner, outer, coupled
     t=st.floats(-0.03, 0.03),
     radial_points=st.integers(4, 24),
 )
 def test_forward_sweep_equals_a_dense_solve_everywhere(
-    radius, log_sigma, degree, order, alphas, t, radial_points
+    radius, log_sigma, grid, order, alphas, t, radial_points
 ):
+    angular_modes, degree = grid
     params = ProblemParams(2, radius, math.exp(log_sigma))
     spec = PerturbationSpec({ModeIndex(degree, order): alphas})
     family = PerturbedDomainFamily.from_spec(params, spec).at(t)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        energy, matrix, load = _captured_system(monkeypatch, family, radial_points, 8)
+        energy, matrix, load = _captured_system(
+            monkeypatch, family, radial_points, angular_modes
+        )
     assert energy == pytest.approx(load @ np.linalg.solve(matrix, load), rel=1e-12)
 
 
@@ -264,10 +276,11 @@ def test_solve_energy_matches_reference_energies(params, mode, alphas, energies)
         assert solve_energy(family.at(t), 64, 16) == pytest.approx(expected, rel=1e-12)
 
 
-def test_sweep_factors_and_solves_each_block_once(monkeypatch):
-    # the benchmark trace counts calls through these module attributes
-    calls = {"cho_factor": 0, "cho_solve": 0}
-    for name in calls:
+def _count_calls(monkeypatch, *names):
+    """Call counts of the named pde_oracle module attributes, as the
+    benchmark trace counts them."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(pde_oracle, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -275,12 +288,33 @@ def test_sweep_factors_and_solves_each_block_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(pde_oracle, name, counted)
+    return calls
+
+
+def test_sweep_factors_and_solves_each_block_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "cho_factor", "cho_solve")
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
     family = PerturbedDomainFamily.from_spec(PARAMS, spec).at(0.01)
     radial_points = 32
     solve_energy(family, radial_points, 8)
     # one factorization and one triangular solve per block, nodes 1..n-1
     assert calls == {"cho_factor": radial_points - 1, "cho_solve": radial_points - 1}
+
+
+@pytest.mark.parametrize("radial_points", [4, 16])
+def test_a_reused_workspace_changes_no_energy(monkeypatch, radial_points):
+    # the coupled channel: both boundaries move
+    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
+    family = PerturbedDomainFamily.from_spec(PARAMS, spec)
+    calls = _count_calls(monkeypatch, "solve_energy", "cho_factor", "cho_solve")
+    run = differentiate_energy(
+        family, t0=0.02, levels=2, radial_points=radial_points, angular_modes=8
+    )
+    # 7 samples, each one factorization and one solve per block
+    blocks = 7 * (radial_points - 1)
+    assert calls == {"solve_energy": 7, "cho_factor": blocks, "cho_solve": blocks}
+    for t, energy in zip(run.t_samples, run.energies):
+        assert energy == solve_energy(family.at(t), radial_points, 8)
 
 
 def test_differentiate_energy_single_level_has_no_rate():
