@@ -21,31 +21,24 @@ energy reads
 and the scheme is the Ritz minimizer over functions piecewise linear in s
 and trigonometric in theta, with coefficients sampled at radial cell
 midpoints (conservative, second order) and theta-derivatives applied by the
-periodic spectral differentiation matrix.  The center collapses to a single
-unknown.  The assembled system K u = q is symmetric positive definite and
-block tridiagonal, with the load q integrated exactly for the
-piecewise-linear Jacobian.  The energy of the discrete solution is
-E = u . q = q^T K^{-1} q, so u itself is never formed: a forward one-sided
-block Cholesky sweep (Golub & Van Loan, section 4.5) factors each Schur
-complement S_b = L_b L_b^T and gives E = sum_b |L_b^{-1} z_b|^2 over the
-carried loads z_b, with no back-substitution.
+periodic spectral differentiation matrix D.  The center collapses to a
+single unknown.  The system K u = q is symmetric positive definite, with
+the load q integrated exactly for the piecewise-linear Jacobian; the energy
+of the discrete solution is E = u . q = q^T K^{-1} q.
 
-Each block b is stored as two (m+1) x m C-order slabs, [q_b; D_b] and
-[.; U_b^T], whose transposes are the Fortran-order panels [q_b | D_b] and
-[z_b | U_b] that LAPACK and BLAS update in place.  Per block the sweep makes
-three calls: one dgemm Schur update [z_b | S_b] = [q_b | D_b] - W[:, 1:]^T W
-with the previous block's panel W = L_{b-1}^{-1} [z_{b-1} | U_{b-1}], a Cholesky
-factorization of S_b in place, and one triangular solve that turns
-[z_b | U_b] into the next W.  The center unknown enters as the 1 x (m+1)
-panel [q_0 | U_0]/sqrt(D_0), a 1x1 block.  cho_factor and cho_solve are this
-module's names for the LAPACK potrf and trtrs bindings, kept because the
-benchmark's tracer (bench/spans.py) times and counts the per-block calls
-through those two module attributes.
-
-What does not depend on t -- the spectral differentiation matrix, the bases
-that map cell coefficients to node blocks, and the two block stacks -- lives
-in one workspace per differentiate_energy run, shared by its samples and
-freed when the run returns.
+Solver.  K is applied cell by cell, never formed (_stiffness).  E is the sum
+of the step increments alpha r.z of conjugate gradients (Hestenes & Stiefel),
+so u is never formed either, preconditioned by the concentric operator K(0)
+(Concus, Golub & O'Leary 1976).  At t = 0, phi_theta = 0 removes the shear
+rows and area and bend are constant in theta, so K(0) splits by real Fourier
+mode j into one SPD tridiagonal radial chain (the center joins mode 0's),
+all factored together once per parameter point and grid and applied by rfft,
+one chain solve for the real and imaginary parts, and irfft.  cho_factor
+and cho_solve are this module's names for the LAPACK pttrf and pttrs
+bindings, kept because the benchmark's tracer (bench/spans.py) times and
+counts the calls through those two module attributes.  D and the factored
+chains live in one workspace per differentiate_energy run, shared by its
+samples and freed when the run returns.
 
 The perturbation family
 
@@ -64,9 +57,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dgemm
-# LAPACK potrf and trtrs under the names bench/spans.py traces (module docstring)
-from scipy.linalg.lapack import dpotrf as cho_factor, dtrtrs as cho_solve
+# LAPACK pttrf and pttrs under the names bench/spans.py traces (module docstring)
+from scipy.linalg.lapack import dpttrf as cho_factor, dpttrs as cho_solve
 
 from .params import ModeIndex, PerturbationSpec, ProblemParams, presets
 
@@ -211,15 +203,19 @@ class PerturbedDomainFamily:
 def spectral_diff_matrix(m: int) -> np.ndarray:
     """Periodic spectral differentiation matrix on m equispaced points.
 
-    Antisymmetric circulant with entries 0.5 (-1)^j cot(j pi / m); exact for
-    trigonometric polynomials up to degree m/2 - 1.
+    Antisymmetric circulant with entries 0.5 (-1)^j cot(j pi / m) at offset
+    j, built from one coefficient row with c_{m-j} = -c_j and c_{m/2} = 0, so
+    D^T = -D holds exactly; exact for trigonometric polynomials up to degree
+    m/2 - 1.
     """
     if m % 2 != 0 or m < 4:
         raise ValueError("angular_modes must be even and >= 4")
+    j = np.arange(1, m // 2)
+    coefficients = np.zeros(m)
+    coefficients[j] = 0.5 * (-1.0) ** j / np.tan(j * math.pi / m)
+    coefficients[m - j] = -coefficients[j]
     offsets = (np.arange(m)[:, np.newaxis] - np.arange(m)[np.newaxis, :]) % m
-    with np.errstate(divide="ignore"):
-        entries = 0.5 * (-1.0) ** offsets / np.tan(offsets * math.pi / m)
-    return np.where(offsets == 0, 0.0, entries)
+    return coefficients[offsets]
 
 
 def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
@@ -235,93 +231,11 @@ def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
     return np.concatenate([inner, outer]), j_in
 
 
-class _Workspace:
-    """The t-independent part of a solve on one grid, shared by a run's samples.
-
-    The spectral differentiation matrix and the bases that map a cell's
-    coefficient rows to its node blocks depend only on the angular grid, and
-    the block stacks only on the grid's size.  Every solve overwrites all of
-    both stacks before it reads them, so no result depends on whether a
-    workspace is reused.
-    """
-
-    def __init__(self, radial_points: int, angular_modes: int) -> None:
-        m = angular_modes
-        self.diff = diff = spectral_diff_matrix(m)  # first, as it also validates m
-        shear_rows = np.eye(m)[:, :, np.newaxis] * diff  # [k, i, l] = delta_ki diff_il
-        sym = 0.5 * (shear_rows + shear_rows.transpose(0, 2, 1))
-        bend_basis = diff[:, :, np.newaxis] * diff[:, np.newaxis, :]
-        self.diag_basis = np.concatenate([bend_basis, sym]).reshape(2 * m, m * m)
-        # transposed, so that the product is the stack of U_b^T
-        upper_basis = np.concatenate([bend_basis, sym - shear_rows])
-        self.upper_basis_t = upper_basis.transpose(0, 2, 1).reshape(2 * m, m * m)
-        self.shape = (radial_points - 1, m + 1, m)
-
-    @cached_property
-    def stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The [q_b; D_b] and [.; U_b^T] slabs of every block, allocated by
-        the first solve, after it has validated the grid."""
-        return np.empty(self.shape), np.empty(self.shape)
-
-
-def _forward_energy(
-    center: tuple[float, np.ndarray, float], faces: np.ndarray, couplings: np.ndarray
-) -> float:
-    """E = q . K^{-1} q for a symmetric positive definite block-tridiagonal K.
-
-    center = (D_0, U_0, q_0) is the 1x1 center block, its coupling row and
-    its load.  faces[i] = [q; D] and couplings[i] = [.; U^T] hold the load,
-    diagonal block and upper block of block i + 1, where U couples it to
-    block i + 2; the last upper block couples to the dropped Dirichlet node,
-    so only the load column of the last panel is used.  Both stacks are
-    overwritten.
-
-    The previous block's panel W = L^{-1} [z | U] (for the center the 1x1
-    block's [q_0 | U_0]/sqrt(D_0)) enters block b through one dgemm,
-    [z_b | S_b] = [q_b | D_b] - W[:, 1:]^T W, in place in faces[b].T, which
-    gives the Schur complement S_b = D_b - U^T S^{-1} U and the carried load
-    z_b = q_b - U^T S^{-1} z.  S_b = L_b L_b^T is factored in place, and one
-    triangular solve turns couplings[b].T = [z_b | U_b] into the next panel.
-    Row 0 of each coupling slab then holds L_b^{-1} z_b, and
-    E = q_0^2/D_0 + sum_b |L_b^{-1} z_b|^2 needs no back-substitution.
-    """
-    d0, u0, q0 = center
-    panel = np.append(q0, u0)[np.newaxis, :] / np.sqrt(d0)
-    for face, coupling in zip(faces, couplings):
-        head = dgemm(-1.0, panel[:, 1:], panel, 1.0, face.T, trans_a=1, overwrite_c=1)
-        factor, info = cho_factor(head[:, 1:], lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            raise SolveError("block factorization failed")
-        coupling[0] = head[:, 0]
-        panel, info = cho_solve(factor, coupling.T, lower=1, overwrite_b=1)
-        if info != 0:
-            raise SolveError("block factorization failed")
-    energy = q0 * q0 / d0 + np.sum(np.square(couplings[:, 0, :]))
-    if not np.isfinite(energy):
-        raise SolveError("energy is not finite")
-    return float(energy)
-
-
-@np.errstate(all="ignore")  # a non-finite energy raises SolveError instead
-def solve_energy(
-    family: PerturbedDomainFamily,
-    radial_points: int = DEFAULT_RADIAL_POINTS,
-    angular_modes: int = DEFAULT_ANGULAR_MODES,
-    *,
-    workspace: _Workspace | None = None,
-) -> float:
-    """Energy of the perturbed configuration at the family's amplitude.
-
-    workspace, built for the same grid, carries the t-independent operator
-    and the block stacks from one solve to the next; without one the solve
-    builds its own.
-    """
+def _cell_rows(family: PerturbedDomainFamily, radial_points: int, angular_modes: int) -> tuple:
+    """The (area, shear/2, bend) coefficient rows of every radial cell, and
+    the load: the center's, then node 1..n-1's, one angular ring after the
+    other (the unknowns' order; the Dirichlet node n is dropped)."""
     m = angular_modes
-    if workspace is None:
-        workspace = _Workspace(radial_points, m)  # first, as it also validates m
-    diff = workspace.diff
-    if 2 * family.max_degree() >= m:
-        raise ValueError("angular_modes too small for the perturbation degree")
     radius, sigma = family.params.core_radius, family.params.sigma
 
     theta = 2.0 * math.pi * np.arange(m) / m
@@ -353,39 +267,125 @@ def solve_energy(
     a11 = conductivity * (phi * phi + phi_theta * phi_theta) / (phi * phi_s)
     a12 = -conductivity * phi_theta / phi
     a22 = conductivity * phi_s / phi
-
-    # A cell's stiffness blocks are linear in three coefficient rows:
-    #   area   (dtheta/h) A11, as diag(area)
-    #   shear  dtheta A12, as sym and skew parts of sg = shear[:, None] * diff
-    #   bend   (dtheta h/4) A22, as diff^T diag(bend) diff
-    # with left-left k00 = area - sym + bend, right-right k11 = area + sym +
-    # bend and left-right k01 = -area + skew + bend.  Node i = 1..n-1 takes
-    # k00 of cell i plus k11 of cell i-1 and couples to node i+1 by k01 of
-    # cell i, so each stack of node blocks is one product of (summed) cell
-    # coefficients with a fixed basis of m x m matrices, written straight
-    # into rows 1..m of the block slabs.
-    area = (dtheta / h) * a11
-    shear = dtheta * a12
-    bend = (dtheta * h / 4.0) * a22
-    faces, couplings = workspace.stacks
-    blocks = radial_points - 1
-    on_diagonal = np.arange(m)
-    diag = np.concatenate([bend[1:] + bend[:-1], shear[:-1] - shear[1:]], axis=1)
-    np.matmul(diag, workspace.diag_basis, out=faces.reshape(blocks, -1)[:, m:])
-    faces[:, 1 + on_diagonal, on_diagonal] += area[1:] + area[:-1]
-    upper = np.concatenate([bend[1:], shear[1:]], axis=1)
-    np.matmul(upper, workspace.upper_basis_t, out=couplings.reshape(blocks, -1)[:, m:])
-    couplings[:, 1 + on_diagonal, on_diagonal] -= area[1:]
+    rows = ((dtheta / h) * a11, 0.5 * dtheta * a12, (dtheta * h / 4.0) * a22)
 
     jac_left = phi_left * phi_s
     jac_right = phi_right * phi_s
     load_left = dtheta * h * (2.0 * jac_left + jac_right) / 6.0
     load_right = dtheta * h * (jac_left + 2.0 * jac_right) / 6.0
-    np.add(load_left[1:], load_right[:-1], out=faces[:, 0, :])
+    # the center is a single unknown, the constant angular mode
+    load = np.concatenate([[np.sum(load_left[0])], (load_left[1:] + load_right[:-1]).ravel()])
+    return rows, load
 
-    # center: u is a single unknown, the constant angular mode
-    center = (np.sum(area[0]), -area[0] - 0.5 * (shear[0] @ diff), np.sum(load_left[0]))
-    return _forward_energy(center, faces, couplings)
+
+def _stiffness(rows: tuple, diff: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K v, cell by cell, for the unknowns v in _cell_rows' load order.
+
+    A cell's energy area Delta^2 + 2 (shear/2) Delta P + bend P^2 has the
+    gradient F + H at its right node and H - F at its left node, with
+    F = area Delta + (shear/2) P and H = D^T ((shear/2) Delta + bend P).
+    The center's row is the theta-sum of cell 0's left gradient.
+    """
+    area, half_shear, bend = rows
+    nodes = np.zeros((len(area) + 1, diff.shape[0]))
+    nodes[0] = v[0]
+    nodes[1:-1] = v[1:].reshape(len(area) - 1, -1)  # the Dirichlet node stays 0
+    delta = nodes[1:] - nodes[:-1]
+    slope = (nodes[1:] + nodes[:-1]) @ diff.T
+    f = area * delta + half_shear * slope
+    h = (half_shear * delta + bend * slope) @ diff
+    return np.concatenate([[np.sum(h[0] - f[0])], (f[:-1] + h[:-1] + h[1:] - f[1:]).ravel()])
+
+
+class _Workspace:
+    """D and the factored concentric operator K(0) for one parameter point
+    and grid, shared by a run's samples.  K(0) preconditions every solve on
+    the grid, whatever its t.  The first solve factors it, after validating
+    its grid and geometry, so the errors keep their precedence."""
+
+    def __init__(self, params: ProblemParams, radial_points: int, angular_modes: int) -> None:
+        self.diff = spectral_diff_matrix(angular_modes)  # first, as it also validates m
+        self.params = params
+        self.radial_points = radial_points
+
+    @cached_property
+    def chains(self) -> tuple[np.ndarray, np.ndarray]:
+        """pttrf factors of K(0)'s chains, ordered [center, mode 0 | mode 1 |
+        ... | mode m/2]: the diagonal takes area + j^2 bend of both cells of
+        a node, the coupling across a cell is j^2 bend - area."""
+        m = self.diff.shape[0]
+        concentric = PerturbedDomainFamily(self.params, AngularProfile(), AngularProfile())
+        (area, _, bend), _ = _cell_rows(concentric, self.radial_points, m)
+        eigen = np.arange(m // 2 + 1.0)[:, np.newaxis] ** 2  # of D^T D
+        eigen[-1] = 0.0  # D annihilates the Nyquist mode
+        area, angular = area[:, 0], eigen * bend[:, 0]  # constant in theta at t = 0
+        diagonal, coupling = area + angular, angular - area
+        coupling[:, -1] = 0.0  # the last node's coupling goes to the Dirichlet node
+        d = np.concatenate([[area[0]], (diagonal[:, :-1] + diagonal[:, 1:]).ravel()])
+        e = np.concatenate([[-area[0]], coupling[:, 1:].ravel()[:-1]])
+        d, e, info = cho_factor(d, e, overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise SolveError("block factorization failed")
+        return d, e
+
+    def precondition(self, residual: np.ndarray) -> np.ndarray:
+        """K(0)^{-1} residual by rfft, one chain solve for the real and imaginary
+        parts, irfft; the center's chain unknown is m times its value."""
+        m = self.diff.shape[0]
+        spectrum = np.fft.rfft(residual[1:].reshape(-1, m)).T
+        rhs = np.zeros((2, 1 + spectrum.size))
+        rhs[0, 0] = residual[0]
+        rhs[:, 1:] = spectrum.real.ravel(), spectrum.imag.ravel()
+        solution, _ = cho_solve(*self.chains, rhs.T, overwrite_b=1)
+        rings = (solution[1:, 0] + 1j * solution[1:, 1]).reshape(spectrum.shape).T
+        return np.concatenate([[solution[0, 0] / m], np.fft.irfft(rings, m).ravel()])
+
+
+def _positive(value: float) -> float:
+    """value, which must be finite and positive (r.z and p.Kp in CG)."""
+    if not math.isfinite(value):
+        raise SolveError("energy is not finite")
+    if value <= 0.0:
+        raise SolveError("system is not positive definite")
+    return value
+
+
+@np.errstate(all="ignore")  # a non-finite energy raises SolveError instead
+def solve_energy(
+    family: PerturbedDomainFamily,
+    radial_points: int = DEFAULT_RADIAL_POINTS,
+    angular_modes: int = DEFAULT_ANGULAR_MODES,
+    *,
+    workspace: _Workspace | None = None,
+) -> float:
+    """Energy of the perturbed configuration at the family's amplitude.
+
+    Preconditioned conjugate gradients from u = 0 (module docstring), stopped
+    when a step's energy increment alpha r.z is at most eps E.  A non-finite
+    or non-positive r.z or p.Kp raises SolveError, as do more steps than
+    unknowns.  workspace, built for the family's parameters and grid, carries
+    D and the factored K(0) between solves; without one the solve builds its own.
+    """
+    if workspace is None:
+        workspace = _Workspace(family.params, radial_points, angular_modes)
+    if 2 * family.max_degree() >= angular_modes:
+        raise ValueError("angular_modes too small for the perturbation degree")
+    rows, load = _cell_rows(family, radial_points, angular_modes)
+
+    residual, direction, energy = load, 0.0, 0.0
+    previous = math.inf  # r.z of the previous step; the first has no direction
+    for _ in range(load.size):
+        z = workspace.precondition(residual)
+        gamma = _positive(float(residual @ z))
+        direction = z + (gamma / previous) * direction
+        product = _stiffness(rows, workspace.diff, direction)
+        step = gamma / _positive(float(direction @ product))
+        energy += step * gamma
+        if step * gamma <= sys.float_info.epsilon * energy:
+            return _positive(energy)
+        residual = residual - step * product
+        previous = gamma
+    raise SolveError("iteration did not converge")
 
 
 @dataclass(frozen=True)
@@ -472,7 +472,7 @@ def differentiate_energy(
     samples = sorted({0.0} | {sign * h for h in steps for sign in (+1.0, -1.0)})
 
     # one workspace for the run's samples, freed when the run returns
-    workspace = _Workspace(radial_points, angular_modes)
+    workspace = _Workspace(family.params, radial_points, angular_modes)
     energies = [
         solve_energy(family.at(t), radial_points, angular_modes, workspace=workspace)
         for t in samples

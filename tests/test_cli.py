@@ -329,6 +329,10 @@ def test_non_finite_parameters_are_rejected(tmp_path, capsys):
             {"sigma": 1e300, "modes": [{"degree": 2, "alpha_in": 1.0}]},
             "block factorization failed",
         ),
+        (
+            {"sigma": 1e308, "modes": [{"degree": 2, "alpha_in": 1.0}]},
+            "energy is not finite",
+        ),
     ],
 )
 def test_oracle_reports_solver_failures(tmp_path, capsys, overrides, message):

@@ -37,7 +37,15 @@ def test_spectral_diff_matrix_differentiates_trig_polynomials():
             k * np.cos(k * theta), abs=1e-11
         )
     assert diff @ np.ones(m) == pytest.approx(np.zeros(m), abs=1e-12)
-    assert diff.T == pytest.approx(-diff)
+
+
+@pytest.mark.parametrize("m", [4, 6, 32, 64])
+def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(m):
+    diff = spectral_diff_matrix(m)
+    assert np.array_equal(diff, -diff.T)
+    for k in range(m):
+        assert np.array_equal(diff[k], np.roll(diff[0], k))
+    assert diff[m // 2, 0] == 0.0  # the offset whose cotangent is cot(pi/2)
 
 
 def test_angular_profile_evaluation():
@@ -182,49 +190,60 @@ def test_solve_energy_raises_when_the_energy_is_not_finite():
     overflowing = PerturbedDomainFamily.from_spec(ProblemParams(2, 0.5, 1e308), spec)
     with pytest.raises(SolveError, match="^energy is not finite$"):
         solve_energy(overflowing, radial_points=16, angular_modes=8)
+    # the concentric preconditioner's tridiagonal factorization breaks down
     singular = PerturbedDomainFamily.from_spec(ProblemParams(2, 0.5, 1e300), spec)
     with pytest.raises(SolveError, match="^block factorization failed$"):
         solve_energy(singular, radial_points=16, angular_modes=8)
 
 
-def _captured_system(monkeypatch, family, radial_points, angular_modes):
-    """solve_energy's result and the dense matrix and load it assembled."""
-    captured = []
-    forward = pde_oracle._forward_energy
+_CHO_SOLVE, _STIFFNESS = pde_oracle.cho_solve, pde_oracle._stiffness
+NOT_SPD = "system is not positive definite"
+PERTURBED = PerturbedDomainFamily.from_spec(
+    PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.5), ModeIndex(3, 2): (0.0, 1.0)})
+)
 
-    def capture(center, faces, couplings):
-        # the sweep overwrites both stacks, so keep what the assembly wrote
-        captured.extend((center, faces.copy(), couplings.copy()))
-        return forward(center, faces, couplings)
 
-    monkeypatch.setattr(pde_oracle, "_forward_energy", capture)
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        # a preconditioner that returns zeros: r.z = 0
+        (("cho_solve", lambda d, e, b, **_: (np.zeros_like(b), 0)), NOT_SPD),
+        # one that negates its solution: r.z < 0
+        (("cho_solve", lambda d, e, b, **_: (-_CHO_SOLVE(d, e, b)[0], 0)), NOT_SPD),
+        (("cho_solve", lambda d, e, b, **_: (np.full_like(b, np.nan), 0)), "energy is not finite"),
+        # an operator that is negative definite: p.Kp < 0
+        (("_stiffness", lambda rows, diff, v: -_STIFFNESS(rows, diff, v)), NOT_SPD),
+        # a non-symmetric operator: the iteration cannot converge
+        (("_stiffness", lambda rows, diff, v: v + 10.0 * (np.roll(v, 1) - np.roll(v, -1))),
+         "iteration did not converge"),
+    ],
+)
+def test_a_broken_iteration_never_returns_an_energy(monkeypatch, broken, message):
+    monkeypatch.setattr(pde_oracle, *broken)
+    with pytest.raises(SolveError, match=f"^{message}$"):
+        solve_energy(PERTURBED.at(0.03), radial_points=16, angular_modes=8)
+
+
+def _dense_system(family, radial_points, angular_modes):
+    """The dense K, from the operator's columns, and the load of a solve."""
+    rows, load = pde_oracle._cell_rows(family, radial_points, angular_modes)
+    diff = spectral_diff_matrix(angular_modes)
+    columns = [pde_oracle._stiffness(rows, diff, unit) for unit in np.eye(load.size)]
+    return np.column_stack(columns), load
+
+
+def _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes):
+    matrix, load = _dense_system(family, radial_points, angular_modes)
+    assert np.abs(matrix - matrix.T).max() <= 1e-14 * np.abs(matrix).max()
     energy = solve_energy(family, radial_points, angular_modes)
-    (center, center_upper, center_load), faces, couplings = captured
-    loads, diag = faces[:, 0], faces[:, 1:]  # slabs [q; D]
-    upper = couplings[:, 1:].transpose(0, 2, 1)  # slabs [.; U^T]
-    m = angular_modes
-    size = 1 + len(diag) * m
-    matrix = np.zeros((size, size))
-    matrix[0, 0] = center
-    matrix[0, 1 : 1 + m] = matrix[1 : 1 + m, 0] = center_upper
-    for i, block in enumerate(diag):
-        rows = slice(1 + i * m, 1 + (i + 1) * m)
-        matrix[rows, rows] = block
-        if i + 1 < len(diag):  # the last upper block couples to the Dirichlet node
-            cols = slice(1 + (i + 1) * m, 1 + (i + 2) * m)
-            matrix[rows, cols] = upper[i]
-            matrix[cols, rows] = upper[i].T
-    return energy, matrix, np.concatenate([[center_load], loads.ravel()])
+    assert energy == pytest.approx(load @ np.linalg.solve(matrix, load), rel=1e-12)
 
 
 @pytest.mark.parametrize("radial_points", [16, 4])
-def test_forward_sweep_equals_a_dense_solve(monkeypatch, radial_points):
-    # radial_points = 4 leaves three m x m blocks, so the block after the
+def test_conjugate_gradients_equal_a_dense_solve(radial_points):
+    # radial_points = 4 leaves three rings of unknowns, so the ring after the
     # center is next to the last one
-    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.5), ModeIndex(3, 2): (0.0, 1.0)})
-    family = PerturbedDomainFamily.from_spec(PARAMS, spec).at(0.03)
-    energy, matrix, load = _captured_system(monkeypatch, family, radial_points, 8)
-    assert energy == pytest.approx(load @ np.linalg.solve(matrix, load), rel=1e-12)
+    _assert_cg_equals_a_dense_solve(PERTURBED.at(0.03), radial_points, 8)
 
 
 # each angular grid with the degrees it resolves (2 degree < m)
@@ -243,18 +262,36 @@ ANGULAR_GRIDS = st.sampled_from([4, 6, 8, 12]).flatmap(
     t=st.floats(-0.03, 0.03),
     radial_points=st.integers(4, 24),
 )
-def test_forward_sweep_equals_a_dense_solve_everywhere(
+def test_conjugate_gradients_equal_a_dense_solve_everywhere(
     radius, log_sigma, grid, order, alphas, t, radial_points
 ):
     angular_modes, degree = grid
     params = ProblemParams(2, radius, math.exp(log_sigma))
     spec = PerturbationSpec({ModeIndex(degree, order): alphas})
     family = PerturbedDomainFamily.from_spec(params, spec).at(t)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        energy, matrix, load = _captured_system(
-            monkeypatch, family, radial_points, angular_modes
-        )
-    assert energy == pytest.approx(load @ np.linalg.solve(matrix, load), rel=1e-12)
+    _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes)
+
+
+@pytest.mark.parametrize(
+    "radius, sigma, radial_points, angular_modes",
+    [(0.5, 2.0, 4, 4), (0.3, 0.25, 12, 8), (0.7, 4.0, 16, 12)],
+)
+def test_the_preconditioner_is_the_inverse_of_the_concentric_operator(
+    monkeypatch, radius, sigma, radial_points, angular_modes
+):
+    params = ProblemParams(2, radius, sigma)
+    spec = PerturbationSpec({ModeIndex(1, 2): (1.0, 1.0)})
+    concentric = PerturbedDomainFamily.from_spec(params, spec)  # at t = 0
+    matrix, load = _dense_system(concentric, radial_points, angular_modes)
+    workspace = pde_oracle._Workspace(params, radial_points, angular_modes)
+    inverse = np.column_stack([workspace.precondition(unit) for unit in np.eye(load.size)])
+    exact = np.linalg.inv(matrix)
+    assert np.abs(inverse - exact).max() <= 1e-13 * np.abs(exact).max()
+    # so the first step of a t = 0 solve is exact, and the second step's
+    # energy increment is below eps E
+    calls = _count_calls(monkeypatch, "cho_solve", "_stiffness")
+    solve_energy(concentric, radial_points, angular_modes)
+    assert calls == {"cho_solve": 2, "_stiffness": 2}
 
 
 # E(-0.01), E(0.01) at 64x16 computed by an independent implementation of
@@ -276,6 +313,40 @@ def test_solve_energy_matches_reference_energies(params, mode, alphas, energies)
         assert solve_energy(family.at(t), 64, 16) == pytest.approx(expected, rel=1e-12)
 
 
+# E(-0.05), E(0.05) at 64x16 from a one-sided block Cholesky sweep of the
+# assembled block-tridiagonal matrix, an independent solver of the same scheme
+SWEEP_ENERGIES = [
+    (ProblemParams(2, 0.5, 0.25), ModeIndex(2, 2), (1.0, 1.0),
+     (0.46530034035893381, 0.46530034035892981)),
+    (ProblemParams(2, 0.7, 4.0), ModeIndex(1, 2), (0.0, 1.0),
+     (0.32145180935565837, 0.32145180935565790)),
+    (ProblemParams(2, 0.3, 4.0), ModeIndex(3, 2), (1.0, 0.0),
+     (0.39018189973163003, 0.39018189973162950)),
+]
+
+
+@pytest.mark.parametrize("params, mode, alphas, energies", SWEEP_ENERGIES)
+def test_solve_energy_matches_block_sweep_energies(params, mode, alphas, energies):
+    family = PerturbedDomainFamily.from_spec(params, PerturbationSpec({mode: alphas}))
+    for t, expected in zip((-0.05, 0.05), energies):
+        assert solve_energy(family.at(t), 64, 16) == pytest.approx(expected, rel=1e-12)
+
+
+# far from the concentric preconditioner: a degree-15 core at t = 0.2 and an
+# outer boundary at t = 0.7 take about 90 and 40 steps at 256x32; energies
+# from the same block Cholesky sweep
+@pytest.mark.parametrize(
+    "mode, alphas, t, expected",
+    [
+        (ModeIndex(15, 1), (1.0, 0.0), 0.2, 0.37498226071837704),
+        (ModeIndex(2, 1), (0.0, 1.0), 0.7, 0.25265035871319600),
+    ],
+)
+def test_hard_inputs_match_block_sweep_energies(mode, alphas, t, expected):
+    family = PerturbedDomainFamily.from_spec(PARAMS, PerturbationSpec({mode: alphas}))
+    assert solve_energy(family.at(t), 256, 32) == pytest.approx(expected, rel=1e-12)
+
+
 def _count_calls(monkeypatch, *names):
     """Call counts of the named pde_oracle module attributes, as the
     benchmark trace counts them."""
@@ -291,14 +362,39 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
-def test_sweep_factors_and_solves_each_block_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "cho_factor", "cho_solve")
-    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
-    family = PerturbedDomainFamily.from_spec(PARAMS, spec).at(0.01)
-    radial_points = 32
-    solve_energy(family, radial_points, 8)
-    # one factorization and one triangular solve per block, nodes 1..n-1
-    assert calls == {"cho_factor": radial_points - 1, "cho_solve": radial_points - 1}
+# the benchmark's oracle families: inner, outer and coupled channels of
+# degrees 1-4 at 256x32
+BENCH_LIKE = [
+    (ProblemParams(2, radius, sigma), ModeIndex(degree, order), alphas)
+    for radius, sigma, degree, order, alphas in [
+        (0.3, 0.25, 1, 1, (1.0, 0.0)),
+        (0.7, 4.0, 2, 2, (0.0, 1.0)),
+        (0.5, 2.0, 3, 1, (1.0, 1.0)),
+        (0.4, 0.5, 4, 2, (1.0, 1.0)),
+        (0.6, 3.0, 4, 1, (0.0, 1.0)),
+    ]
+]
+
+
+@pytest.mark.parametrize("params, mode, alphas", BENCH_LIKE)
+def test_each_run_factors_once_and_solves_once_per_step(monkeypatch, params, mode, alphas):
+    family = PerturbedDomainFamily.from_spec(params, PerturbationSpec({mode: alphas}))
+    calls = _count_calls(monkeypatch, "cho_factor", "cho_solve", "_stiffness")
+    steps = []
+    solve = pde_oracle.solve_energy
+
+    def counted_solve(*args, **kwargs):
+        before = calls["cho_solve"]
+        energy = solve(*args, **kwargs)
+        steps.append(calls["cho_solve"] - before)
+        return energy
+
+    monkeypatch.setattr(pde_oracle, "solve_energy", counted_solve)
+    differentiate_energy(family, t0=0.01, levels=2, radial_points=256, angular_modes=32)
+    assert calls["cho_factor"] == 1
+    # one preconditioner and one operator application per step
+    assert calls["cho_solve"] == calls["_stiffness"] == sum(steps)
+    assert len(steps) == 7 and max(steps) <= 12
 
 
 @pytest.mark.parametrize("radial_points", [4, 16])
@@ -306,13 +402,12 @@ def test_a_reused_workspace_changes_no_energy(monkeypatch, radial_points):
     # the coupled channel: both boundaries move
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
     family = PerturbedDomainFamily.from_spec(PARAMS, spec)
-    calls = _count_calls(monkeypatch, "solve_energy", "cho_factor", "cho_solve")
+    calls = _count_calls(monkeypatch, "solve_energy", "cho_factor")
     run = differentiate_energy(
         family, t0=0.02, levels=2, radial_points=radial_points, angular_modes=8
     )
-    # 7 samples, each one factorization and one solve per block
-    blocks = 7 * (radial_points - 1)
-    assert calls == {"solve_energy": 7, "cho_factor": blocks, "cho_solve": blocks}
+    # 7 samples share one factorization of the concentric operator
+    assert calls == {"solve_energy": 7, "cho_factor": 1}
     for t, energy in zip(run.t_samples, run.energies):
         assert energy == solve_energy(family.at(t), radial_points, 8)
 
