@@ -22,6 +22,7 @@ from .pde_oracle import InterfaceOrderingError, SolveError, run_from_config
 from .reporting import SUITES, build_fidelity_report, emit_spectrum_csv
 from .second_variation import SpectrumPath
 from .stability import classify
+from .transmission import TransmissionSolveError
 
 
 class CliError(Exception):
@@ -164,7 +165,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, TransmissionSolveError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

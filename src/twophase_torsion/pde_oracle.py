@@ -28,17 +28,18 @@ of the discrete solution is E = u . q = q^T K^{-1} q.
 
 Solver.  K is applied cell by cell, never formed (_stiffness).  E is the sum
 of the step increments alpha r.z of conjugate gradients (Hestenes & Stiefel),
-so u is never formed either, preconditioned by the concentric operator K(0)
-(Concus, Golub & O'Leary 1976).  At t = 0, phi_theta = 0 removes the shear
-rows and area and bend are constant in theta, so K(0) splits by real Fourier
-mode j into one SPD tridiagonal radial chain (the center joins mode 0's),
-all factored together once per parameter point and grid and applied by rfft,
-one chain solve for the real and imaginary parts, and irfft.  cho_factor
-and cho_solve are this module's names for the LAPACK pttrf and pttrs
-bindings, kept because the benchmark's tracer (bench/spans.py) times and
-counts the calls through those two module attributes.  D and the factored
-chains live in one workspace per differentiate_energy run, shared by its
-samples and freed when the run returns.
+so u is never formed either.  Each solve is preconditioned by the operator of
+its own cell rows averaged in theta, with the shear dropped (Concus, Golub &
+O'Leary 1976): with area and bend constant in theta and no shear, K splits by
+real Fourier mode j into one SPD tridiagonal radial chain (the center joins
+mode 0's), all factored together and applied by rfft, one chain solve for the
+real and imaginary parts, and irfft.  At t = 0, phi_theta = 0 removes the
+shear and area and bend are already constant in theta, so the preconditioner
+is the concentric operator K(0) itself.  D and the chains' eigenvalues j^2
+come from one function, angular_operator.  cho_factor and cho_solve are this
+module's names for the LAPACK pttrf and pttrs bindings, kept because the
+benchmark's tracer (bench/spans.py) times and counts the calls through those
+two module attributes.
 
 The perturbation family
 
@@ -54,7 +55,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from typing import Callable
 
 import numpy as np
 # LAPACK pttrf and pttrs under the names bench/spans.py traces (module docstring)
@@ -200,13 +201,15 @@ class PerturbedDomainFamily:
         return max(self.inner_shape.max_degree(), self.outer_shape.max_degree())
 
 
-def spectral_diff_matrix(m: int) -> np.ndarray:
-    """Periodic spectral differentiation matrix on m equispaced points.
+def angular_operator(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The periodic spectral differentiation matrix D on m equispaced points,
+    and the eigenvalues of D^T D by real Fourier mode j = 0..m/2.
 
-    Antisymmetric circulant with entries 0.5 (-1)^j cot(j pi / m) at offset
-    j, built from one coefficient row with c_{m-j} = -c_j and c_{m/2} = 0, so
-    D^T = -D holds exactly; exact for trigonometric polynomials up to degree
-    m/2 - 1.
+    D is the antisymmetric circulant with entries 0.5 (-1)^j cot(j pi / m) at
+    offset j, built from one coefficient row with c_{m-j} = -c_j and
+    c_{m/2} = 0, so D^T = -D holds exactly; exact for trigonometric
+    polynomials up to degree m/2 - 1.  D^T D takes cos(j theta) and
+    sin(j theta) to j^2 times themselves and annihilates the Nyquist mode.
     """
     if m % 2 != 0 or m < 4:
         raise ValueError("angular_modes must be even and >= 4")
@@ -215,7 +218,9 @@ def spectral_diff_matrix(m: int) -> np.ndarray:
     coefficients[j] = 0.5 * (-1.0) ** j / np.tan(j * math.pi / m)
     coefficients[m - j] = -coefficients[j]
     offsets = (np.arange(m)[:, np.newaxis] - np.arange(m)[np.newaxis, :]) % m
-    return coefficients[offsets]
+    eigen = np.arange(m // 2 + 1.0) ** 2
+    eigen[-1] = 0.0  # D annihilates the Nyquist mode
+    return coefficients[offsets], eigen
 
 
 def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
@@ -297,48 +302,36 @@ def _stiffness(rows: tuple, diff: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate([[np.sum(h[0] - f[0])], (f[:-1] + h[:-1] + h[1:] - f[1:]).ravel()])
 
 
-class _Workspace:
-    """D and the factored concentric operator K(0) for one parameter point
-    and grid, shared by a run's samples.  K(0) preconditions every solve on
-    the grid, whatever its t.  The first solve factors it, after validating
-    its grid and geometry, so the errors keep their precedence."""
+def _preconditioner(rows: tuple, eigen: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The inverse of the operator of rows averaged in theta, shear dropped.
 
-    def __init__(self, params: ProblemParams, radial_points: int, angular_modes: int) -> None:
-        self.diff = spectral_diff_matrix(angular_modes)  # first, as it also validates m
-        self.params = params
-        self.radial_points = radial_points
+    Its chains are ordered [center, mode 0 | mode 1 | ... | mode m/2]: the
+    diagonal takes area + j^2 bend of both cells of a node, the coupling
+    across a cell is j^2 bend - area.  The returned function applies the
+    inverse by rfft, one chain solve for the real and imaginary parts, and
+    irfft; the center's chain unknown is m times its value.
+    """
+    m = rows[0].shape[1]
+    area, bend = rows[0].mean(axis=1), rows[2].mean(axis=1)
+    angular = eigen[:, np.newaxis] * bend
+    diagonal, coupling = area + angular, angular - area
+    coupling[:, -1] = 0.0  # the last node's coupling goes to the Dirichlet node
+    d = np.concatenate([[area[0]], (diagonal[:, :-1] + diagonal[:, 1:]).ravel()])
+    e = np.concatenate([[-area[0]], coupling[:, 1:].ravel()[:-1]])
+    d, e, info = cho_factor(d, e, overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise SolveError("block factorization failed")
 
-    @cached_property
-    def chains(self) -> tuple[np.ndarray, np.ndarray]:
-        """pttrf factors of K(0)'s chains, ordered [center, mode 0 | mode 1 |
-        ... | mode m/2]: the diagonal takes area + j^2 bend of both cells of
-        a node, the coupling across a cell is j^2 bend - area."""
-        m = self.diff.shape[0]
-        concentric = PerturbedDomainFamily(self.params, AngularProfile(), AngularProfile())
-        (area, _, bend), _ = _cell_rows(concentric, self.radial_points, m)
-        eigen = np.arange(m // 2 + 1.0)[:, np.newaxis] ** 2  # of D^T D
-        eigen[-1] = 0.0  # D annihilates the Nyquist mode
-        area, angular = area[:, 0], eigen * bend[:, 0]  # constant in theta at t = 0
-        diagonal, coupling = area + angular, angular - area
-        coupling[:, -1] = 0.0  # the last node's coupling goes to the Dirichlet node
-        d = np.concatenate([[area[0]], (diagonal[:, :-1] + diagonal[:, 1:]).ravel()])
-        e = np.concatenate([[-area[0]], coupling[:, 1:].ravel()[:-1]])
-        d, e, info = cho_factor(d, e, overwrite_d=1, overwrite_e=1)
-        if info != 0:
-            raise SolveError("block factorization failed")
-        return d, e
-
-    def precondition(self, residual: np.ndarray) -> np.ndarray:
-        """K(0)^{-1} residual by rfft, one chain solve for the real and imaginary
-        parts, irfft; the center's chain unknown is m times its value."""
-        m = self.diff.shape[0]
+    def precondition(residual: np.ndarray) -> np.ndarray:
         spectrum = np.fft.rfft(residual[1:].reshape(-1, m)).T
         rhs = np.zeros((2, 1 + spectrum.size))
         rhs[0, 0] = residual[0]
         rhs[:, 1:] = spectrum.real.ravel(), spectrum.imag.ravel()
-        solution, _ = cho_solve(*self.chains, rhs.T, overwrite_b=1)
+        solution, _ = cho_solve(d, e, rhs.T, overwrite_b=1)
         rings = (solution[1:, 0] + 1j * solution[1:, 1]).reshape(spectrum.shape).T
         return np.concatenate([[solution[0, 0] / m], np.fft.irfft(rings, m).ravel()])
+
+    return precondition
 
 
 def _positive(value: float) -> float:
@@ -355,30 +348,27 @@ def solve_energy(
     family: PerturbedDomainFamily,
     radial_points: int = DEFAULT_RADIAL_POINTS,
     angular_modes: int = DEFAULT_ANGULAR_MODES,
-    *,
-    workspace: _Workspace | None = None,
 ) -> float:
     """Energy of the perturbed configuration at the family's amplitude.
 
     Preconditioned conjugate gradients from u = 0 (module docstring), stopped
     when a step's energy increment alpha r.z is at most eps E.  A non-finite
     or non-positive r.z or p.Kp raises SolveError, as do more steps than
-    unknowns.  workspace, built for the family's parameters and grid, carries
-    D and the factored K(0) between solves; without one the solve builds its own.
+    unknowns.
     """
-    if workspace is None:
-        workspace = _Workspace(family.params, radial_points, angular_modes)
+    diff, eigen = angular_operator(angular_modes)
     if 2 * family.max_degree() >= angular_modes:
         raise ValueError("angular_modes too small for the perturbation degree")
     rows, load = _cell_rows(family, radial_points, angular_modes)
+    precondition = _preconditioner(rows, eigen)
 
     residual, direction, energy = load, 0.0, 0.0
     previous = math.inf  # r.z of the previous step; the first has no direction
     for _ in range(load.size):
-        z = workspace.precondition(residual)
+        z = precondition(residual)
         gamma = _positive(float(residual @ z))
         direction = z + (gamma / previous) * direction
-        product = _stiffness(rows, workspace.diff, direction)
+        product = _stiffness(rows, diff, direction)
         step = gamma / _positive(float(direction @ product))
         energy += step * gamma
         if step * gamma <= sys.float_info.epsilon * energy:
@@ -466,17 +456,13 @@ def differentiate_energy(
         raise ValueError("t0 must be positive")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    steps = [math.ldexp(t0, -level) for level in range(levels + 1)]
-    if not sys.float_info.min <= steps[-1] * steps[-1] <= sys.float_info.max:
+    finest = math.ldexp(t0, -levels)  # checked before the steps are listed
+    if not sys.float_info.min <= finest * finest <= sys.float_info.max:
         raise ValueError("t0 out of range: (t0/2^levels)^2 must be a normal float")
+    steps = [math.ldexp(t0, -level) for level in range(levels + 1)]
     samples = sorted({0.0} | {sign * h for h in steps for sign in (+1.0, -1.0)})
 
-    # one workspace for the run's samples, freed when the run returns
-    workspace = _Workspace(family.params, radial_points, angular_modes)
-    energies = [
-        solve_energy(family.at(t), radial_points, angular_modes, workspace=workspace)
-        for t in samples
-    ]
+    energies = [solve_energy(family.at(t), radial_points, angular_modes) for t in samples]
     energy_of = dict(zip(samples, energies))
 
     base = energy_of[0.0]

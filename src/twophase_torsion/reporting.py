@@ -41,8 +41,8 @@ from .second_variation import (
     total_second_variation,
 )
 from .stability import Classification, StabilityVerdict, classify
-from .tolerances import ABS_FLOOR, REL_TOL, RESIDUAL_TOL, rel_deviation
 from .transmission import (
+    RESIDUAL_TOL,
     ModeKind,
     TransmissionSolveError,
     closed_form_mode,
@@ -58,6 +58,16 @@ GRID_KMAX = GRID_DEGREES[-1]
 GRID_DESCRIPTION = (
     "N in {2,3,4} x sigma in {0.1,0.5,1,2,10} x R in {0.2,0.5,0.8} x k in 1..20"
 )
+
+# Printed-vs-independent comparisons: relative tolerance REL_TOL, with the
+# fidelity report's absolute floor ABS_FLOOR.
+REL_TOL = 1e-10
+ABS_FLOOR = 1e-14
+
+
+def _rel_deviation(a: float, b: float, floor: float) -> float:
+    """Relative deviation |a-b| / max(|a|, |b|, floor)."""
+    return abs(a - b) / max(abs(a), abs(b), floor)
 
 
 def grid_params() -> list[ProblemParams]:
@@ -136,38 +146,28 @@ def build_fidelity_report() -> FidelityReport:
     """Compare printed vs independent values per formula over the grid,
     worst case wins."""
     formula_ids = list(_COEFFICIENT_FIELDS) + list(_SPECTRUM_FIELDS) + [_SQUARE_FIELD]
-    worst: dict[str, tuple[float, float, float, str]] = {
-        formula: (0.0, 0.0, 0.0, "") for formula in formula_ids
-    }
+    # per formula: deviation, printed and reference values, (params, degree)
+    worst: dict[str, tuple] = {formula: (0.0, 0.0, 0.0, None) for formula in formula_ids}
 
-    def update(
-        formula: str,
-        printed: float,
-        reference: float,
-        point: str,
-        scale: float = 0.0,
-    ) -> None:
-        # Near-cancellation values are judged against the magnitude of the
-        # companion quantities at the same grid point, not against zero.
-        denom = max(abs(printed), abs(reference), scale, ABS_FLOOR)
-        deviation = abs(printed - reference) / denom
+    def update(formula: str, printed: float, reference: float, floor: float, where) -> None:
+        deviation = _rel_deviation(printed, reference, floor)
         if deviation >= worst[formula][0]:
-            worst[formula] = (deviation, printed, reference, point)
+            worst[formula] = (deviation, printed, reference, where)
 
+    # Near-cancellation values are judged against the magnitude of the
+    # companion quantities at the same grid point, not against zero.
     for params in grid_params():
         table = spectrum_table(params, GRID_KMAX)
         for degree in GRID_DEGREES:
-            point = (
-                f"N={params.dim}, sigma={params.sigma:g}, "
-                f"R={params.core_radius:g}, k={degree}"
-            )
+            where = (params, degree)
             for kind in ModeKind:
                 printed_profile = closed_form_mode(params, degree, kind)
                 oracle_profile = table.modes.profile(degree, kind)
-                profile_scale = max(
+                profile_floor = max(
                     abs(oracle_profile.inner_coeff),
                     abs(oracle_profile.outer_sing),
                     abs(oracle_profile.outer_reg),
+                    ABS_FLOOR,
                 )
                 for formula, (field_kind, field) in _COEFFICIENT_FIELDS.items():
                     if field_kind is kind:
@@ -175,32 +175,37 @@ def build_fidelity_report() -> FidelityReport:
                             formula,
                             getattr(printed_profile, field),
                             getattr(oracle_profile, field),
-                            point,
-                            profile_scale,
+                            profile_floor,
+                            where,
                         )
             printed_values = printed_spectrum(params, degree)
             assembled_values = table.row(degree)
-            spectrum_scale = max(
+            spectrum_floor = max(
                 abs(assembled_values.e_in),
                 abs(assembled_values.e_out),
                 abs(assembled_values.e_res),
+                ABS_FLOOR,
             )
-            update("E_in", printed_values.e_in, assembled_values.e_in, point, spectrum_scale)
-            update("E_out", printed_values.e_out, assembled_values.e_out, point, spectrum_scale)
-            update("E_res", printed_values.e_res, assembled_values.e_res, point, spectrum_scale)
+            update("E_in", printed_values.e_in, assembled_values.e_in, spectrum_floor, where)
+            update("E_out", printed_values.e_out, assembled_values.e_out, spectrum_floor, where)
+            update("E_res", printed_values.e_res, assembled_values.e_res, spectrum_floor, where)
             if degree == 1:
                 update(
                     _SQUARE_FIELD,
                     printed_values.e_res,
                     -2.0 * assembled_values.e_in,
-                    point,
-                    spectrum_scale,
+                    spectrum_floor,
+                    where,
                 )
 
     entries = []
     for formula in formula_ids:
-        deviation, printed, reference, point = worst[formula]
+        deviation, printed, reference, (params, degree) = worst[formula]
         matched = deviation <= REL_TOL
+        point = (
+            f"N={params.dim}, sigma={params.sigma:g}, "
+            f"R={params.core_radius:g}, k={degree}"
+        )
         entries.append(
             FidelityEntry(
                 formula_id=formula,
@@ -330,7 +335,7 @@ def closed_form_fidelity() -> CheckResult:
             printed = closed_form_mode(params, degree, ModeKind.INNER)
             oracle = modes.profile(degree, ModeKind.INNER)
             for field in ("outer_sing", "outer_reg"):
-                deviation = rel_deviation(
+                deviation = _rel_deviation(
                     getattr(printed, field), getattr(oracle, field), _NO_FLOOR
                 )
                 if deviation > worst[0]:
@@ -347,7 +352,7 @@ def translation_invariance() -> CheckResult:
     worst = (0.0, "")
     for params in grid_params():
         values = spectrum_table(params, SPECTRUM_KMAX).row(1)
-        deviation = rel_deviation(values.e_in, values.e_out, _NO_FLOOR)
+        deviation = _rel_deviation(values.e_in, values.e_out, _NO_FLOOR)
         if deviation > worst[0]:
             worst = (deviation, str(params))
     return CheckResult(

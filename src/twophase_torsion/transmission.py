@@ -32,7 +32,9 @@ import numpy as np
 
 from .exact_state import traces
 from .params import ProblemParams
-from .tolerances import RESIDUAL_TOL
+
+# Contract tolerance for the mode system's backward error.
+RESIDUAL_TOL = 1e-12
 
 
 class ModeKind(enum.Enum):

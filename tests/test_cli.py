@@ -130,6 +130,17 @@ def test_degrees_past_float_range_are_diagnosed(capsys, argv, degree):
     assert err == f"degree {degree} leaves float range for these parameters\n"
 
 
+@pytest.mark.parametrize("command", ["classify", "spectrum"])
+def test_mode_solve_failures_are_diagnosed(capsys, command):
+    # the degree-2 outer mode system misses its residual contract here
+    argv = [command, "--dim", "2", "--radius", "1e-150", "--sigma", "1e20", "--kmax", "2"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mode system residual")
+
+
 def test_spectrum_csv_output(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,6 +1,7 @@
 """Finite-difference energy oracle on perturbed domains (fast grids)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from twophase_torsion.pde_oracle import (
     InterfaceOrderingError,
     PerturbedDomainFamily,
     SolveError,
+    angular_operator,
     differentiate_energy,
     family_from_config,
     run_from_config,
     solve_energy,
-    spectral_diff_matrix,
 )
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
@@ -28,7 +29,7 @@ PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
 def test_spectral_diff_matrix_differentiates_trig_polynomials():
     m = 32
     theta = 2.0 * math.pi * np.arange(m) / m
-    diff = spectral_diff_matrix(m)
+    diff, eigen = angular_operator(m)
     for k in (1, 3, 11):
         assert diff @ np.cos(k * theta) == pytest.approx(
             -k * np.sin(k * theta), abs=1e-11
@@ -37,11 +38,16 @@ def test_spectral_diff_matrix_differentiates_trig_polynomials():
             k * np.cos(k * theta), abs=1e-11
         )
     assert diff @ np.ones(m) == pytest.approx(np.zeros(m), abs=1e-12)
+    # D^T D takes mode j to eigen[j] times itself, and the Nyquist mode to 0
+    for j, value in enumerate(eigen):
+        for wave in (np.cos(j * theta), np.sin(j * theta)):
+            assert diff.T @ diff @ wave == pytest.approx(value * wave, abs=1e-10)
+    assert eigen[-1] == 0.0 and eigen[:-1] == pytest.approx(np.arange(m // 2) ** 2)
 
 
 @pytest.mark.parametrize("m", [4, 6, 32, 64])
 def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(m):
-    diff = spectral_diff_matrix(m)
+    diff, _ = angular_operator(m)
     assert np.array_equal(diff, -diff.T)
     for k in range(m):
         assert np.array_equal(diff[k], np.roll(diff[0], k))
@@ -185,12 +191,25 @@ def test_differentiate_energy_validates_input():
             differentiate_energy(family, t0=t0, levels=levels)
 
 
+def test_differentiate_energy_checks_the_range_before_listing_steps():
+    # a million levels are rejected without building their million steps
+    family = PerturbedDomainFamily.from_spec(PARAMS, PerturbationSpec({}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^t0 out of range"):
+            differentiate_energy(family, t0=0.01, levels=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_solve_energy_raises_when_the_energy_is_not_finite():
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
     overflowing = PerturbedDomainFamily.from_spec(ProblemParams(2, 0.5, 1e308), spec)
     with pytest.raises(SolveError, match="^energy is not finite$"):
         solve_energy(overflowing, radial_points=16, angular_modes=8)
-    # the concentric preconditioner's tridiagonal factorization breaks down
+    # the preconditioner's tridiagonal factorization breaks down
     singular = PerturbedDomainFamily.from_spec(ProblemParams(2, 0.5, 1e300), spec)
     with pytest.raises(SolveError, match="^block factorization failed$"):
         solve_energy(singular, radial_points=16, angular_modes=8)
@@ -227,7 +246,7 @@ def test_a_broken_iteration_never_returns_an_energy(monkeypatch, broken, message
 def _dense_system(family, radial_points, angular_modes):
     """The dense K, from the operator's columns, and the load of a solve."""
     rows, load = pde_oracle._cell_rows(family, radial_points, angular_modes)
-    diff = spectral_diff_matrix(angular_modes)
+    diff, _ = angular_operator(angular_modes)
     columns = [pde_oracle._stiffness(rows, diff, unit) for unit in np.eye(load.size)]
     return np.column_stack(columns), load
 
@@ -283,8 +302,10 @@ def test_the_preconditioner_is_the_inverse_of_the_concentric_operator(
     spec = PerturbationSpec({ModeIndex(1, 2): (1.0, 1.0)})
     concentric = PerturbedDomainFamily.from_spec(params, spec)  # at t = 0
     matrix, load = _dense_system(concentric, radial_points, angular_modes)
-    workspace = pde_oracle._Workspace(params, radial_points, angular_modes)
-    inverse = np.column_stack([workspace.precondition(unit) for unit in np.eye(load.size)])
+    # the preconditioner a t = 0 solve builds from its own rows
+    rows, _ = pde_oracle._cell_rows(concentric, radial_points, angular_modes)
+    precondition = pde_oracle._preconditioner(rows, angular_operator(angular_modes)[1])
+    inverse = np.column_stack([precondition(unit) for unit in np.eye(load.size)])
     exact = np.linalg.inv(matrix)
     assert np.abs(inverse - exact).max() <= 1e-13 * np.abs(exact).max()
     # so the first step of a t = 0 solve is exact, and the second step's
@@ -332,9 +353,10 @@ def test_solve_energy_matches_block_sweep_energies(params, mode, alphas, energie
         assert solve_energy(family.at(t), 64, 16) == pytest.approx(expected, rel=1e-12)
 
 
-# far from the concentric preconditioner: a degree-15 core at t = 0.2 and an
-# outer boundary at t = 0.7 take about 90 and 40 steps at 256x32; energies
-# from the same block Cholesky sweep
+# far from the concentric configuration: a degree-15 core at t = 0.2 and an
+# outer boundary at t = 0.7 at 256x32; energies from the same block Cholesky
+# sweep.  Preconditioned by their own theta-averaged operators they take 51
+# and 38 steps; the concentric K(0) alone would take 92 and 40
 @pytest.mark.parametrize(
     "mode, alphas, t, expected",
     [
@@ -342,9 +364,11 @@ def test_solve_energy_matches_block_sweep_energies(params, mode, alphas, energie
         (ModeIndex(2, 1), (0.0, 1.0), 0.7, 0.25265035871319600),
     ],
 )
-def test_hard_inputs_match_block_sweep_energies(mode, alphas, t, expected):
+def test_hard_inputs_match_block_sweep_energies(monkeypatch, mode, alphas, t, expected):
     family = PerturbedDomainFamily.from_spec(PARAMS, PerturbationSpec({mode: alphas}))
+    calls = _count_calls(monkeypatch, "cho_solve")
     assert solve_energy(family.at(t), 256, 32) == pytest.approx(expected, rel=1e-12)
+    assert calls["cho_solve"] <= 60
 
 
 def _count_calls(monkeypatch, *names):
@@ -391,14 +415,16 @@ def test_each_run_factors_once_and_solves_once_per_step(monkeypatch, params, mod
 
     monkeypatch.setattr(pde_oracle, "solve_energy", counted_solve)
     differentiate_energy(family, t0=0.01, levels=2, radial_points=256, angular_modes=32)
-    assert calls["cho_factor"] == 1
+    # each of the 7 samples factors its own preconditioner once
+    assert calls["cho_factor"] == len(steps) == 7
     # one preconditioner and one operator application per step
     assert calls["cho_solve"] == calls["_stiffness"] == sum(steps)
-    assert len(steps) == 7 and max(steps) <= 12
+    assert max(steps) <= 12
 
 
 @pytest.mark.parametrize("radial_points", [4, 16])
 def test_a_reused_workspace_changes_no_energy(monkeypatch, radial_points):
+    # a run's energies are those of standalone solves, sample by sample;
     # the coupled channel: both boundaries move
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
     family = PerturbedDomainFamily.from_spec(PARAMS, spec)
@@ -406,8 +432,7 @@ def test_a_reused_workspace_changes_no_energy(monkeypatch, radial_points):
     run = differentiate_energy(
         family, t0=0.02, levels=2, radial_points=radial_points, angular_modes=8
     )
-    # 7 samples share one factorization of the concentric operator
-    assert calls == {"solve_energy": 7, "cho_factor": 1}
+    assert calls == {"solve_energy": 7, "cho_factor": 7}
     for t, energy in zip(run.t_samples, run.energies):
         assert energy == solve_energy(family.at(t), radial_points, 8)
 

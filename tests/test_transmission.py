@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from twophase_torsion.exact_state import traces
 from twophase_torsion.params import ProblemParams
-from twophase_torsion.tolerances import RESIDUAL_TOL
 from twophase_torsion.transmission import (
+    RESIDUAL_TOL,
     FloatRangeError,
     ModeKind,
     ModeProfile,
