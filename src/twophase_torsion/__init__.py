@@ -48,6 +48,7 @@ from .second_variation import (
     SpectrumPath,
     SpectrumTable,
     assemble_spectrum,
+    discriminant,
     factored_discriminant,
     first_variation,
     g_factor,
@@ -60,10 +61,9 @@ from .stability import Channel, Classification, StabilityVerdict, classify
 from .transmission import (
     FloatRangeError,
     ModeKind,
-    ModeProfile,
     ModeTable,
     TransmissionSolveError,
-    closed_form_mode,
+    closed_form_modes,
     denom_F,
     solve_modes,
 )
@@ -83,7 +83,6 @@ __all__ = [
     "InterfaceOrderingError",
     "ModeIndex",
     "ModeKind",
-    "ModeProfile",
     "ModeTable",
     "OracleRun",
     "PerturbationSpec",
@@ -102,9 +101,10 @@ __all__ = [
     "baseline_energy",
     "build_fidelity_report",
     "classify",
-    "closed_form_mode",
+    "closed_form_modes",
     "denom_F",
     "differentiate_energy",
+    "discriminant",
     "emit_spectrum_csv",
     "factored_discriminant",
     "family_from_config",

@@ -34,12 +34,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _write_file(text: str, path: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write output: {exc}") from exc
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_file(text, out)
 
 
 def _json_text(document: dict) -> str:
@@ -121,10 +128,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failed = sum(1 for check in checks if not check.passed)
     lines.append(f"{args.suite}: {len(checks) - failed} passed, {failed} failed")
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_file(text, args.out)
+    sys.stdout.write(text)
     return 0 if failed == 0 else 1
 
 
@@ -167,6 +173,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _DISPATCH[args.command](args)
     except (CliError, ValueError, TransmissionSolveError) as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return 2
 
 

@@ -543,8 +543,8 @@ def family_from_config(config: dict) -> PerturbedDomainFamily:
     Keys: dim (default 2), radius, sigma, and either preset (a name from
     params.presets) or modes (a list of records with degree, order,
     alpha_in, alpha_out); optional allow_mean and exact_area flags, and the
-    run keys of run_from_config.  Unknown keys, values of the wrong JSON type
-    and preset together with modes are rejected.
+    run keys of run_from_config.  Unknown keys, values of the wrong JSON type,
+    a repeated (degree, order) and preset together with modes are rejected.
     """
     _check_keys(config, _CONFIG_KEYS, "config")
     params = ProblemParams(
@@ -569,6 +569,10 @@ def family_from_config(config: dict) -> PerturbedDomainFamily:
             index = ModeIndex(
                 _field(record, "degree", int), _field(record, "order", int, 1)
             )
+            if index in modes:
+                raise ValueError(
+                    f"duplicate mode (degree {index.degree}, order {index.order})"
+                )
             modes[index] = (
                 _field(record, "alpha_in", float, 0.0),
                 _field(record, "alpha_out", float, 0.0),

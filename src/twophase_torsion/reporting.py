@@ -35,6 +35,7 @@ from .pde_oracle import (
 )
 from .second_variation import (
     SpectrumPath,
+    discriminant,
     monotonicity_functions,
     printed_spectrum,
     spectrum_table,
@@ -42,10 +43,10 @@ from .second_variation import (
 )
 from .stability import Classification, StabilityVerdict, classify
 from .transmission import (
+    KINDS,
     RESIDUAL_TOL,
-    ModeKind,
     TransmissionSolveError,
-    closed_form_mode,
+    closed_form_modes,
     denom_F,
 )
 
@@ -65,9 +66,9 @@ REL_TOL = 1e-10
 ABS_FLOOR = 1e-14
 
 
-def _rel_deviation(a: float, b: float, floor: float) -> float:
-    """Relative deviation |a-b| / max(|a|, |b|, floor)."""
-    return abs(a - b) / max(abs(a), abs(b), floor)
+def _rel_deviation(a, b, floor):
+    """Relative deviation |a-b| / max(|a|, |b|, floor), elementwise."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
 def grid_params() -> list[ProblemParams]:
@@ -126,94 +127,60 @@ _MISMATCH_NOTE = (
     "discrepancies)"
 )
 
-_COEFFICIENT_FIELDS = {
-    "B_in": (ModeKind.INNER, "inner_coeff"),
-    "C_in": (ModeKind.INNER, "outer_sing"),
-    "D_in": (ModeKind.INNER, "outer_reg"),
-    "B_out": (ModeKind.OUTER, "inner_coeff"),
-    "C_out": (ModeKind.OUTER, "outer_sing"),
-    "D_out": (ModeKind.OUTER, "outer_reg"),
-}
-
-_SPECTRUM_FIELDS = ("E_in", "E_out", "E_res")
-
-# At degree 1 the quadratic t -> e_in t^2 + e_res t + e_out is a perfect
-# square with root t = 1, which pins e_res(1) = -2 e_in(1).
-_SQUARE_FIELD = "E_res_k1_perfect_square"
+# The (kind, column) entries of a mode table, row-major; the spectrum's three
+# columns; and, last, the perfect square: at degree 1 the quadratic
+# t -> e_in t^2 + e_res t + e_out has the double root t = 1, which pins
+# e_res(1) = -2 e_in(1).
+_FORMULAS = (
+    "B_in", "C_in", "D_in", "B_out", "C_out", "D_out",
+    "E_in", "E_out", "E_res", "E_res_k1_perfect_square",
+)
 
 
 def build_fidelity_report() -> FidelityReport:
     """Compare printed vs independent values per formula over the grid,
-    worst case wins."""
-    formula_ids = list(_COEFFICIENT_FIELDS) + list(_SPECTRUM_FIELDS) + [_SQUARE_FIELD]
-    # per formula: deviation, printed and reference values, (params, degree)
-    worst: dict[str, tuple] = {formula: (0.0, 0.0, 0.0, None) for formula in formula_ids}
-
-    def update(formula: str, printed: float, reference: float, floor: float, where) -> None:
-        deviation = _rel_deviation(printed, reference, floor)
-        if deviation >= worst[formula][0]:
-            worst[formula] = (deviation, printed, reference, where)
+    worst case wins (the last one among ties)."""
+    grid = grid_params()
+    tables = [spectrum_table(params, GRID_KMAX) for params in grid]
+    # [point, kind, degree - 1, column] and [point, entry, degree - 1]
+    solved = np.stack([table.modes.coefficients for table in tables])
+    printed_modes = np.stack([closed_form_modes(params, GRID_KMAX) for params in grid])
+    assembled = np.stack([(table.e_in, table.e_out, table.e_res) for table in tables])
+    printed = np.stack([printed_spectrum(params, GRID_KMAX) for params in grid])
 
     # Near-cancellation values are judged against the magnitude of the
-    # companion quantities at the same grid point, not against zero.
-    for params in grid_params():
-        table = spectrum_table(params, GRID_KMAX)
-        for degree in GRID_DEGREES:
-            where = (params, degree)
-            for kind in ModeKind:
-                printed_profile = closed_form_mode(params, degree, kind)
-                oracle_profile = table.modes.profile(degree, kind)
-                profile_floor = max(
-                    abs(oracle_profile.inner_coeff),
-                    abs(oracle_profile.outer_sing),
-                    abs(oracle_profile.outer_reg),
-                    ABS_FLOOR,
-                )
-                for formula, (field_kind, field) in _COEFFICIENT_FIELDS.items():
-                    if field_kind is kind:
-                        update(
-                            formula,
-                            getattr(printed_profile, field),
-                            getattr(oracle_profile, field),
-                            profile_floor,
-                            where,
-                        )
-            printed_values = printed_spectrum(params, degree)
-            assembled_values = table.row(degree)
-            spectrum_floor = max(
-                abs(assembled_values.e_in),
-                abs(assembled_values.e_out),
-                abs(assembled_values.e_res),
-                ABS_FLOOR,
-            )
-            update("E_in", printed_values.e_in, assembled_values.e_in, spectrum_floor, where)
-            update("E_out", printed_values.e_out, assembled_values.e_out, spectrum_floor, where)
-            update("E_res", printed_values.e_res, assembled_values.e_res, spectrum_floor, where)
-            if degree == 1:
-                update(
-                    _SQUARE_FIELD,
-                    printed_values.e_res,
-                    -2.0 * assembled_values.e_in,
-                    spectrum_floor,
-                    where,
-                )
+    # companion quantities at the same grid point and degree, not against zero.
+    mode_floor = np.maximum(np.abs(solved).max(axis=3), ABS_FLOOR)
+    spectrum_floor = np.maximum(np.abs(assembled).max(axis=1), ABS_FLOOR)
+    # per formula: printed values, reference values and floors, [point, degree - 1]
+    comparisons = [
+        (printed_modes[:, kind, :, column], solved[:, kind, :, column], mode_floor[:, kind])
+        for kind in range(2)
+        for column in range(3)
+    ]
+    comparisons += [
+        (printed[:, entry], assembled[:, entry], spectrum_floor) for entry in range(3)
+    ]
+    comparisons.append((printed[:, 2, :1], -2.0 * assembled[:, 0, :1], spectrum_floor[:, :1]))
 
     entries = []
-    for formula in formula_ids:
-        deviation, printed, reference, (params, degree) = worst[formula]
+    for formula, (printed_values, reference, floor) in zip(_FORMULAS, comparisons):
+        deviations = _rel_deviation(printed_values, reference, floor).ravel()
+        flat = deviations.size - 1 - int(np.argmax(deviations[::-1]))
+        worst = divmod(flat, printed_values.shape[1])  # (point, degree - 1)
+        params, deviation = grid[worst[0]], float(deviations[flat])
         matched = deviation <= REL_TOL
-        point = (
-            f"N={params.dim}, sigma={params.sigma:g}, "
-            f"R={params.core_radius:g}, k={degree}"
-        )
         entries.append(
             FidelityEntry(
                 formula_id=formula,
-                printed_value=printed,
-                reference_value=reference,
+                printed_value=float(printed_values[worst]),
+                reference_value=float(reference[worst]),
                 max_relative_deviation=deviation,
                 verdict=FidelityVerdict.MATCH if matched else FidelityVerdict.MISMATCH,
-                worst_point=point,
+                worst_point=(
+                    f"N={params.dim}, sigma={params.sigma:g}, "
+                    f"R={params.core_radius:g}, k={worst[1] + 1}"
+                ),
                 note="" if matched else _MISMATCH_NOTE,
             )
         )
@@ -222,18 +189,17 @@ def build_fidelity_report() -> FidelityReport:
 
 def emit_spectrum_csv(params: ProblemParams, kmax: int, path: SpectrumPath) -> str:
     """CSV rows k, e_in, e_out, e_res, delta with 17 significant digits."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
     if path is SpectrumPath.ASSEMBLED:
-        rows = spectrum_table(params, kmax).rows()
+        table = spectrum_table(params, kmax)
+        columns = (table.e_in, table.e_out, table.e_res)
     else:
-        rows = [printed_spectrum(params, degree) for degree in range(1, kmax + 1)]
-    lines = ["k,e_in,e_out,e_res,delta"]
-    for values in rows:
-        lines.append(
-            f"{values.degree},{values.e_in:.17g},{values.e_out:.17g},"
-            f"{values.e_res:.17g},{values.discriminant:.17g}"
-        )
+        columns = printed_spectrum(params, kmax)
+    columns = (*columns, discriminant(*columns))
+    rows = zip(range(1, kmax + 1), *(column.tolist() for column in columns))
+    lines = ["k,e_in,e_out,e_res,delta"] + [
+        f"{degree},{e_in:.17g},{e_out:.17g},{e_res:.17g},{delta:.17g}"
+        for degree, e_in, e_out, e_res, delta in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -294,7 +260,7 @@ def transmission_residuals() -> CheckResult:
             spectrum_table(params, GRID_KMAX)
         except (TransmissionSolveError, ValueError) as exc:
             failures.append(f"{params}: {exc}")
-    solves = len(grid_params()) * len(GRID_DEGREES) * len(ModeKind)
+    solves = len(grid_params()) * len(GRID_DEGREES) * len(KINDS)
     return _result(
         f"transmission residuals < {RESIDUAL_TOL:g} across grid",
         failures,
@@ -330,16 +296,13 @@ def closed_form_fidelity() -> CheckResult:
     """3. The printed shell coefficients C_in, D_in match the solve."""
     worst = (0.0, "")
     for params in grid_params():
-        modes = spectrum_table(params, GRID_KMAX).modes
-        for degree in GRID_DEGREES:
-            printed = closed_form_mode(params, degree, ModeKind.INNER)
-            oracle = modes.profile(degree, ModeKind.INNER)
-            for field in ("outer_sing", "outer_reg"):
-                deviation = _rel_deviation(
-                    getattr(printed, field), getattr(oracle, field), _NO_FLOOR
-                )
-                if deviation > worst[0]:
-                    worst = (deviation, f"{field} at {params}, k={degree}")
+        solved = spectrum_table(params, GRID_KMAX).modes.coefficients[0, :, 1:]
+        printed = closed_form_modes(params, GRID_KMAX)[0, :, 1:]
+        deviations = _rel_deviation(printed, solved, _NO_FLOOR)
+        index, column = np.unravel_index(np.argmax(deviations), deviations.shape)
+        if deviations[index, column] > worst[0]:
+            field = ("outer_sing", "outer_reg")[column]
+            worst = (deviations[index, column], f"{field} at {params}, k={index + 1}")
     return CheckResult(
         f"printed C_in and D_in match the transmission solve to {REL_TOL:g}",
         worst[0] <= REL_TOL,
@@ -368,14 +331,20 @@ def single_phase_degeneracy() -> CheckResult:
     for dim in GRID_DIMS:
         for radius in GRID_RADII:
             params = ProblemParams(dim, radius, 1.0)
-            for values in spectrum_table(params, SPECTRUM_KMAX).rows():
-                degree = values.degree
-                if abs(values.e_in) > SINGLE_PHASE_TOL:
-                    failures.append(f"e_in({degree}) at {params}")
-                if degree == 1 and abs(values.e_out) > SINGLE_PHASE_TOL:
-                    failures.append(f"e_out(1) at {params}")
-                if degree >= 2 and not values.e_out < 0.0:
-                    failures.append(f"e_out({degree}) at {params}")
+            table = spectrum_table(params, SPECTRUM_KMAX)
+            failed = np.stack(
+                [
+                    np.abs(table.e_in) > SINGLE_PHASE_TOL,
+                    np.concatenate(
+                        [np.abs(table.e_out[:1]) > SINGLE_PHASE_TOL, ~(table.e_out[1:] < 0.0)]
+                    ),
+                ],
+                axis=1,
+            )
+            failures += [
+                f"{('e_in', 'e_out')[column]}({index + 1}) at {params}"
+                for index, column in np.argwhere(failed).tolist()
+            ]
     return _result("single-phase degeneracy at sigma=1", failures)
 
 
@@ -383,15 +352,18 @@ def spectrum_monotonicity() -> CheckResult:
     """6. e_out, and e_in for sigma != 1, strictly decrease in the degree."""
     failures = []
     for params in grid_params():
-        previous = None
-        for values in spectrum_table(params, SPECTRUM_KMAX).rows():
-            degree = values.degree
-            if previous is not None:
-                if not values.e_out < previous.e_out:
-                    failures.append(f"e_out({degree}) at {params}")
-                if params.sigma != 1.0 and not values.e_in < previous.e_in:
-                    failures.append(f"e_in({degree}) at {params}")
-            previous = values
+        table = spectrum_table(params, SPECTRUM_KMAX)
+        failed = np.stack(
+            [
+                ~(table.e_out[1:] < table.e_out[:-1]),
+                ~(table.e_in[1:] < table.e_in[:-1]) & (params.sigma != 1.0),
+            ],
+            axis=1,
+        )
+        failures += [
+            f"{('e_out', 'e_in')[column]}({index + 2}) at {params}"
+            for index, column in np.argwhere(failed).tolist()
+        ]
     return _result(
         "assembled e_out (and e_in for sigma != 1) strictly decreasing, "
         f"k=1..{SPECTRUM_KMAX}",
@@ -428,23 +400,26 @@ def resonance_structure() -> CheckResult:
             for sigma in RESONANCE_SIGMAS:
                 params = ProblemParams(dim, radius, sigma)
                 table = spectrum_table(params, SPECTRUM_KMAX)
-                for values in table.rows():
-                    degree = values.degree
-                    if degree == 1:
-                        scale = max(
-                            values.e_res**2, abs(4.0 * values.e_in * values.e_out)
-                        )
-                        if abs(values.discriminant) > RESONANCE_TOL * scale:
-                            failures.append(f"delta(1) at {params}")
-                        total = total_second_variation(combined, table)
-                        value_scale = abs(values.e_in) + abs(values.e_out)
-                        if abs(total) > RESONANCE_TOL * value_scale:
-                            failures.append(f"Q(1) != 0 at k=1, {params}")
-                    else:
-                        if values.discriminant > 0.0:
-                            failures.append(f"delta({degree}) > 0 at {params}")
-                        if not np.all(values.q_value(RESONANCE_RATIOS) < 0.0):
-                            failures.append(f"Q(t) >= 0 at k={degree}, {params}")
+                delta = discriminant(table.e_in, table.e_out, table.e_res)
+                values = table.row(1)
+                scale = max(values.e_res**2, abs(4.0 * values.e_in * values.e_out))
+                if abs(delta[0]) > RESONANCE_TOL * scale:
+                    failures.append(f"delta(1) at {params}")
+                total = total_second_variation(combined, table)
+                if abs(total) > RESONANCE_TOL * (abs(values.e_in) + abs(values.e_out)):
+                    failures.append(f"Q(1) != 0 at k=1, {params}")
+                # Q(t) = e_in t^2 + e_res t + e_out on the (degree, ratio) grid
+                q_values = (
+                    table.e_in[1:, np.newaxis] * RESONANCE_RATIOS * RESONANCE_RATIOS
+                    + table.e_res[1:, np.newaxis] * RESONANCE_RATIOS
+                    + table.e_out[1:, np.newaxis]
+                )
+                failed = np.stack([delta[1:] > 0.0, ~(q_values < 0.0).all(axis=1)], axis=1)
+                labels = ("delta({}) > 0 at {}", "Q(t) >= 0 at k={}, {}")
+                failures += [
+                    labels[column].format(index + 2, params)
+                    for index, column in np.argwhere(failed).tolist()
+                ]
     return _result(
         "resonance: delta <= 0, delta(1) = 0, Q < 0 for k >= 2 (sigma > 1)", failures
     )

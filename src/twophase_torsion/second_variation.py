@@ -22,13 +22,14 @@ table (`total_second_variation(spec, table)`), so a caller that holds the
 table of its parameter point reads the form from it.  This assembled
 spectrum is the one consumed downstream: it is self-consistent (translation
 invariance e_in(1) = e_out(1)) and confirmed by the PDE oracle.  The
-closed-form spectrum is evaluated verbatim by `printed_spectrum`, for the
-fidelity report and the printed path of the CSV emitter (`SpectrumPath`).
+closed-form spectrum is evaluated verbatim by `printed_spectrum(params,
+kmax)`, as the same three columns over the same ladder, for the fidelity
+report and the printed path of the CSV emitter (`SpectrumPath`).
 
-Also provided: the closed-form factorization of the discriminant of the
-resonance quadratic Q(t) = e_in t^2 + e_res t + e_out, the proof functions
-a, b, c certifying monotone decrease of the spectrum, and the first
-variation.
+Also provided: the discriminant delta of the resonance quadratic
+Q(t) = e_in t^2 + e_res t + e_out, elementwise over such columns, and its
+closed-form factorization, the proof functions a, b, c certifying monotone
+decrease of the spectrum, and the first variation.
 """
 
 from __future__ import annotations
@@ -42,7 +43,13 @@ import numpy as np
 
 from .exact_state import sphere_area, traces
 from .params import ModeIndex, PerturbationSpec, ProblemParams
-from .transmission import FloatRangeError, ModeTable, denom_F, solve_modes
+from .transmission import (
+    FloatRangeError,
+    ModeTable,
+    _printed_ladder,
+    denom_F,
+    solve_modes,
+)
 
 
 class SpectrumPath(enum.Enum):
@@ -52,23 +59,21 @@ class SpectrumPath(enum.Enum):
 
 @dataclass(frozen=True)
 class SecondVariationSpectrum:
-    """Per-degree quadratic-form coefficients of the second variation, with
-    the resonance quadratic Q they define."""
+    """The quadratic-form coefficients of the second variation at one
+    degree."""
 
     degree: int
     e_in: float
     e_out: float
     e_res: float
 
-    @property
-    def discriminant(self) -> float:
-        """delta = e_res^2 - 4 e_in e_out, the discriminant of Q."""
-        return self.e_res * self.e_res - 4.0 * self.e_in * self.e_out
 
-    def q_value(self, t):
-        """The coupled-mode quadratic Q(t) = e_in t^2 + e_res t + e_out at
-        the ratio t = alpha_in/alpha_out of same-mode coefficients."""
-        return self.e_in * t * t + self.e_res * t + self.e_out
+def discriminant(e_in, e_out, e_res):
+    """delta = e_res^2 - 4 e_in e_out, the discriminant of the resonance
+    quadratic Q(t) = e_in t^2 + e_res t + e_out; elementwise, and inf where
+    the squares leave the float range, as in scalar arithmetic."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return e_res * e_res - 4.0 * e_in * e_out
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,17 +102,6 @@ class SpectrumTable:
             float(self.e_out[index]),
             float(self.e_res[index]),
         )
-
-    def rows(self) -> list[SecondVariationSpectrum]:
-        return [
-            SecondVariationSpectrum(degree, e_in, e_out, e_res)
-            for degree, e_in, e_out, e_res in zip(
-                range(1, self.kmax + 1),
-                self.e_in.tolist(),
-                self.e_out.tolist(),
-                self.e_res.tolist(),
-            )
-        ]
 
 
 @functools.lru_cache(maxsize=512)
@@ -154,43 +148,35 @@ def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpec
     return spectrum_table(params, degree).row(degree)
 
 
-def printed_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpectrum:
+def printed_spectrum(
+    params: ProblemParams, kmax: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate the closed-form spectrum expressions verbatim.
 
-    Reference values for the fidelity report; see spectrum_table for the
-    path consumed downstream.  Raises FloatRangeError when a value leaves
-    the float range.
+    Returns the read-only columns e_in, e_out, e_res of degrees 1..kmax,
+    indexed by degree - 1.  Reference values for the fidelity report; see
+    spectrum_table for the path consumed downstream.  Raises FloatRangeError
+    at the first degree whose entries leave the float range.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    k, rho, r_lead, f_denom = _printed_ladder(params, kmax)
     n, radius, sigma = params.dim, params.core_radius, params.sigma
-    k = degree
-    try:
-        f_denom = denom_F(params, k)
-        rho = radius ** (2 - n - 2 * k)
-        r_lead = radius ** (1 - k)
-    except OverflowError:
-        raise FloatRangeError(degree) from None
-
-    e_in = (
-        (2.0 * radius**n / n)
-        * ((1.0 - sigma) / sigma)
-        * (f_denom - k * (k * (1.0 - sigma) + (n - 2 + k) * (1.0 - sigma) * rho))
-        / f_denom
-    )
-    e_out = (
-        (2.0 / n)
-        * (f_denom - k * ((-n + 2 - k) * (1.0 - sigma) + (n - 2 + k + k * sigma) * rho))
-        / f_denom
-    )
-    e_res = (
-        (4.0 * (sigma - 1.0) * r_lead / n)
-        * ((n - 2) * k + 2 * k * k)
-        / f_denom
-    )
-    if not (math.isfinite(e_in) and math.isfinite(e_out) and math.isfinite(e_res)):
-        raise FloatRangeError(degree)
-    return SecondVariationSpectrum(degree, e_in, e_out, e_res)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_in = (
+            (2.0 * radius**n / n)
+            * ((1.0 - sigma) / sigma)
+            * (f_denom - k * (k * (1.0 - sigma) + (n - 2 + k) * (1.0 - sigma) * rho))
+            / f_denom
+        )
+        e_out = (
+            (2.0 / n)
+            * (f_denom - k * ((-n + 2 - k) * (1.0 - sigma) + (n - 2 + k + k * sigma) * rho))
+            / f_denom
+        )
+        e_res = (4.0 * (sigma - 1.0) * r_lead / n) * ((n - 2) * k + 2 * k * k) / f_denom
+    FloatRangeError.check(np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res))
+    for column in (e_in, e_out, e_res):
+        column.flags.writeable = False
+    return e_in, e_out, e_res
 
 
 def total_second_variation(spec: PerturbationSpec, table: SpectrumTable) -> float:

@@ -26,6 +26,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .params import (
     Constraint,
     ModeIndex,
@@ -33,11 +35,7 @@ from .params import (
     ProblemParams,
     validate,
 )
-from .second_variation import (
-    SecondVariationSpectrum,
-    spectrum_table,
-    total_second_variation,
-)
+from .second_variation import discriminant, spectrum_table, total_second_variation
 
 # Rounding floor of a spectrum entry, in units of its row scale.
 SIGN_FLOOR = 8.0 * sys.float_info.epsilon
@@ -47,6 +45,9 @@ class Channel(enum.Enum):
     INNER_ALONE = "InnerAlone"
     OUTER_ALONE = "OuterAlone"
     COUPLED = "Coupled"
+
+
+CHANNELS = tuple(Channel)  # the columns of the classifier's sign masks
 
 
 class Classification(enum.Enum):
@@ -110,39 +111,6 @@ class StabilityVerdict:
         }
 
 
-def _row_scale(values: SecondVariationSpectrum) -> float:
-    return max(abs(values.e_in), abs(values.e_out), abs(values.e_res))
-
-
-def _coupled_supremum_positive(values: SecondVariationSpectrum) -> bool:
-    """Whether Q(t) = e_in t^2 + e_res t + e_out attains positive values.
-
-    With e_in <= 0 that happens iff e_out > 0 or the discriminant is
-    positive (a positive vertex value, or a nonconstant linear Q).
-    """
-    scale = _row_scale(values)
-    if values.e_in > SIGN_FLOOR * scale or values.e_out > SIGN_FLOOR * scale:
-        return True
-    return values.discriminant > SIGN_FLOOR * scale * scale
-
-
-def _positive_modes(
-    rows: list[SecondVariationSpectrum],
-) -> list[tuple[int, Channel]]:
-    positive: list[tuple[int, Channel]] = []
-    for values in rows:
-        degree = values.degree
-        floor = SIGN_FLOOR * _row_scale(values)
-        if values.e_in > floor:
-            positive.append((degree, Channel.INNER_ALONE))
-        if degree >= 2:
-            if values.e_out > floor:
-                positive.append((degree, Channel.OUTER_ALONE))
-            if _coupled_supremum_positive(values):
-                positive.append((degree, Channel.COUPLED))
-    return positive
-
-
 def _unit_spec(degree: int, channel: Channel) -> PerturbationSpec:
     alpha = {
         Channel.INNER_ALONE: (1.0, 0.0),
@@ -150,20 +118,6 @@ def _unit_spec(degree: int, channel: Channel) -> PerturbationSpec:
         Channel.COUPLED: (1.0, 1.0),
     }[channel]
     return PerturbationSpec(modes={ModeIndex(degree, 1): alpha})
-
-
-def _negative_witness(
-    rows: list[SecondVariationSpectrum],
-) -> Optional[PerturbationSpec]:
-    """Smallest degree with a strictly negative channel, preferring inner."""
-    for values in rows:
-        degree = values.degree
-        floor = SIGN_FLOOR * _row_scale(values)
-        if values.e_in < -floor:
-            return _unit_spec(degree, Channel.INNER_ALONE)
-        if degree >= 2 and values.e_out < -floor:
-            return _unit_spec(degree, Channel.OUTER_ALONE)
-    return None
 
 
 def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
@@ -178,13 +132,36 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
         raise ValueError("kmax must be >= 2")
 
     table = spectrum_table(params, k_max)
-    rows = table.rows()
+    e_in, e_out, e_res = table.e_in, table.e_out, table.e_res
+    delta = discriminant(e_in, e_out, e_res)
     mode_table = tuple(
-        (values.degree, values.e_in, values.e_out, values.e_res, values.discriminant)
-        for values in rows
+        zip(range(1, k_max + 1), e_in.tolist(), e_out.tolist(), e_res.tolist(), delta.tolist())
     )
-    positive = tuple(_positive_modes(rows))
-    witness_negative = _negative_witness(rows)
+    scale = np.maximum(np.maximum(np.abs(e_in), np.abs(e_out)), np.abs(e_res))
+    floor = SIGN_FLOOR * scale
+    # outer degree-1 modes are translations, excluded by the barycenter constraint
+    outer_admissible = np.arange(1, k_max + 1) >= 2
+    # Q(t) = e_in t^2 + e_res t + e_out attains positive values iff e_in or
+    # e_out is positive or the discriminant is (a positive vertex value, or a
+    # nonconstant linear Q)
+    positive_mask = np.stack(
+        [
+            e_in > floor,
+            outer_admissible & (e_out > floor),
+            outer_admissible & ((e_in > floor) | (e_out > floor) | (delta > floor * scale)),
+        ],
+        axis=1,
+    )
+    positive = tuple(
+        (index + 1, CHANNELS[channel])
+        for index, channel in np.argwhere(positive_mask).tolist()
+    )
+    # the smallest degree with a strictly negative channel, inner preferred
+    negative_mask = np.stack([e_in < -floor, outer_admissible & (e_out < -floor)], axis=1)
+    negative = np.argwhere(negative_mask).tolist()
+    witness_negative = (
+        _unit_spec(negative[0][0] + 1, CHANNELS[negative[0][1]]) if negative else None
+    )
     note = ""
 
     if params.sigma == 1.0:
@@ -223,6 +200,6 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
         positive_modes=positive,
         witness_positive=witness_positive,
         witness_negative=witness_negative,
-        mode_table=tuple(mode_table),
+        mode_table=mode_table,
         note=note,
     )

@@ -15,10 +15,12 @@ expressions evaluated verbatim.  The two are compared by the fidelity report,
 which is where any discrepancy is surfaced; the closed forms are never
 silently patched.
 
-The numerical solve covers a whole degree ladder at once: `solve_modes`
-stacks the systems of degrees 1..kmax and both kinds, solves the stack in one
-call and returns a `ModeTable`.  Every power of R is taken with Python's
-scalar pow, one value per degree, so row k does not depend on kmax.
+Both cover a whole degree ladder at once: `solve_modes` stacks the systems
+of degrees 1..kmax and both kinds, solves the stack in one call and returns
+a `ModeTable`; `closed_form_modes` returns the printed (B, C, D) of the same
+ladder in the layout of `ModeTable.coefficients`.  Every power of R is taken
+with Python's scalar pow, one value per degree, so row k does not depend on
+kmax.
 """
 
 from __future__ import annotations
@@ -80,34 +82,39 @@ def _scalar_powers(base: float, exponents: Iterable[int]) -> np.ndarray:
     return np.array(values)
 
 
-@dataclass(frozen=True)
-class ModeProfile:
-    """Radial coefficients of one harmonic mode of u'.
-
-    inner_coeff multiplies r^k in the core; outer_sing and outer_reg multiply
-    r^{2-N-k} and r^k in the shell.
-    """
-
-    kind: ModeKind
-    degree: int
-    inner_coeff: float
-    outer_sing: float
-    outer_reg: float
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+def _denominator(n: int, sigma: float, k, rho):
+    """F = N(N-2+k+k sigma) rho + kN(1-sigma) with rho = R^{2-N-2k},
+    elementwise in k."""
+    return n * (n - 2 + k + k * sigma) * rho + k * n * (1.0 - sigma)
 
 
 def denom_F(params: ProblemParams, degree: int) -> float:
     """Common denominator F = N(N-2+k+k sigma)R^{2-N-2k} + kN(1-sigma) > 0."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    n, radius, sigma = params.dim, params.core_radius, params.sigma
-    k = degree
-    return n * (n - 2 + k + k * sigma) * radius ** (2 - n - 2 * k) + k * n * (
-        1.0 - sigma
+    n = params.dim
+    return _denominator(
+        n, params.sigma, degree, params.core_radius ** (2 - n - 2 * degree)
     )
+
+
+def _printed_ladder(
+    params: ProblemParams, kmax: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The degrees 1..kmax with R^{2-N-2k}, R^{1-k} and F, the terms the
+    printed closed forms share; entries past float range are inf or NaN."""
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    n, radius = params.dim, params.core_radius
+    # integers, so the integer factors stay exact; allocated before the
+    # scalar loops, so an infeasible kmax fails at once
+    degrees = np.arange(1, kmax + 1)
+    ks = range(1, kmax + 1)
+    rho = _scalar_powers(radius, (2 - n - 2 * k for k in ks))
+    r_lead = _scalar_powers(radius, (1 - k for k in ks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_denom = _denominator(n, params.sigma, degrees, rho)
+    return degrees, rho, r_lead, f_denom
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,16 +130,6 @@ class ModeTable:
 
     coefficients: np.ndarray
     derivatives: np.ndarray
-
-    @property
-    def kmax(self) -> int:
-        return self.coefficients.shape[1]
-
-    def profile(self, degree: int, kind: ModeKind) -> ModeProfile:
-        if not 1 <= degree <= self.kmax:
-            raise ValueError(f"degree must lie in 1..{self.kmax}")
-        b, c, d = self.coefficients[KINDS.index(kind), degree - 1].tolist()
-        return ModeProfile(kind, degree, b, c, d)
 
 
 def solve_modes(params: ProblemParams, kmax: int) -> ModeTable:
@@ -219,34 +216,30 @@ def solve_modes(params: ProblemParams, kmax: int) -> ModeTable:
     return ModeTable(coefficients, derivatives)
 
 
-def closed_form_mode(
-    params: ProblemParams, degree: int, kind: ModeKind
-) -> ModeProfile:
+def closed_form_modes(params: ProblemParams, kmax: int) -> np.ndarray:
     """Evaluate the printed closed-form coefficients verbatim.
 
-    These are reference expressions for the fidelity report; downstream
-    computation uses solve_modes instead.
+    Returns (B, C, D) of degrees 1..kmax, both kinds, as a read-only array
+    laid out like ModeTable.coefficients.  These are reference expressions
+    for the fidelity report; downstream computation uses solve_modes
+    instead.  Raises FloatRangeError at the first degree that leaves the
+    float range.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    n, radius, sigma = params.dim, params.core_radius, params.sigma
-    k = degree
-    f_denom = denom_F(params, k)
-    rho = radius ** (2 - n - 2 * k)
-
-    if kind is ModeKind.INNER:
-        c_coeff = (sigma - 1.0) * k * radius ** (-k + 1) / f_denom
-        return ModeProfile(
-            kind=kind,
-            degree=k,
-            inner_coeff=(1.0 - sigma) * radius ** (-k + 1) * ((n - 2 + k) * rho) / f_denom,
-            outer_sing=c_coeff,
-            outer_reg=-c_coeff,
+    n, sigma = params.dim, params.sigma
+    k, rho, r_lead, f_denom = _printed_ladder(params, kmax)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_in = (sigma - 1.0) * k * r_lead / f_denom
+        inner = (
+            (1.0 - sigma) * r_lead * ((n - 2 + k) * rho) / f_denom,
+            c_in,
+            -c_in,
         )
-    return ModeProfile(
-        kind=kind,
-        degree=k,
-        inner_coeff=(n - 2 + 2 * k) * rho / f_denom,
-        outer_sing=(1.0 - sigma) * k / f_denom,
-        outer_reg=(n - 2 + k + k * sigma) * rho / f_denom,
-    )
+        outer = (
+            (n - 2 + 2 * k) * rho / f_denom,
+            (1.0 - sigma) * k / f_denom,
+            (n - 2 + k + k * sigma) * rho / f_denom,
+        )
+        coefficients = np.stack([np.stack(inner, axis=-1), np.stack(outer, axis=-1)])
+    FloatRangeError.check(np.isfinite(coefficients).all(axis=(0, 2)))
+    coefficients.flags.writeable = False
+    return coefficients

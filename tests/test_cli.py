@@ -377,6 +377,10 @@ def test_oracle_reports_solver_failures(tmp_path, capsys, overrides, message):
             "give either preset or modes, not both",
         ),
         ([0.5, 2.0], "config must be a JSON object"),
+        (
+            {"modes": [{"degree": 2, "alpha_in": 1.0}, {"degree": 2, "order": 1}]},
+            "duplicate mode (degree 2, order 1)",
+        ),
     ],
 )
 def test_oracle_rejects_malformed_configs(tmp_path, capsys, config, message):
@@ -389,3 +393,73 @@ def test_oracle_rejects_malformed_configs(tmp_path, capsys, config, message):
     assert code == 2
     assert out == ""
     assert err == f"invalid oracle config: {message}\n"
+
+
+POINT = ["--dim", "2", "--radius", "0.5", "--sigma", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", *POINT],
+        ["spectrum", *POINT],
+        ["fidelity"],
+        ["verify", "monotonicity"],
+        ["oracle"],
+    ],
+    ids=["classify", "spectrum", "fidelity", "verify", "oracle"],
+)
+def test_unwritable_output_is_diagnosed(tmp_path, capsys, argv):
+    if argv == ["oracle"]:
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps({"radius": 0.5, "sigma": 2.0, "levels": 1,
+                        "radial_points": 16, "angular_modes": 8}),
+            encoding="utf-8",
+        )
+        argv = ["oracle", "--config", str(config)]
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, [*argv, "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot write output: ")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+# runs the command line in a process whose address space is capped at 4 GiB
+CAPPED_CLI = (
+    "import resource, runpy, sys; "
+    "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+    "sys.argv[0] = 'twophase-torsion'; "
+    "runpy.run_module('twophase_torsion.cli', run_name='__main__')"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", *POINT, "--kmax", "1000000000000000"],
+        ["spectrum", *POINT, "--kmax", "1000000000000000", "--path", "printed"],
+        ["oracle"],
+    ],
+    ids=["classify", "spectrum-printed", "oracle"],
+)
+def test_infeasible_sizes_are_diagnosed(tmp_path, argv):
+    if argv == ["oracle"]:
+        config = tmp_path / "huge.json"
+        config.write_text(
+            json.dumps({"radius": 0.5, "sigma": 2.0, "radial_points": 10**15}),
+            encoding="utf-8",
+        )
+        argv = ["oracle", "--config", str(config)]
+    paths = [str(Path(twophase_torsion.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    process = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert process.returncode == 2
+    assert process.stdout == ""
+    assert process.stderr.startswith("out of memory")
+    assert len(process.stderr.splitlines()) == 1

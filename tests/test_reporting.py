@@ -26,6 +26,8 @@ from twophase_torsion.reporting import (
 from twophase_torsion.second_variation import (
     SpectrumPath,
     assemble_spectrum,
+    discriminant,
+    printed_spectrum,
     spectrum_table,
 )
 
@@ -79,17 +81,21 @@ def test_fidelity_report_document_and_lookup(report):
 
 
 def test_spectrum_csv_layout():
-    csv_text = emit_spectrum_csv(PARAMS, 4, SpectrumPath.ASSEMBLED)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "k,e_in,e_out,e_res,delta"
-    assert len(lines) == 5
-    row = lines[2].split(",")
-    assert int(row[0]) == 2
     values = assemble_spectrum(PARAMS, 2)
-    assert float(row[1]) == values.e_in
-    assert float(row[2]) == values.e_out
-    assert float(row[3]) == values.e_res
-    assert float(row[4]) == values.discriminant
+    printed = [float(column[1]) for column in printed_spectrum(PARAMS, 4)]
+    for path, (e_in, e_out, e_res) in (
+        (SpectrumPath.ASSEMBLED, (values.e_in, values.e_out, values.e_res)),
+        (SpectrumPath.PRINTED, printed),
+    ):
+        lines = emit_spectrum_csv(PARAMS, 4, path).strip().split("\n")
+        assert lines[0] == "k,e_in,e_out,e_res,delta"
+        assert len(lines) == 5
+        row = lines[2].split(",")
+        assert int(row[0]) == 2
+        assert float(row[1]) == e_in
+        assert float(row[2]) == e_out
+        assert float(row[3]) == e_res
+        assert float(row[4]) == discriminant(e_in, e_out, e_res)
 
 
 def test_spectrum_csv_is_deterministic():

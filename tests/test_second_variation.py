@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
 from twophase_torsion.second_variation import (
     assemble_spectrum,
+    discriminant,
     factored_discriminant,
     first_variation,
     monotonicity_functions,
@@ -18,7 +19,7 @@ from twophase_torsion.second_variation import (
     total_second_variation,
 )
 from twophase_torsion.exact_state import sphere_area, traces
-from twophase_torsion.transmission import FloatRangeError, denom_F
+from twophase_torsion.transmission import FloatRangeError, closed_form_modes, denom_F
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
 
@@ -94,7 +95,7 @@ def test_spectrum_past_float_range_names_the_first_degree():
         with pytest.raises(FloatRangeError) as excinfo:
             compute()
         assert excinfo.value.degree == degree
-    assert math.isfinite(printed_spectrum(PARAMS, 502).e_in)
+    assert all(np.isfinite(column).all() for column in printed_spectrum(PARAMS, 502))
 
 
 def test_degree_one_closed_forms():
@@ -110,19 +111,105 @@ def test_degree_one_closed_forms():
 
 def test_printed_resonance_matches_assembled():
     for params in SAMPLE_PARAMS:
+        _, _, e_res = printed_spectrum(params, 12)
         for degree in (1, 2, 5, 12):
-            printed = printed_spectrum(params, degree)
             assembled = assemble_spectrum(params, degree)
-            assert printed.e_res == pytest.approx(assembled.e_res, rel=1e-12, abs=1e-15)
+            assert e_res[degree - 1] == pytest.approx(assembled.e_res, rel=1e-12, abs=1e-15)
 
 
 def test_printed_diagonal_entries_disagree_with_assembled():
     # documented discrepancy: the printed diagonal entries differ from the
     # boundary-integral assembly; they are reported verbatim, never patched
-    printed = printed_spectrum(PARAMS, 2)
+    e_in, e_out, _ = printed_spectrum(PARAMS, 2)
     assembled = assemble_spectrum(PARAMS, 2)
-    assert abs(printed.e_in - assembled.e_in) > 1e-3 * abs(assembled.e_in)
-    assert abs(printed.e_out - assembled.e_out) > 1e-3 * abs(assembled.e_out)
+    assert abs(e_in[1] - assembled.e_in) > 1e-3 * abs(assembled.e_in)
+    assert abs(e_out[1] - assembled.e_out) > 1e-3 * abs(assembled.e_out)
+
+
+# (e_in, e_out, e_res) of the per-degree printed-formula evaluation that the
+# printed ladder replaced, to 17 significant digits
+REFERENCE_PRINTED = [
+    (ProblemParams(2, 0.5, 2.0), 2,
+     (-0.1702127659574468, -0.042553191489361701, 0.1702127659574468)),
+    (ProblemParams(3, 0.2, 10.0), 50,
+     (-0.071442468239564461, -10.444444444444441, 1.6510474133009849e-35)),
+    (ProblemParams(4, 0.8, 0.1), 13,
+     (-3.1196009624345593, -1.1201473007471718, -0.14123213631182874)),
+    (ProblemParams(2, 0.5, 2.0), 502, (-10.583333333333334, -250.0, 1.2779817120640014e-149)),
+    (ProblemParams(5, 0.35, 0.5), 1,
+     (0.0019139944104459591, 0.32023329441044601, -0.00046658882089191888)),
+]
+
+
+@pytest.mark.parametrize("params, degree, expected", REFERENCE_PRINTED)
+def test_printed_spectrum_matches_pinned_values(params, degree, expected):
+    for kmax in (degree, max(degree, 60)):
+        columns = printed_spectrum(params, kmax)
+        assert tuple(float(column[degree - 1]) for column in columns) == expected
+        assert not any(column.flags.writeable for column in columns)
+
+
+def scalar_printed_forms(params, k):
+    """The printed closed forms of one degree in Python float arithmetic,
+    as the per-degree evaluation computed them: (e_in, e_out, e_res) and the
+    (B, C, D) of the Inner and Outer kinds."""
+    n, radius, sigma = params.dim, params.core_radius, params.sigma
+    rho = radius ** (2 - n - 2 * k)
+    r_lead = radius ** (1 - k)
+    f_denom = n * (n - 2 + k + k * sigma) * rho + k * n * (1.0 - sigma)
+    e_in = (
+        (2.0 * radius**n / n)
+        * ((1.0 - sigma) / sigma)
+        * (f_denom - k * (k * (1.0 - sigma) + (n - 2 + k) * (1.0 - sigma) * rho))
+        / f_denom
+    )
+    e_out = (
+        (2.0 / n)
+        * (f_denom - k * ((-n + 2 - k) * (1.0 - sigma) + (n - 2 + k + k * sigma) * rho))
+        / f_denom
+    )
+    e_res = (4.0 * (sigma - 1.0) * r_lead / n) * ((n - 2) * k + 2 * k * k) / f_denom
+    c_in = (sigma - 1.0) * k * r_lead / f_denom
+    inner = ((1.0 - sigma) * r_lead * ((n - 2 + k) * rho) / f_denom, c_in, -c_in)
+    outer = (
+        (n - 2 + 2 * k) * rho / f_denom,
+        (1.0 - sigma) * k / f_denom,
+        (n - 2 + k + k * sigma) * rho / f_denom,
+    )
+    return (e_in, e_out, e_res), (inner, outer)
+
+
+@pytest.mark.parametrize("params", SAMPLE_PARAMS + [ProblemParams(6, 0.95, 0.05)])
+def test_printed_ladders_equal_the_scalar_forms(params):
+    spectrum = np.stack(printed_spectrum(params, 60), axis=1).tolist()
+    modes = closed_form_modes(params, 60).tolist()
+    for k in range(1, 61):
+        values, (inner, outer) = scalar_printed_forms(params, k)
+        assert tuple(spectrum[k - 1]) == values
+        assert (tuple(modes[0][k - 1]), tuple(modes[1][k - 1])) == (inner, outer)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(2, 6),
+    radius=st.floats(0.05, 0.95),
+    log_sigma=st.floats(math.log(0.05), math.log(20.0)),
+    kmax=st.integers(1, 60),
+    data=st.data(),
+)
+def test_every_ladder_row_is_the_same_at_any_kmax(dim, radius, log_sigma, kmax, data):
+    params = ProblemParams(dim, radius, math.exp(log_sigma))
+    degree = data.draw(st.integers(1, kmax), label="degree")
+    other = data.draw(st.integers(degree, 60), label="other kmax")
+    index = degree - 1
+
+    def row(kmax):
+        table = spectrum_table(params, kmax)
+        columns = (table.e_in, table.e_out, table.e_res, *printed_spectrum(params, kmax))
+        values = [column[index] for column in columns]
+        return [value.tobytes() for value in values + [closed_form_modes(params, kmax)[:, index]]]
+
+    assert row(kmax) == row(other)
 
 
 def test_spectrum_rejects_degree_zero():
@@ -168,19 +255,22 @@ def test_total_second_variation_rejects_modes_past_the_table():
 
 def test_resonance_analysis_consistency():
     for params in SAMPLE_PARAMS:
+        table = spectrum_table(params, 5)
+        columns = (table.e_in, table.e_out, table.e_res)
+        delta = discriminant(*columns)
         for degree in (1, 2, 5):
             values = assemble_spectrum(params, degree)
-            assert values.discriminant == pytest.approx(
+            scalar = discriminant(values.e_in, values.e_out, values.e_res)
+            assert scalar == pytest.approx(
                 values.e_res**2 - 4.0 * values.e_in * values.e_out, rel=1e-14
             )
-            q_at_one = values.q_value(1.0)
-            assert q_at_one == pytest.approx(
-                values.e_in + values.e_out + values.e_res, rel=1e-13, abs=1e-15
-            )
-            ratios = np.array([-2.0, 0.5, 3.0])
-            assert values.q_value(ratios) == pytest.approx(
-                [values.q_value(float(t)) for t in ratios], rel=1e-15
-            )
+            # elementwise over the columns, bitwise the scalar value
+            assert delta[degree - 1] == scalar
+
+
+def test_discriminant_overflows_to_inf_without_a_warning():
+    # the test suite turns warnings into errors
+    assert discriminant(np.array([1.0]), np.array([-1.0]), np.array([1e200]))[0] == math.inf
 
 
 def test_factored_discriminant_tracks_the_assembled_discriminant():
@@ -191,7 +281,7 @@ def test_factored_discriminant_tracks_the_assembled_discriminant():
                 values.e_res**2, abs(4.0 * values.e_in * values.e_out), 1e-30
             )
             assert factored_discriminant(params, degree) == pytest.approx(
-                values.discriminant, abs=1e-10 * scale
+                discriminant(values.e_in, values.e_out, values.e_res), abs=1e-10 * scale
             )
 
 
