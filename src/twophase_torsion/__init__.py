@@ -51,7 +51,6 @@ from .second_variation import (
     discriminant,
     factored_discriminant,
     first_variation,
-    g_factor,
     monotonicity_functions,
     printed_spectrum,
     spectrum_table,
@@ -109,7 +108,6 @@ __all__ = [
     "factored_discriminant",
     "family_from_config",
     "first_variation",
-    "g_factor",
     "monotonicity_functions",
     "multiplicity",
     "presets",

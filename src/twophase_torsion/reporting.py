@@ -46,6 +46,7 @@ from .transmission import (
     KINDS,
     RESIDUAL_TOL,
     TransmissionSolveError,
+    _denominator,
     closed_form_modes,
     denom_F,
 )
@@ -271,21 +272,20 @@ def transmission_residuals() -> CheckResult:
 def denominator_positivity() -> CheckResult:
     """2. F > 0 on the grid and on random parameter samples."""
     failures = [
-        f"{params}, k={degree}"
+        f"{params}, k={index + 1}"
         for params in grid_params()
-        for degree in GRID_DEGREES
-        if not denom_F(params, degree) > 0.0
+        for index in np.flatnonzero(~(denom_F(params, GRID_KMAX) > 0.0)).tolist()
     ]
     rng = np.random.default_rng(RANDOM_SEED)
-    for _ in range(RANDOM_SAMPLES):
-        params = ProblemParams(
-            dim=int(rng.integers(2, 7)),
-            core_radius=float(rng.uniform(0.05, 0.95)),
-            sigma=float(np.exp(rng.uniform(np.log(0.05), np.log(20.0)))),
-        )
-        degree = int(rng.integers(1, 51))
-        if not denom_F(params, degree) > 0.0:
-            failures.append(f"{params}, k={degree}")
+    dims = rng.integers(2, 7, size=RANDOM_SAMPLES)
+    radii = rng.uniform(0.05, 0.95, size=RANDOM_SAMPLES)
+    sigmas = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=RANDOM_SAMPLES))
+    degrees = rng.integers(1, 51, size=RANDOM_SAMPLES)
+    f_denom = _denominator(dims, sigmas, degrees, np.power(radii, 2 - dims - 2 * degrees))
+    failures += [
+        f"{ProblemParams(int(dims[i]), float(radii[i]), float(sigmas[i]))}, k={degrees[i]}"
+        for i in np.flatnonzero(~(f_denom > 0.0)).tolist()
+    ]
     return _result(
         f"denominator F positive on grid and {RANDOM_SAMPLES} random samples",
         failures,
@@ -376,13 +376,12 @@ def proof_function_negativity() -> CheckResult:
     combos = [(dim, float(radius)) for dim in PROOF_DIMS for radius in PROOF_RADII]
     failures = []
     for dim, radius in combos:
-        params = ProblemParams(dim, radius, 1.0)
-        for x in PROOF_POINTS:
-            a, b, c = monotonicity_functions(params, float(x))
-            if not (a < 0.0 and b < 0.0 and c < 0.0):
-                failures.append(
-                    f"N={dim}, R={radius:.3f}, x={x:.4g}: ({a:.3e},{b:.3e},{c:.3e})"
-                )
+        a, b, c = monotonicity_functions(ProblemParams(dim, radius, 1.0), PROOF_POINTS)
+        failures += [
+            f"N={dim}, R={radius:.3f}, x={PROOF_POINTS[i]:.4g}: "
+            f"({a[i]:.3e},{b[i]:.3e},{c[i]:.3e})"
+            for i in np.flatnonzero(~((a < 0.0) & (b < 0.0) & (c < 0.0))).tolist()
+        ]
     return _result(
         f"a, b, c strictly negative on {len(combos)} (N,R) combinations "
         f"x {len(PROOF_POINTS)} points",

@@ -28,8 +28,9 @@ report and the printed path of the CSV emitter (`SpectrumPath`).
 
 Also provided: the discriminant delta of the resonance quadratic
 Q(t) = e_in t^2 + e_res t + e_out, elementwise over such columns, and its
-closed-form factorization, the proof functions a, b, c certifying monotone
-decrease of the spectrum, and the first variation.
+closed-form factorization over the same ladder, the proof functions a, b, c
+certifying monotone decrease of the spectrum, elementwise in x, and the
+first variation.
 """
 
 from __future__ import annotations
@@ -43,13 +44,7 @@ import numpy as np
 
 from .exact_state import sphere_area, traces
 from .params import ModeIndex, PerturbationSpec, ProblemParams
-from .transmission import (
-    FloatRangeError,
-    ModeTable,
-    _printed_ladder,
-    denom_F,
-    solve_modes,
-)
+from .transmission import FloatRangeError, ModeTable, _printed_ladder, solve_modes
 
 
 class SpectrumPath(enum.Enum):
@@ -199,34 +194,33 @@ def total_second_variation(spec: PerturbationSpec, table: SpectrumTable) -> floa
     return total
 
 
-def g_factor(params: ProblemParams, degree: int) -> float:
-    """G = (sigma-1) k (N-1+k)(R^{2-N-2k} - 1) + (N-2+2k) R^{2-N-2k}."""
-    n, radius, sigma = params.dim, params.core_radius, params.sigma
-    k = degree
-    rho = radius ** (2 - n - 2 * k)
-    return (sigma - 1.0) * k * (n - 1 + k) * (rho - 1.0) + (n - 2 + 2 * k) * rho
-
-
-def factored_discriminant(params: ProblemParams, degree: int) -> float:
-    """Closed-form factorization of the discriminant of Q:
+def factored_discriminant(params: ProblemParams, kmax: int) -> np.ndarray:
+    """Closed-form factorization of the discriminant of Q over degrees 1..kmax:
 
     Delta = -16 (sigma-1)(k-1) R^N / (sigma N^2 F^2)
-            * (sigma k (R^{2-N-2k} - 1) + (N-2+k) R^{2-N-2k} + k) * G.
+            * (sigma k (rho - 1) + (N-2+k) rho + k) * G,
+    G     = (sigma-1) k (N-1+k)(rho - 1) + (N-2+2k) rho,   rho = R^{2-N-2k}.
+
+    Returns a read-only column indexed by degree - 1; raises FloatRangeError
+    at the first degree whose value leaves the float range.
     """
+    k, rho, _, f_denom = _printed_ladder(params, kmax)
     n, radius, sigma = params.dim, params.core_radius, params.sigma
-    k = degree
-    rho = radius ** (2 - n - 2 * k)
-    f_denom = denom_F(params, k)
-    bracket = sigma * k * (rho - 1.0) + (n - 2 + k) * rho + k
-    prefactor = -16.0 * (sigma - 1.0) * (k - 1) * radius**n / (
-        sigma * n * n * f_denom * f_denom
-    )
-    return prefactor * bracket * g_factor(params, degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = sigma * k * (rho - 1.0) + (n - 2 + k) * rho + k
+        g = (sigma - 1.0) * k * (n - 1 + k) * (rho - 1.0) + (n - 2 + 2 * k) * rho
+        prefactor = -16.0 * (sigma - 1.0) * (k - 1) * radius**n / (
+            sigma * n * n * f_denom * f_denom
+        )
+        delta = prefactor * bracket * g
+    FloatRangeError.check(np.isfinite(delta))
+    delta.flags.writeable = False
+    return delta
 
 
 def monotonicity_functions(
-    params: ProblemParams, x: float
-) -> tuple[float, float, float]:
+    params: ProblemParams, x
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The proof functions a, b, c certifying strict decrease of the spectrum.
 
     With L = 1/R, lambda = log L, M = N-2, P = L^{2x+M}:
@@ -236,27 +230,30 @@ def monotonicity_functions(
         c(x) = P^{-1} - P + 2 lambda (M + 2x)
 
     All three are strictly negative for x > 0, which forces the spectrum to
-    decrease in the degree.
+    decrease in the degree.  Elementwise in x; where P leaves the float
+    range the values are -inf, their limit.
     """
-    if not x > 0.0:
+    x = np.asarray(x, dtype=float)
+    if not (x > 0.0).all():
         raise ValueError("x must be positive")
     big_l = 1.0 / params.core_radius
     lam = math.log(big_l)
     m = params.dim - 2
-    p = big_l ** (2.0 * x + m)
-    a = (
-        x * x / p
-        + m * (2.0 * x + m)
-        - (x + m) ** 2 * p
-        - 2.0 * lam * (2.0 * x**3 + 3.0 * m * x * x + m * m * x)
-    )
-    b = (
-        -2.0 * x * x / p
-        - m * (2.0 * x + m)
-        - 2.0 * (m * x + x * x) * p
-        + 2.0 * lam * m * (m * x + 2.0 * x * x)
-    )
-    c = 1.0 / p - p + 2.0 * lam * (m + 2.0 * x)
+    with np.errstate(over="ignore"):
+        p = np.power(big_l, 2.0 * x + m)
+        a = (
+            x * x / p
+            + m * (2.0 * x + m)
+            - (x + m) ** 2 * p
+            - 2.0 * lam * (2.0 * x**3 + 3.0 * m * x * x + m * m * x)
+        )
+        b = (
+            -2.0 * x * x / p
+            - m * (2.0 * x + m)
+            - 2.0 * (m * x + x * x) * p
+            + 2.0 * lam * m * (m * x + 2.0 * x * x)
+        )
+        c = 1.0 / p - p + 2.0 * lam * (m + 2.0 * x)
     return a, b, c
 
 

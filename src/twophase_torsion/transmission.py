@@ -84,18 +84,8 @@ def _scalar_powers(base: float, exponents: Iterable[int]) -> np.ndarray:
 
 def _denominator(n: int, sigma: float, k, rho):
     """F = N(N-2+k+k sigma) rho + kN(1-sigma) with rho = R^{2-N-2k},
-    elementwise in k."""
+    elementwise in every argument."""
     return n * (n - 2 + k + k * sigma) * rho + k * n * (1.0 - sigma)
-
-
-def denom_F(params: ProblemParams, degree: int) -> float:
-    """Common denominator F = N(N-2+k+k sigma)R^{2-N-2k} + kN(1-sigma) > 0."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    n = params.dim
-    return _denominator(
-        n, params.sigma, degree, params.core_radius ** (2 - n - 2 * degree)
-    )
 
 
 def _printed_ladder(
@@ -115,6 +105,16 @@ def _printed_ladder(
     with np.errstate(over="ignore", invalid="ignore"):
         f_denom = _denominator(n, params.sigma, degrees, rho)
     return degrees, rho, r_lead, f_denom
+
+
+def denom_F(params: ProblemParams, kmax: int) -> np.ndarray:
+    """The common denominator F = N(N-2+k+k sigma)R^{2-N-2k} + kN(1-sigma) > 0
+    of degrees 1..kmax, as a read-only column indexed by degree - 1.  Raises
+    FloatRangeError at the first degree that leaves the float range."""
+    f_denom = _printed_ladder(params, kmax)[3]
+    FloatRangeError.check(np.isfinite(f_denom))
+    f_denom.flags.writeable = False
+    return f_denom
 
 
 @dataclass(frozen=True, eq=False)

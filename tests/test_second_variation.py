@@ -90,6 +90,9 @@ def test_spectrum_past_float_range_names_the_first_degree():
         (lambda: spectrum_table(ProblemParams(4, 0.05, 2.0), 300), 234),
         # 1/sigma leaves float range: the interface jump of d_n u is infinite
         (lambda: spectrum_table(ProblemParams(2, 0.5, 1e-320), 5), 1),
+        (lambda: denom_F(PARAMS, 600), 507),
+        # F^2 left float range first, so the prefactor is 0; G then overflows: 0 * inf
+        (lambda: factored_discriminant(PARAMS, 600), 504),
     ]
     for compute, degree in cases:
         with pytest.raises(FloatRangeError) as excinfo:
@@ -102,7 +105,7 @@ def test_degree_one_closed_forms():
     # e_in(1) = e_out(1) = 2(1-sigma)/F(1) and e_res(1) = 4(sigma-1)/F(1)
     for params in SAMPLE_PARAMS:
         values = assemble_spectrum(params, 1)
-        f1 = denom_F(params, 1)
+        f1 = denom_F(params, 1)[0]
         expected = 2.0 * (1.0 - params.sigma) / f1
         assert values.e_in == pytest.approx(expected, rel=1e-12, abs=1e-15)
         assert values.e_out == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -151,8 +154,8 @@ def test_printed_spectrum_matches_pinned_values(params, degree, expected):
 
 def scalar_printed_forms(params, k):
     """The printed closed forms of one degree in Python float arithmetic,
-    as the per-degree evaluation computed them: (e_in, e_out, e_res) and the
-    (B, C, D) of the Inner and Outer kinds."""
+    as the per-degree evaluation computed them: (e_in, e_out, e_res), the
+    (B, C, D) of the Inner and Outer kinds, and (F, factored Delta)."""
     n, radius, sigma = params.dim, params.core_radius, params.sigma
     rho = radius ** (2 - n - 2 * k)
     r_lead = radius ** (1 - k)
@@ -176,17 +179,26 @@ def scalar_printed_forms(params, k):
         (1.0 - sigma) * k / f_denom,
         (n - 2 + k + k * sigma) * rho / f_denom,
     )
-    return (e_in, e_out, e_res), (inner, outer)
+    bracket = sigma * k * (rho - 1.0) + (n - 2 + k) * rho + k
+    g = (sigma - 1.0) * k * (n - 1 + k) * (rho - 1.0) + (n - 2 + 2 * k) * rho
+    delta = (
+        -16.0 * (sigma - 1.0) * (k - 1) * radius**n / (sigma * n * n * f_denom * f_denom)
+        * bracket
+        * g
+    )
+    return (e_in, e_out, e_res), (inner, outer), (f_denom, delta)
 
 
 @pytest.mark.parametrize("params", SAMPLE_PARAMS + [ProblemParams(6, 0.95, 0.05)])
 def test_printed_ladders_equal_the_scalar_forms(params):
     spectrum = np.stack(printed_spectrum(params, 60), axis=1).tolist()
     modes = closed_form_modes(params, 60).tolist()
+    closed_forms = np.stack([denom_F(params, 60), factored_discriminant(params, 60)], axis=1)
     for k in range(1, 61):
-        values, (inner, outer) = scalar_printed_forms(params, k)
+        values, (inner, outer), scalars = scalar_printed_forms(params, k)
         assert tuple(spectrum[k - 1]) == values
         assert (tuple(modes[0][k - 1]), tuple(modes[1][k - 1])) == (inner, outer)
+        assert closed_forms[k - 1].tobytes() == np.array(scalars).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -205,7 +217,14 @@ def test_every_ladder_row_is_the_same_at_any_kmax(dim, radius, log_sigma, kmax, 
 
     def row(kmax):
         table = spectrum_table(params, kmax)
-        columns = (table.e_in, table.e_out, table.e_res, *printed_spectrum(params, kmax))
+        columns = (
+            table.e_in,
+            table.e_out,
+            table.e_res,
+            *printed_spectrum(params, kmax),
+            denom_F(params, kmax),
+            factored_discriminant(params, kmax),
+        )
         values = [column[index] for column in columns]
         return [value.tobytes() for value in values + [closed_form_modes(params, kmax)[:, index]]]
 
@@ -275,25 +294,37 @@ def test_discriminant_overflows_to_inf_without_a_warning():
 
 def test_factored_discriminant_tracks_the_assembled_discriminant():
     for params in SAMPLE_PARAMS:
-        for degree in (1, 2, 3, 7, 20):
-            values = assemble_spectrum(params, degree)
-            scale = max(
-                values.e_res**2, abs(4.0 * values.e_in * values.e_out), 1e-30
-            )
-            assert factored_discriminant(params, degree) == pytest.approx(
-                discriminant(values.e_in, values.e_out, values.e_res), abs=1e-10 * scale
-            )
+        table = spectrum_table(params, 20)
+        assembled = discriminant(table.e_in, table.e_out, table.e_res)
+        scale = np.maximum(
+            np.maximum(table.e_res**2, np.abs(4.0 * table.e_in * table.e_out)), 1e-30
+        )
+        factored = factored_discriminant(params, 20)
+        assert (np.abs(factored - assembled) <= 1e-10 * scale).all()
+        assert not factored.flags.writeable
 
 
 def test_monotonicity_functions_negative_on_samples():
+    xs = np.array([1e-3, 0.5, 1.0, 7.0, 50.0])
     for dim in (2, 3, 5):
         for radius in (0.2, 0.5, 0.9):
             params = ProblemParams(dim, radius, 1.0)
-            for x in (1e-3, 0.5, 1.0, 7.0, 50.0):
-                a, b, c = monotonicity_functions(params, x)
-                assert a < 0.0
-                assert b < 0.0
-                assert c < 0.0
+            columns = monotonicity_functions(params, xs)
+            for column in columns:
+                assert column.shape == xs.shape
+                assert (column < 0.0).all()
+            # elementwise: each entry is the value at its own x, up to the
+            # ulp by which a vectorised pow may differ from a scalar one
+            for i, x in enumerate(xs):
+                assert monotonicity_functions(params, x) == pytest.approx(
+                    tuple(column[i] for column in columns), rel=1e-12, abs=1e-15
+                )
+
+
+def test_monotonicity_functions_overflow_to_their_limit_without_a_warning():
+    # P = L^{2x+M} leaves float range; the test suite turns warnings into errors
+    values = monotonicity_functions(ProblemParams(2, 1e-300, 1.0), 50.0)
+    assert values == (-math.inf, -math.inf, -math.inf)
 
 
 def test_monotonicity_functions_planar_reduction():
@@ -315,6 +346,8 @@ def test_monotonicity_functions_reject_nonpositive_x():
         monotonicity_functions(params, 0.0)
     with pytest.raises(ValueError):
         monotonicity_functions(params, -1.0)
+    with pytest.raises(ValueError, match="^x must be positive$"):
+        monotonicity_functions(params, np.array([1.0, 0.0]))
 
 
 def test_first_variation_vanishes_without_mean_modes():

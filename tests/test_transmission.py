@@ -61,9 +61,11 @@ def backward_errors(
 
 
 def test_denom_f_reference_values():
-    assert denom_F(ProblemParams(2, 0.5, 1.0), 1) == pytest.approx(16.0, rel=1e-15)
-    assert denom_F(ProblemParams(3, 0.5, 2.0), 1) == pytest.approx(93.0, rel=1e-15)
-    assert denom_F(ProblemParams(2, 0.9, 10.0), 5) > 0.0
+    assert denom_F(ProblemParams(2, 0.5, 1.0), 1)[0] == pytest.approx(16.0, rel=1e-15)
+    assert denom_F(ProblemParams(3, 0.5, 2.0), 1)[0] == pytest.approx(93.0, rel=1e-15)
+    column = denom_F(ProblemParams(2, 0.9, 10.0), 5)
+    assert column.shape == (5,) and (column > 0.0).all()
+    assert not column.flags.writeable
 
 
 def test_denom_f_rejects_degree_zero():
