@@ -20,7 +20,6 @@ from .params import (
     validate,
 )
 from .pde_oracle import (
-    AngularProfile,
     InterfaceOrderingError,
     OracleRun,
     PerturbedDomainFamily,
@@ -70,7 +69,6 @@ from .transmission import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularProfile",
     "Channel",
     "CheckResult",
     "Classification",

@@ -105,9 +105,10 @@ class ValidationVerdict:
 class PerturbationSpec:
     """Sparse map of harmonic modes to (alpha_in, alpha_out) coefficients.
 
-    Unspecified modes have coefficient zero.  Degree-0 entries are rejected
-    unless allow_mean is set; they exist solely so the first variation can be
-    exercised on non-volume-preserving perturbations.
+    Unspecified modes have coefficient zero, and every coefficient must be
+    finite.  Degree-0 entries are rejected unless allow_mean is set; they
+    exist solely so the first variation can be exercised on
+    non-volume-preserving perturbations.
     """
 
     modes: Mapping[ModeIndex, tuple[float, float]] = field(default_factory=dict)
@@ -125,6 +126,9 @@ class PerturbationSpec:
                     "construct with allow_mean=True to represent them"
                 )
             frozen[index] = (float(alpha_in), float(alpha_out))
+            for name, value in zip(("alpha_in", "alpha_out"), frozen[index]):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "modes", frozen)
 
     def coefficients(self, index: ModeIndex) -> tuple[float, float]:

@@ -41,7 +41,10 @@ module's names for the LAPACK pttrf and pttrs bindings, kept because the
 benchmark's tracer (bench/spans.py) times and counts the calls through those
 two module attributes.
 
-The perturbation family
+The perturbation family reads its normal speeds g of the interface and of
+the outer boundary from a PerturbationSpec, the package's one description of
+a perturbation: alpha_in and alpha_out per circular harmonic (_normal_speeds).
+For mean-free g the family
 
     rho(theta, t)^2 = rho_0^2 + 2 rho_0 t g(theta) + t^2 (g^2 - mean(g^2))
 
@@ -77,107 +80,80 @@ class SolveError(RuntimeError):
     """The discrete system could not be solved."""
 
 
-@dataclass(frozen=True)
-class AngularProfile:
-    """Finite real-Fourier series g(theta) = sum coeff * Y_{k,i}(theta).
+def _normal_speeds(
+    spec: PerturbationSpec, theta: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(g, g') of the interface and (g, g') of the outer boundary on theta.
 
-    Basis: 1/sqrt(2 pi) for degree 0, cos(k theta)/sqrt(pi) for order 1,
-    sin(k theta)/sqrt(pi) for order 2 (orthonormal on the circle).
+    g = sum alpha Y_{k,i} over the spec's nonzero coefficients, in the
+    circle's orthonormal basis: 1/sqrt(2 pi) for degree 0, cos(k theta)/sqrt(pi)
+    for order 1 and sin(k theta)/sqrt(pi) for order 2.
     """
-
-    terms: tuple[tuple[int, int, float], ...] = ()
-
-    def evaluate(self, theta: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(theta)
-        for degree, order, coeff in self.terms:
+    g_in, dg_in, g_out, dg_out = (np.zeros_like(theta) for _ in range(4))
+    for index, pair in spec.sorted_items():
+        degree = index.degree
+        for coeff, g, dg in zip(pair, (g_in, g_out), (dg_in, dg_out)):
+            if coeff == 0.0:
+                continue
             if degree == 0:
                 g += coeff / math.sqrt(2.0 * math.pi)
-            elif order == 1:
+            elif index.order == 1:
                 g += coeff * np.cos(degree * theta) / math.sqrt(math.pi)
-            else:
-                g += coeff * np.sin(degree * theta) / math.sqrt(math.pi)
-        return g
-
-    def derivative(self, theta: np.ndarray) -> np.ndarray:
-        dg = np.zeros_like(theta)
-        for degree, order, coeff in self.terms:
-            if degree == 0:
-                continue
-            if order == 1:
                 dg += -coeff * degree * np.sin(degree * theta) / math.sqrt(math.pi)
             else:
+                g += coeff * np.sin(degree * theta) / math.sqrt(math.pi)
                 dg += coeff * degree * np.cos(degree * theta) / math.sqrt(math.pi)
-        return dg
-
-    def mean_square(self) -> float:
-        """Exact circle average of g^2 (the basis is orthonormal)."""
-        return sum(coeff * coeff for _, _, coeff in self.terms) / (2.0 * math.pi)
-
-    def max_degree(self) -> int:
-        return max((degree for degree, _, _ in self.terms), default=0)
+    return (g_in, dg_in), (g_out, dg_out)
 
 
 @dataclass(frozen=True)
 class PerturbedDomainFamily:
     """Two-phase disk family with exactly area-preserving boundary motion.
 
-    inner_shape and outer_shape are the first-order normal speeds g_D, g_Omega
-    of the interface and the outer boundary.  With exact_area (the default)
-    the radii follow the quadratic-in-t correction that freezes both enclosed
-    areas; with exact_area=False the radii move linearly, rho_0 + t g, which
-    is only first-order volume preserving and exists to probe the first
-    variation of non-volume-preserving motions.
+    The spec's alpha_in and alpha_out give the first-order normal speeds
+    g_D, g_Omega of the interface and the outer boundary; every mode's order
+    must exist on the circle.  With exact_area (the default) the radii
+    follow the quadratic-in-t correction that freezes both enclosed areas,
+    which holds for mean-free speeds only, so a nonzero degree-0 mode is
+    rejected; with exact_area=False the radii move linearly, rho_0 + t g,
+    which is only first-order volume preserving and exists to probe the
+    first variation of non-volume-preserving motions.
     """
 
     params: ProblemParams
-    inner_shape: AngularProfile
-    outer_shape: AngularProfile
+    spec: PerturbationSpec
     t: float = 0.0
     exact_area: bool = True
 
     def __post_init__(self) -> None:
+        for index in self.spec.modes:
+            index.check_order(2)
         if self.params.dim != 2:
             raise ValueError("the PDE oracle is restricted to dim = 2")
-
-    @classmethod
-    def from_spec(
-        cls,
-        params: ProblemParams,
-        spec: PerturbationSpec,
-        t: float = 0.0,
-        exact_area: bool = True,
-    ) -> "PerturbedDomainFamily":
-        inner_terms = []
-        outer_terms = []
-        for index, (alpha_in, alpha_out) in spec.sorted_items():
-            index.check_order(2)
-            if alpha_in != 0.0:
-                inner_terms.append((index.degree, index.order, alpha_in))
-            if alpha_out != 0.0:
-                outer_terms.append((index.degree, index.order, alpha_out))
-        return cls(
-            params=params,
-            inner_shape=AngularProfile(tuple(inner_terms)),
-            outer_shape=AngularProfile(tuple(outer_terms)),
-            t=t,
-            exact_area=exact_area,
-        )
+        if self.exact_area and self.spec.coefficients(ModeIndex(0, 1)) != (0.0, 0.0):
+            raise ValueError(
+                "exact_area needs modes of degree >= 1; "
+                "set exact_area to false for degree-0 modes"
+            )
 
     def at(self, t: float) -> "PerturbedDomainFamily":
         return replace(self, t=t)
 
     def _radius(
-        self, base: float, shape: AngularProfile, theta: np.ndarray
+        self, base: float, side: int, g: np.ndarray, dg: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Radius rho(theta) and its theta-derivative at amplitude self.t."""
-        g = shape.evaluate(theta)
-        dg = shape.derivative(theta)
+        """Radius rho(theta) and its theta-derivative at amplitude self.t of
+        the boundary at radius base, whose coefficients are alpha[side]."""
         if not self.exact_area:
             return base + self.t * g, self.t * dg
+        # the circle average of g^2: the basis is orthonormal
+        mean_square = sum(
+            pair[side] * pair[side] for _, pair in self.spec.sorted_items()
+        ) / (2.0 * math.pi)
         rho_sq = (
             base * base
             + 2.0 * base * self.t * g
-            + self.t * self.t * (g * g - shape.mean_square())
+            + self.t * self.t * (g * g - mean_square)
         )
         if np.any(rho_sq <= 0.0):
             raise InterfaceOrderingError("perturbed radius collapsed to zero")
@@ -189,8 +165,9 @@ class PerturbedDomainFamily:
         self, theta: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(rho_D, rho_D', rho_Omega, rho_Omega') on the angular grid."""
-        rho_in, drho_in = self._radius(self.params.core_radius, self.inner_shape, theta)
-        rho_out, drho_out = self._radius(1.0, self.outer_shape, theta)
+        inner, outer = _normal_speeds(self.spec, theta)
+        rho_in, drho_in = self._radius(self.params.core_radius, 0, *inner)
+        rho_out, drho_out = self._radius(1.0, 1, *outer)
         if np.any(rho_in <= 0.0) or np.any(rho_in >= rho_out):
             raise InterfaceOrderingError(
                 "interface ordering 0 < rho_D < rho_Omega violated"
@@ -198,7 +175,9 @@ class PerturbedDomainFamily:
         return rho_in, drho_in, rho_out, drho_out
 
     def max_degree(self) -> int:
-        return max(self.inner_shape.max_degree(), self.outer_shape.max_degree())
+        """The largest degree with a nonzero coefficient, 0 if there is none."""
+        nonzero = (index.degree for index, pair in self.spec.modes.items() if any(pair))
+        return max(nonzero, default=0)
 
 
 def angular_operator(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -396,14 +375,20 @@ class OracleRun:
         return self.energies[self.t_samples.index(t)]
 
     def to_document(self) -> dict:
+        items = self.family.spec.sorted_items()
+        # each boundary's nonzero coefficients as [degree, order, alpha]
+        inner, outer = (
+            [[index.degree, index.order, pair[side]] for index, pair in items if pair[side]]
+            for side in (0, 1)
+        )
         return {
             "params": {
                 "dim": self.family.params.dim,
                 "radius": self.family.params.core_radius,
                 "sigma": self.family.params.sigma,
             },
-            "inner_shape": [list(term) for term in self.family.inner_shape.terms],
-            "outer_shape": [list(term) for term in self.family.outer_shape.terms],
+            "inner_shape": inner,
+            "outer_shape": outer,
             "exact_area": self.family.exact_area,
             "radial_points": self.radial_points,
             "angular_modes": self.angular_modes,
@@ -578,7 +563,7 @@ def family_from_config(config: dict) -> PerturbedDomainFamily:
                 _field(record, "alpha_out", float, 0.0),
             )
         spec = PerturbationSpec(modes=modes, allow_mean=allow_mean)
-    return PerturbedDomainFamily.from_spec(
+    return PerturbedDomainFamily(
         params, spec, exact_area=_field(config, "exact_area", bool, True)
     )
 

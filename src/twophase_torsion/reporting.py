@@ -447,11 +447,11 @@ def oracle_runs() -> OracleRuns:
     """The oracle runs of criteria 9-12 on the default grid, computed once."""
 
     def run(params: ProblemParams, spec: PerturbationSpec) -> OracleRun:
-        return differentiate_energy(PerturbedDomainFamily.from_spec(params, spec))
+        return differentiate_energy(PerturbedDomainFamily(params, spec))
 
     baseline = {}
     for params in BASELINE_PARAMS:
-        family = PerturbedDomainFamily.from_spec(params, PerturbationSpec({}))
+        family = PerturbedDomainFamily(params, PerturbationSpec({}))
         baseline[params] = (
             solve_energy(family),
             solve_energy(family, DEFAULT_RADIAL_POINTS // 2),

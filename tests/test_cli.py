@@ -268,6 +268,26 @@ def test_oracle_accepts_presets(tmp_path, capsys):
     assert document["outer_shape"] == [[5, 1, 1.0]]
 
 
+def test_oracle_skips_modes_with_zero_coefficients(tmp_path, capsys):
+    # a degree-40 record with both coefficients zero moves neither boundary,
+    # so 16 angular modes, which resolve degrees below 8 only, suffice
+    config = {
+        "radius": 0.5,
+        "sigma": 2.0,
+        "modes": [{"degree": 40, "alpha_in": 0.0, "alpha_out": 0.0}],
+        "levels": 1,
+        "radial_points": 32,
+        "angular_modes": 16,
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["oracle", "--config", str(path)])
+    assert code == 0
+    document = json.loads(out)
+    assert document["inner_shape"] == document["outer_shape"] == []
+    assert len(set(document["energies"])) == 1
+
+
 def test_oracle_rejects_unknown_preset(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"preset": "case-vi", "radius": 0.5, "sigma": 1.0}))
@@ -320,6 +340,11 @@ def test_non_finite_parameters_are_rejected(tmp_path, capsys):
         ('"sigma": Infinity', "sigma must be finite"),
         ('"sigma": 2.0, "t0": Infinity', "t0 must be finite"),
         ('"sigma": 2.0, "t0": NaN', "t0 must be finite"),
+        ('"sigma": 2.0, "modes": [{"degree": 2, "alpha_in": NaN}]', "alpha_in must be finite"),
+        (
+            '"sigma": 2.0, "modes": [{"degree": 2, "alpha_out": Infinity}]',
+            "alpha_out must be finite",
+        ),
     ):
         path.write_text(f'{{"radius": 0.5, {entries}}}', encoding="utf-8")
         code, _, err = run_cli(capsys, ["oracle", "--config", str(path)])
@@ -380,6 +405,12 @@ def test_oracle_reports_solver_failures(tmp_path, capsys, overrides, message):
         (
             {"modes": [{"degree": 2, "alpha_in": 1.0}, {"degree": 2, "order": 1}]},
             "duplicate mode (degree 2, order 1)",
+        ),
+        # the area-preserving family holds for mean-free normal speeds only
+        (
+            {"allow_mean": True, "modes": [{"degree": 0, "alpha_in": 1.0}]},
+            "exact_area needs modes of degree >= 1; "
+            "set exact_area to false for degree-0 modes",
         ),
     ],
 )

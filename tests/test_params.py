@@ -85,6 +85,14 @@ def test_spec_rejects_mean_modes_by_default():
     assert spec.coefficients(ModeIndex(0, 1)) == (1.0, 0.0)
 
 
+def test_spec_rejects_non_finite_coefficients():
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="^alpha_in must be finite$"):
+            PerturbationSpec({ModeIndex(2, 1): (value, 0.0)})
+        with pytest.raises(ValueError, match="^alpha_out must be finite$"):
+            PerturbationSpec({ModeIndex(2, 1): (1.0, value)})
+
+
 def test_spec_coerces_tuple_keys_and_defaults_to_zero():
     spec = PerturbationSpec({(2, 1): (1.5, -0.5)})
     assert spec.coefficients(ModeIndex(2, 1)) == (1.5, -0.5)

@@ -12,7 +12,6 @@ from twophase_torsion import pde_oracle
 from twophase_torsion.exact_state import baseline_energy
 from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
 from twophase_torsion.pde_oracle import (
-    AngularProfile,
     InterfaceOrderingError,
     PerturbedDomainFamily,
     SolveError,
@@ -54,25 +53,37 @@ def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(m):
     assert diff[m // 2, 0] == 0.0  # the offset whose cotangent is cot(pi/2)
 
 
-def test_angular_profile_evaluation():
-    profile = AngularProfile(terms=((2, 1, 3.0),))
+def test_normal_speed_evaluation():
+    spec = PerturbationSpec({ModeIndex(2, 1): (3.0, 0.0)})
     theta = np.linspace(0.0, 2.0 * math.pi, 17)
+    (g, dg), (g_out, dg_out) = pde_oracle._normal_speeds(spec, theta)
     expected = 3.0 * np.cos(2.0 * theta) / math.sqrt(math.pi)
-    assert profile.evaluate(theta) == pytest.approx(expected, abs=1e-14)
-    assert profile.derivative(theta) == pytest.approx(
-        -6.0 * np.sin(2.0 * theta) / math.sqrt(math.pi), abs=1e-13
-    )
-    # L^2 mean square of 3 Y_{2,1} over the circle: 9 / (2 pi)
-    assert profile.mean_square() == pytest.approx(9.0 / (2.0 * math.pi), rel=1e-14)
-    assert profile.max_degree() == 2
+    assert g == pytest.approx(expected, abs=1e-14)
+    assert dg == pytest.approx(-6.0 * np.sin(2.0 * theta) / math.sqrt(math.pi), abs=1e-13)
+    assert not g_out.any() and not dg_out.any()
+    # the outer boundary reads the second coefficient
+    outer = PerturbationSpec({ModeIndex(2, 1): (0.0, 3.0)})
+    (g_in, _), (g, _) = pde_oracle._normal_speeds(outer, theta)
+    assert not g_in.any()
+    assert g == pytest.approx(expected, abs=1e-14)
+    family = PerturbedDomainFamily(PARAMS, spec)
+    assert family.max_degree() == 2
+    # L^2 mean square of 3 Y_{2,1} over the circle, 9 / (2 pi): the
+    # exact-area radius is sqrt(rho_0^2 + 2 rho_0 t g + t^2 (g^2 - 9/(2 pi)))
+    t = 0.01
+    rho_in, _, _, _ = family.at(t).boundary_radii(theta)
+    radicand = 0.25 + 2.0 * 0.5 * t * expected + t * t * (expected**2 - 9.0 / (2.0 * math.pi))
+    assert rho_in == pytest.approx(np.sqrt(radicand), rel=1e-14)
 
 
 def test_harmonics_are_orthonormal_on_the_circle():
     thetas = 2.0 * math.pi * np.arange(400) / 400
     weight = 2.0 * math.pi / 400
-    indices = [(0, 1), (1, 1), (1, 2), (3, 2)]
+    indices = [ModeIndex(0, 1), ModeIndex(1, 1), ModeIndex(1, 2), ModeIndex(3, 2)]
     values = {
-        index: AngularProfile(terms=(index + (1.0,),)).evaluate(thetas)
+        index: pde_oracle._normal_speeds(
+            PerturbationSpec({index: (1.0, 0.0)}, allow_mean=True), thetas
+        )[0][0]
         for index in indices
     }
     for index in indices:
@@ -85,9 +96,29 @@ def test_harmonics_are_orthonormal_on_the_circle():
                 assert inner == pytest.approx(0.0, abs=1e-12)
 
 
+def test_family_validates_its_spec():
+    # an order the circle does not have is named before the dimension
+    bad_order = PerturbationSpec({ModeIndex(2, 3): (1.0, 0.0)})
+    with pytest.raises(ValueError, match="^order 3 exceeds multiplicity 2"):
+        PerturbedDomainFamily(ProblemParams(3, 0.5, 2.0), bad_order)
+    with pytest.raises(ValueError, match="restricted to dim = 2"):
+        PerturbedDomainFamily(ProblemParams(3, 0.5, 2.0), PerturbationSpec({}))
+    # the exact-area family preserves areas of mean-free motions only
+    mean = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)}, allow_mean=True)
+    with pytest.raises(ValueError, match="^exact_area needs modes of degree >= 1; "):
+        PerturbedDomainFamily(PARAMS, mean)
+    assert PerturbedDomainFamily(PARAMS, mean, exact_area=False).spec == mean
+    # a degree-0 record with zero coefficients moves nothing
+    still = PerturbationSpec({ModeIndex(0, 1): (0.0, 0.0)}, allow_mean=True)
+    assert PerturbedDomainFamily(PARAMS, still).exact_area
+    # only nonzero coefficients count towards the resolved degree
+    zero = PerturbationSpec({ModeIndex(40, 1): (0.0, 0.0), ModeIndex(3, 2): (0.0, 1.0)})
+    assert PerturbedDomainFamily(PARAMS, zero).max_degree() == 3
+
+
 def test_family_boundary_radii_at_zero_are_concentric():
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
-    family = PerturbedDomainFamily.from_spec(PARAMS, spec)
+    family = PerturbedDomainFamily(PARAMS, spec)
     theta = np.linspace(0.0, 2.0 * math.pi, 9)
     rho_in, drho_in, rho_out, drho_out = family.at(0.0).boundary_radii(theta)
     assert rho_in == pytest.approx(np.full(9, 0.5), abs=1e-15)
@@ -106,7 +137,7 @@ def enclosed_areas(family, angular_modes=256):
 
 def test_exact_area_family_preserves_both_areas():
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.5), ModeIndex(3, 1): (0.0, 1.0)})
-    family = PerturbedDomainFamily.from_spec(PARAMS, spec)
+    family = PerturbedDomainFamily(PARAMS, spec)
     base_in, base_out = enclosed_areas(family.at(0.0))
     assert base_in == pytest.approx(math.pi * 0.25, rel=1e-12)
     assert base_out == pytest.approx(math.pi, rel=1e-12)
@@ -118,7 +149,7 @@ def test_exact_area_family_preserves_both_areas():
 
 def test_linear_family_changes_area_at_second_order():
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
-    family = PerturbedDomainFamily.from_spec(PARAMS, spec, exact_area=False)
+    family = PerturbedDomainFamily(PARAMS, spec, exact_area=False)
     base_in, _ = enclosed_areas(family.at(0.0))
     t = 0.1
     area_in, _ = enclosed_areas(family.at(t))
@@ -129,7 +160,7 @@ def test_linear_family_changes_area_at_second_order():
 
 def test_interface_crossing_is_detected():
     spec = PerturbationSpec({ModeIndex(2, 1): (5.0, 0.0)})
-    family = PerturbedDomainFamily.from_spec(PARAMS, spec)
+    family = PerturbedDomainFamily(PARAMS, spec)
     theta = np.linspace(0.0, 2.0 * math.pi, 64)
     with pytest.raises(InterfaceOrderingError):
         family.at(0.45).boundary_radii(theta)
@@ -138,7 +169,7 @@ def test_interface_crossing_is_detected():
 def test_solve_energy_matches_the_closed_form_on_coarse_grids():
     for sigma in (1.0, 2.0, 0.5):
         params = ProblemParams(2, 0.5, sigma)
-        family = PerturbedDomainFamily.from_spec(params, PerturbationSpec({}))
+        family = PerturbedDomainFamily(params, PerturbationSpec({}))
         energy = solve_energy(family, radial_points=128, angular_modes=16)
         exact = baseline_energy(params)
         assert energy == pytest.approx(exact, rel=5e-5)
@@ -146,7 +177,7 @@ def test_solve_energy_matches_the_closed_form_on_coarse_grids():
 
 def test_solve_energy_validates_the_angular_grid():
     spec = PerturbationSpec({ModeIndex(9, 1): (0.1, 0.0)})
-    family = PerturbedDomainFamily.from_spec(PARAMS, spec)
+    family = PerturbedDomainFamily(PARAMS, spec)
     with pytest.raises(ValueError, match="even"):
         solve_energy(family, radial_points=64, angular_modes=15)
     with pytest.raises(ValueError, match=">= 4"):
@@ -157,7 +188,7 @@ def test_solve_energy_validates_the_angular_grid():
 
 def test_differentiate_energy_returns_a_complete_run():
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
-    family = PerturbedDomainFamily.from_spec(PARAMS, spec)
+    family = PerturbedDomainFamily(PARAMS, spec)
     run = differentiate_energy(
         family, t0=0.02, levels=2, radial_points=96, angular_modes=16
     )
@@ -176,7 +207,7 @@ def test_differentiate_energy_returns_a_complete_run():
 
 
 def test_differentiate_energy_validates_input():
-    family = PerturbedDomainFamily.from_spec(PARAMS, PerturbationSpec({}))
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({}))
     with pytest.raises(ValueError, match="^t0 must be positive$"):
         differentiate_energy(family, t0=0.0)
     with pytest.raises(ValueError, match="levels"):
@@ -193,7 +224,7 @@ def test_differentiate_energy_validates_input():
 
 def test_differentiate_energy_checks_the_range_before_listing_steps():
     # a million levels are rejected without building their million steps
-    family = PerturbedDomainFamily.from_spec(PARAMS, PerturbationSpec({}))
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({}))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="^t0 out of range"):
@@ -206,18 +237,18 @@ def test_differentiate_energy_checks_the_range_before_listing_steps():
 
 def test_solve_energy_raises_when_the_energy_is_not_finite():
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
-    overflowing = PerturbedDomainFamily.from_spec(ProblemParams(2, 0.5, 1e308), spec)
+    overflowing = PerturbedDomainFamily(ProblemParams(2, 0.5, 1e308), spec)
     with pytest.raises(SolveError, match="^energy is not finite$"):
         solve_energy(overflowing, radial_points=16, angular_modes=8)
     # the preconditioner's tridiagonal factorization breaks down
-    singular = PerturbedDomainFamily.from_spec(ProblemParams(2, 0.5, 1e300), spec)
+    singular = PerturbedDomainFamily(ProblemParams(2, 0.5, 1e300), spec)
     with pytest.raises(SolveError, match="^block factorization failed$"):
         solve_energy(singular, radial_points=16, angular_modes=8)
 
 
 _CHO_SOLVE, _STIFFNESS = pde_oracle.cho_solve, pde_oracle._stiffness
 NOT_SPD = "system is not positive definite"
-PERTURBED = PerturbedDomainFamily.from_spec(
+PERTURBED = PerturbedDomainFamily(
     PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.5), ModeIndex(3, 2): (0.0, 1.0)})
 )
 
@@ -287,7 +318,7 @@ def test_conjugate_gradients_equal_a_dense_solve_everywhere(
     angular_modes, degree = grid
     params = ProblemParams(2, radius, math.exp(log_sigma))
     spec = PerturbationSpec({ModeIndex(degree, order): alphas})
-    family = PerturbedDomainFamily.from_spec(params, spec).at(t)
+    family = PerturbedDomainFamily(params, spec).at(t)
     _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes)
 
 
@@ -300,7 +331,7 @@ def test_the_preconditioner_is_the_inverse_of_the_concentric_operator(
 ):
     params = ProblemParams(2, radius, sigma)
     spec = PerturbationSpec({ModeIndex(1, 2): (1.0, 1.0)})
-    concentric = PerturbedDomainFamily.from_spec(params, spec)  # at t = 0
+    concentric = PerturbedDomainFamily(params, spec)  # at t = 0
     matrix, load = _dense_system(concentric, radial_points, angular_modes)
     # the preconditioner a t = 0 solve builds from its own rows
     rows, _ = pde_oracle._cell_rows(concentric, radial_points, angular_modes)
@@ -329,7 +360,7 @@ REFERENCE_ENERGIES = [
 
 @pytest.mark.parametrize("params, mode, alphas, energies", REFERENCE_ENERGIES)
 def test_solve_energy_matches_reference_energies(params, mode, alphas, energies):
-    family = PerturbedDomainFamily.from_spec(params, PerturbationSpec({mode: alphas}))
+    family = PerturbedDomainFamily(params, PerturbationSpec({mode: alphas}))
     for t, expected in zip((-0.01, 0.01), energies):
         assert solve_energy(family.at(t), 64, 16) == pytest.approx(expected, rel=1e-12)
 
@@ -348,7 +379,7 @@ SWEEP_ENERGIES = [
 
 @pytest.mark.parametrize("params, mode, alphas, energies", SWEEP_ENERGIES)
 def test_solve_energy_matches_block_sweep_energies(params, mode, alphas, energies):
-    family = PerturbedDomainFamily.from_spec(params, PerturbationSpec({mode: alphas}))
+    family = PerturbedDomainFamily(params, PerturbationSpec({mode: alphas}))
     for t, expected in zip((-0.05, 0.05), energies):
         assert solve_energy(family.at(t), 64, 16) == pytest.approx(expected, rel=1e-12)
 
@@ -365,7 +396,7 @@ def test_solve_energy_matches_block_sweep_energies(params, mode, alphas, energie
     ],
 )
 def test_hard_inputs_match_block_sweep_energies(monkeypatch, mode, alphas, t, expected):
-    family = PerturbedDomainFamily.from_spec(PARAMS, PerturbationSpec({mode: alphas}))
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({mode: alphas}))
     calls = _count_calls(monkeypatch, "cho_solve")
     assert solve_energy(family.at(t), 256, 32) == pytest.approx(expected, rel=1e-12)
     assert calls["cho_solve"] <= 60
@@ -402,7 +433,7 @@ BENCH_LIKE = [
 
 @pytest.mark.parametrize("params, mode, alphas", BENCH_LIKE)
 def test_each_run_factors_once_and_solves_once_per_step(monkeypatch, params, mode, alphas):
-    family = PerturbedDomainFamily.from_spec(params, PerturbationSpec({mode: alphas}))
+    family = PerturbedDomainFamily(params, PerturbationSpec({mode: alphas}))
     calls = _count_calls(monkeypatch, "cho_factor", "cho_solve", "_stiffness")
     steps = []
     solve = pde_oracle.solve_energy
@@ -427,7 +458,7 @@ def test_a_reused_workspace_changes_no_energy(monkeypatch, radial_points):
     # a run's energies are those of standalone solves, sample by sample;
     # the coupled channel: both boundaries move
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
-    family = PerturbedDomainFamily.from_spec(PARAMS, spec)
+    family = PerturbedDomainFamily(PARAMS, spec)
     calls = _count_calls(monkeypatch, "solve_energy", "cho_factor")
     run = differentiate_energy(
         family, t0=0.02, levels=2, radial_points=radial_points, angular_modes=8
@@ -438,7 +469,7 @@ def test_a_reused_workspace_changes_no_energy(monkeypatch, radial_points):
 
 
 def test_differentiate_energy_single_level_has_no_rate():
-    family = PerturbedDomainFamily.from_spec(PARAMS, PerturbationSpec({}))
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({}))
     run = differentiate_energy(
         family, t0=0.01, levels=1, radial_points=64, angular_modes=8
     )
@@ -450,7 +481,7 @@ def test_differentiate_energy_has_no_rate_below_roundoff():
     # the steps are so small that E(+-h) == E(0): every second difference
     # is 0, so no convergence rate can be observed
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
-    family = PerturbedDomainFamily.from_spec(PARAMS, spec)
+    family = PerturbedDomainFamily(PARAMS, spec)
     run = differentiate_energy(
         family, t0=1e-150, levels=2, radial_points=32, angular_modes=8
     )
@@ -471,8 +502,8 @@ def test_config_construction():
     }
     family = family_from_config(config)
     assert family.params == PARAMS
-    assert family.inner_shape.terms == ((2, 1, 1.0),)
-    assert family.outer_shape.terms == ()
+    assert family.spec == PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
+    assert family.exact_area
     run = run_from_config(config)
     assert run.radial_points == 64
     assert len(run.t_samples) == 5

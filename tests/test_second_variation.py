@@ -91,7 +91,7 @@ def test_spectrum_past_float_range_names_the_first_degree():
         # 1/sigma leaves float range: the interface jump of d_n u is infinite
         (lambda: spectrum_table(ProblemParams(2, 0.5, 1e-320), 5), 1),
         (lambda: denom_F(PARAMS, 600), 507),
-        # F^2 left float range first, so the prefactor is 0; G then overflows: 0 * inf
+        # G overflows: G / F is infinite
         (lambda: factored_discriminant(PARAMS, 600), 504),
     ]
     for compute, degree in cases:
@@ -181,11 +181,8 @@ def scalar_printed_forms(params, k):
     )
     bracket = sigma * k * (rho - 1.0) + (n - 2 + k) * rho + k
     g = (sigma - 1.0) * k * (n - 1 + k) * (rho - 1.0) + (n - 2 + 2 * k) * rho
-    delta = (
-        -16.0 * (sigma - 1.0) * (k - 1) * radius**n / (sigma * n * n * f_denom * f_denom)
-        * bracket
-        * g
-    )
+    prefactor = -16.0 * (sigma - 1.0) * (k - 1) * radius**n / (sigma * n * n)
+    delta = prefactor * (bracket / f_denom) * (g / f_denom)
     return (e_in, e_out, e_res), (inner, outer), (f_denom, delta)
 
 
@@ -293,13 +290,15 @@ def test_discriminant_overflows_to_inf_without_a_warning():
 
 
 def test_factored_discriminant_tracks_the_assembled_discriminant():
-    for params in SAMPLE_PARAMS:
-        table = spectrum_table(params, 20)
+    # kmax 503 at the first point: past degree 250 F * F leaves the float
+    # range while delta is O(k)
+    for params, kmax in [(params, 20) for params in SAMPLE_PARAMS] + [(PARAMS, 503)]:
+        table = spectrum_table(params, kmax)
         assembled = discriminant(table.e_in, table.e_out, table.e_res)
         scale = np.maximum(
             np.maximum(table.e_res**2, np.abs(4.0 * table.e_in * table.e_out)), 1e-30
         )
-        factored = factored_discriminant(params, 20)
+        factored = factored_discriminant(params, kmax)
         assert (np.abs(factored - assembled) <= 1e-10 * scale).all()
         assert not factored.flags.writeable
 
