@@ -8,13 +8,11 @@ classification, and two independent numerical oracles (a small linear-system
 solve per mode and a finite-difference solver on perturbed domains).
 """
 
-from .exact_state import StateTraces, baseline_energy, sphere_area, traces, u_value
+from .exact_state import StateTraces, baseline_energy, sphere_area, traces
 from .params import (
-    Constraint,
     ModeIndex,
     PerturbationSpec,
     ProblemParams,
-    ValidationVerdict,
     multiplicity,
     presets,
     validate,
@@ -48,8 +46,6 @@ from .second_variation import (
     SpectrumTable,
     assemble_spectrum,
     discriminant,
-    factored_discriminant,
-    first_variation,
     monotonicity_functions,
     printed_spectrum,
     spectrum_table,
@@ -72,7 +68,6 @@ __all__ = [
     "Channel",
     "CheckResult",
     "Classification",
-    "Constraint",
     "FidelityEntry",
     "FidelityReport",
     "FidelityVerdict",
@@ -93,7 +88,6 @@ __all__ = [
     "StabilityVerdict",
     "StateTraces",
     "TransmissionSolveError",
-    "ValidationVerdict",
     "assemble_spectrum",
     "baseline_energy",
     "build_fidelity_report",
@@ -103,9 +97,7 @@ __all__ = [
     "differentiate_energy",
     "discriminant",
     "emit_spectrum_csv",
-    "factored_discriminant",
     "family_from_config",
-    "first_variation",
     "monotonicity_functions",
     "multiplicity",
     "presets",
@@ -121,6 +113,5 @@ __all__ = [
     "sphere_area",
     "total_second_variation",
     "traces",
-    "u_value",
     "validate",
 ]

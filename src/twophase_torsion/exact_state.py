@@ -6,7 +6,7 @@ On the concentric configuration the state function solving
     u(r) = (1 - R^2)/(2N) + (R^2 - r^2)/(2N sigma)   for r <= R,
     u(r) = (1 - r^2)/(2N)                            for R < r <= 1.
 
-Everything downstream (interface traces, jumps, curvatures, baseline energy)
+Everything downstream (the interface jump of d_n u, the baseline energy)
 is an elementary function of (N, R, sigma) and is kept in closed form here;
 quadrature lives only in the PDE oracle so the two paths stay independent.
 """
@@ -30,53 +30,20 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-def u_value(params: ProblemParams, r: float) -> float:
-    """Evaluate the radial state function; continuous at r = R."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("r must lie in [0,1]")
-    n, radius, sigma = params.dim, params.core_radius, params.sigma
-    outer = (1.0 - radius * radius) / (2.0 * n)
-    if r <= radius:
-        return outer + (radius * radius - r * r) / (2.0 * n * sigma)
-    return (1.0 - r * r) / (2.0 * n)
-
-
 @dataclass(frozen=True)
 class StateTraces:
-    """Normal derivatives, jumps, and curvatures of u on the two spheres.
+    """Traces of u on the interface.
 
     Jump convention [f] := f_+ - f_- (outside minus inside).
     """
 
-    dn_u_inner_interface: float
-    dn_u_outer_interface: float
-    dn_u_boundary: float
-    dnn_u_inner: float
-    dnn_u_outer: float
-    dnn_u_boundary: float
     jump_dn: float
-    jump_sigma_gradsq: float
-    curvature_interface: float
-    curvature_boundary: float
 
 
 def traces(params: ProblemParams) -> StateTraces:
-    """Interface and boundary traces of u, differentiated in closed form."""
+    """Interface traces of u, differentiated in closed form."""
     n, radius, sigma = params.dim, params.core_radius, params.sigma
-    dn_inner = -radius / (n * sigma)
-    dn_outer = -radius / n
-    return StateTraces(
-        dn_u_inner_interface=dn_inner,
-        dn_u_outer_interface=dn_outer,
-        dn_u_boundary=-1.0 / n,
-        dnn_u_inner=-1.0 / (n * sigma),
-        dnn_u_outer=-1.0 / n,
-        dnn_u_boundary=-1.0 / n,
-        jump_dn=radius * (1.0 - sigma) / (n * sigma),
-        jump_sigma_gradsq=radius * radius * (sigma - 1.0) / (n * n * sigma),
-        curvature_interface=(n - 1.0) / radius,
-        curvature_boundary=float(n - 1),
-    )
+    return StateTraces(jump_dn=radius * (1.0 - sigma) / (n * sigma))
 
 
 def baseline_energy(params: ProblemParams) -> float:

@@ -16,7 +16,6 @@ barycenter constraint.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -84,31 +83,14 @@ class ModeIndex:
             )
 
 
-class Constraint(enum.Enum):
-    VOLUME_ONLY = "VolumeOnly"
-    VOLUME_AND_BARYCENTER = "VolumeAndBarycenter"
-
-
-@dataclass(frozen=True)
-class ValidationVerdict:
-    """Outcome of a constraint check: ok iff no violations."""
-
-    constraint: Constraint
-    violations: tuple[tuple[ModeIndex, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Sparse map of harmonic modes to (alpha_in, alpha_out) coefficients.
 
     Unspecified modes have coefficient zero, and every coefficient must be
     finite.  Degree-0 entries are rejected unless allow_mean is set; they
-    exist solely so the first variation can be exercised on
-    non-volume-preserving perturbations.
+    exist solely for the FD oracle's plain linear normal motion (exact_area
+    false), which need not preserve volume.
     """
 
     modes: Mapping[ModeIndex, tuple[float, float]] = field(default_factory=dict)
@@ -138,11 +120,12 @@ class PerturbationSpec:
         return sorted(self.modes.items(), key=lambda item: item[0])
 
 
-def validate(spec: PerturbationSpec, constraint: Constraint) -> ValidationVerdict:
-    """Check a perturbation against the volume (and barycenter) constraints.
+def validate(spec: PerturbationSpec) -> tuple[tuple[ModeIndex, str], ...]:
+    """Check a perturbation against the volume and barycenter constraints.
 
-    VolumeOnly fails on any stored degree-0 mode; VolumeAndBarycenter
-    additionally fails on degree-1 modes with nonzero outer coefficient.
+    Returns the violations, empty when the perturbation is admissible: every
+    stored degree-0 mode, and every degree-1 mode with nonzero outer
+    coefficient.
     """
     violations: list[tuple[ModeIndex, str]] = []
     for index, (alpha_in, alpha_out) in spec.sorted_items():
@@ -150,15 +133,11 @@ def validate(spec: PerturbationSpec, constraint: Constraint) -> ValidationVerdic
             violations.append(
                 (index, "degree-0 mode violates first-order volume preservation")
             )
-        elif (
-            constraint is Constraint.VOLUME_AND_BARYCENTER
-            and index.degree == 1
-            and alpha_out != 0.0
-        ):
+        elif index.degree == 1 and alpha_out != 0.0:
             violations.append(
                 (index, "degree-1 outer coefficient violates the barycenter constraint")
             )
-    return ValidationVerdict(constraint=constraint, violations=tuple(violations))
+    return tuple(violations)
 
 
 def presets() -> dict[str, PerturbationSpec]:

@@ -314,8 +314,8 @@ def translation_invariance() -> CheckResult:
     """4. e_in(1) = e_out(1) on the grid."""
     worst = (0.0, "")
     for params in grid_params():
-        values = spectrum_table(params, SPECTRUM_KMAX).row(1)
-        deviation = _rel_deviation(values.e_in, values.e_out, _NO_FLOOR)
+        table = spectrum_table(params, SPECTRUM_KMAX)
+        deviation = _rel_deviation(table.e_in[0], table.e_out[0], _NO_FLOOR)
         if deviation > worst[0]:
             worst = (deviation, str(params))
     return CheckResult(
@@ -400,12 +400,12 @@ def resonance_structure() -> CheckResult:
                 params = ProblemParams(dim, radius, sigma)
                 table = spectrum_table(params, SPECTRUM_KMAX)
                 delta = discriminant(table.e_in, table.e_out, table.e_res)
-                values = table.row(1)
-                scale = max(values.e_res**2, abs(4.0 * values.e_in * values.e_out))
+                e_in, e_out, e_res = table.e_in[0], table.e_out[0], table.e_res[0]
+                scale = max(e_res**2, abs(4.0 * e_in * e_out))
                 if abs(delta[0]) > RESONANCE_TOL * scale:
                     failures.append(f"delta(1) at {params}")
                 total = total_second_variation(combined, table)
-                if abs(total) > RESONANCE_TOL * (abs(values.e_in) + abs(values.e_out)):
+                if abs(total) > RESONANCE_TOL * (abs(e_in) + abs(e_out)):
                     failures.append(f"Q(1) != 0 at k=1, {params}")
                 # Q(t) = e_in t^2 + e_res t + e_out on the (degree, ratio) grid
                 q_values = (
@@ -526,9 +526,11 @@ def second_variation_match() -> CheckResult:
     """11. Fitted second derivatives match the assembled spectrum, and the
     coupled run recovers the cross term."""
     runs = oracle_runs().harder
-    values = spectrum_table(HARDER_CORE, CLASSIFY_KMAX).row(CROSS_DEGREE)
+    table = spectrum_table(HARDER_CORE, CLASSIFY_KMAX)
+    index = CROSS_DEGREE - 1
+    e_in, e_out, e_res = table.e_in[index], table.e_out[index], table.e_res[index]
     failures = []
-    for channel, analytic in (("inner", values.e_in), ("outer", values.e_out)):
+    for channel, analytic in (("inner", e_in), ("outer", e_out)):
         deviation = abs(runs[CROSS_DEGREE, channel].d2 - analytic) / abs(analytic)
         if deviation > DIRECT_TOL:
             failures.append(f"{channel} k={CROSS_DEGREE}: deviation {deviation:.3e}")
@@ -537,7 +539,7 @@ def second_variation_match() -> CheckResult:
         - runs[CROSS_DEGREE, "inner"].d2
         - runs[CROSS_DEGREE, "outer"].d2
     )
-    cross_deviation = abs(cross - values.e_res) / abs(values.e_res)
+    cross_deviation = abs(cross - e_res) / abs(e_res)
     if cross_deviation > CROSS_TOL:
         failures.append(f"resonance recovery: deviation {cross_deviation:.3e}")
     return _result(

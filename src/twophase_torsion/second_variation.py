@@ -1,4 +1,4 @@
-"""First and second shape variation of the energy on the concentric balls.
+"""The second shape variation of the energy on the concentric balls.
 
 The second variation diagonalizes over spherical-harmonic degrees: for a
 perturbation with normal traces sum alpha_in Y_{k,i} on the interface and
@@ -17,8 +17,8 @@ oracle-validated profiles, for the whole ladder of degrees 1..kmax at once,
 
 with u radial, so grad u . grad u' = (d_r u)(d_r u') on each sphere, and the
 surface integrals of Y^2 contributing R^{N-1} at the interface and 1 at the
-boundary.  Every quadratic form E''(Phi) is summed from the rows of such a
-table (`total_second_variation(spec, table)`), so a caller that holds the
+boundary.  Every quadratic form E''(Phi) is summed from the columns of such
+a table (`total_second_variation(spec, table)`), so a caller that holds the
 table of its parameter point reads the form from it.  This assembled
 spectrum is the one consumed downstream: it is self-consistent (translation
 invariance e_in(1) = e_out(1)) and confirmed by the PDE oracle.  The
@@ -27,10 +27,9 @@ kmax)`, as the same three columns over the same ladder, for the fidelity
 report and the printed path of the CSV emitter (`SpectrumPath`).
 
 Also provided: the discriminant delta of the resonance quadratic
-Q(t) = e_in t^2 + e_res t + e_out, elementwise over such columns, and its
-closed-form factorization over the same ladder, the proof functions a, b, c
-certifying monotone decrease of the spectrum, elementwise in x, and the
-first variation.
+Q(t) = e_in t^2 + e_res t + e_out, elementwise over such columns, and the
+proof functions a, b, c certifying monotone decrease of the spectrum,
+elementwise in x.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_state import sphere_area, traces
-from .params import ModeIndex, PerturbationSpec, ProblemParams
+from .params import PerturbationSpec, ProblemParams
 from .transmission import FloatRangeError, ModeTable, _printed_ladder, solve_modes
 
 
@@ -87,16 +85,6 @@ class SpectrumTable:
     def kmax(self) -> int:
         return len(self.e_in)
 
-    def row(self, degree: int) -> SecondVariationSpectrum:
-        if not 1 <= degree <= self.kmax:
-            raise ValueError(f"degree {degree} lies outside the spectrum table 1..{self.kmax}")
-        index = degree - 1
-        return SecondVariationSpectrum(
-            degree,
-            float(self.e_in[index]),
-            float(self.e_out[index]),
-            float(self.e_res[index]),
-        )
 
 
 @functools.lru_cache(maxsize=512)
@@ -137,10 +125,14 @@ def spectrum_table(params: ProblemParams, kmax: int) -> SpectrumTable:
 
 
 def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpectrum:
-    """Row `degree` of the assembled spectrum (see spectrum_table)."""
+    """The entries of one degree of the assembled spectrum: the last of each
+    column of spectrum_table(params, degree)."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    return spectrum_table(params, degree).row(degree)
+    table = spectrum_table(params, degree)
+    return SecondVariationSpectrum(
+        degree, float(table.e_in[-1]), float(table.e_out[-1]), float(table.e_res[-1])
+    )
 
 
 def printed_spectrum(
@@ -176,7 +168,7 @@ def printed_spectrum(
 
 def total_second_variation(spec: PerturbationSpec, table: SpectrumTable) -> float:
     """Quadratic form E''(Phi) summed over the modes stored in the spec, from
-    the rows of the spectrum table of its parameter point."""
+    the columns of the spectrum table of its parameter point."""
     total = 0.0
     for index, (alpha_in, alpha_out) in spec.sorted_items():
         if index.degree == 0:
@@ -185,37 +177,17 @@ def total_second_variation(spec: PerturbationSpec, table: SpectrumTable) -> floa
                 "variation is defined on volume-preserving perturbations"
             )
         index.check_order(table.params.dim)
-        values = table.row(index.degree)
+        if index.degree > table.kmax:
+            raise ValueError(
+                f"degree {index.degree} lies outside the spectrum table 1..{table.kmax}"
+            )
+        row = index.degree - 1
         total += (
-            alpha_in * alpha_in * values.e_in
-            + alpha_out * alpha_out * values.e_out
-            + alpha_in * alpha_out * values.e_res
+            alpha_in * alpha_in * float(table.e_in[row])
+            + alpha_out * alpha_out * float(table.e_out[row])
+            + alpha_in * alpha_out * float(table.e_res[row])
         )
     return total
-
-
-def factored_discriminant(params: ProblemParams, kmax: int) -> np.ndarray:
-    """Closed-form factorization of the discriminant of Q over degrees 1..kmax:
-
-    Delta = -16 (sigma-1)(k-1) R^N / (sigma N^2 F^2)
-            * (sigma k (rho - 1) + (N-2+k) rho + k) * G,
-    G     = (sigma-1) k (N-1+k)(rho - 1) + (N-2+2k) rho,   rho = R^{2-N-2k}.
-
-    Returns a read-only column indexed by degree - 1; raises FloatRangeError
-    at the first degree whose value leaves the float range.
-    """
-    k, rho, _, f_denom = _printed_ladder(params, kmax)
-    n, radius, sigma = params.dim, params.core_radius, params.sigma
-    with np.errstate(over="ignore", invalid="ignore"):
-        bracket = sigma * k * (rho - 1.0) + (n - 2 + k) * rho + k
-        g = (sigma - 1.0) * k * (n - 1 + k) * (rho - 1.0) + (n - 2 + 2 * k) * rho
-        # each factor divided by F on its own: F * F leaves the float range
-        # about 250 degrees before delta does
-        prefactor = -16.0 * (sigma - 1.0) * (k - 1) * radius**n / (sigma * n * n)
-        delta = prefactor * (bracket / f_denom) * (g / f_denom)
-    FloatRangeError.check(np.isfinite(delta))
-    delta.flags.writeable = False
-    return delta
 
 
 def monotonicity_functions(
@@ -256,30 +228,3 @@ def monotonicity_functions(
         c = 1.0 / p - p + 2.0 * lam * (m + 2.0 * x)
     return a, b, c
 
-
-def first_variation(spec: PerturbationSpec, params: ProblemParams) -> float:
-    """First variation of the energy.
-
-    E'(Phi) = -int_{|x|=R} [sigma |grad u|^2] h_in.n + int_{|x|=1} |grad u|^2 h_out.n.
-
-    Both bracketed quantities are constant on their spheres, so only the mean
-    (degree-0) coefficients survive:
-
-        E' = -jump_sigma_gradsq * R^{N-1} * sqrt(omega) * alpha_in[0]
-             + (1/N^2) * sqrt(omega) * alpha_out[0],
-
-    with omega the unit-sphere area (the sqrt comes from integrating the
-    normalized constant harmonic).  Zero for volume-preserving perturbations.
-    """
-    n = params.dim
-    omega = sphere_area(n)
-    state = traces(params)
-    alpha_in0, alpha_out0 = spec.coefficients(ModeIndex(0, 1))
-    inner_term = (
-        -state.jump_sigma_gradsq
-        * params.core_radius ** (n - 1)
-        * math.sqrt(omega)
-        * alpha_in0
-    )
-    outer_term = (1.0 / (n * n)) * math.sqrt(omega) * alpha_out0
-    return inner_term + outer_term

@@ -28,13 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .params import (
-    Constraint,
-    ModeIndex,
-    PerturbationSpec,
-    ProblemParams,
-    validate,
-)
+from .params import ModeIndex, PerturbationSpec, ProblemParams, validate
 from .second_variation import discriminant, spectrum_table, total_second_variation
 
 # Rounding floor of a spectrum entry, in units of its row scale.
@@ -139,6 +133,10 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
     )
     scale = np.maximum(np.maximum(np.abs(e_in), np.abs(e_out)), np.abs(e_res))
     floor = SIGN_FLOOR * scale
+    # delta is quadratic in the entries, so its floor is too; inf where the
+    # square of the row scale leaves the float range
+    with np.errstate(over="ignore"):
+        delta_floor = floor * scale
     # outer degree-1 modes are translations, excluded by the barycenter constraint
     outer_admissible = np.arange(1, k_max + 1) >= 2
     # Q(t) = e_in t^2 + e_res t + e_out attains positive values iff e_in or
@@ -148,7 +146,7 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
         [
             e_in > floor,
             outer_admissible & (e_out > floor),
-            outer_admissible & ((e_in > floor) | (e_out > floor) | (delta > floor * scale)),
+            outer_admissible & ((e_in > floor) | (e_out > floor) | (delta > delta_floor)),
         ],
         axis=1,
     )
@@ -183,10 +181,8 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
         witness_positive = None
 
     for witness in (witness_positive, witness_negative):
-        if witness is not None:
-            verdict = validate(witness, Constraint.VOLUME_AND_BARYCENTER)
-            if not verdict.ok:
-                raise AssertionError("witness must satisfy both constraints")
+        if witness is not None and validate(witness):
+            raise AssertionError("witness must satisfy both constraints")
 
     if classification is Classification.SADDLE:
         positive_value = total_second_variation(witness_positive, table)

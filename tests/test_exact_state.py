@@ -4,15 +4,16 @@ import math
 
 import pytest
 
-from twophase_torsion.exact_state import (
-    baseline_energy,
-    sphere_area,
-    traces,
-    u_value,
-)
+from twophase_torsion.exact_state import baseline_energy, sphere_area, traces
 from twophase_torsion.params import ProblemParams
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
+TRACE_PARAMS = [
+    PARAMS,
+    ProblemParams(2, 0.2, 0.1),
+    ProblemParams(3, 0.5, 0.5),
+    ProblemParams(4, 0.8, 10.0),
+]
 
 
 def test_sphere_area_low_dimensions():
@@ -23,84 +24,70 @@ def test_sphere_area_low_dimensions():
         sphere_area(1)
 
 
+def u(params, r):
+    """The radial state u(r) of the exact_state module docstring."""
+    n, radius, sigma = params.dim, params.core_radius, params.sigma
+    if r <= radius:
+        return (1.0 - radius * radius) / (2.0 * n) + (radius * radius - r * r) / (
+            2.0 * n * sigma
+        )
+    return (1.0 - r * r) / (2.0 * n)
+
+
 def test_u_is_zero_on_the_boundary_and_positive_inside():
     for sigma in (0.5, 1.0, 2.0):
         params = ProblemParams(2, 0.5, sigma)
-        assert u_value(params, 1.0) == 0.0
-        assert u_value(params, 0.0) > 0.0
+        assert u(params, 1.0) == 0.0
+        assert u(params, 0.0) > 0.0
 
 
 def test_u_is_continuous_at_the_interface():
     for params in (PARAMS, ProblemParams(3, 0.2, 0.1), ProblemParams(4, 0.8, 10.0)):
         radius = params.core_radius
-        below = u_value(params, radius)
-        above = u_value(params, radius + 1e-12)
+        below = u(params, radius)
+        above = u(params, radius + 1e-12)
         assert below == pytest.approx(above, abs=1e-11)
 
 
 def test_u_matches_single_phase_profile_at_sigma_one():
     params = ProblemParams(3, 0.4, 1.0)
     for r in (0.0, 0.2, 0.4, 0.7, 1.0):
-        assert u_value(params, r) == pytest.approx(
+        assert u(params, r) == pytest.approx(
             (1.0 - r * r) / (2.0 * params.dim), rel=1e-15, abs=1e-15
         )
 
 
-def test_u_rejects_radii_outside_the_closed_unit_interval():
-    with pytest.raises(ValueError):
-        u_value(PARAMS, -0.1)
-    with pytest.raises(ValueError):
-        u_value(PARAMS, 1.1)
+def test_u_solves_the_transmission_problem():
+    h = 1e-4
+    for params in TRACE_PARAMS:
+        n, radius, sigma = params.dim, params.core_radius, params.sigma
+        # -sigma (u'' + (N-1) u'/r) = 1 in each phase, by central differences
+        # (exact on the quadratic u up to rounding)
+        for r, conductivity in ((0.5 * radius, sigma), (0.5 * (1.0 + radius), 1.0)):
+            second = (u(params, r + h) - 2.0 * u(params, r) + u(params, r - h)) / (h * h)
+            first = (u(params, r + h) - u(params, r - h)) / (2.0 * h)
+            assert -conductivity * (second + (n - 1) * first / r) == pytest.approx(
+                1.0, rel=1e-5
+            )
+        # flux continuity: sigma d_n u_- = d_n u_+
+        inner = (u(params, radius) - u(params, radius - h)) / h
+        outer = (u(params, radius + h) - u(params, radius)) / h
+        assert sigma * inner == pytest.approx(outer, rel=1e-3)
 
 
 def test_trace_values_at_reference_point():
-    state = traces(PARAMS)
-    assert state.dn_u_inner_interface == pytest.approx(-0.125, rel=1e-15)
-    assert state.dn_u_outer_interface == pytest.approx(-0.25, rel=1e-15)
-    assert state.dn_u_boundary == pytest.approx(-0.5, rel=1e-15)
-    assert state.dnn_u_inner == pytest.approx(-0.25, rel=1e-15)
-    assert state.dnn_u_outer == pytest.approx(-0.5, rel=1e-15)
-    assert state.dnn_u_boundary == pytest.approx(-0.5, rel=1e-15)
-    assert state.jump_dn == pytest.approx(-0.125, rel=1e-15)
-    assert state.jump_sigma_gradsq == pytest.approx(0.03125, rel=1e-15)
-    assert state.curvature_interface == pytest.approx(2.0, rel=1e-15)
-    assert state.curvature_boundary == pytest.approx(1.0, rel=1e-15)
-
-
-def test_traces_are_consistent_with_each_other():
-    for params in (
-        PARAMS,
-        ProblemParams(2, 0.2, 0.1),
-        ProblemParams(3, 0.5, 0.5),
-        ProblemParams(4, 0.8, 10.0),
-    ):
-        state = traces(params)
-        # jump convention: outside minus inside
-        assert state.jump_dn == pytest.approx(
-            state.dn_u_outer_interface - state.dn_u_inner_interface, rel=1e-14
-        )
-        # flux continuity: sigma d_n u_- = d_n u_+
-        assert params.sigma * state.dn_u_inner_interface == pytest.approx(
-            state.dn_u_outer_interface, rel=1e-14
-        )
-        # [sigma |grad u|^2] = (d_n u_+)^2 - sigma (d_n u_-)^2 on the interface
-        assert state.jump_sigma_gradsq == pytest.approx(
-            state.dn_u_outer_interface**2
-            - params.sigma * state.dn_u_inner_interface**2,
-            rel=1e-14,
-        )
+    assert traces(PARAMS).jump_dn == pytest.approx(-0.125, rel=1e-15)
 
 
 def test_traces_match_finite_differences_of_u():
+    # one-sided differences, each taken inside its own phase; the jump
+    # convention is outside minus inside
     h = 1e-7
-    radius = PARAMS.core_radius
-    state = traces(PARAMS)
-    inner_fd = (u_value(PARAMS, radius) - u_value(PARAMS, radius - h)) / h
-    outer_fd = (u_value(PARAMS, radius + h) - u_value(PARAMS, radius)) / h
-    boundary_fd = (u_value(PARAMS, 1.0) - u_value(PARAMS, 1.0 - h)) / h
-    assert inner_fd == pytest.approx(state.dn_u_inner_interface, abs=1e-6)
-    assert outer_fd == pytest.approx(state.dn_u_outer_interface, abs=1e-6)
-    assert boundary_fd == pytest.approx(state.dn_u_boundary, abs=1e-6)
+    for params in TRACE_PARAMS:
+        radius = params.core_radius
+        inner_fd = (u(params, radius) - u(params, radius - h)) / h
+        outer_fd = (u(params, radius + h) - u(params, radius)) / h
+        assert traces(params).jump_dn == pytest.approx(outer_fd - inner_fd, abs=1e-6)
 
 
 def test_baseline_energy_reference_values():

@@ -11,7 +11,16 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_every_export_resolves():
     for name in twophase_torsion.__all__:
         assert hasattr(twophase_torsion, name), name
-    for name in ("spectrum", "positive_mode_set", "AngularProfile"):
+    for name in (
+        "spectrum",
+        "positive_mode_set",
+        "AngularProfile",
+        "u_value",
+        "first_variation",
+        "factored_discriminant",
+        "Constraint",
+        "ValidationVerdict",
+    ):
         assert name not in twophase_torsion.__all__
         assert not hasattr(twophase_torsion, name)
 

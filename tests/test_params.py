@@ -3,7 +3,6 @@
 import pytest
 
 from twophase_torsion.params import (
-    Constraint,
     ModeIndex,
     PerturbationSpec,
     ProblemParams,
@@ -101,7 +100,7 @@ def test_spec_coerces_tuple_keys_and_defaults_to_zero():
 
 def test_barycenter_admissibility():
     def admissible(spec):
-        return validate(spec, Constraint.VOLUME_AND_BARYCENTER).ok
+        return not validate(spec)
 
     assert admissible(PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
     assert not admissible(PerturbationSpec({ModeIndex(1, 1): (0.0, 1.0)}))
@@ -109,21 +108,16 @@ def test_barycenter_admissibility():
     assert admissible(PerturbationSpec({ModeIndex(2, 1): (0.0, 1.0)}))
 
 
-def test_validate_volume_only():
-    spec = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)}, allow_mean=True)
-    verdict = validate(spec, Constraint.VOLUME_ONLY)
-    assert not verdict.ok
-    assert verdict.violations[0][0] == ModeIndex(0, 1)
-
-    clean = PerturbationSpec({ModeIndex(1, 1): (0.0, 1.0)})
-    assert validate(clean, Constraint.VOLUME_ONLY).ok
-
-
 def test_validate_volume_and_barycenter():
     spec = PerturbationSpec({ModeIndex(1, 1): (0.0, 1.0), ModeIndex(2, 1): (0.0, 1.0)})
-    verdict = validate(spec, Constraint.VOLUME_AND_BARYCENTER)
-    assert not verdict.ok
-    assert [index for index, _ in verdict.violations] == [ModeIndex(1, 1)]
+    assert [index for index, _ in validate(spec)] == [ModeIndex(1, 1)]
+
+    mean = PerturbationSpec(
+        {ModeIndex(0, 1): (1.0, 0.0), ModeIndex(1, 1): (0.0, 1.0)}, allow_mean=True
+    )
+    violations = validate(mean)
+    assert [index for index, _ in violations] == [ModeIndex(0, 1), ModeIndex(1, 1)]
+    assert "volume preservation" in violations[0][1]
 
     admissible = PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)})
-    assert validate(admissible, Constraint.VOLUME_AND_BARYCENTER).ok
+    assert validate(admissible) == ()

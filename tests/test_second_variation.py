@@ -11,14 +11,11 @@ from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
 from twophase_torsion.second_variation import (
     assemble_spectrum,
     discriminant,
-    factored_discriminant,
-    first_variation,
     monotonicity_functions,
     printed_spectrum,
     spectrum_table,
     total_second_variation,
 )
-from twophase_torsion.exact_state import sphere_area, traces
 from twophase_torsion.transmission import FloatRangeError, closed_form_modes, denom_F
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
@@ -57,8 +54,11 @@ REFERENCE_SPECTRUM = [
 
 @pytest.mark.parametrize("params, degree, expected", REFERENCE_SPECTRUM)
 def test_assembled_spectrum_matches_pinned_values(params, degree, expected):
-    for values in (assemble_spectrum(params, degree), spectrum_table(params, 50).row(degree)):
-        assert (values.e_in, values.e_out, values.e_res) == expected
+    values = assemble_spectrum(params, degree)
+    assert (values.e_in, values.e_out, values.e_res) == expected
+    table = spectrum_table(params, 50)
+    columns = (table.e_in, table.e_out, table.e_res)
+    assert tuple(column[degree - 1] for column in columns) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,8 +91,6 @@ def test_spectrum_past_float_range_names_the_first_degree():
         # 1/sigma leaves float range: the interface jump of d_n u is infinite
         (lambda: spectrum_table(ProblemParams(2, 0.5, 1e-320), 5), 1),
         (lambda: denom_F(PARAMS, 600), 507),
-        # G overflows: G / F is infinite
-        (lambda: factored_discriminant(PARAMS, 600), 504),
     ]
     for compute, degree in cases:
         with pytest.raises(FloatRangeError) as excinfo:
@@ -155,7 +153,7 @@ def test_printed_spectrum_matches_pinned_values(params, degree, expected):
 def scalar_printed_forms(params, k):
     """The printed closed forms of one degree in Python float arithmetic,
     as the per-degree evaluation computed them: (e_in, e_out, e_res), the
-    (B, C, D) of the Inner and Outer kinds, and (F, factored Delta)."""
+    (B, C, D) of the Inner and Outer kinds, and F."""
     n, radius, sigma = params.dim, params.core_radius, params.sigma
     rho = radius ** (2 - n - 2 * k)
     r_lead = radius ** (1 - k)
@@ -179,23 +177,19 @@ def scalar_printed_forms(params, k):
         (1.0 - sigma) * k / f_denom,
         (n - 2 + k + k * sigma) * rho / f_denom,
     )
-    bracket = sigma * k * (rho - 1.0) + (n - 2 + k) * rho + k
-    g = (sigma - 1.0) * k * (n - 1 + k) * (rho - 1.0) + (n - 2 + 2 * k) * rho
-    prefactor = -16.0 * (sigma - 1.0) * (k - 1) * radius**n / (sigma * n * n)
-    delta = prefactor * (bracket / f_denom) * (g / f_denom)
-    return (e_in, e_out, e_res), (inner, outer), (f_denom, delta)
+    return (e_in, e_out, e_res), (inner, outer), f_denom
 
 
 @pytest.mark.parametrize("params", SAMPLE_PARAMS + [ProblemParams(6, 0.95, 0.05)])
 def test_printed_ladders_equal_the_scalar_forms(params):
     spectrum = np.stack(printed_spectrum(params, 60), axis=1).tolist()
     modes = closed_form_modes(params, 60).tolist()
-    closed_forms = np.stack([denom_F(params, 60), factored_discriminant(params, 60)], axis=1)
+    f_denom = denom_F(params, 60)
     for k in range(1, 61):
-        values, (inner, outer), scalars = scalar_printed_forms(params, k)
+        values, (inner, outer), scalar_f = scalar_printed_forms(params, k)
         assert tuple(spectrum[k - 1]) == values
         assert (tuple(modes[0][k - 1]), tuple(modes[1][k - 1])) == (inner, outer)
-        assert closed_forms[k - 1].tobytes() == np.array(scalars).tobytes()
+        assert f_denom[k - 1].tobytes() == np.float64(scalar_f).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,7 +214,6 @@ def test_every_ladder_row_is_the_same_at_any_kmax(dim, radius, log_sigma, kmax, 
             table.e_res,
             *printed_spectrum(params, kmax),
             denom_F(params, kmax),
-            factored_discriminant(params, kmax),
         )
         values = [column[index] for column in columns]
         return [value.tobytes() for value in values + [closed_form_modes(params, kmax)[:, index]]]
@@ -289,20 +282,6 @@ def test_discriminant_overflows_to_inf_without_a_warning():
     assert discriminant(np.array([1.0]), np.array([-1.0]), np.array([1e200]))[0] == math.inf
 
 
-def test_factored_discriminant_tracks_the_assembled_discriminant():
-    # kmax 503 at the first point: past degree 250 F * F leaves the float
-    # range while delta is O(k)
-    for params, kmax in [(params, 20) for params in SAMPLE_PARAMS] + [(PARAMS, 503)]:
-        table = spectrum_table(params, kmax)
-        assembled = discriminant(table.e_in, table.e_out, table.e_res)
-        scale = np.maximum(
-            np.maximum(table.e_res**2, np.abs(4.0 * table.e_in * table.e_out)), 1e-30
-        )
-        factored = factored_discriminant(params, kmax)
-        assert (np.abs(factored - assembled) <= 1e-10 * scale).all()
-        assert not factored.flags.writeable
-
-
 def test_monotonicity_functions_negative_on_samples():
     xs = np.array([1e-3, 0.5, 1.0, 7.0, 50.0])
     for dim in (2, 3, 5):
@@ -348,28 +327,3 @@ def test_monotonicity_functions_reject_nonpositive_x():
     with pytest.raises(ValueError, match="^x must be positive$"):
         monotonicity_functions(params, np.array([1.0, 0.0]))
 
-
-def test_first_variation_vanishes_without_mean_modes():
-    spec = PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0), ModeIndex(4, 1): (2.0, -1.0)})
-    assert first_variation(spec, PARAMS) == 0.0
-
-
-def test_first_variation_mean_mode_values():
-    omega = sphere_area(PARAMS.dim)
-    state = traces(PARAMS)
-    inner_spec = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)}, allow_mean=True)
-    outer_spec = PerturbationSpec({ModeIndex(0, 1): (0.0, 1.0)}, allow_mean=True)
-    expected_inner = (
-        -state.jump_sigma_gradsq * PARAMS.core_radius * math.sqrt(omega)
-    )
-    expected_outer = math.sqrt(omega) / 4.0
-    assert first_variation(inner_spec, PARAMS) == pytest.approx(
-        expected_inner, rel=1e-14
-    )
-    assert first_variation(outer_spec, PARAMS) == pytest.approx(
-        expected_outer, rel=1e-14
-    )
-    both = PerturbationSpec({ModeIndex(0, 1): (1.0, 1.0)}, allow_mean=True)
-    assert first_variation(both, PARAMS) == pytest.approx(
-        expected_inner + expected_outer, rel=1e-14
-    )
