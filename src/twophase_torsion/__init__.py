@@ -42,12 +42,14 @@ from .reporting import (
 )
 from .second_variation import (
     SecondVariationSpectrum,
+    SpectrumGrid,
     SpectrumPath,
     SpectrumTable,
     assemble_spectrum,
     discriminant,
     monotonicity_functions,
     printed_spectrum,
+    spectrum_grid,
     spectrum_table,
     total_second_variation,
 )
@@ -83,6 +85,7 @@ __all__ = [
     "SUITES",
     "SecondVariationSpectrum",
     "SolveError",
+    "SpectrumGrid",
     "SpectrumPath",
     "SpectrumTable",
     "StabilityVerdict",
@@ -109,6 +112,7 @@ __all__ = [
     "run_secondvar_suite",
     "solve_energy",
     "solve_modes",
+    "spectrum_grid",
     "spectrum_table",
     "sphere_area",
     "total_second_variation",

@@ -331,9 +331,9 @@ def solve_energy(
     """Energy of the perturbed configuration at the family's amplitude.
 
     Preconditioned conjugate gradients from u = 0 (module docstring), stopped
-    when a step's energy increment alpha r.z is at most eps E.  A non-finite
-    or non-positive r.z or p.Kp raises SolveError, as do more steps than
-    unknowns.
+    when a step's energy increment alpha r.z is at most eps E or the residual
+    is exactly zero.  A non-finite or non-positive r.z or p.Kp raises
+    SolveError, as do more steps than unknowns.
     """
     diff, eigen = angular_operator(angular_modes)
     if 2 * family.max_degree() >= angular_modes:
@@ -345,7 +345,12 @@ def solve_energy(
     previous = math.inf  # r.z of the previous step; the first has no direction
     for _ in range(load.size):
         z = precondition(residual)
-        gamma = _positive(float(residual @ z))
+        gamma = float(residual @ z)
+        if gamma == 0.0 and not residual.any():
+            # the last step solved the system exactly, as it does when the
+            # preconditioner is the operator itself (t = 0)
+            return _positive(energy)
+        gamma = _positive(gamma)
         direction = z + (gamma / previous) * direction
         product = _stiffness(rows, diff, direction)
         step = gamma / _positive(float(direction @ product))

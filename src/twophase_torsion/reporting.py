@@ -34,10 +34,12 @@ from .pde_oracle import (
     solve_energy,
 )
 from .second_variation import (
+    SpectrumGrid,
     SpectrumPath,
     discriminant,
     monotonicity_functions,
     printed_spectrum,
+    spectrum_grid,
     spectrum_table,
     total_second_variation,
 )
@@ -72,13 +74,21 @@ def _rel_deviation(a, b, floor):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
-def grid_params() -> list[ProblemParams]:
-    return [
+@functools.cache
+def grid_params() -> tuple[ProblemParams, ...]:
+    return tuple(
         ProblemParams(dim, radius, sigma)
         for dim in GRID_DIMS
         for sigma in GRID_SIGMAS
         for radius in GRID_RADII
-    ]
+    )
+
+
+@functools.cache
+def grid_spectrum(kmax: int) -> SpectrumGrid:
+    """The assembled spectra of the grid at kmax, from one stacked solve,
+    computed once: criteria 1-6 and the fidelity report read them."""
+    return spectrum_grid(grid_params(), kmax)
 
 
 class FidelityVerdict(enum.Enum):
@@ -142,12 +152,12 @@ def build_fidelity_report() -> FidelityReport:
     """Compare printed vs independent values per formula over the grid,
     worst case wins (the last one among ties)."""
     grid = grid_params()
-    tables = [spectrum_table(params, GRID_KMAX) for params in grid]
+    spectra = grid_spectrum(GRID_KMAX)
     # [point, kind, degree - 1, column] and [point, entry, degree - 1]
-    solved = np.stack([table.modes.coefficients for table in tables])
-    printed_modes = np.stack([closed_form_modes(params, GRID_KMAX) for params in grid])
-    assembled = np.stack([(table.e_in, table.e_out, table.e_res) for table in tables])
-    printed = np.stack([printed_spectrum(params, GRID_KMAX) for params in grid])
+    solved = spectra.modes.coefficients
+    printed_modes = closed_form_modes(grid, GRID_KMAX)
+    assembled = np.stack((spectra.e_in, spectra.e_out, spectra.e_res), axis=1)
+    printed = np.stack(printed_spectrum(grid, GRID_KMAX), axis=1)
 
     # Near-cancellation values are judged against the magnitude of the
     # companion quantities at the same grid point and degree, not against zero.
@@ -194,7 +204,7 @@ def emit_spectrum_csv(params: ProblemParams, kmax: int, path: SpectrumPath) -> s
         table = spectrum_table(params, kmax)
         columns = (table.e_in, table.e_out, table.e_res)
     else:
-        columns = printed_spectrum(params, kmax)
+        columns = tuple(column[0] for column in printed_spectrum((params,), kmax))
     columns = (*columns, discriminant(*columns))
     rows = zip(range(1, kmax + 1), *(column.tolist() for column in columns))
     lines = ["k,e_in,e_out,e_res,delta"] + [
@@ -252,15 +262,21 @@ _NO_FLOOR = sys.float_info.min  # relative deviations with no absolute floor
 _CHANNELS = (("inner", (1.0, 0.0)), ("outer", (0.0, 1.0)))
 
 
+def _worst(deviations: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """The largest deviation and the index of its first occurrence."""
+    index = np.unravel_index(np.argmax(deviations), deviations.shape)
+    return float(deviations[index]), tuple(int(i) for i in index)
+
+
 def transmission_residuals() -> CheckResult:
     """1. Every mode solve on the grid meets the residual contract; the
-    solver raises when it does not, so completing the sweep is the check."""
+    solver raises when it does not, naming the first point that fails, so
+    completing the stacked solve is the check."""
     failures = []
-    for params in grid_params():
-        try:
-            spectrum_table(params, GRID_KMAX)
-        except (TransmissionSolveError, ValueError) as exc:
-            failures.append(f"{params}: {exc}")
+    try:
+        grid_spectrum(GRID_KMAX)
+    except (TransmissionSolveError, ValueError) as exc:
+        failures.append(str(exc))
     solves = len(grid_params()) * len(GRID_DEGREES) * len(KINDS)
     return _result(
         f"transmission residuals < {RESIDUAL_TOL:g} across grid",
@@ -271,10 +287,10 @@ def transmission_residuals() -> CheckResult:
 
 def denominator_positivity() -> CheckResult:
     """2. F > 0 on the grid and on random parameter samples."""
+    grid = grid_params()
     failures = [
-        f"{params}, k={index + 1}"
-        for params in grid_params()
-        for index in np.flatnonzero(~(denom_F(params, GRID_KMAX) > 0.0)).tolist()
+        f"{grid[point]}, k={index + 1}"
+        for point, index in np.argwhere(~(denom_F(grid, GRID_KMAX) > 0.0)).tolist()
     ]
     rng = np.random.default_rng(RANDOM_SEED)
     dims = rng.integers(2, 7, size=RANDOM_SAMPLES)
@@ -294,76 +310,65 @@ def denominator_positivity() -> CheckResult:
 
 def closed_form_fidelity() -> CheckResult:
     """3. The printed shell coefficients C_in, D_in match the solve."""
-    worst = (0.0, "")
-    for params in grid_params():
-        solved = spectrum_table(params, GRID_KMAX).modes.coefficients[0, :, 1:]
-        printed = closed_form_modes(params, GRID_KMAX)[0, :, 1:]
-        deviations = _rel_deviation(printed, solved, _NO_FLOOR)
-        index, column = np.unravel_index(np.argmax(deviations), deviations.shape)
-        if deviations[index, column] > worst[0]:
-            field = ("outer_sing", "outer_reg")[column]
-            worst = (deviations[index, column], f"{field} at {params}, k={index + 1}")
+    grid = grid_params()
+    solved = grid_spectrum(GRID_KMAX).modes.coefficients[:, 0, :, 1:]
+    printed = closed_form_modes(grid, GRID_KMAX)[:, 0, :, 1:]
+    worst, (point, index, column) = _worst(_rel_deviation(printed, solved, _NO_FLOOR))
+    field = ("outer_sing", "outer_reg")[column]
+    where = f"{field} at {grid[point]}, k={index + 1}" if worst > 0.0 else ""
     return CheckResult(
         f"printed C_in and D_in match the transmission solve to {REL_TOL:g}",
-        worst[0] <= REL_TOL,
-        f"max deviation {worst[0]:.3e} ({worst[1]})",
+        worst <= REL_TOL,
+        f"max deviation {worst:.3e} ({where})",
     )
 
 
 def translation_invariance() -> CheckResult:
     """4. e_in(1) = e_out(1) on the grid."""
-    worst = (0.0, "")
-    for params in grid_params():
-        table = spectrum_table(params, SPECTRUM_KMAX)
-        deviation = _rel_deviation(table.e_in[0], table.e_out[0], _NO_FLOOR)
-        if deviation > worst[0]:
-            worst = (deviation, str(params))
+    grid, spectra = grid_params(), grid_spectrum(SPECTRUM_KMAX)
+    worst, (point,) = _worst(_rel_deviation(spectra.e_in[:, 0], spectra.e_out[:, 0], _NO_FLOOR))
     return CheckResult(
         f"translation invariance e_in(1) = e_out(1) to {TRANSLATION_TOL:g}",
-        worst[0] <= TRANSLATION_TOL,
-        f"max deviation {worst[0]:.3e} ({worst[1]})",
+        worst <= TRANSLATION_TOL,
+        f"max deviation {worst:.3e} ({grid[point] if worst > 0.0 else ''})",
     )
 
 
 def single_phase_degeneracy() -> CheckResult:
-    """5. At sigma = 1: e_in = 0, e_out(1) = 0, e_out(k >= 2) < 0."""
-    failures = []
-    for dim in GRID_DIMS:
-        for radius in GRID_RADII:
-            params = ProblemParams(dim, radius, 1.0)
-            table = spectrum_table(params, SPECTRUM_KMAX)
-            failed = np.stack(
-                [
-                    np.abs(table.e_in) > SINGLE_PHASE_TOL,
-                    np.concatenate(
-                        [np.abs(table.e_out[:1]) > SINGLE_PHASE_TOL, ~(table.e_out[1:] < 0.0)]
-                    ),
-                ],
-                axis=1,
-            )
-            failures += [
-                f"{('e_in', 'e_out')[column]}({index + 1}) at {params}"
-                for index, column in np.argwhere(failed).tolist()
-            ]
+    """5. At sigma = 1: e_in = 0, e_out(1) = 0, e_out(k >= 2) < 0, on the
+    grid's points with sigma = 1."""
+    grid, spectra = grid_params(), grid_spectrum(SPECTRUM_KMAX)
+    points = [point for point, params in enumerate(grid) if params.sigma == 1.0]
+    e_in, e_out = spectra.e_in[points], spectra.e_out[points]
+    failed = np.stack(
+        [
+            np.abs(e_in) > SINGLE_PHASE_TOL,
+            np.concatenate(
+                [np.abs(e_out[:, :1]) > SINGLE_PHASE_TOL, ~(e_out[:, 1:] < 0.0)], axis=1
+            ),
+        ],
+        axis=2,
+    )
+    failures = [
+        f"{('e_in', 'e_out')[column]}({index + 1}) at {grid[points[point]]}"
+        for point, index, column in np.argwhere(failed).tolist()
+    ]
     return _result("single-phase degeneracy at sigma=1", failures)
 
 
 def spectrum_monotonicity() -> CheckResult:
     """6. e_out, and e_in for sigma != 1, strictly decrease in the degree."""
-    failures = []
-    for params in grid_params():
-        table = spectrum_table(params, SPECTRUM_KMAX)
-        failed = np.stack(
-            [
-                ~(table.e_out[1:] < table.e_out[:-1]),
-                ~(table.e_in[1:] < table.e_in[:-1]) & (params.sigma != 1.0),
-            ],
-            axis=1,
-        )
-        failures += [
-            f"{('e_out', 'e_in')[column]}({index + 2}) at {params}"
-            for index, column in np.argwhere(failed).tolist()
-        ]
+    grid, spectra = grid_params(), grid_spectrum(SPECTRUM_KMAX)
+    e_in, e_out = spectra.e_in, spectra.e_out
+    two_phase = np.array([params.sigma != 1.0 for params in grid])[:, np.newaxis]
+    failed = np.stack(
+        [~(e_out[:, 1:] < e_out[:, :-1]), ~(e_in[:, 1:] < e_in[:, :-1]) & two_phase],
+        axis=2,
+    )
+    failures = [
+        f"{('e_out', 'e_in')[column]}({index + 2}) at {grid[point]}"
+        for point, index, column in np.argwhere(failed).tolist()
+    ]
     return _result(
         "assembled e_out (and e_in for sigma != 1) strictly decreasing, "
         f"k=1..{SPECTRUM_KMAX}",
@@ -373,17 +378,17 @@ def spectrum_monotonicity() -> CheckResult:
 
 def proof_function_negativity() -> CheckResult:
     """7. The proof functions a, b, c are strictly negative on a log grid."""
-    combos = [(dim, float(radius)) for dim in PROOF_DIMS for radius in PROOF_RADII]
-    failures = []
-    for dim, radius in combos:
-        a, b, c = monotonicity_functions(ProblemParams(dim, radius, 1.0), PROOF_POINTS)
-        failures += [
-            f"N={dim}, R={radius:.3f}, x={PROOF_POINTS[i]:.4g}: "
-            f"({a[i]:.3e},{b[i]:.3e},{c[i]:.3e})"
-            for i in np.flatnonzero(~((a < 0.0) & (b < 0.0) & (c < 0.0))).tolist()
-        ]
+    points = tuple(
+        ProblemParams(dim, float(radius), 1.0) for dim in PROOF_DIMS for radius in PROOF_RADII
+    )
+    a, b, c = monotonicity_functions(points, PROOF_POINTS)
+    failures = [
+        f"N={points[p].dim}, R={points[p].core_radius:.3f}, x={PROOF_POINTS[i]:.4g}: "
+        f"({a[p, i]:.3e},{b[p, i]:.3e},{c[p, i]:.3e})"
+        for p, i in np.argwhere(~((a < 0.0) & (b < 0.0) & (c < 0.0))).tolist()
+    ]
     return _result(
-        f"a, b, c strictly negative on {len(combos)} (N,R) combinations "
+        f"a, b, c strictly negative on {len(points)} (N,R) combinations "
         f"x {len(PROOF_POINTS)} points",
         failures,
     )
@@ -392,33 +397,42 @@ def proof_function_negativity() -> CheckResult:
 def resonance_structure() -> CheckResult:
     """8. For sigma > 1: delta(1) = 0 and Q(1) = 0 for the combined degree-1
     mode; delta <= 0 and Q(t) < 0 at every sampled ratio for k >= 2."""
-    combined = PerturbationSpec({ModeIndex(1, 1): (1.0, 1.0)})
-    failures = []
-    for dim in GRID_DIMS:
-        for radius in GRID_RADII:
-            for sigma in RESONANCE_SIGMAS:
-                params = ProblemParams(dim, radius, sigma)
-                table = spectrum_table(params, SPECTRUM_KMAX)
-                delta = discriminant(table.e_in, table.e_out, table.e_res)
-                e_in, e_out, e_res = table.e_in[0], table.e_out[0], table.e_res[0]
-                scale = max(e_res**2, abs(4.0 * e_in * e_out))
-                if abs(delta[0]) > RESONANCE_TOL * scale:
-                    failures.append(f"delta(1) at {params}")
-                total = total_second_variation(combined, table)
-                if abs(total) > RESONANCE_TOL * (abs(e_in) + abs(e_out)):
-                    failures.append(f"Q(1) != 0 at k=1, {params}")
-                # Q(t) = e_in t^2 + e_res t + e_out on the (degree, ratio) grid
-                q_values = (
-                    table.e_in[1:, np.newaxis] * RESONANCE_RATIOS * RESONANCE_RATIOS
-                    + table.e_res[1:, np.newaxis] * RESONANCE_RATIOS
-                    + table.e_out[1:, np.newaxis]
-                )
-                failed = np.stack([delta[1:] > 0.0, ~(q_values < 0.0).all(axis=1)], axis=1)
-                labels = ("delta({}) > 0 at {}", "Q(t) >= 0 at k={}, {}")
-                failures += [
-                    labels[column].format(index + 2, params)
-                    for index, column in np.argwhere(failed).tolist()
-                ]
+    points = tuple(
+        ProblemParams(dim, radius, sigma)
+        for dim in GRID_DIMS
+        for radius in GRID_RADII
+        for sigma in RESONANCE_SIGMAS
+    )
+    spectra = spectrum_grid(points, SPECTRUM_KMAX)
+    e_in, e_out, e_res = spectra.e_in, spectra.e_out, spectra.e_res
+    delta = discriminant(e_in, e_out, e_res)
+    # degree 1: delta(1) against its scale, and E''(Phi) of the combined mode
+    # alpha_in = alpha_out = 1, which is Q(1)
+    scale = np.maximum(e_res[:, 0] ** 2, np.abs(4.0 * e_in[:, 0] * e_out[:, 0]))
+    combined = e_in[:, 0] + e_out[:, 0] + e_res[:, 0]
+    first = np.stack(
+        [
+            np.abs(delta[:, 0]) > RESONANCE_TOL * scale,
+            np.abs(combined) > RESONANCE_TOL * (np.abs(e_in[:, 0]) + np.abs(e_out[:, 0])),
+        ],
+        axis=1,
+    )
+    # Q(t) = e_in t^2 + e_res t + e_out < 0 on [point, degree], one sampled
+    # ratio at a time, so no [point, degree, ratio] array is held
+    negative = np.ones(delta[:, 1:].shape, dtype=bool)
+    for ratio in RESONANCE_RATIOS.tolist():
+        negative &= e_in[:, 1:] * ratio * ratio + e_res[:, 1:] * ratio + e_out[:, 1:] < 0.0
+    later = np.stack([delta[:, 1:] > 0.0, ~negative], axis=2)
+    # [point, degree - 1, check], in the order the checks are listed above
+    failed = np.concatenate([first[:, np.newaxis], later], axis=1)
+    labels = (
+        ("delta(1) at {1}", "Q(1) != 0 at k=1, {1}"),
+        ("delta({0}) > 0 at {1}", "Q(t) >= 0 at k={0}, {1}"),
+    )
+    failures = [
+        labels[index > 0][column].format(index + 1, points[point])
+        for point, index, column in np.argwhere(failed).tolist()
+    ]
     return _result(
         "resonance: delta <= 0, delta(1) = 0, Q < 0 for k >= 2 (sigma > 1)", failures
     )

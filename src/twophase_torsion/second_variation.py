@@ -10,6 +10,8 @@ sum alpha_out Y_{k,i} on the outer boundary,
 The spectrum of a parameter point is one table: `spectrum_table(params,
 kmax)` reduces the boundary-integral formula for E'' per mode using
 oracle-validated profiles, for the whole ladder of degrees 1..kmax at once,
+and `spectrum_grid(points, kmax)` does the same for a tuple of points from
+one stacked solve, its columns indexed [point, degree - 1],
 
     E'' = +2 int_{|x|=1} grad u . grad u' (h.n) + 2 int_{|x|=1} d_n u d_nn u (h.n)^2
           -2 int_{|x|=R} [sigma grad u . grad u'] (h.n)
@@ -22,14 +24,14 @@ a table (`total_second_variation(spec, table)`), so a caller that holds the
 table of its parameter point reads the form from it.  This assembled
 spectrum is the one consumed downstream: it is self-consistent (translation
 invariance e_in(1) = e_out(1)) and confirmed by the PDE oracle.  The
-closed-form spectrum is evaluated verbatim by `printed_spectrum(params,
-kmax)`, as the same three columns over the same ladder, for the fidelity
+closed-form spectrum is evaluated verbatim by `printed_spectrum(points,
+kmax)`, as the same three columns over the same ladders, for the fidelity
 report and the printed path of the CSV emitter (`SpectrumPath`).
 
 Also provided: the discriminant delta of the resonance quadratic
 Q(t) = e_in t^2 + e_res t + e_out, elementwise over such columns, and the
-proof functions a, b, c certifying monotone decrease of the spectrum,
-elementwise in x.
+proof functions a, b, c certifying monotone decrease of the spectrum, at
+each point and elementwise in x.
 """
 
 from __future__ import annotations
@@ -86,11 +88,35 @@ class SpectrumTable:
         return len(self.e_in)
 
 
+@dataclass(frozen=True, eq=False)
+class SpectrumGrid:
+    """The assembled spectra of degrees 1..kmax at a tuple of parameter points
+    and the mode table they were assembled from; e_in, e_out and e_res are
+    read-only, finite, and indexed [point, degree - 1]."""
 
-@functools.lru_cache(maxsize=512)
-def spectrum_table(params: ProblemParams, kmax: int) -> SpectrumTable:
-    """Assemble e_in, e_out, e_res of degrees 1..kmax from the
-    boundary-integral formula.
+    points: tuple[ProblemParams, ...]
+    modes: ModeTable
+    e_in: np.ndarray
+    e_out: np.ndarray
+    e_res: np.ndarray
+
+
+def _assembly_factors(params: ProblemParams) -> tuple[float, float, float, float]:
+    """2 R^N / N, 2 R^N (1-sigma) / (N^2 sigma), -2/N and 2/N^2, the factors
+    of the assembly formula, in scalar arithmetic."""
+    n, sigma = params.dim, params.sigma
+    r_pow = params.core_radius**n
+    return (
+        2.0 * r_pow / n,
+        2.0 * r_pow * (1.0 - sigma) / (n * n * sigma),
+        -(2.0 / n),
+        2.0 / (n * n),
+    )
+
+
+def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
+    """Assemble e_in, e_out, e_res of degrees 1..kmax at every point from the
+    boundary-integral formula, from one stacked mode solve.
 
     With w the radial profile of the mode (from the transmission solve) and
     Dw' := w'_+(R) - w'_-(R) the derivative jump at the interface:
@@ -99,29 +125,43 @@ def spectrum_table(params: ProblemParams, kmax: int) -> SpectrumTable:
         e_out = -(2/N) w'_out(1) + 2/N^2
         e_res = -(2/N) w'_in(1)  + (2 R^N / N) Dw'_out
 
-    Raises FloatRangeError at the first degree whose entries leave the
-    float range.  This is the one cache of the analytic path, keyed by
-    (params, kmax); its bound holds the 99 tables of the verify suites and
-    the fidelity report together, and keeps long parameter sweeps from
-    growing memory.
+    Row (point, k) is the row of that point's own table.  Raises
+    FloatRangeError at the first degree whose entries leave the float range;
+    of several points, the diagnostic names the first point that fails.
     """
-    modes = solve_modes(params, kmax)
-    n, radius, sigma = params.dim, params.core_radius, params.sigma
-    inner, outer = modes.derivatives  # columns w'_-(R), w'_+(R), w'_+(1)
-    r_pow = radius**n
+    modes = solve_modes(points, kmax)
+    in_scale, in_const, out_scale, out_const = np.array(
+        [_assembly_factors(params) for params in points]
+    ).T[..., np.newaxis]
+    # columns w'_-(R), w'_+(R), w'_+(1)
+    inner, outer = modes.derivatives[:, 0], modes.derivatives[:, 1]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        jump_in = inner[:, 1] - inner[:, 0]
-        jump_out = outer[:, 1] - outer[:, 0]
-        e_in = (2.0 * r_pow / n) * jump_in + 2.0 * r_pow * (1.0 - sigma) / (
-            n * n * sigma
-        )
-        e_out = -(2.0 / n) * outer[:, 2] + 2.0 / (n * n)
-        e_res = -(2.0 / n) * inner[:, 2] + (2.0 * r_pow / n) * jump_out
-    FloatRangeError.check(np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res))
+        e_in = in_scale * (inner[..., 1] - inner[..., 0]) + in_const
+        e_out = out_scale * outer[..., 2] + out_const
+        e_res = out_scale * inner[..., 2] + in_scale * (outer[..., 1] - outer[..., 0])
+    FloatRangeError.check(
+        points, np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res)
+    )
     for column in (e_in, e_out, e_res):
         column.flags.writeable = False
-    return SpectrumTable(params, modes, e_in, e_out, e_res)
+    return SpectrumGrid(points, modes, e_in, e_out, e_res)
+
+
+@functools.lru_cache(maxsize=512)
+def spectrum_table(params: ProblemParams, kmax: int) -> SpectrumTable:
+    """The assembled spectrum of degrees 1..kmax at one point: the one-point
+    spectrum_grid, without its point axis.
+
+    Raises FloatRangeError at the first degree whose entries leave the float
+    range.  This is the cache of the one-point tables, keyed by
+    (params, kmax): the classifier, the CSV emitter and criteria 11-12 read
+    it, and its bound keeps long parameter sweeps from growing memory.  The
+    criteria's grids are solved whole by spectrum_grid instead.
+    """
+    grid = spectrum_grid((params,), kmax)
+    modes = ModeTable(grid.modes.coefficients[0], grid.modes.derivatives[0])
+    return SpectrumTable(params, modes, grid.e_in[0], grid.e_out[0], grid.e_res[0])
 
 
 def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpectrum:
@@ -136,20 +176,23 @@ def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpec
 
 
 def printed_spectrum(
-    params: ProblemParams, kmax: int
+    points: tuple[ProblemParams, ...], kmax: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate the closed-form spectrum expressions verbatim.
 
-    Returns the read-only columns e_in, e_out, e_res of degrees 1..kmax,
-    indexed by degree - 1.  Reference values for the fidelity report; see
-    spectrum_table for the path consumed downstream.  Raises FloatRangeError
-    at the first degree whose entries leave the float range.
+    Returns the read-only columns e_in, e_out, e_res of degrees 1..kmax at
+    every point, indexed [point, degree - 1].  Reference values for the
+    fidelity report; see spectrum_grid for the path consumed downstream.
+    Raises FloatRangeError at the first degree whose entries leave the float
+    range.
     """
-    k, rho, r_lead, f_denom = _printed_ladder(params, kmax)
-    n, radius, sigma = params.dim, params.core_radius, params.sigma
+    k, rho, r_lead, f_denom = _printed_ladder(points, kmax)
+    n = np.array([params.dim for params in points])[:, np.newaxis]
+    sigma = np.array([params.sigma for params in points])[:, np.newaxis]
+    r_pow = np.array([params.core_radius**params.dim for params in points])[:, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):
         e_in = (
-            (2.0 * radius**n / n)
+            (2.0 * r_pow / n)
             * ((1.0 - sigma) / sigma)
             * (f_denom - k * (k * (1.0 - sigma) + (n - 2 + k) * (1.0 - sigma) * rho))
             / f_denom
@@ -160,7 +203,9 @@ def printed_spectrum(
             / f_denom
         )
         e_res = (4.0 * (sigma - 1.0) * r_lead / n) * ((n - 2) * k + 2 * k * k) / f_denom
-    FloatRangeError.check(np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res))
+    FloatRangeError.check(
+        points, np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res)
+    )
     for column in (e_in, e_out, e_res):
         column.flags.writeable = False
     return e_in, e_out, e_res
@@ -191,7 +236,7 @@ def total_second_variation(spec: PerturbationSpec, table: SpectrumTable) -> floa
 
 
 def monotonicity_functions(
-    params: ProblemParams, x
+    points: tuple[ProblemParams, ...], x
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The proof functions a, b, c certifying strict decrease of the spectrum.
 
@@ -202,15 +247,17 @@ def monotonicity_functions(
         c(x) = P^{-1} - P + 2 lambda (M + 2x)
 
     All three are strictly negative for x > 0, which forces the spectrum to
-    decrease in the degree.  Elementwise in x; where P leaves the float
-    range the values are -inf, their limit.
+    decrease in the degree.  Indexed [point, ...] with x's shape after the
+    point axis; where P leaves the float range the values are -inf, their
+    limit.
     """
     x = np.asarray(x, dtype=float)
     if not (x > 0.0).all():
         raise ValueError("x must be positive")
-    big_l = 1.0 / params.core_radius
-    lam = math.log(big_l)
-    m = params.dim - 2
+    column = (len(points),) + (1,) * x.ndim
+    big_l = np.array([1.0 / params.core_radius for params in points]).reshape(column)
+    lam = np.array([math.log(1.0 / params.core_radius) for params in points]).reshape(column)
+    m = np.array([params.dim - 2 for params in points]).reshape(column)
     with np.errstate(over="ignore"):
         p = np.power(big_l, 2.0 * x + m)
         a = (
@@ -227,4 +274,3 @@ def monotonicity_functions(
         )
         c = 1.0 / p - p + 2.0 * lam * (m + 2.0 * x)
     return a, b, c
-

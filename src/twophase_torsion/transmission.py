@@ -15,12 +15,14 @@ expressions evaluated verbatim.  The two are compared by the fidelity report,
 which is where any discrepancy is surfaced; the closed forms are never
 silently patched.
 
-Both cover a whole degree ladder at once: `solve_modes` stacks the systems
-of degrees 1..kmax and both kinds, solves the stack in one call and returns
-a `ModeTable`; `closed_form_modes` returns the printed (B, C, D) of the same
-ladder in the layout of `ModeTable.coefficients`.  Every power of R is taken
-with Python's scalar pow, one value per degree, so row k does not depend on
-kmax.
+Both cover a whole degree ladder at a tuple of parameter points at once:
+`solve_modes` stacks the systems of every point, degrees 1..kmax and both
+kinds, solves the stack in one call and returns a `ModeTable`;
+`closed_form_modes` returns the printed (B, C, D) of the same ladders in the
+layout of `ModeTable.coefficients`.  Their arrays lead with the point axis.
+Each call takes the powers of R it needs from one ladder per distinct R,
+built with Python's scalar pow over the integer exponents the call uses, so
+row (point, k) depends neither on kmax nor on the other points.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -44,75 +45,117 @@ class ModeKind(enum.Enum):
     OUTER = "Outer"
 
 
-KINDS = tuple(ModeKind)  # axis 0 of a ModeTable
+KINDS = tuple(ModeKind)  # the kind axis of a ModeTable
 
 
 class TransmissionSolveError(RuntimeError):
     """The 3x3 mode system was singular or left a residual above contract."""
 
 
+def _named(points: tuple[ProblemParams, ...], point: int) -> str:
+    """The prefix that names a point in a diagnostic: empty for one point."""
+    return f"{points[point]}: " if len(points) > 1 else ""
+
+
 class FloatRangeError(ValueError):
     """A degree of the ladder takes a value outside the float range."""
 
-    def __init__(self, degree: int) -> None:
-        super().__init__(f"degree {degree} leaves float range for these parameters")
+    def __init__(self, degree: int, prefix: str = "") -> None:
+        super().__init__(
+            f"{prefix}degree {degree} leaves float range for these parameters"
+        )
         self.degree = degree
 
     @classmethod
-    def check(cls, finite: np.ndarray) -> None:
-        """Raise at the first degree whose flag is False; the flags are
-        indexed by degree - 1."""
+    def check(cls, points: tuple[ProblemParams, ...], finite: np.ndarray) -> None:
+        """Raise at the first point with a False flag, at its first degree;
+        the flags are indexed [point, degree - 1]."""
         if not finite.all():
-            raise cls(int(np.argmin(finite)) + 1)
+            point, index = np.argwhere(~finite)[0].tolist()
+            raise cls(index + 1, _named(points, point))
 
 
-def _scalar_powers(base: float, exponents: Iterable[int]) -> np.ndarray:
-    """base**e for each exponent by Python's scalar pow, inf past float range.
+def _exponents(*terms: tuple[int, int, int]) -> np.ndarray:
+    """The (a, b, c) of exponents a + bN + ck, as three arrays that broadcast
+    against [term, point, degree - 1]."""
+    return np.array(terms).T[..., np.newaxis, np.newaxis]
 
+
+# R^{N-2+2k}, R^k, R^{-k}, R^{N-2+k}, R^{1-N-k} and R^{k-1}: the mode systems
+_MODE_POWERS = _exponents((-2, 1, 2), (0, 0, 1), (0, 0, -1), (-2, 1, 1), (1, -1, -1), (-1, 0, 1))
+# R^{2-N-2k} and R^{1-k}: the printed closed forms
+_PRINTED_POWERS = _exponents((2, -1, -2), (1, 0, -1))
+
+
+def _radius_powers(points: tuple[ProblemParams, ...], kmax: int, terms: np.ndarray) -> np.ndarray:
+    """R^{a + bN + ck} for each term (a, b, c) of _exponents, at each point
+    (radius R, dimension N) and degree k = 1..kmax, indexed
+    [term, point, degree - 1]; inf past float range.
+
+    One ladder per distinct R runs over the exponents from the least to the
+    greatest, by Python's scalar pow, and every entry is gathered from it.
     numpy's vectorised pow differs from the scalar one by an ulp on about 5%
-    of these inputs; the scalar pow gives each degree the value a per-degree
-    evaluation gives, whatever the length of the ladder.
+    of these inputs; the scalar pow gives each entry the value a per-entry
+    evaluation gives, whatever the other points and the length of the ladder.
     """
+    a, b, c = terms
+    dims = np.array([params.dim for params in points])[:, np.newaxis]
+    # allocated before the scalar loop, so an infeasible kmax fails at once
+    exponents = a + b * dims + c * np.arange(1, kmax + 1)
+    lowest = int(exponents.min())
+    width = int(exponents.max()) - lowest + 1
+    radii = list(dict.fromkeys(params.core_radius for params in points))
     values = []
-    for exponent in exponents:
-        try:
-            values.append(base**exponent)
-        except OverflowError:
-            values.append(math.inf)
-    return np.array(values)
+    for radius in radii:
+        for exponent in range(lowest, lowest + width):
+            try:
+                values.append(radius**exponent)
+            except OverflowError:
+                values.append(math.inf)
+    # the ladders lie one after another in values; origins holds the index
+    # of R^0 in the ladder of each point's radius
+    origins = np.array([radii.index(params.core_radius) * width - lowest for params in points])
+    return np.array(values)[origins[:, np.newaxis] + exponents]
 
 
-def _denominator(n: int, sigma: float, k, rho):
+def _check_ladder(points: tuple[ProblemParams, ...], kmax: int) -> None:
+    """Reject an empty degree range or an empty tuple of points."""
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    if not points:
+        raise ValueError("points must not be empty")
+
+
+def _denominator(n, sigma, k, rho):
     """F = N(N-2+k+k sigma) rho + kN(1-sigma) with rho = R^{2-N-2k},
     elementwise in every argument."""
     return n * (n - 2 + k + k * sigma) * rho + k * n * (1.0 - sigma)
 
 
 def _printed_ladder(
-    params: ProblemParams, kmax: int
+    points: tuple[ProblemParams, ...], kmax: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The degrees 1..kmax with R^{2-N-2k}, R^{1-k} and F, the terms the
-    printed closed forms share; entries past float range are inf or NaN."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    n, radius = params.dim, params.core_radius
-    # integers, so the integer factors stay exact; allocated before the
-    # scalar loops, so an infeasible kmax fails at once
+    printed closed forms share, indexed [point, degree - 1]; entries past
+    float range are inf or NaN."""
+    _check_ladder(points, kmax)
+    # integers, so the integer factors stay exact
     degrees = np.arange(1, kmax + 1)
-    ks = range(1, kmax + 1)
-    rho = _scalar_powers(radius, (2 - n - 2 * k for k in ks))
-    r_lead = _scalar_powers(radius, (1 - k for k in ks))
+    dims = np.array([params.dim for params in points])[:, np.newaxis]
+    sigmas = np.array([params.sigma for params in points])[:, np.newaxis]
+    rho, r_lead = _radius_powers(points, kmax, _PRINTED_POWERS)
     with np.errstate(over="ignore", invalid="ignore"):
-        f_denom = _denominator(n, params.sigma, degrees, rho)
+        f_denom = _denominator(dims, sigmas, degrees, rho)
     return degrees, rho, r_lead, f_denom
 
 
-def denom_F(params: ProblemParams, kmax: int) -> np.ndarray:
+def denom_F(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
     """The common denominator F = N(N-2+k+k sigma)R^{2-N-2k} + kN(1-sigma) > 0
-    of degrees 1..kmax, as a read-only column indexed by degree - 1.  Raises
-    FloatRangeError at the first degree that leaves the float range."""
-    f_denom = _printed_ladder(params, kmax)[3]
-    FloatRangeError.check(np.isfinite(f_denom))
+    of degrees 1..kmax at each point, read-only and indexed
+    [point, degree - 1].  Raises FloatRangeError at the first degree that
+    leaves the float range."""
+    f_denom = _printed_ladder(points, kmax)[3]
+    FloatRangeError.check(points, np.isfinite(f_denom))
     f_denom.flags.writeable = False
     return f_denom
 
@@ -121,19 +164,21 @@ def denom_F(params: ProblemParams, kmax: int) -> np.ndarray:
 class ModeTable:
     """The mode profiles of degrees 1..kmax, both kinds.
 
-    Arrays are indexed [kind, degree - 1, column], kinds in KINDS order.
-    coefficients holds (B, C, D) of each profile; derivatives holds the
-    radial derivatives w'(R) in the core, w'(R) in the shell and w'(1), the
-    traces the boundary-integral assembly of the spectrum reads.  Both are
-    read-only and finite.
+    Arrays are indexed [point, kind, degree - 1, column], kinds in KINDS
+    order; the table of one parameter point (SpectrumTable.modes) drops the
+    point axis.  coefficients holds (B, C, D) of each profile; derivatives
+    holds the radial derivatives w'(R) in the core, w'(R) in the shell and
+    w'(1), the traces the boundary-integral assembly of the spectrum reads.
+    Both are read-only and finite.
     """
 
     coefficients: np.ndarray
     derivatives: np.ndarray
 
 
-def solve_modes(params: ProblemParams, kmax: int) -> ModeTable:
-    """Solve the mode systems of degrees 1..kmax, both kinds, in one call.
+def solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> ModeTable:
+    """Solve the mode systems of degrees 1..kmax, both kinds, at every point
+    in one call.
 
     Conditions at the interface r = R and the boundary r = 1:
       (i)   flux jump zero:   w_+' (R) - sigma w_-' (R) = 0
@@ -144,29 +189,41 @@ def solve_modes(params: ProblemParams, kmax: int) -> ModeTable:
     stays well conditioned for large k and small R.  Raises
     TransmissionSolveError if the backward error of any condition exceeds
     the 1e-12 relative contract, and FloatRangeError at the first degree
-    whose system or profile leaves the float range.
+    whose system or profile leaves the float range; of several points, the
+    diagnostic names the first point that fails.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    n, radius, sigma = params.dim, params.core_radius, params.sigma
-    state = traces(params)
-    ks = range(1, kmax + 1)
+    _check_ladder(points, kmax)
+    # per point, in scalar arithmetic, as columns that broadcast against
+    # [point, kind, degree - 1]: -sigma, 2-N, -[d_n u] and 1/N
+    neg_sigma, two_minus_n, neg_jump, inv_n = np.array(
+        [
+            (-params.sigma, 2 - params.dim, -traces(params).jump_dn, 1.0 / params.dim)
+            for params in points
+        ]
+    ).T[..., np.newaxis, np.newaxis]
     degrees = np.arange(1.0, kmax + 1.0)
+    # both kinds share the matrix: its kind axis has length 1
+    matrices = np.zeros((len(points), 1, kmax, 3, 3))
+    rhs = np.zeros((len(points), len(KINDS), kmax, 3))
+    # [point, 1, degree - 1]
+    r_system, r_boundary, r_minus_k, r_outer, r_sing, r_reg = _radius_powers(
+        points, kmax, _MODE_POWERS
+    )[:, :, np.newaxis]
 
     # overflow is not an error here: FloatRangeError reports where it happened
     with np.errstate(over="ignore", invalid="ignore"):
-        matrices = np.zeros((len(KINDS), kmax, 3, 3))
-        matrices[:, :, 0, 0] = -sigma * degrees
-        matrices[:, :, 0, 1] = 2 - n - degrees
-        matrices[:, :, 0, 2] = degrees
-        matrices[:, :, 1] = (-1.0, 1.0, 1.0)
-        matrices[:, :, 2, 1] = _scalar_powers(radius, (n - 2 + 2 * k for k in ks))
-        matrices[:, :, 2, 2] = 1.0
-        rhs = np.zeros((len(KINDS), kmax, 3))
-        rhs[0, :, 1] = -state.jump_dn
-        rhs[1, :, 2] = (1.0 / n) * _scalar_powers(radius, ks)
+        slope = two_minus_n - degrees
+        matrices[..., 0, 0] = neg_sigma * degrees
+        matrices[..., 0, 1] = slope
+        matrices[..., 0, 2] = degrees
+        matrices[..., 1, :] = (-1.0, 1.0, 1.0)
+        matrices[..., 2, 1] = r_system
+        matrices[..., 2, 2] = 1.0
+        rhs[:, :1, :, 1] = neg_jump
+        rhs[:, 1:, :, 2] = inv_n * r_boundary
         FloatRangeError.check(
-            np.isfinite(matrices).all(axis=(0, 2, 3)) & np.isfinite(rhs).all(axis=(0, 2))
+            points,
+            np.isfinite(matrices).all(axis=(1, 3, 4)) & np.isfinite(rhs).all(axis=(1, 3)),
         )
 
         try:
@@ -179,25 +236,24 @@ def solve_modes(params: ProblemParams, kmax: int) -> ModeTable:
         # backward error per condition, relative to the row magnitudes
         terms = matrices * scaled[..., np.newaxis, :]
         residual = np.abs(terms.sum(axis=-1) - rhs)
-        row_terms = np.abs(terms).sum(axis=-1) + np.abs(rhs)
+        row_terms = np.abs(terms, out=terms).sum(axis=-1) + np.abs(rhs)
         rel_residual = residual / np.maximum(row_terms, np.finfo(float).tiny)
         failed = (rel_residual > RESIDUAL_TOL).any(axis=-1)
         if failed.any():
-            index = int(np.argmax(failed.any(axis=0)))
-            kind = 0 if failed[0, index] else 1
+            point, index = np.argwhere(failed.any(axis=1))[0].tolist()
+            kind = 0 if failed[point, 0, index] else 1
             raise TransmissionSolveError(
-                f"mode system residual {rel_residual[kind, index].max():.3e} exceeds "
+                f"{_named(points, point)}mode system residual "
+                f"{rel_residual[point, kind, index].max():.3e} exceeds "
                 f"{RESIDUAL_TOL:.0e} at degree {index + 1}, kind {KINDS[kind].value}"
             )
 
-        r_minus_k = _scalar_powers(radius, (-k for k in ks))
         inner_coeff = scaled[..., 0] * r_minus_k
-        outer_sing = scaled[..., 1] * _scalar_powers(radius, (n - 2 + k for k in ks))
+        outer_sing = scaled[..., 1] * r_outer
         outer_reg = scaled[..., 2] * r_minus_k
-        r_sing = _scalar_powers(radius, (1 - n - k for k in ks))  # r^{1-N-k} at R
-        r_reg = _scalar_powers(radius, (k - 1 for k in ks))  # r^{k-1} at R
-        sing_slope = outer_sing * (2 - n - degrees)
+        sing_slope = outer_sing * slope
         reg_slope = outer_reg * degrees
+        # r_sing = r^{1-N-k} and r_reg = r^{k-1} at R
         derivatives = np.stack(
             [
                 inner_coeff * degrees * r_reg,
@@ -208,25 +264,27 @@ def solve_modes(params: ProblemParams, kmax: int) -> ModeTable:
         )
     coefficients = np.stack([inner_coeff, outer_sing, outer_reg], axis=-1)
     FloatRangeError.check(
-        np.isfinite(coefficients).all(axis=(0, 2))
-        & np.isfinite(derivatives).all(axis=(0, 2))
+        points,
+        np.isfinite(coefficients).all(axis=(1, 3))
+        & np.isfinite(derivatives).all(axis=(1, 3)),
     )
     coefficients.flags.writeable = False
     derivatives.flags.writeable = False
     return ModeTable(coefficients, derivatives)
 
 
-def closed_form_modes(params: ProblemParams, kmax: int) -> np.ndarray:
+def closed_form_modes(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
     """Evaluate the printed closed-form coefficients verbatim.
 
-    Returns (B, C, D) of degrees 1..kmax, both kinds, as a read-only array
-    laid out like ModeTable.coefficients.  These are reference expressions
-    for the fidelity report; downstream computation uses solve_modes
-    instead.  Raises FloatRangeError at the first degree that leaves the
-    float range.
+    Returns (B, C, D) of degrees 1..kmax, both kinds, at every point, as a
+    read-only array laid out like ModeTable.coefficients.  These are
+    reference expressions for the fidelity report; downstream computation
+    uses solve_modes instead.  Raises FloatRangeError at the first degree
+    that leaves the float range.
     """
-    n, sigma = params.dim, params.sigma
-    k, rho, r_lead, f_denom = _printed_ladder(params, kmax)
+    k, rho, r_lead, f_denom = _printed_ladder(points, kmax)
+    n = np.array([params.dim for params in points])[:, np.newaxis]
+    sigma = np.array([params.sigma for params in points])[:, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):
         c_in = (sigma - 1.0) * k * r_lead / f_denom
         inner = (
@@ -239,7 +297,9 @@ def closed_form_modes(params: ProblemParams, kmax: int) -> np.ndarray:
             (1.0 - sigma) * k / f_denom,
             (n - 2 + k + k * sigma) * rho / f_denom,
         )
-        coefficients = np.stack([np.stack(inner, axis=-1), np.stack(outer, axis=-1)])
-    FloatRangeError.check(np.isfinite(coefficients).all(axis=(0, 2)))
+        coefficients = np.stack(
+            [np.stack(inner, axis=-1), np.stack(outer, axis=-1)], axis=1
+        )
+    FloatRangeError.check(points, np.isfinite(coefficients).all(axis=(1, 3)))
     coefficients.flags.writeable = False
     return coefficients

@@ -1,5 +1,6 @@
 """Command-line surface: arguments, validation, output formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -210,6 +211,24 @@ def test_fidelity_document(capsys):
     assert entries["C_in"]["verdict"] == "Match"
     assert entries["E_res"]["verdict"] == "Match"
     assert len(entries) == 10
+
+
+# sha256 of the stdout of the report commands.  The criteria that solve
+# each grid in one stacked call print the bytes the point-by-point ones
+# printed; a change that alters these bytes must say why.
+PINNED_STDOUT = {
+    ("verify", "coefficients"): "7afe032275c55be50c3ed484ea21d05ac36a9ed5ba470252710a794a8c23a5b3",
+    ("verify", "secondvar"): "517742f4191a680fe0f2fb4d083c9232f301849d703a402a2aeb104add9c3560",
+    ("verify", "monotonicity"): "a77897d84503e4da0212ec7accdfd4a67728f56fe7e7deefd295b1c4af281cd5",
+    ("fidelity",): "981e5159bca2188bbdbfa26c2150014f60ada5c64767223c0fb3a4140c663528",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_STDOUT, ids=" ".join)
+def test_report_stdout_is_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[argv]
 
 
 def test_oracle_runs_from_a_config_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twophase_torsion import pde_oracle
@@ -311,6 +311,17 @@ ANGULAR_GRIDS = st.sampled_from([4, 6, 8, 12]).flatmap(
     alphas=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),  # inner, outer, coupled
     t=st.floats(-0.03, 0.03),
     radial_points=st.integers(4, 24),
+)
+# at t = 0 the preconditioner is the operator, and here its first step leaves
+# a residual of exactly zero
+@example(
+    radius=0.578125,
+    log_sigma=0.5827617863024299,
+    grid=(4, 1),
+    order=1,
+    alphas=(1.0, 0.0),
+    t=0.0,
+    radial_points=4,
 )
 def test_conjugate_gradients_equal_a_dense_solve_everywhere(
     radius, log_sigma, grid, order, alphas, t, radial_points

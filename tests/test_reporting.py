@@ -3,19 +3,24 @@
 import pytest
 
 from twophase_torsion.params import ModeIndex, ProblemParams, presets, validate
+from twophase_torsion import second_variation, transmission
 from twophase_torsion.reporting import (
     CRITERIA,
     GRID_DESCRIPTION,
+    GRID_KMAX,
+    SPECTRUM_KMAX,
     SUITE_CRITERIA,
     SUITES,
     FidelityVerdict,
     build_fidelity_report,
     emit_spectrum_csv,
     grid_params,
+    grid_spectrum,
     resonance_structure,
     run_coefficients_suite,
     run_monotonicity_suite,
     run_secondvar_suite,
+    transmission_residuals,
 )
 from twophase_torsion.second_variation import (
     SpectrumPath,
@@ -24,6 +29,7 @@ from twophase_torsion.second_variation import (
     printed_spectrum,
     spectrum_table,
 )
+from twophase_torsion.transmission import solve_modes
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
 
@@ -76,7 +82,7 @@ def test_fidelity_report_document_and_lookup(report):
 
 def test_spectrum_csv_layout():
     values = assemble_spectrum(PARAMS, 2)
-    printed = [float(column[1]) for column in printed_spectrum(PARAMS, 4)]
+    printed = [float(column[0, 1]) for column in printed_spectrum((PARAMS,), 4)]
     for path, (e_in, e_out, e_res) in (
         (SpectrumPath.ASSEMBLED, (values.e_in, values.e_out, values.e_res)),
         (SpectrumPath.PRINTED, printed),
@@ -150,12 +156,43 @@ def test_monotonicity_suite_passes():
     assert "105" in results[0].name
 
 
-def test_resonance_criterion_reads_one_table_per_parameter_point():
-    # the degree-1 totals read the kmax table of the loop: 3 dims x 3 radii
-    # x 3 sigmas
+@pytest.fixture
+def mode_solves(monkeypatch):
+    """The (points, kmax) of every mode solve from here on, with the caches
+    of the analytic path emptied."""
+    solves = []
+
+    def counted(points, kmax):
+        solves.append((len(points), kmax))
+        return solve_modes(points, kmax)
+
     spectrum_table.cache_clear()
+    grid_spectrum.cache_clear()
+    monkeypatch.setattr(second_variation, "solve_modes", counted)
+    return solves
+
+
+def test_resonance_criterion_makes_one_stacked_solve(mode_solves):
+    # 3 dims x 3 radii x 3 sigmas at SPECTRUM_KMAX
     assert resonance_structure().passed
-    assert spectrum_table.cache_info().misses == 27
+    assert mode_solves == [(27, SPECTRUM_KMAX)]
+
+
+def test_criteria_1_to_6_and_the_fidelity_report_make_two_grid_solves(mode_solves):
+    for number in range(1, 7):
+        assert CRITERIA[number]().passed, number
+    build_fidelity_report()
+    assert mode_solves == [(45, GRID_KMAX), (45, SPECTRUM_KMAX)]
+
+
+def test_a_grid_point_past_the_residual_contract_fails_criterion_1(monkeypatch):
+    grid_spectrum.cache_clear()
+    monkeypatch.setattr(transmission, "RESIDUAL_TOL", 0.0)
+    result = transmission_residuals()
+    grid_spectrum.cache_clear()
+    assert not result.passed
+    assert result.detail.startswith(f"{grid_params()[0]}: mode system residual ")
+    assert len(result.detail.splitlines()) == 1
 
 
 def test_suites_cover_each_criterion_once():

@@ -13,6 +13,7 @@ from twophase_torsion.second_variation import (
     discriminant,
     monotonicity_functions,
     printed_spectrum,
+    spectrum_grid,
     spectrum_table,
     total_second_variation,
 )
@@ -86,24 +87,23 @@ def test_table_rows_do_not_depend_on_kmax(dim, radius, log_sigma, kmax, data):
 def test_spectrum_past_float_range_names_the_first_degree():
     cases = [
         (lambda: spectrum_table(PARAMS, 3000), 1019),
-        (lambda: printed_spectrum(PARAMS, 503), 503),
+        (lambda: printed_spectrum((PARAMS,), 503), 503),
         (lambda: spectrum_table(ProblemParams(4, 0.05, 2.0), 300), 234),
         # 1/sigma leaves float range: the interface jump of d_n u is infinite
         (lambda: spectrum_table(ProblemParams(2, 0.5, 1e-320), 5), 1),
-        (lambda: denom_F(PARAMS, 600), 507),
+        (lambda: denom_F((PARAMS,), 600), 507),
     ]
     for compute, degree in cases:
         with pytest.raises(FloatRangeError) as excinfo:
             compute()
         assert excinfo.value.degree == degree
-    assert all(np.isfinite(column).all() for column in printed_spectrum(PARAMS, 502))
+    assert all(np.isfinite(column).all() for column in printed_spectrum((PARAMS,), 502))
 
 
 def test_degree_one_closed_forms():
     # e_in(1) = e_out(1) = 2(1-sigma)/F(1) and e_res(1) = 4(sigma-1)/F(1)
-    for params in SAMPLE_PARAMS:
+    for params, (f1,) in zip(SAMPLE_PARAMS, denom_F(tuple(SAMPLE_PARAMS), 1)):
         values = assemble_spectrum(params, 1)
-        f1 = denom_F(params, 1)[0]
         expected = 2.0 * (1.0 - params.sigma) / f1
         assert values.e_in == pytest.approx(expected, rel=1e-12, abs=1e-15)
         assert values.e_out == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -111,8 +111,8 @@ def test_degree_one_closed_forms():
 
 
 def test_printed_resonance_matches_assembled():
-    for params in SAMPLE_PARAMS:
-        _, _, e_res = printed_spectrum(params, 12)
+    _, _, printed_e_res = printed_spectrum(tuple(SAMPLE_PARAMS), 12)
+    for params, e_res in zip(SAMPLE_PARAMS, printed_e_res):
         for degree in (1, 2, 5, 12):
             assembled = assemble_spectrum(params, degree)
             assert e_res[degree - 1] == pytest.approx(assembled.e_res, rel=1e-12, abs=1e-15)
@@ -121,7 +121,7 @@ def test_printed_resonance_matches_assembled():
 def test_printed_diagonal_entries_disagree_with_assembled():
     # documented discrepancy: the printed diagonal entries differ from the
     # boundary-integral assembly; they are reported verbatim, never patched
-    e_in, e_out, _ = printed_spectrum(PARAMS, 2)
+    (e_in,), (e_out,), _ = printed_spectrum((PARAMS,), 2)
     assembled = assemble_spectrum(PARAMS, 2)
     assert abs(e_in[1] - assembled.e_in) > 1e-3 * abs(assembled.e_in)
     assert abs(e_out[1] - assembled.e_out) > 1e-3 * abs(assembled.e_out)
@@ -145,8 +145,8 @@ REFERENCE_PRINTED = [
 @pytest.mark.parametrize("params, degree, expected", REFERENCE_PRINTED)
 def test_printed_spectrum_matches_pinned_values(params, degree, expected):
     for kmax in (degree, max(degree, 60)):
-        columns = printed_spectrum(params, kmax)
-        assert tuple(float(column[degree - 1]) for column in columns) == expected
+        columns = printed_spectrum((params,), kmax)
+        assert tuple(float(column[0, degree - 1]) for column in columns) == expected
         assert not any(column.flags.writeable for column in columns)
 
 
@@ -182,9 +182,9 @@ def scalar_printed_forms(params, k):
 
 @pytest.mark.parametrize("params", SAMPLE_PARAMS + [ProblemParams(6, 0.95, 0.05)])
 def test_printed_ladders_equal_the_scalar_forms(params):
-    spectrum = np.stack(printed_spectrum(params, 60), axis=1).tolist()
-    modes = closed_form_modes(params, 60).tolist()
-    f_denom = denom_F(params, 60)
+    spectrum = np.stack(printed_spectrum((params,), 60), axis=2)[0].tolist()
+    modes = closed_form_modes((params,), 60)[0].tolist()
+    f_denom = denom_F((params,), 60)[0]
     for k in range(1, 61):
         values, (inner, outer), scalar_f = scalar_printed_forms(params, k)
         assert tuple(spectrum[k - 1]) == values
@@ -201,31 +201,65 @@ def test_printed_ladders_equal_the_scalar_forms(params):
     data=st.data(),
 )
 def test_every_ladder_row_is_the_same_at_any_kmax(dim, radius, log_sigma, kmax, data):
+    # and in any grid: each row of a multi-point call is the row of the
+    # one-point call, whatever the other points, some of which share R
     params = ProblemParams(dim, radius, math.exp(log_sigma))
     degree = data.draw(st.integers(1, kmax), label="degree")
     other = data.draw(st.integers(degree, 60), label="other kmax")
+    companion = st.builds(
+        ProblemParams,
+        st.integers(2, 6),
+        st.just(radius) | st.floats(0.05, 0.95),
+        st.floats(0.05, 20.0),
+    )
+    companions = data.draw(st.lists(companion, max_size=4), label="companions")
+    position = data.draw(st.integers(0, len(companions)), label="position")
+    grid = (*companions[:position], params, *companions[position:])
     index = degree - 1
 
-    def row(kmax):
-        table = spectrum_table(params, kmax)
+    def row(points, point, kmax):
+        spectra = spectrum_grid(points, kmax)
         columns = (
-            table.e_in,
-            table.e_out,
-            table.e_res,
-            *printed_spectrum(params, kmax),
-            denom_F(params, kmax),
+            spectra.e_in,
+            spectra.e_out,
+            spectra.e_res,
+            *printed_spectrum(points, kmax),
+            denom_F(points, kmax),
         )
-        values = [column[index] for column in columns]
-        return [value.tobytes() for value in values + [closed_form_modes(params, kmax)[:, index]]]
+        values = [column[point, index] for column in columns] + [
+            table[point, :, index]
+            for table in (
+                spectra.modes.coefficients,
+                spectra.modes.derivatives,
+                closed_form_modes(points, kmax),
+            )
+        ]
+        return [value.tobytes() for value in values]
 
-    assert row(kmax) == row(other)
+    one_point = row((params,), 0, kmax)
+    assert row((params,), 0, other) == one_point
+    assert row(grid, position, other) == one_point
+    # the cached one-point table is the one-point grid
+    table = spectrum_table(params, kmax)
+    cached = [column[index] for column in (table.e_in, table.e_out, table.e_res)] + [
+        table.modes.coefficients[:, index],
+        table.modes.derivatives[:, index],
+    ]
+    assert [value.tobytes() for value in cached] == one_point[:3] + one_point[7:9]
+    # the proof functions, which take no kmax
+    xs = np.geomspace(1e-3, 50.0, 9)
+    in_grid = monotonicity_functions(grid, xs)
+    alone = monotonicity_functions((params,), xs)
+    assert [column[position].tobytes() for column in in_grid] == [
+        column[0].tobytes() for column in alone
+    ]
 
 
 def test_spectrum_rejects_degree_zero():
     with pytest.raises(ValueError):
         assemble_spectrum(PARAMS, 0)
     with pytest.raises(ValueError):
-        printed_spectrum(PARAMS, 0)
+        printed_spectrum((PARAMS,), 0)
 
 
 def test_total_second_variation_combines_modes():
@@ -284,25 +318,27 @@ def test_discriminant_overflows_to_inf_without_a_warning():
 
 def test_monotonicity_functions_negative_on_samples():
     xs = np.array([1e-3, 0.5, 1.0, 7.0, 50.0])
-    for dim in (2, 3, 5):
-        for radius in (0.2, 0.5, 0.9):
-            params = ProblemParams(dim, radius, 1.0)
-            columns = monotonicity_functions(params, xs)
-            for column in columns:
-                assert column.shape == xs.shape
-                assert (column < 0.0).all()
-            # elementwise: each entry is the value at its own x, up to the
-            # ulp by which a vectorised pow may differ from a scalar one
-            for i, x in enumerate(xs):
-                assert monotonicity_functions(params, x) == pytest.approx(
-                    tuple(column[i] for column in columns), rel=1e-12, abs=1e-15
-                )
+    points = tuple(
+        ProblemParams(dim, radius, 1.0) for dim in (2, 3, 5) for radius in (0.2, 0.5, 0.9)
+    )
+    columns = monotonicity_functions(points, xs)
+    for column in columns:
+        assert column.shape == (len(points),) + xs.shape
+        assert (column < 0.0).all()
+    # elementwise: each entry is the value at its own point and x, up to the
+    # ulp by which a vectorised pow may differ from a scalar one
+    for point, params in enumerate(points):
+        for i, x in enumerate(xs):
+            values = [float(column[0]) for column in monotonicity_functions((params,), x)]
+            assert values == pytest.approx(
+                [column[point, i] for column in columns], rel=1e-12, abs=1e-15
+            )
 
 
 def test_monotonicity_functions_overflow_to_their_limit_without_a_warning():
     # P = L^{2x+M} leaves float range; the test suite turns warnings into errors
-    values = monotonicity_functions(ProblemParams(2, 1e-300, 1.0), 50.0)
-    assert values == (-math.inf, -math.inf, -math.inf)
+    values = monotonicity_functions((ProblemParams(2, 1e-300, 1.0),), 50.0)
+    assert [column.tolist() for column in values] == [[-math.inf]] * 3
 
 
 def test_monotonicity_functions_planar_reduction():
@@ -311,7 +347,7 @@ def test_monotonicity_functions_planar_reduction():
     big_l = 1.0 / params.core_radius
     for x in (0.3, 1.0, 4.0):
         p = big_l ** (2.0 * x)
-        a, b, c = monotonicity_functions(params, x)
+        (a,), (b,), (c,) = monotonicity_functions((params,), x)
         lam = math.log(big_l)
         assert a == pytest.approx(x * x * (1.0 / p - p) - 4.0 * lam * x**3, rel=1e-13)
         assert b == pytest.approx(-2.0 * x * x * (1.0 / p + p), rel=1e-13)
@@ -319,11 +355,11 @@ def test_monotonicity_functions_planar_reduction():
 
 
 def test_monotonicity_functions_reject_nonpositive_x():
-    params = ProblemParams(2, 0.5, 1.0)
+    points = (ProblemParams(2, 0.5, 1.0),)
     with pytest.raises(ValueError):
-        monotonicity_functions(params, 0.0)
+        monotonicity_functions(points, 0.0)
     with pytest.raises(ValueError):
-        monotonicity_functions(params, -1.0)
+        monotonicity_functions(points, -1.0)
     with pytest.raises(ValueError, match="^x must be positive$"):
-        monotonicity_functions(params, np.array([1.0, 0.0]))
+        monotonicity_functions(points, np.array([1.0, 0.0]))
 

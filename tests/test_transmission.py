@@ -61,38 +61,40 @@ def backward_errors(
 
 
 def test_denom_f_reference_values():
-    assert denom_F(ProblemParams(2, 0.5, 1.0), 1)[0] == pytest.approx(16.0, rel=1e-15)
-    assert denom_F(ProblemParams(3, 0.5, 2.0), 1)[0] == pytest.approx(93.0, rel=1e-15)
-    column = denom_F(ProblemParams(2, 0.9, 10.0), 5)
-    assert column.shape == (5,) and (column > 0.0).all()
+    f_denom = denom_F((ProblemParams(2, 0.5, 1.0), ProblemParams(3, 0.5, 2.0)), 1)
+    assert f_denom[:, 0].tolist() == pytest.approx([16.0, 93.0], rel=1e-15)
+    column = denom_F((ProblemParams(2, 0.9, 10.0),), 5)
+    assert column.shape == (1, 5) and (column > 0.0).all()
     assert not column.flags.writeable
 
 
 def test_denom_f_rejects_degree_zero():
     with pytest.raises(ValueError):
-        denom_F(PARAMS, 0)
+        denom_F((PARAMS,), 0)
 
 
 def test_ladders_reject_empty_ranges():
-    for ladder in (solve_modes, closed_form_modes):
+    for ladder in (solve_modes, closed_form_modes, denom_F):
         with pytest.raises(ValueError, match="^kmax must be >= 1$"):
-            ladder(PARAMS, 0)
+            ladder((PARAMS,), 0)
+        with pytest.raises(ValueError, match="^points must not be empty$"):
+            ladder((), 3)
 
 
 def test_oracle_is_zero_for_single_phase_inner_modes():
-    coefficients = solve_modes(ProblemParams(2, 0.5, 1.0), 7).coefficients
+    coefficients = solve_modes((ProblemParams(2, 0.5, 1.0),), 7).coefficients[0]
     for degree in (1, 2, 7):
         assert coefficients[0, degree - 1].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_oracle_inner_profiles_satisfy_dirichlet_pairing():
-    _, c_in, d_in = solve_modes(PARAMS, 3).coefficients[0, 2]
+    _, c_in, d_in = solve_modes((PARAMS,), 3).coefficients[0, 0, 2]
     assert c_in == pytest.approx(-d_in, rel=1e-13)
 
 
 def test_oracle_profiles_satisfy_all_three_conditions():
-    for params in SAMPLE_PARAMS:
-        coefficients = solve_modes(params, 13).coefficients
+    table = solve_modes(tuple(SAMPLE_PARAMS), 13)
+    for params, coefficients in zip(SAMPLE_PARAMS, table.coefficients):
         for degree in (1, 2, 5, 13):
             for kind in ModeKind:
                 errors = backward_errors(params, coefficients, degree, kind)
@@ -110,7 +112,7 @@ def test_every_row_of_the_table_meets_the_residual_contract(
     dim, radius, log_sigma, kmax
 ):
     params = ProblemParams(dim, radius, math.exp(log_sigma))
-    coefficients = solve_modes(params, kmax).coefficients
+    coefficients = solve_modes((params,), kmax).coefficients[0]
     for degree in range(1, kmax + 1):
         for kind in ModeKind:
             errors = backward_errors(params, coefficients, degree, kind)
@@ -122,29 +124,30 @@ def test_residual_contract_names_the_first_failing_row(monkeypatch):
 
     def perturbed(matrices, rhs):
         solution = solve(matrices, rhs)
-        solution[1, 2:] *= 1.0 + 1e-9  # the outer kind from degree 3 on
+        solution[:, 1, 2:] *= 1.0 + 1e-9  # the outer kind from degree 3 on
         return solution
 
     monkeypatch.setattr(np.linalg, "solve", perturbed)
-    with pytest.raises(TransmissionSolveError, match="at degree 3, kind Outer$"):
-        solve_modes(PARAMS, 5)
+    with pytest.raises(
+        TransmissionSolveError, match="^mode system residual .* at degree 3, kind Outer$"
+    ):
+        solve_modes((PARAMS,), 5)
 
 
 def test_ladder_past_float_range_names_the_first_degree():
     # B_in k R^{k-1} overflows first: B_in grows like 2^k at R = 1/2
     with pytest.raises(FloatRangeError, match="^degree 1019 leaves float range"):
-        solve_modes(PARAMS, 1100)
-    assert solve_modes(PARAMS, 1018).coefficients.shape == (2, 1018, 3)
+        solve_modes((PARAMS,), 1100)
+    assert solve_modes((PARAMS,), 1018).coefficients.shape == (1, 2, 1018, 3)
     # the stiffness -sigma k of degree 2 overflows
     with pytest.raises(FloatRangeError) as excinfo:
-        solve_modes(ProblemParams(2, 0.5, 1e308), 3)
+        solve_modes((ProblemParams(2, 0.5, 1e308),), 3)
     assert excinfo.value.degree == 2
 
 
 def test_closed_forms_match_oracle_except_inner_b():
-    for params in SAMPLE_PARAMS:
-        printed = closed_form_modes(params, 13)
-        solved = solve_modes(params, 13).coefficients
+    grid = tuple(SAMPLE_PARAMS)
+    for printed, solved in zip(closed_form_modes(grid, 13), solve_modes(grid, 13).coefficients):
         for degree in (1, 2, 5, 13):
             (_, c_in, d_in), (b_out, c_out, d_out) = printed[:, degree - 1].tolist()
             (_, c_in_ref, d_in_ref), (b_out_ref, c_out_ref, d_out_ref) = (
@@ -161,8 +164,8 @@ def test_printed_inner_b_disagrees_with_the_oracle():
     # documented discrepancy: the printed inner-perturbation coefficient of
     # r^k differs from the transmission solve whenever sigma != 1; the
     # printed value is reported as-is, the solve is used downstream
-    printed = closed_form_modes(PARAMS, 1)[0, 0, 0]
-    solved = solve_modes(PARAMS, 1).coefficients[0, 0, 0]
+    printed = closed_form_modes((PARAMS,), 1)[0, 0, 0, 0]
+    solved = solve_modes((PARAMS,), 1).coefficients[0, 0, 0, 0]
     deviation = abs(printed - solved) / abs(solved)
     assert deviation > 1e-3
 
@@ -185,17 +188,49 @@ REFERENCE_CLOSED_FORMS = [
 @pytest.mark.parametrize("params, degree, expected", REFERENCE_CLOSED_FORMS)
 def test_closed_forms_match_pinned_values(params, degree, expected):
     for kmax in (degree, 60):
-        rows = closed_form_modes(params, kmax)[:, degree - 1]
+        rows = closed_form_modes((params,), kmax)[0, :, degree - 1]
         assert tuple(map(tuple, rows.tolist())) == expected
 
 
 def test_closed_form_ladder_is_read_only_and_names_the_first_degree_past_float_range():
-    coefficients = closed_form_modes(PARAMS, 5)
-    assert coefficients.shape == (2, 5, 3)
+    coefficients = closed_form_modes((PARAMS,), 5)
+    assert coefficients.shape == (1, 2, 5, 3)
     assert not coefficients.flags.writeable
     # the numerator of B_in, (1-sigma) R^{1-k} (N-2+k) R^{2-N-2k}, grows like
     # k 2^{3k} at R = 1/2 and leaves float range first
     with pytest.raises(FloatRangeError) as excinfo:
-        closed_form_modes(PARAMS, 600)
+        closed_form_modes((PARAMS,), 600)
     assert excinfo.value.degree == 339
-    assert np.isfinite(closed_form_modes(PARAMS, 338)).all()
+    assert np.isfinite(closed_form_modes((PARAMS,), 338)).all()
+
+
+GRID_WITH_ONE_BAD_POINT = (
+    ProblemParams(3, 0.2, 10.0),
+    ProblemParams(2, 0.5, 1e308),  # the stiffness -sigma k of degree 2 overflows
+    ProblemParams(2, 1e-150, 1e20),  # the degree-2 outer system misses its contract
+)
+
+
+def test_a_grid_past_float_range_names_its_first_failing_point():
+    # F overflows at degree 1 already, the mode systems at degree 2
+    for ladder, degree in ((solve_modes, 2), (closed_form_modes, 1), (denom_F, 1)):
+        with pytest.raises(FloatRangeError) as excinfo:
+            ladder(GRID_WITH_ONE_BAD_POINT, 3)
+        assert str(excinfo.value) == (
+            f"{GRID_WITH_ONE_BAD_POINT[1]}: degree {degree} leaves float range "
+            "for these parameters"
+        )
+        assert excinfo.value.degree == degree
+
+
+def test_a_grid_that_misses_the_residual_contract_names_the_failing_point():
+    grid = GRID_WITH_ONE_BAD_POINT[::2]
+    with pytest.raises(TransmissionSolveError) as excinfo:
+        solve_modes(grid, 3)
+    message = str(excinfo.value)
+    assert message.startswith(f"{grid[1]}: mode system residual ")
+    assert message.endswith(" at degree 2, kind Outer")
+    assert len(message.splitlines()) == 1
+    # the one-point message names no point
+    with pytest.raises(TransmissionSolveError, match="^mode system residual .* kind Outer$"):
+        solve_modes(grid[1:], 3)
