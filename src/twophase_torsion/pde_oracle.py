@@ -28,7 +28,12 @@ of the discrete solution is E = u . q = q^T K^{-1} q.
 
 Solver.  K is applied cell by cell, never formed (_stiffness).  E is the sum
 of the step increments alpha r.z of conjugate gradients (Hestenes & Stiefel),
-so u is never formed either.  Each solve is preconditioned by the operator of
+begun at -2 J(u0) = u0 . (q + r0) for a start vector u0 with residual r0; u is
+formed alongside, one axpy per step, for the later samples' start vectors.
+differentiate_energy solves its samples outwards from t = 0 and starts each at
+the Lagrange polynomial through the solutions already solved (Fischer 1998;
+Saad 2003, section 6): u(t) is analytic in t, so the start is close and each
+later sample needs a few steps.  Each solve is preconditioned by the operator of
 its own cell rows averaged in theta, with the shear dropped (Concus, Golub &
 O'Leary 1976): with area and bend constant in theta and no shear, K splits by
 real Fourier mode j into one SPD tridiagonal radial chain (the center joins
@@ -55,6 +60,7 @@ second variation.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -70,6 +76,12 @@ DEFAULT_RADIAL_POINTS = 512
 DEFAULT_ANGULAR_MODES = 64
 DEFAULT_STEP = 1e-2
 DEFAULT_LEVELS = 2
+# the largest eps/delta^2 differentiate_energy accepts, delta being the finest
+# step's boundary displacement t0/2^levels |alpha|: rounding each sample's E to
+# about eps E puts an error of about eps E/h^2 into d2 at step h.  At 64x16,
+# R = 0.5, sigma = 2 and unit alpha it measured 5.4e-7 at t0 = 1e-4, which passes,
+# and 3.7e-3 at t0 = 1e-6, 3.4 % of d2, which is refused
+ROUNDING_FLOOR = 1e-4
 
 
 class InterfaceOrderingError(RuntimeError):
@@ -180,9 +192,11 @@ class PerturbedDomainFamily:
         return max(nonzero, default=0)
 
 
+@functools.cache
 def angular_operator(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The periodic spectral differentiation matrix D on m equispaced points,
-    and the eigenvalues of D^T D by real Fourier mode j = 0..m/2.
+    and the eigenvalues of D^T D by real Fourier mode j = 0..m/2; built once
+    per m and returned read-only.
 
     D is the antisymmetric circulant with entries 0.5 (-1)^j cot(j pi / m) at
     offset j, built from one coefficient row with c_{m-j} = -c_j and
@@ -199,7 +213,9 @@ def angular_operator(m: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = (np.arange(m)[:, np.newaxis] - np.arange(m)[np.newaxis, :]) % m
     eigen = np.arange(m // 2 + 1.0) ** 2
     eigen[-1] = 0.0  # D annihilates the Nyquist mode
-    return coefficients[offsets], eigen
+    diff = coefficients[offsets]
+    diff.flags.writeable = eigen.flags.writeable = False
+    return diff, eigen
 
 
 def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
@@ -230,24 +246,27 @@ def _cell_rows(family: PerturbedDomainFamily, radial_points: int, angular_modes:
 
     # cell fields, one row per radial cell: the map phi at the cell's left
     # node, midpoint and right node, its s-slope (constant per segment) and
-    # its theta-derivative at the midpoint
-    inner = (np.arange(radial_points) < j_in)[:, np.newaxis]
+    # its theta-derivative at the midpoint; the cells below j_in are inside
+    # the core, the others outside it
+    inner, outer = slice(None, j_in), slice(j_in, None)
     h = np.diff(s_nodes)[:, np.newaxis]
     s = np.stack([s_nodes[:-1], 0.5 * (s_nodes[:-1] + s_nodes[1:]), s_nodes[1:]])
     s = s[:, :, np.newaxis]
     s_half = s[1]
     slope_inner = rho_in / radius
     slope_outer = (rho_out - rho_in) / (1.0 - radius)
-    phi_left, phi, phi_right = np.where(
-        inner, s * slope_inner, rho_in + (s - radius) * slope_outer
+    phi_left, phi, phi_right = stack = np.empty((3, radial_points, m))
+    stack[:, inner] = s[:, inner] * slope_inner
+    stack[:, outer] = rho_in + (s[:, outer] - radius) * slope_outer
+    phi_s = np.empty((radial_points, m))
+    phi_s[inner], phi_s[outer] = slope_inner, slope_outer
+    phi_theta = np.empty((radial_points, m))
+    phi_theta[inner] = s_half[inner] * drho_in / radius
+    phi_theta[outer] = drho_in + (s_half[outer] - radius) * (drho_out - drho_in) / (
+        1.0 - radius
     )
-    phi_s = np.where(inner, slope_inner, slope_outer)
-    phi_theta = np.where(
-        inner,
-        s_half * drho_in / radius,
-        drho_in + (s_half - radius) * (drho_out - drho_in) / (1.0 - radius),
-    )
-    conductivity = np.where(inner, sigma, 1.0)
+    conductivity = np.ones((radial_points, 1))
+    conductivity[inner] = sigma
     a11 = conductivity * (phi * phi + phi_theta * phi_theta) / (phi * phi_s)
     a12 = -conductivity * phi_theta / phi
     a22 = conductivity * phi_s / phi
@@ -278,7 +297,13 @@ def _stiffness(rows: tuple, diff: np.ndarray, v: np.ndarray) -> np.ndarray:
     slope = (nodes[1:] + nodes[:-1]) @ diff.T
     f = area * delta + half_shear * slope
     h = (half_shear * delta + bend * slope) @ diff
-    return np.concatenate([[np.sum(h[0] - f[0])], (f[:-1] + h[:-1] + h[1:] - f[1:]).ravel()])
+    product = np.empty(v.size)
+    product[0] = np.sum(h[0] - f[0])
+    rings = product[1:].reshape(len(area) - 1, -1)
+    np.add(f[:-1], h[:-1], out=rings)
+    rings += h[1:]
+    rings -= f[1:]
+    return product
 
 
 def _preconditioner(rows: tuple, eigen: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -308,7 +333,10 @@ def _preconditioner(rows: tuple, eigen: np.ndarray) -> Callable[[np.ndarray], np
         rhs[:, 1:] = spectrum.real.ravel(), spectrum.imag.ravel()
         solution, _ = cho_solve(d, e, rhs.T, overwrite_b=1)
         rings = (solution[1:, 0] + 1j * solution[1:, 1]).reshape(spectrum.shape).T
-        return np.concatenate([[solution[0, 0] / m], np.fft.irfft(rings, m).ravel()])
+        z = np.empty(residual.size)
+        z[0] = solution[0, 0] / m
+        z[1:] = np.fft.irfft(rings, m).ravel()
+        return z
 
     return precondition
 
@@ -327,13 +355,19 @@ def solve_energy(
     family: PerturbedDomainFamily,
     radial_points: int = DEFAULT_RADIAL_POINTS,
     angular_modes: int = DEFAULT_ANGULAR_MODES,
+    *,
+    start: np.ndarray | None = None,
+    solutions: list[np.ndarray] | None = None,
 ) -> float:
     """Energy of the perturbed configuration at the family's amplitude.
 
-    Preconditioned conjugate gradients from u = 0 (module docstring), stopped
-    when a step's energy increment alpha r.z is at most eps E or the residual
-    is exactly zero.  A non-finite or non-positive r.z or p.Kp raises
-    SolveError, as do more steps than unknowns.
+    Preconditioned conjugate gradients (module docstring) from start, or
+    from u = 0 without one, stopped when a step's energy increment alpha r.z
+    is at most eps E or the residual is exactly zero.  A start vector costs
+    one operator application for its residual r = q - K start, and the
+    energy begins at -2 J(start) = start . (q + r).  With solutions, a list,
+    the discrete u is appended to it.  A non-finite or non-positive r.z or
+    p.Kp raises SolveError, as do more steps than unknowns.
     """
     diff, eigen = angular_operator(angular_modes)
     if 2 * family.max_degree() >= angular_modes:
@@ -341,7 +375,15 @@ def solve_energy(
     rows, load = _cell_rows(family, radial_points, angular_modes)
     precondition = _preconditioner(rows, eigen)
 
-    residual, direction, energy = load, 0.0, 0.0
+    if start is None:
+        u, residual, energy = np.zeros(load.size), load, 0.0
+    else:
+        u = np.array(start, dtype=float)
+        residual = load - _stiffness(rows, diff, u)
+        energy = float(u @ (load + residual))
+    if solutions is not None:
+        solutions.append(u)  # the loop below updates u in place
+    direction = 0.0
     previous = math.inf  # r.z of the previous step; the first has no direction
     for _ in range(load.size):
         z = precondition(residual)
@@ -355,6 +397,7 @@ def solve_energy(
         product = _stiffness(rows, diff, direction)
         step = gamma / _positive(float(direction @ product))
         energy += step * gamma
+        u += step * direction
         if step * gamma <= sys.float_info.epsilon * energy:
             return _positive(energy)
         residual = residual - step * product
@@ -424,6 +467,15 @@ def _richardson(estimates: list[float]) -> float:
     return table[-1][0]
 
 
+def _lagrange(nodes: list[float], values: list[np.ndarray], t: float) -> np.ndarray:
+    """The polynomial through (nodes[i], values[i]) at t, in Lagrange form."""
+    total = np.zeros_like(values[0])
+    for i, (node, value) in enumerate(zip(nodes, values)):
+        others = nodes[:i] + nodes[i + 1 :]
+        total += math.prod((t - other) / (node - other) for other in others) * value
+    return total
+
+
 def differentiate_energy(
     family: PerturbedDomainFamily,
     t0: float = DEFAULT_STEP,
@@ -433,8 +485,12 @@ def differentiate_energy(
 ) -> OracleRun:
     """Central differences of E(t) at steps t0, t0/2, ..., extrapolated.
 
-    Samples t in {0} union {+-t0/2^l}; d1 and d2 are the Richardson limits of
-    the first and second central differences.  The convergence rate is the
+    Samples t in {0} union {+-t0/2^l}, solved from t = 0 outwards, each from
+    the samples already solved (module docstring); d1 and d2 are the
+    Richardson limits of the first and second central differences.  A run
+    whose finest displacement delta = t0/2^levels |alpha| has eps/delta^2
+    above ROUNDING_FLOOR is refused before any solve, since its second
+    differences would be rounding noise.  The convergence rate is the
     observed reduction order of successive raw second differences; it is NaN
     when levels < 2 or either spacing is zero.  The extrapolation agreement
     is the relative gap between the last two extrapolants, small when E(t)
@@ -449,11 +505,29 @@ def differentiate_energy(
     finest = math.ldexp(t0, -levels)  # checked before the steps are listed
     if not sys.float_info.min <= finest * finest <= sys.float_info.max:
         raise ValueError("t0 out of range: (t0/2^levels)^2 must be a normal float")
+    # the finest step's boundary displacement, with |alpha| the L^2 norm of g
+    # on the circle over both boundaries
+    delta = finest * math.hypot(*(c for _, pair in family.spec.sorted_items() for c in pair))
+    rounding = sys.float_info.epsilon / delta / delta if delta > 0.0 else 0.0
+    if rounding > ROUNDING_FLOOR:
+        raise ValueError(
+            f"t0 below the rounding floor: eps/(t0/2^levels |alpha|)^2 = "
+            f"{rounding:.3g} exceeds {ROUNDING_FLOOR:g}"
+        )
     steps = [math.ldexp(t0, -level) for level in range(levels + 1)]
-    samples = sorted({0.0} | {sign * h for h in steps for sign in (+1.0, -1.0)})
 
-    energies = [solve_energy(family.at(t), radial_points, angular_modes) for t in samples]
-    energy_of = dict(zip(samples, energies))
+    # from t = 0 outwards, each sample starts at the Lagrange polynomial through
+    # the solutions already solved; a motionless family (delta = 0) has the same
+    # system at every t, so it solves each sample cold and its energies are equal
+    order = [0.0] + [sign * h for h in reversed(steps) for sign in (+1.0, -1.0)]
+    solutions = [] if delta > 0.0 else None
+    energy_of = {}
+    for count, t in enumerate(order):
+        start = _lagrange(order[:count], solutions, t) if solutions else None
+        energy_of[t] = solve_energy(
+            family.at(t), radial_points, angular_modes, start=start, solutions=solutions
+        )
+    samples = sorted(energy_of)
 
     base = energy_of[0.0]
     d1_raw = [(energy_of[h] - energy_of[-h]) / (2.0 * h) for h in steps]

@@ -431,6 +431,18 @@ def test_oracle_reports_solver_failures(tmp_path, capsys, overrides, message):
             "exact_area needs modes of degree >= 1; "
             "set exact_area to false for degree-0 modes",
         ),
+        # steps below the rounding floor: unrefused, these gave d2 = -7387 and
+        # d2 = 0.0 where the second variation is about -0.108
+        (
+            {"t0": 1e-9, "modes": [{"degree": 2, "alpha_in": 1.0}]},
+            "t0 below the rounding floor: eps/(t0/2^levels |alpha|)^2 = 3.55e+03 "
+            "exceeds 0.0001",
+        ),
+        (
+            {"t0": 1e-150, "modes": [{"degree": 2, "alpha_in": 1.0}]},
+            "t0 below the rounding floor: eps/(t0/2^levels |alpha|)^2 = 3.55e+285 "
+            "exceeds 0.0001",
+        ),
     ],
 )
 def test_oracle_rejects_malformed_configs(tmp_path, capsys, config, message):

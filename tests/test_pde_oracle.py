@@ -46,7 +46,10 @@ def test_spectral_diff_matrix_differentiates_trig_polynomials():
 
 @pytest.mark.parametrize("m", [4, 6, 32, 64])
 def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(m):
-    diff, _ = angular_operator(m)
+    diff, eigen = angular_operator(m)
+    # built once per m and shared, so no caller may write to it
+    assert angular_operator(m)[0] is diff
+    assert not diff.flags.writeable and not eigen.flags.writeable
     assert np.array_equal(diff, -diff.T)
     for k in range(m):
         assert np.array_equal(diff[k], np.roll(diff[0], k))
@@ -285,8 +288,16 @@ def _dense_system(family, radial_points, angular_modes):
 def _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes):
     matrix, load = _dense_system(family, radial_points, angular_modes)
     assert np.abs(matrix - matrix.T).max() <= 1e-14 * np.abs(matrix).max()
-    energy = solve_energy(family, radial_points, angular_modes)
-    assert energy == pytest.approx(load @ np.linalg.solve(matrix, load), rel=1e-12)
+    solutions = []
+    energy = solve_energy(family, radial_points, angular_modes, solutions=solutions)
+    exact = np.linalg.solve(matrix, load)
+    assert energy == pytest.approx(load @ exact, rel=1e-12)
+    # the solve hands back its u, and a start next to u finds the same energy
+    (solution,) = solutions
+    assert np.abs(solution - exact).max() <= 1e-6 * np.abs(exact).max()
+    start = solution * (1.0 + 1e-3 * np.cos(np.arange(solution.size)))
+    warm = solve_energy(family, radial_points, angular_modes, start=start)
+    assert warm == pytest.approx(energy, rel=1e-12)
 
 
 @pytest.mark.parametrize("radial_points", [16, 4])
@@ -459,15 +470,42 @@ def test_each_run_factors_once_and_solves_once_per_step(monkeypatch, params, mod
     differentiate_energy(family, t0=0.01, levels=2, radial_points=256, angular_modes=32)
     # each of the 7 samples factors its own preconditioner once
     assert calls["cho_factor"] == len(steps) == 7
-    # one preconditioner and one operator application per step
-    assert calls["cho_solve"] == calls["_stiffness"] == sum(steps)
-    assert max(steps) <= 12
+    # one preconditioner application per step; one operator application per
+    # step and one for the residual of each warm start, every sample but t = 0
+    assert calls["cho_solve"] == sum(steps)
+    assert calls["_stiffness"] == sum(steps) + 6
+    assert sum(steps) <= 16
+
+
+# families far from the benchmark's: a degree-15 core at t0 = 0.2, four
+# levels, the outer boundary at t0 = 0.5, and contrasts of 100 and 0.01
+HARDER_RUNS = [
+    (PARAMS, {ModeIndex(15, 1): (1.0, 0.0)}, 0.2, 2),
+    (PARAMS, {ModeIndex(3, 1): (1.0, 1.0)}, 0.01, 4),
+    (PARAMS, {ModeIndex(2, 1): (0.0, 1.0)}, 0.5, 2),
+    (ProblemParams(2, 0.5, 100.0), {ModeIndex(4, 2): (1.0, 1.0)}, 0.05, 2),
+    (ProblemParams(2, 0.4, 0.01), {ModeIndex(4, 2): (1.0, 1.0)}, 0.05, 2),
+]
+
+
+@pytest.mark.parametrize("params, modes, t0, levels", HARDER_RUNS)
+def test_a_warm_started_run_takes_no_more_steps_than_cold_solves(
+    monkeypatch, params, modes, t0, levels
+):
+    family = PerturbedDomainFamily(params, PerturbationSpec(modes))
+    calls = _count_calls(monkeypatch, "cho_solve")
+    run = differentiate_energy(family, t0, levels, radial_points=256, angular_modes=32)
+    warm = calls["cho_solve"]
+    for t, energy in zip(run.t_samples, run.energies):
+        assert solve_energy(family.at(t), 256, 32) == pytest.approx(energy, rel=1e-14)
+    assert warm <= calls["cho_solve"] - warm
 
 
 @pytest.mark.parametrize("radial_points", [4, 16])
 def test_a_reused_workspace_changes_no_energy(monkeypatch, radial_points):
-    # a run's energies are those of standalone solves, sample by sample;
-    # the coupled channel: both boundaries move
+    # a run's energies are those of standalone cold solves, sample by sample,
+    # to rounding: the warm starts change the steps, not the solution (the
+    # largest gap measured is 8.8e-16); the coupled channel: both boundaries move
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
     family = PerturbedDomainFamily(PARAMS, spec)
     calls = _count_calls(monkeypatch, "solve_energy", "cho_factor")
@@ -476,7 +514,7 @@ def test_a_reused_workspace_changes_no_energy(monkeypatch, radial_points):
     )
     assert calls == {"solve_energy": 7, "cho_factor": 7}
     for t, energy in zip(run.t_samples, run.energies):
-        assert energy == solve_energy(family.at(t), radial_points, 8)
+        assert energy == pytest.approx(solve_energy(family.at(t), radial_points, 8), rel=1e-14)
 
 
 def test_differentiate_energy_single_level_has_no_rate():
@@ -489,14 +527,25 @@ def test_differentiate_energy_single_level_has_no_rate():
 
 
 def test_differentiate_energy_has_no_rate_below_roundoff():
-    # the steps are so small that E(+-h) == E(0): every second difference
-    # is 0, so no convergence rate can be observed
+    # below the rounding floor the second differences are rounding noise:
+    # at t0 = 1e-9 they gave d2 = -7387 and at 1e-150 exactly 0, where the
+    # second variation is about -0.108; such runs are refused before any solve
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
     family = PerturbedDomainFamily(PARAMS, spec)
-    run = differentiate_energy(
-        family, t0=1e-150, levels=2, radial_points=32, angular_modes=8
-    )
-    assert run.d2 == 0.0
+    for t0 in (1e-150, 1e-9, 1e-6):
+        with pytest.raises(ValueError, match="^t0 below the rounding floor: eps/"):
+            differentiate_energy(family, t0=t0, levels=2, radial_points=32, angular_modes=8)
+    # the floor scales with the displacement t0/2^levels |alpha|
+    strong = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1e3, 0.0)}))
+    differentiate_energy(strong, t0=1e-6, levels=2, radial_points=32, angular_modes=8)
+    run = differentiate_energy(family, t0=1e-4, levels=2, radial_points=32, angular_modes=8)
+    assert run.d2 == pytest.approx(-0.1077127659574468, rel=0.05)
+    # a motionless family has no floor: every sample is the same system, so
+    # every second difference is exactly 0 and no rate can be observed
+    still = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (0.0, 0.0)}))
+    run = differentiate_energy(still, t0=1e-150, levels=2, radial_points=32, angular_modes=8)
+    assert len(set(run.energies)) == 1
+    assert run.d1 == run.d2 == 0.0
     assert math.isnan(run.convergence_rate)
 
 
