@@ -28,19 +28,20 @@ of the discrete solution is E = u . q = q^T K^{-1} q.
 
 Solver.  K is applied cell by cell, never formed (_stiffness).  E is the sum
 of the step increments alpha r.z of conjugate gradients (Hestenes & Stiefel),
-begun at -2 J(u0) = u0 . (q + r0) for a start vector u0 with residual r0; u is
-formed alongside, one axpy per step, for the later samples' start vectors.
-differentiate_energy solves its samples outwards from t = 0 and starts each at
-the Lagrange polynomial through the solutions already solved (Fischer 1998;
-Saad 2003, section 6): u(t) is analytic in t, so the start is close and each
-later sample needs a few steps.  Each solve is preconditioned by the operator of
-its own cell rows averaged in theta, with the shear dropped (Concus, Golub &
-O'Leary 1976): with area and bend constant in theta and no shear, K splits by
-real Fourier mode j into one SPD tridiagonal radial chain (the center joins
-mode 0's), all factored together and applied by rfft, one chain solve for the
-real and imaginary parts, and irfft.  At t = 0, phi_theta = 0 removes the
-shear and area and bend are already constant in theta, so the preconditioner
-is the concentric operator K(0) itself.  D and the chains' eigenvalues j^2
+begun at -2 J(u0) = u0 . (q + r0) for a start vector u0 with residual r0, or
+at u = 0 when that is not positive; u is formed alongside, one axpy per step,
+for the later samples' start vectors.  differentiate_energy solves its samples
+outwards from t = 0 and starts each at the Lagrange polynomial through the five
+nearest solutions already solved (Fischer 1998; Saad 2003, section 6): u(t) is
+analytic in t, so the start is close and each later sample needs a few steps.
+Each solve is preconditioned by the operator of its own cell rows averaged in
+theta, with the shear dropped (Concus, Golub & O'Leary 1976): with area and
+bend constant in theta and no shear, K splits by real Fourier mode j into one
+SPD tridiagonal radial chain (the center joins mode 0's), all factored
+together and applied by rfft, one chain solve for the real and imaginary
+parts, and irfft.  At t = 0, phi_theta = 0 removes the shear and area and bend
+are already constant in theta, so the preconditioner is the concentric
+operator K(0) itself.  D and the chains' eigenvalues j^2
 come from one function, angular_operator.  cho_factor and cho_solve are this
 module's names for the LAPACK pttrf and pttrs bindings, kept because the
 benchmark's tracer (bench/spans.py) times and counts the calls through those
@@ -76,11 +77,15 @@ DEFAULT_RADIAL_POINTS = 512
 DEFAULT_ANGULAR_MODES = 64
 DEFAULT_STEP = 1e-2
 DEFAULT_LEVELS = 2
-# the largest eps/delta^2 differentiate_energy accepts, delta being the finest
-# step's boundary displacement t0/2^levels |alpha|: rounding each sample's E to
-# about eps E puts an error of about eps E/h^2 into d2 at step h.  At 64x16,
-# R = 0.5, sigma = 2 and unit alpha it measured 5.4e-7 at t0 = 1e-4, which passes,
-# and 3.7e-3 at t0 = 1e-6, 3.4 % of d2, which is refused
+# the largest eps E(0)/delta^2 differentiate_energy accepts, delta being the
+# finest step's boundary displacement t0/2^levels |alpha|: rounding each
+# sample's E to about eps E(0) puts an error of about eps E(0)/h^2 into d2 at
+# step h, so the floor holds d2's rounding error near ROUNDING_FLOOR |alpha|^2.
+# At 64x16, R = 0.5, sigma = 2 and unit alpha (E(0) = 0.38) it measured 5.4e-7
+# at t0 = 1e-4, which passes, and 3.7e-3 at t0 = 1e-6, 3.4 % of d2, which is
+# refused.  At the floor, over R in [0.3, 0.7], sigma in [1e-4, 100] (E(0) from
+# 0.30 to 246), degrees 2 and 4 and each boundary channel, it measured at most
+# 8.7 eps E(0)/h^2 = 8.7 ROUNDING_FLOOR |alpha|^2
 ROUNDING_FLOOR = 1e-4
 
 
@@ -297,13 +302,7 @@ def _stiffness(rows: tuple, diff: np.ndarray, v: np.ndarray) -> np.ndarray:
     slope = (nodes[1:] + nodes[:-1]) @ diff.T
     f = area * delta + half_shear * slope
     h = (half_shear * delta + bend * slope) @ diff
-    product = np.empty(v.size)
-    product[0] = np.sum(h[0] - f[0])
-    rings = product[1:].reshape(len(area) - 1, -1)
-    np.add(f[:-1], h[:-1], out=rings)
-    rings += h[1:]
-    rings -= f[1:]
-    return product
+    return np.concatenate([[np.sum(h[0] - f[0])], (f[:-1] + h[:-1] + h[1:] - f[1:]).ravel()])
 
 
 def _preconditioner(rows: tuple, eigen: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -333,10 +332,7 @@ def _preconditioner(rows: tuple, eigen: np.ndarray) -> Callable[[np.ndarray], np
         rhs[:, 1:] = spectrum.real.ravel(), spectrum.imag.ravel()
         solution, _ = cho_solve(d, e, rhs.T, overwrite_b=1)
         rings = (solution[1:, 0] + 1j * solution[1:, 1]).reshape(spectrum.shape).T
-        z = np.empty(residual.size)
-        z[0] = solution[0, 0] / m
-        z[1:] = np.fft.irfft(rings, m).ravel()
-        return z
+        return np.concatenate([[solution[0, 0] / m], np.fft.irfft(rings, m).ravel()])
 
     return precondition
 
@@ -365,7 +361,8 @@ def solve_energy(
     from u = 0 without one, stopped when a step's energy increment alpha r.z
     is at most eps E or the residual is exactly zero.  A start vector costs
     one operator application for its residual r = q - K start, and the
-    energy begins at -2 J(start) = start . (q + r).  With solutions, a list,
+    energy begins at -2 J(start) = start . (q + r); a start whose -2 J is not
+    positive is dropped for u = 0.  With solutions, a list,
     the discrete u is appended to it.  A non-finite or non-positive r.z or
     p.Kp raises SolveError, as do more steps than unknowns.
     """
@@ -381,6 +378,10 @@ def solve_energy(
         u = np.array(start, dtype=float)
         residual = load - _stiffness(rows, diff, u)
         energy = float(u @ (load + residual))
+        if not energy > 0.0:
+            # J(start) >= J(0): u = 0 is as near the solution in the energy
+            # norm, and starting there keeps the energy sum free of cancellation
+            u, residual, energy = np.zeros(load.size), load, 0.0
     if solutions is not None:
         solutions.append(u)  # the loop below updates u in place
     direction = 0.0
@@ -468,11 +469,19 @@ def _richardson(estimates: list[float]) -> float:
 
 
 def _lagrange(nodes: list[float], values: list[np.ndarray], t: float) -> np.ndarray:
-    """The polynomial through (nodes[i], values[i]) at t, in Lagrange form."""
+    """The polynomial through the five nodes nearest t and their values, at t,
+    in Lagrange form.
+
+    Through every node the basis weights would grow like 2^(levels^2), the
+    samples clustering geometrically at t = 0, and would multiply the solved
+    values' errors; through the five nearest their absolute sum is at most
+    4589 at any levels.
+    """
+    nearest = sorted(range(len(nodes)), key=lambda i: abs(t - nodes[i]))[:5]
     total = np.zeros_like(values[0])
-    for i, (node, value) in enumerate(zip(nodes, values)):
-        others = nodes[:i] + nodes[i + 1 :]
-        total += math.prod((t - other) / (node - other) for other in others) * value
+    for i in nearest:
+        others = (nodes[j] for j in nearest if j != i)
+        total += math.prod((t - other) / (nodes[i] - other) for other in others) * values[i]
     return total
 
 
@@ -488,11 +497,11 @@ def differentiate_energy(
     Samples t in {0} union {+-t0/2^l}, solved from t = 0 outwards, each from
     the samples already solved (module docstring); d1 and d2 are the
     Richardson limits of the first and second central differences.  A run
-    whose finest displacement delta = t0/2^levels |alpha| has eps/delta^2
-    above ROUNDING_FLOOR is refused before any solve, since its second
-    differences would be rounding noise.  The convergence rate is the
-    observed reduction order of successive raw second differences; it is NaN
-    when levels < 2 or either spacing is zero.  The extrapolation agreement
+    whose finest displacement delta = t0/2^levels |alpha| has eps E(0)/delta^2
+    above ROUNDING_FLOOR is refused after the t = 0 solve and before any
+    other, since its second differences would be rounding noise.  The
+    convergence rate is the observed reduction order of successive raw second
+    differences; it is NaN when levels < 2 or either spacing is zero.  The extrapolation agreement
     is the relative gap between the last two extrapolants, small when E(t)
     is smooth (near-quadratic) at this scale.
     """
@@ -505,31 +514,31 @@ def differentiate_energy(
     finest = math.ldexp(t0, -levels)  # checked before the steps are listed
     if not sys.float_info.min <= finest * finest <= sys.float_info.max:
         raise ValueError("t0 out of range: (t0/2^levels)^2 must be a normal float")
+    steps = [math.ldexp(t0, -level) for level in range(levels + 1)]
     # the finest step's boundary displacement, with |alpha| the L^2 norm of g
     # on the circle over both boundaries
     delta = finest * math.hypot(*(c for _, pair in family.spec.sorted_items() for c in pair))
-    rounding = sys.float_info.epsilon / delta / delta if delta > 0.0 else 0.0
-    if rounding > ROUNDING_FLOOR:
-        raise ValueError(
-            f"t0 below the rounding floor: eps/(t0/2^levels |alpha|)^2 = "
-            f"{rounding:.3g} exceeds {ROUNDING_FLOOR:g}"
-        )
-    steps = [math.ldexp(t0, -level) for level in range(levels + 1)]
 
     # from t = 0 outwards, each sample starts at the Lagrange polynomial through
     # the solutions already solved; a motionless family (delta = 0) has the same
     # system at every t, so it solves each sample cold and its energies are equal
-    order = [0.0] + [sign * h for h in reversed(steps) for sign in (+1.0, -1.0)]
     solutions = [] if delta > 0.0 else None
-    energy_of = {}
-    for count, t in enumerate(order):
+    base = solve_energy(family.at(0.0), radial_points, angular_modes, solutions=solutions)
+    rounding = sys.float_info.epsilon * base / delta / delta if delta > 0.0 else 0.0
+    if rounding > ROUNDING_FLOOR:
+        raise ValueError(
+            f"t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = "
+            f"{rounding:.3g} exceeds {ROUNDING_FLOOR:g}"
+        )
+    order = [0.0] + [sign * h for h in reversed(steps) for sign in (+1.0, -1.0)]
+    energy_of = {0.0: base}
+    for count, t in enumerate(order[1:], 1):
         start = _lagrange(order[:count], solutions, t) if solutions else None
         energy_of[t] = solve_energy(
             family.at(t), radial_points, angular_modes, start=start, solutions=solutions
         )
     samples = sorted(energy_of)
 
-    base = energy_of[0.0]
     d1_raw = [(energy_of[h] - energy_of[-h]) / (2.0 * h) for h in steps]
     d2_raw = [(energy_of[h] - 2.0 * base + energy_of[-h]) / (h * h) for h in steps]
     d1 = _richardson(d1_raw)

@@ -435,12 +435,12 @@ def test_oracle_reports_solver_failures(tmp_path, capsys, overrides, message):
         # d2 = 0.0 where the second variation is about -0.108
         (
             {"t0": 1e-9, "modes": [{"degree": 2, "alpha_in": 1.0}]},
-            "t0 below the rounding floor: eps/(t0/2^levels |alpha|)^2 = 3.55e+03 "
+            "t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = 1.35e+03 "
             "exceeds 0.0001",
         ),
         (
             {"t0": 1e-150, "modes": [{"degree": 2, "alpha_in": 1.0}]},
-            "t0 below the rounding floor: eps/(t0/2^levels |alpha|)^2 = 3.55e+285 "
+            "t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = 1.35e+285 "
             "exceeds 0.0001",
         ),
     ],

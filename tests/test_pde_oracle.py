@@ -1,6 +1,7 @@
 """Finite-difference energy oracle on perturbed domains (fast grids)."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -298,6 +299,9 @@ def _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes):
     start = solution * (1.0 + 1e-3 * np.cos(np.arange(solution.size)))
     warm = solve_energy(family, radial_points, angular_modes, start=start)
     assert warm == pytest.approx(energy, rel=1e-12)
+    # a start no nearer than u = 0 in the energy norm, -2 J(-u) = -3 E, is
+    # dropped, so its energy is the cold solve's, bit for bit
+    assert solve_energy(family, radial_points, angular_modes, start=-solution) == energy
 
 
 @pytest.mark.parametrize("radial_points", [16, 4])
@@ -485,6 +489,11 @@ HARDER_RUNS = [
     (PARAMS, {ModeIndex(2, 1): (0.0, 1.0)}, 0.5, 2),
     (ProblemParams(2, 0.5, 100.0), {ModeIndex(4, 2): (1.0, 1.0)}, 0.05, 2),
     (ProblemParams(2, 0.4, 0.01), {ModeIndex(4, 2): (1.0, 1.0)}, 0.05, 2),
+    # deep runs: through every solved sample, the start's basis weights reach
+    # 1.8e13 at levels 6 and 1.9e22 at levels 8
+    (PARAMS, {ModeIndex(3, 1): (1.0, 1.0)}, 0.01, 6),
+    (PARAMS, {ModeIndex(3, 1): (1.0, 1.0)}, 0.01, 8),
+    (PARAMS, {ModeIndex(15, 1): (1.0, 0.0)}, 0.2, 6),
 ]
 
 
@@ -499,6 +508,20 @@ def test_a_warm_started_run_takes_no_more_steps_than_cold_solves(
     for t, energy in zip(run.t_samples, run.energies):
         assert solve_energy(family.at(t), 256, 32) == pytest.approx(energy, rel=1e-14)
     assert warm <= calls["cho_solve"] - warm
+
+
+def test_a_start_weighs_the_solved_samples_boundedly_at_any_levels():
+    # the samples cluster geometrically at t = 0, so the polynomial through
+    # all of them would weigh the last start's values up to 1.9e22 at levels 8
+    largest = 0.0
+    for levels in range(1, 17):
+        steps = [math.ldexp(1.0, -level) for level in range(levels + 1)]
+        order = [0.0] + [sign * h for h in reversed(steps) for sign in (+1.0, -1.0)]
+        for count, t in enumerate(order[1:], 1):
+            weights = pde_oracle._lagrange(order[:count], list(np.eye(count)), t)
+            assert weights.sum() == pytest.approx(1.0, rel=1e-12)
+            largest = max(largest, np.abs(weights).sum())
+    assert 4000.0 < largest <= 4589.0
 
 
 @pytest.mark.parametrize("radial_points", [4, 16])
@@ -533,7 +556,7 @@ def test_differentiate_energy_has_no_rate_below_roundoff():
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
     family = PerturbedDomainFamily(PARAMS, spec)
     for t0 in (1e-150, 1e-9, 1e-6):
-        with pytest.raises(ValueError, match="^t0 below the rounding floor: eps/"):
+        with pytest.raises(ValueError, match=r"^t0 below the rounding floor: eps E\(0\)/"):
             differentiate_energy(family, t0=t0, levels=2, radial_points=32, angular_modes=8)
     # the floor scales with the displacement t0/2^levels |alpha|
     strong = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1e3, 0.0)}))
@@ -547,6 +570,31 @@ def test_differentiate_energy_has_no_rate_below_roundoff():
     assert len(set(run.energies)) == 1
     assert run.d1 == run.d2 == 0.0
     assert math.isnan(run.convergence_rate)
+
+
+@pytest.mark.parametrize(
+    "params, alphas",
+    [
+        (PARAMS, (1.0, 0.0)),
+        (ProblemParams(2, 0.5, 100.0), (0.0, 1.0)),
+        (ProblemParams(2, 0.5, 1e-4), (0.0, 1.0)),  # E(0) = 246, 650 times PARAMS'
+        (ProblemParams(2, 0.3, 0.25), (1.0, 1.0)),
+    ],
+)
+def test_the_rounding_floor_bounds_the_error_of_d2(params, alphas):
+    # at the smallest t0 the floor accepts, eps E(0)/delta^2 = ROUNDING_FLOOR,
+    # d2's rounding error is a few ROUNDING_FLOOR |alpha|^2 whatever E(0) is
+    # (at most 8.7 of them measured over R and sigma); just below it the run
+    # is refused
+    family = PerturbedDomainFamily(params, PerturbationSpec({ModeIndex(2, 1): alphas}))
+    norm = math.hypot(*alphas)
+    energy = solve_energy(family.at(0.0), 64, 16)
+    floor = 4.0 * math.sqrt(sys.float_info.epsilon * energy / pde_oracle.ROUNDING_FLOOR) / norm
+    reference = differentiate_energy(family, 1e-2, 2, 64, 16).d2
+    run = differentiate_energy(family, 1.01 * floor, 2, 64, 16)
+    assert abs(run.d2 - reference) <= 16.0 * pde_oracle.ROUNDING_FLOOR * norm**2
+    with pytest.raises(ValueError, match="^t0 below the rounding floor"):
+        differentiate_energy(family, 0.99 * floor, 2, 64, 16)
 
 
 def test_config_construction():
