@@ -38,14 +38,27 @@ Each solve is preconditioned by the operator of its own cell rows averaged in
 theta, with the shear dropped (Concus, Golub & O'Leary 1976): with area and
 bend constant in theta and no shear, K splits by real Fourier mode j into one
 SPD tridiagonal radial chain (the center joins mode 0's), all factored
-together and applied by rfft, one chain solve for the real and imaginary
-parts, and irfft.  At t = 0, phi_theta = 0 removes the shear and area and bend
+together and applied by a real cos and sin analysis matrix, one chain solve
+with the cos and sin parts as its two right-hand sides, and the synthesis
+matrix back.  At t = 0, phi_theta = 0 removes the shear and area and bend
 are already constant in theta, so the preconditioner is the concentric
-operator K(0) itself.  D and the chains' eigenvalues j^2
-come from one function, angular_operator.  cho_factor and cho_solve are this
+operator K(0) itself.  D, the chains' eigenvalues j^2 and the cos and sin
+pair come from one function, angular_operator.  cho_factor and cho_solve are this
 module's names for the LAPACK pttrf and pttrs bindings, kept because the
 benchmark's tracer (bench/spans.py) times and counts the calls through those
 two module attributes.
+
+Cell rows.  In the core phi = s rho_D/R, so each coefficient row is a factor
+of s, which the grid alone fixes, times a factor of theta; in the shell one
+reciprocal 1/phi serves all three rows (_cell_rows).  The grid's factors and
+the load's weights are built once per (R, n, m) in a bounded cache
+(_radial_factors), so a sample computes its angular factors, its shell rows
+and one small product for the load.  At 256x32 on one BLAS thread of a 2-vCPU
+Xeon container a sample's fixed work is about 0.18 ms of cell rows and
+0.11 ms of preconditioner factorization, and a CG step about 0.12 ms of
+preconditioner and 0.11 ms of operator application: a 7-sample run of
+13 steps and 6 warm-start residuals spends about 2.0 ms on the samples'
+fixed work and 3.7 ms on operator and preconditioner applications.
 
 The perturbation family reads its normal speeds g of the interface and of
 the outer boundary from a PerturbationSpec, the package's one description of
@@ -65,7 +78,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 # LAPACK pttrf and pttrs under the names bench/spans.py traces (module docstring)
@@ -87,6 +100,21 @@ DEFAULT_LEVELS = 2
 # 0.30 to 246), degrees 2 and 4 and each boundary channel, it measured at most
 # 8.7 eps E(0)/h^2 = 8.7 ROUNDING_FLOOR |alpha|^2
 ROUNDING_FLOOR = 1e-4
+# the largest sigma the oracle accepts: above it the core's stiffness swamps
+# the shell's in float arithmetic.  Over R in {0.3, 0.5, 0.7}, degree 2 on
+# each boundary channel and sigma from 1e10 in quarter decades, every run at
+# 64x16 and 256x32 up to sigma = 3.2e12, and at 512x64 up to 1e12, matched
+# the sigma = 1e9 run to 3.2e-10 in E(0) and 4.5e-9 in d2 (relative), the
+# sigma -> infinity limit's own drift.  Above that runs fail in the
+# preconditioner's factorization, from 3.2e12 at 512x64, 5.6e12 at 256x32 and
+# 5.6e13 at 64x16, and some end silently wrong instead: in a scan by decades
+# to 1e307, 54 runs at 256x32 and 272 at 64x16, from 1e21; at R = 0.3 the
+# outer channel read E(0) = 0.119 for 0.390 and d2 = +0.035 for
+# e_out(2) = -0.52 from sigma = 1e35 up
+SIGMA_CEILING = 1e12
+# (radius, radial_points, angular_modes) grids whose radial factors are kept;
+# a run reads one grid for all of its samples
+RADIAL_CACHE_SIZE = 32
 
 
 class InterfaceOrderingError(RuntimeError):
@@ -134,7 +162,8 @@ class PerturbedDomainFamily:
     which holds for mean-free speeds only, so a nonzero degree-0 mode is
     rejected; with exact_area=False the radii move linearly, rho_0 + t g,
     which is only first-order volume preserving and exists to probe the
-    first variation of non-volume-preserving motions.
+    first variation of non-volume-preserving motions.  sigma may not exceed
+    SIGMA_CEILING.
     """
 
     params: ProblemParams
@@ -147,6 +176,10 @@ class PerturbedDomainFamily:
             index.check_order(2)
         if self.params.dim != 2:
             raise ValueError("the PDE oracle is restricted to dim = 2")
+        if self.params.sigma > SIGMA_CEILING:
+            raise ValueError(
+                f"sigma = {self.params.sigma:g} exceeds the oracle's ceiling {SIGMA_CEILING:g}"
+            )
         if self.exact_area and self.spec.coefficients(ModeIndex(0, 1)) != (0.0, 0.0):
             raise ValueError(
                 "exact_area needs modes of degree >= 1; "
@@ -197,17 +230,30 @@ class PerturbedDomainFamily:
         return max(nonzero, default=0)
 
 
+class AngularOperator(NamedTuple):
+    """The angular pieces of the scheme on m equispaced points (angular_operator)."""
+
+    diff: np.ndarray  # (m, m) spectral differentiation matrix D
+    eigen: np.ndarray  # (m/2 + 1,) eigenvalues of D^T D by real Fourier mode
+    analysis: np.ndarray  # (2, m/2 + 1, m) cos and sin of j theta
+    synthesis: np.ndarray  # (m + 2, m) the inverse of analysis on real data
+
+
 @functools.cache
-def angular_operator(m: int) -> tuple[np.ndarray, np.ndarray]:
+def angular_operator(m: int) -> AngularOperator:
     """The periodic spectral differentiation matrix D on m equispaced points,
-    and the eigenvalues of D^T D by real Fourier mode j = 0..m/2; built once
-    per m and returned read-only.
+    the eigenvalues of D^T D by real Fourier mode j = 0..m/2, and the real
+    Fourier transform pair of the preconditioner; built once per m and
+    returned read-only.
 
     D is the antisymmetric circulant with entries 0.5 (-1)^j cot(j pi / m) at
     offset j, built from one coefficient row with c_{m-j} = -c_j and
     c_{m/2} = 0, so D^T = -D holds exactly; exact for trigonometric
     polynomials up to degree m/2 - 1.  D^T D takes cos(j theta) and
     sin(j theta) to j^2 times themselves and annihilates the Nyquist mode.
+    analysis @ x gives the cos and sin coefficients sum x cos(j theta) and
+    sum x sin(j theta), the real and (negated) imaginary parts of rfft(x),
+    and coefficients @ synthesis gives back x, as irfft does.
     """
     if m % 2 != 0 or m < 4:
         raise ValueError("angular_modes must be even and >= 4")
@@ -218,9 +264,17 @@ def angular_operator(m: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = (np.arange(m)[:, np.newaxis] - np.arange(m)[np.newaxis, :]) % m
     eigen = np.arange(m // 2 + 1.0) ** 2
     eigen[-1] = 0.0  # D annihilates the Nyquist mode
-    diff = coefficients[offsets]
-    diff.flags.writeable = eigen.flags.writeable = False
-    return diff, eigen
+    # j theta_k reduced mod 2 pi exactly, so sin vanishes at j = 0 and m/2
+    angles = 2.0 * math.pi / m * (np.outer(np.arange(m // 2 + 1), np.arange(m)) % m)
+    analysis = np.stack([np.cos(angles), np.sin(angles)])
+    analysis[1, [0, -1]] = 0.0
+    weights = np.full(m // 2 + 1, 2.0 / m)
+    weights[[0, -1]] = 1.0 / m
+    synthesis = (weights[:, np.newaxis] * analysis).reshape(m + 2, m)
+    operator = AngularOperator(coefficients[offsets], eigen, analysis, synthesis)
+    for array in operator:
+        array.flags.writeable = False
+    return operator
 
 
 def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
@@ -236,54 +290,83 @@ def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
     return np.concatenate([inner, outer]), j_in
 
 
+@functools.lru_cache(maxsize=RADIAL_CACHE_SIZE)
+def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tuple:
+    """What _cell_rows needs of the grid and does not read from the family,
+    built once per (radius, radial_points, angular_modes) and returned
+    read-only: the interface node j_in; the core cells' area and bend
+    factors dtheta s/h and dtheta h/(4 s); the shell cells' offsets s - R and
+    their area and bend factors dtheta/h and dtheta h/4, all as (cells, 1)
+    columns at the midpoints s; and the (nodes, 3) load weights of
+    rho_D^2/R^2, rho_D B and B^2, the center's row first.
+
+    Each cell's load is the exact integral of its Jacobian phi phi_s, linear
+    in s: s rho_D^2/R^2 in the core and rho_D B + (s - R) B^2 in the shell.
+    """
+    s_nodes, j_in = _radial_grid(radius, radial_points)
+    dtheta = 2.0 * math.pi / angular_modes
+    inner, outer = slice(None, j_in), slice(j_in, None)
+    left, right = s_nodes[:-1, np.newaxis], s_nodes[1:, np.newaxis]
+    h = right - left
+    s = 0.5 * (left + right)
+    core = (dtheta * s[inner] / h[inner], dtheta * h[inner] / (4.0 * s[inner]))
+    shell = (s[outer] - radius, dtheta / h[outer], dtheta * h[outer] / 4.0)
+    # the Jacobian at each cell's left and right node, as coefficients of the
+    # three load factors
+    jacobian_left, jacobian_right = np.zeros((2, radial_points, 3))
+    jacobian_left[inner, :1], jacobian_right[inner, :1] = left[inner], right[inner]
+    jacobian_left[outer, 1] = jacobian_right[outer, 1] = 1.0
+    jacobian_left[outer, 2:] = left[outer] - radius
+    jacobian_right[outer, 2:] = right[outer] - radius
+    width = dtheta * h / 6.0
+    weights = width * (2.0 * jacobian_left + jacobian_right)  # each cell's left node
+    weights[1:] += width[:-1] * (jacobian_left[:-1] + 2.0 * jacobian_right[:-1])
+    for array in (*core, *shell, weights):
+        array.flags.writeable = False
+    return j_in, core, shell, weights
+
+
 def _cell_rows(family: PerturbedDomainFamily, radial_points: int, angular_modes: int) -> tuple:
     """The (area, shear/2, bend) coefficient rows of every radial cell, and
     the load: the center's, then node 1..n-1's, one angular ring after the
-    other (the unknowns' order; the Dirichlet node n is dropped)."""
+    other (the unknowns' order; the Dirichlet node n is dropped).
+
+    A row is dtheta/h A11, dtheta/2 A12 and dtheta h/4 A22 at the cell's
+    midpoint s, times sigma in the core.  There phi = s rho_D/R, so each row
+    is a radial factor times an angular one: area = (sigma dtheta s/h)
+    (1 + (rho_D'/rho_D)^2), shear/2 = -sigma dtheta/2 rho_D'/rho_D and
+    bend = sigma dtheta h/(4 s).  In the shell phi = A + (s - R) B with
+    A = rho_D and B = (rho_Omega - rho_D)/(1 - R), and one reciprocal 1/phi
+    serves all three rows.
+    """
     m = angular_modes
     radius, sigma = family.params.core_radius, family.params.sigma
-
     theta = 2.0 * math.pi * np.arange(m) / m
     dtheta = 2.0 * math.pi / m
     rho_in, drho_in, rho_out, drho_out = family.boundary_radii(theta)
-
-    s_nodes, j_in = _radial_grid(radius, radial_points)
-
-    # cell fields, one row per radial cell: the map phi at the cell's left
-    # node, midpoint and right node, its s-slope (constant per segment) and
-    # its theta-derivative at the midpoint; the cells below j_in are inside
-    # the core, the others outside it
-    inner, outer = slice(None, j_in), slice(j_in, None)
-    h = np.diff(s_nodes)[:, np.newaxis]
-    s = np.stack([s_nodes[:-1], 0.5 * (s_nodes[:-1] + s_nodes[1:]), s_nodes[1:]])
-    s = s[:, :, np.newaxis]
-    s_half = s[1]
-    slope_inner = rho_in / radius
-    slope_outer = (rho_out - rho_in) / (1.0 - radius)
-    phi_left, phi, phi_right = stack = np.empty((3, radial_points, m))
-    stack[:, inner] = s[:, inner] * slope_inner
-    stack[:, outer] = rho_in + (s[:, outer] - radius) * slope_outer
-    phi_s = np.empty((radial_points, m))
-    phi_s[inner], phi_s[outer] = slope_inner, slope_outer
-    phi_theta = np.empty((radial_points, m))
-    phi_theta[inner] = s_half[inner] * drho_in / radius
-    phi_theta[outer] = drho_in + (s_half[outer] - radius) * (drho_out - drho_in) / (
-        1.0 - radius
+    j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = (
+        _radial_factors(radius, radial_points, m)
     )
-    conductivity = np.ones((radial_points, 1))
-    conductivity[inner] = sigma
-    a11 = conductivity * (phi * phi + phi_theta * phi_theta) / (phi * phi_s)
-    a12 = -conductivity * phi_theta / phi
-    a22 = conductivity * phi_s / phi
-    rows = ((dtheta / h) * a11, 0.5 * dtheta * a12, (dtheta * h / 4.0) * a22)
 
-    jac_left = phi_left * phi_s
-    jac_right = phi_right * phi_s
-    load_left = dtheta * h * (2.0 * jac_left + jac_right) / 6.0
-    load_right = dtheta * h * (jac_left + 2.0 * jac_right) / 6.0
+    rows = area, half_shear, bend = np.empty((3, radial_points, m))
+    log_slope = drho_in / rho_in
+    area[:j_in] = core_area * (sigma * (1.0 + log_slope * log_slope))
+    half_shear[:j_in] = (-0.5 * sigma * dtheta) * log_slope
+    bend[:j_in] = sigma * core_bend
+
+    slope = (rho_out - rho_in) / (1.0 - radius)
+    phi = rho_in + offset * slope
+    phi_theta = drho_in + offset * ((drho_out - drho_in) / (1.0 - radius))
+    reciprocal = 1.0 / phi
+    # (phi^2 + phi_theta^2)/(phi phi_s) as (phi + phi_theta^2/phi)/B
+    area[j_in:] = (phi + phi_theta * phi_theta * reciprocal) * (shell_area / slope)
+    half_shear[j_in:] = (-0.5 * dtheta) * phi_theta * reciprocal
+    bend[j_in:] = (shell_bend * slope) * reciprocal
+
+    nodes = weights @ np.stack([rho_in * rho_in / (radius * radius), rho_in * slope, slope * slope])
     # the center is a single unknown, the constant angular mode
-    load = np.concatenate([[np.sum(load_left[0])], (load_left[1:] + load_right[:-1]).ravel()])
-    return rows, load
+    load = np.concatenate([[np.sum(nodes[0])], nodes[1:].ravel()])
+    return tuple(rows), load
 
 
 def _stiffness(rows: tuple, diff: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -305,34 +388,40 @@ def _stiffness(rows: tuple, diff: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate([[np.sum(h[0] - f[0])], (f[:-1] + h[:-1] + h[1:] - f[1:]).ravel()])
 
 
-def _preconditioner(rows: tuple, eigen: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _preconditioner(
+    rows: tuple, angular: AngularOperator
+) -> Callable[[np.ndarray], np.ndarray]:
     """The inverse of the operator of rows averaged in theta, shear dropped.
 
     Its chains are ordered [center, mode 0 | mode 1 | ... | mode m/2]: the
     diagonal takes area + j^2 bend of both cells of a node, the coupling
     across a cell is j^2 bend - area.  The returned function applies the
-    inverse by rfft, one chain solve for the real and imaginary parts, and
-    irfft; the center's chain unknown is m times its value.
+    inverse by the real Fourier pair of angular: the cos and sin
+    coefficients of each ring are the two right-hand sides of one chain
+    solve; the center's chain unknown is m times its value.
     """
     m = rows[0].shape[1]
     area, bend = rows[0].mean(axis=1), rows[2].mean(axis=1)
-    angular = eigen[:, np.newaxis] * bend
-    diagonal, coupling = area + angular, angular - area
+    angular_part = angular.eigen[:, np.newaxis] * bend
+    diagonal, coupling = area + angular_part, angular_part - area
     coupling[:, -1] = 0.0  # the last node's coupling goes to the Dirichlet node
     d = np.concatenate([[area[0]], (diagonal[:, :-1] + diagonal[:, 1:]).ravel()])
     e = np.concatenate([[-area[0]], coupling[:, 1:].ravel()[:-1]])
     d, e, info = cho_factor(d, e, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise SolveError("block factorization failed")
+    rings = len(area) - 1
 
     def precondition(residual: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfft(residual[1:].reshape(-1, m)).T
-        rhs = np.zeros((2, 1 + spectrum.size))
-        rhs[0, 0] = residual[0]
-        rhs[:, 1:] = spectrum.real.ravel(), spectrum.imag.ravel()
+        rhs = np.empty((2, d.size))
+        rhs[:, 0] = residual[0], 0.0
+        rhs[:, 1:] = (angular.analysis @ residual[1:].reshape(rings, m).T).reshape(2, -1)
         solution, _ = cho_solve(d, e, rhs.T, overwrite_b=1)
-        rings = (solution[1:, 0] + 1j * solution[1:, 1]).reshape(spectrum.shape).T
-        return np.concatenate([[solution[0, 0] / m], np.fft.irfft(rings, m).ravel()])
+        result = np.empty(residual.size)
+        result[0] = solution[0, 0] / m
+        coefficients = solution[1:].T.reshape(m + 2, rings)
+        np.matmul(coefficients.T, angular.synthesis, out=result[1:].reshape(rings, m))
+        return result
 
     return precondition
 
@@ -366,17 +455,17 @@ def solve_energy(
     the discrete u is appended to it.  A non-finite or non-positive r.z or
     p.Kp raises SolveError, as do more steps than unknowns.
     """
-    diff, eigen = angular_operator(angular_modes)
+    angular = angular_operator(angular_modes)
     if 2 * family.max_degree() >= angular_modes:
         raise ValueError("angular_modes too small for the perturbation degree")
     rows, load = _cell_rows(family, radial_points, angular_modes)
-    precondition = _preconditioner(rows, eigen)
+    precondition = _preconditioner(rows, angular)
 
     if start is None:
         u, residual, energy = np.zeros(load.size), load, 0.0
     else:
         u = np.array(start, dtype=float)
-        residual = load - _stiffness(rows, diff, u)
+        residual = load - _stiffness(rows, angular.diff, u)
         energy = float(u @ (load + residual))
         if not energy > 0.0:
             # J(start) >= J(0): u = 0 is as near the solution in the energy
@@ -395,7 +484,7 @@ def solve_energy(
             return _positive(energy)
         gamma = _positive(gamma)
         direction = z + (gamma / previous) * direction
-        product = _stiffness(rows, diff, direction)
+        product = _stiffness(rows, angular.diff, direction)
         step = gamma / _positive(float(direction @ product))
         energy += step * gamma
         u += step * direction

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import twophase_torsion
+from twophase_torsion import pde_oracle
 from twophase_torsion.cli import main
 
 
@@ -379,25 +380,47 @@ def test_non_finite_parameters_are_rejected(tmp_path, capsys):
             {"t0": 0.9, "modes": [{"degree": 2, "alpha_out": 1.0}]},
             "interface ordering 0 < rho_D < rho_Omega violated",
         ),
-        # SolveError: the stiffness overflows
+        # SolveError: LAPACK reports that the preconditioner's factorization
+        # failed, which the scan behind SIGMA_CEILING saw only above it
+        ({"cho_factor": lambda d, e, **_: (d, e, 1)}, "block factorization failed"),
+        # SolveError: the energy overflows on an outer circle of radius 1e97
         (
-            {"sigma": 1e300, "modes": [{"degree": 2, "alpha_in": 1.0}]},
-            "block factorization failed",
-        ),
-        (
-            {"sigma": 1e308, "modes": [{"degree": 2, "alpha_in": 1.0}]},
+            {"modes": [{"degree": 0, "alpha_out": 1e100}], "allow_mean": True, "exact_area": False},
             "energy is not finite",
         ),
     ],
 )
-def test_oracle_reports_solver_failures(tmp_path, capsys, overrides, message):
+def test_oracle_reports_solver_failures(tmp_path, capsys, monkeypatch, overrides, message):
     config = {"radius": 0.5, "sigma": 2.0, "radial_points": 16, "angular_modes": 8}
+    for key, value in overrides.items():
+        if callable(value):  # a pde_oracle function replaced by a failing one
+            monkeypatch.setattr(pde_oracle, key, value)
+        else:
+            config[key] = value
     path = tmp_path / "failing.json"
-    path.write_text(json.dumps({**config, **overrides}), encoding="utf-8")
+    path.write_text(json.dumps(config), encoding="utf-8")
     code, out, err = run_cli(capsys, ["oracle", "--config", str(path)])
     assert code == 2
     assert out == ""
     assert err == f"oracle failed: {message}\n"
+
+
+def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
+    # before sigma had a ceiling this run exited 0 with E(0) = 0.119 for
+    # 0.390, and d2 = +0.035 where e_out(2) = -0.516
+    config = {
+        "radius": 0.3,
+        "sigma": 3.2e59,
+        "modes": [{"degree": 2, "alpha_out": 1.0}],
+        "radial_points": 256,
+        "angular_modes": 32,
+    }
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["oracle", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "invalid oracle config: sigma = 3.2e+59 exceeds the oracle's ceiling 1e+12\n"
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
 def test_spectral_diff_matrix_differentiates_trig_polynomials():
     m = 32
     theta = 2.0 * math.pi * np.arange(m) / m
-    diff, eigen = angular_operator(m)
+    diff, eigen, _, _ = angular_operator(m)
     for k in (1, 3, 11):
         assert diff @ np.cos(k * theta) == pytest.approx(
             -k * np.sin(k * theta), abs=1e-11
@@ -47,14 +47,32 @@ def test_spectral_diff_matrix_differentiates_trig_polynomials():
 
 @pytest.mark.parametrize("m", [4, 6, 32, 64])
 def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(m):
-    diff, eigen = angular_operator(m)
+    operator = angular_operator(m)
+    diff = operator.diff
     # built once per m and shared, so no caller may write to it
-    assert angular_operator(m)[0] is diff
-    assert not diff.flags.writeable and not eigen.flags.writeable
+    assert angular_operator(m) is operator
+    assert not any(array.flags.writeable for array in operator)
     assert np.array_equal(diff, -diff.T)
     for k in range(m):
         assert np.array_equal(diff[k], np.roll(diff[0], k))
     assert diff[m // 2, 0] == 0.0  # the offset whose cotangent is cot(pi/2)
+
+
+@pytest.mark.parametrize("m", [4, 6, 32, 64])
+def test_the_real_fourier_pair_is_rfft_and_irfft(m):
+    # the preconditioner's cos and sin coefficients are rfft's real part and
+    # negated imaginary part, and synthesis inverts them as irfft does
+    _, _, analysis, synthesis = angular_operator(m)
+    rings = np.random.default_rng(m).standard_normal((3, m))
+    spectrum = np.fft.rfft(rings)
+    cos_part, sin_part = analysis @ rings.T
+    assert np.abs(cos_part.T - spectrum.real).max() <= 1e-14 * m
+    assert np.abs(sin_part.T + spectrum.imag).max() <= 1e-14 * m
+    # sin(j theta) vanishes exactly for the constant and the Nyquist mode
+    assert not analysis[1, 0].any() and not analysis[1, -1].any()
+    coefficients = (analysis @ rings.T).reshape(m + 2, 3)
+    assert np.abs(coefficients.T @ synthesis - rings).max() <= 1e-14
+    assert np.abs(coefficients.T @ synthesis - np.fft.irfft(spectrum, m)).max() <= 1e-14
 
 
 def test_normal_speed_evaluation():
@@ -239,15 +257,33 @@ def test_differentiate_energy_checks_the_range_before_listing_steps():
     assert peak < 1 << 20
 
 
-def test_solve_energy_raises_when_the_energy_is_not_finite():
-    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
-    overflowing = PerturbedDomainFamily(ProblemParams(2, 0.5, 1e308), spec)
+def test_solve_energy_raises_when_the_energy_is_not_finite(monkeypatch):
+    # an outer circle of radius 1e97: the energy, of order rho^4, overflows
+    huge = PerturbationSpec({ModeIndex(0, 1): (0.0, 1e100)}, allow_mean=True)
+    overflowing = PerturbedDomainFamily(PARAMS, huge, exact_area=False).at(0.01)
     with pytest.raises(SolveError, match="^energy is not finite$"):
         solve_energy(overflowing, radial_points=16, angular_modes=8)
     # the preconditioner's tridiagonal factorization breaks down
-    singular = PerturbedDomainFamily(ProblemParams(2, 0.5, 1e300), spec)
+    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
+    monkeypatch.setattr(pde_oracle, "cho_factor", lambda d, e, **_: (d, e, 1))
     with pytest.raises(SolveError, match="^block factorization failed$"):
-        solve_energy(singular, radial_points=16, angular_modes=8)
+        solve_energy(PerturbedDomainFamily(PARAMS, spec), radial_points=16, angular_modes=8)
+
+
+def test_the_family_refuses_sigma_above_the_ceiling():
+    # above it runs fail in the factorization or, worse, answer wrong:
+    # d2 = +0.035 at R = 0.3 and sigma = 1e40, where e_out(2) = -0.52
+    spec = PerturbationSpec({ModeIndex(2, 1): (0.0, 1.0)})
+    ceiling = pde_oracle.SIGMA_CEILING
+    for sigma in (math.nextafter(ceiling, math.inf), 3.2e59, 1e308):
+        with pytest.raises(ValueError, match=r"^sigma = \S+ exceeds the oracle's ceiling 1e\+12$"):
+            PerturbedDomainFamily(ProblemParams(2, 0.3, sigma), spec)
+    # at the ceiling E(0) is the sigma -> infinity limit's to rounding
+    stiff, limit = (
+        solve_energy(PerturbedDomainFamily(ProblemParams(2, 0.3, sigma), spec), 256, 32)
+        for sigma in (ceiling, 1e9)
+    )
+    assert stiff == pytest.approx(limit, rel=1e-8)
 
 
 _CHO_SOLVE, _STIFFNESS = pde_oracle.cho_solve, pde_oracle._stiffness
@@ -281,7 +317,7 @@ def test_a_broken_iteration_never_returns_an_energy(monkeypatch, broken, message
 def _dense_system(family, radial_points, angular_modes):
     """The dense K, from the operator's columns, and the load of a solve."""
     rows, load = pde_oracle._cell_rows(family, radial_points, angular_modes)
-    diff, _ = angular_operator(angular_modes)
+    diff = angular_operator(angular_modes).diff
     columns = [pde_oracle._stiffness(rows, diff, unit) for unit in np.eye(load.size)]
     return np.column_stack(columns), load
 
@@ -348,6 +384,94 @@ def test_conjugate_gradients_equal_a_dense_solve_everywhere(
     _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes)
 
 
+def _scalar_cell_rows(family, radial_points, angular_modes):
+    """_cell_rows transcribed cell by cell from the module docstring: A11,
+    A12 and A22 at each cell's midpoint, and the exact load of its
+    piecewise-linear Jacobian phi phi_s."""
+    radius, sigma = family.params.core_radius, family.params.sigma
+    m = angular_modes
+    dtheta = 2.0 * math.pi / m
+    theta = 2.0 * math.pi * np.arange(m) / m
+    rho_in, drho_in, rho_out, drho_out = family.boundary_radii(theta)
+    s_nodes, j_in = pde_oracle._radial_grid(radius, radial_points)
+    rows = np.zeros((3, radial_points, m))
+    nodes = np.zeros((radial_points + 1, m))
+    for cell in range(radial_points):
+        left, right = s_nodes[cell], s_nodes[cell + 1]
+        h, s = right - left, 0.5 * (left + right)
+        for k in range(m):
+            if cell < j_in:
+                conductivity = sigma
+                phi_s = rho_in[k] / radius
+                phi_theta = s * drho_in[k] / radius
+                phi = [x * phi_s for x in (left, s, right)]
+            else:
+                conductivity = 1.0
+                phi_s = (rho_out[k] - rho_in[k]) / (1.0 - radius)
+                phi_theta = drho_in[k] + (s - radius) * (drho_out[k] - drho_in[k]) / (1.0 - radius)
+                phi = [rho_in[k] + (x - radius) * phi_s for x in (left, s, right)]
+            a11 = (phi[1] ** 2 + phi_theta**2) / (phi[1] * phi_s)
+            a12 = -phi_theta / phi[1]
+            a22 = phi_s / phi[1]
+            rows[:, cell, k] = conductivity * np.array(
+                [dtheta / h * a11, 0.5 * dtheta * a12, dtheta * h / 4.0 * a22]
+            )
+            jacobian_left, jacobian_right = phi[0] * phi_s, phi[2] * phi_s
+            nodes[cell, k] += dtheta * h * (2.0 * jacobian_left + jacobian_right) / 6.0
+            nodes[cell + 1, k] += dtheta * h * (jacobian_left + 2.0 * jacobian_right) / 6.0
+    load = np.concatenate([[nodes[0].sum()], nodes[1:-1].ravel()])
+    return rows, load
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    radius=st.floats(0.05, 0.95),
+    log_sigma=st.floats(math.log(1e-4), math.log(pde_oracle.SIGMA_CEILING)),
+    grid=ANGULAR_GRIDS,
+    order=st.integers(1, 2),
+    alphas=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),  # inner, outer, coupled
+    # t as a share of the largest amplitude that keeps both radii ordered, and
+    # no share so small that the rows' shear and theta terms are subnormal
+    reach=st.one_of(st.just(0.0), st.floats(-1.0, 1.0).filter(lambda x: abs(x) >= 1e-12)),
+    exact_area=st.booleans(),
+    radial_points=st.integers(4, 24),
+)
+# the interface at the first node (j_in = 1) and at the last (j_in = n - 1)
+@example(radius=0.05, log_sigma=0.0, grid=(4, 1), order=1, alphas=(1.0, 1.0),
+         reach=0.5, exact_area=True, radial_points=4)
+@example(radius=0.95, log_sigma=0.0, grid=(12, 5), order=2, alphas=(1.0, 0.0),
+         reach=-0.5, exact_area=False, radial_points=24)
+def test_cell_rows_equal_a_scalar_transcription(
+    radius, log_sigma, grid, order, alphas, reach, exact_area, radial_points
+):
+    angular_modes, degree = grid
+    params = ProblemParams(2, radius, math.exp(log_sigma))
+    spec = PerturbationSpec({ModeIndex(degree, order): alphas})
+    # |g| <= 1/sqrt(pi) per boundary, so each radius moves by less than the
+    # gap min(R, 1 - R)/2 at |t| <= 0.8 min(R, 1 - R)
+    t = 0.8 * min(radius, 1.0 - radius) * reach
+    family = PerturbedDomainFamily(params, spec, exact_area=exact_area).at(t)
+    rows, load = pde_oracle._cell_rows(family, radial_points, angular_modes)
+    expected_rows, expected_load = _scalar_cell_rows(family, radial_points, angular_modes)
+    ulp = 4.0 * sys.float_info.epsilon
+    for row, expected in zip(rows, expected_rows):
+        assert np.abs(row - expected).max() <= ulp * np.abs(expected).max()
+    assert np.abs(load - expected_load).max() <= ulp * np.abs(expected_load).max()
+
+
+def test_the_radial_factor_cache_is_bounded_and_read_only():
+    spec = PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)})
+    for radius in np.linspace(0.2, 0.8, 1000):
+        family = PerturbedDomainFamily(ProblemParams(2, float(radius), 2.0), spec)
+        pde_oracle._cell_rows(family, 8, 4)
+    info = pde_oracle._radial_factors.cache_info()
+    assert info.misses >= 1000
+    assert info.currsize <= info.maxsize == pde_oracle.RADIAL_CACHE_SIZE
+    # shared by every solve of a grid, so no caller may write to them
+    _, core, shell, weights = pde_oracle._radial_factors(0.5, 8, 4)
+    assert not any(array.flags.writeable for array in (*core, *shell, weights))
+
+
 @pytest.mark.parametrize(
     "radius, sigma, radial_points, angular_modes",
     [(0.5, 2.0, 4, 4), (0.3, 0.25, 12, 8), (0.7, 4.0, 16, 12)],
@@ -361,7 +485,7 @@ def test_the_preconditioner_is_the_inverse_of_the_concentric_operator(
     matrix, load = _dense_system(concentric, radial_points, angular_modes)
     # the preconditioner a t = 0 solve builds from its own rows
     rows, _ = pde_oracle._cell_rows(concentric, radial_points, angular_modes)
-    precondition = pde_oracle._preconditioner(rows, angular_operator(angular_modes)[1])
+    precondition = pde_oracle._preconditioner(rows, angular_operator(angular_modes))
     inverse = np.column_stack([precondition(unit) for unit in np.eye(load.size)])
     exact = np.linalg.inv(matrix)
     assert np.abs(inverse - exact).max() <= 1e-13 * np.abs(exact).max()
