@@ -30,9 +30,6 @@ from .pde_oracle import (
 from .reporting import (
     SUITES,
     CheckResult,
-    FidelityEntry,
-    FidelityReport,
-    FidelityVerdict,
     build_fidelity_report,
     emit_spectrum_csv,
     run_coefficients_suite,
@@ -44,7 +41,6 @@ from .second_variation import (
     SecondVariationSpectrum,
     SpectrumGrid,
     SpectrumPath,
-    SpectrumTable,
     assemble_spectrum,
     discriminant,
     monotonicity_functions,
@@ -70,9 +66,6 @@ __all__ = [
     "Channel",
     "CheckResult",
     "Classification",
-    "FidelityEntry",
-    "FidelityReport",
-    "FidelityVerdict",
     "FloatRangeError",
     "InterfaceOrderingError",
     "ModeIndex",
@@ -87,7 +80,6 @@ __all__ = [
     "SolveError",
     "SpectrumGrid",
     "SpectrumPath",
-    "SpectrumTable",
     "StabilityVerdict",
     "StateTraces",
     "TransmissionSolveError",

@@ -135,8 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
-    report = build_fidelity_report()
-    _write_output(_json_text(report.to_document()), args.out)
+    _write_output(_json_text(build_fidelity_report()), args.out)
     return 0
 
 

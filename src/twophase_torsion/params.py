@@ -105,7 +105,7 @@ class PerturbationSpec:
             if index.degree == 0 and not self.allow_mean:
                 raise ValueError(
                     "degree-0 modes violate first-order volume preservation; "
-                    "construct with allow_mean=True to represent them"
+                    "set allow_mean to true to represent them"
                 )
             frozen[index] = (float(alpha_in), float(alpha_out))
             for name, value in zip(("alpha_in", "alpha_out"), frozen[index]):

@@ -14,7 +14,6 @@ each; `verify <suite>` prints them and the acceptance tests assert them.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import sys
@@ -91,47 +90,6 @@ def grid_spectrum(kmax: int) -> SpectrumGrid:
     return spectrum_grid(grid_params(), kmax)
 
 
-class FidelityVerdict(enum.Enum):
-    MATCH = "Match"
-    MISMATCH = "Mismatch"
-
-
-@dataclass(frozen=True)
-class FidelityEntry:
-    """Worst-case comparison of one printed formula over the grid."""
-
-    formula_id: str
-    printed_value: float
-    reference_value: float
-    max_relative_deviation: float
-    verdict: FidelityVerdict
-    worst_point: str
-    note: str = ""
-
-    def to_document(self) -> dict:
-        return {
-            "formula": self.formula_id,
-            "printed_value": self.printed_value,
-            "assembled_value": self.reference_value,
-            "relative_deviation": self.max_relative_deviation,
-            "verdict": self.verdict.value,
-            "worst_point": self.worst_point,
-            "note": self.note,
-        }
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    grid_description: str
-    entries: tuple[FidelityEntry, ...]
-
-    def to_document(self) -> dict:
-        return {
-            "grid": self.grid_description,
-            "entries": [entry.to_document() for entry in self.entries],
-        }
-
-
 _MISMATCH_NOTE = (
     "printed closed form differs from the independent computation; the "
     "independent value is used downstream (see README, Known formula "
@@ -148,9 +106,11 @@ _FORMULAS = (
 )
 
 
-def build_fidelity_report() -> FidelityReport:
-    """Compare printed vs independent values per formula over the grid,
-    worst case wins (the last one among ties)."""
+def build_fidelity_report() -> dict:
+    """The fidelity document that `fidelity` prints: the grid, and per formula
+    the printed and the assembled value at the worst point of the grid (the
+    last one among ties), their relative deviation, the verdict Match or
+    Mismatch against REL_TOL, and the note that explains a mismatch."""
     grid = grid_params()
     spectra = grid_spectrum(GRID_KMAX)
     # [point, kind, degree - 1, column] and [point, entry, degree - 1]
@@ -182,20 +142,20 @@ def build_fidelity_report() -> FidelityReport:
         params, deviation = grid[worst[0]], float(deviations[flat])
         matched = deviation <= REL_TOL
         entries.append(
-            FidelityEntry(
-                formula_id=formula,
-                printed_value=float(printed_values[worst]),
-                reference_value=float(reference[worst]),
-                max_relative_deviation=deviation,
-                verdict=FidelityVerdict.MATCH if matched else FidelityVerdict.MISMATCH,
-                worst_point=(
+            {
+                "formula": formula,
+                "printed_value": float(printed_values[worst]),
+                "assembled_value": float(reference[worst]),
+                "relative_deviation": deviation,
+                "verdict": "Match" if matched else "Mismatch",
+                "worst_point": (
                     f"N={params.dim}, sigma={params.sigma:g}, "
                     f"R={params.core_radius:g}, k={worst[1] + 1}"
                 ),
-                note="" if matched else _MISMATCH_NOTE,
-            )
+                "note": "" if matched else _MISMATCH_NOTE,
+            }
         )
-    return FidelityReport(grid_description=GRID_DESCRIPTION, entries=tuple(entries))
+    return {"grid": GRID_DESCRIPTION, "entries": entries}
 
 
 def emit_spectrum_csv(params: ProblemParams, kmax: int, path: SpectrumPath) -> str:
@@ -204,7 +164,8 @@ def emit_spectrum_csv(params: ProblemParams, kmax: int, path: SpectrumPath) -> s
         table = spectrum_table(params, kmax)
         columns = (table.e_in, table.e_out, table.e_res)
     else:
-        columns = tuple(column[0] for column in printed_spectrum((params,), kmax))
+        columns = printed_spectrum((params,), kmax)
+    columns = tuple(column[0] for column in columns)
     columns = (*columns, discriminant(*columns))
     rows = zip(range(1, kmax + 1), *(column.tolist() for column in columns))
     lines = ["k,e_in,e_out,e_res,delta"] + [
@@ -542,7 +503,7 @@ def second_variation_match() -> CheckResult:
     runs = oracle_runs().harder
     table = spectrum_table(HARDER_CORE, CLASSIFY_KMAX)
     index = CROSS_DEGREE - 1
-    e_in, e_out, e_res = table.e_in[index], table.e_out[index], table.e_res[index]
+    e_in, e_out, e_res = table.e_in[0, index], table.e_out[0, index], table.e_res[0, index]
     failures = []
     for channel, analytic in (("inner", e_in), ("outer", e_out)):
         deviation = abs(runs[CROSS_DEGREE, channel].d2 - analytic) / abs(analytic)

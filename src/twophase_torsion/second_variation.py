@@ -7,11 +7,11 @@ sum alpha_out Y_{k,i} on the outer boundary,
     E''(Phi) = sum_{k,i} { alpha_in^2 e_in(k) + alpha_out^2 e_out(k)
                            + alpha_in alpha_out e_res(k) }.
 
-The spectrum of a parameter point is one table: `spectrum_table(params,
+The spectrum has one format, the `SpectrumGrid`: `spectrum_grid(points,
 kmax)` reduces the boundary-integral formula for E'' per mode using
-oracle-validated profiles, for the whole ladder of degrees 1..kmax at once,
-and `spectrum_grid(points, kmax)` does the same for a tuple of points from
-one stacked solve, its columns indexed [point, degree - 1],
+oracle-validated profiles, for the whole ladder of degrees 1..kmax at every
+point of a tuple, from one stacked solve, its columns indexed [point,
+degree - 1]; `spectrum_table(params, kmax)` caches the grid of one point,
 
     E'' = +2 int_{|x|=1} grad u . grad u' (h.n) + 2 int_{|x|=1} d_n u d_nn u (h.n)^2
           -2 int_{|x|=R} [sigma grad u . grad u'] (h.n)
@@ -19,9 +19,9 @@ one stacked solve, its columns indexed [point, degree - 1],
 
 with u radial, so grad u . grad u' = (d_r u)(d_r u') on each sphere, and the
 surface integrals of Y^2 contributing R^{N-1} at the interface and 1 at the
-boundary.  Every quadratic form E''(Phi) is summed from the columns of such
-a table (`total_second_variation(spec, table)`), so a caller that holds the
-table of its parameter point reads the form from it.  This assembled
+boundary.  Every quadratic form E''(Phi) is summed from the columns of a
+one-point grid (`total_second_variation(spec, table)`), so a caller that
+holds the grid of its parameter point reads the form from it.  This assembled
 spectrum is the one consumed downstream: it is self-consistent (translation
 invariance e_in(1) = e_out(1)) and confirmed by the PDE oracle.  The
 closed-form spectrum is evaluated verbatim by `printed_spectrum(points,
@@ -69,23 +69,6 @@ def discriminant(e_in, e_out, e_res):
     the squares leave the float range, as in scalar arithmetic."""
     with np.errstate(over="ignore", invalid="ignore"):
         return e_res * e_res - 4.0 * e_in * e_out
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumTable:
-    """The assembled spectrum of degrees 1..kmax at params and the mode table
-    it was assembled from; e_in, e_out and e_res are read-only, finite, and
-    indexed by degree - 1."""
-
-    params: ProblemParams
-    modes: ModeTable
-    e_in: np.ndarray
-    e_out: np.ndarray
-    e_res: np.ndarray
-
-    @property
-    def kmax(self) -> int:
-        return len(self.e_in)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,19 +132,17 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
 
 
 @functools.lru_cache(maxsize=512)
-def spectrum_table(params: ProblemParams, kmax: int) -> SpectrumTable:
+def spectrum_table(params: ProblemParams, kmax: int) -> SpectrumGrid:
     """The assembled spectrum of degrees 1..kmax at one point: the one-point
-    spectrum_grid, without its point axis.
+    spectrum_grid((params,), kmax).
 
     Raises FloatRangeError at the first degree whose entries leave the float
-    range.  This is the cache of the one-point tables, keyed by
-    (params, kmax): the classifier, the CSV emitter and criteria 11-12 read
-    it, and its bound keeps long parameter sweeps from growing memory.  The
+    range.  This is the cache of the one-point grids, keyed by (params,
+    kmax): the classifier, the CSV emitter and criteria 11-12 read its row 0,
+    and its bound keeps long parameter sweeps from growing memory.  The
     criteria's grids are solved whole by spectrum_grid instead.
     """
-    grid = spectrum_grid((params,), kmax)
-    modes = ModeTable(grid.modes.coefficients[0], grid.modes.derivatives[0])
-    return SpectrumTable(params, modes, grid.e_in[0], grid.e_out[0], grid.e_res[0])
+    return spectrum_grid((params,), kmax)
 
 
 def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpectrum:
@@ -171,7 +152,7 @@ def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpec
         raise ValueError("degree must be >= 1")
     table = spectrum_table(params, degree)
     return SecondVariationSpectrum(
-        degree, float(table.e_in[-1]), float(table.e_out[-1]), float(table.e_res[-1])
+        degree, *(float(column[0, -1]) for column in (table.e_in, table.e_out, table.e_res))
     )
 
 
@@ -211,9 +192,14 @@ def printed_spectrum(
     return e_in, e_out, e_res
 
 
-def total_second_variation(spec: PerturbationSpec, table: SpectrumTable) -> float:
+def total_second_variation(spec: PerturbationSpec, table: SpectrumGrid) -> float:
     """Quadratic form E''(Phi) summed over the modes stored in the spec, from
-    the columns of the spectrum table of its parameter point."""
+    the columns of the one-point spectrum grid of its parameter point."""
+    if len(table.points) != 1:
+        raise ValueError(
+            f"the spectrum grid holds {len(table.points)} points; give the grid of one"
+        )
+    kmax = table.e_in.shape[1]
     total = 0.0
     for index, (alpha_in, alpha_out) in spec.sorted_items():
         if index.degree == 0:
@@ -221,16 +207,16 @@ def total_second_variation(spec: PerturbationSpec, table: SpectrumTable) -> floa
                 "degree-0 modes are not volume preserving; the second "
                 "variation is defined on volume-preserving perturbations"
             )
-        index.check_order(table.params.dim)
-        if index.degree > table.kmax:
+        index.check_order(table.points[0].dim)
+        if index.degree > kmax:
             raise ValueError(
-                f"degree {index.degree} lies outside the spectrum table 1..{table.kmax}"
+                f"degree {index.degree} lies outside the spectrum table 1..{kmax}"
             )
         row = index.degree - 1
         total += (
-            alpha_in * alpha_in * float(table.e_in[row])
-            + alpha_out * alpha_out * float(table.e_out[row])
-            + alpha_in * alpha_out * float(table.e_res[row])
+            alpha_in * alpha_in * float(table.e_in[0, row])
+            + alpha_out * alpha_out * float(table.e_out[0, row])
+            + alpha_in * alpha_out * float(table.e_res[0, row])
         )
     return total
 

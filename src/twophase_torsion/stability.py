@@ -126,7 +126,7 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
         raise ValueError("kmax must be >= 2")
 
     table = spectrum_table(params, k_max)
-    e_in, e_out, e_res = table.e_in, table.e_out, table.e_res
+    e_in, e_out, e_res = table.e_in[0], table.e_out[0], table.e_res[0]
     delta = discriminant(e_in, e_out, e_res)
     mode_table = tuple(
         zip(range(1, k_max + 1), e_in.tolist(), e_out.tolist(), e_res.tolist(), delta.tolist())

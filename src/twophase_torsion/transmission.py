@@ -165,11 +165,10 @@ class ModeTable:
     """The mode profiles of degrees 1..kmax, both kinds.
 
     Arrays are indexed [point, kind, degree - 1, column], kinds in KINDS
-    order; the table of one parameter point (SpectrumTable.modes) drops the
-    point axis.  coefficients holds (B, C, D) of each profile; derivatives
-    holds the radial derivatives w'(R) in the core, w'(R) in the shell and
-    w'(1), the traces the boundary-integral assembly of the spectrum reads.
-    Both are read-only and finite.
+    order, for one parameter point as for many.  coefficients holds (B, C, D)
+    of each profile; derivatives holds the radial derivatives w'(R) in the
+    core, w'(R) in the shell and w'(1), the traces the boundary-integral
+    assembly of the spectrum reads.  Both are read-only and finite.
     """
 
     coefficients: np.ndarray

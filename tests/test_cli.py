@@ -268,6 +268,30 @@ def test_oracle_document_is_strict_json(tmp_path, capsys):
     assert document["convergence_rate"] is None
 
 
+@pytest.mark.parametrize("radius, sigma", [(0.5, 0.5), (0.3, 0.2)])
+def test_classify_witnesses_run_as_oracle_configs(tmp_path, capsys, radius, sigma):
+    # a witness document is an oracle modes list; d2 takes the witness's sign
+    code, out, _ = run_cli(
+        capsys,
+        ["classify", "--dim", "2", "--radius", str(radius), "--sigma", str(sigma), "--kmax", "10"],
+    )
+    assert code == 0
+    document = json.loads(out)
+    for label, sign in (("witness_positive", 1.0), ("witness_negative", -1.0)):
+        config = {
+            "radius": radius,
+            "sigma": sigma,
+            "radial_points": 64,
+            "angular_modes": 16,
+            **document[label],
+        }
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["oracle", "--config", str(path)])
+        assert (code, err) == (0, ""), label
+        assert sign * json.loads(out)["d2"] > 0.0, label
+
+
 def test_oracle_accepts_presets(tmp_path, capsys):
     config = {
         "preset": "case-iii",
@@ -465,6 +489,12 @@ def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
             {"t0": 1e-150, "modes": [{"degree": 2, "alpha_in": 1.0}]},
             "t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = 1.35e+285 "
             "exceeds 0.0001",
+        ),
+        # a degree-0 record needs allow_mean, named as the config key
+        (
+            {"modes": [{"degree": 0, "alpha_in": 1.0}], "exact_area": False},
+            "degree-0 modes violate first-order volume preservation; "
+            "set allow_mean to true to represent them",
         ),
     ],
 )

@@ -105,11 +105,11 @@ def test_assembled_table_matches_the_exact_reference(degree):
     point = (2, 0.5, 2.0)
     table = spectrum_table(ProblemParams(*point), 300)
     index = degree - 1
-    spectrum = (table.e_in[index], table.e_out[index], table.e_res[index])
+    spectrum = (table.e_in[0, index], table.e_out[0, index], table.e_res[0, index])
     for value, exact in zip(spectrum, exact_spectrum(*point, degree)):
         assert rel_error(value, exact) <= REL_TOL
     for kind, (coefficients, _) in enumerate(exact_modes(*point, degree)):
-        for value, exact in zip(table.modes.coefficients[kind, index], coefficients):
+        for value, exact in zip(table.modes.coefficients[0, kind, index], coefficients):
             assert rel_error(value, exact) <= REL_TOL
 
 
@@ -140,7 +140,7 @@ def test_assembled_table_matches_the_exact_reference(degree):
 )
 def test_degree_one_matches_the_exact_reference(point, column):
     table = spectrum_table(ProblemParams(*point), 1)
-    value = (table.e_in, table.e_out, table.e_res)[column][0]
+    value = (table.e_in, table.e_out, table.e_res)[column][0, 0]
     assert rel_error(value, exact_spectrum(*point, 1)[column]) <= REL_TOL
 
 
@@ -153,7 +153,7 @@ def test_degree_one_matches_the_exact_reference(point, column):
     "point, kmax", [((2, 0.5, 2.0), 3000), ((4, 0.05, 2.0), 300), ((2, 0.2, 2.0), 500)]
 )
 def test_spectrum_table_computes_every_degree(point, kmax):
-    assert spectrum_table(ProblemParams(*point), kmax).kmax == kmax
+    assert spectrum_table(ProblemParams(*point), kmax).e_in.shape[1] == kmax
 
 
 @pytest.mark.xfail(

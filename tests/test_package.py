@@ -9,6 +9,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_export_resolves():
+    assert len(twophase_torsion.__all__) == 47
     for name in twophase_torsion.__all__:
         assert hasattr(twophase_torsion, name), name
     for name in (
@@ -20,6 +21,10 @@ def test_every_export_resolves():
         "factored_discriminant",
         "Constraint",
         "ValidationVerdict",
+        "SpectrumTable",
+        "FidelityEntry",
+        "FidelityReport",
+        "FidelityVerdict",
     ):
         assert name not in twophase_torsion.__all__
         assert not hasattr(twophase_torsion, name)

@@ -11,7 +11,6 @@ from twophase_torsion.reporting import (
     SPECTRUM_KMAX,
     SUITE_CRITERIA,
     SUITES,
-    FidelityVerdict,
     build_fidelity_report,
     emit_spectrum_csv,
     grid_params,
@@ -34,16 +33,16 @@ from twophase_torsion.transmission import solve_modes
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
 
 EXPECTED_VERDICTS = {
-    "B_in": FidelityVerdict.MISMATCH,
-    "C_in": FidelityVerdict.MATCH,
-    "D_in": FidelityVerdict.MATCH,
-    "B_out": FidelityVerdict.MATCH,
-    "C_out": FidelityVerdict.MATCH,
-    "D_out": FidelityVerdict.MATCH,
-    "E_in": FidelityVerdict.MISMATCH,
-    "E_out": FidelityVerdict.MISMATCH,
-    "E_res": FidelityVerdict.MATCH,
-    "E_res_k1_perfect_square": FidelityVerdict.MATCH,
+    "B_in": "Mismatch",
+    "C_in": "Match",
+    "D_in": "Match",
+    "B_out": "Match",
+    "C_out": "Match",
+    "D_out": "Match",
+    "E_in": "Mismatch",
+    "E_out": "Mismatch",
+    "E_res": "Match",
+    "E_res_k1_perfect_square": "Match",
 }
 
 
@@ -57,25 +56,34 @@ def test_default_grid_size():
 
 
 def test_fidelity_report_full_grid_verdicts(report):
-    assert [entry.formula_id for entry in report.entries] == list(EXPECTED_VERDICTS)
-    for entry in report.entries:
-        assert entry.verdict is EXPECTED_VERDICTS[entry.formula_id], entry.formula_id
-        if entry.verdict is FidelityVerdict.MISMATCH:
-            assert "Known formula discrepancies" in entry.note
-            assert entry.max_relative_deviation > 1e-10
+    assert [entry["formula"] for entry in report["entries"]] == list(EXPECTED_VERDICTS)
+    for entry in report["entries"]:
+        assert entry["verdict"] == EXPECTED_VERDICTS[entry["formula"]], entry["formula"]
+        if entry["verdict"] == "Mismatch":
+            assert "Known formula discrepancies" in entry["note"]
+            assert entry["relative_deviation"] > 1e-10
         else:
-            assert entry.note == ""
-            assert entry.max_relative_deviation <= 1e-10
-        assert entry.worst_point
+            assert entry["note"] == ""
+            assert entry["relative_deviation"] <= 1e-10
+        assert entry["worst_point"]
 
 
 def test_fidelity_report_document_and_lookup(report):
-    document = report.to_document()
-    assert document["grid"] == GRID_DESCRIPTION
-    entries = {entry["formula"]: entry for entry in document["entries"]}
-    assert list(entries) == list(EXPECTED_VERDICTS)
-    for entry in report.entries:
-        assert entries[entry.formula_id] == entry.to_document()
+    assert list(report) == ["grid", "entries"]
+    assert report["grid"] == GRID_DESCRIPTION
+    keys = [
+        "formula",
+        "printed_value",
+        "assembled_value",
+        "relative_deviation",
+        "verdict",
+        "worst_point",
+        "note",
+    ]
+    for entry in report["entries"]:
+        assert list(entry) == keys
+        assert all(type(entry[key]) is float for key in keys[1:4])
+    entries = {entry["formula"]: entry for entry in report["entries"]}
     assert entries["B_in"]["verdict"] == "Mismatch"
     assert entries["E_res"]["verdict"] == "Match"
 

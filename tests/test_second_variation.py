@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
+from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams, presets
 from twophase_torsion.second_variation import (
     assemble_spectrum,
     discriminant,
@@ -59,7 +59,7 @@ def test_assembled_spectrum_matches_pinned_values(params, degree, expected):
     assert (values.e_in, values.e_out, values.e_res) == expected
     table = spectrum_table(params, 50)
     columns = (table.e_in, table.e_out, table.e_res)
-    assert tuple(column[degree - 1] for column in columns) == expected
+    assert tuple(column[0, degree - 1] for column in columns) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -76,11 +76,11 @@ def test_table_rows_do_not_depend_on_kmax(dim, radius, log_sigma, kmax, data):
     full, short = spectrum_table(params, kmax), spectrum_table(params, degree)
     index = degree - 1
     for name in ("e_in", "e_out", "e_res"):
-        assert getattr(full, name)[index].tobytes() == getattr(short, name)[index].tobytes()
+        assert getattr(full, name)[0, index].tobytes() == getattr(short, name)[0, index].tobytes()
     for name in ("coefficients", "derivatives"):
         assert (
-            getattr(full.modes, name)[:, index].tobytes()
-            == getattr(short.modes, name)[:, index].tobytes()
+            getattr(full.modes, name)[0, :, index].tobytes()
+            == getattr(short.modes, name)[0, :, index].tobytes()
         )
 
 
@@ -241,9 +241,9 @@ def test_every_ladder_row_is_the_same_at_any_kmax(dim, radius, log_sigma, kmax, 
     assert row(grid, position, other) == one_point
     # the cached one-point table is the one-point grid
     table = spectrum_table(params, kmax)
-    cached = [column[index] for column in (table.e_in, table.e_out, table.e_res)] + [
-        table.modes.coefficients[:, index],
-        table.modes.derivatives[:, index],
+    cached = [column[0, index] for column in (table.e_in, table.e_out, table.e_res)] + [
+        table.modes.coefficients[0, :, index],
+        table.modes.derivatives[0, :, index],
     ]
     assert [value.tobytes() for value in cached] == one_point[:3] + one_point[7:9]
     # the proof functions, which take no kmax
@@ -296,6 +296,31 @@ def test_total_second_variation_rejects_modes_past_the_table():
     assert total == assemble_spectrum(PARAMS, 2).e_in + assemble_spectrum(PARAMS, 4).e_out
 
 
+# E''(Phi) of the preset case-iii and of a spec mixing degrees 2, 3 and 5, as
+# the one-point tables summed them before they became one-point grids
+PINNED_TOTALS = [
+    (PARAMS, -2.116330185607294, -8.88583551042849),
+    (ProblemParams(3, 0.3, 0.2), -0.9477831377298743, -3.841840575583298),
+]
+
+
+@pytest.mark.parametrize("params, case_iii, mixed", PINNED_TOTALS)
+def test_total_second_variation_reads_one_point_grids(params, case_iii, mixed):
+    spec = PerturbationSpec(
+        {
+            ModeIndex(2, 1): (1.0, -0.5),
+            ModeIndex(3, 2): (0.0, 2.0),
+            ModeIndex(5, 1): (0.25, 1.5),
+        }
+    )
+    for kmax in (5, 30):
+        for table in (spectrum_table(params, kmax), spectrum_grid((params,), kmax)):
+            assert total_second_variation(presets()["case-iii"], table) == case_iii
+            assert total_second_variation(spec, table) == mixed
+    with pytest.raises(ValueError, match=r"^the spectrum grid holds 2 points; give the grid of one$"):
+        total_second_variation(spec, spectrum_grid((params, PARAMS), 5))
+
+
 def test_resonance_analysis_consistency():
     for params in SAMPLE_PARAMS:
         table = spectrum_table(params, 5)
@@ -308,7 +333,7 @@ def test_resonance_analysis_consistency():
                 values.e_res**2 - 4.0 * values.e_in * values.e_out, rel=1e-14
             )
             # elementwise over the columns, bitwise the scalar value
-            assert delta[degree - 1] == scalar
+            assert delta[0, degree - 1] == scalar
 
 
 def test_discriminant_overflows_to_inf_without_a_warning():
