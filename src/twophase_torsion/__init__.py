@@ -57,6 +57,7 @@ from .transmission import (
     TransmissionSolveError,
     closed_form_modes,
     denom_F,
+    mode_coefficients,
     solve_modes,
 )
 
@@ -93,6 +94,7 @@ __all__ = [
     "discriminant",
     "emit_spectrum_csv",
     "family_from_config",
+    "mode_coefficients",
     "monotonicity_functions",
     "multiplicity",
     "presets",

@@ -50,6 +50,7 @@ from .transmission import (
     _denominator,
     closed_form_modes,
     denom_F,
+    mode_coefficients,
 )
 
 GRID_DIMS = (2, 3, 4)
@@ -114,7 +115,7 @@ def build_fidelity_report() -> dict:
     grid = grid_params()
     spectra = grid_spectrum(GRID_KMAX)
     # [point, kind, degree - 1, column] and [point, entry, degree - 1]
-    solved = spectra.modes.coefficients
+    solved = mode_coefficients(grid, spectra.modes)
     printed_modes = closed_form_modes(grid, GRID_KMAX)
     assembled = np.stack((spectra.e_in, spectra.e_out, spectra.e_res), axis=1)
     printed = np.stack(printed_spectrum(grid, GRID_KMAX), axis=1)
@@ -272,7 +273,7 @@ def denominator_positivity() -> CheckResult:
 def closed_form_fidelity() -> CheckResult:
     """3. The printed shell coefficients C_in, D_in match the solve."""
     grid = grid_params()
-    solved = grid_spectrum(GRID_KMAX).modes.coefficients[:, 0, :, 1:]
+    solved = mode_coefficients(grid, grid_spectrum(GRID_KMAX).modes)[:, 0, :, 1:]
     printed = closed_form_modes(grid, GRID_KMAX)[:, 0, :, 1:]
     worst, (point, index, column) = _worst(_rel_deviation(printed, solved, _NO_FLOOR))
     field = ("outer_sing", "outer_reg")[column]

@@ -19,14 +19,16 @@ degree - 1]; `spectrum_table(params, kmax)` caches the grid of one point,
 
 with u radial, so grad u . grad u' = (d_r u)(d_r u') on each sphere, and the
 surface integrals of Y^2 contributing R^{N-1} at the interface and 1 at the
-boundary.  Every quadratic form E''(Phi) is summed from the columns of a
-one-point grid (`total_second_variation(spec, table)`), so a caller that
-holds the grid of its parameter point reads the form from it.  This assembled
-spectrum is the one consumed downstream: it is self-consistent (translation
-invariance e_in(1) = e_out(1)) and confirmed by the PDE oracle.  The
-closed-form spectrum is evaluated verbatim by `printed_spectrum(points,
-kmax)`, as the same three columns over the same ladders, for the fidelity
-report and the printed path of the CSV emitter (`SpectrumPath`).
+boundary; the grid assembles it from the mode table's scaled unknowns, so
+its entries are floats at every degree.  Every quadratic form E''(Phi) is
+summed from the columns of a one-point grid (`total_second_variation(spec,
+table)`), so a caller that holds the grid of its parameter point reads the
+form from it.  This assembled spectrum is the one consumed downstream: it is
+self-consistent (translation invariance e_in(1) = e_out(1)) and confirmed by
+the PDE oracle.  The closed-form spectrum is evaluated verbatim by
+`printed_spectrum(points, kmax)`, as the same three columns over the same
+ladders, for the fidelity report and the printed path of the CSV emitter
+(`SpectrumPath`).
 
 Also provided: the discriminant delta of the resonance quadratic
 Q(t) = e_in t^2 + e_res t + e_out, elementwise over such columns, and the
@@ -84,19 +86,6 @@ class SpectrumGrid:
     e_res: np.ndarray
 
 
-def _assembly_factors(params: ProblemParams) -> tuple[float, float, float, float]:
-    """2 R^N / N, 2 R^N (1-sigma) / (N^2 sigma), -2/N and 2/N^2, the factors
-    of the assembly formula, in scalar arithmetic."""
-    n, sigma = params.dim, params.sigma
-    r_pow = params.core_radius**n
-    return (
-        2.0 * r_pow / n,
-        2.0 * r_pow * (1.0 - sigma) / (n * n * sigma),
-        -(2.0 / n),
-        2.0 / (n * n),
-    )
-
-
 def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
     """Assemble e_in, e_out, e_res of degrees 1..kmax at every point from the
     boundary-integral formula, from one stacked mode solve.
@@ -108,24 +97,34 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
         e_out = -(2/N) w'_out(1) + 2/N^2
         e_res = -(2/N) w'_in(1)  + (2 R^N / N) Dw'_out
 
+    By the flux condition, Dw' = (sigma-1) k B R^{k-1}, and the boundary
+    condition, D = -C (Inner) or C + D = 1/N (Outer), in the ModeTable's
+    unknowns b, c and with eps = R^{N-2+2k}, no power of R negative:
+
+        e_in  = (2 R^{N-1} / N) (1-sigma) (R / (N sigma) - k b_in)
+        e_out = 2(1-k)/N^2 + (2/N)(N-2+2k) c_out eps
+        e_res = (2/N)(N-2+2k) c_in R^{N-2+k} + (2/N)(sigma-1) k b_out R^{N-1+k}
+
     Row (point, k) is the row of that point's own table.  Raises
     FloatRangeError at the first degree whose entries leave the float range;
     of several points, the diagnostic names the first point that fails.
     """
     modes = solve_modes(points, kmax)
-    in_scale, in_const, out_scale, out_const = np.array(
-        [_assembly_factors(params) for params in points]
+    # per point: N, R, sigma and 2 R^{N-1}, by Python's scalar pow like every power of R
+    n, radius, sigma, interface = np.array(
+        [(p.dim, p.core_radius, p.sigma, 2.0 * p.core_radius ** (p.dim - 1)) for p in points]
     ).T[..., np.newaxis]
-    # columns w'_-(R), w'_+(R), w'_+(1)
-    inner, outer = modes.derivatives[:, 0], modes.derivatives[:, 1]
+    k = np.arange(1, kmax + 1)
+    epsilon, inner_power, outer_power = modes.powers
+    (b_in, c_in, _), (b_out, c_out, _) = np.moveaxis(modes.unknowns, (1, 3), (0, 1))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        e_in = in_scale * (inner[..., 1] - inner[..., 0]) + in_const
-        e_out = out_scale * outer[..., 2] + out_const
-        e_res = out_scale * inner[..., 2] + in_scale * (outer[..., 1] - outer[..., 0])
-    FloatRangeError.check(
-        points, np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res)
-    )
+        shell = 2.0 * (n - 2 + 2 * k) / n
+        # 1-sigma here and sigma-1 in e_res, so that sigma = 1 gives +0.0
+        e_in = interface / n * (1.0 - sigma) * (radius / (n * sigma) - k * b_in)
+        e_out = 2.0 * (1 - k) / (n * n) + shell * c_out * epsilon
+        e_res = shell * c_in * inner_power + 2.0 * ((sigma - 1.0) * k * b_out) / n * outer_power
+    FloatRangeError.check(points, np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res))
     for column in (e_in, e_out, e_res):
         column.flags.writeable = False
     return SpectrumGrid(points, modes, e_in, e_out, e_res)

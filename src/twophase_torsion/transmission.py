@@ -18,11 +18,15 @@ silently patched.
 Both cover a whole degree ladder at a tuple of parameter points at once:
 `solve_modes` stacks the systems of every point, degrees 1..kmax and both
 kinds, solves the stack in one call and returns a `ModeTable`;
-`closed_form_modes` returns the printed (B, C, D) of the same ladders in the
-layout of `ModeTable.coefficients`.  Their arrays lead with the point axis.
-Each call takes the powers of R it needs from one ladder per distinct R,
-built with Python's scalar pow over the integer exponents the call uses, so
-row (point, k) depends neither on kmax nor on the other points.
+`closed_form_modes` returns the printed (B, C, D) of the same ladders.  Their
+arrays lead with the point axis.  Each call takes the powers of R it needs
+from one ladder per distinct R, built with Python's scalar pow over the
+integer exponents the call uses, so row (point, k) depends neither on kmax
+nor on the other points.
+
+The `ModeTable` holds the scaled unknowns, floats at every degree;
+`mode_coefficients` undoes the scaling for the comparisons with the printed
+(B, C, D), which read degrees 1..20.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ def _exponents(*terms: tuple[int, int, int]) -> np.ndarray:
     return np.array(terms).T[..., np.newaxis, np.newaxis]
 
 
-# R^{N-2+2k}, R^k, R^{-k}, R^{N-2+k}, R^{1-N-k} and R^{k-1}: the mode systems
-_MODE_POWERS = _exponents((-2, 1, 2), (0, 0, 1), (0, 0, -1), (-2, 1, 1), (1, -1, -1), (-1, 0, 1))
+# R^{N-2+2k}, R^{N-2+k} and R^{N-1+k}: the mode systems and the spectrum
+_MODE_POWERS = _exponents((-2, 1, 2), (-2, 1, 1), (-1, 1, 1))
 # R^{2-N-2k} and R^{1-k}: the printed closed forms
 _PRINTED_POWERS = _exponents((2, -1, -2), (1, 0, -1))
 
@@ -162,17 +166,17 @@ def denom_F(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModeTable:
-    """The mode profiles of degrees 1..kmax, both kinds.
+    """The solved mode systems of degrees 1..kmax, both kinds.
 
-    Arrays are indexed [point, kind, degree - 1, column], kinds in KINDS
-    order, for one parameter point as for many.  coefficients holds (B, C, D)
-    of each profile; derivatives holds the radial derivatives w'(R) in the
-    core, w'(R) in the shell and w'(1), the traces the boundary-integral
-    assembly of the spectrum reads.  Both are read-only and finite.
+    unknowns, indexed [point, kind, degree - 1, column] with kinds in KINDS
+    order, holds (B R^k, C R^{2-N-k}, D R^k) of the Inner kind and
+    (B, C R^{2-N-2k}, D) of the Outer kind, whose system is divided by R^k.
+    powers, indexed [power, point, degree - 1], holds R^{N-2+2k}, R^{N-2+k}
+    and R^{N-1+k}, which may underflow to 0.  Both are read-only and finite.
     """
 
-    coefficients: np.ndarray
-    derivatives: np.ndarray
+    unknowns: np.ndarray
+    powers: np.ndarray
 
 
 def solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> ModeTable:
@@ -184,11 +188,11 @@ def solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> ModeTable:
       (ii)  value jump:       w_+(R) - w_-(R) = -[d_n u]   (Inner) or 0 (Outer)
       (iii) boundary value:   w(1) = 0 (Inner) or -d_n u(1) = 1/N (Outer)
 
-    Solved in the scaled unknowns (B R^k, C R^{2-N-k}, D R^k) so each matrix
-    stays well conditioned for large k and small R.  Raises
+    Solved in the scaled unknowns of ModeTable, so each matrix stays well
+    conditioned for large k and small R and no R^{-k} is formed.  Raises
     TransmissionSolveError if the backward error of any condition exceeds
     the 1e-12 relative contract, and FloatRangeError at the first degree
-    whose system or profile leaves the float range; of several points, the
+    whose system or unknowns leave the float range; of several points, the
     diagnostic names the first point that fails.
     """
     _check_ladder(points, kmax)
@@ -204,36 +208,32 @@ def solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> ModeTable:
     # both kinds share the matrix: its kind axis has length 1
     matrices = np.zeros((len(points), 1, kmax, 3, 3))
     rhs = np.zeros((len(points), len(KINDS), kmax, 3))
-    # [point, 1, degree - 1]
-    r_system, r_boundary, r_minus_k, r_outer, r_sing, r_reg = _radius_powers(
-        points, kmax, _MODE_POWERS
-    )[:, :, np.newaxis]
+    powers = _radius_powers(points, kmax, _MODE_POWERS)
 
     # overflow is not an error here: FloatRangeError reports where it happened
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = two_minus_n - degrees
         matrices[..., 0, 0] = neg_sigma * degrees
-        matrices[..., 0, 1] = slope
+        matrices[..., 0, 1] = two_minus_n - degrees
         matrices[..., 0, 2] = degrees
         matrices[..., 1, :] = (-1.0, 1.0, 1.0)
-        matrices[..., 2, 1] = r_system
+        matrices[..., 2, 1] = powers[0, :, np.newaxis]
         matrices[..., 2, 2] = 1.0
         rhs[:, :1, :, 1] = neg_jump
-        rhs[:, 1:, :, 2] = inv_n * r_boundary
+        rhs[:, 1:, :, 2] = inv_n
         FloatRangeError.check(
             points,
             np.isfinite(matrices).all(axis=(1, 3, 4)) & np.isfinite(rhs).all(axis=(1, 3)),
         )
 
         try:
-            scaled = np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0]
+            unknowns = np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise TransmissionSolveError(
                 f"singular mode system among degrees 1..{kmax}"
             ) from exc
 
         # backward error per condition, relative to the row magnitudes
-        terms = matrices * scaled[..., np.newaxis, :]
+        terms = matrices * unknowns[..., np.newaxis, :]
         residual = np.abs(terms.sum(axis=-1) - rhs)
         row_terms = np.abs(terms, out=terms).sum(axis=-1) + np.abs(rhs)
         rel_residual = residual / np.maximum(row_terms, np.finfo(float).tiny)
@@ -246,37 +246,33 @@ def solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> ModeTable:
                 f"{rel_residual[point, kind, index].max():.3e} exceeds "
                 f"{RESIDUAL_TOL:.0e} at degree {index + 1}, kind {KINDS[kind].value}"
             )
+    FloatRangeError.check(points, np.isfinite(unknowns).all(axis=(1, 3)))
+    unknowns.flags.writeable = False
+    powers.flags.writeable = False
+    return ModeTable(unknowns, powers)
 
-        inner_coeff = scaled[..., 0] * r_minus_k
-        outer_sing = scaled[..., 1] * r_outer
-        outer_reg = scaled[..., 2] * r_minus_k
-        sing_slope = outer_sing * slope
-        reg_slope = outer_reg * degrees
-        # r_sing = r^{1-N-k} and r_reg = r^{k-1} at R
-        derivatives = np.stack(
-            [
-                inner_coeff * degrees * r_reg,
-                sing_slope * r_sing + reg_slope * r_reg,
-                sing_slope + reg_slope,  # at r = 1 both powers are 1
-            ],
-            axis=-1,
-        )
-    coefficients = np.stack([inner_coeff, outer_sing, outer_reg], axis=-1)
-    FloatRangeError.check(
-        points,
-        np.isfinite(coefficients).all(axis=(1, 3))
-        & np.isfinite(derivatives).all(axis=(1, 3)),
-    )
+
+def mode_coefficients(points: tuple[ProblemParams, ...], table: ModeTable) -> np.ndarray:
+    """The profile coefficients (B, C, D) of table = solve_modes(points,
+    kmax), read-only and laid out like table.unknowns.  The Inner B and D
+    carry R^{-k}: raises FloatRangeError at the first degree where R^{-k} or
+    a coefficient leaves the float range."""
+    (r_minus_k,) = _radius_powers(points, table.unknowns.shape[2], _exponents((0, 0, -1)))
+    epsilon, inner_power, _ = table.powers
+    coefficients = table.unknowns.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients[:, 0] *= np.stack([r_minus_k, inner_power, r_minus_k], axis=-1)
+    coefficients[:, 1, :, 1] *= epsilon
+    FloatRangeError.check(points, np.isfinite(coefficients).all(axis=(1, 3)))
     coefficients.flags.writeable = False
-    derivatives.flags.writeable = False
-    return ModeTable(coefficients, derivatives)
+    return coefficients
 
 
 def closed_form_modes(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
     """Evaluate the printed closed-form coefficients verbatim.
 
     Returns (B, C, D) of degrees 1..kmax, both kinds, at every point, as a
-    read-only array laid out like ModeTable.coefficients.  These are
+    read-only array laid out like mode_coefficients.  These are
     reference expressions for the fidelity report; downstream computation
     uses solve_modes instead.  Raises FloatRangeError at the first degree
     that leaves the float range.

@@ -112,30 +112,54 @@ def test_missing_subcommand_fails_with_one_line(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def document_degrees(argv: list[str], out: str) -> list[int]:
+    """The degrees a spectrum CSV or a classify document lists, in order."""
+    if argv[0] == "spectrum":
+        return [int(line.split(",")[0]) for line in out.splitlines()[1:]]
+    return [row["degree"] for row in json.loads(out)["mode_table"]]
+
+
+# degree is the first degree the command names as past the float range, or
+# None where it computes every degree: the assembled spectrum forms no
+# negative power of R, so only the printed path still leaves the float range
 @pytest.mark.parametrize(
     "argv, degree",
     [
-        (["spectrum", "--dim", "2", "--radius", "0.5", "--sigma", "2", "--kmax", "3000"], 1019),
+        (["spectrum", "--dim", "2", "--radius", "0.5", "--sigma", "2", "--kmax", "3000"], None),
         (
             ["spectrum", "--dim", "2", "--radius", "0.5", "--sigma", "2", "--kmax", "3000",
              "--path", "printed"],
             503,
         ),
-        (["classify", "--dim", "4", "--radius", "0.05", "--sigma", "2", "--kmax", "300"], 234),
-        (["classify", "--dim", "2", "--radius", "0.2", "--sigma", "2", "--kmax", "500"], 440),
+        (["classify", "--dim", "4", "--radius", "0.05", "--sigma", "2", "--kmax", "300"], None),
+        (["classify", "--dim", "2", "--radius", "0.2", "--sigma", "2", "--kmax", "500"], None),
     ],
 )
 def test_degrees_past_float_range_are_diagnosed(capsys, argv, degree):
     code, out, err = run_cli(capsys, argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"degree {degree} leaves float range for these parameters\n"
+    if degree is None:
+        assert (code, err) == (0, "")
+        assert document_degrees(argv, out) == list(range(1, int(argv[-1]) + 1))
+    else:
+        assert code == 2
+        assert out == ""
+        assert err == f"degree {degree} leaves float range for these parameters\n"
+
+
+def test_a_tiny_core_meets_the_residual_contract(capsys):
+    # the Outer system's right-hand side was R^k/N, subnormal here, and its
+    # degree-26 row missed the 1e-12 contract; divided by R^k it is 1/N
+    argv = ["spectrum", "--dim", "2", "--radius", "1e-12", "--sigma", "552", "--kmax", "26"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert document_degrees(argv, out) == list(range(1, 27))
 
 
 @pytest.mark.parametrize("command", ["classify", "spectrum"])
 def test_mode_solve_failures_are_diagnosed(capsys, command):
-    # the degree-2 outer mode system misses its residual contract here
-    argv = [command, "--dim", "2", "--radius", "1e-150", "--sigma", "1e20", "--kmax", "2"]
+    # the degree-1 Inner unknown B R^k, about R/(N sigma k), is subnormal
+    # here, and its mode system misses the residual contract
+    argv = [command, "--dim", "2", "--radius", "1e-12", "--sigma", "1e300", "--kmax", "2"]
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
@@ -214,14 +238,15 @@ def test_fidelity_document(capsys):
     assert len(entries) == 10
 
 
-# sha256 of the stdout of the report commands.  The criteria that solve
-# each grid in one stacked call print the bytes the point-by-point ones
-# printed; a change that alters these bytes must say why.
+# sha256 of the stdout of the report commands; a change that alters these
+# bytes must say why.  The spectrum assembled from the scaled unknowns moved
+# the translation-invariance deviation of `verify secondvar` and five of the
+# fidelity report's Match deviations, each within a few ulp.
 PINNED_STDOUT = {
     ("verify", "coefficients"): "7afe032275c55be50c3ed484ea21d05ac36a9ed5ba470252710a794a8c23a5b3",
-    ("verify", "secondvar"): "517742f4191a680fe0f2fb4d083c9232f301849d703a402a2aeb104add9c3560",
+    ("verify", "secondvar"): "5ce863a413a1f062d263546637ede1fcd1bf0efba82dd7b1324cac0740bc8f4b",
     ("verify", "monotonicity"): "a77897d84503e4da0212ec7accdfd4a67728f56fe7e7deefd295b1c4af281cd5",
-    ("fidelity",): "981e5159bca2188bbdbfa26c2150014f60ada5c64767223c0fb3a4140c663528",
+    ("fidelity",): "f085d25d8365e433109db780f1548fb0d66ca59fb12fb2f54940a97374d414bb",
 }
 
 

@@ -7,20 +7,25 @@ values of R and sigma.  They import nothing from the package and use no
 float and no closed form, so the float table is measured against its own
 definition with no rounding on the reference side.
 
-The xfail cases reproduce the float range and the two cancellations that the
-assembled path does not yet handle; each must fail in the way it names.
+The xfail cases reproduce the cancellation at small sigma that the assembled
+path does not yet handle; each must fail in the way it names.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from twophase_torsion.params import ProblemParams
-from twophase_torsion.second_variation import spectrum_table
+from twophase_torsion.reporting import grid_params
+from twophase_torsion.second_variation import spectrum_grid, spectrum_table
 from twophase_torsion.stability import Classification, classify
-from twophase_torsion.transmission import FloatRangeError
+from twophase_torsion.transmission import mode_coefficients
 
 REL_TOL = 1e-14
+# the criteria grid against the reference: ulps of each row's largest entry
+GRID_DEGREES = (1, 2, 3, 20, 50)
+GRID_ULPS = 8
 
 
 def _solve3(matrix, rhs):
@@ -108,24 +113,43 @@ def test_assembled_table_matches_the_exact_reference(degree):
     spectrum = (table.e_in[0, index], table.e_out[0, index], table.e_res[0, index])
     for value, exact in zip(spectrum, exact_spectrum(*point, degree)):
         assert rel_error(value, exact) <= REL_TOL
+    solved = mode_coefficients((ProblemParams(*point),), table.modes)
     for kind, (coefficients, _) in enumerate(exact_modes(*point, degree)):
-        for value, exact in zip(table.modes.coefficients[0, kind, index], coefficients):
+        for value, exact in zip(solved[0, kind, index], coefficients):
             assert rel_error(value, exact) <= REL_TOL
+
+
+def test_criteria_grid_matches_the_exact_reference():
+    # every entry to GRID_ULPS ulp of its row's scale, or absolutely on a row
+    # that is exactly zero (degree 1 at sigma = 1)
+    grid = grid_params()
+    spectra = spectrum_grid(grid, max(GRID_DEGREES))
+    failures = []
+    for point, params in enumerate(grid):
+        for degree in GRID_DEGREES:
+            exact = exact_spectrum(params.dim, params.core_radius, params.sigma, degree)
+            bound = GRID_ULPS * Fraction(math.ulp(float(max(map(abs, exact)))))
+            for name, value, entry in zip(
+                ("e_in", "e_out", "e_res"),
+                (spectra.e_in, spectra.e_out, spectra.e_res),
+                exact,
+            ):
+                error = abs(Fraction(float(value[point, degree - 1])) - entry)
+                if error > bound:
+                    failures.append(f"{name}({degree}) at {params}: {float(error / bound):.2f}")
+    assert not failures, failures
 
 
 @pytest.mark.parametrize(
     "point, column",
     [
-        pytest.param(
-            (2, 1e-6, 2.0),
-            1,
-            marks=pytest.mark.xfail(
-                raises=AssertionError,
-                strict=True,
-                reason="e_out(1) at R = 1e-6 is off by 1.3e-4: cancellation",
-            ),
-            id="e_out-small-radius",
-        ),
+        pytest.param((2, 1e-6, 2.0), 1, id="e_out-small-radius"),
+        # e_out(1) is O(|1 - sigma|): it must not be formed as 2/N^2 minus O(1)
+        pytest.param((2, 0.5, 0.9999999999999999), 1, id="e_out-sigma-one-ulp-below-1"),
+        pytest.param((2, 0.5, 1.0 - 1e-15), 1, id="e_out-sigma-1e-15-below-1"),
+        pytest.param((2, 0.5, 1.0 + 1e-15), 1, id="e_out-sigma-1e-15-above-1"),
+        # e_out(1) = e_in(1) is O(R^N), about -4.8e-126
+        pytest.param((400, 0.5, 2.0), 1, id="e_out-high-dimension"),
         pytest.param(
             (2, 0.5, 1e-16),
             0,
@@ -144,11 +168,6 @@ def test_degree_one_matches_the_exact_reference(point, column):
     assert rel_error(value, exact_spectrum(*point, 1)[column]) <= REL_TOL
 
 
-@pytest.mark.xfail(
-    raises=FloatRangeError,
-    strict=True,
-    reason="the unscaled assembly leaves the float range at degree 1019, 234 and 440",
-)
 @pytest.mark.parametrize(
     "point, kmax", [((2, 0.5, 2.0), 3000), ((4, 0.05, 2.0), 300), ((2, 0.2, 2.0), 500)]
 )

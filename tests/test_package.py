@@ -9,7 +9,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_export_resolves():
-    assert len(twophase_torsion.__all__) == 47
+    assert len(twophase_torsion.__all__) == 48
     for name in twophase_torsion.__all__:
         assert hasattr(twophase_torsion, name), name
     for name in (

@@ -17,6 +17,7 @@ from twophase_torsion.transmission import (
     TransmissionSolveError,
     closed_form_modes,
     denom_F,
+    mode_coefficients,
     solve_modes,
 )
 
@@ -28,6 +29,11 @@ SAMPLE_PARAMS = [
     ProblemParams(3, 0.2, 10.0),
     ProblemParams(4, 0.5, 0.5),
 ]
+
+
+def solved_coefficients(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
+    """The profile coefficients (B, C, D) of the solved mode systems."""
+    return mode_coefficients(points, solve_modes(points, kmax))
 
 
 def backward_errors(
@@ -82,19 +88,19 @@ def test_ladders_reject_empty_ranges():
 
 
 def test_oracle_is_zero_for_single_phase_inner_modes():
-    coefficients = solve_modes((ProblemParams(2, 0.5, 1.0),), 7).coefficients[0]
+    coefficients = solved_coefficients((ProblemParams(2, 0.5, 1.0),), 7)[0]
     for degree in (1, 2, 7):
         assert coefficients[0, degree - 1].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_oracle_inner_profiles_satisfy_dirichlet_pairing():
-    _, c_in, d_in = solve_modes((PARAMS,), 3).coefficients[0, 0, 2]
+    _, c_in, d_in = solved_coefficients((PARAMS,), 3)[0, 0, 2]
     assert c_in == pytest.approx(-d_in, rel=1e-13)
 
 
 def test_oracle_profiles_satisfy_all_three_conditions():
-    table = solve_modes(tuple(SAMPLE_PARAMS), 13)
-    for params, coefficients in zip(SAMPLE_PARAMS, table.coefficients):
+    table = solved_coefficients(tuple(SAMPLE_PARAMS), 13)
+    for params, coefficients in zip(SAMPLE_PARAMS, table):
         for degree in (1, 2, 5, 13):
             for kind in ModeKind:
                 errors = backward_errors(params, coefficients, degree, kind)
@@ -112,7 +118,7 @@ def test_every_row_of_the_table_meets_the_residual_contract(
     dim, radius, log_sigma, kmax
 ):
     params = ProblemParams(dim, radius, math.exp(log_sigma))
-    coefficients = solve_modes((params,), kmax).coefficients[0]
+    coefficients = solved_coefficients((params,), kmax)[0]
     for degree in range(1, kmax + 1):
         for kind in ModeKind:
             errors = backward_errors(params, coefficients, degree, kind)
@@ -135,10 +141,14 @@ def test_residual_contract_names_the_first_failing_row(monkeypatch):
 
 
 def test_ladder_past_float_range_names_the_first_degree():
-    # B_in k R^{k-1} overflows first: B_in grows like 2^k at R = 1/2
-    with pytest.raises(FloatRangeError, match="^degree 1019 leaves float range"):
-        solve_modes((PARAMS,), 1100)
-    assert solve_modes((PARAMS,), 1018).coefficients.shape == (1, 2, 1018, 3)
+    # the scaled unknowns stay floats at every degree
+    modes = solve_modes((PARAMS,), 3000)
+    assert modes.unknowns.shape == (1, 2, 3000, 3)
+    assert np.isfinite(modes.unknowns).all() and np.isfinite(modes.powers).all()
+    # the unscaled B_in carries R^{-k}, which leaves float range at 2^1024
+    with pytest.raises(FloatRangeError, match="^degree 1024 leaves float range"):
+        mode_coefficients((PARAMS,), modes)
+    assert np.isfinite(solved_coefficients((PARAMS,), 1023)).all()
     # the stiffness -sigma k of degree 2 overflows
     with pytest.raises(FloatRangeError) as excinfo:
         solve_modes((ProblemParams(2, 0.5, 1e308),), 3)
@@ -147,7 +157,7 @@ def test_ladder_past_float_range_names_the_first_degree():
 
 def test_closed_forms_match_oracle_except_inner_b():
     grid = tuple(SAMPLE_PARAMS)
-    for printed, solved in zip(closed_form_modes(grid, 13), solve_modes(grid, 13).coefficients):
+    for printed, solved in zip(closed_form_modes(grid, 13), solved_coefficients(grid, 13)):
         for degree in (1, 2, 5, 13):
             (_, c_in, d_in), (b_out, c_out, d_out) = printed[:, degree - 1].tolist()
             (_, c_in_ref, d_in_ref), (b_out_ref, c_out_ref, d_out_ref) = (
@@ -165,7 +175,7 @@ def test_printed_inner_b_disagrees_with_the_oracle():
     # r^k differs from the transmission solve whenever sigma != 1; the
     # printed value is reported as-is, the solve is used downstream
     printed = closed_form_modes((PARAMS,), 1)[0, 0, 0, 0]
-    solved = solve_modes((PARAMS,), 1).coefficients[0, 0, 0, 0]
+    solved = solved_coefficients((PARAMS,), 1)[0, 0, 0, 0]
     deviation = abs(printed - solved) / abs(solved)
     assert deviation > 1e-3
 
@@ -207,7 +217,9 @@ def test_closed_form_ladder_is_read_only_and_names_the_first_degree_past_float_r
 GRID_WITH_ONE_BAD_POINT = (
     ProblemParams(3, 0.2, 10.0),
     ProblemParams(2, 0.5, 1e308),  # the stiffness -sigma k of degree 2 overflows
-    ProblemParams(2, 1e-150, 1e20),  # the degree-2 outer system misses its contract
+    # the degree-1 Inner system misses its contract: its unknown B R^k, about
+    # R/(N sigma k), is subnormal
+    ProblemParams(2, 1e-12, 1e300),
 )
 
 
@@ -229,8 +241,8 @@ def test_a_grid_that_misses_the_residual_contract_names_the_failing_point():
         solve_modes(grid, 3)
     message = str(excinfo.value)
     assert message.startswith(f"{grid[1]}: mode system residual ")
-    assert message.endswith(" at degree 2, kind Outer")
+    assert message.endswith(" at degree 1, kind Inner")
     assert len(message.splitlines()) == 1
     # the one-point message names no point
-    with pytest.raises(TransmissionSolveError, match="^mode system residual .* kind Outer$"):
+    with pytest.raises(TransmissionSolveError, match="^mode system residual .* kind Inner$"):
         solve_modes(grid[1:], 3)
