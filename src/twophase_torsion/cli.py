@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(spectrum_parser, kmax_default=50)
     spectrum_parser.add_argument(
         "--path",
-        choices=("assembled", "printed"),
-        default="assembled",
+        choices=[path.value for path in SpectrumPath],
+        default=SpectrumPath.ASSEMBLED.value,
         help="computation path for the coefficients",
     )
 
@@ -113,8 +113,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = ProblemParams(args.dim, args.radius, args.sigma)
-    path = SpectrumPath.ASSEMBLED if args.path == "assembled" else SpectrumPath.PRINTED
-    _write_output(emit_spectrum_csv(params, args.kmax, path), args.out)
+    _write_output(emit_spectrum_csv(params, args.kmax, SpectrumPath(args.path)), args.out)
     return 0
 
 

@@ -9,9 +9,9 @@ Y_{k,i}, orthonormal in L^2(S^{N-1}):
     (h_in . n)(R theta) = sum_{k,i} alpha_in[k,i] Y_{k,i}(theta)
     (h_out . n)(theta)  = sum_{k,i} alpha_out[k,i] Y_{k,i}(theta)
 
-Degree-0 (mean) modes violate first-order volume preservation and are only
-representable when explicitly allowed; degree-1 outer modes violate the
-barycenter constraint.
+Degree-0 (mean) modes violate first-order volume preservation and degree-1
+outer modes violate the barycenter constraint; validate names both, and each
+consumer that needs the constraints refuses them itself.
 """
 
 from __future__ import annotations
@@ -87,26 +87,19 @@ class ModeIndex:
 class PerturbationSpec:
     """Sparse map of harmonic modes to (alpha_in, alpha_out) coefficients.
 
-    Unspecified modes have coefficient zero, and every coefficient must be
-    finite.  Degree-0 entries are rejected unless allow_mean is set; they
-    exist solely for the FD oracle's plain linear normal motion (exact_area
-    false), which need not preserve volume.
+    The package's one form of a perturbation: keys are ModeIndex, unspecified
+    modes have coefficient zero, and every coefficient must be finite.  Any
+    degree is representable; validate reports the constrained ones, and
+    to_document writes the form every document and oracle config shares.
     """
 
     modes: Mapping[ModeIndex, tuple[float, float]] = field(default_factory=dict)
-    allow_mean: bool = False
 
     def __post_init__(self) -> None:
         frozen = {}
-        for index, pair in dict(self.modes).items():
+        for index, (alpha_in, alpha_out) in dict(self.modes).items():
             if not isinstance(index, ModeIndex):
-                index = ModeIndex(*index)
-            alpha_in, alpha_out = pair
-            if index.degree == 0 and not self.allow_mean:
-                raise ValueError(
-                    "degree-0 modes violate first-order volume preservation; "
-                    "set allow_mean to true to represent them"
-                )
+                raise TypeError(f"mode keys must be ModeIndex, not {type(index).__name__}")
             frozen[index] = (float(alpha_in), float(alpha_out))
             for name, value in zip(("alpha_in", "alpha_out"), frozen[index]):
                 if not math.isfinite(value):
@@ -118,6 +111,21 @@ class PerturbationSpec:
 
     def sorted_items(self) -> list[tuple[ModeIndex, tuple[float, float]]]:
         return sorted(self.modes.items(), key=lambda item: item[0])
+
+    def to_document(self) -> dict:
+        """{"modes": [...]}: one record per stored mode, by (degree, order),
+        in the form an oracle config reads back."""
+        return {
+            "modes": [
+                {
+                    "degree": index.degree,
+                    "order": index.order,
+                    "alpha_in": alpha_in,
+                    "alpha_out": alpha_out,
+                }
+                for index, (alpha_in, alpha_out) in self.sorted_items()
+            ]
+        }
 
 
 def validate(spec: PerturbationSpec) -> tuple[tuple[ModeIndex, str], ...]:

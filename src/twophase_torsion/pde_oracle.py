@@ -513,20 +513,13 @@ class OracleRun:
         return self.energies[self.t_samples.index(t)]
 
     def to_document(self) -> dict:
-        items = self.family.spec.sorted_items()
-        # each boundary's nonzero coefficients as [degree, order, alpha]
-        inner, outer = (
-            [[index.degree, index.order, pair[side]] for index, pair in items if pair[side]]
-            for side in (0, 1)
-        )
         return {
             "params": {
                 "dim": self.family.params.dim,
                 "radius": self.family.params.core_radius,
                 "sigma": self.family.params.sigma,
             },
-            "inner_shape": inner,
-            "outer_shape": outer,
+            **self.family.spec.to_document(),
             "exact_area": self.family.exact_area,
             "radial_points": self.radial_points,
             "angular_modes": self.angular_modes,
@@ -658,7 +651,7 @@ def differentiate_energy(
 
 _CONFIG_KEYS = frozenset(
     {
-        "dim", "radius", "sigma", "modes", "preset", "allow_mean", "exact_area",
+        "dim", "radius", "sigma", "modes", "preset", "exact_area",
         "t0", "levels", "radial_points", "angular_modes",
     }
 )
@@ -704,9 +697,10 @@ def family_from_config(config: dict) -> PerturbedDomainFamily:
 
     Keys: dim (default 2), radius, sigma, and either preset (a name from
     params.presets) or modes (a list of records with degree, order,
-    alpha_in, alpha_out); optional allow_mean and exact_area flags, and the
-    run keys of run_from_config.  Unknown keys, values of the wrong JSON type,
-    a repeated (degree, order) and preset together with modes are rejected.
+    alpha_in, alpha_out, as PerturbationSpec.to_document writes them); the
+    optional exact_area flag, and the run keys of run_from_config.  Unknown
+    keys, values of the wrong JSON type, a repeated (degree, order) and
+    preset together with modes are rejected.
     """
     _check_keys(config, _CONFIG_KEYS, "config")
     params = ProblemParams(
@@ -714,7 +708,6 @@ def family_from_config(config: dict) -> PerturbedDomainFamily:
         core_radius=_field(config, "radius", float),
         sigma=_field(config, "sigma", float),
     )
-    allow_mean = _field(config, "allow_mean", bool, False)
     if "preset" in config:
         if "modes" in config:
             raise ValueError("give either preset or modes, not both")
@@ -739,7 +732,7 @@ def family_from_config(config: dict) -> PerturbedDomainFamily:
                 _field(record, "alpha_in", float, 0.0),
                 _field(record, "alpha_out", float, 0.0),
             )
-        spec = PerturbationSpec(modes=modes, allow_mean=allow_mean)
+        spec = PerturbationSpec(modes=modes)
     return PerturbedDomainFamily(
         params, spec, exact_area=_field(config, "exact_area", bool, True)
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -406,14 +405,12 @@ class OracleRuns:
 
     baseline maps each of BASELINE_PARAMS to its unperturbed energies on the
     full and the half radial grid; harder maps (degree, channel) to the run
-    at HARDER_CORE, with harder_seconds the time those runs took; saddle is
-    the classifier's verdict at SOFTER_CORE, and witnesses maps "positive"
+    at HARDER_CORE; saddle is the classifier's verdict at SOFTER_CORE, and witnesses maps "positive"
     and "negative" to the runs on its two witnesses.
     """
 
     baseline: dict[ProblemParams, tuple[float, float]]
     harder: dict[tuple[int, str], OracleRun]
-    harder_seconds: float
     saddle: StabilityVerdict
     witnesses: dict[str, OracleRun]
 
@@ -433,7 +430,6 @@ def oracle_runs() -> OracleRuns:
             solve_energy(family, DEFAULT_RADIAL_POINTS // 2),
         )
 
-    start = time.perf_counter()
     harder = {
         (degree, channel): run(
             HARDER_CORE, PerturbationSpec({ModeIndex(degree, 1): alpha})
@@ -444,7 +440,6 @@ def oracle_runs() -> OracleRuns:
     harder[CROSS_DEGREE, "coupled"] = run(
         HARDER_CORE, PerturbationSpec({ModeIndex(CROSS_DEGREE, 1): (1.0, 1.0)})
     )
-    harder_seconds = time.perf_counter() - start
 
     saddle = classify(SOFTER_CORE, CLASSIFY_KMAX)
     witnesses = {
@@ -455,7 +450,7 @@ def oracle_runs() -> OracleRuns:
         )
         if witness is not None
     }
-    return OracleRuns(baseline, harder, harder_seconds, saddle, witnesses)
+    return OracleRuns(baseline, harder, saddle, witnesses)
 
 
 def pde_baseline() -> CheckResult:

@@ -50,8 +50,8 @@ from .transmission import FloatRangeError, ModeTable, _printed_ladder, solve_mod
 
 
 class SpectrumPath(enum.Enum):
-    ASSEMBLED = "Assembled"
-    PRINTED = "PrintedFormula"
+    ASSEMBLED = "assembled"
+    PRINTED = "printed"
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,17 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
     return SpectrumGrid(points, modes, e_in, e_out, e_res)
 
 
-@functools.lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=16)
 def spectrum_table(params: ProblemParams, kmax: int) -> SpectrumGrid:
     """The assembled spectrum of degrees 1..kmax at one point: the one-point
     spectrum_grid((params,), kmax).
 
     Raises FloatRangeError at the first degree whose entries leave the float
     range.  This is the cache of the one-point grids, keyed by (params,
-    kmax): the classifier, the CSV emitter and criteria 11-12 read its row 0,
-    and its bound keeps long parameter sweeps from growing memory.  The
+    kmax): the classifier, the CSV emitter and criteria 11-12 read its row 0.
+    Its traffic is a few keys at a time (a spectrum rereads the grid its
+    classification just built; criteria 11-12 read two points), so 16 grids
+    serve it, where 512 held 148 MB at kmax 3000 over a long sweep.  The
     criteria's grids are solved whole by spectrum_grid instead.
     """
     return spectrum_grid((params,), kmax)

@@ -63,24 +63,11 @@ class StabilityVerdict:
     note: str = ""
 
     def to_document(self) -> dict:
-        """JSON-style document: classification, scanned range, witnesses,
-        per-mode table."""
+        """JSON-style document: classification, scanned range, witnesses
+        (each a PerturbationSpec document, or null), per-mode table."""
 
         def spec_doc(spec: Optional[PerturbationSpec]):
-            if spec is None:
-                return None
-            return {
-                "allow_mean": spec.allow_mean,
-                "modes": [
-                    {
-                        "degree": index.degree,
-                        "order": index.order,
-                        "alpha_in": alpha_in,
-                        "alpha_out": alpha_out,
-                    }
-                    for index, (alpha_in, alpha_out) in spec.sorted_items()
-                ],
-            }
+            return None if spec is None else spec.to_document()
 
         return {
             "classification": self.classification.value,

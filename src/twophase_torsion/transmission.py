@@ -255,14 +255,17 @@ def solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> ModeTable:
 def mode_coefficients(points: tuple[ProblemParams, ...], table: ModeTable) -> np.ndarray:
     """The profile coefficients (B, C, D) of table = solve_modes(points,
     kmax), read-only and laid out like table.unknowns.  The Inner B and D
-    carry R^{-k}: raises FloatRangeError at the first degree where R^{-k} or
-    a coefficient leaves the float range."""
+    carry R^{-k}, and a scaled unknown that is exactly zero gives a zero
+    coefficient: raises FloatRangeError at the first degree where a nonzero
+    one meets an R^{-k} or leaves the float range."""
     (r_minus_k,) = _radius_powers(points, table.unknowns.shape[2], _exponents((0, 0, -1)))
     epsilon, inner_power, _ = table.powers
     coefficients = table.unknowns.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients[:, 0] *= np.stack([r_minus_k, inner_power, r_minus_k], axis=-1)
     coefficients[:, 1, :, 1] *= epsilon
+    # 0 * inf is nan; the zero unknown's own coefficient is that zero
+    np.copyto(coefficients, table.unknowns, where=table.unknowns == 0.0)
     FloatRangeError.check(points, np.isfinite(coefficients).all(axis=(1, 3)))
     coefficients.flags.writeable = False
     return coefficients

@@ -4,12 +4,13 @@ The criteria and their tolerances are defined in `reporting.CRITERIA`, the
 same definitions `verify` prints; each test asserts one of them, so a
 verbose pytest run emits exactly one pass/fail line per criterion.  The
 finite-difference runs of criteria 9-12 are shared through
-`reporting.oracle_runs`, computed once per grid.
+`reporting.oracle_runs`, computed once per grid, so the budget of an oracle
+criterion covers those runs when it is the first to need them.
 """
 
 import time
 
-from twophase_torsion.reporting import CRITERIA, oracle_runs
+from twophase_torsion.reporting import CRITERIA
 
 
 def assert_criterion(number, budget_s=None):
@@ -54,19 +55,15 @@ def test_criterion_08_resonance_structure():
 
 
 def test_criterion_09_pde_baseline():
-    assert_criterion(9)
+    assert_criterion(9, budget_s=180.0)
 
 
 def test_criterion_10_first_variation_vanishes():
-    assert_criterion(10)
-    elapsed = oracle_runs().harder_seconds
-    assert elapsed < 180.0, f"oracle runs took {elapsed:.1f} s"
+    assert_criterion(10, budget_s=180.0)
 
 
 def test_criterion_11_second_variation_match():
-    assert_criterion(11)
-    elapsed = oracle_runs().harder_seconds
-    assert elapsed < 300.0, f"oracle runs took {elapsed:.1f} s"
+    assert_criterion(11, budget_s=300.0)
 
 
 def test_criterion_12_classifier_reproduction():

@@ -63,6 +63,8 @@ def test_parameter_diagnostics_are_single_line(capsys):
          "kmax must be >= 2"),
         (["spectrum", "--dim", "2", "--radius", "0.5", "--sigma", "2", "--kmax", "0"],
          "kmax must be >= 1"),
+        (["spectrum", "--dim", "2", "--radius", "0.5", "--sigma", "2", "--path", "bogus"],
+         "argument --path: invalid choice: 'bogus' (choose from 'assembled', 'printed')"),
     ]
     for argv, message in cases:
         code, _, err = run_cli(capsys, argv)
@@ -333,8 +335,9 @@ def test_oracle_accepts_presets(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["oracle", "--config", str(path)])
     assert code == 0
     document = json.loads(out)
-    assert document["inner_shape"] == [[5, 1, 1.0]]
-    assert document["outer_shape"] == [[5, 1, 1.0]]
+    assert document["modes"] == [
+        {"degree": 5, "order": 1, "alpha_in": 1.0, "alpha_out": 1.0}
+    ]
 
 
 def test_oracle_skips_modes_with_zero_coefficients(tmp_path, capsys):
@@ -353,7 +356,9 @@ def test_oracle_skips_modes_with_zero_coefficients(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["oracle", "--config", str(path)])
     assert code == 0
     document = json.loads(out)
-    assert document["inner_shape"] == document["outer_shape"] == []
+    assert document["modes"] == [
+        {"degree": 40, "order": 1, "alpha_in": 0.0, "alpha_out": 0.0}
+    ]
     assert len(set(document["energies"])) == 1
 
 
@@ -434,7 +439,7 @@ def test_non_finite_parameters_are_rejected(tmp_path, capsys):
         ({"cho_factor": lambda d, e, **_: (d, e, 1)}, "block factorization failed"),
         # SolveError: the energy overflows on an outer circle of radius 1e97
         (
-            {"modes": [{"degree": 0, "alpha_out": 1e100}], "allow_mean": True, "exact_area": False},
+            {"modes": [{"degree": 0, "alpha_out": 1e100}], "exact_area": False},
             "energy is not finite",
         ),
     ],
@@ -484,7 +489,8 @@ def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
         ({"radius": "0.5"}, "radius must be a JSON number"),
         ({"modes": [{"degree": 2, "alpha_in": False}]}, "alpha_in must be a JSON number"),
         ({"exact_area": "false"}, "exact_area must be a JSON boolean"),
-        ({"allow_mean": "no"}, "allow_mean must be a JSON boolean"),
+        # exact_area alone decides whether a degree-0 mode is allowed
+        ({"allow_mean": True}, "unknown config key 'allow_mean'"),
         ({"modes": {"degree": 2}}, "modes must be a JSON list"),
         ({"modes": [2]}, "mode must be a JSON object"),
         ({"preset": ["case-i"]}, "preset must be a JSON string"),
@@ -499,7 +505,7 @@ def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
         ),
         # the area-preserving family holds for mean-free normal speeds only
         (
-            {"allow_mean": True, "modes": [{"degree": 0, "alpha_in": 1.0}]},
+            {"modes": [{"degree": 0, "alpha_in": 1.0}]},
             "exact_area needs modes of degree >= 1; "
             "set exact_area to false for degree-0 modes",
         ),
@@ -514,12 +520,6 @@ def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
             {"t0": 1e-150, "modes": [{"degree": 2, "alpha_in": 1.0}]},
             "t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = 1.35e+285 "
             "exceeds 0.0001",
-        ),
-        # a degree-0 record needs allow_mean, named as the config key
-        (
-            {"modes": [{"degree": 0, "alpha_in": 1.0}], "exact_area": False},
-            "degree-0 modes violate first-order volume preservation; "
-            "set allow_mean to true to represent them",
         ),
     ],
 )

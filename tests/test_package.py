@@ -1,9 +1,12 @@
-"""The public surface: the package's exports and the README's library example."""
+"""The public surface: the package's exports, the README's library example
+and its description of the oracle config."""
 
+import json
 import re
 from pathlib import Path
 
 import twophase_torsion
+from twophase_torsion import pde_oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +38,14 @@ def test_readme_library_example_runs_as_written():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert block is not None
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_readme_oracle_schema_lists_the_parsed_keys():
+    text = README.read_text(encoding="utf-8")
+    schema = text.split("## Oracle config schema", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)`", schema, re.MULTILINE)
+    assert sorted(rows) == sorted(pde_oracle._CONFIG_KEYS)
+    section = text.split("## Perturbation format", 1)[1].split("\n## ", 1)[0]
+    record = re.search(r"```json\n(.*?)```", section, re.DOTALL)
+    assert record is not None
+    assert set(json.loads(record.group(1))) == pde_oracle._MODE_KEYS

@@ -77,11 +77,10 @@ def test_mode_index_check_order():
         ModeIndex(2, 6).check_order(3)
 
 
-def test_spec_rejects_mean_modes_by_default():
-    with pytest.raises(ValueError, match="volume preservation"):
-        PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)})
-    spec = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)}, allow_mean=True)
+def test_spec_represents_mean_modes_and_validate_names_them():
+    spec = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)})
     assert spec.coefficients(ModeIndex(0, 1)) == (1.0, 0.0)
+    assert [index for index, _ in validate(spec)] == [ModeIndex(0, 1)]
 
 
 def test_spec_rejects_non_finite_coefficients():
@@ -92,8 +91,10 @@ def test_spec_rejects_non_finite_coefficients():
             PerturbationSpec({ModeIndex(2, 1): (1.0, value)})
 
 
-def test_spec_coerces_tuple_keys_and_defaults_to_zero():
-    spec = PerturbationSpec({(2, 1): (1.5, -0.5)})
+def test_spec_refuses_tuple_keys_and_defaults_to_zero():
+    with pytest.raises(TypeError, match="^mode keys must be ModeIndex, not tuple$"):
+        PerturbationSpec({(2, 1): (1.5, -0.5)})
+    spec = PerturbationSpec({ModeIndex(2, 1): (1.5, -0.5)})
     assert spec.coefficients(ModeIndex(2, 1)) == (1.5, -0.5)
     assert spec.coefficients(ModeIndex(3, 1)) == (0.0, 0.0)
 
@@ -112,9 +113,7 @@ def test_validate_volume_and_barycenter():
     spec = PerturbationSpec({ModeIndex(1, 1): (0.0, 1.0), ModeIndex(2, 1): (0.0, 1.0)})
     assert [index for index, _ in validate(spec)] == [ModeIndex(1, 1)]
 
-    mean = PerturbationSpec(
-        {ModeIndex(0, 1): (1.0, 0.0), ModeIndex(1, 1): (0.0, 1.0)}, allow_mean=True
-    )
+    mean = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0), ModeIndex(1, 1): (0.0, 1.0)})
     violations = validate(mean)
     assert [index for index, _ in violations] == [ModeIndex(0, 1), ModeIndex(1, 1)]
     assert "volume preservation" in violations[0][1]

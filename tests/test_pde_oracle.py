@@ -1,5 +1,6 @@
 """Finite-difference energy oracle on perturbed domains (fast grids)."""
 
+import json
 import math
 import sys
 import tracemalloc
@@ -22,6 +23,7 @@ from twophase_torsion.pde_oracle import (
     run_from_config,
     solve_energy,
 )
+from twophase_torsion.stability import classify
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
 
@@ -104,7 +106,7 @@ def test_harmonics_are_orthonormal_on_the_circle():
     indices = [ModeIndex(0, 1), ModeIndex(1, 1), ModeIndex(1, 2), ModeIndex(3, 2)]
     values = {
         index: pde_oracle._normal_speeds(
-            PerturbationSpec({index: (1.0, 0.0)}, allow_mean=True), thetas
+            PerturbationSpec({index: (1.0, 0.0)}), thetas
         )[0][0]
         for index in indices
     }
@@ -126,12 +128,12 @@ def test_family_validates_its_spec():
     with pytest.raises(ValueError, match="restricted to dim = 2"):
         PerturbedDomainFamily(ProblemParams(3, 0.5, 2.0), PerturbationSpec({}))
     # the exact-area family preserves areas of mean-free motions only
-    mean = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)}, allow_mean=True)
+    mean = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)})
     with pytest.raises(ValueError, match="^exact_area needs modes of degree >= 1; "):
         PerturbedDomainFamily(PARAMS, mean)
     assert PerturbedDomainFamily(PARAMS, mean, exact_area=False).spec == mean
     # a degree-0 record with zero coefficients moves nothing
-    still = PerturbationSpec({ModeIndex(0, 1): (0.0, 0.0)}, allow_mean=True)
+    still = PerturbationSpec({ModeIndex(0, 1): (0.0, 0.0)})
     assert PerturbedDomainFamily(PARAMS, still).exact_area
     # only nonzero coefficients count towards the resolved degree
     zero = PerturbationSpec({ModeIndex(40, 1): (0.0, 0.0), ModeIndex(3, 2): (0.0, 1.0)})
@@ -259,7 +261,7 @@ def test_differentiate_energy_checks_the_range_before_listing_steps():
 
 def test_solve_energy_raises_when_the_energy_is_not_finite(monkeypatch):
     # an outer circle of radius 1e97: the energy, of order rho^4, overflows
-    huge = PerturbationSpec({ModeIndex(0, 1): (0.0, 1e100)}, allow_mean=True)
+    huge = PerturbationSpec({ModeIndex(0, 1): (0.0, 1e100)})
     overflowing = PerturbedDomainFamily(PARAMS, huge, exact_area=False).at(0.01)
     with pytest.raises(SolveError, match="^energy is not finite$"):
         solve_energy(overflowing, radial_points=16, angular_modes=8)
@@ -745,3 +747,40 @@ def test_config_requires_radius():
     with pytest.raises(KeyError) as excinfo:
         family_from_config({"sigma": 2.0})
     assert str(excinfo.value) == "missing required key 'radius'"
+
+
+MODE_INDICES = st.integers(0, 20).flatmap(
+    lambda degree: st.builds(ModeIndex, st.just(degree), st.integers(1, 1 if degree == 0 else 2))
+)
+ALPHAS = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=250, deadline=None)
+@given(modes=st.dictionaries(MODE_INDICES, st.tuples(ALPHAS, ALPHAS), max_size=6))
+def test_a_spec_document_is_an_oracle_config(modes):
+    spec = PerturbationSpec(modes)
+    document = json.loads(json.dumps(spec.to_document(), allow_nan=False))
+    assert [(record["degree"], record["order"]) for record in document["modes"]] == sorted(
+        (index.degree, index.order) for index in modes
+    )
+    config = {"radius": 0.5, "sigma": 2.0, "exact_area": False, **document}
+    assert family_from_config(config).spec == spec
+
+
+def test_oracle_and_classify_documents_rebuild_their_specs():
+    spec = PerturbationSpec({ModeIndex(3, 2): (0.0, -1.5), ModeIndex(2, 1): (1.0, 0.25)})
+    run = differentiate_energy(
+        PerturbedDomainFamily(PARAMS, spec), radial_points=16, angular_modes=8, levels=1
+    )
+    document = run.to_document()
+    assert "inner_shape" not in document and "outer_shape" not in document
+    rebuilt = family_from_config({"radius": 0.5, "sigma": 2.0, "modes": document["modes"]})
+    assert rebuilt.spec == spec
+    verdict = classify(ProblemParams(2, 0.5, 0.5), 10)
+    document = verdict.to_document()
+    for label, witness in (
+        ("witness_positive", verdict.witness_positive),
+        ("witness_negative", verdict.witness_negative),
+    ):
+        assert list(document[label]) == ["modes"]
+        assert family_from_config({"radius": 0.5, "sigma": 0.5, **document[label]}).spec == witness

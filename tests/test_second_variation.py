@@ -318,7 +318,7 @@ def test_total_second_variation_combines_modes():
 
 def test_total_second_variation_rejects_mean_modes_and_bad_orders():
     table = spectrum_table(PARAMS, 3)
-    mean_spec = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)}, allow_mean=True)
+    mean_spec = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)})
     with pytest.raises(ValueError, match="volume"):
         total_second_variation(mean_spec, table)
     bad_order = PerturbationSpec({ModeIndex(1, 3): (1.0, 0.0)})

@@ -155,6 +155,20 @@ def test_ladder_past_float_range_names_the_first_degree():
     assert excinfo.value.degree == 2
 
 
+def test_zero_unknowns_give_zero_coefficients_past_float_range():
+    # at sigma = 1 every Inner unknown is zero: its coefficient is that zero,
+    # not 0 * R^{-k}, which is nan once R^{-k} overflows at degree 1024
+    single_phase = (ProblemParams(2, 0.5, 1.0),)
+    modes = solve_modes(single_phase, 1100)
+    assert not modes.unknowns[:, 0].any()
+    coefficients = mode_coefficients(single_phase, modes)
+    assert np.isfinite(coefficients).all()
+    assert not coefficients[:, 0].any()
+    # below the overflow the rows are those of the shorter ladder
+    shorter = mode_coefficients(single_phase, solve_modes(single_phase, 1023))
+    assert np.array_equal(coefficients[:, :, :1023], shorter)
+
+
 def test_closed_forms_match_oracle_except_inner_b():
     grid = tuple(SAMPLE_PARAMS)
     for printed, solved in zip(closed_form_modes(grid, 13), solved_coefficients(grid, 13)):
