@@ -38,28 +38,26 @@ from .reporting import (
     run_secondvar_suite,
 )
 from .second_variation import (
+    FloatRangeError,
+    ModeKind,
+    ModeTable,
     SecondVariationSpectrum,
     SpectrumGrid,
     SpectrumPath,
+    TransmissionSolveError,
     assemble_spectrum,
+    closed_form_modes,
+    denom_F,
     discriminant,
+    mode_coefficients,
     monotonicity_functions,
     printed_spectrum,
+    solve_modes,
     spectrum_grid,
     spectrum_table,
     total_second_variation,
 )
 from .stability import Channel, Classification, StabilityVerdict, classify
-from .transmission import (
-    FloatRangeError,
-    ModeKind,
-    ModeTable,
-    TransmissionSolveError,
-    closed_form_modes,
-    denom_F,
-    mode_coefficients,
-    solve_modes,
-)
 
 __version__ = "0.1.0"
 

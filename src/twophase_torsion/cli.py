@@ -20,9 +20,8 @@ from typing import Optional, Sequence
 from .params import ProblemParams
 from .pde_oracle import InterfaceOrderingError, SolveError, run_from_config
 from .reporting import SUITES, build_fidelity_report, emit_spectrum_csv
-from .second_variation import SpectrumPath
+from .second_variation import SpectrumPath, TransmissionSolveError
 from .stability import classify
-from .transmission import TransmissionSolveError
 
 
 class CliError(Exception):

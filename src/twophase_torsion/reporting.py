@@ -32,9 +32,16 @@ from .pde_oracle import (
     solve_energy,
 )
 from .second_variation import (
+    KINDS,
+    RESIDUAL_TOL,
     SpectrumGrid,
     SpectrumPath,
+    TransmissionSolveError,
+    _denominator,
+    closed_form_modes,
+    denom_F,
     discriminant,
+    mode_coefficients,
     monotonicity_functions,
     printed_spectrum,
     spectrum_grid,
@@ -42,15 +49,6 @@ from .second_variation import (
     total_second_variation,
 )
 from .stability import Classification, StabilityVerdict, classify
-from .transmission import (
-    KINDS,
-    RESIDUAL_TOL,
-    TransmissionSolveError,
-    _denominator,
-    closed_form_modes,
-    denom_F,
-    mode_coefficients,
-)
 
 GRID_DIMS = (2, 3, 4)
 GRID_SIGMAS = (0.1, 0.5, 1.0, 2.0, 10.0)
@@ -58,8 +56,15 @@ GRID_RADII = (0.2, 0.5, 0.8)
 GRID_DEGREES = tuple(range(1, 21))
 GRID_KMAX = GRID_DEGREES[-1]
 
+
+def _values(grid: tuple) -> str:
+    """The grid's values as {a,b,...}, each formatted with :g."""
+    return "{" + ",".join(f"{value:g}" for value in grid) + "}"
+
+
 GRID_DESCRIPTION = (
-    "N in {2,3,4} x sigma in {0.1,0.5,1,2,10} x R in {0.2,0.5,0.8} x k in 1..20"
+    f"N in {_values(GRID_DIMS)} x sigma in {_values(GRID_SIGMAS)} x "
+    f"R in {_values(GRID_RADII)} x k in {GRID_DEGREES[0]}..{GRID_DEGREES[-1]}"
 )
 
 # Printed-vs-independent comparisons: relative tolerance REL_TOL, with the

@@ -53,6 +53,29 @@ def test_classify_rejects_out_of_range_radius(capsys):
     assert err == "radius must lie in (0,1)\n"
 
 
+@pytest.mark.parametrize(
+    "dim, radius, sigma, expected",
+    [
+        # e_in(1) = e_out(1) = O(R^N) read 0.0: the degree-1 signs are lost
+        (2, "1e-200", "0.5", None),
+        (40, "1e-10", "0.5", None),
+        (2, "1e-200", "2", None),
+        # e_in(1) = 3.3e-321 is subnormal, not zero, and keeps its sign
+        (2, "1e-160", "0.5", "Saddle"),
+        (2, "1e-200", "1", "NeutralSinglePhase"),
+    ],
+)
+def test_classify_refuses_an_underflowed_degree_one(capsys, dim, radius, sigma, expected):
+    argv = ["classify", "--dim", str(dim), "--radius", radius, "--sigma", sigma]
+    code, out, err = run_cli(capsys, argv)
+    if expected is None:
+        assert (code, out) == (2, "")
+        assert err == "degree 1 leaves float range for these parameters\n"
+    else:
+        assert code == 0
+        assert json.loads(out)["classification"] == expected
+
+
 def test_parameter_diagnostics_are_single_line(capsys):
     cases = [
         (["classify", "--dim", "1", "--radius", "0.5", "--sigma", "2"],
@@ -249,6 +272,16 @@ PINNED_STDOUT = {
     ("verify", "secondvar"): "5ce863a413a1f062d263546637ede1fcd1bf0efba82dd7b1324cac0740bc8f4b",
     ("verify", "monotonicity"): "a77897d84503e4da0212ec7accdfd4a67728f56fe7e7deefd295b1c4af281cd5",
     ("fidelity",): "f085d25d8365e433109db780f1548fb0d66ca59fb12fb2f54940a97374d414bb",
+    ("classify", "--dim", "3", "--radius", "0.4", "--sigma", "2.5", "--kmax", "50"):
+        "71e0004d2caddc69e4074c996fdcff42e0bd0f8a4383344edfc1225a974ba96e",
+    # a saddle, with witnesses
+    ("classify", "--dim", "2", "--radius", "0.5", "--sigma", "0.5", "--kmax", "30"):
+        "73a92bd7ab3af7b767f0783242b731cf745f4018b727720836fc290e9c99dfbb",
+    ("spectrum", "--dim", "3", "--radius", "0.4", "--sigma", "2.5", "--kmax", "50"):
+        "d77f5316b7c8ac952c311239370b6ae1039b02f285a6c28999113c6810c3d992",
+    ("spectrum", "--dim", "3", "--radius", "0.4", "--sigma", "2.5", "--kmax", "50",
+     "--path", "printed"):
+        "c0f03fc2ddd1cdba2a3732732089e99b5034071e05581aa60a9abf070a767f11",
 }
 
 

@@ -18,9 +18,8 @@ import pytest
 
 from twophase_torsion.params import ProblemParams
 from twophase_torsion.reporting import grid_params
-from twophase_torsion.second_variation import spectrum_grid, spectrum_table
+from twophase_torsion.second_variation import mode_coefficients, spectrum_grid, spectrum_table
 from twophase_torsion.stability import Classification, classify
-from twophase_torsion.transmission import mode_coefficients
 
 REL_TOL = 1e-14
 # the criteria grid against the reference: ulps of each row's largest entry

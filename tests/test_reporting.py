@@ -3,7 +3,7 @@
 import pytest
 
 from twophase_torsion.params import ModeIndex, ProblemParams, presets, validate
-from twophase_torsion import second_variation, transmission
+from twophase_torsion import second_variation
 from twophase_torsion.reporting import (
     CRITERIA,
     GRID_DESCRIPTION,
@@ -26,9 +26,9 @@ from twophase_torsion.second_variation import (
     assemble_spectrum,
     discriminant,
     printed_spectrum,
+    solve_modes,
     spectrum_table,
 )
-from twophase_torsion.transmission import solve_modes
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
 
@@ -195,7 +195,7 @@ def test_criteria_1_to_6_and_the_fidelity_report_make_two_grid_solves(mode_solve
 
 def test_a_grid_point_past_the_residual_contract_fails_criterion_1(monkeypatch):
     grid_spectrum.cache_clear()
-    monkeypatch.setattr(transmission, "RESIDUAL_TOL", 0.0)
+    monkeypatch.setattr(second_variation, "RESIDUAL_TOL", 0.0)
     result = transmission_residuals()
     grid_spectrum.cache_clear()
     assert not result.passed

@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 
 from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams, presets
 from twophase_torsion.second_variation import (
+    FloatRangeError,
+    TransmissionSolveError,
     assemble_spectrum,
+    closed_form_modes,
+    denom_F,
     discriminant,
+    mode_coefficients,
     monotonicity_functions,
     printed_spectrum,
     spectrum_grid,
     spectrum_table,
     total_second_variation,
-)
-from twophase_torsion.transmission import (
-    FloatRangeError,
-    TransmissionSolveError,
-    closed_form_modes,
-    denom_F,
-    mode_coefficients,
 )
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from twophase_torsion.exact_state import traces
 from twophase_torsion.params import ProblemParams
-from twophase_torsion.transmission import (
+from twophase_torsion.second_variation import (
     KINDS,
     RESIDUAL_TOL,
     FloatRangeError,
