@@ -17,16 +17,6 @@ from .params import (
     presets,
     validate,
 )
-from .pde_oracle import (
-    InterfaceOrderingError,
-    OracleRun,
-    PerturbedDomainFamily,
-    SolveError,
-    differentiate_energy,
-    family_from_config,
-    run_from_config,
-    solve_energy,
-)
 from .reporting import (
     SUITES,
     CheckResult,
@@ -111,3 +101,16 @@ __all__ = [
     "traces",
     "validate",
 ]
+
+
+def __getattr__(name: str):
+    # The names of __all__ left unbound are the FD oracle's, resolved on first
+    # access: a process that never runs the oracle never imports scipy.
+    if name in __all__:
+        from . import pde_oracle
+        return getattr(pde_oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

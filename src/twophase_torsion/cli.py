@@ -18,7 +18,6 @@ import sys
 from typing import Optional, Sequence
 
 from .params import ProblemParams
-from .pde_oracle import InterfaceOrderingError, SolveError, run_from_config
 from .reporting import SUITES, build_fidelity_report, emit_spectrum_csv
 from .second_variation import SpectrumPath, TransmissionSolveError
 from .stability import classify
@@ -138,6 +137,7 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .pde_oracle import InterfaceOrderingError, SolveError, run_from_config
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)

@@ -18,19 +18,12 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .exact_state import baseline_energy
 from .params import ModeIndex, PerturbationSpec, ProblemParams
-from .pde_oracle import (
-    DEFAULT_RADIAL_POINTS,
-    OracleRun,
-    PerturbedDomainFamily,
-    differentiate_energy,
-    solve_energy,
-)
 from .second_variation import (
     KINDS,
     RESIDUAL_TOL,
@@ -49,6 +42,9 @@ from .second_variation import (
     total_second_variation,
 )
 from .stability import Classification, StabilityVerdict, classify
+
+if TYPE_CHECKING:
+    from .pde_oracle import OracleRun
 
 GRID_DIMS = (2, 3, 4)
 GRID_SIGMAS = (0.1, 0.5, 1.0, 2.0, 10.0)
@@ -422,7 +418,11 @@ class OracleRuns:
 
 @functools.cache
 def oracle_runs() -> OracleRuns:
-    """The oracle runs of criteria 9-12 on the default grid, computed once."""
+    """The oracle runs of criteria 9-12 on the default grid, computed once.
+    The oracle, and scipy with it, is imported here and by no other criterion."""
+    from .pde_oracle import (
+        DEFAULT_RADIAL_POINTS, PerturbedDomainFamily, differentiate_energy, solve_energy
+    )
 
     def run(params: ProblemParams, spec: PerturbationSpec) -> OracleRun:
         return differentiate_energy(PerturbedDomainFamily(params, spec))

@@ -130,6 +130,55 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     assert in_process == fresh
 
 
+_IMPORT_SLICE = """
+import contextlib, io, json, sys
+import twophase_torsion
+from twophase_torsion import cli
+
+def loaded():
+    return [name for name in ("scipy", "twophase_torsion.pde_oracle") if name in sys.modules]
+
+point = ["--dim", "2", "--radius", "0.5", "--sigma", "0.5", "--kmax", "6"]
+analytic = [
+    ["classify", *point],
+    ["spectrum", *point],
+    ["spectrum", *point, "--path", "printed"],
+    ["verify", "coefficients"],
+    ["verify", "secondvar"],
+    ["verify", "monotonicity"],
+    ["fidelity"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in analytic]
+    analytic_loaded = loaded()
+    codes.append(cli.main(["oracle", "--config", sys.argv[1]]))
+print(json.dumps({"codes": codes, "analytic": analytic_loaded, "oracle": loaded()}))
+"""
+
+
+def test_only_the_oracle_imports_scipy(tmp_path):
+    # the analytic commands run on numpy alone; the FD oracle, and scipy
+    # with it, is imported when the oracle first runs
+    config = tmp_path / "run.json"
+    config.write_text(
+        json.dumps({"radius": 0.5, "sigma": 2.0, "preset": "case-iii", "levels": 1,
+                    "radial_points": 16, "angular_modes": 16}),
+        encoding="utf-8",
+    )
+    paths = [str(Path(twophase_torsion.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SLICE, str(config)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "codes": [0] * 8,
+        "analytic": [],
+        "oracle": ["scipy", "twophase_torsion.pde_oracle"],
+    }
+
+
 def test_missing_subcommand_fails_with_one_line(capsys):
     code, _, err = run_cli(capsys, [])
     assert code != 0

@@ -2,7 +2,10 @@
 and its description of the oracle config."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import twophase_torsion
@@ -31,6 +34,41 @@ def test_every_export_resolves():
     ):
         assert name not in twophase_torsion.__all__
         assert not hasattr(twophase_torsion, name)
+
+
+_LAZY_EXPORTS = """
+import sys
+import twophase_torsion
+
+assert "twophase_torsion.pde_oracle" not in sys.modules
+assert set(twophase_torsion.__all__) <= set(dir(twophase_torsion))
+names = {}
+exec("from twophase_torsion import *", names)
+assert set(twophase_torsion.__all__) <= set(names)
+from twophase_torsion import pde_oracle
+oracle_exports = [name for name in names if getattr(names[name], "__module__", None) == pde_oracle.__name__]
+assert len(oracle_exports) == 8, oracle_exports
+for name in oracle_exports:
+    assert names[name] is getattr(pde_oracle, name), name
+    assert getattr(twophase_torsion, name) is getattr(pde_oracle, name), name
+try:
+    twophase_torsion.solve_energie
+except AttributeError as exc:
+    assert str(exc) == "module 'twophase_torsion' has no attribute 'solve_energie'", exc
+else:
+    raise AssertionError("a misspelled export resolved")
+"""
+
+
+def test_oracle_exports_resolve_on_first_access():
+    # the FD oracle's exports load pde_oracle, and scipy with it, only when
+    # first read; a star import reads them all
+    paths = [str(Path(twophase_torsion.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", _LAZY_EXPORTS], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_readme_library_example_runs_as_written():
