@@ -44,7 +44,6 @@ from .second_variation import (
     printed_spectrum,
     solve_modes,
     spectrum_grid,
-    spectrum_table,
     total_second_variation,
 )
 from .stability import Channel, Classification, StabilityVerdict, classify
@@ -95,7 +94,6 @@ __all__ = [
     "solve_energy",
     "solve_modes",
     "spectrum_grid",
-    "spectrum_table",
     "sphere_area",
     "total_second_variation",
     "traces",

@@ -27,7 +27,6 @@ from .params import ModeIndex, PerturbationSpec, ProblemParams
 from .second_variation import (
     KINDS,
     RESIDUAL_TOL,
-    SpectrumGrid,
     SpectrumPath,
     TransmissionSolveError,
     _denominator,
@@ -38,10 +37,9 @@ from .second_variation import (
     monotonicity_functions,
     printed_spectrum,
     spectrum_grid,
-    spectrum_table,
     total_second_variation,
 )
-from .stability import Classification, StabilityVerdict, classify
+from .stability import Classification, classify
 
 if TYPE_CHECKING:
     from .pde_oracle import OracleRun
@@ -51,6 +49,12 @@ GRID_SIGMAS = (0.1, 0.5, 1.0, 2.0, 10.0)
 GRID_RADII = (0.2, 0.5, 0.8)
 GRID_DEGREES = tuple(range(1, 21))
 GRID_KMAX = GRID_DEGREES[-1]
+GRID_POINTS = tuple(
+    ProblemParams(dim, radius, sigma)
+    for dim in GRID_DIMS
+    for sigma in GRID_SIGMAS
+    for radius in GRID_RADII
+)
 
 
 def _values(grid: tuple) -> str:
@@ -74,23 +78,6 @@ def _rel_deviation(a, b, floor):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
-@functools.cache
-def grid_params() -> tuple[ProblemParams, ...]:
-    return tuple(
-        ProblemParams(dim, radius, sigma)
-        for dim in GRID_DIMS
-        for sigma in GRID_SIGMAS
-        for radius in GRID_RADII
-    )
-
-
-@functools.cache
-def grid_spectrum(kmax: int) -> SpectrumGrid:
-    """The assembled spectra of the grid at kmax, from one stacked solve,
-    computed once: criteria 1-6 and the fidelity report read them."""
-    return spectrum_grid(grid_params(), kmax)
-
-
 _MISMATCH_NOTE = (
     "printed closed form differs from the independent computation; the "
     "independent value is used downstream (see README, Known formula "
@@ -112,8 +99,8 @@ def build_fidelity_report() -> dict:
     the printed and the assembled value at the worst point of the grid (the
     last one among ties), their relative deviation, the verdict Match or
     Mismatch against REL_TOL, and the note that explains a mismatch."""
-    grid = grid_params()
-    spectra = grid_spectrum(GRID_KMAX)
+    grid = GRID_POINTS
+    spectra = spectrum_grid(grid, GRID_KMAX)
     # [point, kind, degree - 1, column] and [point, entry, degree - 1]
     solved = mode_coefficients(grid, spectra.modes)
     printed_modes = closed_form_modes(grid, GRID_KMAX)
@@ -162,7 +149,7 @@ def build_fidelity_report() -> dict:
 def emit_spectrum_csv(params: ProblemParams, kmax: int, path: SpectrumPath) -> str:
     """CSV rows k, e_in, e_out, e_res, delta with 17 significant digits."""
     if path is SpectrumPath.ASSEMBLED:
-        table = spectrum_table(params, kmax)
+        table = spectrum_grid((params,), kmax)
         columns = (table.e_in, table.e_out, table.e_res)
     else:
         columns = printed_spectrum((params,), kmax)
@@ -236,10 +223,10 @@ def transmission_residuals() -> CheckResult:
     completing the stacked solve is the check."""
     failures = []
     try:
-        grid_spectrum(GRID_KMAX)
+        spectrum_grid(GRID_POINTS, GRID_KMAX)
     except (TransmissionSolveError, ValueError) as exc:
         failures.append(str(exc))
-    solves = len(grid_params()) * len(GRID_DEGREES) * len(KINDS)
+    solves = len(GRID_POINTS) * len(GRID_DEGREES) * len(KINDS)
     return _result(
         f"transmission residuals < {RESIDUAL_TOL:g} across grid",
         failures,
@@ -249,7 +236,7 @@ def transmission_residuals() -> CheckResult:
 
 def denominator_positivity() -> CheckResult:
     """2. F > 0 on the grid and on random parameter samples."""
-    grid = grid_params()
+    grid = GRID_POINTS
     failures = [
         f"{grid[point]}, k={index + 1}"
         for point, index in np.argwhere(~(denom_F(grid, GRID_KMAX) > 0.0)).tolist()
@@ -272,8 +259,8 @@ def denominator_positivity() -> CheckResult:
 
 def closed_form_fidelity() -> CheckResult:
     """3. The printed shell coefficients C_in, D_in match the solve."""
-    grid = grid_params()
-    solved = mode_coefficients(grid, grid_spectrum(GRID_KMAX).modes)[:, 0, :, 1:]
+    grid = GRID_POINTS
+    solved = mode_coefficients(grid, spectrum_grid(grid, GRID_KMAX).modes)[:, 0, :, 1:]
     printed = closed_form_modes(grid, GRID_KMAX)[:, 0, :, 1:]
     worst, (point, index, column) = _worst(_rel_deviation(printed, solved, _NO_FLOOR))
     field = ("outer_sing", "outer_reg")[column]
@@ -287,7 +274,7 @@ def closed_form_fidelity() -> CheckResult:
 
 def translation_invariance() -> CheckResult:
     """4. e_in(1) = e_out(1) on the grid."""
-    grid, spectra = grid_params(), grid_spectrum(SPECTRUM_KMAX)
+    grid, spectra = GRID_POINTS, spectrum_grid(GRID_POINTS, SPECTRUM_KMAX)
     worst, (point,) = _worst(_rel_deviation(spectra.e_in[:, 0], spectra.e_out[:, 0], _NO_FLOOR))
     return CheckResult(
         f"translation invariance e_in(1) = e_out(1) to {TRANSLATION_TOL:g}",
@@ -299,7 +286,7 @@ def translation_invariance() -> CheckResult:
 def single_phase_degeneracy() -> CheckResult:
     """5. At sigma = 1: e_in = 0, e_out(1) = 0, e_out(k >= 2) < 0, on the
     grid's points with sigma = 1."""
-    grid, spectra = grid_params(), grid_spectrum(SPECTRUM_KMAX)
+    grid, spectra = GRID_POINTS, spectrum_grid(GRID_POINTS, SPECTRUM_KMAX)
     points = [point for point, params in enumerate(grid) if params.sigma == 1.0]
     e_in, e_out = spectra.e_in[points], spectra.e_out[points]
     failed = np.stack(
@@ -320,7 +307,7 @@ def single_phase_degeneracy() -> CheckResult:
 
 def spectrum_monotonicity() -> CheckResult:
     """6. e_out, and e_in for sigma != 1, strictly decrease in the degree."""
-    grid, spectra = grid_params(), grid_spectrum(SPECTRUM_KMAX)
+    grid, spectra = GRID_POINTS, spectrum_grid(GRID_POINTS, SPECTRUM_KMAX)
     e_in, e_out = spectra.e_in, spectra.e_out
     two_phase = np.array([params.sigma != 1.0 for params in grid])[:, np.newaxis]
     failed = np.stack(
@@ -400,71 +387,33 @@ def resonance_structure() -> CheckResult:
     )
 
 
-@dataclass(frozen=True)
-class OracleRuns:
-    """The finite-difference work behind criteria 9-12 on one grid.
-
-    baseline maps each of BASELINE_PARAMS to its unperturbed energies on the
-    full and the half radial grid; harder maps (degree, channel) to the run
-    at HARDER_CORE; saddle is the classifier's verdict at SOFTER_CORE, and witnesses maps "positive"
-    and "negative" to the runs on its two witnesses.
-    """
-
-    baseline: dict[ProblemParams, tuple[float, float]]
-    harder: dict[tuple[int, str], OracleRun]
-    saddle: StabilityVerdict
-    witnesses: dict[str, OracleRun]
-
-
 @functools.cache
-def oracle_runs() -> OracleRuns:
-    """The oracle runs of criteria 9-12 on the default grid, computed once.
-    The oracle, and scipy with it, is imported here and by no other criterion."""
-    from .pde_oracle import (
-        DEFAULT_RADIAL_POINTS, PerturbedDomainFamily, differentiate_energy, solve_energy
-    )
+def _oracle_run(params: ProblemParams, modes: tuple) -> OracleRun:
+    """The oracle run on the default grid at params, perturbed by the modes
+    tuple(spec.sorted_items()) of a spec; computed once, so that criteria 10
+    and 11 share theirs.  The oracle, and scipy with it, is imported here and
+    by criterion 9 only, on first use."""
+    from .pde_oracle import PerturbedDomainFamily, differentiate_energy
 
-    def run(params: ProblemParams, spec: PerturbationSpec) -> OracleRun:
-        return differentiate_energy(PerturbedDomainFamily(params, spec))
+    return differentiate_energy(PerturbedDomainFamily(params, PerturbationSpec(dict(modes))))
 
-    baseline = {}
-    for params in BASELINE_PARAMS:
-        family = PerturbedDomainFamily(params, PerturbationSpec({}))
-        baseline[params] = (
-            solve_energy(family),
-            solve_energy(family, DEFAULT_RADIAL_POINTS // 2),
-        )
 
-    harder = {
-        (degree, channel): run(
-            HARDER_CORE, PerturbationSpec({ModeIndex(degree, 1): alpha})
-        )
-        for degree in FIRST_VARIATION_DEGREES
-        for channel, alpha in _CHANNELS
-    }
-    harder[CROSS_DEGREE, "coupled"] = run(
-        HARDER_CORE, PerturbationSpec({ModeIndex(CROSS_DEGREE, 1): (1.0, 1.0)})
-    )
-
-    saddle = classify(SOFTER_CORE, CLASSIFY_KMAX)
-    witnesses = {
-        label: run(SOFTER_CORE, witness)
-        for label, witness in (
-            ("positive", saddle.witness_positive),
-            ("negative", saddle.witness_negative),
-        )
-        if witness is not None
-    }
-    return OracleRuns(baseline, harder, saddle, witnesses)
+def _harder_run(degree: int, alpha: tuple[float, float]) -> OracleRun:
+    """The run at HARDER_CORE on the order-1 mode of the degree."""
+    return _oracle_run(HARDER_CORE, ((ModeIndex(degree, 1), alpha),))
 
 
 def pde_baseline() -> CheckResult:
     """9. The unperturbed energy matches the closed form, with second-order
     convergence between the half and the full radial grid."""
-    runs = oracle_runs()
+    from .pde_oracle import DEFAULT_RADIAL_POINTS, PerturbedDomainFamily, solve_energy
+
     low, high = ORDER_RANGE
     failures, orders = [], []
-    for params, (fine, coarse) in runs.baseline.items():
+    for params in BASELINE_PARAMS:
+        family = PerturbedDomainFamily(params, PerturbationSpec({}))
+        fine = solve_energy(family)
+        coarse = solve_energy(family, DEFAULT_RADIAL_POINTS // 2)
         exact = baseline_energy(params)
         fine_error = abs(fine - exact) / abs(exact)
         order = math.log2(abs(coarse - exact) / abs(fine - exact))
@@ -483,11 +432,10 @@ def pde_baseline() -> CheckResult:
 
 def first_variation_vanishes() -> CheckResult:
     """10. Fitted first derivatives vanish for volume-preserving families."""
-    runs = oracle_runs()
     failures = []
     for degree in FIRST_VARIATION_DEGREES:
-        for channel, _ in _CHANNELS:
-            run = runs.harder[degree, channel]
+        for channel, alpha in _CHANNELS:
+            run = _harder_run(degree, alpha)
             bound = FIRST_VARIATION_TOL * abs(run.energy_at(0.0))
             if not abs(run.d1) < bound:
                 failures.append(
@@ -501,20 +449,19 @@ def first_variation_vanishes() -> CheckResult:
 def second_variation_match() -> CheckResult:
     """11. Fitted second derivatives match the assembled spectrum, and the
     coupled run recovers the cross term."""
-    runs = oracle_runs().harder
-    table = spectrum_table(HARDER_CORE, CLASSIFY_KMAX)
+    runs = {
+        channel: _harder_run(CROSS_DEGREE, alpha)
+        for channel, alpha in (*_CHANNELS, ("coupled", (1.0, 1.0)))
+    }
+    table = spectrum_grid((HARDER_CORE,), CLASSIFY_KMAX)
     index = CROSS_DEGREE - 1
     e_in, e_out, e_res = table.e_in[0, index], table.e_out[0, index], table.e_res[0, index]
     failures = []
     for channel, analytic in (("inner", e_in), ("outer", e_out)):
-        deviation = abs(runs[CROSS_DEGREE, channel].d2 - analytic) / abs(analytic)
+        deviation = abs(runs[channel].d2 - analytic) / abs(analytic)
         if deviation > DIRECT_TOL:
             failures.append(f"{channel} k={CROSS_DEGREE}: deviation {deviation:.3e}")
-    cross = (
-        runs[CROSS_DEGREE, "coupled"].d2
-        - runs[CROSS_DEGREE, "inner"].d2
-        - runs[CROSS_DEGREE, "outer"].d2
-    )
+    cross = runs["coupled"].d2 - runs["inner"].d2 - runs["outer"].d2
     cross_deviation = abs(cross - e_res) / abs(e_res)
     if cross_deviation > CROSS_TOL:
         failures.append(f"resonance recovery: deviation {cross_deviation:.3e}")
@@ -528,15 +475,14 @@ def second_variation_match() -> CheckResult:
 def classifier_reproduction() -> CheckResult:
     """12. LocalMaximum for the harder core; Saddle for the softer core, with
     both witnesses confirmed in sign and size by the oracle."""
-    runs = oracle_runs()
     failures = []
     harder = classify(HARDER_CORE, CLASSIFY_KMAX).classification
     if harder is not Classification.LOCAL_MAXIMUM:
         failures.append(f"sigma={HARDER_CORE.sigma:g}: {harder.value}")
-    verdict = runs.saddle
+    verdict = classify(SOFTER_CORE, CLASSIFY_KMAX)
     if verdict.classification is not Classification.SADDLE:
         failures.append(f"sigma={SOFTER_CORE.sigma:g}: {verdict.classification.value}")
-    table = spectrum_table(SOFTER_CORE, CLASSIFY_KMAX)
+    table = spectrum_grid((SOFTER_CORE,), CLASSIFY_KMAX)
     for label, witness, sign in (
         ("positive", verdict.witness_positive, 1.0),
         ("negative", verdict.witness_negative, -1.0),
@@ -545,7 +491,7 @@ def classifier_reproduction() -> CheckResult:
             failures.append(f"no {label} witness")
             continue
         analytic = total_second_variation(witness, table)
-        d2 = runs.witnesses[label].d2
+        d2 = _oracle_run(SOFTER_CORE, tuple(witness.sorted_items())).d2
         deviation = abs(d2 - analytic) / abs(analytic)
         if not sign * analytic > 0.0:
             failures.append(f"{label} witness: assembled value {analytic:.3e}")
@@ -604,7 +550,8 @@ def run_monotonicity_suite() -> list[CheckResult]:
 
 
 def run_pde_suite() -> list[CheckResult]:
-    """Criteria 9-12, from the shared oracle runs."""
+    """Criteria 9-12: the FD oracle against the closed-form energy, the
+    assembled spectrum and the classifier."""
     return _run_suite("pde")
 
 

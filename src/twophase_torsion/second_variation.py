@@ -24,9 +24,9 @@ every degree; `mode_coefficients` undoes the scaling for the comparisons with
 the printed (B, C, D), which read degrees 1..20.
 
 Spectrum.  The spectrum has one format, the `SpectrumGrid`:
-`spectrum_grid(points, kmax)` reduces the boundary-integral formula for E''
-per mode, from one stacked solve; `spectrum_table(params, kmax)` caches the
-grid of one point,
+`spectrum_grid(points, kmax)`, its one entry point and its one cache,
+reduces the boundary-integral formula for E'' per mode, from one stacked
+solve,
 
     E'' = +2 int_{|x|=1} grad u . grad u' (h.n) + 2 int_{|x|=1} d_n u d_nn u (h.n)^2
           -2 int_{|x|=R} [sigma grad u . grad u'] (h.n)
@@ -390,6 +390,7 @@ class SpectrumGrid:
     e_res: np.ndarray
 
 
+@functools.lru_cache(maxsize=16)
 def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
     """Assemble e_in, e_out, e_res of degrees 1..kmax at every point from the
     boundary-integral formula, from one stacked mode solve.
@@ -410,7 +411,12 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
         e_res = (2/N)(N-2+2k) c_in R^{N-2+k} + (2/N)(sigma-1) k b_out R^{N-1+k}
 
     Raises FloatRangeError at the first degree whose entries leave the float
-    range.
+    range.  This is the spectrum's one cache, keyed by (points, kmax), with
+    points a tuple.  Its traffic is a few keys at a time: `spectrum`
+    rereads the one-point grid that `classify` at the same point built,
+    criteria 1-8 read the 45-point grid at kmax 20 and 50 and 27 points at
+    50, and criteria 11-12 two one-point grids; so 16 grids serve it, where
+    512 held 148 MB at kmax 3000 over a long sweep of points.
     """
     modes = solve_modes(points, kmax)
     # per point: N, R, sigma and 2 R^{N-1}, by Python's scalar pow like every power of R
@@ -433,28 +439,12 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
     return SpectrumGrid(points, modes, e_in, e_out, e_res)
 
 
-@functools.lru_cache(maxsize=16)
-def spectrum_table(params: ProblemParams, kmax: int) -> SpectrumGrid:
-    """The assembled spectrum of degrees 1..kmax at one point: the one-point
-    spectrum_grid((params,), kmax).
-
-    Raises FloatRangeError at the first degree whose entries leave the float
-    range.  This is the cache of the one-point grids, keyed by (params,
-    kmax): the classifier, the CSV emitter and criteria 11-12 read its row 0.
-    Its traffic is a few keys at a time (a spectrum rereads the grid its
-    classification just built; criteria 11-12 read two points), so 16 grids
-    serve it, where 512 held 148 MB at kmax 3000 over a long sweep.  The
-    criteria's grids are solved whole by spectrum_grid instead.
-    """
-    return spectrum_grid((params,), kmax)
-
-
 def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpectrum:
     """The entries of one degree of the assembled spectrum: the last of each
-    column of spectrum_table(params, degree)."""
+    column of spectrum_grid((params,), degree)."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    table = spectrum_table(params, degree)
+    table = spectrum_grid((params,), degree)
     return SecondVariationSpectrum(
         degree, *(float(column[0, -1]) for column in (table.e_in, table.e_out, table.e_res))
     )

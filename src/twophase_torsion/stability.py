@@ -32,7 +32,7 @@ from .params import ModeIndex, PerturbationSpec, ProblemParams, validate
 from .second_variation import (
     FloatRangeError,
     discriminant,
-    spectrum_table,
+    spectrum_grid,
     total_second_variation,
 )
 
@@ -119,7 +119,7 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
     if k_max < 2:
         raise ValueError("kmax must be >= 2")
 
-    table = spectrum_table(params, k_max)
+    table = spectrum_grid((params,), k_max)
     e_in, e_out, e_res = table.e_in[0], table.e_out[0], table.e_res[0]
     # for sigma != 1, e_in(1) = e_out(1) = O(R^N) is nonzero; both reading 0
     # means R^N left the float range and took the degree-1 signs with it

@@ -1,13 +1,19 @@
 """Command-line surface: arguments, validation, output formats, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twophase_torsion
 from twophase_torsion import pde_oracle
@@ -320,6 +326,7 @@ PINNED_STDOUT = {
     ("verify", "coefficients"): "7afe032275c55be50c3ed484ea21d05ac36a9ed5ba470252710a794a8c23a5b3",
     ("verify", "secondvar"): "5ce863a413a1f062d263546637ede1fcd1bf0efba82dd7b1324cac0740bc8f4b",
     ("verify", "monotonicity"): "a77897d84503e4da0212ec7accdfd4a67728f56fe7e7deefd295b1c4af281cd5",
+    ("verify", "pde"): "976e05ee8da08ff47d451660ba9ab7af456004d6d61ccb738e423568d8e9a82e",
     ("fidelity",): "f085d25d8365e433109db780f1548fb0d66ca59fb12fb2f54940a97374d414bb",
     ("classify", "--dim", "3", "--radius", "0.4", "--sigma", "2.5", "--kmax", "50"):
         "71e0004d2caddc69e4074c996fdcff42e0bd0f8a4383344edfc1225a974ba96e",
@@ -339,6 +346,54 @@ def test_report_stdout_is_pinned(capsys, argv):
     code, out, _ = run_cli(capsys, list(argv))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[argv]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# any float; the strategies below also draw from the valid ranges, so that
+# about one example in ten reaches exit 0
+_ANY_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]) | st.floats()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    command=st.sampled_from(["classify", "spectrum"]),
+    dim=st.integers(2, 8) | st.integers(-10**6, 10**6),
+    radius=st.floats(0.0, 1.0) | _ANY_FLOAT,
+    sigma=st.floats(0.0, 1e6) | _ANY_FLOAT,
+    kmax=st.integers(-1, 3000),
+    path=st.sampled_from([None, "assembled", "printed", "exact"]),
+)
+def test_every_classify_and_spectrum_argv_is_answered(command, dim, radius, sigma, kmax, path):
+    # exit 0 with a document on stdout, or exit 2 with one line on stderr;
+    # never a traceback or a warning
+    argv = [command, "--dim", str(dim), "--radius", repr(radius), "--sigma", repr(sigma),
+            "--kmax", str(kmax)]
+    if command == "spectrum" and path is not None:
+        argv += ["--path", path]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        return
+    assert err == ""
+    if command == "classify":
+        json.loads(out, parse_constant=_reject_constant)
+        return
+    header, *rows = out.splitlines()
+    assert header == "k,e_in,e_out,e_res,delta"
+    assert len(rows) == kmax
+    for degree, row in enumerate(rows, 1):
+        k, *values = row.split(",")
+        assert int(k) == degree and len(values) == 4, row
+        assert all(math.isfinite(float(value)) for value in values), row
 
 
 def test_oracle_runs_from_a_config_file(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The assembled spectrum against an exact reference in rational arithmetic.
 
 `exact_modes` and `exact_spectrum` type the mode systems and the three
-boundary-integral sums of `spectrum_table` anew, in the unscaled unknowns
+boundary-integral sums of `spectrum_grid` anew, in the unscaled unknowns
 (B, C, D), and evaluate them in `fractions.Fraction` on the exact binary
 values of R and sigma.  They import nothing from the package and use no
 float and no closed form, so the float table is measured against its own
@@ -17,8 +17,8 @@ from fractions import Fraction
 import pytest
 
 from twophase_torsion.params import ProblemParams
-from twophase_torsion.reporting import grid_params
-from twophase_torsion.second_variation import mode_coefficients, spectrum_grid, spectrum_table
+from twophase_torsion.reporting import GRID_POINTS
+from twophase_torsion.second_variation import mode_coefficients, spectrum_grid
 from twophase_torsion.stability import Classification, classify
 
 REL_TOL = 1e-14
@@ -107,7 +107,7 @@ def test_reference_matches_the_translation_identity():
 @pytest.mark.parametrize("degree", [1, 2, 20, 300])
 def test_assembled_table_matches_the_exact_reference(degree):
     point = (2, 0.5, 2.0)
-    table = spectrum_table(ProblemParams(*point), 300)
+    table = spectrum_grid((ProblemParams(*point),), 300)
     index = degree - 1
     spectrum = (table.e_in[0, index], table.e_out[0, index], table.e_res[0, index])
     for value, exact in zip(spectrum, exact_spectrum(*point, degree)):
@@ -121,7 +121,7 @@ def test_assembled_table_matches_the_exact_reference(degree):
 def test_criteria_grid_matches_the_exact_reference():
     # every entry to GRID_ULPS ulp of its row's scale, or absolutely on a row
     # that is exactly zero (degree 1 at sigma = 1)
-    grid = grid_params()
+    grid = GRID_POINTS
     spectra = spectrum_grid(grid, max(GRID_DEGREES))
     failures = []
     for point, params in enumerate(grid):
@@ -162,7 +162,7 @@ def test_criteria_grid_matches_the_exact_reference():
     ],
 )
 def test_degree_one_matches_the_exact_reference(point, column):
-    table = spectrum_table(ProblemParams(*point), 1)
+    table = spectrum_grid((ProblemParams(*point),), 1)
     value = (table.e_in, table.e_out, table.e_res)[column][0, 0]
     assert rel_error(value, exact_spectrum(*point, 1)[column]) <= REL_TOL
 
@@ -171,7 +171,7 @@ def test_degree_one_matches_the_exact_reference(point, column):
     "point, kmax", [((2, 0.5, 2.0), 3000), ((4, 0.05, 2.0), 300), ((2, 0.2, 2.0), 500)]
 )
 def test_spectrum_table_computes_every_degree(point, kmax):
-    assert spectrum_table(ProblemParams(*point), kmax).e_in.shape[1] == kmax
+    assert spectrum_grid((ProblemParams(*point),), kmax).e_in.shape[1] == kmax
 
 
 @pytest.mark.xfail(

@@ -1,6 +1,8 @@
 """The public surface: the package's exports, the README's library example
 and its description of the oracle config."""
 
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -12,10 +14,11 @@ import twophase_torsion
 from twophase_torsion import pde_oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCH_SPANS = README.parent / "bench" / "spans.py"
 
 
 def test_every_export_resolves():
-    assert len(twophase_torsion.__all__) == 48
+    assert len(twophase_torsion.__all__) == 47
     for name in twophase_torsion.__all__:
         assert hasattr(twophase_torsion, name), name
     for name in (
@@ -31,6 +34,7 @@ def test_every_export_resolves():
         "FidelityEntry",
         "FidelityReport",
         "FidelityVerdict",
+        "spectrum_table",
     ):
         assert name not in twophase_torsion.__all__
         assert not hasattr(twophase_torsion, name)
@@ -87,3 +91,34 @@ def test_readme_oracle_schema_lists_the_parsed_keys():
     record = re.search(r"```json\n(.*?)```", section, re.DOTALL)
     assert record is not None
     assert set(json.loads(record.group(1))) == pde_oracle._MODE_KEYS
+
+
+# The spans the benchmark's workloads reach, each feeding a per-layer metric.
+LIVE_SPANS = (
+    "cli.main",
+    "stability.classify",
+    "exact_state.traces",
+    "second_variation.monotonicity_functions",
+    "reporting.emit_spectrum_csv",
+    "reporting.build_fidelity_report",
+    "reporting.run_coefficients_suite",
+    "reporting.run_secondvar_suite",
+    "reporting.run_monotonicity_suite",
+    "pde_oracle.differentiate_energy",
+    "pde_oracle.solve_energy",
+    "pde_oracle.cho_factor",
+    "pde_oracle.cho_solve",
+)
+
+
+def test_the_benchmark_spans_name_live_functions():
+    # a deleted or renamed function would read 0 in its metric, not fail
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    metric_spans = {span for *_, span in spans.LAYER_METRICS}
+    for name in LIVE_SPANS:
+        assert name in metric_spans, name
+        module, attr = name.split(".")
+        target = getattr(importlib.import_module(f"{spans.PACKAGE}.{module}"), attr, None)
+        assert callable(target), name

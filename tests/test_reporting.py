@@ -1,23 +1,25 @@
 """Fidelity report, CSV emitter, presets, and property suites."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from twophase_torsion.params import ModeIndex, ProblemParams, presets, validate
-from twophase_torsion import second_variation
+from twophase_torsion import pde_oracle, reporting, second_variation
 from twophase_torsion.reporting import (
     CRITERIA,
     GRID_DESCRIPTION,
     GRID_KMAX,
+    GRID_POINTS,
     SPECTRUM_KMAX,
     SUITE_CRITERIA,
     SUITES,
     build_fidelity_report,
     emit_spectrum_csv,
-    grid_params,
-    grid_spectrum,
     resonance_structure,
     run_coefficients_suite,
     run_monotonicity_suite,
+    run_pde_suite,
     run_secondvar_suite,
     transmission_residuals,
 )
@@ -27,7 +29,7 @@ from twophase_torsion.second_variation import (
     discriminant,
     printed_spectrum,
     solve_modes,
-    spectrum_table,
+    spectrum_grid,
 )
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
@@ -52,7 +54,7 @@ def report():
 
 
 def test_default_grid_size():
-    assert len(grid_params()) == 45  # 3 dims x 5 sigmas x 3 radii
+    assert len(GRID_POINTS) == 45  # 3 dims x 5 sigmas x 3 radii
 
 
 def test_fidelity_report_full_grid_verdicts(report):
@@ -174,8 +176,7 @@ def mode_solves(monkeypatch):
         solves.append((len(points), kmax))
         return solve_modes(points, kmax)
 
-    spectrum_table.cache_clear()
-    grid_spectrum.cache_clear()
+    spectrum_grid.cache_clear()
     monkeypatch.setattr(second_variation, "solve_modes", counted)
     return solves
 
@@ -194,12 +195,12 @@ def test_criteria_1_to_6_and_the_fidelity_report_make_two_grid_solves(mode_solve
 
 
 def test_a_grid_point_past_the_residual_contract_fails_criterion_1(monkeypatch):
-    grid_spectrum.cache_clear()
+    spectrum_grid.cache_clear()
     monkeypatch.setattr(second_variation, "RESIDUAL_TOL", 0.0)
     result = transmission_residuals()
-    grid_spectrum.cache_clear()
+    spectrum_grid.cache_clear()
     assert not result.passed
-    assert result.detail.startswith(f"{grid_params()[0]}: mode system residual ")
+    assert result.detail.startswith(f"{GRID_POINTS[0]}: mode system residual ")
     assert len(result.detail.splitlines()) == 1
 
 
@@ -207,3 +208,37 @@ def test_suites_cover_each_criterion_once():
     assert set(SUITE_CRITERIA) == set(SUITES)
     numbers = [number for suite in SUITE_CRITERIA.values() for number in suite]
     assert sorted(numbers) == list(range(1, 13)) == sorted(CRITERIA)
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Counts of the oracle's runs and solves from here on, made by stubs
+    that return placeholder results, with the cache of runs emptied before
+    and after."""
+    calls = {"runs": 0, "solves": 0}
+
+    def run(family, *args, **kwargs):
+        calls["runs"] += 1
+        return SimpleNamespace(d1=0.0, d2=1.0, energy_at=lambda t: 1.0)
+
+    def solve(family, *args, **kwargs):
+        calls["solves"] += 1
+        return 1.0
+
+    monkeypatch.setattr(pde_oracle, "differentiate_energy", run)
+    monkeypatch.setattr(pde_oracle, "solve_energy", solve)
+    reporting._oracle_run.cache_clear()
+    yield calls
+    reporting._oracle_run.cache_clear()
+
+
+def test_each_oracle_criterion_computes_only_what_it_reads(oracle_calls):
+    counts = []
+    for number in (9, 10, 11, 12):
+        CRITERIA[number]()
+        counts.append((oracle_calls["runs"], oracle_calls["solves"]))
+    # 4 baseline solves; 6 first-variation runs; the coupled run, with the
+    # two direct ones shared; the two witnesses
+    assert counts == [(0, 4), (6, 4), (7, 4), (9, 4)]
+    run_pde_suite()
+    assert oracle_calls["runs"] == 9

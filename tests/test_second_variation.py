@@ -19,7 +19,6 @@ from twophase_torsion.second_variation import (
     monotonicity_functions,
     printed_spectrum,
     spectrum_grid,
-    spectrum_table,
     total_second_variation,
 )
 
@@ -61,7 +60,7 @@ REFERENCE_SPECTRUM = [
 def test_assembled_spectrum_matches_pinned_values(params, degree, expected):
     values = assemble_spectrum(params, degree)
     assert (values.e_in, values.e_out, values.e_res) == expected
-    table = spectrum_table(params, 50)
+    table = spectrum_grid((params,), 50)
     columns = (table.e_in, table.e_out, table.e_res)
     assert tuple(column[0, degree - 1] for column in columns) == expected
 
@@ -77,7 +76,7 @@ def test_assembled_spectrum_matches_pinned_values(params, degree, expected):
 def test_table_rows_do_not_depend_on_kmax(dim, radius, log_sigma, kmax, data):
     params = ProblemParams(dim, radius, math.exp(log_sigma))
     degree = data.draw(st.integers(1, kmax), label="degree")
-    full, short = spectrum_table(params, kmax), spectrum_table(params, degree)
+    full, short = spectrum_grid((params,), kmax), spectrum_grid((params,), degree)
     index = degree - 1
     for name in ("e_in", "e_out", "e_res"):
         assert getattr(full, name)[0, index].tobytes() == getattr(short, name)[0, index].tobytes()
@@ -89,12 +88,12 @@ def test_spectrum_past_float_range_names_the_first_degree():
     cases = [
         (lambda: printed_spectrum((PARAMS,), 503), 503),
         # the stiffness sigma k of degree 2 overflows
-        (lambda: spectrum_table(ProblemParams(2, 0.5, 1e308), 5), 2),
+        (lambda: spectrum_grid((ProblemParams(2, 0.5, 1e308),), 5), 2),
         # 1/sigma leaves float range: the interface jump of d_n u is infinite
-        (lambda: spectrum_table(ProblemParams(2, 0.5, 1e-320), 5), 1),
+        (lambda: spectrum_grid((ProblemParams(2, 0.5, 1e-320),), 5), 1),
         (lambda: denom_F((PARAMS,), 600), 507),
         # the unscaled B_in carries R^{-k}, which leaves float range at 2^1024
-        (lambda: mode_coefficients((PARAMS,), spectrum_table(PARAMS, 1100).modes), 1024),
+        (lambda: mode_coefficients((PARAMS,), spectrum_grid((PARAMS,), 1100).modes), 1024),
     ]
     for compute, degree in cases:
         with pytest.raises(FloatRangeError) as excinfo:
@@ -245,13 +244,6 @@ def test_every_ladder_row_is_the_same_at_any_kmax(dim, radius, log_sigma, kmax, 
     one_point = row((params,), 0, kmax)
     assert row((params,), 0, other) == one_point
     assert row(grid, position, other) == one_point
-    # the cached one-point table is the one-point grid
-    table = spectrum_table(params, kmax)
-    cached = [column[0, index] for column in (table.e_in, table.e_out, table.e_res)] + [
-        table.modes.powers[:, 0, index],
-        table.modes.unknowns[0, :, index],
-    ]
-    assert [value.tobytes() for value in cached] == one_point[:3] + one_point[7:9]
     # the proof functions, which take no kmax
     xs = np.geomspace(1e-3, 50.0, 9)
     in_grid = monotonicity_functions(grid, xs)
@@ -302,7 +294,7 @@ def test_total_second_variation_combines_modes():
     spec = PerturbationSpec(
         {ModeIndex(2, 1): (1.0, -0.5), ModeIndex(3, 2): (0.0, 2.0)}
     )
-    total = total_second_variation(spec, spectrum_table(PARAMS, 3))
+    total = total_second_variation(spec, spectrum_grid((PARAMS,), 3))
     v2 = assemble_spectrum(PARAMS, 2)
     v3 = assemble_spectrum(PARAMS, 3)
     expected = (
@@ -315,7 +307,7 @@ def test_total_second_variation_combines_modes():
 
 
 def test_total_second_variation_rejects_mean_modes_and_bad_orders():
-    table = spectrum_table(PARAMS, 3)
+    table = spectrum_grid((PARAMS,), 3)
     mean_spec = PerturbationSpec({ModeIndex(0, 1): (1.0, 0.0)})
     with pytest.raises(ValueError, match="volume"):
         total_second_variation(mean_spec, table)
@@ -327,8 +319,8 @@ def test_total_second_variation_rejects_mean_modes_and_bad_orders():
 def test_total_second_variation_rejects_modes_past_the_table():
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0), ModeIndex(4, 1): (0.0, 1.0)})
     with pytest.raises(ValueError, match=r"^degree 4 lies outside the spectrum table 1\.\.3$"):
-        total_second_variation(spec, spectrum_table(PARAMS, 3))
-    total = total_second_variation(spec, spectrum_table(PARAMS, 4))
+        total_second_variation(spec, spectrum_grid((PARAMS,), 3))
+    total = total_second_variation(spec, spectrum_grid((PARAMS,), 4))
     assert total == assemble_spectrum(PARAMS, 2).e_in + assemble_spectrum(PARAMS, 4).e_out
 
 
@@ -351,16 +343,16 @@ def test_total_second_variation_reads_one_point_grids(params, case_iii, mixed):
         }
     )
     for kmax in (5, 30):
-        for table in (spectrum_table(params, kmax), spectrum_grid((params,), kmax)):
-            assert total_second_variation(presets()["case-iii"], table) == case_iii
-            assert total_second_variation(spec, table) == mixed
+        table = spectrum_grid((params,), kmax)
+        assert total_second_variation(presets()["case-iii"], table) == case_iii
+        assert total_second_variation(spec, table) == mixed
     with pytest.raises(ValueError, match=r"^the spectrum grid holds 2 points; give the grid of one$"):
         total_second_variation(spec, spectrum_grid((params, PARAMS), 5))
 
 
 def test_resonance_analysis_consistency():
     for params in SAMPLE_PARAMS:
-        table = spectrum_table(params, 5)
+        table = spectrum_grid((params,), 5)
         columns = (table.e_in, table.e_out, table.e_res)
         delta = discriminant(*columns)
         for degree in (1, 2, 5):

@@ -3,7 +3,7 @@
 import pytest
 
 from twophase_torsion.params import ModeIndex, ProblemParams, validate
-from twophase_torsion.second_variation import spectrum_table, total_second_variation
+from twophase_torsion.second_variation import spectrum_grid, total_second_variation
 from twophase_torsion.stability import Channel, Classification, classify
 
 
@@ -14,7 +14,7 @@ def test_harder_core_is_a_local_maximum():
     assert verdict.positive_modes == ()
     assert verdict.witness_positive is None
     assert verdict.witness_negative is not None
-    total = total_second_variation(verdict.witness_negative, spectrum_table(params, 30))
+    total = total_second_variation(verdict.witness_negative, spectrum_grid((params,), 30))
     assert total < 0.0
 
 
@@ -25,7 +25,7 @@ def test_softer_core_is_a_saddle():
     assert (1, Channel.INNER_ALONE) in verdict.positive_modes
     assert verdict.witness_positive is not None
     assert verdict.witness_negative is not None
-    table = spectrum_table(params, 30)
+    table = spectrum_grid((params,), 30)
     positive = total_second_variation(verdict.witness_positive, table)
     negative = total_second_variation(verdict.witness_negative, table)
     assert positive > 0.0
@@ -106,21 +106,21 @@ def test_verdict_next_to_single_phase():
 
 
 def test_caches_stay_bounded():
-    before = spectrum_table.cache_info()
+    before = spectrum_grid.cache_info()
     count = before.maxsize + 100  # one table per classification
     for i in range(count):
         classify(ProblemParams(2, 0.3 + 0.4 * i / count, 3.0), k_max=30)
-    info = spectrum_table.cache_info()
+    info = spectrum_grid.cache_info()
     assert info.misses - before.misses > info.maxsize
     assert info.currsize <= info.maxsize
 
 
 def test_saddle_classification_builds_one_table():
     # the saddle-witness totals read the scan table, not tables of their own
-    spectrum_table.cache_clear()
+    spectrum_grid.cache_clear()
     verdict = classify(ProblemParams(2, 0.5, 0.5), 30)
     assert verdict.classification is Classification.SADDLE
-    assert spectrum_table.cache_info().misses == 1
+    assert spectrum_grid.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
