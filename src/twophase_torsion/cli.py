@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -28,6 +29,17 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # every negative float literal is a value, not an option string:
+    # argparse's own pattern misses -1e-05 and -inf, so --radius -1e-05 got
+    # "expected one argument" in place of the radius's own diagnostic
+    _NEGATIVE_NUMBER = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+    )
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER  # subparsers share the class
+
     def error(self, message: str) -> None:  # single-line diagnostics
         raise CliError(message)
 

@@ -46,7 +46,17 @@ operator K(0) itself.  D, the chains' eigenvalues j^2 and the cos and sin
 pair come from one function, angular_operator.  cho_factor and cho_solve are this
 module's names for the LAPACK pttrf and pttrs bindings, kept because the
 benchmark's tracer (bench/spans.py) times and counts the calls through those
-two module attributes.
+two module attributes.  The cell rows and load, the operator's node values and
+cell arrays, the preconditioner's right-hand sides, coefficients and result
+and the CG vectors live in one workspace per grid and thread (_Workspace),
+kept across solves and runs in a bounded cache (_workspace) and written by
+out= and in-place ufuncs in the order of the expressions they replace, so
+the energies are bit for bit those of fresh arrays; only u is new in each
+solve, as the solutions list keeps it.  The gain is in the allocator, not
+the arithmetic: freed each step, these 65 KB arrays (at 256x32) left memory
+past glibc's trim threshold at the top of its heap, which went back to the
+kernel and was faulted in again (mallopt(3), M_TRIM_THRESHOLD), about 1200
+minor faults per run; with the workspace a median run takes 3-5.
 
 Cell rows.  In the core phi = s rho_D/R, so each coefficient row is a factor
 of s, which the grid alone fixes, times a factor of theta; in the shell one
@@ -54,11 +64,12 @@ reciprocal 1/phi serves all three rows (_cell_rows).  The grid's factors and
 the load's weights are built once per (R, n, m) in a bounded cache
 (_radial_factors), so a sample computes its angular factors, its shell rows
 and one small product for the load.  At 256x32 on one BLAS thread of a 2-vCPU
-Xeon container a sample's fixed work is about 0.18 ms of cell rows and
-0.11 ms of preconditioner factorization, and a CG step about 0.12 ms of
-preconditioner and 0.11 ms of operator application: a 7-sample run of
-13 steps and 6 warm-start residuals spends about 2.0 ms on the samples'
-fixed work and 3.7 ms on operator and preconditioner applications.
+Xeon container a sample's fixed work is about 0.15 ms of cell rows and
+0.09 ms of preconditioner factorization, and a CG step about 0.12 ms of
+preconditioner and 0.08 ms of operator application: a 7-sample run of
+13 steps and 6 warm-start residuals spends about 1.7 ms on the samples'
+fixed work and 3.1 ms on operator and preconditioner applications, of about
+7 ms in all (10 ms with fresh arrays, a cost the parts' own loops never show).
 
 The perturbation family reads its normal speeds g of the interface and of
 the outer boundary from a PerturbationSpec, the package's one description of
@@ -77,6 +88,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -115,6 +127,9 @@ SIGMA_CEILING = 1e12
 # (radius, radial_points, angular_modes) grids whose radial factors are kept;
 # a run reads one grid for all of its samples
 RADIAL_CACHE_SIZE = 32
+# (radial_points, angular_modes, thread) workspaces kept: a run uses one grid
+# and `verify pde` two; one holds 4.5 MB at the default 512x64, 1.1 MB at 256x32
+WORKSPACE_CACHE_SIZE = 4
 
 
 class InterfaceOrderingError(RuntimeError):
@@ -279,8 +294,6 @@ def angular_operator(m: int) -> AngularOperator:
 
 def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
     """Node coordinates with the interface exactly at a node."""
-    if radial_points < 4:
-        raise ValueError("radial_points must be >= 4")
     j_in = int(round(radial_points * radius))
     j_in = max(1, min(radial_points - 1, j_in))
     inner = radius * np.arange(j_in + 1) / j_in
@@ -326,10 +339,37 @@ def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tu
     return j_in, core, shell, weights
 
 
-def _cell_rows(family: PerturbedDomainFamily, radial_points: int, angular_modes: int) -> tuple:
+class _Workspace:
+    """The arrays that every solve on one (radial_points, angular_modes) grid
+    writes into, allocated once (module docstring)."""
+
+    def __init__(self, radial_points: int, angular_modes: int) -> None:
+        if radial_points < 4:
+            raise ValueError("radial_points must be >= 4")
+        n, m = radial_points, angular_modes
+        self.angular = angular_operator(m)
+        self.rows = np.empty((3, n, m))  # area, shear/2 and bend by cell and angle
+        self.nodes = np.zeros((n + 1, m))  # the node values; the Dirichlet row stays 0
+        self.cells = np.empty((5, n, m))  # _stiffness' delta, slope, f, h and scratch
+        self.rhs = np.empty((2, 1 + (m // 2 + 1) * (n - 1)))  # the chains' right-hand sides
+        self.coefficients = np.empty((m + 2, n - 1))  # the rings' cos and sin coefficients
+        # vectors of unknowns: the load, K v, the preconditioned residual and CG's
+        self.load, self.product, self.preconditioned, self.residual, self.direction, self.scaled = (
+            np.empty((6, 1 + (n - 1) * m))
+        )
+
+
+@functools.lru_cache(maxsize=WORKSPACE_CACHE_SIZE)
+def _workspace(radial_points: int, angular_modes: int, thread: int) -> _Workspace:
+    """A grid's workspace for one thread, which runs one solve at a time."""
+    return _Workspace(radial_points, angular_modes)
+
+
+def _cell_rows(family: PerturbedDomainFamily, work: _Workspace) -> tuple:
     """The (area, shear/2, bend) coefficient rows of every radial cell, and
     the load: the center's, then node 1..n-1's, one angular ring after the
-    other (the unknowns' order; the Dirichlet node n is dropped).
+    other (the unknowns' order; the Dirichlet node n is dropped); written to
+    work.rows and work.load.
 
     A row is dtheta/h A11, dtheta/2 A12 and dtheta h/4 A22 at the cell's
     midpoint s, times sigma in the core.  There phi = s rho_D/R, so each row
@@ -339,7 +379,8 @@ def _cell_rows(family: PerturbedDomainFamily, radial_points: int, angular_modes:
     A = rho_D and B = (rho_Omega - rho_D)/(1 - R), and one reciprocal 1/phi
     serves all three rows.
     """
-    m = angular_modes
+    area, half_shear, bend = work.rows
+    radial_points, m = area.shape
     radius, sigma = family.params.core_radius, family.params.sigma
     theta = 2.0 * math.pi * np.arange(m) / m
     dtheta = 2.0 * math.pi / m
@@ -348,9 +389,8 @@ def _cell_rows(family: PerturbedDomainFamily, radial_points: int, angular_modes:
         _radial_factors(radius, radial_points, m)
     )
 
-    rows = area, half_shear, bend = np.empty((3, radial_points, m))
     log_slope = drho_in / rho_in
-    area[:j_in] = core_area * (sigma * (1.0 + log_slope * log_slope))
+    np.multiply(core_area, sigma * (1.0 + log_slope * log_slope), out=area[:j_in])
     half_shear[:j_in] = (-0.5 * sigma * dtheta) * log_slope
     bend[:j_in] = sigma * core_bend
 
@@ -363,45 +403,53 @@ def _cell_rows(family: PerturbedDomainFamily, radial_points: int, angular_modes:
     half_shear[j_in:] = (-0.5 * dtheta) * phi_theta * reciprocal
     bend[j_in:] = (shell_bend * slope) * reciprocal
 
-    nodes = weights @ np.stack([rho_in * rho_in / (radius * radius), rho_in * slope, slope * slope])
+    factors = np.stack([rho_in * rho_in / (radius * radius), rho_in * slope, slope * slope])
+    nodes = np.matmul(weights, factors, out=work.cells[-1])
     # the center is a single unknown, the constant angular mode
-    load = np.concatenate([[np.sum(nodes[0])], nodes[1:].ravel()])
-    return tuple(rows), load
+    work.load[0] = np.sum(nodes[0])
+    work.load[1:] = nodes[1:].ravel()
+    return work.rows, work.load
 
 
-def _stiffness(rows: tuple, diff: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K v, cell by cell, for the unknowns v in _cell_rows' load order.
+def _stiffness(work: _Workspace, v: np.ndarray) -> np.ndarray:
+    """K v into work.product, cell by cell, for the unknowns v in load order.
 
     A cell's energy area Delta^2 + 2 (shear/2) Delta P + bend P^2 has the
     gradient F + H at its right node and H - F at its left node, with
     F = area Delta + (shear/2) P and H = D^T ((shear/2) Delta + bend P).
     The center's row is the theta-sum of cell 0's left gradient.
     """
-    area, half_shear, bend = rows
-    nodes = np.zeros((len(area) + 1, diff.shape[0]))
+    (area, half_shear, bend), diff, nodes = work.rows, work.angular.diff, work.nodes
+    delta, slope, f, h, scratch = work.cells
     nodes[0] = v[0]
-    nodes[1:-1] = v[1:].reshape(len(area) - 1, -1)  # the Dirichlet node stays 0
-    delta = nodes[1:] - nodes[:-1]
-    slope = (nodes[1:] + nodes[:-1]) @ diff.T
-    f = area * delta + half_shear * slope
-    h = (half_shear * delta + bend * slope) @ diff
-    return np.concatenate([[np.sum(h[0] - f[0])], (f[:-1] + h[:-1] + h[1:] - f[1:]).ravel()])
+    nodes[1:-1] = v[1:].reshape(len(area) - 1, -1)
+    np.subtract(nodes[1:], nodes[:-1], out=delta)
+    np.matmul(np.add(nodes[1:], nodes[:-1], out=scratch), diff.T, out=slope)
+    np.multiply(area, delta, out=f)
+    f += np.multiply(half_shear, slope, out=h)
+    np.multiply(half_shear, delta, out=scratch)
+    scratch += np.multiply(bend, slope, out=h)
+    np.matmul(scratch, diff, out=h)
+    work.product[0] = np.sum(h[0] - f[0])
+    rings = np.add(f[:-1], h[:-1], out=work.product[1:].reshape(len(area) - 1, -1))
+    rings += h[1:]
+    rings -= f[1:]
+    return work.product
 
 
-def _preconditioner(
-    rows: tuple, angular: AngularOperator
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The inverse of the operator of rows averaged in theta, shear dropped.
+def _preconditioner(work: _Workspace) -> Callable[[np.ndarray], np.ndarray]:
+    """The inverse of the operator of work.rows averaged in theta, shear dropped.
 
     Its chains are ordered [center, mode 0 | mode 1 | ... | mode m/2]: the
     diagonal takes area + j^2 bend of both cells of a node, the coupling
     across a cell is j^2 bend - area.  The returned function applies the
-    inverse by the real Fourier pair of angular: the cos and sin
-    coefficients of each ring are the two right-hand sides of one chain
+    inverse into work.preconditioned by the real Fourier pair: the cos and
+    sin coefficients of each ring are the two right-hand sides of one chain
     solve; the center's chain unknown is m times its value.
     """
-    m = rows[0].shape[1]
-    area, bend = rows[0].mean(axis=1), rows[2].mean(axis=1)
+    angular, rhs, result = work.angular, work.rhs, work.preconditioned
+    m = work.rows.shape[2]
+    area, bend = work.rows[0].mean(axis=1), work.rows[2].mean(axis=1)
     angular_part = angular.eigen[:, np.newaxis] * bend
     diagonal, coupling = area + angular_part, angular_part - area
     coupling[:, -1] = 0.0  # the last node's coupling goes to the Dirichlet node
@@ -411,16 +459,17 @@ def _preconditioner(
     if info != 0:
         raise SolveError("block factorization failed")
     rings = len(area) - 1
+    # the rings' cos and sin coefficients by mode, in rhs and in work.coefficients
+    spectra = rhs[:, 1:].reshape(2, m // 2 + 1, rings)
+    coefficients = work.coefficients.reshape(2, m // 2 + 1, rings)
 
     def precondition(residual: np.ndarray) -> np.ndarray:
-        rhs = np.empty((2, d.size))
         rhs[:, 0] = residual[0], 0.0
-        rhs[:, 1:] = (angular.analysis @ residual[1:].reshape(rings, m).T).reshape(2, -1)
+        np.matmul(angular.analysis, residual[1:].reshape(rings, m).T, out=spectra)
         solution, _ = cho_solve(d, e, rhs.T, overwrite_b=1)
-        result = np.empty(residual.size)
         result[0] = solution[0, 0] / m
-        coefficients = solution[1:].T.reshape(m + 2, rings)
-        np.matmul(coefficients.T, angular.synthesis, out=result[1:].reshape(rings, m))
+        np.copyto(coefficients, solution[1:].T.reshape(2, m // 2 + 1, rings))
+        np.matmul(work.coefficients.T, angular.synthesis, out=result[1:].reshape(rings, m))
         return result
 
     return precondition
@@ -455,25 +504,25 @@ def solve_energy(
     the discrete u is appended to it.  A non-finite or non-positive r.z or
     p.Kp raises SolveError, as do more steps than unknowns.
     """
-    angular = angular_operator(angular_modes)
+    work = _workspace(radial_points, angular_modes, threading.get_ident())
     if 2 * family.max_degree() >= angular_modes:
         raise ValueError("angular_modes too small for the perturbation degree")
-    rows, load = _cell_rows(family, radial_points, angular_modes)
-    precondition = _preconditioner(rows, angular)
+    _, load = _cell_rows(family, work)
+    precondition = _preconditioner(work)
 
-    if start is None:
-        u, residual, energy = np.zeros(load.size), load, 0.0
-    else:
+    residual, direction, scaled = work.residual, work.direction, work.scaled
+    if start is not None:
         u = np.array(start, dtype=float)
-        residual = load - _stiffness(rows, angular.diff, u)
-        energy = float(u @ (load + residual))
-        if not energy > 0.0:
-            # J(start) >= J(0): u = 0 is as near the solution in the energy
-            # norm, and starting there keeps the energy sum free of cancellation
-            u, residual, energy = np.zeros(load.size), load, 0.0
+        np.subtract(load, _stiffness(work, u), out=residual)
+        energy = float(u @ np.add(load, residual, out=scaled))
+    if start is None or not energy > 0.0:
+        # J(start) >= J(0): u = 0 is as near the solution in the energy
+        # norm, and starting there keeps the energy sum free of cancellation
+        u, energy = np.zeros(load.size), 0.0
+        residual[:] = load
     if solutions is not None:
         solutions.append(u)  # the loop below updates u in place
-    direction = 0.0
+    direction[:] = 0.0
     previous = math.inf  # r.z of the previous step; the first has no direction
     for _ in range(load.size):
         z = precondition(residual)
@@ -483,14 +532,15 @@ def solve_energy(
             # preconditioner is the operator itself (t = 0)
             return _positive(energy)
         gamma = _positive(gamma)
-        direction = z + (gamma / previous) * direction
-        product = _stiffness(rows, angular.diff, direction)
+        direction *= gamma / previous
+        direction += z
+        product = _stiffness(work, direction)
         step = gamma / _positive(float(direction @ product))
         energy += step * gamma
-        u += step * direction
+        u += np.multiply(direction, step, out=scaled)
         if step * gamma <= sys.float_info.epsilon * energy:
             return _positive(energy)
-        residual = residual - step * product
+        residual -= np.multiply(product, step, out=scaled)
         previous = gamma
     raise SolveError("iteration did not converge")
 

@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twophase_torsion
@@ -99,6 +99,23 @@ def test_parameter_diagnostics_are_single_line(capsys):
         code, _, err = run_cli(capsys, argv)
         assert code != 0
         assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("classify", ["--radius", "-1e-05", "--sigma", "2"], "radius must lie in (0,1)"),
+        ("classify", ["--radius", "0.5", "--sigma", "-inf"], "sigma must be finite"),
+        ("spectrum", ["--radius", "0.5", "--sigma", "-1E+300"], "sigma must be positive"),
+        ("spectrum", ["--radius", "-NaN", "--sigma", "2"], "radius must be finite"),
+    ],
+)
+def test_a_negative_value_with_an_exponent_or_an_infinity_is_a_value(
+    capsys, command, flags, message
+):
+    # argparse's own negative-number pattern read these as option strings
+    code, out, err = run_cli(capsys, [command, "--dim", "2", *flags])
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
@@ -348,6 +365,33 @@ def test_report_stdout_is_pinned(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[argv]
 
 
+# sha256 of `oracle`'s stdout at the benchmark's 256x32 shape, one run per
+# boundary channel: (alpha_in, alpha_out, degree, order, radius, sigma)
+PINNED_ORACLE = {
+    "inner": ((1.0, 0.0, 2, 1, 0.4, 0.5),
+              "170a800e0d41d262a1f5017165e23417e5c2e741558d21a141a738557854fd26"),
+    "outer": ((0.0, 1.0, 3, 2, 0.6, 3.0),
+              "ddc039cad00747ed0504fd023b177d47ac98781d8c9f3a2489d1869340773912"),
+    "coupled": ((1.0, 1.0, 2, 1, 0.5, 2.0),
+                "f13ae38730919baacbe63582e947c80bb4bfcc0e97727b1b5064b3dd637df63a"),
+}
+
+
+@pytest.mark.parametrize("channel", PINNED_ORACLE)
+def test_oracle_stdout_is_pinned(tmp_path, capsys, channel):
+    (alpha_in, alpha_out, degree, order, radius, sigma), digest = PINNED_ORACLE[channel]
+    config = {
+        "dim": 2, "radius": radius, "sigma": sigma,
+        "modes": [{"degree": degree, "order": order, "alpha_in": alpha_in, "alpha_out": alpha_out}],
+        "exact_area": True, "t0": 0.01, "levels": 2, "radial_points": 256, "angular_modes": 32,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["oracle", "--config", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
@@ -366,6 +410,9 @@ _ANY_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308
     kmax=st.integers(-1, 3000),
     path=st.sampled_from([None, "assembled", "printed", "exact"]),
 )
+# negatives that argparse's own pattern took for option strings
+@example(command="classify", dim=2, radius=-1e-05, sigma=2.0, kmax=30, path=None)
+@example(command="classify", dim=2, radius=0.5, sigma=-math.inf, kmax=30, path=None)
 def test_every_classify_and_spectrum_argv_is_answered(command, dim, radius, sigma, kmax, path):
     # exit 0 with a document on stdout, or exit 2 with one line on stderr;
     # never a traceback or a warning

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,9 +308,9 @@ PERTURBED = PerturbedDomainFamily(
         (("cho_solve", lambda d, e, b, **_: (-_CHO_SOLVE(d, e, b)[0], 0)), NOT_SPD),
         (("cho_solve", lambda d, e, b, **_: (np.full_like(b, np.nan), 0)), "energy is not finite"),
         # an operator that is negative definite: p.Kp < 0
-        (("_stiffness", lambda rows, diff, v: -_STIFFNESS(rows, diff, v)), NOT_SPD),
+        (("_stiffness", lambda work, v: -_STIFFNESS(work, v)), NOT_SPD),
         # a non-symmetric operator: the iteration cannot converge
-        (("_stiffness", lambda rows, diff, v: v + 10.0 * (np.roll(v, 1) - np.roll(v, -1))),
+        (("_stiffness", lambda work, v: v + 10.0 * (np.roll(v, 1) - np.roll(v, -1))),
          "iteration did not converge"),
     ],
 )
@@ -318,9 +322,10 @@ def test_a_broken_iteration_never_returns_an_energy(monkeypatch, broken, message
 
 def _dense_system(family, radial_points, angular_modes):
     """The dense K, from the operator's columns, and the load of a solve."""
-    rows, load = pde_oracle._cell_rows(family, radial_points, angular_modes)
-    diff = angular_operator(angular_modes).diff
-    columns = [pde_oracle._stiffness(rows, diff, unit) for unit in np.eye(load.size)]
+    work = pde_oracle._Workspace(radial_points, angular_modes)
+    _, load = pde_oracle._cell_rows(family, work)
+    # each product is written to the workspace, so each column is a copy
+    columns = [pde_oracle._stiffness(work, unit).copy() for unit in np.eye(load.size)]
     return np.column_stack(columns), load
 
 
@@ -453,7 +458,7 @@ def test_cell_rows_equal_a_scalar_transcription(
     # gap min(R, 1 - R)/2 at |t| <= 0.8 min(R, 1 - R)
     t = 0.8 * min(radius, 1.0 - radius) * reach
     family = PerturbedDomainFamily(params, spec, exact_area=exact_area).at(t)
-    rows, load = pde_oracle._cell_rows(family, radial_points, angular_modes)
+    rows, load = pde_oracle._cell_rows(family, pde_oracle._Workspace(radial_points, angular_modes))
     expected_rows, expected_load = _scalar_cell_rows(family, radial_points, angular_modes)
     ulp = 4.0 * sys.float_info.epsilon
     for row, expected in zip(rows, expected_rows):
@@ -463,15 +468,80 @@ def test_cell_rows_equal_a_scalar_transcription(
 
 def test_the_radial_factor_cache_is_bounded_and_read_only():
     spec = PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)})
+    work = pde_oracle._Workspace(8, 4)
     for radius in np.linspace(0.2, 0.8, 1000):
         family = PerturbedDomainFamily(ProblemParams(2, float(radius), 2.0), spec)
-        pde_oracle._cell_rows(family, 8, 4)
+        pde_oracle._cell_rows(family, work)
     info = pde_oracle._radial_factors.cache_info()
     assert info.misses >= 1000
     assert info.currsize <= info.maxsize == pde_oracle.RADIAL_CACHE_SIZE
     # shared by every solve of a grid, so no caller may write to them
     _, core, shell, weights = pde_oracle._radial_factors(0.5, 8, 4)
     assert not any(array.flags.writeable for array in (*core, *shell, weights))
+
+
+def test_the_workspace_cache_is_bounded():
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
+    pde_oracle._workspace.cache_clear()
+    grids = [(radial_points, 4) for radial_points in range(4, 40)]
+    for radial_points, angular_modes in grids:
+        solve_energy(family.at(0.01), radial_points, angular_modes)
+    info = pde_oracle._workspace.cache_info()
+    assert info.misses == len(grids)
+    assert info.currsize <= info.maxsize == pde_oracle.WORKSPACE_CACHE_SIZE
+
+
+def test_a_workspace_reused_after_another_grid_changes_no_energy():
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)}))
+    pde_oracle._workspace.cache_clear()
+    first, other, again = (
+        differentiate_energy(family, t0=0.02, levels=2, radial_points=n, angular_modes=m)
+        for n, m in [(32, 8), (24, 12), (32, 8)]
+    )
+    assert pde_oracle._workspace.cache_info().hits >= 1
+    assert again.energies == first.energies
+    assert other.energies != first.energies
+
+
+def test_threads_on_one_grid_do_not_share_a_workspace():
+    families = [
+        PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})),
+        PerturbedDomainFamily(ProblemParams(2, 0.3, 0.25), PerturbationSpec({ModeIndex(3, 2): (0.0, 1.0)})),
+    ]
+
+    def energies(family):
+        return differentiate_energy(family, t0=0.02, levels=2, radial_points=128, angular_modes=16).energies
+
+    alone = [energies(family) for family in families]
+    barrier = threading.Barrier(len(families))
+    together = [[] for _ in families]
+
+    def run(index):
+        barrier.wait()
+        for _ in range(4):
+            together[index].append(energies(families[index]))
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(len(families))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert together == [[expected] * 4 for expected in alone]
+
+
+def test_importing_the_oracle_allocates_no_workspace():
+    probe = (
+        "import twophase_torsion.pde_oracle as oracle; "
+        "info = oracle._workspace.cache_info(); "
+        "print(info.misses, info.currsize)"
+    )
+    paths = [str(Path(pde_oracle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "0"]
 
 
 @pytest.mark.parametrize(
@@ -486,9 +556,10 @@ def test_the_preconditioner_is_the_inverse_of_the_concentric_operator(
     concentric = PerturbedDomainFamily(params, spec)  # at t = 0
     matrix, load = _dense_system(concentric, radial_points, angular_modes)
     # the preconditioner a t = 0 solve builds from its own rows
-    rows, _ = pde_oracle._cell_rows(concentric, radial_points, angular_modes)
-    precondition = pde_oracle._preconditioner(rows, angular_operator(angular_modes))
-    inverse = np.column_stack([precondition(unit) for unit in np.eye(load.size)])
+    work = pde_oracle._Workspace(radial_points, angular_modes)
+    pde_oracle._cell_rows(concentric, work)
+    precondition = pde_oracle._preconditioner(work)
+    inverse = np.column_stack([precondition(unit).copy() for unit in np.eye(load.size)])
     exact = np.linalg.inv(matrix)
     assert np.abs(inverse - exact).max() <= 1e-13 * np.abs(exact).max()
     # so the first step of a t = 0 solve is exact, and the second step's
