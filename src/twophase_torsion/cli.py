@@ -13,9 +13,11 @@ Every error path exits nonzero with a single-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from .params import ProblemParams
@@ -59,8 +61,73 @@ def _write_output(text: str, out: Optional[str]) -> None:
         _write_file(text, out)
 
 
+_INDENT = "  "
+
+
+@functools.cache  # one per depth, and depth is bounded by the recursion limit
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder, writing each item on its own line at `depth` indents."""
+    return json.JSONEncoder(allow_nan=False, separators=(",\n" + _INDENT * depth, ": "))
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _any_container(values) -> bool:
+    return any(map(isinstance, values, repeat(_CONTAINERS)))
+
+
+def _are_records(items) -> bool:
+    """Whether every item is a non-empty dict of scalars, as in `mode_table`."""
+    return (
+        all(map(isinstance, items, repeat(dict)))
+        and all(items)
+        and not _any_container(chain.from_iterable(map(dict.values, items)))
+    )
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _encoder(0).encode(key)
+    # json.dumps's rules for int, float, bool and None keys, and its refusals
+    return _encoder(0).encode({key: None})[1:-7]
+
+
+def _json_value(value, depth: int) -> str:
+    if not isinstance(value, _CONTAINERS):
+        return _encoder(depth).encode(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    pad, inner = _INDENT * depth, _INDENT * (depth + 1)
+    is_dict = isinstance(value, dict)
+    if not _any_container(value.values() if is_dict else value):
+        text = _encoder(depth + 1).encode(value)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    if is_dict:
+        items = (f"{_key(key)}: {_json_value(item, depth + 1)}" for key, item in value.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if _are_records(value):
+        # A raw newline is only ever a separator (ensure_ascii escapes it in
+        # strings), and a flat record closes only where the next one opens.
+        record = _INDENT * (depth + 2)
+        text = _encoder(depth + 2).encode(value)[2:-2].replace(
+            f"}},\n{record}{{", f"\n{inner}}},\n{inner}{{\n{record}"
+        )
+        return f"[\n{inner}{{\n{record}{text}\n{inner}}}\n{pad}]"
+    items = (_json_value(item, depth + 1) for item in value)
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
 def _json_text(document: dict) -> str:
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    """`json.dumps(document, indent=2, allow_nan=False)` and a newline.
+
+    With an `indent`, CPython's `json.dumps` leaves its C encoder for a
+    pure-Python one (`Lib/json/encoder.py`) that costs more than building
+    the document.  Here Python walks only the containers: each run of
+    scalars, and each list of flat records such as `mode_table`, is one
+    call of the C encoder, whose item separator carries the indentation.
+    """
+    return _json_value(document, 0) + "\n"
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, kmax_default: int) -> None:

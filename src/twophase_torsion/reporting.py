@@ -146,6 +146,9 @@ def build_fidelity_report() -> dict:
     return {"grid": GRID_DESCRIPTION, "entries": entries}
 
 
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
+
+
 def emit_spectrum_csv(params: ProblemParams, kmax: int, path: SpectrumPath) -> str:
     """CSV rows k, e_in, e_out, e_res, delta with 17 significant digits."""
     if path is SpectrumPath.ASSEMBLED:
@@ -156,11 +159,7 @@ def emit_spectrum_csv(params: ProblemParams, kmax: int, path: SpectrumPath) -> s
     columns = tuple(column[0] for column in columns)
     columns = (*columns, discriminant(*columns))
     rows = zip(range(1, kmax + 1), *(column.tolist() for column in columns))
-    lines = ["k,e_in,e_out,e_res,delta"] + [
-        f"{degree},{e_in:.17g},{e_out:.17g},{e_res:.17g},{delta:.17g}"
-        for degree, e_in, e_out, e_res, delta in rows
-    ]
-    return "\n".join(lines) + "\n"
+    return "k,e_in,e_out,e_res,delta\n" + "".join(map(_CSV_ROW.__mod__, rows))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twophase_torsion
-from twophase_torsion import pde_oracle
-from twophase_torsion.cli import main
+from twophase_torsion import pde_oracle, reporting
+from twophase_torsion.cli import _json_text, main
+from twophase_torsion.stability import StabilityVerdict
 
 
 def run_cli(capsys, argv):
@@ -133,6 +134,7 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
         ["classify", "--dim", "2", "--radius", "0.5"],
         ["classify", *point],
         ["spectrum", *point],
+        ["fidelity"],
         ["oracle", "--config", str(config)],
     ]
     in_process = [run_cli(capsys, argv) for argv in calls]
@@ -149,7 +151,7 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     for process in processes:
         out, err = process.communicate(timeout=120)
         fresh.append((process.returncode, out, err))
-    assert [code for code, _, _ in in_process] == [2, 2, 0, 0, 0]
+    assert [code for code, _, _ in in_process] == [2, 2, 0, 0, 0, 0]
     assert in_process == fresh
 
 
@@ -303,6 +305,22 @@ def test_spectrum_out_flag_writes_a_file(tmp_path, capsys):
     assert len(content.strip().split("\n")) == 5
 
 
+# any float the columns can hold: discriminant gives inf where a product
+# overflows, and the CSV prints it
+_CSV_FLOAT = st.sampled_from(
+    [-0.0, 5e-324, 2.225073858507201e-308, math.inf, -math.inf, math.nan]
+) | st.floats()
+
+
+@settings(max_examples=50, deadline=None)
+@given(degree=st.integers(1, 10**4), values=st.tuples(*[_CSV_FLOAT] * 4))
+def test_a_spectrum_row_is_the_17_digit_form(degree, values):
+    e_in, e_out, e_res, delta = values
+    assert reporting._CSV_ROW % (degree, *values) == (
+        f"{degree},{e_in:.17g},{e_out:.17g},{e_res:.17g},{delta:.17g}\n"
+    )
+
+
 def test_verify_fast_suites_pass(capsys):
     for suite in ("coefficients", "secondvar", "monotonicity"):
         code, out, _ = run_cli(capsys, ["verify", suite])
@@ -350,6 +368,9 @@ PINNED_STDOUT = {
     # a saddle, with witnesses
     ("classify", "--dim", "2", "--radius", "0.5", "--sigma", "0.5", "--kmax", "30"):
         "73a92bd7ab3af7b767f0783242b731cf745f4018b727720836fc290e9c99dfbb",
+    # the single-phase verdict: no positive mode, no positive witness, a note
+    ("classify", "--dim", "3", "--radius", "0.5", "--sigma", "1", "--kmax", "8"):
+        "c7d9449ecbc30f5a317c302e4f83dd596fe4c29755ce2b58a01a94e46a936caf",
     ("spectrum", "--dim", "3", "--radius", "0.4", "--sigma", "2.5", "--kmax", "50"):
         "d77f5316b7c8ac952c311239370b6ae1039b02f285a6c28999113c6810c3d992",
     ("spectrum", "--dim", "3", "--radius", "0.4", "--sigma", "2.5", "--kmax", "50",
@@ -390,6 +411,85 @@ def test_oracle_stdout_is_pinned(tmp_path, capsys, channel):
     code, out, _ = run_cli(capsys, ["oracle", "--config", str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the encoder's separators and escapes, ASCII controls, and characters
+# from Latin-1, the BMP and beyond it (a surrogate pair under ensure_ascii)
+_TEXT = st.text(',\n{}[]":\\\t\x00\x7f a\xe9\u20ac\U0001f600', max_size=4)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | _TEXT
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e308])
+)
+# json.dumps writes int, float, bool and None keys as strings
+_KEYS = _TEXT | st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=3)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=3)
+        # the shape of mode_table: a list of flat records
+        | st.lists(st.dictionaries(_KEYS, _LEAVES, min_size=1, max_size=3), min_size=1, max_size=3)
+    )
+
+
+_DOCUMENTS = st.dictionaries(_KEYS, st.recursive(_LEAVES, _containers, max_leaves=8), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=_DOCUMENTS)
+def test_json_text_is_json_dumps_with_indent_2(document):
+    assert _json_text(document) == json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+@st.composite
+def _planted(draw, bad):
+    """A document that holds `bad` at a drawn depth and place."""
+    value = bad
+    for _ in range(draw(st.integers(1, 4))):
+        siblings = draw(st.lists(_LEAVES | _containers(_LEAVES), max_size=3))
+        at = draw(st.integers(0, len(siblings)))
+        items = [*siblings[:at], value, *siblings[at:]]
+        kind = draw(st.sampled_from([list, tuple, dict]))
+        if kind is dict:
+            keys = draw(st.lists(_TEXT, min_size=len(items), max_size=len(items), unique=True))
+            value = dict(zip(keys, items))
+        else:
+            value = kind(items)
+    return {"document": value}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf, {1}]))
+def test_json_text_refuses_what_json_dumps_refuses(data, bad):
+    document = data.draw(_planted(bad))
+    error = TypeError if isinstance(bad, set) else ValueError
+    with pytest.raises(error):
+        json.dumps(document, indent=2, allow_nan=False)
+    with pytest.raises(error):
+        _json_text(document)
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_a_non_finite_document_value_is_refused(tmp_path, capsys, monkeypatch, out):
+    to_document = StabilityVerdict.to_document
+
+    def overflowed(verdict):
+        document = to_document(verdict)
+        document["mode_table"][-1]["delta"] = math.inf
+        return document
+
+    monkeypatch.setattr(StabilityVerdict, "to_document", overflowed)
+    target = tmp_path / "verdict.json"
+    argv = ["classify", "--dim", "2", "--radius", "0.5", "--sigma", "2", "--kmax", "6"]
+    argv += ["--out", str(target)] if out else []
+    code, stdout, err = run_cli(capsys, argv)
+    assert (code, stdout) == (2, "")
+    # the C encoder's wording: json.dumps with indent added ": inf"
+    assert err == "Out of range float values are not JSON compliant\n"
+    assert not target.exists()
 
 
 def _reject_constant(name):
