@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from itertools import chain, repeat
@@ -126,8 +127,29 @@ def _json_text(document: dict) -> str:
     the document.  Here Python walks only the containers: each run of
     scalars, and each list of flat records such as `mode_table`, is one
     call of the C encoder, whose item separator carries the indentation.
+    A non-finite float is refused with a ValueError that names its field.
     """
-    return _json_value(document, 0) + "\n"
+    try:
+        return _json_value(document, 0) + "\n"
+    except ValueError as exc:
+        field = _non_finite_field(document)
+        if field is None:
+            raise
+        raise ValueError(f"document value {field} is not finite") from exc
+
+
+def _non_finite_field(value, path: str = "") -> Optional[str]:
+    """The path, such as `mode_table[5].delta`, of the first non-finite float
+    in document order, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else str(key), item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{index}]", item) for index, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_field(item, field) for field, item in items)), None)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, kmax_default: int) -> None:

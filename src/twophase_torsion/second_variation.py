@@ -18,10 +18,11 @@ profile
     w(r) = C r^{2-N-k} + D r^k        in the shell,
 
 and the matching conditions to a 3x3 linear system in (B, C, D).
-`solve_modes` solves that system numerically, the path independent of the
-printed formulas, and returns a `ModeTable` of scaled unknowns, floats at
-every degree; `mode_coefficients` undoes the scaling for the comparisons with
-the printed (B, C, D), which read degrees 1..20.
+`solve_modes` solves that system numerically, by eliminating its boundary
+row, the path independent of the printed formulas, and returns a `ModeTable`
+of scaled unknowns, floats at every degree; `mode_coefficients` undoes the
+scaling for the comparisons with the printed (B, C, D), which read degrees
+1..20.
 
 Spectrum.  The spectrum has one format, the `SpectrumGrid`:
 `spectrum_grid(points, kmax)`, its one entry point and its one cache,
@@ -88,7 +89,7 @@ KINDS = tuple(ModeKind)  # the kind axis of a ModeTable
 
 
 class TransmissionSolveError(RuntimeError):
-    """The 3x3 mode system was singular or left a residual above contract."""
+    """A mode system's solution left a residual above contract."""
 
 
 def _named(points: tuple[ProblemParams, ...], point: int) -> str:
@@ -126,10 +127,12 @@ _MODE_POWERS = _exponents((-2, 1, 2), (-2, 1, 1), (-1, 1, 1))
 _PRINTED_POWERS = _exponents((2, -1, -2), (1, 0, -1))
 
 
-def _radius_powers(points: tuple[ProblemParams, ...], kmax: int, terms: np.ndarray) -> np.ndarray:
+def _radius_powers(points: tuple[ProblemParams, ...], kmax: int, terms, complement=False):
     """R^{a + bN + ck} for each term (a, b, c) of _exponents, at each point
     (radius R, dimension N) and degree k = 1..kmax, indexed
-    [term, point, degree - 1]; inf past float range.
+    [term, point, degree - 1]; inf past float range.  With complement, the
+    pair of that and 1 - R^e alike, for e >= 0, as -expm1(e log1p(R - 1))
+    for R > 1/2, where R - 1 is exact, so that it does not cancel near 1.
 
     One ladder per distinct R runs over the exponents from the least to the
     greatest, by Python's scalar pow, and every entry is gathered from it.
@@ -144,17 +147,24 @@ def _radius_powers(points: tuple[ProblemParams, ...], kmax: int, terms: np.ndarr
     lowest = int(exponents.min())
     width = int(exponents.max()) - lowest + 1
     radii = list(dict.fromkeys(params.core_radius for params in points))
-    values = []
+    values, complements = [], []
     for radius in radii:
         for exponent in range(lowest, lowest + width):
             try:
                 values.append(radius**exponent)
             except OverflowError:
                 values.append(math.inf)
+        if complement and radius > 0.5:
+            log_radius = math.log1p(radius - 1.0)
+            complements += [-math.expm1(e * log_radius) for e in range(lowest, lowest + width)]
+        elif complement:
+            complements += [1.0 - value for value in values[-width:]]
     # the ladders lie one after another in values; origins holds the index
     # of R^0 in the ladder of each point's radius
     origins = np.array([radii.index(params.core_radius) * width - lowest for params in points])
-    return np.array(values)[origins[:, np.newaxis] + exponents]
+    index = origins[:, np.newaxis] + exponents
+    powers = np.array(values)[index]
+    return (powers, np.array(complements)[index]) if complement else powers
 
 
 def _check_ladder(points: tuple[ProblemParams, ...], kmax: int) -> None:
@@ -210,72 +220,74 @@ class ModeTable:
     powers: np.ndarray
 
 
+def _eliminate(sigma, stiffness, two_minus_n, k, epsilon, complement, r1, r2):
+    """The unknowns b, c, d of conditions (i)-(iii) of solve_modes, with
+    stiffness = sigma k and complement = 1 - eps: d = r2 - eps c by (iii),
+    and (b, c) by Cramer's rule on the 2x2 system that (i) and (ii) leave."""
+    a12 = two_minus_n - k - k * epsilon
+    det = a12 - stiffness * complement
+    b = (-k * r2 * complement - a12 * (r1 - r2)) / det
+    # -sigma k (r1 - r2) - k r2, grouped so that 1 - sigma is exact near 1
+    c = -k * (sigma * r1 + (1.0 - sigma) * r2) / det
+    return b, c, r2 - epsilon * c
+
+
 def solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> ModeTable:
     """Solve the mode systems of degrees 1..kmax, both kinds, at every point
     in one call.
 
-    Conditions at the interface r = R and the boundary r = 1:
-      (i)   flux jump zero:   w_+' (R) - sigma w_-' (R) = 0
-      (ii)  value jump:       w_+(R) - w_-(R) = -[d_n u]   (Inner) or 0 (Outer)
-      (iii) boundary value:   w(1) = 0 (Inner) or -d_n u(1) = 1/N (Outer)
-
-    Solved in the scaled unknowns of ModeTable, so each matrix stays well
-    conditioned for large k and small R and no R^{-k} is formed.  Raises
+    Conditions at the interface r = R and the boundary r = 1, in the scaled
+    unknowns (b, c, d) of ModeTable, so that no R^{-k} is formed, with
+    eps = R^{N-2+2k}, r1 = -[d_n u], r2 = 0 (Inner) and r1 = 0, r2 = 1/N
+    (Outer, whose system is divided by R^k):
+      (i)   flux jump zero:   -sigma k b + (2-N-k) c + k d = 0
+      (ii)  value jump:       -b + c + d = r1
+      (iii) boundary value:   eps c + d = r2
+    Eliminating (iii), d = r2 - eps c, leaves a 2x2 system in (b, c), solved
+    by Cramer's rule elementwise.  Its determinant (2-N-k-k eps) - sigma k
+    (1-eps) is a sum of two terms <= 0, the first <= -k, so it never
+    cancels; nor does 1 - eps, from _radius_powers, as R nears 1.  Raises
     TransmissionSolveError if the backward error of any condition exceeds
     the 1e-12 relative contract, and FloatRangeError at the first degree
     whose system or unknowns leave the float range.
     """
     _check_ladder(points, kmax)
     # per point, in scalar arithmetic, as columns that broadcast against
-    # [point, kind, degree - 1]: -sigma, 2-N, -[d_n u] and 1/N
-    neg_sigma, two_minus_n, neg_jump, inv_n = np.array(
-        [
-            (-params.sigma, 2 - params.dim, -traces(params).jump_dn, 1.0 / params.dim)
-            for params in points
-        ]
-    ).T[..., np.newaxis, np.newaxis]
-    degrees = np.arange(1.0, kmax + 1.0)
-    # both kinds share the matrix: its kind axis has length 1
-    matrices = np.zeros((len(points), 1, kmax, 3, 3))
-    rhs = np.zeros((len(points), len(KINDS), kmax, 3))
-    powers = _radius_powers(points, kmax, _MODE_POWERS)
+    # [point, kind, degree - 1]: sigma, 2-N, and r1 and r2 of both kinds
+    columns = np.array(
+        [(p.sigma, 2 - p.dim, -traces(p).jump_dn, 0.0, 0.0, 1.0 / p.dim) for p in points]
+    )[..., np.newaxis]
+    sigma, two_minus_n, r1, r2 = columns[:, :1], columns[:, 1:2], columns[:, 2:4], columns[:, 4:]
+    k = np.arange(1.0, kmax + 1.0)
+    powers, complements = _radius_powers(points, kmax, _MODE_POWERS, complement=True)
+    epsilon, complement = powers[0, :, np.newaxis], complements[0, :, np.newaxis]
 
     # overflow is not an error here: FloatRangeError reports where it happened
     with np.errstate(over="ignore", invalid="ignore"):
-        matrices[..., 0, 0] = neg_sigma * degrees
-        matrices[..., 0, 1] = two_minus_n - degrees
-        matrices[..., 0, 2] = degrees
-        matrices[..., 1, :] = (-1.0, 1.0, 1.0)
-        matrices[..., 2, 1] = powers[0, :, np.newaxis]
-        matrices[..., 2, 2] = 1.0
-        rhs[:, :1, :, 1] = neg_jump
-        rhs[:, 1:, :, 2] = inv_n
+        stiffness = sigma * k
         FloatRangeError.check(
-            points,
-            np.isfinite(matrices).all(axis=(1, 3, 4)) & np.isfinite(rhs).all(axis=(1, 3)),
+            points, (np.isfinite(stiffness) & np.isfinite(r1) & np.isfinite(r2)).all(axis=1)
         )
-
-        try:
-            unknowns = np.linalg.solve(matrices, rhs[..., np.newaxis])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise TransmissionSolveError(
-                f"singular mode system among degrees 1..{kmax}"
-            ) from exc
-
-        # backward error per condition, relative to the row magnitudes
-        terms = matrices * unknowns[..., np.newaxis, :]
-        residual = np.abs(terms.sum(axis=-1) - rhs)
-        row_terms = np.abs(terms, out=terms).sum(axis=-1) + np.abs(rhs)
-        rel_residual = residual / np.maximum(row_terms, np.finfo(float).tiny)
-        failed = (rel_residual > RESIDUAL_TOL).any(axis=-1)
+        b, c, d = _eliminate(sigma, stiffness, two_minus_n, k, epsilon, complement, r1, r2)
+        # backward error per condition: its residual over the sum of the
+        # magnitudes of its terms, the right-hand side moved over among them;
+        # the worst condition's, ignoring NaN
+        tiny, total = np.finfo(float).tiny, functools.partial(functools.reduce, np.add)
+        flux = (-stiffness * b, (two_minus_n - k) * c, k * d)
+        worst = functools.reduce(np.fmax, [
+            np.abs(total(terms)) / np.maximum(total(map(np.abs, terms)), tiny)
+            for terms in (flux, (-b, c, d, -r1), (epsilon * c, d, -r2))
+        ])
+        failed = worst > RESIDUAL_TOL
         if failed.any():
             point, index = np.argwhere(failed.any(axis=1))[0].tolist()
             kind = 0 if failed[point, 0, index] else 1
             raise TransmissionSolveError(
                 f"{_named(points, point)}mode system residual "
-                f"{rel_residual[point, kind, index].max():.3e} exceeds "
+                f"{worst[point, kind, index]:.3e} exceeds "
                 f"{RESIDUAL_TOL:.0e} at degree {index + 1}, kind {KINDS[kind].value}"
             )
+    unknowns = np.stack((b, c, d), axis=-1)
     FloatRangeError.check(points, np.isfinite(unknowns).all(axis=(1, 3)))
     unknowns.flags.writeable = False
     powers.flags.writeable = False

@@ -40,19 +40,23 @@ def test_assembled_reference_values():
 
 
 # (e_in, e_out, e_res) of the assembled table, to 17 significant digits; each
-# is within 8e-16 relative of the exact reference (test_exact_reference.py)
+# is within 8e-16 relative of the exact reference (test_exact_reference.py).
+# Solving the mode systems by eliminating the boundary row moved six entries
+# of five rows, five by one ulp and e_res at (4, 0.8, 0.1) by four (from
+# 7.7e-16 to 1.6e-17 off the reference); e_out(1) at (2, 0.5, 2) now reads
+# the correctly rounded -1/11.
 REFERENCE_SPECTRUM = [
     (ProblemParams(2, 0.5, 2.0), 1,
-     (-0.090909090909090912, -0.090909090909090925, 0.18181818181818182)),
+     (-0.090909090909090912, -0.090909090909090912, 0.18181818181818182)),
     (ProblemParams(2, 0.5, 1.0), 7, (0.0, -3.0, 0.0)),
     (ProblemParams(3, 0.2, 10.0), 50,
-     (-0.068242468239564438, -10.888888888888889, 1.6510474133009849e-35)),
+     (-0.068242468239564438, -10.888888888888889, 1.6510474133009852e-35)),
     (ProblemParams(4, 0.8, 0.1), 13,
-     (-4.5020009624345603, -1.4951473007471718, -0.14123213631182863)),
+     (-4.5020009624345594, -1.4951473007471718, -0.14123213631182874)),
     (ProblemParams(5, 0.35, 0.5), 50,
-     (-0.0067174131410256384, -3.9199999999999999, -1.2661262364522025e-24)),
+     (-0.0067174131410256393, -3.9199999999999999, -1.2661262364522025e-24)),
     (ProblemParams(2, 0.05, 0.001), 30,
-     (-36.138899850149855, -14.5, -2.7883853707518413e-39)),
+     (-36.138899850149848, -14.5, -2.7883853707518413e-39)),
 ]
 
 

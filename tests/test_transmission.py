@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twophase_torsion.exact_state import traces
+from twophase_torsion import second_variation
 from twophase_torsion.params import ProblemParams
 from twophase_torsion.second_variation import (
     KINDS,
@@ -126,16 +127,34 @@ def test_every_row_of_the_table_meets_the_residual_contract(
 
 
 def test_residual_contract_names_the_first_failing_row(monkeypatch):
-    solve = np.linalg.solve
+    eliminate = second_variation._eliminate
 
-    def perturbed(matrices, rhs):
-        solution = solve(matrices, rhs)
-        solution[:, 1, 2:] *= 1.0 + 1e-9  # the outer kind from degree 3 on
-        return solution
+    def perturbed(*system):
+        unknowns = eliminate(*system)
+        for unknown in unknowns:
+            unknown[:, 1, 2:] *= 1.0 + 1e-9  # the outer kind from degree 3 on
+        return unknowns
 
-    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    monkeypatch.setattr(second_variation, "_eliminate", perturbed)
     with pytest.raises(
         TransmissionSolveError, match="^mode system residual .* at degree 3, kind Outer$"
+    ):
+        solve_modes((PARAMS,), 5)
+
+
+def test_residual_contract_checks_the_value_jump(monkeypatch):
+    eliminate = second_variation._eliminate
+
+    def perturbed(sigma, stiffness, two_minus_n, k, epsilon, complement, r1, r2):
+        b, c, d = eliminate(sigma, stiffness, two_minus_n, k, epsilon, complement, r1, r2)
+        # a step that keeps conditions (i) and (iii) and breaks only (ii)
+        step = 1e-9 * c
+        a12 = two_minus_n - k - k * epsilon
+        return b + a12 * step / stiffness, c + step, d - epsilon * step
+
+    monkeypatch.setattr(second_variation, "_eliminate", perturbed)
+    with pytest.raises(
+        TransmissionSolveError, match="^mode system residual .* at degree 1, kind Inner$"
     ):
         solve_modes((PARAMS,), 5)
 
