@@ -30,7 +30,6 @@ from .reporting import (
 from .second_variation import (
     FloatRangeError,
     ModeKind,
-    ModeTable,
     SecondVariationSpectrum,
     SpectrumGrid,
     SpectrumPath,
@@ -42,7 +41,6 @@ from .second_variation import (
     mode_coefficients,
     monotonicity_functions,
     printed_spectrum,
-    solve_modes,
     spectrum_grid,
     total_second_variation,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "InterfaceOrderingError",
     "ModeIndex",
     "ModeKind",
-    "ModeTable",
     "OracleRun",
     "PerturbationSpec",
     "PerturbedDomainFamily",
@@ -92,7 +89,6 @@ __all__ = [
     "run_pde_suite",
     "run_secondvar_suite",
     "solve_energy",
-    "solve_modes",
     "spectrum_grid",
     "sphere_area",
     "total_second_variation",

@@ -17,8 +17,18 @@ consumer that needs the constraints refuses them itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
+
+
+def _integer(record, name: str, least: int, message: str) -> None:
+    """Store the field name of record as an int if it is an integer >= least,
+    numpy's included but not a bool, and else raise ValueError(message)."""
+    value = getattr(record, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(message)
+    object.__setattr__(record, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -30,8 +40,7 @@ class ProblemParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 2:
-            raise ValueError("dim must be an integer >= 2")
+        _integer(self, "dim", 2, "dim must be an integer >= 2")
         if not math.isfinite(self.core_radius):
             raise ValueError("radius must be finite")
         if not 0.0 < self.core_radius < 1.0:
@@ -69,10 +78,8 @@ class ModeIndex:
     order: int
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        _integer(self, "degree", 0, "degree must be nonnegative")
+        _integer(self, "order", 1, "order must be >= 1")
 
     def check_order(self, dim: int) -> None:
         d_k = multiplicity(dim, self.degree)

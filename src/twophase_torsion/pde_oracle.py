@@ -739,7 +739,10 @@ def _field(record: dict, key: str, kind: type, default=None):
     accepted = (int, float) if kind is float else (kind,)
     if type(value) not in accepted:
         raise TypeError(f"{key} must be a JSON {_JSON_TYPES[kind]}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer past the float range reads as 1e400 does
+        return math.inf if value > 0 else -math.inf
 
 
 def family_from_config(config: dict) -> PerturbedDomainFamily:

@@ -102,7 +102,7 @@ def build_fidelity_report() -> dict:
     grid = GRID_POINTS
     spectra = spectrum_grid(grid, GRID_KMAX)
     # [point, kind, degree - 1, column] and [point, entry, degree - 1]
-    solved = mode_coefficients(grid, spectra.modes)
+    solved = mode_coefficients(spectra)
     printed_modes = closed_form_modes(grid, GRID_KMAX)
     assembled = np.stack((spectra.e_in, spectra.e_out, spectra.e_res), axis=1)
     printed = np.stack(printed_spectrum(grid, GRID_KMAX), axis=1)
@@ -259,7 +259,7 @@ def denominator_positivity() -> CheckResult:
 def closed_form_fidelity() -> CheckResult:
     """3. The printed shell coefficients C_in, D_in match the solve."""
     grid = GRID_POINTS
-    solved = mode_coefficients(grid, spectrum_grid(grid, GRID_KMAX).modes)[:, 0, :, 1:]
+    solved = mode_coefficients(spectrum_grid(grid, GRID_KMAX))[:, 0, :, 1:]
     printed = closed_form_modes(grid, GRID_KMAX)[:, 0, :, 1:]
     worst, (point, index, column) = _worst(_rel_deviation(printed, solved, _NO_FLOOR))
     field = ("outer_sing", "outer_reg")[column]

@@ -18,16 +18,16 @@ profile
     w(r) = C r^{2-N-k} + D r^k        in the shell,
 
 and the matching conditions to a 3x3 linear system in (B, C, D).
-`solve_modes` solves that system numerically, by eliminating its boundary
-row, the path independent of the printed formulas, and returns a `ModeTable`
-of scaled unknowns, floats at every degree; `mode_coefficients` undoes the
+`spectrum_grid` solves that system numerically, by eliminating its boundary
+row, the path independent of the printed formulas, and keeps its scaled
+unknowns, floats at every degree; `mode_coefficients(grid)` undoes the
 scaling for the comparisons with the printed (B, C, D), which read degrees
 1..20.
 
-Spectrum.  The spectrum has one format, the `SpectrumGrid`:
-`spectrum_grid(points, kmax)`, its one entry point and its one cache,
-reduces the boundary-integral formula for E'' per mode, from one stacked
-solve,
+Spectrum.  The solved modes and the spectrum have one format, the
+`SpectrumGrid`: `spectrum_grid(points, kmax)`, its one entry point and its
+one cache, reduces the boundary-integral formula for E'' per mode, from one
+stacked solve,
 
     E'' = +2 int_{|x|=1} grad u . grad u' (h.n) + 2 int_{|x|=1} d_n u d_nn u (h.n)^2
           -2 int_{|x|=R} [sigma grad u . grad u'] (h.n)
@@ -35,11 +35,11 @@ solve,
 
 with u radial, so grad u . grad u' = (d_r u)(d_r u') on each sphere, and the
 surface integrals of Y^2 contributing R^{N-1} at the interface and 1 at the
-boundary; the grid assembles it from the mode table's scaled unknowns, so
-its entries are floats at every degree.  Every quadratic form E''(Phi) is
-summed from the columns of a one-point grid (`total_second_variation(spec,
-table)`), so a caller that holds the grid of its parameter point reads the
-form from it.  This assembled spectrum is the one consumed downstream: it is
+boundary; the grid assembles it from its own scaled unknowns, so its entries
+are floats at every degree.  Every quadratic form E''(Phi) is summed from the
+columns of a one-point grid (`total_second_variation(spec, table)`), so a
+caller that holds the grid of its parameter point reads the form from it.
+This assembled spectrum is the one consumed downstream: it is
 self-consistent (translation invariance e_in(1) = e_out(1)) and confirmed by
 the PDE oracle.
 
@@ -85,7 +85,7 @@ class ModeKind(enum.Enum):
     OUTER = "Outer"
 
 
-KINDS = tuple(ModeKind)  # the kind axis of a ModeTable
+KINDS = tuple(ModeKind)  # the kind axis of SpectrumGrid.unknowns
 
 
 class TransmissionSolveError(RuntimeError):
@@ -127,12 +127,10 @@ _MODE_POWERS = _exponents((-2, 1, 2), (-2, 1, 1), (-1, 1, 1))
 _PRINTED_POWERS = _exponents((2, -1, -2), (1, 0, -1))
 
 
-def _radius_powers(points: tuple[ProblemParams, ...], kmax: int, terms, complement=False):
+def _radius_powers(points: tuple[ProblemParams, ...], kmax: int, terms) -> np.ndarray:
     """R^{a + bN + ck} for each term (a, b, c) of _exponents, at each point
     (radius R, dimension N) and degree k = 1..kmax, indexed
-    [term, point, degree - 1]; inf past float range.  With complement, the
-    pair of that and 1 - R^e alike, for e >= 0, as -expm1(e log1p(R - 1))
-    for R > 1/2, where R - 1 is exact, so that it does not cancel near 1.
+    [term, point, degree - 1]; inf past float range.
 
     One ladder per distinct R runs over the exponents from the least to the
     greatest, by Python's scalar pow, and every entry is gathered from it.
@@ -147,24 +145,17 @@ def _radius_powers(points: tuple[ProblemParams, ...], kmax: int, terms, compleme
     lowest = int(exponents.min())
     width = int(exponents.max()) - lowest + 1
     radii = list(dict.fromkeys(params.core_radius for params in points))
-    values, complements = [], []
+    values = []
     for radius in radii:
         for exponent in range(lowest, lowest + width):
             try:
                 values.append(radius**exponent)
             except OverflowError:
                 values.append(math.inf)
-        if complement and radius > 0.5:
-            log_radius = math.log1p(radius - 1.0)
-            complements += [-math.expm1(e * log_radius) for e in range(lowest, lowest + width)]
-        elif complement:
-            complements += [1.0 - value for value in values[-width:]]
     # the ladders lie one after another in values; origins holds the index
     # of R^0 in the ladder of each point's radius
     origins = np.array([radii.index(params.core_radius) * width - lowest for params in points])
-    index = origins[:, np.newaxis] + exponents
-    powers = np.array(values)[index]
-    return (powers, np.array(complements)[index]) if complement else powers
+    return np.array(values)[origins[:, np.newaxis] + exponents]
 
 
 def _check_ladder(points: tuple[ProblemParams, ...], kmax: int) -> None:
@@ -205,23 +196,8 @@ def denom_F(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
     return f_denom
 
 
-@dataclass(frozen=True, eq=False)
-class ModeTable:
-    """The solved mode systems of degrees 1..kmax, both kinds.
-
-    unknowns, indexed [point, kind, degree - 1, column] with kinds in KINDS
-    order, holds (B R^k, C R^{2-N-k}, D R^k) of the Inner kind and
-    (B, C R^{2-N-2k}, D) of the Outer kind, whose system is divided by R^k.
-    powers, indexed [power, point, degree - 1], holds R^{N-2+2k}, R^{N-2+k}
-    and R^{N-1+k}, which may underflow to 0.  Both are read-only and finite.
-    """
-
-    unknowns: np.ndarray
-    powers: np.ndarray
-
-
 def _eliminate(sigma, stiffness, two_minus_n, k, epsilon, complement, r1, r2):
-    """The unknowns b, c, d of conditions (i)-(iii) of solve_modes, with
+    """The unknowns b, c, d of conditions (i)-(iii) of _solve_modes, with
     stiffness = sigma k and complement = 1 - eps: d = r2 - eps c by (iii),
     and (b, c) by Cramer's rule on the 2x2 system that (i) and (ii) leave."""
     a12 = two_minus_n - k - k * epsilon
@@ -232,12 +208,12 @@ def _eliminate(sigma, stiffness, two_minus_n, k, epsilon, complement, r1, r2):
     return b, c, r2 - epsilon * c
 
 
-def solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> ModeTable:
-    """Solve the mode systems of degrees 1..kmax, both kinds, at every point
-    in one call.
+def _solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unknowns and powers of SpectrumGrid: the mode systems of degrees
+    1..kmax, both kinds, solved at every point in one call.
 
     Conditions at the interface r = R and the boundary r = 1, in the scaled
-    unknowns (b, c, d) of ModeTable, so that no R^{-k} is formed, with
+    unknowns (b, c, d) of SpectrumGrid, so that no R^{-k} is formed, with
     eps = R^{N-2+2k}, r1 = -[d_n u], r2 = 0 (Inner) and r1 = 0, r2 = 1/N
     (Outer, whose system is divided by R^k):
       (i)   flux jump zero:   -sigma k b + (2-N-k) c + k d = 0
@@ -246,10 +222,10 @@ def solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> ModeTable:
     Eliminating (iii), d = r2 - eps c, leaves a 2x2 system in (b, c), solved
     by Cramer's rule elementwise.  Its determinant (2-N-k-k eps) - sigma k
     (1-eps) is a sum of two terms <= 0, the first <= -k, so it never
-    cancels; nor does 1 - eps, from _radius_powers, as R nears 1.  Raises
-    TransmissionSolveError if the backward error of any condition exceeds
-    the 1e-12 relative contract, and FloatRangeError at the first degree
-    whose system or unknowns leave the float range.
+    cancels; nor does 1 - eps as R nears 1.  Raises TransmissionSolveError
+    if the backward error of any condition exceeds the 1e-12 relative
+    contract, and FloatRangeError at the first degree whose system or
+    unknowns leave the float range.
     """
     _check_ladder(points, kmax)
     # per point, in scalar arithmetic, as columns that broadcast against
@@ -259,8 +235,16 @@ def solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> ModeTable:
     )[..., np.newaxis]
     sigma, two_minus_n, r1, r2 = columns[:, :1], columns[:, 1:2], columns[:, 2:4], columns[:, 4:]
     k = np.arange(1.0, kmax + 1.0)
-    powers, complements = _radius_powers(points, kmax, _MODE_POWERS, complement=True)
-    epsilon, complement = powers[0, :, np.newaxis], complements[0, :, np.newaxis]
+    powers = _radius_powers(points, kmax, _MODE_POWERS)
+    epsilon = powers[0, :, np.newaxis]
+    # 1 - eps, but for a thin shell, R > 1/2, where R - 1 is exact, by scalar
+    # expm1 over the exponents N-2+2k, once per distinct (R, N)
+    complement, shells = 1.0 - epsilon, {}
+    for point, p in enumerate(points):
+        if p.core_radius > 0.5:
+            shells.setdefault((math.log1p(p.core_radius - 1.0), p.dim), []).append(point)
+    for (log_radius, dim), rows in shells.items():
+        complement[rows, 0] = [-math.expm1(e * log_radius) for e in range(dim, dim + 2 * kmax, 2)]
 
     # overflow is not an error here: FloatRangeError reports where it happened
     with np.errstate(over="ignore", invalid="ignore"):
@@ -291,24 +275,24 @@ def solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> ModeTable:
     FloatRangeError.check(points, np.isfinite(unknowns).all(axis=(1, 3)))
     unknowns.flags.writeable = False
     powers.flags.writeable = False
-    return ModeTable(unknowns, powers)
+    return unknowns, powers
 
 
-def mode_coefficients(points: tuple[ProblemParams, ...], table: ModeTable) -> np.ndarray:
-    """The profile coefficients (B, C, D) of table = solve_modes(points,
-    kmax), read-only and laid out like table.unknowns.  The Inner B and D
-    carry R^{-k}, and a scaled unknown that is exactly zero gives a zero
+def mode_coefficients(grid: SpectrumGrid) -> np.ndarray:
+    """The profile coefficients (B, C, D) of the grid's solved modes at its
+    own points, read-only and laid out like grid.unknowns.  The Inner B and
+    D carry R^{-k}, and a scaled unknown that is exactly zero gives a zero
     coefficient: raises FloatRangeError at the first degree where a nonzero
     one meets an R^{-k} or leaves the float range."""
-    (r_minus_k,) = _radius_powers(points, table.unknowns.shape[2], _exponents((0, 0, -1)))
-    epsilon, inner_power, _ = table.powers
-    coefficients = table.unknowns.copy()
+    (r_minus_k,) = _radius_powers(grid.points, grid.unknowns.shape[2], _exponents((0, 0, -1)))
+    epsilon, inner_power, _ = grid.powers
+    coefficients = grid.unknowns.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients[:, 0] *= np.stack([r_minus_k, inner_power, r_minus_k], axis=-1)
     coefficients[:, 1, :, 1] *= epsilon
     # 0 * inf is nan; the zero unknown's own coefficient is that zero
-    np.copyto(coefficients, table.unknowns, where=table.unknowns == 0.0)
-    FloatRangeError.check(points, np.isfinite(coefficients).all(axis=(1, 3)))
+    np.copyto(coefficients, grid.unknowns, where=grid.unknowns == 0.0)
+    FloatRangeError.check(grid.points, np.isfinite(coefficients).all(axis=(1, 3)))
     coefficients.flags.writeable = False
     return coefficients
 
@@ -392,11 +376,16 @@ def discriminant(e_in, e_out, e_res):
 @dataclass(frozen=True, eq=False)
 class SpectrumGrid:
     """The assembled spectra of degrees 1..kmax at a tuple of parameter points
-    and the mode table they were assembled from; e_in, e_out and e_res are
-    read-only, finite, and indexed [point, degree - 1]."""
+    and the mode solve they come from, all read-only and finite: e_in, e_out
+    and e_res, indexed [point, degree - 1]; unknowns, indexed [point, kind,
+    degree - 1, column] with kinds in KINDS order, (B R^k, C R^{2-N-k}, D R^k)
+    of the Inner kind and (B, C R^{2-N-2k}, D) of the Outer kind, whose
+    system is divided by R^k; and powers, indexed [power, point, degree - 1],
+    R^{N-2+2k}, R^{N-2+k} and R^{N-1+k}, which may underflow to 0."""
 
     points: tuple[ProblemParams, ...]
-    modes: ModeTable
+    unknowns: np.ndarray
+    powers: np.ndarray
     e_in: np.ndarray
     e_out: np.ndarray
     e_res: np.ndarray
@@ -407,7 +396,7 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
     """Assemble e_in, e_out, e_res of degrees 1..kmax at every point from the
     boundary-integral formula, from one stacked mode solve.
 
-    With w the radial profile of the mode (from solve_modes) and
+    With w the radial profile of the mode (from _solve_modes) and
     Dw' := w'_+(R) - w'_-(R) the derivative jump at the interface:
 
         e_in  = (2 R^N / N) Dw'_in  + 2 R^N (1-sigma) / (N^2 sigma)
@@ -415,7 +404,7 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
         e_res = -(2/N) w'_in(1)  + (2 R^N / N) Dw'_out
 
     By the flux condition, Dw' = (sigma-1) k B R^{k-1}, and the boundary
-    condition, D = -C (Inner) or C + D = 1/N (Outer), in the ModeTable's
+    condition, D = -C (Inner) or C + D = 1/N (Outer), in the grid's scaled
     unknowns b, c and with eps = R^{N-2+2k}, no power of R negative:
 
         e_in  = (2 R^{N-1} / N) (1-sigma) (R / (N sigma) - k b_in)
@@ -430,14 +419,14 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
     50, and criteria 11-12 two one-point grids; so 16 grids serve it, where
     512 held 148 MB at kmax 3000 over a long sweep of points.
     """
-    modes = solve_modes(points, kmax)
+    unknowns, powers = _solve_modes(points, kmax)
     # per point: N, R, sigma and 2 R^{N-1}, by Python's scalar pow like every power of R
     n, radius, sigma, interface = np.array(
         [(p.dim, p.core_radius, p.sigma, 2.0 * p.core_radius ** (p.dim - 1)) for p in points]
     ).T[..., np.newaxis]
     k = np.arange(1, kmax + 1)
-    epsilon, inner_power, outer_power = modes.powers
-    (b_in, c_in, _), (b_out, c_out, _) = np.moveaxis(modes.unknowns, (1, 3), (0, 1))
+    epsilon, inner_power, outer_power = powers
+    (b_in, c_in, _), (b_out, c_out, _) = np.moveaxis(unknowns, (1, 3), (0, 1))
 
     with np.errstate(over="ignore", invalid="ignore"):
         shell = 2.0 * (n - 2 + 2 * k) / n
@@ -448,7 +437,7 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
     FloatRangeError.check(points, np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res))
     for column in (e_in, e_out, e_res):
         column.flags.writeable = False
-    return SpectrumGrid(points, modes, e_in, e_out, e_res)
+    return SpectrumGrid(points, unknowns, powers, e_in, e_out, e_res)
 
 
 def assemble_spectrum(params: ProblemParams, degree: int) -> SecondVariationSpectrum:

@@ -9,9 +9,10 @@ modes excluded) and reports:
     NeutralSinglePhase  sigma = 1: the inner spectrum vanishes identically,
                         so inner directions are second-order neutral.
 
-A LocalMaximum verdict is a finite certificate: degrees 1..k_max checked
-directly, degrees beyond covered by the strict decrease of the spectrum in
-the degree.  The verdict records k_max for that reason.
+The scan checks degrees 1..k_max, which the verdict records; past k_max,
+tests/test_certificates.py proves from the mode conditions, in exact
+arithmetic, that every admissible degree is negative definite for sigma > 1
+and that e_in(1) > 0 for sigma < 1, at every N and R.
 
 Signs are judged per degree against a rounding floor relative to that
 degree's row scale max(|e_in|, |e_out|, |e_res|), not against an absolute
@@ -112,9 +113,10 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
     The verdict is derived from the computed spectrum, not from the sign of
     sigma - 1: for sigma > 1 the per-mode negativity (including coupled modes
     via the resonance discriminant) is checked degree by degree, and for
-    sigma < 1 the degree-1 inner channel supplies the positive witness.
-    Raises FloatRangeError at degree 1 when sigma != 1 and e_in(1) and
-    e_out(1) both underflow to 0, where the verdict would be lost.
+    sigma < 1 the degree-1 inner channel supplies the positive witness; the
+    proof the module docstring cites covers the degrees past k_max.  Raises
+    FloatRangeError at degree 1 when sigma != 1 and e_in(1) and e_out(1)
+    both underflow to 0, where the verdict would be lost.
     """
     if k_max < 2:
         raise ValueError("kmax must be >= 2")

@@ -502,6 +502,24 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
+def _answered(argv) -> tuple[int, str]:
+    """The exit code and stdout of main(argv), run in-process with warnings
+    as errors: exit 0 with an empty stderr, or exit 2 with one line on
+    stderr and an empty stdout; never a traceback or a warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+    return code, out
+
+
 # any float; the strategies below also draw from the valid ranges, so that
 # about one example in ten reaches exit 0
 _ANY_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]) | st.floats()
@@ -520,23 +538,13 @@ _ANY_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308
 @example(command="classify", dim=2, radius=-1e-05, sigma=2.0, kmax=30, path=None)
 @example(command="classify", dim=2, radius=0.5, sigma=-math.inf, kmax=30, path=None)
 def test_every_classify_and_spectrum_argv_is_answered(command, dim, radius, sigma, kmax, path):
-    # exit 0 with a document on stdout, or exit 2 with one line on stderr;
-    # never a traceback or a warning
     argv = [command, "--dim", str(dim), "--radius", repr(radius), "--sigma", repr(sigma),
             "--kmax", str(kmax)]
     if command == "spectrum" and path is not None:
         argv += ["--path", path]
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 2), (code, err)
+    code, out = _answered(argv)
     if code == 2:
-        assert out == ""
-        assert err.endswith("\n") and err.count("\n") == 1, err
         return
-    assert err == ""
     if command == "classify":
         json.loads(out, parse_constant=_reject_constant)
         return
@@ -547,6 +555,103 @@ def test_every_classify_and_spectrum_argv_is_answered(command, dim, radius, sigm
         k, *values = row.split(",")
         assert int(k) == degree and len(values) == 4, row
         assert all(math.isfinite(float(value)) for value in values), row
+
+
+# any JSON value: a scalar, with the extreme integers, or a list or an
+# object of them
+_JSON_SCALAR = (
+    st.none() | st.booleans() | st.integers() | _ANY_FLOAT | st.text(max_size=6)
+    | st.sampled_from([2**63, -2**63 - 1, 10**400, -10**400])
+)
+_JSON = (
+    _JSON_SCALAR
+    | st.lists(_JSON_SCALAR, max_size=3)
+    | st.dictionaries(st.text(max_size=6), _JSON_SCALAR, max_size=3)
+)
+# the integer grid values are capped, so that no config allocates more than
+# a few MB
+_GRID_CAPS = {"radial_points": 32, "angular_modes": 16, "levels": 3}
+
+
+def _unknown_keys(keys):
+    return st.dictionaries(
+        st.text(max_size=8).filter(lambda key: key not in keys), _JSON, min_size=1, max_size=2
+    )
+
+
+_ANY_MODE = st.builds(
+    lambda record, unknown: {**record, **unknown},
+    st.fixed_dictionaries({}, optional=dict.fromkeys(sorted(pde_oracle._MODE_KEYS), _JSON)),
+    st.just({}) | _unknown_keys(pde_oracle._MODE_KEYS),
+)
+_RUNNABLE_MODE = st.fixed_dictionaries(
+    {"degree": st.integers(1, 4)},
+    optional={
+        "order": st.integers(1, 2),
+        "alpha_in": st.floats(-0.5, 0.5),
+        "alpha_out": st.floats(-0.5, 0.5),
+    },
+)
+_RUNNABLE_CONFIG = st.fixed_dictionaries(
+    {
+        "radius": st.floats(0.2, 0.8),
+        "sigma": st.floats(0.1, 10.0),
+        "radial_points": st.integers(4, _GRID_CAPS["radial_points"]),
+        "angular_modes": st.sampled_from([4, 8, 12, 16]),
+    },
+    optional={
+        "dim": st.just(2),
+        "modes": st.lists(
+            _RUNNABLE_MODE,
+            max_size=2,
+            unique_by=lambda mode: (mode["degree"], mode.get("order", 1)),
+        ),
+        "t0": st.floats(1e-3, 0.1),
+        "levels": st.integers(1, _GRID_CAPS["levels"]),
+    },
+)
+# any JSON value for any schema key, an integer grid value under its cap
+_NOT_AN_INTEGER = _JSON.filter(lambda value: type(value) is not int)
+_ANY_VALUES = st.fixed_dictionaries(
+    {},
+    optional={
+        **dict.fromkeys(sorted(pde_oracle._CONFIG_KEYS), _JSON),
+        **{key: st.integers(max_value=cap) | _NOT_AN_INTEGER for key, cap in _GRID_CAPS.items()},
+        "modes": st.lists(_ANY_MODE | _JSON, max_size=3) | _JSON,
+        "preset": st.sampled_from(sorted(twophase_torsion.presets())) | _JSON,
+    },
+)
+
+
+def _config(runnable, values, dropped, unknown):
+    """A runnable config with any JSON values in place of some of its keys,
+    its required radius or sigma dropped, and unknown keys added; the grid
+    keys stay, so that no config runs on the default 512x64 grid."""
+    config = {**runnable, **values, **unknown}
+    return {key: value for key, value in config.items() if key not in dropped}
+
+
+# about a third of the examples reach exit 0
+_ORACLE_CONFIG = st.builds(
+    _config,
+    _RUNNABLE_CONFIG,
+    st.just({}) | _ANY_VALUES,
+    st.just(frozenset()) | st.frozensets(st.sampled_from(["radius", "sigma"]), min_size=1),
+    st.just({}) | _unknown_keys(pde_oracle._CONFIG_KEYS),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(config=_ORACLE_CONFIG)
+# an integer radius past the float range raised OverflowError
+@example(config={"radius": 10**400, "sigma": 2.0, "radial_points": 16, "angular_modes": 8})
+def test_every_oracle_config_is_answered(tmp_path_factory, config):
+    # json.dumps writes NaN and Infinity literals, which json.load reads
+    path = tmp_path_factory.getbasetemp() / "any-oracle-config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out = _answered(["oracle", "--config", str(path)])
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
 
 
 def test_oracle_runs_from_a_config_file(tmp_path, capsys):

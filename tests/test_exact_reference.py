@@ -116,7 +116,7 @@ def test_assembled_table_matches_the_exact_reference(degree):
     spectrum = (table.e_in[0, index], table.e_out[0, index], table.e_res[0, index])
     for value, exact in zip(spectrum, exact_spectrum(*point, degree)):
         assert rel_error(value, exact) <= REL_TOL
-    solved = mode_coefficients((ProblemParams(*point),), table.modes)
+    solved = mode_coefficients(table)
     for kind, (coefficients, _) in enumerate(exact_modes(*point, degree)):
         for value, exact in zip(solved[0, kind, index], coefficients):
             assert rel_error(value, exact) <= REL_TOL

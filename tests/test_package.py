@@ -18,7 +18,7 @@ BENCH_SPANS = README.parent / "bench" / "spans.py"
 
 
 def test_every_export_resolves():
-    assert len(twophase_torsion.__all__) == 47
+    assert len(twophase_torsion.__all__) == 45
     for name in twophase_torsion.__all__:
         assert hasattr(twophase_torsion, name), name
     for name in (
@@ -35,6 +35,8 @@ def test_every_export_resolves():
         "FidelityReport",
         "FidelityVerdict",
         "spectrum_table",
+        "ModeTable",
+        "solve_modes",
     ):
         assert name not in twophase_torsion.__all__
         assert not hasattr(twophase_torsion, name)

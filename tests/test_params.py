@@ -1,5 +1,8 @@
 """Parameter containers, harmonic bookkeeping, and constraint validation."""
 
+import json
+
+import numpy as np
 import pytest
 
 from twophase_torsion.params import (
@@ -9,6 +12,8 @@ from twophase_torsion.params import (
     multiplicity,
     validate,
 )
+from twophase_torsion.pde_oracle import family_from_config
+from twophase_torsion.second_variation import spectrum_grid
 
 
 def test_problem_params_accepts_valid_triples():
@@ -23,6 +28,40 @@ def test_problem_params_rejects_bad_dim():
         ProblemParams(dim=1, core_radius=0.5, sigma=1.0)
     with pytest.raises(ValueError, match="dim must be an integer >= 2"):
         ProblemParams(dim=2.0, core_radius=0.5, sigma=1.0)
+
+
+def test_problem_params_takes_any_integer_dim_but_a_bool():
+    for dim in (True, np.bool_(True), 2.5, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match="^dim must be an integer >= 2$"):
+            ProblemParams(dim=dim, core_radius=0.5, sigma=1.0)
+    params = ProblemParams(np.int64(3), 0.5, 2.0)
+    assert type(params.dim) is int
+    assert params == ProblemParams(3, 0.5, 2.0)
+    assert hash(params) == hash(ProblemParams(3, 0.5, 2.0))
+    # so both are one key of the spectrum's cache
+    assert spectrum_grid((params,), 5) is spectrum_grid((ProblemParams(3, 0.5, 2.0),), 5)
+
+
+def test_mode_index_takes_any_integer_but_a_bool():
+    for degree in (2.5, 2.0, True, False, np.bool_(False), "2", None):
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            ModeIndex(degree, 1)
+    for order in (1.5, 1.0, True, np.bool_(True), "1"):
+        with pytest.raises(ValueError, match="^order must be >= 1$"):
+            ModeIndex(2, order)
+    index = ModeIndex(np.int64(3), np.int32(2))
+    assert (type(index.degree), type(index.order)) == (int, int)
+    assert index == ModeIndex(3, 2) and hash(index) == hash(ModeIndex(3, 2))
+
+
+def test_a_spec_of_numpy_indices_writes_a_config_that_runs():
+    spec = PerturbationSpec({ModeIndex(np.int64(2), np.uint8(1)): (1.0, 0.0)})
+    document = spec.to_document()
+    assert json.dumps(document) == (
+        '{"modes": [{"degree": 2, "order": 1, "alpha_in": 1.0, "alpha_out": 0.0}]}'
+    )
+    family = family_from_config({"radius": 0.5, "sigma": 2.0, **document})
+    assert family.spec == spec
 
 
 def test_problem_params_rejects_bad_radius():

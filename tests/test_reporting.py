@@ -28,7 +28,6 @@ from twophase_torsion.second_variation import (
     assemble_spectrum,
     discriminant,
     printed_spectrum,
-    solve_modes,
     spectrum_grid,
 )
 
@@ -170,14 +169,14 @@ def test_monotonicity_suite_passes():
 def mode_solves(monkeypatch):
     """The (points, kmax) of every mode solve from here on, with the caches
     of the analytic path emptied."""
-    solves = []
+    solves, solve = [], second_variation._solve_modes
 
     def counted(points, kmax):
         solves.append((len(points), kmax))
-        return solve_modes(points, kmax)
+        return solve(points, kmax)
 
     spectrum_grid.cache_clear()
-    monkeypatch.setattr(second_variation, "solve_modes", counted)
+    monkeypatch.setattr(second_variation, "_solve_modes", counted)
     return solves
 
 

@@ -84,8 +84,8 @@ def test_table_rows_do_not_depend_on_kmax(dim, radius, log_sigma, kmax, data):
     index = degree - 1
     for name in ("e_in", "e_out", "e_res"):
         assert getattr(full, name)[0, index].tobytes() == getattr(short, name)[0, index].tobytes()
-    assert full.modes.unknowns[0, :, index].tobytes() == short.modes.unknowns[0, :, index].tobytes()
-    assert full.modes.powers[:, 0, index].tobytes() == short.modes.powers[:, 0, index].tobytes()
+    assert full.unknowns[0, :, index].tobytes() == short.unknowns[0, :, index].tobytes()
+    assert full.powers[:, 0, index].tobytes() == short.powers[:, 0, index].tobytes()
 
 
 def test_spectrum_past_float_range_names_the_first_degree():
@@ -97,7 +97,7 @@ def test_spectrum_past_float_range_names_the_first_degree():
         (lambda: spectrum_grid((ProblemParams(2, 0.5, 1e-320),), 5), 1),
         (lambda: denom_F((PARAMS,), 600), 507),
         # the unscaled B_in carries R^{-k}, which leaves float range at 2^1024
-        (lambda: mode_coefficients((PARAMS,), spectrum_grid((PARAMS,), 1100).modes), 1024),
+        (lambda: mode_coefficients(spectrum_grid((PARAMS,), 1100)), 1024),
     ]
     for compute, degree in cases:
         with pytest.raises(FloatRangeError) as excinfo:
@@ -233,12 +233,12 @@ def test_every_ladder_row_is_the_same_at_any_kmax(dim, radius, log_sigma, kmax, 
             denom_F(points, kmax),
         )
         values = [column[point, index] for column in columns] + [
-            spectra.modes.powers[:, point, index],
+            spectra.powers[:, point, index],
             *(
                 table[point, :, index]
                 for table in (
-                    spectra.modes.unknowns,
-                    mode_coefficients(points, spectra.modes),
+                    spectra.unknowns,
+                    mode_coefficients(spectra),
                     closed_form_modes(points, kmax),
                 )
             ),

@@ -1,4 +1,4 @@
-"""Per-mode transmission solves and closed forms."""
+"""The mode solve behind spectrum_grid, and the printed closed forms."""
 
 import math
 
@@ -19,7 +19,7 @@ from twophase_torsion.second_variation import (
     closed_form_modes,
     denom_F,
     mode_coefficients,
-    solve_modes,
+    spectrum_grid,
 )
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
@@ -34,7 +34,7 @@ SAMPLE_PARAMS = [
 
 def solved_coefficients(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
     """The profile coefficients (B, C, D) of the solved mode systems."""
-    return mode_coefficients(points, solve_modes(points, kmax))
+    return mode_coefficients(spectrum_grid(points, kmax))
 
 
 def backward_errors(
@@ -81,7 +81,7 @@ def test_denom_f_rejects_degree_zero():
 
 
 def test_ladders_reject_empty_ranges():
-    for ladder in (solve_modes, closed_form_modes, denom_F):
+    for ladder in (spectrum_grid, closed_form_modes, denom_F):
         with pytest.raises(ValueError, match="^kmax must be >= 1$"):
             ladder((PARAMS,), 0)
         with pytest.raises(ValueError, match="^points must not be empty$"):
@@ -139,7 +139,7 @@ def test_residual_contract_names_the_first_failing_row(monkeypatch):
     with pytest.raises(
         TransmissionSolveError, match="^mode system residual .* at degree 3, kind Outer$"
     ):
-        solve_modes((PARAMS,), 5)
+        second_variation._solve_modes((PARAMS,), 5)
 
 
 def test_residual_contract_checks_the_value_jump(monkeypatch):
@@ -156,21 +156,21 @@ def test_residual_contract_checks_the_value_jump(monkeypatch):
     with pytest.raises(
         TransmissionSolveError, match="^mode system residual .* at degree 1, kind Inner$"
     ):
-        solve_modes((PARAMS,), 5)
+        second_variation._solve_modes((PARAMS,), 5)
 
 
 def test_ladder_past_float_range_names_the_first_degree():
     # the scaled unknowns stay floats at every degree
-    modes = solve_modes((PARAMS,), 3000)
-    assert modes.unknowns.shape == (1, 2, 3000, 3)
-    assert np.isfinite(modes.unknowns).all() and np.isfinite(modes.powers).all()
+    grid = spectrum_grid((PARAMS,), 3000)
+    assert grid.unknowns.shape == (1, 2, 3000, 3)
+    assert np.isfinite(grid.unknowns).all() and np.isfinite(grid.powers).all()
     # the unscaled B_in carries R^{-k}, which leaves float range at 2^1024
     with pytest.raises(FloatRangeError, match="^degree 1024 leaves float range"):
-        mode_coefficients((PARAMS,), modes)
+        mode_coefficients(grid)
     assert np.isfinite(solved_coefficients((PARAMS,), 1023)).all()
     # the stiffness -sigma k of degree 2 overflows
     with pytest.raises(FloatRangeError) as excinfo:
-        solve_modes((ProblemParams(2, 0.5, 1e308),), 3)
+        spectrum_grid((ProblemParams(2, 0.5, 1e308),), 3)
     assert excinfo.value.degree == 2
 
 
@@ -178,14 +178,24 @@ def test_zero_unknowns_give_zero_coefficients_past_float_range():
     # at sigma = 1 every Inner unknown is zero: its coefficient is that zero,
     # not 0 * R^{-k}, which is nan once R^{-k} overflows at degree 1024
     single_phase = (ProblemParams(2, 0.5, 1.0),)
-    modes = solve_modes(single_phase, 1100)
-    assert not modes.unknowns[:, 0].any()
-    coefficients = mode_coefficients(single_phase, modes)
+    grid = spectrum_grid(single_phase, 1100)
+    assert not grid.unknowns[:, 0].any()
+    coefficients = mode_coefficients(grid)
     assert np.isfinite(coefficients).all()
     assert not coefficients[:, 0].any()
     # below the overflow the rows are those of the shorter ladder
-    shorter = mode_coefficients(single_phase, solve_modes(single_phase, 1023))
+    shorter = solved_coefficients(single_phase, 1023)
     assert np.array_equal(coefficients[:, :, :1023], shorter)
+
+
+def test_each_row_of_a_grid_has_the_coefficients_of_its_own_grid():
+    # mode_coefficients reads the points of the grid it is given, so a row of
+    # a grid is that point's one-point grid, bit for bit; here with a thin
+    # shell and two points that share their R and N
+    grid = (*SAMPLE_PARAMS, ProblemParams(3, 1.0 - 2.0**-30, 0.5), ProblemParams(2, 0.8, 3.0))
+    coefficients = solved_coefficients(grid, 40)
+    for point, params in enumerate(grid):
+        assert coefficients[point].tobytes() == solved_coefficients((params,), 40)[0].tobytes()
 
 
 def test_closed_forms_match_oracle_except_inner_b():
@@ -258,7 +268,7 @@ GRID_WITH_ONE_BAD_POINT = (
 
 def test_a_grid_past_float_range_names_its_first_failing_point():
     # F overflows at degree 1 already, the mode systems at degree 2
-    for ladder, degree in ((solve_modes, 2), (closed_form_modes, 1), (denom_F, 1)):
+    for ladder, degree in ((spectrum_grid, 2), (closed_form_modes, 1), (denom_F, 1)):
         with pytest.raises(FloatRangeError) as excinfo:
             ladder(GRID_WITH_ONE_BAD_POINT, 3)
         assert str(excinfo.value) == (
@@ -271,11 +281,11 @@ def test_a_grid_past_float_range_names_its_first_failing_point():
 def test_a_grid_that_misses_the_residual_contract_names_the_failing_point():
     grid = GRID_WITH_ONE_BAD_POINT[::2]
     with pytest.raises(TransmissionSolveError) as excinfo:
-        solve_modes(grid, 3)
+        spectrum_grid(grid, 3)
     message = str(excinfo.value)
     assert message.startswith(f"{grid[1]}: mode system residual ")
     assert message.endswith(" at degree 1, kind Inner")
     assert len(message.splitlines()) == 1
     # the one-point message names no point
     with pytest.raises(TransmissionSolveError, match="^mode system residual .* kind Inner$"):
-        solve_modes(grid[1:], 3)
+        spectrum_grid(grid[1:], 3)
