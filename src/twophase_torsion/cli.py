@@ -269,7 +269,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (CliError, ValueError, TransmissionSolveError) as exc:
+    # OverflowError: a dim past float range, which Python's int carries
+    except (CliError, ValueError, OverflowError, TransmissionSolveError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -22,11 +22,14 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 
-def _integer(record, name: str, least: int, message: str) -> None:
+def _integer(record, name: str, least: int, message: str, not_integer: str = "") -> None:
     """Store the field name of record as an int if it is an integer >= least,
-    numpy's included but not a bool, and else raise ValueError(message)."""
+    numpy's included but not a bool; else raise ValueError(not_integer) for a
+    value that is not an integer, when given, and ValueError(message)."""
     value = getattr(record, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(not_integer or message)
+    if value < least:
         raise ValueError(message)
     object.__setattr__(record, name, int(value))
 
@@ -78,8 +81,8 @@ class ModeIndex:
     order: int
 
     def __post_init__(self) -> None:
-        _integer(self, "degree", 0, "degree must be nonnegative")
-        _integer(self, "order", 1, "order must be >= 1")
+        _integer(self, "degree", 0, "degree must be nonnegative", "degree must be an integer")
+        _integer(self, "order", 1, "order must be >= 1", "order must be an integer")
 
     def check_order(self, dim: int) -> None:
         d_k = multiplicity(dim, self.degree)

@@ -18,30 +18,18 @@ profile
     w(r) = C r^{2-N-k} + D r^k        in the shell,
 
 and the matching conditions to a 3x3 linear system in (B, C, D).
-`spectrum_grid` solves that system numerically, by eliminating its boundary
-row, the path independent of the printed formulas, and keeps its scaled
-unknowns, floats at every degree; `mode_coefficients(grid)` undoes the
-scaling for the comparisons with the printed (B, C, D), which read degrees
-1..20.
 
-Spectrum.  The solved modes and the spectrum have one format, the
-`SpectrumGrid`: `spectrum_grid(points, kmax)`, its one entry point and its
-one cache, reduces the boundary-integral formula for E'' per mode, from one
-stacked solve,
-
-    E'' = +2 int_{|x|=1} grad u . grad u' (h.n) + 2 int_{|x|=1} d_n u d_nn u (h.n)^2
-          -2 int_{|x|=R} [sigma grad u . grad u'] (h.n)
-          -2 int_{|x|=R} sigma d_n u_- [d_nn u] (h.n)^2,
-
-with u radial, so grad u . grad u' = (d_r u)(d_r u') on each sphere, and the
-surface integrals of Y^2 contributing R^{N-1} at the interface and 1 at the
-boundary; the grid assembles it from its own scaled unknowns, so its entries
-are floats at every degree.  Every quadratic form E''(Phi) is summed from the
-columns of a one-point grid (`total_second_variation(spec, table)`), so a
-caller that holds the grid of its parameter point reads the form from it.
-This assembled spectrum is the one consumed downstream: it is
-self-consistent (translation invariance e_in(1) = e_out(1)) and confirmed by
-the PDE oracle.
+Spectrum.  One pass, `spectrum_grid(points, kmax)`, solves these systems
+numerically, the path independent of the printed formulas, checks them and
+assembles the boundary-integral formula for E'' per mode into a
+`SpectrumGrid`, the one format and the one cache of the solved modes and the
+spectrum, floats at every degree; its docstring states the conditions, the
+elimination, the contract and the assembly.  `mode_coefficients(grid)`
+unscales the unknowns for the comparisons with the printed (B, C, D).  Every
+quadratic form E''(Phi) is summed from a one-point grid
+(`total_second_variation`).  This assembled spectrum is the one consumed
+downstream: it is self-consistent (e_in(1) = e_out(1)) and confirmed by the
+PDE oracle.
 
 Printed path.  `closed_form_modes` and `printed_spectrum` evaluate the
 printed closed forms verbatim, over the same ladders, with their common
@@ -51,12 +39,11 @@ surfaced there; the closed forms are never silently patched.
 
 Ladder conventions, for every function over degrees 1..kmax at a tuple of
 points: arrays lead with the point axis, [point, degree - 1] for a column
-and [point, kind, degree - 1, column] for the modes; the powers of R come
-from one ladder per distinct R, built with Python's scalar pow over the
-integer exponents the call uses, so row (point, k) depends neither on kmax
-nor on the other points; results are read-only, and FloatRangeError names
-the first degree that leaves the float range, prefixed by the first point
-that fails when there are several.
+and [point, kind, degree - 1, column] for the modes; each power of R is
+Python's scalar pow at its exact integer exponent, so row (point, k)
+depends neither on kmax nor on the other points; results are read-only,
+and FloatRangeError names the first degree that leaves the float range,
+prefixed by the first point that fails when there are several.
 
 Also provided: the discriminant delta of the resonance quadratic
 Q(t) = e_in t^2 + e_res t + e_out, elementwise over such columns, and the
@@ -115,55 +102,57 @@ class FloatRangeError(ValueError):
             raise cls(index + 1, _named(points, point))
 
 
-def _exponents(*terms: tuple[int, int, int]) -> np.ndarray:
-    """The (a, b, c) of exponents a + bN + ck, as three arrays that broadcast
-    against [term, point, degree - 1]."""
-    return np.array(terms).T[..., np.newaxis, np.newaxis]
-
-
-# R^{N-2+2k}, R^{N-2+k} and R^{N-1+k}: the mode systems and the spectrum
-_MODE_POWERS = _exponents((-2, 1, 2), (-2, 1, 1), (-1, 1, 1))
+# R^{N-2+2k}, R^{N-2+k} and R^{N-1+k}: the mode systems and the spectrum, as
+# the (a, b, c) of exponents a + bN + ck
+_MODE_POWERS = ((-2, 1, 2), (-2, 1, 1), (-1, 1, 1))
 # R^{2-N-2k} and R^{1-k}: the printed closed forms
-_PRINTED_POWERS = _exponents((2, -1, -2), (1, 0, -1))
+_PRINTED_POWERS = ((2, -1, -2), (1, 0, -1))
+
+
+def _radius_power(radius: float, exponent: int) -> float:
+    """radius**exponent by Python's scalar pow, for 0 < radius < 1: inf past
+    float range, and 0.0 or inf for an exponent past it."""
+    try:
+        return radius**exponent
+    except OverflowError:
+        return 0.0 if exponent > 0 else math.inf
 
 
 def _radius_powers(points: tuple[ProblemParams, ...], kmax: int, terms) -> np.ndarray:
-    """R^{a + bN + ck} for each term (a, b, c) of _exponents, at each point
-    (radius R, dimension N) and degree k = 1..kmax, indexed
-    [term, point, degree - 1]; inf past float range.
+    """R^{a + bN + ck} for each term (a, b, c), at each point (radius R,
+    dimension N) and degree k = 1..kmax, indexed [term, point, degree - 1];
+    inf past float range.  Every ladder starts here, so here an empty degree
+    range or an empty tuple of points is rejected.
 
-    One ladder per distinct R runs over the exponents from the least to the
-    greatest, by Python's scalar pow, and every entry is gathered from it.
-    numpy's vectorised pow differs from the scalar one by an ulp on about 5%
-    of these inputs; the scalar pow gives each entry the value a per-entry
-    evaluation gives, whatever the other points and the length of the ladder.
+    numpy's vectorised pow differs from Python's scalar one by an ulp on
+    about 5% of these inputs, so each entry is the scalar pow at its exact
+    exponent: gathered from one ladder per distinct R over the exponents
+    from the least to the greatest, or, where the ladders would outnumber
+    the entries, as the printed powers do at a large N, its own.
     """
-    a, b, c = terms
-    dims = np.array([params.dim for params in points])[:, np.newaxis]
-    # allocated before the scalar loop, so an infeasible kmax fails at once
-    exponents = a + b * dims + c * np.arange(1, kmax + 1)
-    lowest = int(exponents.min())
-    width = int(exponents.max()) - lowest + 1
-    radii = list(dict.fromkeys(params.core_radius for params in points))
-    values = []
-    for radius in radii:
-        for exponent in range(lowest, lowest + width):
-            try:
-                values.append(radius**exponent)
-            except OverflowError:
-                values.append(math.inf)
-    # the ladders lie one after another in values; origins holds the index
-    # of R^0 in the ladder of each point's radius
-    origins = np.array([radii.index(params.core_radius) * width - lowest for params in points])
-    return np.array(values)[origins[:, np.newaxis] + exponents]
-
-
-def _check_ladder(points: tuple[ProblemParams, ...], kmax: int) -> None:
-    """Reject an empty degree range or an empty tuple of points."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     if not points:
         raise ValueError("points must not be empty")
+    # allocated first, so an infeasible kmax fails at once
+    powers = np.empty((len(terms), len(points), kmax))
+    # entry (term, point, k) is R^{base + ck}, with base = a + bN in Python's ints
+    bases = [[a + b * params.dim for params in points] for a, b, _ in terms]
+    ends = [base + c * k for (*_, c), row in zip(terms, bases) for base in row for k in (1, kmax)]
+    lowest, width = min(ends), max(ends) - min(ends) + 1
+    radii = list(dict.fromkeys(params.core_radius for params in points))
+    if len(radii) * width > powers.size:
+        for (*_, c), row, out in zip(terms, bases, powers):
+            for p, base, cells in zip(points, row, out):
+                cells[:] = [_radius_power(p.core_radius, base + c * k) for k in range(1, kmax + 1)]
+        return powers
+    ladders = np.array([_radius_power(r, e) for r in radii for e in range(lowest, lowest + width)])
+    # where each entry's R^{base} sits in the ladders, exact before numpy
+    slots = {r: index * width - lowest for index, r in enumerate(radii)}
+    origins = [[slots[p.core_radius] + base for p, base in zip(points, row)] for row in bases]
+    steps = np.array([c for *_, c in terms])[:, np.newaxis, np.newaxis]
+    powers[...] = ladders[np.array(origins)[..., np.newaxis] + steps * np.arange(1, kmax + 1)]
+    return powers
 
 
 def _denominator(n, sigma, k, rho):
@@ -176,12 +165,12 @@ def _printed_ladder(points: tuple[ProblemParams, ...], kmax: int) -> tuple[np.nd
     """The terms the printed closed forms share: the columns N and sigma of
     the points, the degrees 1..kmax, and R^{2-N-2k}, R^{1-k} and F indexed
     [point, degree - 1]; entries past float range are inf or NaN."""
-    _check_ladder(points, kmax)
-    # integers, so the integer factors stay exact
-    degrees = np.arange(1, kmax + 1)
-    dims = np.array([params.dim for params in points])[:, np.newaxis]
-    sigmas = np.array([params.sigma for params in points])[:, np.newaxis]
     rho, r_lead = _radius_powers(points, kmax, _PRINTED_POWERS)
+    # the degrees as integers, so that k k stays exact, and N as a float,
+    # exact below 2^53, so that an N past int64 makes no object array
+    degrees = np.arange(1, kmax + 1)
+    dims = np.array([params.dim for params in points], dtype=float)[:, np.newaxis]
+    sigmas = np.array([params.sigma for params in points])[:, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):
         f_denom = _denominator(dims, sigmas, degrees, rho)
     return dims, sigmas, degrees, rho, r_lead, f_denom
@@ -197,7 +186,7 @@ def denom_F(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
 
 
 def _eliminate(sigma, stiffness, two_minus_n, k, epsilon, complement, r1, r2):
-    """The unknowns b, c, d of conditions (i)-(iii) of _solve_modes, with
+    """The unknowns b, c, d of conditions (i)-(iii) of spectrum_grid, with
     stiffness = sigma k and complement = 1 - eps: d = r2 - eps c by (iii),
     and (b, c) by Cramer's rule on the 2x2 system that (i) and (ii) leave."""
     a12 = two_minus_n - k - k * epsilon
@@ -208,83 +197,13 @@ def _eliminate(sigma, stiffness, two_minus_n, k, epsilon, complement, r1, r2):
     return b, c, r2 - epsilon * c
 
 
-def _solve_modes(points: tuple[ProblemParams, ...], kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unknowns and powers of SpectrumGrid: the mode systems of degrees
-    1..kmax, both kinds, solved at every point in one call.
-
-    Conditions at the interface r = R and the boundary r = 1, in the scaled
-    unknowns (b, c, d) of SpectrumGrid, so that no R^{-k} is formed, with
-    eps = R^{N-2+2k}, r1 = -[d_n u], r2 = 0 (Inner) and r1 = 0, r2 = 1/N
-    (Outer, whose system is divided by R^k):
-      (i)   flux jump zero:   -sigma k b + (2-N-k) c + k d = 0
-      (ii)  value jump:       -b + c + d = r1
-      (iii) boundary value:   eps c + d = r2
-    Eliminating (iii), d = r2 - eps c, leaves a 2x2 system in (b, c), solved
-    by Cramer's rule elementwise.  Its determinant (2-N-k-k eps) - sigma k
-    (1-eps) is a sum of two terms <= 0, the first <= -k, so it never
-    cancels; nor does 1 - eps as R nears 1.  Raises TransmissionSolveError
-    if the backward error of any condition exceeds the 1e-12 relative
-    contract, and FloatRangeError at the first degree whose system or
-    unknowns leave the float range.
-    """
-    _check_ladder(points, kmax)
-    # per point, in scalar arithmetic, as columns that broadcast against
-    # [point, kind, degree - 1]: sigma, 2-N, and r1 and r2 of both kinds
-    columns = np.array(
-        [(p.sigma, 2 - p.dim, -traces(p).jump_dn, 0.0, 0.0, 1.0 / p.dim) for p in points]
-    )[..., np.newaxis]
-    sigma, two_minus_n, r1, r2 = columns[:, :1], columns[:, 1:2], columns[:, 2:4], columns[:, 4:]
-    k = np.arange(1.0, kmax + 1.0)
-    powers = _radius_powers(points, kmax, _MODE_POWERS)
-    epsilon = powers[0, :, np.newaxis]
-    # 1 - eps, but for a thin shell, R > 1/2, where R - 1 is exact, by scalar
-    # expm1 over the exponents N-2+2k, once per distinct (R, N)
-    complement, shells = 1.0 - epsilon, {}
-    for point, p in enumerate(points):
-        if p.core_radius > 0.5:
-            shells.setdefault((math.log1p(p.core_radius - 1.0), p.dim), []).append(point)
-    for (log_radius, dim), rows in shells.items():
-        complement[rows, 0] = [-math.expm1(e * log_radius) for e in range(dim, dim + 2 * kmax, 2)]
-
-    # overflow is not an error here: FloatRangeError reports where it happened
-    with np.errstate(over="ignore", invalid="ignore"):
-        stiffness = sigma * k
-        FloatRangeError.check(
-            points, (np.isfinite(stiffness) & np.isfinite(r1) & np.isfinite(r2)).all(axis=1)
-        )
-        b, c, d = _eliminate(sigma, stiffness, two_minus_n, k, epsilon, complement, r1, r2)
-        # backward error per condition: its residual over the sum of the
-        # magnitudes of its terms, the right-hand side moved over among them;
-        # the worst condition's, ignoring NaN
-        tiny, total = np.finfo(float).tiny, functools.partial(functools.reduce, np.add)
-        flux = (-stiffness * b, (two_minus_n - k) * c, k * d)
-        worst = functools.reduce(np.fmax, [
-            np.abs(total(terms)) / np.maximum(total(map(np.abs, terms)), tiny)
-            for terms in (flux, (-b, c, d, -r1), (epsilon * c, d, -r2))
-        ])
-        failed = worst > RESIDUAL_TOL
-        if failed.any():
-            point, index = np.argwhere(failed.any(axis=1))[0].tolist()
-            kind = 0 if failed[point, 0, index] else 1
-            raise TransmissionSolveError(
-                f"{_named(points, point)}mode system residual "
-                f"{worst[point, kind, index]:.3e} exceeds "
-                f"{RESIDUAL_TOL:.0e} at degree {index + 1}, kind {KINDS[kind].value}"
-            )
-    unknowns = np.stack((b, c, d), axis=-1)
-    FloatRangeError.check(points, np.isfinite(unknowns).all(axis=(1, 3)))
-    unknowns.flags.writeable = False
-    powers.flags.writeable = False
-    return unknowns, powers
-
-
 def mode_coefficients(grid: SpectrumGrid) -> np.ndarray:
     """The profile coefficients (B, C, D) of the grid's solved modes at its
     own points, read-only and laid out like grid.unknowns.  The Inner B and
     D carry R^{-k}, and a scaled unknown that is exactly zero gives a zero
     coefficient: raises FloatRangeError at the first degree where a nonzero
     one meets an R^{-k} or leaves the float range."""
-    (r_minus_k,) = _radius_powers(grid.points, grid.unknowns.shape[2], _exponents((0, 0, -1)))
+    (r_minus_k,) = _radius_powers(grid.points, grid.unknowns.shape[2], ((0, 0, -1),))
     epsilon, inner_power, _ = grid.powers
     coefficients = grid.unknowns.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -393,50 +312,126 @@ class SpectrumGrid:
 
 @functools.lru_cache(maxsize=16)
 def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
-    """Assemble e_in, e_out, e_res of degrees 1..kmax at every point from the
-    boundary-integral formula, from one stacked mode solve.
+    """Solve the mode systems of degrees 1..kmax, both kinds, at every point,
+    check them, and assemble e_in, e_out, e_res from them, in one pass.
 
-    With w the radial profile of the mode (from _solve_modes) and
-    Dw' := w'_+(R) - w'_-(R) the derivative jump at the interface:
+    Conditions at the interface r = R and the boundary r = 1, in the scaled
+    unknowns (b, c, d) of SpectrumGrid, so that no R^{-k} is formed, with
+    eps = R^{N-2+2k}, r1 = -[d_n u] = -R(1-sigma)/(N sigma), r2 = 0 (Inner)
+    and r1 = 0, r2 = 1/N (Outer, whose system is divided by R^k):
 
-        e_in  = (2 R^N / N) Dw'_in  + 2 R^N (1-sigma) / (N^2 sigma)
+      (i)   flux jump zero:   -sigma k b + (2-N-k) c + k d = 0
+      (ii)  value jump:       -b + c + d = r1
+      (iii) boundary value:   eps c + d = r2
+
+    Elimination: d = r2 - eps c by (iii) leaves a 2x2 system in (b, c),
+    solved by Cramer's rule elementwise (_eliminate).  Its determinant
+    (2-N-k-k eps) - sigma k (1-eps) is a sum of two terms <= 0, the first
+    <= -k, so it never cancels; nor does 1 - eps as R nears 1, formed there
+    by expm1.  Contract: the backward error of each condition, its residual
+    over the sum of the magnitudes of its terms, is at most RESIDUAL_TOL.
+
+    Assembly: the boundary-integral formula, with u radial and the surface
+    integrals of Y^2 contributing R^{N-1} at the interface and 1 at the
+    boundary,
+
+        E'' = +2 int_{|x|=1} grad u . grad u' (h.n) + 2 int_{|x|=1} d_n u d_nn u (h.n)^2
+              -2 int_{|x|=R} [sigma grad u . grad u'] (h.n)
+              -2 int_{|x|=R} sigma d_n u_- [d_nn u] (h.n)^2,
+
+    gives per mode, with Dw' := w'_+(R) - w'_-(R), the first line of each
+    entry; (i), Dw' = (sigma-1) k B R^{k-1}, and (iii) turn it into the
+    second, in the scaled unknowns with no power of R negative:
+
+        e_in  = (2 R^N / N) Dw'_in + 2 R^N (1-sigma) / (N^2 sigma)
+              = (2 R^{N-1} / N) (1-sigma) (R / (N sigma) - k b_in)
         e_out = -(2/N) w'_out(1) + 2/N^2
-        e_res = -(2/N) w'_in(1)  + (2 R^N / N) Dw'_out
+              = 2(1-k)/N^2 + (2/N)(N-2+2k) c_out eps
+        e_res = -(2/N) w'_in(1) + (2 R^N / N) Dw'_out
+              = (2/N)(N-2+2k) c_in R^{N-2+k} + (2/N)(sigma-1) k b_out R^{N-1+k}
 
-    By the flux condition, Dw' = (sigma-1) k B R^{k-1}, and the boundary
-    condition, D = -C (Inner) or C + D = 1/N (Outer), in the grid's scaled
-    unknowns b, c and with eps = R^{N-2+2k}, no power of R negative:
+    As sigma -> 0, b_in is about R/(N sigma k), and the bracket of e_in
+    subtracts two O(1/sigma) terms: at k = 1 its O(1) value lost every
+    digit.  So below sigma = 1/2 the bracket is read through (ii),
+    b_in = c_in (1-eps) + R(1-sigma)/(N sigma), as
 
-        e_in  = (2 R^{N-1} / N) (1-sigma) (R / (N sigma) - k b_in)
-        e_out = 2(1-k)/N^2 + (2/N)(N-2+2k) c_out eps
-        e_res = (2/N)(N-2+2k) c_in R^{N-2+k} + (2/N)(sigma-1) k b_out R^{N-1+k}
+        R/(N sigma) - k b_in = R(1-k)/(N sigma) + k (R/N - c_in (1-eps))
 
-    Raises FloatRangeError at the first degree whose entries leave the float
-    range.  This is the spectrum's one cache, keyed by (points, kmax), with
-    points a tuple.  Its traffic is a few keys at a time: `spectrum`
-    rereads the one-point grid that `classify` at the same point built,
-    criteria 1-8 read the 45-point grid at kmax 20 and 50 and 27 points at
-    50, and criteria 11-12 two one-point grids; so 16 grids serve it, where
-    512 held 148 MB at kmax 3000 over a long sweep of points.
+    with c_in < 0, where the row k = 1 is a sum of positive terms.  Near
+    sigma = 1 the second form would subtract (k-1)R/N from kR/N instead.
+
+    Raises TransmissionSolveError if a backward error exceeds the contract,
+    and FloatRangeError at the first degree whose system, unknowns or
+    entries leave the float range.  This is the spectrum's one cache, keyed
+    by (points, kmax): `spectrum` rereads the grid `classify` built, and the
+    criteria read a few grids each, so 16 grids serve it, where 512 held
+    148 MB at kmax 3000 over a long sweep of points.
     """
-    unknowns, powers = _solve_modes(points, kmax)
-    # per point: N, R, sigma and 2 R^{N-1}, by Python's scalar pow like every power of R
-    n, radius, sigma, interface = np.array(
-        [(p.dim, p.core_radius, p.sigma, 2.0 * p.core_radius ** (p.dim - 1)) for p in points]
-    ).T[..., np.newaxis]
-    k = np.arange(1, kmax + 1)
+    powers = _radius_powers(points, kmax, _MODE_POWERS)
+    # per point, in scalar arithmetic like every power of R: N, R, sigma,
+    # 2 R^{N-1} and 2-N, then r1 and r2 of both kinds
+    columns = np.array([
+        (p.dim, p.core_radius, p.sigma, 2.0 * p.core_radius ** (p.dim - 1), 2 - p.dim,
+         -traces(p).jump_dn, 0.0, 0.0, 1.0 / p.dim) for p in points
+    ], dtype=float)[..., np.newaxis]
+    # indexed [point, degree - 1], and [point, kind, degree - 1] for the solve
+    n, radius, sigma, interface = columns[:, :4].swapaxes(0, 1)
+    two_minus_n, r1, r2 = columns[:, 4:5], columns[:, 5:7], columns[:, 7:]
+    k = np.arange(1.0, kmax + 1.0)
     epsilon, inner_power, outer_power = powers
-    (b_in, c_in, _), (b_out, c_out, _) = np.moveaxis(unknowns, (1, 3), (0, 1))
+    # 1 - eps, but for a thin shell, R > 1/2, where R - 1 is exact, by scalar
+    # expm1 over the exponents N-2+2k, once per distinct (R, N)
+    complement, shells = 1.0 - epsilon, {}
+    for point, p in enumerate(points):
+        if p.core_radius > 0.5:
+            shells.setdefault((math.log1p(p.core_radius - 1.0), p.dim), []).append(point)
+    for (log_radius, dim), rows in shells.items():
+        complement[rows] = [-math.expm1(e * log_radius) for e in range(dim, dim + 2 * kmax, 2)]
 
+    # overflow is not an error here: FloatRangeError reports where it happened
     with np.errstate(over="ignore", invalid="ignore"):
+        stiffness = sigma[:, np.newaxis] * k
+        FloatRangeError.check(
+            points, (np.isfinite(stiffness) & np.isfinite(r1) & np.isfinite(r2)).all(axis=1)
+        )
+        b, c, d = _eliminate(
+            sigma[:, np.newaxis], stiffness, two_minus_n, k, epsilon[:, np.newaxis],
+            complement[:, np.newaxis], r1, r2,
+        )
+        # backward error per condition, the right-hand side moved over among
+        # its terms; the worst condition's, ignoring NaN
+        tiny, total = np.finfo(float).tiny, functools.partial(functools.reduce, np.add)
+        flux = (-stiffness * b, (two_minus_n - k) * c, k * d)
+        worst = functools.reduce(np.fmax, [
+            np.abs(total(terms)) / np.maximum(total(map(np.abs, terms)), tiny)
+            for terms in (flux, (-b, c, d, -r1), (epsilon[:, np.newaxis] * c, d, -r2))
+        ])
+        failed = worst > RESIDUAL_TOL
+        if failed.any():
+            point, index = np.argwhere(failed.any(axis=1))[0].tolist()
+            kind = 0 if failed[point, 0, index] else 1
+            raise TransmissionSolveError(
+                f"{_named(points, point)}mode system residual "
+                f"{worst[point, kind, index]:.3e} exceeds "
+                f"{RESIDUAL_TOL:.0e} at degree {index + 1}, kind {KINDS[kind].value}"
+            )
+        (b_in, b_out), (c_in, c_out) = b.swapaxes(0, 1), c.swapaxes(0, 1)
         shell = 2.0 * (n - 2 + 2 * k) / n
+        # R/(N sigma) - k b_in, and below sigma = 1/2 the same by (ii)
+        bracket = np.where(
+            sigma < 0.5,
+            radius * (1 - k) / (n * sigma) + k * (radius / n - c_in * complement),
+            radius / (n * sigma) - k * b_in,
+        )
         # 1-sigma here and sigma-1 in e_res, so that sigma = 1 gives +0.0
-        e_in = interface / n * (1.0 - sigma) * (radius / (n * sigma) - k * b_in)
+        e_in = interface / n * (1.0 - sigma) * bracket
         e_out = 2.0 * (1 - k) / (n * n) + shell * c_out * epsilon
         e_res = shell * c_in * inner_power + 2.0 * ((sigma - 1.0) * k * b_out) / n * outer_power
+    unknowns = np.stack((b, c, d), axis=-1)
+    FloatRangeError.check(points, np.isfinite(unknowns).all(axis=(1, 3)))
     FloatRangeError.check(points, np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res))
-    for column in (e_in, e_out, e_res):
-        column.flags.writeable = False
+    for array in (unknowns, powers, e_in, e_out, e_res):
+        array.flags.writeable = False
     return SpectrumGrid(points, unknowns, powers, e_in, e_out, e_res)
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -254,6 +255,26 @@ def test_a_tiny_core_meets_the_residual_contract(capsys):
     assert document_degrees(argv, out) == list(range(1, 27))
 
 
+@pytest.mark.parametrize("dim", [2**63 - 1, 10**20, 10**400])
+@pytest.mark.parametrize("command", [["classify"], ["spectrum"], ["spectrum", "--path", "printed"]])
+def test_a_huge_dimension_is_answered_at_once(command, dim):
+    # past int64 the exponents of R must stay exact, and the printed powers,
+    # R^{2-N-2k}, must not be read off a ladder as wide as N
+    argv = [*command, "--dim", str(dim), "--radius", "0.5", "--sigma", "2", "--kmax", "5"]
+    start = time.perf_counter()
+    _answered(argv)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_billion_dimensions_keep_their_degree_one_row(capsys):
+    argv = ["spectrum", "--dim", "1000000000", "--radius", "0.999999999", "--sigma", "2",
+            "--kmax", "3"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    # e_in(1) = e_out(1), the translation identity, far from underflow
+    assert out.splitlines()[1].startswith("1,-7.3575890231859954e-19,-7.3575890231859954e-19,")
+
+
 @pytest.mark.parametrize("command", ["classify", "spectrum"])
 def test_mode_solve_failures_are_diagnosed(capsys, command):
     # the degree-1 Inner unknown B R^k, about R/(N sigma k), is subnormal
@@ -360,13 +381,17 @@ def test_fidelity_document(capsys):
 # report's Match deviations, and e_in, e_res and delta on some rows of the
 # two two-phase `classify` documents and of the assembled `spectrum`.  No
 # moved entry is farther from the exact reference than before (0.81 and 0.50
-# ulp of the row scale at most).
+# ulp of the row scale at most).  Reading e_in through the value-jump
+# condition below sigma = 1/2 moved criterion 4's worst deviation in `verify
+# secondvar` from 1.142e-15 at (3, 0.2, 0.1) to 2.612e-16 at (4, 0.8, 0.1),
+# and the fidelity report's E_res_k1_perfect_square from 1.33e-15 to
+# 3.81e-16.
 PINNED_STDOUT = {
     ("verify", "coefficients"): "ba72d3a6fb89fbc80f33b64ab980e47a578a4598d4103bea4753bf996c3e4cc1",
-    ("verify", "secondvar"): "ae3cc30dd86580548373d523611832a0cad509e45a786472fe503a0f42d448d6",
+    ("verify", "secondvar"): "39de8a81607cf5ae3b1acfd6c4bc7a3d2d8d950e8342e298a3680a7ed4e7d56e",
     ("verify", "monotonicity"): "a77897d84503e4da0212ec7accdfd4a67728f56fe7e7deefd295b1c4af281cd5",
     ("verify", "pde"): "976e05ee8da08ff47d451660ba9ab7af456004d6d61ccb738e423568d8e9a82e",
-    ("fidelity",): "d972e577a7affdacf1a19c3b6d3c0d6ce39ee713aa037c5980a151b471eed320",
+    ("fidelity",): "97d9a138c7944787db26b402f200036fda531390599fefdc89da4cefed450c3a",
     ("classify", "--dim", "3", "--radius", "0.4", "--sigma", "2.5", "--kmax", "50"):
         "e3b70accd9b6c786808712a7cac020db3a2259d9200a33cf52323382e76638da",
     # a saddle, with witnesses
@@ -528,7 +553,7 @@ _ANY_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308
 @settings(max_examples=500, deadline=None)
 @given(
     command=st.sampled_from(["classify", "spectrum"]),
-    dim=st.integers(2, 8) | st.integers(-10**6, 10**6),
+    dim=st.integers(2, 8) | st.integers(-(2**64 + 1), 2**64 + 1),
     radius=st.floats(0.0, 1.0) | _ANY_FLOAT,
     sigma=st.floats(0.0, 1e6) | _ANY_FLOAT,
     kmax=st.integers(-1, 3000),

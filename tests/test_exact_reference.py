@@ -7,8 +7,8 @@ values of R and sigma.  They import nothing from the package and use no
 float and no closed form, so the float table is measured against its own
 definition with no rounding on the reference side.
 
-The xfail cases reproduce the cancellation at small sigma that the assembled
-path does not yet handle; each must fail in the way it names.
+The small-sigma cases pin e_in where its plain form cancelled: below
+sigma = 1/2 the assembled path reads it through the value-jump condition.
 """
 
 import math
@@ -29,6 +29,10 @@ GRID_DEGREES = (1, 2, 3, 20, 50)
 GRID_ULPS = 4
 # a thin shell against the reference: ulps of the row's largest entry
 SHELL_ULPS = 8
+# sigma below 1 against the reference: ulps of the row's largest entry, and an
+# absolute floor of a few subnormal ulps
+SMALL_SIGMA_ULPS = 4
+UNDERFLOW_FLOOR = 4 * Fraction(math.ulp(0.0))
 
 
 def _solve3(matrix, rhs):
@@ -182,11 +186,28 @@ def test_a_thin_shell_matches_the_exact_reference(point, degree):
     degree=st.integers(1, 12),
 )
 def test_every_thin_shell_matches_the_exact_reference(dim, log_gap, log_sigma, degree):
-    sigma = math.exp(log_sigma)
-    # below sigma = 1, e_in still loses digits like 1/sigma to the small-sigma
-    # cancellation of the xfails below (ROADMAP item 1, Step A)
-    e_in, e_out, e_res = shell_errors((dim, 1.0 - math.exp(log_gap), sigma), degree)
-    assert max(e_in * min(1.0, sigma), e_out, e_res) <= SHELL_ULPS
+    point = (dim, 1.0 - math.exp(log_gap), math.exp(log_sigma))
+    assert max(shell_errors(point, degree)) <= SHELL_ULPS
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(2, 50),
+    radius=st.floats(1e-12, 1.0 - 1e-12),
+    # sigma log-uniform in [1e-300, 1), or 1 - 10^u just below 1
+    sigma=st.floats(-300.0, 0.0, exclude_max=True).map(lambda u: 10.0**u)
+    | st.floats(-16.0, -1.0).map(lambda u: 1.0 - 10.0**u),
+    degree=st.integers(1, 300),
+)
+def test_every_small_sigma_matches_the_exact_reference(dim, radius, sigma, degree):
+    # SMALL_SIGMA_ULPS of the row scale, and a few subnormal ulps where R^N
+    # underflows and takes the degree-1 row with it
+    spectra = spectrum_grid((ProblemParams(dim, radius, sigma),), degree)
+    exact = exact_spectrum(dim, radius, sigma, degree)
+    scale = float(max(map(abs, exact)))
+    bound = SMALL_SIGMA_ULPS * Fraction(math.ulp(scale)) + UNDERFLOW_FLOOR
+    for value, entry in zip((spectra.e_in, spectra.e_out, spectra.e_res), exact):
+        assert abs(Fraction(float(value[0, -1])) - entry) <= bound, (value[0, -1], float(entry))
 
 
 @pytest.mark.parametrize(
@@ -202,16 +223,12 @@ def test_every_thin_shell_matches_the_exact_reference(dim, log_gap, log_sigma, d
         pytest.param((5, 0.7, 1.0 - 1e-13), 1, id="e_out-dim-5-sigma-1e-13-below-1"),
         # e_out(1) = e_in(1) is O(R^N), about -4.8e-126
         pytest.param((400, 0.5, 2.0), 1, id="e_out-high-dimension"),
-        pytest.param(
-            (2, 0.5, 1e-16),
-            0,
-            marks=pytest.mark.xfail(
-                raises=AssertionError,
-                strict=True,
-                reason="e_in(1) at sigma = 1e-16 reads 0.0: cancellation",
-            ),
-            id="e_in-small-sigma",
-        ),
+        # e_in(1) = e_out(1) at small sigma: read as R/(N sigma) - b_in, a
+        # difference of two O(1/sigma) terms, it was 0.0 at the first point
+        # and 2.6e175 at the last, where it is 1.3e-16
+        pytest.param((2, 0.5, 1e-16), 0, id="e_in-small-sigma"),
+        pytest.param((4, 0.8, 1e-16), 0, id="e_in-small-sigma-dim-4"),
+        pytest.param((6, 0.00354917, 5.39e-208), 0, id="e_in-tiny-sigma"),
     ],
 )
 def test_degree_one_matches_the_exact_reference(point, column):
@@ -227,11 +244,6 @@ def test_spectrum_table_computes_every_degree(point, kmax):
     assert spectrum_grid((ProblemParams(*point),), kmax).e_in.shape[1] == kmax
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="e_in(1) reads 0.0 below sigma = 1e-15, so the positive inner mode is lost",
-)
 @pytest.mark.parametrize("sigma", [1e-16, 1e-300])
 def test_classify_answers_saddle_for_a_vanishing_core_conductivity(sigma):
     verdicts = {
@@ -240,3 +252,16 @@ def test_classify_answers_saddle_for_a_vanishing_core_conductivity(sigma):
         for radius in (0.2, 0.5, 0.8)
     }
     assert set(verdicts.values()) == {Classification.SADDLE}, verdicts
+
+
+def test_classify_answers_saddle_at_every_small_sigma():
+    # e_in(1) > 0 for every sigma < 1: 2700 points, sigma = 10^-j for j = 1..300
+    wrong = [
+        (dim, radius, j)
+        for dim in (2, 3, 4)
+        for radius in (0.2, 0.5, 0.8)
+        for j in range(1, 301)
+        if classify(ProblemParams(dim, radius, 10.0**-j), 3).classification
+        is not Classification.SADDLE
+    ]
+    assert not wrong, wrong

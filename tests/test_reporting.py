@@ -169,14 +169,14 @@ def test_monotonicity_suite_passes():
 def mode_solves(monkeypatch):
     """The (points, kmax) of every mode solve from here on, with the caches
     of the analytic path emptied."""
-    solves, solve = [], second_variation._solve_modes
+    solves, eliminate = [], second_variation._eliminate
 
-    def counted(points, kmax):
-        solves.append((len(points), kmax))
-        return solve(points, kmax)
+    def counted(sigma, stiffness, two_minus_n, k, *system):
+        solves.append((len(sigma), k.size))
+        return eliminate(sigma, stiffness, two_minus_n, k, *system)
 
     spectrum_grid.cache_clear()
-    monkeypatch.setattr(second_variation, "_solve_modes", counted)
+    monkeypatch.setattr(second_variation, "_eliminate", counted)
     return solves
 
 

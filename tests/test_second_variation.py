@@ -44,7 +44,10 @@ def test_assembled_reference_values():
 # Solving the mode systems by eliminating the boundary row moved six entries
 # of five rows, five by one ulp and e_res at (4, 0.8, 0.1) by four (from
 # 7.7e-16 to 1.6e-17 off the reference); e_out(1) at (2, 0.5, 2) now reads
-# the correctly rounded -1/11.
+# the correctly rounded -1/11.  Reading e_in through the value-jump
+# condition below sigma = 1/2 moved e_in at (4, 0.8, 0.1), k = 13 from 0.44
+# to 0.56 ulp of the row scale off the reference, the next float over, and
+# at (2, 0.05, 0.001), k = 30 from 0.80 to 0.20, now correctly rounded.
 REFERENCE_SPECTRUM = [
     (ProblemParams(2, 0.5, 2.0), 1,
      (-0.090909090909090912, -0.090909090909090912, 0.18181818181818182)),
@@ -52,11 +55,11 @@ REFERENCE_SPECTRUM = [
     (ProblemParams(3, 0.2, 10.0), 50,
      (-0.068242468239564438, -10.888888888888889, 1.6510474133009852e-35)),
     (ProblemParams(4, 0.8, 0.1), 13,
-     (-4.5020009624345594, -1.4951473007471718, -0.14123213631182874)),
+     (-4.5020009624345603, -1.4951473007471718, -0.14123213631182874)),
     (ProblemParams(5, 0.35, 0.5), 50,
      (-0.0067174131410256393, -3.9199999999999999, -1.2661262364522025e-24)),
     (ProblemParams(2, 0.05, 0.001), 30,
-     (-36.138899850149848, -14.5, -2.7883853707518413e-39)),
+     (-36.138899850149855, -14.5, -2.7883853707518413e-39)),
 ]
 
 
@@ -279,8 +282,8 @@ def test_spectrum_grid_computes_every_degree(dim, radius, log_sigma, kmax):
     strict=True,
     reason=(
         "past the drawn sigma the Inner unknown B R^k, about R/(N sigma k), is "
-        "subnormal and misses the residual contract at degree 1; the shifted "
-        "inner unknown of ROADMAP item 1 keeps it normal"
+        "subnormal and misses the residual contract at degree 1; scaling the "
+        "core unknown by g = max(sigma, 1), ROADMAP item 1, keeps it normal"
     ),
 )
 def test_spectrum_grid_computes_a_subnormal_inner_unknown():

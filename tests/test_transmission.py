@@ -139,7 +139,7 @@ def test_residual_contract_names_the_first_failing_row(monkeypatch):
     with pytest.raises(
         TransmissionSolveError, match="^mode system residual .* at degree 3, kind Outer$"
     ):
-        second_variation._solve_modes((PARAMS,), 5)
+        spectrum_grid.__wrapped__((PARAMS,), 5)
 
 
 def test_residual_contract_checks_the_value_jump(monkeypatch):
@@ -156,7 +156,7 @@ def test_residual_contract_checks_the_value_jump(monkeypatch):
     with pytest.raises(
         TransmissionSolveError, match="^mode system residual .* at degree 1, kind Inner$"
     ):
-        second_variation._solve_modes((PARAMS,), 5)
+        spectrum_grid.__wrapped__((PARAMS,), 5)
 
 
 def test_ladder_past_float_range_names_the_first_degree():
