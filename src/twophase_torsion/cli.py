@@ -269,7 +269,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return _DISPATCH[args.command](args)
-    # OverflowError: a dim past float range, which Python's int carries
+    # OverflowError: an integer past float range, which Python's int carries
     except (CliError, ValueError, OverflowError, TransmissionSolveError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

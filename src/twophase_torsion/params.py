@@ -44,6 +44,11 @@ class ProblemParams:
 
     def __post_init__(self) -> None:
         _integer(self, "dim", 2, "dim must be an integer >= 2")
+        # every ladder reads N as a float too
+        try:
+            float(self.dim)
+        except OverflowError:
+            raise ValueError("dim leaves float range") from None
         if not math.isfinite(self.core_radius):
             raise ValueError("radius must be finite")
         if not 0.0 < self.core_radius < 1.0:

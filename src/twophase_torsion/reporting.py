@@ -10,6 +10,12 @@ printed expressions, and downstream consumers use the oracle-backed path.
 
 Acceptance criteria 1-12 are defined here and nowhere else, one function
 each; `verify <suite>` prints them and the acceptance tests assert them.
+
+Grids.  The report and criteria 1-6 read GRID_POINTS, criterion 8 reads
+RESONANCE_POINTS, at degrees up to GRID_KMAX or SPECTRUM_KMAX.  All of them
+read their rows off one mode solve, spectrum_grid(CRITERIA_POINTS,
+SPECTRUM_KMAX), which criterion 1 checks whole, and the printed tables of
+GRID_POINTS at GRID_KMAX are built once and shared likewise.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .params import ModeIndex, PerturbationSpec, ProblemParams
 from .second_variation import (
     KINDS,
     RESIDUAL_TOL,
+    SpectrumGrid,
     SpectrumPath,
     TransmissionSolveError,
     _denominator,
@@ -55,6 +62,40 @@ GRID_POINTS = tuple(
     for sigma in GRID_SIGMAS
     for radius in GRID_RADII
 )
+SPECTRUM_KMAX = 50  # criteria 1, 4, 5, 6, 8
+RESONANCE_SIGMAS = (1.5, 2.0, 10.0)  # criterion 8
+RESONANCE_POINTS = tuple(
+    ProblemParams(dim, radius, sigma)
+    for dim in GRID_DIMS
+    for radius in GRID_RADII
+    for sigma in RESONANCE_SIGMAS
+)
+# The one grid that every analytic criterion and the fidelity report read:
+# GRID_POINTS, then the points of criterion 8 that it lacks.
+CRITERIA_POINTS = GRID_POINTS + tuple(
+    params for params in RESONANCE_POINTS if params not in GRID_POINTS
+)
+_CRITERIA_ROWS = {params: row for row, params in enumerate(CRITERIA_POINTS)}
+
+
+def _criteria_spectra(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
+    """spectrum_grid(points, kmax), for points among CRITERIA_POINTS and
+    kmax <= SPECTRUM_KMAX, read off the one cached spectrum_grid of
+    CRITERIA_POINTS at SPECTRUM_KMAX: its rows of the points and their
+    degrees 1..kmax, bit for bit, since a row depends neither on kmax nor
+    on the other points."""
+    grid = spectrum_grid(CRITERIA_POINTS, SPECTRUM_KMAX)
+    rows = [_CRITERIA_ROWS[params] for params in points]
+    if rows == list(range(len(rows))):
+        rows = slice(len(rows))  # leading rows, as GRID_POINTS are: views, not copies
+    arrays = (
+        grid.unknowns[rows, :, :kmax],
+        grid.powers[:, rows, :kmax],
+        *(column[rows, :kmax] for column in (grid.e_in, grid.e_out, grid.e_res)),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return SpectrumGrid(points, *arrays)
 
 
 def _values(grid: tuple) -> str:
@@ -100,7 +141,7 @@ def build_fidelity_report() -> dict:
     last one among ties), their relative deviation, the verdict Match or
     Mismatch against REL_TOL, and the note that explains a mismatch."""
     grid = GRID_POINTS
-    spectra = spectrum_grid(grid, GRID_KMAX)
+    spectra = _criteria_spectra(grid, GRID_KMAX)
     # [point, kind, degree - 1, column] and [point, entry, degree - 1]
     solved = mode_coefficients(spectra)
     printed_modes = closed_form_modes(grid, GRID_KMAX)
@@ -177,16 +218,14 @@ def _result(name: str, failures: list[str], detail: str = "") -> CheckResult:
 # -- acceptance criteria 1-12 --------------------------------------------------
 #
 # Each criterion is one function returning one CheckResult.  Criteria 1-6
-# and 8 draw on the grid above; the other grids and every tolerance are
+# and 8 draw on the grids above; the other grids and every tolerance are
 # named here.
 
-SPECTRUM_KMAX = 50  # criteria 4, 5, 6, 8
 RANDOM_SEED = 12345  # criterion 2
 RANDOM_SAMPLES = 1000
 PROOF_DIMS = range(2, 7)  # criterion 7
 PROOF_RADII = np.linspace(0.05, 0.95, 21)
 PROOF_POINTS = np.geomspace(1e-3, 50.0, 40)
-RESONANCE_SIGMAS = (1.5, 2.0, 10.0)  # criterion 8
 # 100 ratios t = alpha_in/alpha_out, including the aligned and opposed modes
 RESONANCE_RATIOS = np.concatenate([np.linspace(-10.0, 10.0, 98), [-1.0, 1.0]])
 HARDER_CORE = ProblemParams(2, 0.5, 2.0)  # criteria 9-12
@@ -217,15 +256,16 @@ def _worst(deviations: np.ndarray) -> tuple[float, tuple[int, ...]]:
 
 
 def transmission_residuals() -> CheckResult:
-    """1. Every mode solve on the grid meets the residual contract; the
-    solver raises when it does not, naming the first point that fails, so
-    completing the stacked solve is the check."""
+    """1. Every mode solve the criteria make, on CRITERIA_POINTS at degrees
+    1..SPECTRUM_KMAX, meets the residual contract; the solver raises when it
+    does not, naming the first point that fails, so completing the stacked
+    solve is the check."""
     failures = []
     try:
-        spectrum_grid(GRID_POINTS, GRID_KMAX)
+        spectrum_grid(CRITERIA_POINTS, SPECTRUM_KMAX)
     except (TransmissionSolveError, ValueError) as exc:
         failures.append(str(exc))
-    solves = len(GRID_POINTS) * len(GRID_DEGREES) * len(KINDS)
+    solves = len(CRITERIA_POINTS) * SPECTRUM_KMAX * len(KINDS)
     return _result(
         f"transmission residuals < {RESIDUAL_TOL:g} across grid",
         failures,
@@ -259,7 +299,7 @@ def denominator_positivity() -> CheckResult:
 def closed_form_fidelity() -> CheckResult:
     """3. The printed shell coefficients C_in, D_in match the solve."""
     grid = GRID_POINTS
-    solved = mode_coefficients(spectrum_grid(grid, GRID_KMAX))[:, 0, :, 1:]
+    solved = mode_coefficients(_criteria_spectra(grid, GRID_KMAX))[:, 0, :, 1:]
     printed = closed_form_modes(grid, GRID_KMAX)[:, 0, :, 1:]
     worst, (point, index, column) = _worst(_rel_deviation(printed, solved, _NO_FLOOR))
     field = ("outer_sing", "outer_reg")[column]
@@ -273,7 +313,7 @@ def closed_form_fidelity() -> CheckResult:
 
 def translation_invariance() -> CheckResult:
     """4. e_in(1) = e_out(1) on the grid."""
-    grid, spectra = GRID_POINTS, spectrum_grid(GRID_POINTS, SPECTRUM_KMAX)
+    grid, spectra = GRID_POINTS, _criteria_spectra(GRID_POINTS, SPECTRUM_KMAX)
     worst, (point,) = _worst(_rel_deviation(spectra.e_in[:, 0], spectra.e_out[:, 0], _NO_FLOOR))
     return CheckResult(
         f"translation invariance e_in(1) = e_out(1) to {TRANSLATION_TOL:g}",
@@ -285,7 +325,7 @@ def translation_invariance() -> CheckResult:
 def single_phase_degeneracy() -> CheckResult:
     """5. At sigma = 1: e_in = 0, e_out(1) = 0, e_out(k >= 2) < 0, on the
     grid's points with sigma = 1."""
-    grid, spectra = GRID_POINTS, spectrum_grid(GRID_POINTS, SPECTRUM_KMAX)
+    grid, spectra = GRID_POINTS, _criteria_spectra(GRID_POINTS, SPECTRUM_KMAX)
     points = [point for point, params in enumerate(grid) if params.sigma == 1.0]
     e_in, e_out = spectra.e_in[points], spectra.e_out[points]
     failed = np.stack(
@@ -306,7 +346,7 @@ def single_phase_degeneracy() -> CheckResult:
 
 def spectrum_monotonicity() -> CheckResult:
     """6. e_out, and e_in for sigma != 1, strictly decrease in the degree."""
-    grid, spectra = GRID_POINTS, spectrum_grid(GRID_POINTS, SPECTRUM_KMAX)
+    grid, spectra = GRID_POINTS, _criteria_spectra(GRID_POINTS, SPECTRUM_KMAX)
     e_in, e_out = spectra.e_in, spectra.e_out
     two_phase = np.array([params.sigma != 1.0 for params in grid])[:, np.newaxis]
     failed = np.stack(
@@ -345,13 +385,8 @@ def proof_function_negativity() -> CheckResult:
 def resonance_structure() -> CheckResult:
     """8. For sigma > 1: delta(1) = 0 and Q(1) = 0 for the combined degree-1
     mode; delta <= 0 and Q(t) < 0 at every sampled ratio for k >= 2."""
-    points = tuple(
-        ProblemParams(dim, radius, sigma)
-        for dim in GRID_DIMS
-        for radius in GRID_RADII
-        for sigma in RESONANCE_SIGMAS
-    )
-    spectra = spectrum_grid(points, SPECTRUM_KMAX)
+    points = RESONANCE_POINTS
+    spectra = _criteria_spectra(points, SPECTRUM_KMAX)
     e_in, e_out, e_res = spectra.e_in, spectra.e_out, spectra.e_res
     delta = discriminant(e_in, e_out, e_res)
     # degree 1: delta(1) against its scale, and E''(Phi) of the combined mode
@@ -365,11 +400,15 @@ def resonance_structure() -> CheckResult:
         ],
         axis=1,
     )
-    # Q(t) = e_in t^2 + e_res t + e_out < 0 on [point, degree], one sampled
-    # ratio at a time, so no [point, degree, ratio] array is held
-    negative = np.ones(delta[:, 1:].shape, dtype=bool)
-    for ratio in RESONANCE_RATIOS.tolist():
-        negative &= e_in[:, 1:] * ratio * ratio + e_res[:, 1:] * ratio + e_out[:, 1:] < 0.0
+    # Q(t) = e_in t^2 + e_res t + e_out < 0 at every sampled ratio, on
+    # [degree, ratio] one point at a time, so no [point, degree, ratio] array
+    # is held
+    t = RESONANCE_RATIOS
+    negative = np.array([
+        ((row_in[:, np.newaxis] * t) * t + row_res[:, np.newaxis] * t + row_out[:, np.newaxis]
+         < 0.0).all(axis=1)
+        for row_in, row_out, row_res in zip(e_in[:, 1:], e_out[:, 1:], e_res[:, 1:])
+    ])
     later = np.stack([delta[:, 1:] > 0.0, ~negative], axis=2)
     # [point, degree - 1, check], in the order the checks are listed above
     failed = np.concatenate([first[:, np.newaxis], later], axis=1)

@@ -35,7 +35,9 @@ Printed path.  `closed_form_modes` and `printed_spectrum` evaluate the
 printed closed forms verbatim, over the same ladders, with their common
 denominator `denom_F`: reference values for the fidelity report and the
 printed path of the CSV emitter (`SpectrumPath`).  Any discrepancy is
-surfaced there; the closed forms are never silently patched.
+surfaced there; the closed forms are never silently patched.  The three
+share one cached ladder per (points, kmax), and `closed_form_modes` is
+cached too, each bounded like `spectrum_grid`.
 
 Ladder conventions, for every function over degrees 1..kmax at a tuple of
 points: arrays lead with the point axis, [point, degree - 1] for a column
@@ -161,10 +163,13 @@ def _denominator(n, sigma, k, rho):
     return n * (n - 2 + k + k * sigma) * rho + k * n * (1.0 - sigma)
 
 
+@functools.lru_cache(maxsize=16)
 def _printed_ladder(points: tuple[ProblemParams, ...], kmax: int) -> tuple[np.ndarray, ...]:
-    """The terms the printed closed forms share: the columns N and sigma of
-    the points, the degrees 1..kmax, and R^{2-N-2k}, R^{1-k} and F indexed
-    [point, degree - 1]; entries past float range are inf or NaN."""
+    """The terms the printed closed forms share, read-only: the columns N and
+    sigma of the points, the degrees 1..kmax, and R^{2-N-2k}, R^{1-k} and F
+    indexed [point, degree - 1]; entries past float range are inf or NaN.
+    Cached like spectrum_grid, so that denom_F, closed_form_modes and
+    printed_spectrum of one (points, kmax) share one ladder."""
     rho, r_lead = _radius_powers(points, kmax, _PRINTED_POWERS)
     # the degrees as integers, so that k k stays exact, and N as a float,
     # exact below 2^53, so that an N past int64 makes no object array
@@ -173,7 +178,10 @@ def _printed_ladder(points: tuple[ProblemParams, ...], kmax: int) -> tuple[np.nd
     sigmas = np.array([params.sigma for params in points])[:, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):
         f_denom = _denominator(dims, sigmas, degrees, rho)
-    return dims, sigmas, degrees, rho, r_lead, f_denom
+    ladder = dims, sigmas, degrees, rho, r_lead, f_denom
+    for array in ladder:
+        array.flags.writeable = False
+    return ladder
 
 
 def denom_F(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
@@ -181,7 +189,6 @@ def denom_F(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
     of the printed closed forms, degrees 1..kmax at each point."""
     f_denom = _printed_ladder(points, kmax)[-1]
     FloatRangeError.check(points, np.isfinite(f_denom))
-    f_denom.flags.writeable = False
     return f_denom
 
 
@@ -216,9 +223,11 @@ def mode_coefficients(grid: SpectrumGrid) -> np.ndarray:
     return coefficients
 
 
+@functools.lru_cache(maxsize=16)
 def closed_form_modes(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
     """The printed closed-form (B, C, D) of degrees 1..kmax, both kinds, at
-    every point, evaluated verbatim and laid out like mode_coefficients."""
+    every point, evaluated verbatim and laid out like mode_coefficients;
+    cached, so that criterion 3 and the fidelity report share one table."""
     n, sigma, k, rho, r_lead, f_denom = _printed_ladder(points, kmax)
     with np.errstate(over="ignore", invalid="ignore"):
         c_in = (sigma - 1.0) * k * r_lead / f_denom
@@ -364,7 +373,7 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
     and FloatRangeError at the first degree whose system, unknowns or
     entries leave the float range.  This is the spectrum's one cache, keyed
     by (points, kmax): `spectrum` rereads the grid `classify` built, and the
-    criteria read a few grids each, so 16 grids serve it, where 512 held
+    analytic criteria read one grid, so 16 grids serve it, where 512 held
     148 MB at kmax 3000 over a long sweep of points.
     """
     powers = _radius_powers(points, kmax, _MODE_POWERS)

@@ -266,6 +266,28 @@ def test_a_huge_dimension_is_answered_at_once(command, dim):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("command", [["classify"], ["spectrum"], ["spectrum", "--path", "printed"]])
+def test_a_dimension_past_float_range_is_named(capsys, command):
+    argv = [*command, "--dim", str(10**400), "--radius", "0.5", "--sigma", "2"]
+    assert run_cli(capsys, argv) == (2, "", "dim leaves float range\n")
+
+
+@pytest.mark.parametrize("command", [["classify"], ["spectrum", "--path", "printed"]])
+def test_a_dimension_in_float_range_names_the_degree_past_it(capsys, command):
+    # R^N underflows at degree 1 for classify, and R^{2-N-2k} overflows
+    # for the printed path; the assembled spectrum forms neither
+    argv = [*command, "--dim", str(10**20), "--radius", "0.5", "--sigma", "2"]
+    message = "degree 1 leaves float range for these parameters\n"
+    assert run_cli(capsys, argv) == (2, "", message)
+
+
+def test_an_oracle_config_with_a_dimension_past_float_range_is_named(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"dim": {10**400}, "radius": 0.5, "sigma": 2.0}}', encoding="utf-8")
+    code, out, err = run_cli(capsys, ["oracle", "--config", str(path)])
+    assert (code, out, err) == (2, "", "invalid oracle config: dim leaves float range\n")
+
+
 def test_a_billion_dimensions_keep_their_degree_one_row(capsys):
     argv = ["spectrum", "--dim", "1000000000", "--radius", "0.999999999", "--sigma", "2",
             "--kmax", "3"]
@@ -387,7 +409,7 @@ def test_fidelity_document(capsys):
 # and the fidelity report's E_res_k1_perfect_square from 1.33e-15 to
 # 3.81e-16.
 PINNED_STDOUT = {
-    ("verify", "coefficients"): "ba72d3a6fb89fbc80f33b64ab980e47a578a4598d4103bea4753bf996c3e4cc1",
+    ("verify", "coefficients"): "e7391afa28efc87ae3576f6f9fbeaae5301e07429fc09f3032ea94fed1c5c190",
     ("verify", "secondvar"): "39de8a81607cf5ae3b1acfd6c4bc7a3d2d8d950e8342e298a3680a7ed4e7d56e",
     ("verify", "monotonicity"): "a77897d84503e4da0212ec7accdfd4a67728f56fe7e7deefd295b1c4af281cd5",
     ("verify", "pde"): "976e05ee8da08ff47d451660ba9ab7af456004d6d61ccb738e423568d8e9a82e",

@@ -8,9 +8,11 @@ from twophase_torsion.params import ModeIndex, ProblemParams, presets, validate
 from twophase_torsion import pde_oracle, reporting, second_variation
 from twophase_torsion.reporting import (
     CRITERIA,
+    CRITERIA_POINTS,
     GRID_DESCRIPTION,
     GRID_KMAX,
     GRID_POINTS,
+    RESONANCE_POINTS,
     SPECTRUM_KMAX,
     SUITE_CRITERIA,
     SUITES,
@@ -26,6 +28,8 @@ from twophase_torsion.reporting import (
 from twophase_torsion.second_variation import (
     SpectrumPath,
     assemble_spectrum,
+    closed_form_modes,
+    denom_F,
     discriminant,
     printed_spectrum,
     spectrum_grid,
@@ -54,6 +58,26 @@ def report():
 
 def test_default_grid_size():
     assert len(GRID_POINTS) == 45  # 3 dims x 5 sigmas x 3 radii
+    # the grid, then the 3 dims x 3 radii at sigma = 1.5 of criterion 8
+    assert len(RESONANCE_POINTS) == 27
+    assert CRITERIA_POINTS[:45] == GRID_POINTS
+    assert set(CRITERIA_POINTS) == set(GRID_POINTS) | set(RESONANCE_POINTS)
+    assert len(CRITERIA_POINTS) == 54
+
+
+@pytest.mark.parametrize(
+    "points, kmax",
+    [(GRID_POINTS, GRID_KMAX), (GRID_POINTS, SPECTRUM_KMAX), (RESONANCE_POINTS, SPECTRUM_KMAX)],
+    ids=["criteria 1-3 and fidelity", "criteria 4-6", "criterion 8"],
+)
+def test_each_criterion_reads_the_grid_a_fresh_solve_gives(points, kmax):
+    view, fresh = reporting._criteria_spectra(points, kmax), spectrum_grid(points, kmax)
+    assert view.points == fresh.points
+    for name in ("unknowns", "powers", "e_in", "e_out", "e_res"):
+        array = getattr(view, name)
+        assert array.shape == getattr(fresh, name).shape, name
+        assert array.tobytes() == getattr(fresh, name).tobytes(), name
+        assert not array.flags.writeable, name
 
 
 def test_fidelity_report_full_grid_verdicts(report):
@@ -168,29 +192,58 @@ def test_monotonicity_suite_passes():
 @pytest.fixture
 def mode_solves(monkeypatch):
     """The (points, kmax) of every mode solve from here on, with the caches
-    of the analytic path emptied."""
+    of the analytic and the printed path emptied."""
     solves, eliminate = [], second_variation._eliminate
 
     def counted(sigma, stiffness, two_minus_n, k, *system):
         solves.append((len(sigma), k.size))
         return eliminate(sigma, stiffness, two_minus_n, k, *system)
 
-    spectrum_grid.cache_clear()
+    for cached in (spectrum_grid, second_variation._printed_ladder, closed_form_modes):
+        cached.cache_clear()
     monkeypatch.setattr(second_variation, "_eliminate", counted)
     return solves
 
 
+@pytest.fixture
+def printed_ladders(monkeypatch):
+    """The (points, kmax) of every printed ladder built from here on."""
+    ladders, radius_powers = [], second_variation._radius_powers
+
+    def counted(points, kmax, terms):
+        if terms is second_variation._PRINTED_POWERS:
+            ladders.append((points, kmax))
+        return radius_powers(points, kmax, terms)
+
+    monkeypatch.setattr(second_variation, "_radius_powers", counted)
+    return ladders
+
+
 def test_resonance_criterion_makes_one_stacked_solve(mode_solves):
-    # 3 dims x 3 radii x 3 sigmas at SPECTRUM_KMAX
+    # the one grid of the criteria, 54 points at SPECTRUM_KMAX
     assert resonance_structure().passed
-    assert mode_solves == [(27, SPECTRUM_KMAX)]
+    assert mode_solves == [(54, SPECTRUM_KMAX)]
 
 
-def test_criteria_1_to_6_and_the_fidelity_report_make_two_grid_solves(mode_solves):
-    for number in range(1, 7):
+def test_criteria_1_to_8_and_the_fidelity_report_make_one_solve(mode_solves, printed_ladders):
+    for number in range(1, 9):
         assert CRITERIA[number]().passed, number
     build_fidelity_report()
-    assert mode_solves == [(45, GRID_KMAX), (45, SPECTRUM_KMAX)]
+    assert mode_solves == [(54, SPECTRUM_KMAX)]
+    assert printed_ladders == [(GRID_POINTS, GRID_KMAX)]
+
+
+def test_the_cached_printed_arrays_are_read_only():
+    ladder = second_variation._printed_ladder(GRID_POINTS, GRID_KMAX)
+    arrays = (
+        *ladder,
+        denom_F(GRID_POINTS, GRID_KMAX),
+        closed_form_modes(GRID_POINTS, GRID_KMAX),
+        *printed_spectrum(GRID_POINTS, GRID_KMAX),
+    )
+    assert not any(array.flags.writeable for array in arrays)
+    assert denom_F(GRID_POINTS, GRID_KMAX) is ladder[-1]
+    assert second_variation._printed_ladder(GRID_POINTS, GRID_KMAX) is ladder
 
 
 def test_a_grid_point_past_the_residual_contract_fails_criterion_1(monkeypatch):

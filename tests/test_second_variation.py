@@ -91,6 +91,36 @@ def test_table_rows_do_not_depend_on_kmax(dim, radius, log_sigma, kmax, data):
     assert full.powers[:, 0, index].tobytes() == short.powers[:, 0, index].tobytes()
 
 
+_POINTS = st.builds(
+    ProblemParams, st.integers(2, 8), st.floats(0.05, 0.95), st.floats(1e-3, 1e3)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared=_POINTS, kmax=st.integers(1, 60), data=st.data())
+def test_a_point_shared_by_two_grids_has_one_row_in_both(shared, kmax, data):
+    # the criteria read every grid they need off one grid of all their
+    # points: each row, assembled or printed, depends on its point alone
+    def row(label):
+        others = data.draw(st.lists(_POINTS, max_size=3), label=f"{label} grid")
+        point = data.draw(st.integers(0, len(others)), label=f"{label} position")
+        points = (*others[:point], shared, *others[point:])
+        spectra = spectrum_grid(points, kmax)
+        arrays = (
+            spectra.e_in[point],
+            spectra.e_out[point],
+            spectra.e_res[point],
+            spectra.unknowns[point],
+            spectra.powers[:, point],
+            closed_form_modes(points, kmax)[point],
+            denom_F(points, kmax)[point],
+            *(column[point] for column in printed_spectrum(points, kmax)),
+        )
+        return [array.tobytes() for array in arrays]
+
+    assert row("first") == row("second")
+
+
 def test_spectrum_past_float_range_names_the_first_degree():
     cases = [
         (lambda: printed_spectrum((PARAMS,), 503), 503),
