@@ -635,8 +635,11 @@ def differentiate_energy(
     convergence rate is the observed reduction order of successive raw second
     differences; it is NaN when levels < 2 or either spacing is zero.  The extrapolation agreement
     is the relative gap between the last two extrapolants, small when E(t)
-    is smooth (near-quadratic) at this scale.
+    is smooth (near-quadratic) at this scale.  The family must be at t = 0,
+    the point differentiated at.
     """
+    if family.t != 0.0:
+        raise ValueError(f"the family must be at t = 0, not t = {family.t:g}")
     if not math.isfinite(t0):
         raise ValueError("t0 must be finite")
     if t0 <= 0.0:

@@ -36,8 +36,8 @@ printed closed forms verbatim, over the same ladders, with their common
 denominator `denom_F`: reference values for the fidelity report and the
 printed path of the CSV emitter (`SpectrumPath`).  Any discrepancy is
 surfaced there; the closed forms are never silently patched.  The three
-share one cached ladder per (points, kmax), and `closed_form_modes` is
-cached too, each bounded like `spectrum_grid`.
+read one cached pass per (points, kmax), which evaluates them all over one
+ladder and is bounded like `spectrum_grid`; each checks its own arrays.
 
 Ladder conventions, for every function over degrees 1..kmax at a tuple of
 points: arrays lead with the point axis, [point, degree - 1] for a column
@@ -58,6 +58,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,30 +165,55 @@ def _denominator(n, sigma, k, rho):
 
 
 @functools.lru_cache(maxsize=16)
-def _printed_ladder(points: tuple[ProblemParams, ...], kmax: int) -> tuple[np.ndarray, ...]:
-    """The terms the printed closed forms share, read-only: the columns N and
-    sigma of the points, the degrees 1..kmax, and R^{2-N-2k}, R^{1-k} and F
-    indexed [point, degree - 1]; entries past float range are inf or NaN.
-    Cached like spectrum_grid, so that denom_F, closed_form_modes and
-    printed_spectrum of one (points, kmax) share one ladder."""
+def _printed(points: tuple[ProblemParams, ...], kmax: int) -> tuple[np.ndarray, ...]:
+    """F, the (B, C, D) of closed_form_modes and the e_in, e_out, e_res of
+    printed_spectrum, evaluated verbatim over one ladder and cached like
+    spectrum_grid: read-only and unchecked, inf or NaN past float range."""
     rho, r_lead = _radius_powers(points, kmax, _PRINTED_POWERS)
     # the degrees as integers, so that k k stays exact, and N as a float,
     # exact below 2^53, so that an N past int64 makes no object array
-    degrees = np.arange(1, kmax + 1)
-    dims = np.array([params.dim for params in points], dtype=float)[:, np.newaxis]
-    sigmas = np.array([params.sigma for params in points])[:, np.newaxis]
+    k = np.arange(1, kmax + 1)
+    n = np.array([params.dim for params in points], dtype=float)[:, np.newaxis]
+    sigma = np.array([params.sigma for params in points])[:, np.newaxis]
+    r_pow = np.array([params.core_radius**params.dim for params in points])[:, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):
-        f_denom = _denominator(dims, sigmas, degrees, rho)
-    ladder = dims, sigmas, degrees, rho, r_lead, f_denom
-    for array in ladder:
+        f_denom = _denominator(n, sigma, k, rho)
+        c_in = (sigma - 1.0) * k * r_lead / f_denom
+        inner = (
+            (1.0 - sigma) * r_lead * ((n - 2 + k) * rho) / f_denom,
+            c_in,
+            -c_in,
+        )
+        outer = (
+            (n - 2 + 2 * k) * rho / f_denom,
+            (1.0 - sigma) * k / f_denom,
+            (n - 2 + k + k * sigma) * rho / f_denom,
+        )
+        coefficients = np.stack(
+            [np.stack(inner, axis=-1), np.stack(outer, axis=-1)], axis=1
+        )
+        e_in = (
+            (2.0 * r_pow / n)
+            * ((1.0 - sigma) / sigma)
+            * (f_denom - k * (k * (1.0 - sigma) + (n - 2 + k) * (1.0 - sigma) * rho))
+            / f_denom
+        )
+        e_out = (
+            (2.0 / n)
+            * (f_denom - k * ((-n + 2 - k) * (1.0 - sigma) + (n - 2 + k + k * sigma) * rho))
+            / f_denom
+        )
+        e_res = (4.0 * (sigma - 1.0) * r_lead / n) * ((n - 2) * k + 2 * k * k) / f_denom
+    printed = f_denom, coefficients, e_in, e_out, e_res
+    for array in printed:
         array.flags.writeable = False
-    return ladder
+    return printed
 
 
 def denom_F(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
     """The common denominator F = N(N-2+k+k sigma)R^{2-N-2k} + kN(1-sigma) > 0
     of the printed closed forms, degrees 1..kmax at each point."""
-    f_denom = _printed_ladder(points, kmax)[-1]
+    f_denom = _printed(points, kmax)[0]
     FloatRangeError.check(points, np.isfinite(f_denom))
     return f_denom
 
@@ -223,29 +249,11 @@ def mode_coefficients(grid: SpectrumGrid) -> np.ndarray:
     return coefficients
 
 
-@functools.lru_cache(maxsize=16)
 def closed_form_modes(points: tuple[ProblemParams, ...], kmax: int) -> np.ndarray:
     """The printed closed-form (B, C, D) of degrees 1..kmax, both kinds, at
-    every point, evaluated verbatim and laid out like mode_coefficients;
-    cached, so that criterion 3 and the fidelity report share one table."""
-    n, sigma, k, rho, r_lead, f_denom = _printed_ladder(points, kmax)
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_in = (sigma - 1.0) * k * r_lead / f_denom
-        inner = (
-            (1.0 - sigma) * r_lead * ((n - 2 + k) * rho) / f_denom,
-            c_in,
-            -c_in,
-        )
-        outer = (
-            (n - 2 + 2 * k) * rho / f_denom,
-            (1.0 - sigma) * k / f_denom,
-            (n - 2 + k + k * sigma) * rho / f_denom,
-        )
-        coefficients = np.stack(
-            [np.stack(inner, axis=-1), np.stack(outer, axis=-1)], axis=1
-        )
+    every point, evaluated verbatim and laid out like mode_coefficients."""
+    coefficients = _printed(points, kmax)[1]
     FloatRangeError.check(points, np.isfinite(coefficients).all(axis=(1, 3)))
-    coefficients.flags.writeable = False
     return coefficients
 
 
@@ -254,26 +262,10 @@ def printed_spectrum(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The printed closed-form columns e_in, e_out, e_res of degrees 1..kmax
     at every point, evaluated verbatim."""
-    n, sigma, k, rho, r_lead, f_denom = _printed_ladder(points, kmax)
-    r_pow = np.array([params.core_radius**params.dim for params in points])[:, np.newaxis]
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_in = (
-            (2.0 * r_pow / n)
-            * ((1.0 - sigma) / sigma)
-            * (f_denom - k * (k * (1.0 - sigma) + (n - 2 + k) * (1.0 - sigma) * rho))
-            / f_denom
-        )
-        e_out = (
-            (2.0 / n)
-            * (f_denom - k * ((-n + 2 - k) * (1.0 - sigma) + (n - 2 + k + k * sigma) * rho))
-            / f_denom
-        )
-        e_res = (4.0 * (sigma - 1.0) * r_lead / n) * ((n - 2) * k + 2 * k * k) / f_denom
+    e_in, e_out, e_res = _printed(points, kmax)[2:]
     FloatRangeError.check(
         points, np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res)
     )
-    for column in (e_in, e_out, e_res):
-        column.flags.writeable = False
     return e_in, e_out, e_res
 
 
@@ -409,7 +401,7 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
         )
         # backward error per condition, the right-hand side moved over among
         # its terms; the worst condition's, ignoring NaN
-        tiny, total = np.finfo(float).tiny, functools.partial(functools.reduce, np.add)
+        tiny, total = sys.float_info.min, functools.partial(functools.reduce, np.add)
         flux = (-stiffness * b, (two_minus_n - k) * c, k * d)
         worst = functools.reduce(np.fmax, [
             np.abs(total(terms)) / np.maximum(total(map(np.abs, terms)), tiny)

@@ -963,6 +963,15 @@ def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
             "t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = 1.35e+285 "
             "exceeds 0.0001",
         ),
+        # the outer channel at sigma = 1e-12: unrefused, this gave d2 = -4.08 where
+        # e_out(2) = -0.382, since its d2 is O(1) while eps E(0)/delta^2 grows like
+        # 1/sigma; a relaxed floor must keep refusing it
+        (
+            {"sigma": 1e-12, "radial_points": 64, "angular_modes": 16, "t0": 0.01,
+             "modes": [{"degree": 2, "alpha_out": 1.0}]},
+            "t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = 0.872 "
+            "exceeds 0.0001",
+        ),
     ],
 )
 def test_oracle_rejects_malformed_configs(tmp_path, capsys, config, message):

@@ -238,6 +238,9 @@ def test_differentiate_energy_validates_input():
     family = PerturbedDomainFamily(PARAMS, PerturbationSpec({}))
     with pytest.raises(ValueError, match="^t0 must be positive$"):
         differentiate_energy(family, t0=0.0)
+    # a run differentiates at t = 0, so a family at t = 0.3 is refused, not read at 0
+    with pytest.raises(ValueError, match=r"^the family must be at t = 0, not t = 0\.3$"):
+        differentiate_energy(family.at(0.3))
     with pytest.raises(ValueError, match="levels"):
         differentiate_energy(family, levels=0)
     for t0 in (math.inf, -math.inf, math.nan):

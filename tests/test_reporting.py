@@ -199,7 +199,7 @@ def mode_solves(monkeypatch):
         solves.append((len(sigma), k.size))
         return eliminate(sigma, stiffness, two_minus_n, k, *system)
 
-    for cached in (spectrum_grid, second_variation._printed_ladder, closed_form_modes):
+    for cached in (spectrum_grid, second_variation._printed):
         cached.cache_clear()
     monkeypatch.setattr(second_variation, "_eliminate", counted)
     return solves
@@ -234,16 +234,18 @@ def test_criteria_1_to_8_and_the_fidelity_report_make_one_solve(mode_solves, pri
 
 
 def test_the_cached_printed_arrays_are_read_only():
-    ladder = second_variation._printed_ladder(GRID_POINTS, GRID_KMAX)
+    printed = second_variation._printed(GRID_POINTS, GRID_KMAX)
     arrays = (
-        *ladder,
+        *printed,
         denom_F(GRID_POINTS, GRID_KMAX),
         closed_form_modes(GRID_POINTS, GRID_KMAX),
         *printed_spectrum(GRID_POINTS, GRID_KMAX),
     )
     assert not any(array.flags.writeable for array in arrays)
-    assert denom_F(GRID_POINTS, GRID_KMAX) is ladder[-1]
-    assert second_variation._printed_ladder(GRID_POINTS, GRID_KMAX) is ladder
+    assert denom_F(GRID_POINTS, GRID_KMAX) is printed[0]
+    assert closed_form_modes(GRID_POINTS, GRID_KMAX) is printed[1]
+    assert all(a is b for a, b in zip(printed_spectrum(GRID_POINTS, GRID_KMAX), printed[2:]))
+    assert second_variation._printed(GRID_POINTS, GRID_KMAX) is printed
 
 
 def test_a_grid_point_past_the_residual_contract_fails_criterion_1(monkeypatch):
