@@ -46,30 +46,28 @@ operator K(0) itself.  D, the chains' eigenvalues j^2 and the cos and sin
 pair come from one function, angular_operator.  cho_factor and cho_solve are this
 module's names for the LAPACK pttrf and pttrs bindings, kept because the
 benchmark's tracer (bench/spans.py) times and counts the calls through those
-two module attributes.  The cell rows and load, the operator's node values and
-cell arrays, the preconditioner's right-hand sides, coefficients and result
-and the CG vectors live in one workspace per grid and thread (_Workspace),
-kept across solves and runs in a bounded cache (_workspace) and written by
-out= and in-place ufuncs in the order of the expressions they replace, so
-the energies are bit for bit those of fresh arrays; only u is new in each
-solve, as the solutions list keeps it.  The gain is in the allocator, not
-the arithmetic: freed each step, these 65 KB arrays (at 256x32) left memory
-past glibc's trim threshold at the top of its heap, which went back to the
-kernel and was faulted in again (mallopt(3), M_TRIM_THRESHOLD), about 1200
-minor faults per run; with the workspace a median run takes 3-5.
+two module attributes.  Each grid and thread has one cache, its workspace
+(_Workspace, kept in the bounded _workspace): the grid's angular operator
+and angles, the radial factors of the last core radius solved, and the
+arrays every solve writes by out= and in-place ufuncs, in the order of the
+expressions they replace, so the energies are bit for bit those of fresh
+arrays; only u is new in each solve, as the solutions list keeps it.  Freed
+each step, these 65 KB arrays (at 256x32) left memory past glibc's trim
+threshold at the top of its heap, which went back to the kernel and was
+faulted in again (mallopt(3), M_TRIM_THRESHOLD).
 
 Cell rows.  In the core phi = s rho_D/R, so each coefficient row is a factor
 of s, which the grid alone fixes, times a factor of theta; in the shell one
 reciprocal 1/phi serves all three rows (_cell_rows).  The grid's factors and
-the load's weights are built once per (R, n, m) in a bounded cache
-(_radial_factors), so a sample computes its angular factors, its shell rows
-and one small product for the load.  At 256x32 on one BLAS thread of a 2-vCPU
-Xeon container a sample's fixed work is about 0.15 ms of cell rows and
-0.09 ms of preconditioner factorization, and a CG step about 0.12 ms of
-preconditioner and 0.08 ms of operator application: a 7-sample run of
-13 steps and 6 warm-start residuals spends about 1.7 ms on the samples'
-fixed work and 3.1 ms on operator and preconditioner applications, of about
-7 ms in all (10 ms with fresh arrays, a cost the parts' own loops never show).
+the load's weights (_radial_factors) are rebuilt only when a solve's core
+radius differs from its workspace's last, so a sample computes its angular
+factors, its shell rows and one small product for the load.  At 256x32 on
+one BLAS thread of a 2-vCPU Xeon container a sample's fixed work is about
+0.15 ms of cell rows and 0.09 ms of preconditioner factorization, and a CG
+step about 0.12 ms of preconditioner and 0.08 ms of operator application: a
+7-sample run of 13 steps and 6 warm-start residuals spends about 1.7 ms on
+the samples' fixed work and 3.1 ms on operator and preconditioner
+applications, of about 7 ms in all.
 
 The perturbation family reads its normal speeds g of the interface and of
 the outer boundary from a PerturbationSpec, the package's one description of
@@ -124,9 +122,6 @@ ROUNDING_FLOOR = 1e-4
 # outer channel read E(0) = 0.119 for 0.390 and d2 = +0.035 for
 # e_out(2) = -0.52 from sigma = 1e35 up
 SIGMA_CEILING = 1e12
-# (radius, radial_points, angular_modes) grids whose radial factors are kept;
-# a run reads one grid for all of its samples
-RADIAL_CACHE_SIZE = 32
 # (radial_points, angular_modes, thread) workspaces kept: a run uses one grid
 # and `verify pde` two; one holds 4.5 MB at the default 512x64, 1.1 MB at 256x32
 WORKSPACE_CACHE_SIZE = 4
@@ -233,6 +228,9 @@ class PerturbedDomainFamily:
         inner, outer = _normal_speeds(self.spec, theta)
         rho_in, drho_in = self._radius(self.params.core_radius, 0, *inner)
         rho_out, drho_out = self._radius(1.0, 1, *outer)
+        # an overflowing g or g^2 makes a radius NaN, which passes every comparison
+        if not (np.isfinite(rho_in).all() and np.isfinite(rho_out).all()):
+            raise InterfaceOrderingError("perturbed radius is not finite")
         if np.any(rho_in <= 0.0) or np.any(rho_in >= rho_out):
             raise InterfaceOrderingError(
                 "interface ordering 0 < rho_D < rho_Omega violated"
@@ -254,12 +252,12 @@ class AngularOperator(NamedTuple):
     synthesis: np.ndarray  # (m + 2, m) the inverse of analysis on real data
 
 
-@functools.cache
 def angular_operator(m: int) -> AngularOperator:
     """The periodic spectral differentiation matrix D on m equispaced points,
     the eigenvalues of D^T D by real Fourier mode j = 0..m/2, and the real
-    Fourier transform pair of the preconditioner; built once per m and
-    returned read-only.
+    Fourier transform pair of the preconditioner, returned read-only: a
+    workspace shares them with every solve on its grid.  m must be even and
+    at least 4, as solve_energy checks.
 
     D is the antisymmetric circulant with entries 0.5 (-1)^j cot(j pi / m) at
     offset j, built from one coefficient row with c_{m-j} = -c_j and
@@ -270,8 +268,6 @@ def angular_operator(m: int) -> AngularOperator:
     sum x sin(j theta), the real and (negated) imaginary parts of rfft(x),
     and coefficients @ synthesis gives back x, as irfft does.
     """
-    if m % 2 != 0 or m < 4:
-        raise ValueError("angular_modes must be even and >= 4")
     j = np.arange(1, m // 2)
     coefficients = np.zeros(m)
     coefficients[j] = 0.5 * (-1.0) ** j / np.tan(j * math.pi / m)
@@ -303,11 +299,10 @@ def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
     return np.concatenate([inner, outer]), j_in
 
 
-@functools.lru_cache(maxsize=RADIAL_CACHE_SIZE)
 def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tuple:
     """What _cell_rows needs of the grid and does not read from the family,
-    built once per (radius, radial_points, angular_modes) and returned
-    read-only: the interface node j_in; the core cells' area and bend
+    returned read-only, as a workspace keeps them for every solve at the
+    same radius: the interface node j_in; the core cells' area and bend
     factors dtheta s/h and dtheta h/(4 s); the shell cells' offsets s - R and
     their area and bend factors dtheta/h and dtheta h/4, all as (cells, 1)
     columns at the midpoints s; and the (nodes, 3) load weights of
@@ -340,14 +335,14 @@ def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tu
 
 
 class _Workspace:
-    """The arrays that every solve on one (radial_points, angular_modes) grid
-    writes into, allocated once (module docstring)."""
+    """What every solve on one (radial_points, angular_modes) grid reads or
+    writes, built once (module docstring)."""
 
     def __init__(self, radial_points: int, angular_modes: int) -> None:
-        if radial_points < 4:
-            raise ValueError("radial_points must be >= 4")
         n, m = radial_points, angular_modes
         self.angular = angular_operator(m)
+        self.theta = 2.0 * math.pi * np.arange(m) / m
+        self.radius = self.factors = None  # _cell_rows sets both
         self.rows = np.empty((3, n, m))  # area, shear/2 and bend by cell and angle
         self.nodes = np.zeros((n + 1, m))  # the node values; the Dirichlet row stays 0
         self.cells = np.empty((5, n, m))  # _stiffness' delta, slope, f, h and scratch
@@ -382,12 +377,11 @@ def _cell_rows(family: PerturbedDomainFamily, work: _Workspace) -> tuple:
     area, half_shear, bend = work.rows
     radial_points, m = area.shape
     radius, sigma = family.params.core_radius, family.params.sigma
-    theta = 2.0 * math.pi * np.arange(m) / m
     dtheta = 2.0 * math.pi / m
-    rho_in, drho_in, rho_out, drho_out = family.boundary_radii(theta)
-    j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = (
-        _radial_factors(radius, radial_points, m)
-    )
+    rho_in, drho_in, rho_out, drho_out = family.boundary_radii(work.theta)
+    if radius != work.radius:
+        work.radius, work.factors = radius, _radial_factors(radius, radial_points, m)
+    j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = work.factors
 
     log_slope = drho_in / rho_in
     np.multiply(core_area, sigma * (1.0 + log_slope * log_slope), out=area[:j_in])
@@ -502,11 +496,16 @@ def solve_energy(
     energy begins at -2 J(start) = start . (q + r); a start whose -2 J is not
     positive is dropped for u = 0.  With solutions, a list,
     the discrete u is appended to it.  A non-finite or non-positive r.z or
-    p.Kp raises SolveError, as do more steps than unknowns.
+    p.Kp raises SolveError, as do more steps than unknowns.  The grid is
+    checked before its workspace is taken, so a refusal leaves none.
     """
-    work = _workspace(radial_points, angular_modes, threading.get_ident())
+    if radial_points < 4:
+        raise ValueError("radial_points must be >= 4")
+    if angular_modes % 2 != 0 or angular_modes < 4:
+        raise ValueError("angular_modes must be even and >= 4")
     if 2 * family.max_degree() >= angular_modes:
         raise ValueError("angular_modes too small for the perturbation degree")
+    work = _workspace(radial_points, angular_modes, threading.get_ident())
     _, load = _cell_rows(family, work)
     precondition = _preconditioner(work)
 
@@ -658,7 +657,7 @@ def differentiate_energy(
     # the solutions already solved; a motionless family (delta = 0) has the same
     # system at every t, so it solves each sample cold and its energies are equal
     solutions = [] if delta > 0.0 else None
-    base = solve_energy(family.at(0.0), radial_points, angular_modes, solutions=solutions)
+    base = solve_energy(family, radial_points, angular_modes, solutions=solutions)
     rounding = sys.float_info.epsilon * base / delta / delta if delta > 0.0 else 0.0
     if rounding > ROUNDING_FLOOR:
         raise ValueError(

@@ -884,6 +884,17 @@ def test_non_finite_parameters_are_rejected(tmp_path, capsys):
             {"modes": [{"degree": 0, "alpha_out": 1e100}], "exact_area": False},
             "energy is not finite",
         ),
+        # InterfaceOrderingError: g^2 overflows, and the NaN radii it makes
+        # passed the ordering checks to end in a non-finite energy
+        ({"modes": [{"degree": 1, "alpha_in": 1e200}]}, "perturbed radius is not finite"),
+        # and the linear radii's g overflows to inf, so 0 g is NaN even at t = 0
+        (
+            {
+                "modes": [{"degree": k, "alpha_out": 1.79e308} for k in (0, 1, 2)],
+                "exact_area": False,
+            },
+            "perturbed radius is not finite",
+        ),
     ],
 )
 def test_oracle_reports_solver_failures(tmp_path, capsys, monkeypatch, overrides, message):

@@ -1,5 +1,6 @@
 """Finite-difference energy oracle on perturbed domains (fast grids)."""
 
+import gc
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +54,17 @@ def test_spectral_diff_matrix_differentiates_trig_polynomials():
 
 
 @pytest.mark.parametrize("m", [4, 6, 32, 64])
-def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(m):
-    operator = angular_operator(m)
+def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(monkeypatch, m):
+    # the solves of one grid and thread share one workspace operator, so no
+    # caller may write to it
+    pde_oracle._workspace.cache_clear()
+    calls = _count_calls(monkeypatch, "angular_operator")
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
+    for t in (0.0, 0.01):
+        solve_energy(family.at(t), 4, m)
+    assert calls == {"angular_operator": 1}
+    operator = pde_oracle._workspace(4, m, threading.get_ident()).angular
     diff = operator.diff
-    # built once per m and shared, so no caller may write to it
-    assert angular_operator(m) is operator
     assert not any(array.flags.writeable for array in operator)
     assert np.array_equal(diff, -diff.T)
     for k in range(m):
@@ -206,12 +214,15 @@ def test_solve_energy_matches_the_closed_form_on_coarse_grids():
 def test_solve_energy_validates_the_angular_grid():
     spec = PerturbationSpec({ModeIndex(9, 1): (0.1, 0.0)})
     family = PerturbedDomainFamily(PARAMS, spec)
+    pde_oracle._workspace.cache_clear()
     with pytest.raises(ValueError, match="even"):
         solve_energy(family, radial_points=64, angular_modes=15)
     with pytest.raises(ValueError, match=">= 4"):
         solve_energy(family, radial_points=64, angular_modes=2)
     with pytest.raises(ValueError, match="too small for the perturbation"):
         solve_energy(family, radial_points=64, angular_modes=16)
+    # each is refused before the grid's workspace is built
+    assert pde_oracle._workspace.cache_info().currsize == 0
 
 
 def test_differentiate_energy_returns_a_complete_run():
@@ -469,17 +480,17 @@ def test_cell_rows_equal_a_scalar_transcription(
     assert np.abs(load - expected_load).max() <= ulp * np.abs(expected_load).max()
 
 
-def test_the_radial_factor_cache_is_bounded_and_read_only():
-    spec = PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)})
-    work = pde_oracle._Workspace(8, 4)
-    for radius in np.linspace(0.2, 0.8, 1000):
-        family = PerturbedDomainFamily(ProblemParams(2, float(radius), 2.0), spec)
-        pde_oracle._cell_rows(family, work)
-    info = pde_oracle._radial_factors.cache_info()
-    assert info.misses >= 1000
-    assert info.currsize <= info.maxsize == pde_oracle.RADIAL_CACHE_SIZE
-    # shared by every solve of a grid, so no caller may write to them
-    _, core, shell, weights = pde_oracle._radial_factors(0.5, 8, 4)
+def test_a_workspace_builds_its_radial_factors_once_per_radius(monkeypatch):
+    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
+    pde_oracle._workspace.cache_clear()
+    calls = _count_calls(monkeypatch, "_radial_factors")
+    # a run's seven samples share one radius, a second run on it builds none
+    for params, built in [(PARAMS, 1), (PARAMS, 1), (ProblemParams(2, 0.3, 2.0), 2)]:
+        family = PerturbedDomainFamily(params, spec)
+        differentiate_energy(family, t0=0.02, levels=2, radial_points=16, angular_modes=8)
+        assert calls == {"_radial_factors": built}
+    # shared by every solve at one radius, so no caller may write to them
+    _, core, shell, weights = pde_oracle._workspace(16, 8, threading.get_ident()).factors
     assert not any(array.flags.writeable for array in (*core, *shell, weights))
 
 
@@ -492,6 +503,20 @@ def test_the_workspace_cache_is_bounded():
     info = pde_oracle._workspace.cache_info()
     assert info.misses == len(grids)
     assert info.currsize <= info.maxsize == pde_oracle.WORKSPACE_CACHE_SIZE
+
+
+def test_only_the_cached_workspaces_keep_their_angular_operators():
+    # the operators of evicted workspaces are freed, however many grids are solved
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
+    operators = []
+    for angular_modes in range(4, 4 + 4 * pde_oracle.WORKSPACE_CACHE_SIZE, 2):
+        solve_energy(family.at(0.01), 4, angular_modes)
+        work = pde_oracle._workspace(4, angular_modes, threading.get_ident())
+        operators.append(weakref.ref(work.angular.diff))
+    del work
+    gc.collect()
+    alive = sum(operator() is not None for operator in operators)
+    assert alive <= pde_oracle.WORKSPACE_CACHE_SIZE < len(operators)
 
 
 def test_a_workspace_reused_after_another_grid_changes_no_energy():
