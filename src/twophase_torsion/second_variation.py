@@ -45,7 +45,10 @@ and [point, kind, degree - 1, column] for the modes; each power of R is
 Python's scalar pow at its exact integer exponent, so row (point, k)
 depends neither on kmax nor on the other points; results are read-only,
 and FloatRangeError names the first degree that leaves the float range,
-prefixed by the first point that fails when there are several.
+prefixed by the first point that fails when there are several.  The
+spectrum raises it at degree 1 too where sigma != 1 and R^N underflows:
+e_in(1) and e_out(1) both read 0, and the signs that decide stability are
+lost.
 
 Also provided: the discriminant delta of the resonance quadratic
 Q(t) = e_in t^2 + e_res t + e_out, elementwise over such columns, and the
@@ -129,9 +132,9 @@ def _radius_powers(points: tuple[ProblemParams, ...], kmax: int, terms) -> np.nd
 
     numpy's vectorised pow differs from Python's scalar one by an ulp on
     about 5% of these inputs, so each entry is the scalar pow at its exact
-    exponent: gathered from one ladder per distinct R over the exponents
-    from the least to the greatest, or, where the ladders would outnumber
-    the entries, as the printed powers do at a large N, its own.
+    exponent: one row R^{base + ck}, k = 1..kmax, with base = a + bN in
+    Python's ints, per distinct (R, base, c), gathered to every (term, point)
+    that shares it.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -139,22 +142,11 @@ def _radius_powers(points: tuple[ProblemParams, ...], kmax: int, terms) -> np.nd
         raise ValueError("points must not be empty")
     # allocated first, so an infeasible kmax fails at once
     powers = np.empty((len(terms), len(points), kmax))
-    # entry (term, point, k) is R^{base + ck}, with base = a + bN in Python's ints
-    bases = [[a + b * params.dim for params in points] for a, b, _ in terms]
-    ends = [base + c * k for (*_, c), row in zip(terms, bases) for base in row for k in (1, kmax)]
-    lowest, width = min(ends), max(ends) - min(ends) + 1
-    radii = list(dict.fromkeys(params.core_radius for params in points))
-    if len(radii) * width > powers.size:
-        for (*_, c), row, out in zip(terms, bases, powers):
-            for p, base, cells in zip(points, row, out):
-                cells[:] = [_radius_power(p.core_radius, base + c * k) for k in range(1, kmax + 1)]
-        return powers
-    ladders = np.array([_radius_power(r, e) for r in radii for e in range(lowest, lowest + width)])
-    # where each entry's R^{base} sits in the ladders, exact before numpy
-    slots = {r: index * width - lowest for index, r in enumerate(radii)}
-    origins = [[slots[p.core_radius] + base for p, base in zip(points, row)] for row in bases]
-    steps = np.array([c for *_, c in terms])[:, np.newaxis, np.newaxis]
-    powers[...] = ladders[np.array(origins)[..., np.newaxis] + steps * np.arange(1, kmax + 1)]
+    rows = {}
+    index = [[rows.setdefault((p.core_radius, a + b * p.dim, c), len(rows)) for p in points]
+             for a, b, c in terms]
+    table = [[_radius_power(r, base + c * k) for k in range(1, kmax + 1)] for r, base, c in rows]
+    np.take(np.array(table), index, axis=0, out=powers)
     return powers
 
 
@@ -363,10 +355,11 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
 
     Raises TransmissionSolveError if a backward error exceeds the contract,
     and FloatRangeError at the first degree whose system, unknowns or
-    entries leave the float range.  This is the spectrum's one cache, keyed
-    by (points, kmax): `spectrum` rereads the grid `classify` built, and the
-    analytic criteria read one grid, so 16 grids serve it, where 512 held
-    148 MB at kmax 3000 over a long sweep of points.
+    entries leave the float range, and at degree 1 when sigma != 1 and
+    e_in(1) and e_out(1) both underflow to 0.  This is the spectrum's one
+    cache, keyed by (points, kmax): `spectrum` rereads the grid `classify`
+    built, and the analytic criteria read one grid, so 16 grids serve it,
+    where 512 held 148 MB at kmax 3000 over a long sweep of points.
     """
     powers = _radius_powers(points, kmax, _MODE_POWERS)
     # per point, in scalar arithmetic like every power of R: N, R, sigma,
@@ -431,6 +424,9 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
     unknowns = np.stack((b, c, d), axis=-1)
     FloatRangeError.check(points, np.isfinite(unknowns).all(axis=(1, 3)))
     FloatRangeError.check(points, np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res))
+    # for sigma != 1, e_in(1) = e_out(1) = O(R^N) is nonzero; both reading 0
+    # means R^N left the float range and took the degree-1 signs with it
+    FloatRangeError.check(points, (sigma == 1.0) | (e_in[:, :1] != 0.0) | (e_out[:, :1] != 0.0))
     for array in (unknowns, powers, e_in, e_out, e_res):
         array.flags.writeable = False
     return SpectrumGrid(points, unknowns, powers, e_in, e_out, e_res)

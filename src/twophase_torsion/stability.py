@@ -30,12 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .params import ModeIndex, PerturbationSpec, ProblemParams, validate
-from .second_variation import (
-    FloatRangeError,
-    discriminant,
-    spectrum_grid,
-    total_second_variation,
-)
+from .second_variation import discriminant, spectrum_grid, total_second_variation
 
 # Rounding floor of a spectrum entry, in units of its row scale.
 SIGN_FLOOR = 8.0 * sys.float_info.epsilon
@@ -114,19 +109,14 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
     sigma - 1: for sigma > 1 the per-mode negativity (including coupled modes
     via the resonance discriminant) is checked degree by degree, and for
     sigma < 1 the degree-1 inner channel supplies the positive witness; the
-    proof the module docstring cites covers the degrees past k_max.  Raises
-    FloatRangeError at degree 1 when sigma != 1 and e_in(1) and e_out(1)
-    both underflow to 0, where the verdict would be lost.
+    proof the module docstring cites covers the degrees past k_max.  Where
+    R^N underflows and the degree-1 signs are lost, spectrum_grid raises.
     """
     if k_max < 2:
         raise ValueError("kmax must be >= 2")
 
     table = spectrum_grid((params,), k_max)
     e_in, e_out, e_res = table.e_in[0], table.e_out[0], table.e_res[0]
-    # for sigma != 1, e_in(1) = e_out(1) = O(R^N) is nonzero; both reading 0
-    # means R^N left the float range and took the degree-1 signs with it
-    if params.sigma != 1.0 and e_in[0] == 0.0 and e_out[0] == 0.0:
-        raise FloatRangeError(1)
     delta = discriminant(e_in, e_out, e_res)
     mode_table = tuple(
         zip(range(1, k_max + 1), e_in.tolist(), e_out.tolist(), e_res.tolist(), delta.tolist())

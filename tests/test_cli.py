@@ -61,7 +61,8 @@ def test_classify_rejects_out_of_range_radius(capsys):
     assert err == "radius must lie in (0,1)\n"
 
 
-@pytest.mark.parametrize(
+# each point with the verdict of classify, or None where degree 1 is refused
+UNDERFLOWED_DEGREE_ONE = pytest.mark.parametrize(
     "dim, radius, sigma, expected",
     [
         # e_in(1) = e_out(1) = O(R^N) read 0.0: the degree-1 signs are lost
@@ -73,6 +74,9 @@ def test_classify_rejects_out_of_range_radius(capsys):
         (2, "1e-200", "1", "NeutralSinglePhase"),
     ],
 )
+
+
+@UNDERFLOWED_DEGREE_ONE
 def test_classify_refuses_an_underflowed_degree_one(capsys, dim, radius, sigma, expected):
     argv = ["classify", "--dim", str(dim), "--radius", radius, "--sigma", sigma]
     code, out, err = run_cli(capsys, argv)
@@ -82,6 +86,22 @@ def test_classify_refuses_an_underflowed_degree_one(capsys, dim, radius, sigma, 
     else:
         assert code == 0
         assert json.loads(out)["classification"] == expected
+
+
+@UNDERFLOWED_DEGREE_ONE
+def test_spectrum_refuses_an_underflowed_degree_one(capsys, dim, radius, sigma, expected):
+    argv = ["spectrum", "--dim", str(dim), "--radius", radius, "--sigma", sigma, "--kmax", "3"]
+    code, out, err = run_cli(capsys, argv)
+    if expected is None:
+        assert (code, out, err) == (2, "", "degree 1 leaves float range for these parameters\n")
+        return
+    assert (code, err) == (0, "")
+    assert document_degrees(argv, out) == [1, 2, 3]
+    e_in = float(out.splitlines()[1].split(",")[1])
+    if sigma == "1":
+        assert e_in == 0.0
+    else:
+        assert 0.0 < e_in < sys.float_info.min
 
 
 def test_parameter_diagnostics_are_single_line(capsys):
@@ -259,7 +279,7 @@ def test_a_tiny_core_meets_the_residual_contract(capsys):
 @pytest.mark.parametrize("command", [["classify"], ["spectrum"], ["spectrum", "--path", "printed"]])
 def test_a_huge_dimension_is_answered_at_once(command, dim):
     # past int64 the exponents of R must stay exact, and the printed powers,
-    # R^{2-N-2k}, must not be read off a ladder as wide as N
+    # R^{2-N-2k}, must cost O(kmax), not O(N)
     argv = [*command, "--dim", str(dim), "--radius", "0.5", "--sigma", "2", "--kmax", "5"]
     start = time.perf_counter()
     _answered(argv)
@@ -272,10 +292,10 @@ def test_a_dimension_past_float_range_is_named(capsys, command):
     assert run_cli(capsys, argv) == (2, "", "dim leaves float range\n")
 
 
-@pytest.mark.parametrize("command", [["classify"], ["spectrum", "--path", "printed"]])
+@pytest.mark.parametrize("command", [["classify"], ["spectrum", "--path", "printed"], ["spectrum"]])
 def test_a_dimension_in_float_range_names_the_degree_past_it(capsys, command):
-    # R^N underflows at degree 1 for classify, and R^{2-N-2k} overflows
-    # for the printed path; the assembled spectrum forms neither
+    # R^N underflows at degree 1 for the assembled spectrum, and R^{2-N-2k}
+    # overflows for the printed path
     argv = [*command, "--dim", str(10**20), "--radius", "0.5", "--sigma", "2"]
     message = "degree 1 leaves float range for these parameters\n"
     assert run_cli(capsys, argv) == (2, "", message)

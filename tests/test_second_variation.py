@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_exact_reference import degree_one_underflows
 from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams, presets
 from twophase_torsion.second_variation import (
+    _MODE_POWERS,
+    _PRINTED_POWERS,
     FloatRangeError,
     TransmissionSolveError,
+    _radius_power,
+    _radius_powers,
     assemble_spectrum,
     closed_form_modes,
     denom_F,
@@ -290,6 +295,28 @@ def test_every_ladder_row_is_the_same_at_any_kmax(dim, radius, log_sigma, kmax, 
     ]
 
 
+@pytest.mark.parametrize("terms", [_MODE_POWERS, _PRINTED_POWERS, ((0, 0, -1),)])
+def test_every_radius_power_is_the_scalar_pow(terms):
+    # one path at any N: N = 2 and N = 10^20 share R, and a point repeats
+    points = tuple(
+        ProblemParams(dim, radius, 2.0)
+        for dim, radius in ((2, 0.5), (10**20, 0.5), (3, 0.3), (2, 0.5), (10**20, 0.3))
+    )
+    kmax = 40
+    powers = _radius_powers(points, kmax, terms)
+    assert powers.shape == (len(terms), len(points), kmax)
+    for (a, b, c), table in zip(terms, powers):
+        for params, row in zip(points, table):
+            exponents = [a + b * params.dim + c * k for k in range(1, kmax + 1)]
+            expected = [_radius_power(params.core_radius, e) for e in exponents]
+            assert row.tobytes() == np.array(expected).tobytes()
+    # Python's pow, or its limit past the float range
+    assert _radius_power(0.5, 3) == 0.5**3
+    assert _radius_power(0.5, 10**20) == 0.0
+    assert _radius_power(0.5, -(10**20)) == math.inf
+    assert _radius_power(0.5, 10**400) == 0.0
+
+
 # Drawn sigma keeps the Inner unknown B R^k, about R/(N sigma k), a normal
 # float: R >= 1e-12, N <= 50 and k <= 3000 give it at least 1e-268.
 @settings(max_examples=400, deadline=None)
@@ -300,8 +327,14 @@ def test_every_ladder_row_is_the_same_at_any_kmax(dim, radius, log_sigma, kmax, 
     kmax=st.integers(1, 3000),
 )
 def test_spectrum_grid_computes_every_degree(dim, radius, log_sigma, kmax):
-    # the test suite turns warnings into errors
-    spectra = spectrum_grid((ProblemParams(dim, radius, 10.0**log_sigma),), kmax)
+    # the test suite turns warnings into errors; degree 1 is refused only
+    # where R^N or its exact value underflows
+    sigma = 10.0**log_sigma
+    try:
+        spectra = spectrum_grid((ProblemParams(dim, radius, sigma),), kmax)
+    except FloatRangeError as error:
+        assert error.degree == 1 and degree_one_underflows(dim, radius, sigma)
+        return
     for column in (spectra.e_in, spectra.e_out, spectra.e_res):
         assert column.shape == (1, kmax)
         assert np.isfinite(column).all()
