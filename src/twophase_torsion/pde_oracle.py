@@ -46,15 +46,29 @@ operator K(0) itself.  D, the chains' eigenvalues j^2 and the cos and sin
 pair come from one function, angular_operator.  cho_factor and cho_solve are this
 module's names for the LAPACK pttrf and pttrs bindings, kept because the
 benchmark's tracer (bench/spans.py) times and counts the calls through those
-two module attributes.  Each grid and thread has one cache, its workspace
-(_Workspace, kept in the bounded _workspace): the grid's angular operator
-and angles, the radial factors of the last core radius solved, and the
+two module attributes.  Each grid, period and thread has one cache, its
+workspace (_Workspace, kept in the bounded _workspace): the sector's angular
+operator and angles, the radial factors of the last core radius solved, and the
 arrays every solve writes by out= and in-place ufuncs, in the order of the
 expressions they replace, so the energies are bit for bit those of fresh
 arrays; only u is new in each solve, as the solutions list keeps it.  Freed
 each step, these 65 KB arrays (at 256x32) left memory past glibc's trim
 threshold at the top of its heap, which went back to the kernel and was
 faulted in again (mallopt(3), M_TRIM_THRESHOLD).
+
+Sectors.  A family whose degrees k >= 1 with a nonzero coefficient share a
+factor g with m/2, on m angles, is unchanged by a rotation of 2 pi/g, which
+moves the grid onto itself; so is the discrete system, and its solution
+repeats g times around the circle (reduction by symmetry: Bossavit,
+Comput. Methods Appl. Mech. Engrg. 56 (1986) 167-215).  solve_energy solves
+on the first m/g angles, g being the family's _period.  On g-periodic
+vectors D acts as g times the differentiation matrix of m/g points, so the
+sector's D is that, and the eigenvalues of its D^T D are g^2 j^2; dtheta
+and the radial factors stay those of the m angles, and the center's row
+and load sum over the sector.  With P the replication of a sector g times,
+the sector's operator is P^T K P/g and its load P^T q/g, so its solution is
+the circle's on the sector and its energy E/g.  At g = 1 the sector is the
+circle and every operation is the full grid's.
 
 Cell rows.  In the core phi = s rho_D/R, so each coefficient row is a factor
 of s, which the grid alone fixes, times a factor of theta; in the shell one
@@ -67,7 +81,9 @@ one BLAS thread of a 2-vCPU Xeon container a sample's fixed work is about
 step about 0.12 ms of preconditioner and 0.08 ms of operator application: a
 7-sample run of 13 steps and 6 warm-start residuals spends about 1.7 ms on
 the samples' fixed work and 3.1 ms on operator and preconditioner
-applications, of about 7 ms in all.
+applications, of about 7 ms in all.  On the same host, at R = 0.5, sigma = 2
+and both boundaries moving, a run of period 2 took 0.60 and one of period 4
+0.42 of a period-1 run's 7.3 ms (medians of 60 runs each, interleaved).
 
 The perturbation family reads its normal speeds g of the interface and of
 the outer boundary from a PerturbationSpec, the package's one description of
@@ -122,8 +138,10 @@ ROUNDING_FLOOR = 1e-4
 # outer channel read E(0) = 0.119 for 0.390 and d2 = +0.035 for
 # e_out(2) = -0.52 from sigma = 1e35 up
 SIGMA_CEILING = 1e12
-# (radial_points, angular_modes, thread) workspaces kept: a run uses one grid
-# and `verify pde` two; one holds 4.5 MB at the default 512x64, 1.1 MB at 256x32
+# (radial_points, angular_modes, thread, period) workspaces kept: a run uses
+# one, the benchmark's 256x32 runs of degrees 1-4 three (periods 1, 2 and 4)
+# and `verify pde` three, (512, 64, 1), (256, 64, 1) and (512, 64, 2); one
+# holds 4.5 MB at the default 512x64 and period 1, 1.1 MB at 256x32
 WORKSPACE_CACHE_SIZE = 4
 
 
@@ -334,14 +352,31 @@ def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tu
     return j_in, core, shell, weights
 
 
-class _Workspace:
-    """What every solve on one (radial_points, angular_modes) grid reads or
-    writes, built once (module docstring)."""
+def _period(family: PerturbedDomainFamily, angular_modes: int) -> int:
+    """The number g of sectors the family's solve repeats over on the grid:
+    gcd(angular_modes/2, every degree >= 1 with a nonzero coefficient), 1
+    when there is none (module docstring).  With every degree below
+    angular_modes/2, g divides angular_modes/2 and is at most angular_modes/4,
+    so a sector holds an even number of angles, at least 4."""
+    modes = family.spec.modes.items()
+    degrees = [index.degree for index, pair in modes if index.degree and any(pair)]
+    return math.gcd(angular_modes // 2, *degrees) if degrees else 1
 
-    def __init__(self, radial_points: int, angular_modes: int) -> None:
-        n, m = radial_points, angular_modes
-        self.angular = angular_operator(m)
-        self.theta = 2.0 * math.pi * np.arange(m) / m
+
+class _Workspace:
+    """What every solve on one (radial_points, angular_modes) grid and period
+    reads or writes, built once (module docstring): the sector's angular
+    operator, with D scaled by the period and D^T D's eigenvalues by its
+    square, its angles and its arrays."""
+
+    def __init__(self, radial_points: int, angular_modes: int, period: int) -> None:
+        n, m = radial_points, angular_modes // period
+        self.angular_modes = angular_modes
+        sector = angular_operator(m)
+        diff, eigen = period * sector.diff, period * period * sector.eigen
+        diff.flags.writeable = eigen.flags.writeable = False
+        self.angular = sector._replace(diff=diff, eigen=eigen)
+        self.theta = 2.0 * math.pi * np.arange(m) / angular_modes
         self.radius = self.factors = None  # _cell_rows sets both
         self.rows = np.empty((3, n, m))  # area, shear/2 and bend by cell and angle
         self.nodes = np.zeros((n + 1, m))  # the node values; the Dirichlet row stays 0
@@ -355,16 +390,17 @@ class _Workspace:
 
 
 @functools.lru_cache(maxsize=WORKSPACE_CACHE_SIZE)
-def _workspace(radial_points: int, angular_modes: int, thread: int) -> _Workspace:
-    """A grid's workspace for one thread, which runs one solve at a time."""
-    return _Workspace(radial_points, angular_modes)
+def _workspace(radial_points: int, angular_modes: int, thread: int, period: int) -> _Workspace:
+    """A grid's workspace at one period for one thread, which runs one solve
+    at a time."""
+    return _Workspace(radial_points, angular_modes, period)
 
 
 def _cell_rows(family: PerturbedDomainFamily, work: _Workspace) -> tuple:
     """The (area, shear/2, bend) coefficient rows of every radial cell, and
     the load: the center's, then node 1..n-1's, one angular ring after the
-    other (the unknowns' order; the Dirichlet node n is dropped); written to
-    work.rows and work.load.
+    other (the unknowns' order; the Dirichlet node n is dropped), on the
+    workspace's sector; written to work.rows and work.load.
 
     A row is dtheta/h A11, dtheta/2 A12 and dtheta h/4 A22 at the cell's
     midpoint s, times sigma in the core.  There phi = s rho_D/R, so each row
@@ -375,7 +411,7 @@ def _cell_rows(family: PerturbedDomainFamily, work: _Workspace) -> tuple:
     serves all three rows.
     """
     area, half_shear, bend = work.rows
-    radial_points, m = area.shape
+    radial_points, m = len(area), work.angular_modes
     radius, sigma = family.params.core_radius, family.params.sigma
     dtheta = 2.0 * math.pi / m
     rho_in, drho_in, rho_out, drho_out = family.boundary_radii(work.theta)
@@ -439,7 +475,8 @@ def _preconditioner(work: _Workspace) -> Callable[[np.ndarray], np.ndarray]:
     across a cell is j^2 bend - area.  The returned function applies the
     inverse into work.preconditioned by the real Fourier pair: the cos and
     sin coefficients of each ring are the two right-hand sides of one chain
-    solve; the center's chain unknown is m times its value.
+    solve; the center's chain unknown is the sector's angle count times its
+    value.
     """
     angular, rhs, result = work.angular, work.rhs, work.preconditioned
     m = work.rows.shape[2]
@@ -489,15 +526,17 @@ def solve_energy(
 ) -> float:
     """Energy of the perturbed configuration at the family's amplitude.
 
-    Preconditioned conjugate gradients (module docstring) from start, or
-    from u = 0 without one, stopped when a step's energy increment alpha r.z
-    is at most eps E or the residual is exactly zero.  A start vector costs
-    one operator application for its residual r = q - K start, and the
-    energy begins at -2 J(start) = start . (q + r); a start whose -2 J is not
-    positive is dropped for u = 0.  With solutions, a list,
-    the discrete u is appended to it.  A non-finite or non-positive r.z or
-    p.Kp raises SolveError, as do more steps than unknowns.  The grid is
-    checked before its workspace is taken, so a refusal leaves none.
+    Preconditioned conjugate gradients (module docstring) on one of the
+    family's _period sectors, from start, or from u = 0 without one, stopped
+    when a step's energy increment alpha r.z is at most eps E or the
+    residual is exactly zero; the energy returned is the period times the
+    sector's.  A start vector, in the sector's unknowns, costs one operator
+    application for its residual r = q - K start, and the energy begins at
+    -2 J(start) = start . (q + r); a start whose -2 J is not positive is
+    dropped for u = 0.  With solutions, a list, the sector's discrete u is
+    appended to it.  A non-finite or non-positive r.z or p.Kp raises
+    SolveError, as do more steps than unknowns.  The grid and the start's
+    size are checked before the workspace is taken, so a refusal leaves none.
     """
     if radial_points < 4:
         raise ValueError("radial_points must be >= 4")
@@ -505,7 +544,11 @@ def solve_energy(
         raise ValueError("angular_modes must be even and >= 4")
     if 2 * family.max_degree() >= angular_modes:
         raise ValueError("angular_modes too small for the perturbation degree")
-    work = _workspace(radial_points, angular_modes, threading.get_ident())
+    period = _period(family, angular_modes)
+    unknowns = 1 + (radial_points - 1) * (angular_modes // period)
+    if start is not None and np.shape(start) != (unknowns,):
+        raise ValueError(f"start has shape {np.shape(start)}, not the solve's ({unknowns},)")
+    work = _workspace(radial_points, angular_modes, threading.get_ident(), period)
     _, load = _cell_rows(family, work)
     precondition = _preconditioner(work)
 
@@ -529,7 +572,7 @@ def solve_energy(
         if gamma == 0.0 and not residual.any():
             # the last step solved the system exactly, as it does when the
             # preconditioner is the operator itself (t = 0)
-            return _positive(energy)
+            break
         gamma = _positive(gamma)
         direction *= gamma / previous
         direction += z
@@ -538,10 +581,12 @@ def solve_energy(
         energy += step * gamma
         u += np.multiply(direction, step, out=scaled)
         if step * gamma <= sys.float_info.epsilon * energy:
-            return _positive(energy)
+            break
         residual -= np.multiply(product, step, out=scaled)
         previous = gamma
-    raise SolveError("iteration did not converge")
+    else:
+        raise SolveError("iteration did not converge")
+    return _positive(period * energy)
 
 
 @dataclass(frozen=True)

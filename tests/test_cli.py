@@ -458,14 +458,15 @@ def test_report_stdout_is_pinned(capsys, argv):
 
 
 # sha256 of `oracle`'s stdout at the benchmark's 256x32 shape, one run per
-# boundary channel: (alpha_in, alpha_out, degree, order, radius, sigma)
+# boundary channel: (alpha_in, alpha_out, degree, order, radius, sigma); the
+# degree-2 runs solve on two sectors of 16 angles, the degree-3 run on all 32
 PINNED_ORACLE = {
     "inner": ((1.0, 0.0, 2, 1, 0.4, 0.5),
-              "170a800e0d41d262a1f5017165e23417e5c2e741558d21a141a738557854fd26"),
+              "9b304867d898a0772e2e776eb7bbab82096506e15758848394ceaa5560a66ed2"),
     "outer": ((0.0, 1.0, 3, 2, 0.6, 3.0),
               "ddc039cad00747ed0504fd023b177d47ac98781d8c9f3a2489d1869340773912"),
     "coupled": ((1.0, 1.0, 2, 1, 0.5, 2.0),
-                "f13ae38730919baacbe63582e947c80bb4bfcc0e97727b1b5064b3dd637df63a"),
+                "dc6158591a3d3d5a4e563f3a34ebdfed7e8089a760d91d8141f63b078bdedafd"),
 }
 
 

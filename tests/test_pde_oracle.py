@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -63,7 +64,7 @@ def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(monkeypatch, m
     for t in (0.0, 0.01):
         solve_energy(family.at(t), 4, m)
     assert calls == {"angular_operator": 1}
-    operator = pde_oracle._workspace(4, m, threading.get_ident()).angular
+    operator = pde_oracle._workspace(4, m, threading.get_ident(), 1).angular
     diff = operator.diff
     assert not any(array.flags.writeable for array in operator)
     assert np.array_equal(diff, -diff.T)
@@ -225,6 +226,21 @@ def test_solve_energy_validates_the_angular_grid():
     assert pde_oracle._workspace.cache_info().currsize == 0
 
 
+def test_a_start_of_the_wrong_size_is_refused_in_one_line():
+    # degree 2 on 8 angles solves on a sector of 4: 1 + 3 x 4 = 13 unknowns,
+    # where the full circle has 1 + 3 x 8 = 25
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)}))
+    pde_oracle._workspace.cache_clear()
+    for start in (np.zeros(9), np.zeros(25), np.zeros((13, 1)), 0.0):
+        shape = re.escape(str(np.shape(start)))
+        message = rf"^start has shape {shape}, not the solve's \(13,\)$"
+        with pytest.raises(ValueError, match=message):
+            solve_energy(family.at(0.01), 4, 8, start=start)
+    # each is refused before the grid's workspace is built
+    assert pde_oracle._workspace.cache_info().currsize == 0
+    assert solve_energy(family.at(0.01), 4, 8, start=np.zeros(13)) > 0.0
+
+
 def test_differentiate_energy_returns_a_complete_run():
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})
     family = PerturbedDomainFamily(PARAMS, spec)
@@ -335,8 +351,9 @@ def test_a_broken_iteration_never_returns_an_energy(monkeypatch, broken, message
 
 
 def _dense_system(family, radial_points, angular_modes):
-    """The dense K, from the operator's columns, and the load of a solve."""
-    work = pde_oracle._Workspace(radial_points, angular_modes)
+    """The dense K, from the operator's columns, and the load of a solve on
+    the full circle, a period-1 workspace."""
+    work = pde_oracle._Workspace(radial_points, angular_modes, 1)
     _, load = pde_oracle._cell_rows(family, work)
     # each product is written to the workspace, so each column is a copy
     columns = [pde_oracle._stiffness(work, unit).copy() for unit in np.eye(load.size)]
@@ -347,10 +364,17 @@ def _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes):
     matrix, load = _dense_system(family, radial_points, angular_modes)
     assert np.abs(matrix - matrix.T).max() <= 1e-14 * np.abs(matrix).max()
     solutions = []
+    # solve_energy solves on one of the family's sectors
     energy = solve_energy(family, radial_points, angular_modes, solutions=solutions)
     exact = np.linalg.solve(matrix, load)
     assert energy == pytest.approx(load @ exact, rel=1e-12)
-    # the solve hands back its u, and a start next to u finds the same energy
+    # the circle's u repeats from sector to sector, and the solve hands back
+    # its sector's; a start next to that u finds the same energy
+    period = pde_oracle._period(family, angular_modes)
+    rings = exact[1:].reshape(radial_points - 1, angular_modes)
+    sector = rings[:, : angular_modes // period]
+    assert np.abs(np.tile(sector, period) - rings).max() <= 1e-6 * np.abs(exact).max()
+    exact = np.concatenate([exact[:1], sector.ravel()])
     (solution,) = solutions
     assert np.abs(solution - exact).max() <= 1e-6 * np.abs(exact).max()
     start = solution * (1.0 + 1e-3 * np.cos(np.arange(solution.size)))
@@ -395,6 +419,11 @@ ANGULAR_GRIDS = st.sampled_from([4, 6, 8, 12]).flatmap(
     t=0.0,
     radial_points=4,
 )
+# a solve on two sectors of 4 angles and on four sectors of 4 angles
+@example(radius=0.5, log_sigma=0.0, grid=(8, 2), order=2, alphas=(1.0, 1.0), t=0.02,
+         radial_points=6)
+@example(radius=0.4, log_sigma=1.0, grid=(16, 4), order=1, alphas=(0.0, 1.0), t=-0.03,
+         radial_points=5)
 def test_conjugate_gradients_equal_a_dense_solve_everywhere(
     radius, log_sigma, grid, order, alphas, t, radial_points
 ):
@@ -403,6 +432,37 @@ def test_conjugate_gradients_equal_a_dense_solve_everywhere(
     spec = PerturbationSpec({ModeIndex(degree, order): alphas})
     family = PerturbedDomainFamily(params, spec).at(t)
     _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes)
+
+
+@pytest.mark.parametrize(
+    "modes, angular_modes, period",
+    [
+        ({ModeIndex(2, 1): (1.0, 0.0), ModeIndex(4, 1): (0.0, 1.0)}, 32, 2),
+        ({ModeIndex(4, 1): (1.0, 1.0)}, 32, 4),
+        ({ModeIndex(4, 1): (1.0, 1.0)}, 12, 2),
+        ({ModeIndex(2, 1): (1.0, 0.0), ModeIndex(3, 1): (0.0, 1.0)}, 32, 1),
+        ({ModeIndex(6, 1): (0.0, 1.0)}, 64, 2),
+        ({ModeIndex(8, 1): (1.0, 0.0)}, 64, 8),
+        ({}, 32, 1),
+        # a zero coefficient moves nothing, so its degree sets no period
+        ({ModeIndex(4, 1): (1.0, 0.0), ModeIndex(3, 1): (0.0, 0.0)}, 32, 4),
+        # a degree-0 mode is unchanged by every rotation (a linear family)
+        ({ModeIndex(0, 1): (1.0, 0.0)}, 32, 1),
+        ({ModeIndex(0, 1): (1.0, 0.0), ModeIndex(2, 1): (0.0, 1.0)}, 32, 2),
+    ],
+)
+def test_the_period_is_the_gcd_of_half_the_angles_and_the_moving_degrees(
+    modes, angular_modes, period
+):
+    exact_area = ModeIndex(0, 1) not in modes
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes), exact_area=exact_area)
+    assert pde_oracle._period(family, angular_modes) == period
+    # sin k theta is cos k theta turned by a quarter of its period: the same period
+    sines = {
+        ModeIndex(index.degree, 2 if index.degree else 1): pair for index, pair in modes.items()
+    }
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec(sines), exact_area=exact_area)
+    assert pde_oracle._period(family, angular_modes) == period
 
 
 def _scalar_cell_rows(family, radial_points, angular_modes):
@@ -472,7 +532,8 @@ def test_cell_rows_equal_a_scalar_transcription(
     # gap min(R, 1 - R)/2 at |t| <= 0.8 min(R, 1 - R)
     t = 0.8 * min(radius, 1.0 - radius) * reach
     family = PerturbedDomainFamily(params, spec, exact_area=exact_area).at(t)
-    rows, load = pde_oracle._cell_rows(family, pde_oracle._Workspace(radial_points, angular_modes))
+    work = pde_oracle._Workspace(radial_points, angular_modes, 1)
+    rows, load = pde_oracle._cell_rows(family, work)
     expected_rows, expected_load = _scalar_cell_rows(family, radial_points, angular_modes)
     ulp = 4.0 * sys.float_info.epsilon
     for row, expected in zip(rows, expected_rows):
@@ -489,8 +550,11 @@ def test_a_workspace_builds_its_radial_factors_once_per_radius(monkeypatch):
         family = PerturbedDomainFamily(params, spec)
         differentiate_energy(family, t0=0.02, levels=2, radial_points=16, angular_modes=8)
         assert calls == {"_radial_factors": built}
-    # shared by every solve at one radius, so no caller may write to them
-    _, core, shell, weights = pde_oracle._workspace(16, 8, threading.get_ident()).factors
+    # shared by every solve at one radius, so no caller may write to them; the
+    # degree-2 family solves on two sectors
+    period = pde_oracle._period(family, 8)
+    assert period == 2
+    _, core, shell, weights = pde_oracle._workspace(16, 8, threading.get_ident(), period).factors
     assert not any(array.flags.writeable for array in (*core, *shell, weights))
 
 
@@ -511,7 +575,7 @@ def test_only_the_cached_workspaces_keep_their_angular_operators():
     operators = []
     for angular_modes in range(4, 4 + 4 * pde_oracle.WORKSPACE_CACHE_SIZE, 2):
         solve_energy(family.at(0.01), 4, angular_modes)
-        work = pde_oracle._workspace(4, angular_modes, threading.get_ident())
+        work = pde_oracle._workspace(4, angular_modes, threading.get_ident(), 1)
         operators.append(weakref.ref(work.angular.diff))
     del work
     gc.collect()
@@ -584,7 +648,7 @@ def test_the_preconditioner_is_the_inverse_of_the_concentric_operator(
     concentric = PerturbedDomainFamily(params, spec)  # at t = 0
     matrix, load = _dense_system(concentric, radial_points, angular_modes)
     # the preconditioner a t = 0 solve builds from its own rows
-    work = pde_oracle._Workspace(radial_points, angular_modes)
+    work = pde_oracle._Workspace(radial_points, angular_modes, 1)
     pde_oracle._cell_rows(concentric, work)
     precondition = pde_oracle._preconditioner(work)
     inverse = np.column_stack([precondition(unit).copy() for unit in np.eye(load.size)])
@@ -704,6 +768,25 @@ def test_each_run_factors_once_and_solves_once_per_step(monkeypatch, params, mod
     assert calls["cho_solve"] == sum(steps)
     assert calls["_stiffness"] == sum(steps) + 6
     assert sum(steps) <= 16
+
+
+# the benchmark-like families of even degree, of period 2 or 4 at 256x32, and
+# one moving degree 2 on its interface and degree 4 on its outer boundary
+SECTOR_RUNS = [
+    (params, {mode: alphas}) for params, mode, alphas in BENCH_LIKE if mode.degree % 2 == 0
+] + [(ProblemParams(2, 0.45, 1.5), {ModeIndex(2, 2): (1.0, 0.0), ModeIndex(4, 1): (0.0, 1.0)})]
+
+
+@pytest.mark.parametrize("params, modes", SECTOR_RUNS)
+def test_a_sector_run_is_the_full_circle_run(monkeypatch, params, modes):
+    family = PerturbedDomainFamily(params, PerturbationSpec(modes))
+    assert pde_oracle._period(family, 32) > 1
+    sector = differentiate_energy(family, t0=0.01, levels=2, radial_points=256, angular_modes=32)
+    monkeypatch.setattr(pde_oracle, "_period", lambda family, angular_modes: 1)
+    circle = differentiate_energy(family, t0=0.01, levels=2, radial_points=256, angular_modes=32)
+    # equal to rounding, which the second differences amplify
+    assert sector.energies == pytest.approx(circle.energies, rel=1e-14)
+    assert sector.d2 == pytest.approx(circle.d2, rel=1e-7)
 
 
 # families far from the benchmark's: a degree-15 core at t0 = 0.2, four
