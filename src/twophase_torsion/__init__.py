@@ -8,7 +8,7 @@ classification, and two independent numerical oracles (a small linear-system
 solve per mode and a finite-difference solver on perturbed domains).
 """
 
-from .exact_state import StateTraces, baseline_energy, sphere_area, traces
+from .exact_state import baseline_energy, sphere_area, traces
 from .params import (
     ModeIndex,
     PerturbationSpec,
@@ -29,7 +29,6 @@ from .reporting import (
 )
 from .second_variation import (
     FloatRangeError,
-    ModeKind,
     SecondVariationSpectrum,
     SpectrumGrid,
     SpectrumPath,
@@ -55,7 +54,6 @@ __all__ = [
     "FloatRangeError",
     "InterfaceOrderingError",
     "ModeIndex",
-    "ModeKind",
     "OracleRun",
     "PerturbationSpec",
     "PerturbedDomainFamily",
@@ -66,7 +64,6 @@ __all__ = [
     "SpectrumGrid",
     "SpectrumPath",
     "StabilityVerdict",
-    "StateTraces",
     "TransmissionSolveError",
     "assemble_spectrum",
     "baseline_energy",

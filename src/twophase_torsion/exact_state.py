@@ -6,15 +6,15 @@ On the concentric configuration the state function solving
     u(r) = (1 - R^2)/(2N) + (R^2 - r^2)/(2N sigma)   for r <= R,
     u(r) = (1 - r^2)/(2N)                            for R < r <= 1.
 
-Everything downstream (the interface jump of d_n u, the baseline energy)
-is an elementary function of (N, R, sigma) and is kept in closed form here;
-quadrature lives only in the PDE oracle so the two paths stay independent.
+Everything downstream (the interface jump [d_n u], outside minus inside,
+which `traces` returns, and the baseline energy) is an elementary function
+of (N, R, sigma) and is kept in closed form here; quadrature lives only in
+the PDE oracle so the two paths stay independent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .params import ProblemParams
 
@@ -30,20 +30,11 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-@dataclass(frozen=True)
-class StateTraces:
-    """Traces of u on the interface.
-
-    Jump convention [f] := f_+ - f_- (outside minus inside).
-    """
-
-    jump_dn: float
-
-
-def traces(params: ProblemParams) -> StateTraces:
-    """Interface traces of u, differentiated in closed form."""
+def traces(params: ProblemParams) -> float:
+    """The interface jump [d_n u] = d_n u_+ - d_n u_- (outside minus inside)
+    = R (1 - sigma)/(N sigma), differentiated in closed form."""
     n, radius, sigma = params.dim, params.core_radius, params.sigma
-    return StateTraces(jump_dn=radius * (1.0 - sigma) / (n * sigma))
+    return radius * (1.0 - sigma) / (n * sigma)
 
 
 def baseline_energy(params: ProblemParams) -> float:

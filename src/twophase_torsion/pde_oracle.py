@@ -255,11 +255,6 @@ class PerturbedDomainFamily:
             )
         return rho_in, drho_in, rho_out, drho_out
 
-    def max_degree(self) -> int:
-        """The largest degree with a nonzero coefficient, 0 if there is none."""
-        nonzero = (index.degree for index, pair in self.spec.modes.items() if any(pair))
-        return max(nonzero, default=0)
-
 
 class AngularOperator(NamedTuple):
     """The angular pieces of the scheme on m equispaced points (angular_operator)."""
@@ -355,11 +350,14 @@ def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tu
 def _period(family: PerturbedDomainFamily, angular_modes: int) -> int:
     """The number g of sectors the family's solve repeats over on the grid:
     gcd(angular_modes/2, every degree >= 1 with a nonzero coefficient), 1
-    when there is none (module docstring).  With every degree below
-    angular_modes/2, g divides angular_modes/2 and is at most angular_modes/4,
-    so a sector holds an even number of angles, at least 4."""
+    when there is none (module docstring).  Raises ValueError when such a
+    degree is at least angular_modes/2, which the grid cannot resolve; below
+    that, g divides angular_modes/2 and is at most angular_modes/4, so a
+    sector holds an even number of angles, at least 4."""
     modes = family.spec.modes.items()
     degrees = [index.degree for index, pair in modes if index.degree and any(pair)]
+    if 2 * max(degrees, default=0) >= angular_modes:
+        raise ValueError("angular_modes too small for the perturbation degree")
     return math.gcd(angular_modes // 2, *degrees) if degrees else 1
 
 
@@ -535,15 +533,15 @@ def solve_energy(
     -2 J(start) = start . (q + r); a start whose -2 J is not positive is
     dropped for u = 0.  With solutions, a list, the sector's discrete u is
     appended to it.  A non-finite or non-positive r.z or p.Kp raises
-    SolveError, as do more steps than unknowns.  The grid and the start's
-    size are checked before the workspace is taken, so a refusal leaves none.
+    SolveError, as do more steps than unknowns.  The grid, then the degrees
+    against it (_period, which refuses a degree the grid cannot resolve), then
+    the start's size are checked before the workspace is taken, so a refusal
+    leaves none.
     """
     if radial_points < 4:
         raise ValueError("radial_points must be >= 4")
     if angular_modes % 2 != 0 or angular_modes < 4:
         raise ValueError("angular_modes must be even and >= 4")
-    if 2 * family.max_degree() >= angular_modes:
-        raise ValueError("angular_modes too small for the perturbation degree")
     period = _period(family, angular_modes)
     unknowns = 1 + (radial_points - 1) * (angular_modes // period)
     if start is not None and np.shape(start) != (unknowns,):
@@ -591,7 +589,12 @@ def solve_energy(
 
 @dataclass(frozen=True)
 class OracleRun:
-    """One finite-difference differentiation experiment on E(t)."""
+    """One finite-difference differentiation experiment on E(t).
+
+    convergence_rate and extrapolation_agreement are diagnostics that no
+    criterion reads; where the truncation error is near rounding, as on the
+    inner channel at 256x32, they read the rounding (differentiate_energy).
+    """
 
     family: PerturbedDomainFamily
     radial_points: int
@@ -679,8 +682,11 @@ def differentiate_energy(
     convergence rate is the observed reduction order of successive raw second
     differences; it is NaN when levels < 2 or either spacing is zero.  The extrapolation agreement
     is the relative gap between the last two extrapolants, small when E(t)
-    is smooth (near-quadratic) at this scale.  The family must be at t = 0,
-    the point differentiated at.
+    is smooth (near-quadratic) at this scale.  Both measure truncation only
+    where it exceeds the energies' rounding: at R = 0.4, sigma = 0.5, inner
+    degree 2, t0 = 0.01 and 256x32, a 2.6e-15 relative change in the
+    energies moved the agreement from 1.90e-8 to 5.26e-9.  The family must
+    be at t = 0, the point differentiated at.
     """
     if family.t != 0.0:
         raise ValueError(f"the family must be at t = 0, not t = {family.t:g}")

@@ -72,13 +72,9 @@ from .params import PerturbationSpec, ProblemParams
 # Contract tolerance for the mode system's backward error.
 RESIDUAL_TOL = 1e-12
 
-
-class ModeKind(enum.Enum):
-    INNER = "Inner"
-    OUTER = "Outer"
-
-
-KINDS = tuple(ModeKind)  # the kind axis of SpectrumGrid.unknowns
+# the kind axis of SpectrumGrid.unknowns: the modes of the interface and of
+# the outer boundary, as the diagnostics name them
+KINDS = ("Inner", "Outer")
 
 
 class TransmissionSolveError(RuntimeError):
@@ -290,10 +286,11 @@ class SpectrumGrid:
     """The assembled spectra of degrees 1..kmax at a tuple of parameter points
     and the mode solve they come from, all read-only and finite: e_in, e_out
     and e_res, indexed [point, degree - 1]; unknowns, indexed [point, kind,
-    degree - 1, column] with kinds in KINDS order, (B R^k, C R^{2-N-k}, D R^k)
-    of the Inner kind and (B, C R^{2-N-2k}, D) of the Outer kind, whose
-    system is divided by R^k; and powers, indexed [power, point, degree - 1],
-    R^{N-2+2k}, R^{N-2+k} and R^{N-1+k}, which may underflow to 0."""
+    degree - 1, column] with the kinds in KINDS order, (B R^k, C R^{2-N-k},
+    D R^k) of the Inner kind, the interface's modes, and (B, C R^{2-N-2k}, D)
+    of the Outer kind, the outer boundary's, whose system is divided by R^k;
+    and powers, indexed [power, point, degree - 1], R^{N-2+2k}, R^{N-2+k}
+    and R^{N-1+k}, which may underflow to 0."""
 
     points: tuple[ProblemParams, ...]
     unknowns: np.ndarray
@@ -366,7 +363,7 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
     # 2 R^{N-1} and 2-N, then r1 and r2 of both kinds
     columns = np.array([
         (p.dim, p.core_radius, p.sigma, 2.0 * p.core_radius ** (p.dim - 1), 2 - p.dim,
-         -traces(p).jump_dn, 0.0, 0.0, 1.0 / p.dim) for p in points
+         -traces(p), 0.0, 0.0, 1.0 / p.dim) for p in points
     ], dtype=float)[..., np.newaxis]
     # indexed [point, degree - 1], and [point, kind, degree - 1] for the solve
     n, radius, sigma, interface = columns[:, :4].swapaxes(0, 1)
@@ -407,7 +404,7 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
             raise TransmissionSolveError(
                 f"{_named(points, point)}mode system residual "
                 f"{worst[point, kind, index]:.3e} exceeds "
-                f"{RESIDUAL_TOL:.0e} at degree {index + 1}, kind {KINDS[kind].value}"
+                f"{RESIDUAL_TOL:.0e} at degree {index + 1}, kind {KINDS[kind]}"
             )
         (b_in, b_out), (c_in, c_out) = b.swapaxes(0, 1), c.swapaxes(0, 1)
         shell = 2.0 * (n - 2 + 2 * k) / n

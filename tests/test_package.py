@@ -18,7 +18,7 @@ BENCH_SPANS = README.parent / "bench" / "spans.py"
 
 
 def test_every_export_resolves():
-    assert len(twophase_torsion.__all__) == 45
+    assert len(twophase_torsion.__all__) == 43
     for name in twophase_torsion.__all__:
         assert hasattr(twophase_torsion, name), name
     for name in (
@@ -37,6 +37,8 @@ def test_every_export_resolves():
         "spectrum_table",
         "ModeTable",
         "solve_modes",
+        "StateTraces",
+        "ModeKind",
     ):
         assert name not in twophase_torsion.__all__
         assert not hasattr(twophase_torsion, name)

@@ -104,7 +104,10 @@ def test_normal_speed_evaluation():
     assert not g_in.any()
     assert g == pytest.approx(expected, abs=1e-14)
     family = PerturbedDomainFamily(PARAMS, spec)
-    assert family.max_degree() == 2
+    # degree 2 is resolved on 8 angles, of period 2, and not on 4
+    assert pde_oracle._period(family, 8) == 2
+    with pytest.raises(ValueError, match="^angular_modes too small for the perturbation degree$"):
+        pde_oracle._period(family, 4)
     # L^2 mean square of 3 Y_{2,1} over the circle, 9 / (2 pi): the
     # exact-area radius is sqrt(rho_0^2 + 2 rho_0 t g + t^2 (g^2 - 9/(2 pi)))
     t = 0.01
@@ -148,9 +151,18 @@ def test_family_validates_its_spec():
     # a degree-0 record with zero coefficients moves nothing
     still = PerturbationSpec({ModeIndex(0, 1): (0.0, 0.0)})
     assert PerturbedDomainFamily(PARAMS, still).exact_area
-    # only nonzero coefficients count towards the resolved degree
+    # only nonzero coefficients count towards the resolved degree: a still
+    # degree 40 next to a moving degree 3 is resolved on 8 angles, of period 1
     zero = PerturbationSpec({ModeIndex(40, 1): (0.0, 0.0), ModeIndex(3, 2): (0.0, 1.0)})
-    assert PerturbedDomainFamily(PARAMS, zero).max_degree() == 3
+    family = PerturbedDomainFamily(PARAMS, zero)
+    assert pde_oracle._period(family, 8) == 1
+    assert solve_energy(family.at(0.01), radial_points=4, angular_modes=8) > 0.0
+    # a moving degree 4 is not, and is refused before a workspace is built
+    moving = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(4, 1): (1.0, 0.0)}))
+    pde_oracle._workspace.cache_clear()
+    with pytest.raises(ValueError, match="^angular_modes too small for the perturbation degree$"):
+        solve_energy(moving, radial_points=4, angular_modes=8)
+    assert pde_oracle._workspace.cache_info().currsize == 0
 
 
 def test_family_boundary_radii_at_zero_are_concentric():

@@ -14,7 +14,6 @@ from twophase_torsion.second_variation import (
     KINDS,
     RESIDUAL_TOL,
     FloatRangeError,
-    ModeKind,
     TransmissionSolveError,
     closed_form_modes,
     denom_F,
@@ -38,7 +37,7 @@ def solved_coefficients(points: tuple[ProblemParams, ...], kmax: int) -> np.ndar
 
 
 def backward_errors(
-    params: ProblemParams, coefficients: np.ndarray, degree: int, kind: ModeKind
+    params: ProblemParams, coefficients: np.ndarray, degree: int, kind: str
 ) -> list[float]:
     """Relative residuals of the three transmission conditions, each against
     the sum of the magnitudes of its terms, from the unscaled profile (B, C, D)
@@ -46,8 +45,8 @@ def backward_errors(
     n, radius, sigma = params.dim, params.core_radius, params.sigma
     k = degree
     b, c, d = coefficients[KINDS.index(kind), degree - 1].tolist()
-    inner = kind is ModeKind.INNER
-    jump = -traces(params).jump_dn if inner else 0.0
+    inner = kind == "Inner"
+    jump = -traces(params) if inner else 0.0
     boundary = 0.0 if inner else 1.0 / n
     conditions = (
         # w_+'(R) - sigma w_-'(R) = 0
@@ -103,7 +102,7 @@ def test_oracle_profiles_satisfy_all_three_conditions():
     table = solved_coefficients(tuple(SAMPLE_PARAMS), 13)
     for params, coefficients in zip(SAMPLE_PARAMS, table):
         for degree in (1, 2, 5, 13):
-            for kind in ModeKind:
+            for kind in KINDS:
                 errors = backward_errors(params, coefficients, degree, kind)
                 assert max(errors) <= RESIDUAL_TOL, (params, degree, kind)
 
@@ -121,7 +120,7 @@ def test_every_row_of_the_table_meets_the_residual_contract(
     params = ProblemParams(dim, radius, math.exp(log_sigma))
     coefficients = solved_coefficients((params,), kmax)[0]
     for degree in range(1, kmax + 1):
-        for kind in ModeKind:
+        for kind in KINDS:
             errors = backward_errors(params, coefficients, degree, kind)
             assert max(errors) <= RESIDUAL_TOL, (degree, kind, errors)
 
