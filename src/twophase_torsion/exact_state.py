@@ -23,10 +23,6 @@ def sphere_area(dim: int) -> float:
     """Surface area of the unit sphere S^{N-1}: 2 pi^{N/2} / Gamma(N/2)."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if dim == 2:
-        return 2.0 * math.pi
-    if dim == 3:
-        return 4.0 * math.pi
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 

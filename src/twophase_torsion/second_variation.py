@@ -46,9 +46,9 @@ Python's scalar pow at its exact integer exponent, so row (point, k)
 depends neither on kmax nor on the other points; results are read-only,
 and FloatRangeError names the first degree that leaves the float range,
 prefixed by the first point that fails when there are several.  The
-spectrum raises it at degree 1 too where sigma != 1 and R^N underflows:
-e_in(1) and e_out(1) both read 0, and the signs that decide stability are
-lost.
+spectrum raises it too where the entry that decides stability reads 0 and
+its sign is lost: e_in(1) = O(R^N) for sigma != 1, and e_out(2) = -2/N^2
+for sigma = 1.
 
 Also provided: the discriminant delta of the resonance quadratic
 Q(t) = e_in t^2 + e_res t + e_out, elementwise over such columns, and the
@@ -352,11 +352,12 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
 
     Raises TransmissionSolveError if a backward error exceeds the contract,
     and FloatRangeError at the first degree whose system, unknowns or
-    entries leave the float range, and at degree 1 when sigma != 1 and
-    e_in(1) and e_out(1) both underflow to 0.  This is the spectrum's one
-    cache, keyed by (points, kmax): `spectrum` rereads the grid `classify`
-    built, and the analytic criteria read one grid, so 16 grids serve it,
-    where 512 held 148 MB at kmax 3000 over a long sweep of points.
+    entries leave the float range, and where the entry that decides the
+    verdict underflows to 0: e_in(1) for sigma != 1, e_out(2) = -2/N^2 for
+    sigma = 1.  This is the spectrum's one cache, keyed by (points, kmax):
+    `spectrum` rereads the grid `classify` built, and the analytic criteria
+    read one grid, so 16 grids serve it, where 512 held 148 MB at kmax 3000
+    over a long sweep of points.
     """
     powers = _radius_powers(points, kmax, _MODE_POWERS)
     # per point, in scalar arithmetic like every power of R: N, R, sigma,
@@ -421,9 +422,10 @@ def spectrum_grid(points: tuple[ProblemParams, ...], kmax: int) -> SpectrumGrid:
     unknowns = np.stack((b, c, d), axis=-1)
     FloatRangeError.check(points, np.isfinite(unknowns).all(axis=(1, 3)))
     FloatRangeError.check(points, np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(e_res))
-    # for sigma != 1, e_in(1) = e_out(1) = O(R^N) is nonzero; both reading 0
-    # means R^N left the float range and took the degree-1 signs with it
-    FloatRangeError.check(points, (sigma == 1.0) | (e_in[:, :1] != 0.0) | (e_out[:, :1] != 0.0))
+    # the entry that decides the verdict, nonzero in exact arithmetic, reads 0
+    # where it left the float range with its sign: at sigma = 1, e_in is +0.0
+    signed = (sigma == 1.0) | (e_in[:, :1] != 0.0), (sigma != 1.0) | (e_out[:, 1:2] != 0.0)
+    FloatRangeError.check(points, np.hstack(signed))
     for array in (unknowns, powers, e_in, e_out, e_res):
         array.flags.writeable = False
     return SpectrumGrid(points, unknowns, powers, e_in, e_out, e_res)

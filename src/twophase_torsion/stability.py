@@ -109,8 +109,10 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
     sigma - 1: for sigma > 1 the per-mode negativity (including coupled modes
     via the resonance discriminant) is checked degree by degree, and for
     sigma < 1 the degree-1 inner channel supplies the positive witness; the
-    proof the module docstring cites covers the degrees past k_max.  Where
-    R^N underflows and the degree-1 signs are lost, spectrum_grid raises.
+    proof the module docstring cites covers the degrees past k_max.  Each
+    witness is the first degree and channel of its sign in the scan: where
+    the entry that decides the verdict, e_in(1) for sigma != 1 and e_out(2)
+    for sigma = 1, reads 0, spectrum_grid raises instead.
     """
     if k_max < 2:
         raise ValueError("kmax must be >= 2")
@@ -147,28 +149,21 @@ def classify(params: ProblemParams, k_max: int) -> StabilityVerdict:
     # the smallest degree with a strictly negative channel, inner preferred
     negative_mask = np.stack([e_in < -floor, outer_admissible & (e_out < -floor)], axis=1)
     negative = np.argwhere(negative_mask).tolist()
+    witness_positive = _unit_spec(*positive[0]) if positive else None
     witness_negative = (
         _unit_spec(negative[0][0] + 1, CHANNELS[negative[0][1]]) if negative else None
     )
-    note = ""
 
     if params.sigma == 1.0:
         classification = Classification.NEUTRAL_SINGLE_PHASE
-        witness_positive = None
-        if witness_negative is None:
-            witness_negative = _unit_spec(2, Channel.OUTER_ALONE)
         note = (
             "single-phase case: the inner spectrum vanishes identically, so "
             "inner perturbations are second-order neutral; outer modes of "
             "degree >= 2 are strictly negative"
         )
-    elif positive:
-        classification = Classification.SADDLE
-        degree, channel = positive[0]
-        witness_positive = _unit_spec(degree, channel)
     else:
-        classification = Classification.LOCAL_MAXIMUM
-        witness_positive = None
+        classification = Classification.SADDLE if positive else Classification.LOCAL_MAXIMUM
+        note = ""
 
     for witness in (witness_positive, witness_negative):
         if witness is not None and validate(witness):

@@ -61,28 +61,38 @@ def test_classify_rejects_out_of_range_radius(capsys):
     assert err == "radius must lie in (0,1)\n"
 
 
-# each point with the verdict of classify, or None where degree 1 is refused
+# each point with the verdict of classify, or the degree refused at kmax 3,
+# None for degree 1: the entry that decides the verdict, e_in(1) for
+# sigma != 1 and e_out(2) for sigma = 1, reads 0 and has lost its sign
 UNDERFLOWED_DEGREE_ONE = pytest.mark.parametrize(
     "dim, radius, sigma, expected",
     [
-        # e_in(1) = e_out(1) = O(R^N) read 0.0: the degree-1 signs are lost
+        # e_in(1) = e_out(1) = O(R^N) read 0.0
         (2, "1e-200", "0.5", None),
         (40, "1e-10", "0.5", None),
         (2, "1e-200", "2", None),
+        # e_in(1) reads 0.0 and e_out(1) 5e-324, but outer degree 1 is a
+        # translation, excluded, so no sign decides the verdict
+        (3, "2.594786310652217e-108", "0.5", None),
         # e_in(1) = 3.3e-321 is subnormal, not zero, and keeps its sign
         (2, "1e-160", "0.5", "Saddle"),
+        # e_out(1) reads 0.0, but e_in(1) = 4.9e-324 keeps its sign
+        (4, "3.734002155702594e-81", "0.9", "Saddle"),
+        # e_in is +0.0 at sigma = 1, and e_out(2) = -2/N^2 keeps its sign
         (2, "1e-200", "1", "NeutralSinglePhase"),
+        # -2/N^2 underflows once N > 1.34e154
+        pytest.param(10**160, "0.5", "1", 2, id="1e160-0.5-1-2"),
     ],
 )
 
 
 @UNDERFLOWED_DEGREE_ONE
 def test_classify_refuses_an_underflowed_degree_one(capsys, dim, radius, sigma, expected):
-    argv = ["classify", "--dim", str(dim), "--radius", radius, "--sigma", sigma]
+    argv = ["classify", "--dim", str(dim), "--radius", radius, "--sigma", sigma, "--kmax", "3"]
     code, out, err = run_cli(capsys, argv)
-    if expected is None:
+    if not isinstance(expected, str):
         assert (code, out) == (2, "")
-        assert err == "degree 1 leaves float range for these parameters\n"
+        assert err == f"degree {expected or 1} leaves float range for these parameters\n"
     else:
         assert code == 0
         assert json.loads(out)["classification"] == expected
@@ -92,8 +102,14 @@ def test_classify_refuses_an_underflowed_degree_one(capsys, dim, radius, sigma, 
 def test_spectrum_refuses_an_underflowed_degree_one(capsys, dim, radius, sigma, expected):
     argv = ["spectrum", "--dim", str(dim), "--radius", radius, "--sigma", sigma, "--kmax", "3"]
     code, out, err = run_cli(capsys, argv)
-    if expected is None:
-        assert (code, out, err) == (2, "", "degree 1 leaves float range for these parameters\n")
+    if not isinstance(expected, str):
+        message = f"degree {expected or 1} leaves float range for these parameters\n"
+        assert (code, out, err) == (2, "", message)
+        if expected is not None:
+            # below the refused degree nothing decides a verdict
+            code, out, err = run_cli(capsys, argv[:-1] + [str(expected - 1)])
+            assert (code, err) == (0, "")
+            assert document_degrees(argv, out) == list(range(1, expected))
         return
     assert (code, err) == (0, "")
     assert document_degrees(argv, out) == [1, 2, 3]

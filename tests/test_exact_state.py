@@ -17,8 +17,9 @@ TRACE_PARAMS = [
 
 
 def test_sphere_area_low_dimensions():
-    assert sphere_area(2) == pytest.approx(2.0 * math.pi, rel=1e-15)
-    assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
+    # the general formula gives these bits
+    assert sphere_area(2) == 2.0 * math.pi
+    assert sphere_area(3) == 4.0 * math.pi
     assert sphere_area(4) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
     with pytest.raises(ValueError):
         sphere_area(1)

@@ -28,6 +28,8 @@ def test_problem_params_rejects_bad_dim():
         ProblemParams(dim=1, core_radius=0.5, sigma=1.0)
     with pytest.raises(ValueError, match="dim must be an integer >= 2"):
         ProblemParams(dim=2.0, core_radius=0.5, sigma=1.0)
+    with pytest.raises(ValueError, match="^dim must be >= 2$"):
+        multiplicity(1, 0)
 
 
 def test_problem_params_takes_any_integer_dim_but_a_bool():
@@ -97,6 +99,8 @@ def test_multiplicity_values():
 def test_mode_index_validation_and_ordering():
     with pytest.raises(ValueError, match="^degree must be nonnegative$"):
         ModeIndex(-1, 1)
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        multiplicity(2, -1)
     with pytest.raises(ValueError, match="^order must be >= 1$"):
         ModeIndex(2, 0)
     assert ModeIndex(1, 2) < ModeIndex(2, 1)

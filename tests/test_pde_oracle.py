@@ -232,6 +232,8 @@ def test_solve_energy_validates_the_angular_grid():
         solve_energy(family, radial_points=64, angular_modes=15)
     with pytest.raises(ValueError, match=">= 4"):
         solve_energy(family, radial_points=64, angular_modes=2)
+    with pytest.raises(ValueError, match="^radial_points must be >= 4$"):
+        solve_energy(family, radial_points=3, angular_modes=32)
     with pytest.raises(ValueError, match="too small for the perturbation"):
         solve_energy(family, radial_points=64, angular_modes=16)
     # each is refused before the grid's workspace is built
@@ -404,6 +406,23 @@ def test_conjugate_gradients_equal_a_dense_solve(radial_points):
     _assert_cg_equals_a_dense_solve(PERTURBED.at(0.03), radial_points, 8)
 
 
+# (R, log sigma) where a t = 0 solve on 4x4, outer degree 1, leaves a
+# residual of exactly zero after its first step; about 1 in 25000 points does
+EXACT_FIRST_STEP = (0.2661550595493104, -1.908618127918362)
+
+
+def test_an_exact_first_step_stops_on_the_zero_residual(monkeypatch):
+    # at t = 0 the preconditioner is the operator, so the first step solves
+    # the system; here it does so exactly, and the second step stops on the
+    # zero residual before it applies the operator again
+    spec = PerturbationSpec({ModeIndex(1, 1): (0.0, 1.0)})
+    radius, log_sigma = EXACT_FIRST_STEP
+    family = PerturbedDomainFamily(ProblemParams(2, radius, math.exp(log_sigma)), spec)
+    calls = _count_calls(monkeypatch, "_stiffness")
+    solve_energy(family, 4, 4)
+    assert calls == {"_stiffness": 1}
+
+
 # each angular grid with the degrees it resolves (2 degree < m)
 ANGULAR_GRIDS = st.sampled_from([4, 6, 8, 12]).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(1, min(3, (m - 1) // 2)))
@@ -420,14 +439,13 @@ ANGULAR_GRIDS = st.sampled_from([4, 6, 8, 12]).flatmap(
     t=st.floats(-0.03, 0.03),
     radial_points=st.integers(4, 24),
 )
-# at t = 0 the preconditioner is the operator, and here its first step leaves
-# a residual of exactly zero
+# the t = 0 solve of test_an_exact_first_step_stops_on_the_zero_residual
 @example(
-    radius=0.578125,
-    log_sigma=0.5827617863024299,
+    radius=EXACT_FIRST_STEP[0],
+    log_sigma=EXACT_FIRST_STEP[1],
     grid=(4, 1),
     order=1,
-    alphas=(1.0, 0.0),
+    alphas=(0.0, 1.0),
     t=0.0,
     radial_points=4,
 )

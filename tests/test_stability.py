@@ -1,9 +1,17 @@
 """Classification of the concentric configuration from the spectrum."""
 
+import sys
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twophase_torsion.params import ModeIndex, ProblemParams, validate
-from twophase_torsion.second_variation import spectrum_grid, total_second_variation
+from twophase_torsion.second_variation import (
+    FloatRangeError,
+    spectrum_grid,
+    total_second_variation,
+)
 from twophase_torsion.stability import Channel, Classification, classify
 
 
@@ -129,3 +137,27 @@ def test_classify_at_extreme_sigma_warns_nothing(dim, sigma):
     # the suite turns warnings into errors; the squared row scale overflows
     # at sigma = 1e-300.  The verdict itself is not asserted here.
     classify(ProblemParams(dim, 0.5, sigma), 3)
+
+
+# (N, R) with R^N = 10^-U(300,330), where e_in(1) = O(R^N) nears or leaves
+# the float range
+UNDERFLOWING_POINTS = st.sampled_from((2, 3, 4, 5, 8, 10, 20)).flatmap(
+    lambda dim: st.tuples(st.just(dim), st.floats(300.0, 330.0).map(lambda u: 10.0 ** (-u / dim)))
+)
+
+
+# sigma is normal: below it, at N = 20 and R near 1e-15, the elimination's
+# Cramer numerator overflows at degree 2 (CHANGES.md, FOUND), a refusal and
+# not a verdict
+@settings(max_examples=300, deadline=None)
+@given(point=UNDERFLOWING_POINTS, sigma=st.floats(sys.float_info.min, 1.0, exclude_max=True))
+# e_in(1) reads 0.0 while e_out(1) reads 5e-324, a sign that no admissible
+# degree-1 direction carries
+@example(point=(3, 2.594786310652217e-108), sigma=0.5)
+def test_a_softer_core_is_a_saddle_or_refused_at_degree_one(point, sigma):
+    try:
+        verdict = classify(ProblemParams(*point, sigma), 30)
+    except FloatRangeError as error:
+        assert error.degree == 1
+    else:
+        assert verdict.classification is Classification.SADDLE
