@@ -14,7 +14,6 @@ from .params import (
     PerturbationSpec,
     ProblemParams,
     multiplicity,
-    presets,
     validate,
 )
 from .reporting import (
@@ -78,7 +77,6 @@ __all__ = [
     "mode_coefficients",
     "monotonicity_functions",
     "multiplicity",
-    "presets",
     "printed_spectrum",
     "run_coefficients_suite",
     "run_from_config",

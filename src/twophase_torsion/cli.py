@@ -237,11 +237,22 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of pairs, as json.load's object_pairs_hook, refusing a
+    repeated key: json.load alone keeps the last of them without a word."""
+    record = {}
+    for key, value in pairs:
+        if key in record:
+            raise CliError(f"invalid oracle config: duplicate key {key!r}")
+        record[key] = value
+    return record
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
     from .pde_oracle import InterfaceOrderingError, SolveError, run_from_config
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+            config = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -1,5 +1,5 @@
 """Problem parameters, spherical-harmonic mode bookkeeping, and perturbation
-specifications with constraint validation and named presets.
+specifications with constraint validation.
 
 The geometry is a core ball of radius R inside the unit ball of R^N, with
 conductivity sigma in the core and 1 outside.  Boundary perturbations are
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Mapping
 
 
@@ -32,6 +33,17 @@ def _integer(record, name: str, least: int, message: str, not_integer: str = "")
     if value < least:
         raise ValueError(message)
     object.__setattr__(record, name, int(value))
+
+
+def _finite(value, name: str) -> float:
+    """value as a float if it is a finite real number, numpy's, Fraction and
+    Decimal included but not a bool or a string; else raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, Decimal)):
+        raise ValueError(f"{name} must be a real number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -49,12 +61,10 @@ class ProblemParams:
             float(self.dim)
         except OverflowError:
             raise ValueError("dim leaves float range") from None
-        if not math.isfinite(self.core_radius):
-            raise ValueError("radius must be finite")
+        object.__setattr__(self, "core_radius", _finite(self.core_radius, "radius"))
         if not 0.0 < self.core_radius < 1.0:
             raise ValueError("radius must lie in (0,1)")
-        if not math.isfinite(self.sigma):
-            raise ValueError("sigma must be finite")
+        object.__setattr__(self, "sigma", _finite(self.sigma, "sigma"))
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
 
@@ -115,10 +125,7 @@ class PerturbationSpec:
         for index, (alpha_in, alpha_out) in dict(self.modes).items():
             if not isinstance(index, ModeIndex):
                 raise TypeError(f"mode keys must be ModeIndex, not {type(index).__name__}")
-            frozen[index] = (float(alpha_in), float(alpha_out))
-            for name, value in zip(("alpha_in", "alpha_out"), frozen[index]):
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite")
+            frozen[index] = (_finite(alpha_in, "alpha_in"), _finite(alpha_out, "alpha_out"))
         object.__setattr__(self, "modes", frozen)
 
     def coefficients(self, index: ModeIndex) -> tuple[float, float]:
@@ -161,25 +168,3 @@ def validate(spec: PerturbationSpec) -> tuple[tuple[ModeIndex, str], ...]:
                 (index, "degree-1 outer coefficient violates the barycenter constraint")
             )
     return tuple(violations)
-
-
-def presets() -> dict[str, PerturbationSpec]:
-    """Named resonance-case perturbations.
-
-    case-i    interface degree 3 against boundary degree 5 (no resonance),
-    case-ii   same degree 5, different orders (no resonance),
-    case-iii  same mode, aligned coefficients (resonance),
-    case-iv   same mode, opposed coefficients (resonance),
-    case-v    the translation-like coupled degree-1 mode (neutral direction).
-    """
-    return {
-        "case-i": PerturbationSpec(
-            {ModeIndex(3, 1): (1.0, 0.0), ModeIndex(5, 1): (0.0, 1.0)}
-        ),
-        "case-ii": PerturbationSpec(
-            {ModeIndex(5, 1): (1.0, 0.0), ModeIndex(5, 2): (0.0, 1.0)}
-        ),
-        "case-iii": PerturbationSpec({ModeIndex(5, 1): (1.0, 1.0)}),
-        "case-iv": PerturbationSpec({ModeIndex(5, 1): (1.0, -1.0)}),
-        "case-v": PerturbationSpec({ModeIndex(1, 1): (1.0, 1.0)}),
-    }

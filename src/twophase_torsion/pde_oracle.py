@@ -3,6 +3,9 @@
 Solves -div(sigma grad u) = 1, u = 0 on the outer boundary, on perturbed
 two-phase disks, and recovers first and second t-derivatives of the energy
 E(t) = int sigma |grad u_t|^2 by Richardson-extrapolated central differences.
+A run reports its samples t, their energies and the two derivatives, and
+nothing else: any further figure, such as the t-order of the raw second
+differences, is recomputed from the samples and energies.
 
 Discretization.  The perturbed domain is mapped to reference coordinates
 (s, theta) by a piecewise-linear radial map placing the material interface
@@ -110,7 +113,7 @@ import numpy as np
 # LAPACK pttrf and pttrs under the names bench/spans.py traces (module docstring)
 from scipy.linalg.lapack import dpttrf as cho_factor, dpttrs as cho_solve
 
-from .params import ModeIndex, PerturbationSpec, ProblemParams, presets
+from .params import ModeIndex, PerturbationSpec, ProblemParams
 
 DEFAULT_RADIAL_POINTS = 512
 DEFAULT_ANGULAR_MODES = 64
@@ -589,12 +592,8 @@ def solve_energy(
 
 @dataclass(frozen=True)
 class OracleRun:
-    """One finite-difference differentiation experiment on E(t).
-
-    convergence_rate and extrapolation_agreement are diagnostics that no
-    criterion reads; where the truncation error is near rounding, as on the
-    inner channel at 256x32, they read the rounding (differentiate_energy).
-    """
+    """One finite-difference differentiation experiment on E(t): the
+    samples, their energies and the extrapolated derivatives d1 and d2."""
 
     family: PerturbedDomainFamily
     radial_points: int
@@ -603,8 +602,6 @@ class OracleRun:
     energies: tuple[float, ...]
     d1: float
     d2: float
-    convergence_rate: float
-    extrapolation_agreement: float
 
     def energy_at(self, t: float) -> float:
         return self.energies[self.t_samples.index(t)]
@@ -624,11 +621,6 @@ class OracleRun:
             "energies": list(self.energies),
             "d1": self.d1,
             "d2": self.d2,
-            # JSON has no NaN: an unobservable rate is null
-            "convergence_rate": (
-                None if math.isnan(self.convergence_rate) else self.convergence_rate
-            ),
-            "extrapolation_agreement": self.extrapolation_agreement,
         }
 
 
@@ -678,15 +670,8 @@ def differentiate_energy(
     Richardson limits of the first and second central differences.  A run
     whose finest displacement delta = t0/2^levels |alpha| has eps E(0)/delta^2
     above ROUNDING_FLOOR is refused after the t = 0 solve and before any
-    other, since its second differences would be rounding noise.  The
-    convergence rate is the observed reduction order of successive raw second
-    differences; it is NaN when levels < 2 or either spacing is zero.  The extrapolation agreement
-    is the relative gap between the last two extrapolants, small when E(t)
-    is smooth (near-quadratic) at this scale.  Both measure truncation only
-    where it exceeds the energies' rounding: at R = 0.4, sigma = 0.5, inner
-    degree 2, t0 = 0.01 and 256x32, a 2.6e-15 relative change in the
-    energies moved the agreement from 1.90e-8 to 5.26e-9.  The family must
-    be at t = 0, the point differentiated at.
+    other, since its second differences would be rounding noise.  The family
+    must be at t = 0, the point differentiated at.
     """
     if family.t != 0.0:
         raise ValueError(f"the family must be at t = 0, not t = {family.t:g}")
@@ -728,17 +713,6 @@ def differentiate_energy(
     d2_raw = [(energy_of[h] - 2.0 * base + energy_of[-h]) / (h * h) for h in steps]
     d1 = _richardson(d1_raw)
     d2 = _richardson(d2_raw)
-
-    rate = float("nan")  # no rate without two nonzero spacings
-    if levels >= 2:
-        spacing_coarse = abs(d2_raw[0] - d2_raw[1])
-        spacing_fine = abs(d2_raw[1] - d2_raw[2])
-        if spacing_fine > 0.0 and spacing_coarse > 0.0:
-            rate = math.log2(spacing_coarse / spacing_fine)
-
-    penultimate = _richardson(d2_raw[:-1])
-    agreement = abs(d2 - penultimate) / max(abs(d2), 1e-12)
-
     return OracleRun(
         family=family,
         radial_points=radial_points,
@@ -747,21 +721,17 @@ def differentiate_energy(
         energies=tuple(energy_of[t] for t in samples),
         d1=d1,
         d2=d2,
-        convergence_rate=rate,
-        extrapolation_agreement=agreement,
     )
 
 
 _CONFIG_KEYS = frozenset(
     {
-        "dim", "radius", "sigma", "modes", "preset", "exact_area",
+        "dim", "radius", "sigma", "modes", "exact_area",
         "t0", "levels", "radial_points", "angular_modes",
     }
 )
 _MODE_KEYS = frozenset({"degree", "order", "alpha_in", "alpha_out"})
-_JSON_TYPES = {
-    int: "integer", float: "number", bool: "boolean", str: "string", list: "list"
-}
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", list: "list"}
 
 
 class MissingKeyError(KeyError):
@@ -801,12 +771,11 @@ def _field(record: dict, key: str, kind: type, default=None):
 def family_from_config(config: dict) -> PerturbedDomainFamily:
     """Build a domain family from a configuration dictionary.
 
-    Keys: dim (default 2), radius, sigma, and either preset (a name from
-    params.presets) or modes (a list of records with degree, order,
-    alpha_in, alpha_out, as PerturbationSpec.to_document writes them); the
-    optional exact_area flag, and the run keys of run_from_config.  Unknown
-    keys, values of the wrong JSON type, a repeated (degree, order) and
-    preset together with modes are rejected.
+    Keys: dim (default 2), radius, sigma, modes (default none; a list of
+    records with degree, order, alpha_in, alpha_out, as
+    PerturbationSpec.to_document writes them), the optional exact_area flag, and the run keys of
+    run_from_config.  Unknown keys, values of the wrong JSON type and a
+    repeated (degree, order) are rejected.
     """
     _check_keys(config, _CONFIG_KEYS, "config")
     params = ProblemParams(
@@ -814,31 +783,21 @@ def family_from_config(config: dict) -> PerturbedDomainFamily:
         core_radius=_field(config, "radius", float),
         sigma=_field(config, "sigma", float),
     )
-    if "preset" in config:
-        if "modes" in config:
-            raise ValueError("give either preset or modes, not both")
-        table = presets()
-        name = _field(config, "preset", str)
-        if name not in table:
-            known = ", ".join(sorted(table))
-            raise ValueError(f"unknown preset {name!r} (known: {known})")
-        spec = table[name]
-    else:
-        modes = {}
-        for record in _field(config, "modes", list, []):
-            _check_keys(record, _MODE_KEYS, "mode")
-            index = ModeIndex(
-                _field(record, "degree", int), _field(record, "order", int, 1)
+    modes = {}
+    for record in _field(config, "modes", list, []):
+        _check_keys(record, _MODE_KEYS, "mode")
+        index = ModeIndex(
+            _field(record, "degree", int), _field(record, "order", int, 1)
+        )
+        if index in modes:
+            raise ValueError(
+                f"duplicate mode (degree {index.degree}, order {index.order})"
             )
-            if index in modes:
-                raise ValueError(
-                    f"duplicate mode (degree {index.degree}, order {index.order})"
-                )
-            modes[index] = (
-                _field(record, "alpha_in", float, 0.0),
-                _field(record, "alpha_out", float, 0.0),
-            )
-        spec = PerturbationSpec(modes=modes)
+        modes[index] = (
+            _field(record, "alpha_in", float, 0.0),
+            _field(record, "alpha_out", float, 0.0),
+        )
+    spec = PerturbationSpec(modes=modes)
     return PerturbedDomainFamily(
         params, spec, exact_area=_field(config, "exact_area", bool, True)
     )

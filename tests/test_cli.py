@@ -161,7 +161,8 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     # after it, must leave nothing behind for the calls that follow
     config = tmp_path / "run.json"
     config.write_text(
-        json.dumps({"radius": 0.5, "sigma": 2.0, "preset": "case-iii", "levels": 1,
+        json.dumps({"radius": 0.5, "sigma": 2.0, "levels": 1,
+                    "modes": [{"degree": 5, "alpha_in": 1.0, "alpha_out": 1.0}],
                     "radial_points": 16, "angular_modes": 16}),
         encoding="utf-8",
     )
@@ -223,7 +224,8 @@ def test_only_the_oracle_imports_scipy(tmp_path):
     # with it, is imported when the oracle first runs
     config = tmp_path / "run.json"
     config.write_text(
-        json.dumps({"radius": 0.5, "sigma": 2.0, "preset": "case-iii", "levels": 1,
+        json.dumps({"radius": 0.5, "sigma": 2.0, "levels": 1,
+                    "modes": [{"degree": 5, "alpha_in": 1.0, "alpha_out": 1.0}],
                     "radial_points": 16, "angular_modes": 16}),
         encoding="utf-8",
     )
@@ -478,11 +480,11 @@ def test_report_stdout_is_pinned(capsys, argv):
 # degree-2 runs solve on two sectors of 16 angles, the degree-3 run on all 32
 PINNED_ORACLE = {
     "inner": ((1.0, 0.0, 2, 1, 0.4, 0.5),
-              "9b304867d898a0772e2e776eb7bbab82096506e15758848394ceaa5560a66ed2"),
+              "3c94625604b1edf6f616d140cab75e8ea7f7ad803b63a08ec5bb11c5d2bffad6"),
     "outer": ((0.0, 1.0, 3, 2, 0.6, 3.0),
-              "ddc039cad00747ed0504fd023b177d47ac98781d8c9f3a2489d1869340773912"),
+              "4c57532ece08b4b376e28eaaf1627cf89234336442b3ef508e1fa69d18185942"),
     "coupled": ((1.0, 1.0, 2, 1, 0.5, 2.0),
-                "dc6158591a3d3d5a4e563f3a34ebdfed7e8089a760d91d8141f63b078bdedafd"),
+                "ed041225a44565015c274d7bd5eb81c8727481bbc7a93f49f2e12983a802e9ae"),
 }
 
 
@@ -702,7 +704,6 @@ _ANY_VALUES = st.fixed_dictionaries(
         **dict.fromkeys(sorted(pde_oracle._CONFIG_KEYS), _JSON),
         **{key: st.integers(max_value=cap) | _NOT_AN_INTEGER for key, cap in _GRID_CAPS.items()},
         "modes": st.lists(_ANY_MODE | _JSON, max_size=3) | _JSON,
-        "preset": st.sampled_from(sorted(twophase_torsion.presets())) | _JSON,
     },
 )
 
@@ -760,7 +761,6 @@ def test_oracle_runs_from_a_config_file(tmp_path, capsys):
 
 
 def test_oracle_document_is_strict_json(tmp_path, capsys):
-    # one level observes no convergence rate; the document says null, not NaN
     config = {"radius": 0.5, "sigma": 2.0, "levels": 1, "radial_points": 16, "angular_modes": 8}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -771,7 +771,10 @@ def test_oracle_document_is_strict_json(tmp_path, capsys):
         raise ValueError(f"non-finite constant {constant} in the document")
 
     document = json.loads(out, parse_constant=reject)
-    assert document["convergence_rate"] is None
+    assert set(document) == {
+        "params", "modes", "exact_area", "radial_points", "angular_modes",
+        "t_samples", "energies", "d1", "d2",
+    }
 
 
 @pytest.mark.parametrize("radius, sigma", [(0.5, 0.5), (0.3, 0.2)])
@@ -798,27 +801,6 @@ def test_classify_witnesses_run_as_oracle_configs(tmp_path, capsys, radius, sigm
         assert sign * json.loads(out)["d2"] > 0.0, label
 
 
-def test_oracle_accepts_presets(tmp_path, capsys):
-    config = {
-        "preset": "case-iii",
-        "dim": 2,
-        "radius": 0.5,
-        "sigma": 2.0,
-        "t0": 0.02,
-        "levels": 1,
-        "radial_points": 64,
-        "angular_modes": 16,
-    }
-    path = tmp_path / "preset.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    code, out, _ = run_cli(capsys, ["oracle", "--config", str(path)])
-    assert code == 0
-    document = json.loads(out)
-    assert document["modes"] == [
-        {"degree": 5, "order": 1, "alpha_in": 1.0, "alpha_out": 1.0}
-    ]
-
-
 def test_oracle_skips_modes_with_zero_coefficients(tmp_path, capsys):
     # a degree-40 record with both coefficients zero moves neither boundary,
     # so 16 angular modes, which resolve degrees below 8 only, suffice
@@ -839,15 +821,6 @@ def test_oracle_skips_modes_with_zero_coefficients(tmp_path, capsys):
         {"degree": 40, "order": 1, "alpha_in": 0.0, "alpha_out": 0.0}
     ]
     assert len(set(document["energies"])) == 1
-
-
-def test_oracle_rejects_unknown_preset(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"preset": "case-vi", "radius": 0.5, "sigma": 1.0}))
-    code, _, err = run_cli(capsys, ["oracle", "--config", str(path)])
-    assert code != 0
-    assert "unknown preset" in err
-    assert len(err.strip().splitlines()) == 1
 
 
 def test_oracle_reports_unreadable_config(tmp_path, capsys):
@@ -983,10 +956,11 @@ def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
         ({"allow_mean": True}, "unknown config key 'allow_mean'"),
         ({"modes": {"degree": 2}}, "modes must be a JSON list"),
         ({"modes": [2]}, "mode must be a JSON object"),
-        ({"preset": ["case-i"]}, "preset must be a JSON string"),
+        # a perturbation is a modes list alone
+        ({"preset": "case-iii"}, "unknown config key 'preset'"),
         (
             {"preset": "case-iii", "modes": [{"degree": 2, "alpha_in": 1.0}]},
-            "give either preset or modes, not both",
+            "unknown config key 'preset'",
         ),
         ([0.5, 2.0], "config must be a JSON object"),
         (
@@ -1020,6 +994,19 @@ def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
             "t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = 0.872 "
             "exceeds 0.0001",
         ),
+        # raw text: json.load keeps the last of two equal keys, and this ran
+        # at R = 0.7, sigma = 3 and alpha_in = 5; the mode record closes, and
+        # is refused, before the config does
+        (
+            '{"radius": 0.5, "radius": 0.7, "sigma": 2.0, "sigma": 3.0, '
+            '"modes": [{"degree": 2, "alpha_in": 1.0, "alpha_in": 5.0}], '
+            '"levels": 1, "radial_points": 16, "angular_modes": 8}',
+            "duplicate key 'alpha_in'",
+        ),
+        (
+            '{"radius": 0.5, "radius": 0.7, "sigma": 2.0, "radial_points": 16, "angular_modes": 8}',
+            "duplicate key 'radius'",
+        ),
     ],
 )
 def test_oracle_rejects_malformed_configs(tmp_path, capsys, config, message):
@@ -1027,7 +1014,8 @@ def test_oracle_rejects_malformed_configs(tmp_path, capsys, config, message):
     if isinstance(config, dict):
         config = {**base, **config}
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    # a string is the config's raw text
+    path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
     code, out, err = run_cli(capsys, ["oracle", "--config", str(path)])
     assert code == 2
     assert out == ""

@@ -18,7 +18,7 @@ BENCH_SPANS = README.parent / "bench" / "spans.py"
 
 
 def test_every_export_resolves():
-    assert len(twophase_torsion.__all__) == 43
+    assert len(twophase_torsion.__all__) == 42
     for name in twophase_torsion.__all__:
         assert hasattr(twophase_torsion, name), name
     for name in (
@@ -39,6 +39,7 @@ def test_every_export_resolves():
         "solve_modes",
         "StateTraces",
         "ModeKind",
+        "presets",
     ):
         assert name not in twophase_torsion.__all__
         assert not hasattr(twophase_torsion, name)

@@ -1,6 +1,8 @@
 """Parameter containers, harmonic bookkeeping, and constraint validation."""
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,12 @@ def test_problem_params_accepts_valid_triples():
     assert params.dim == 3
     assert params.core_radius == 0.5
     assert params.sigma == 2.0
+    # any real number but a bool is stored as a float
+    reals = ((Fraction(1, 2), 2), (Decimal("0.5"), np.int64(2)), (np.float32(0.5), 2.0))
+    for radius, sigma in reals:
+        params = ProblemParams(dim=3, core_radius=radius, sigma=sigma)
+        assert (type(params.core_radius), type(params.sigma)) == (float, float)
+        assert params == ProblemParams(3, 0.5, 2.0)
 
 
 def test_problem_params_rejects_bad_dim():
@@ -85,6 +93,12 @@ def test_problem_params_rejects_non_finite_values():
     for radius in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="^radius must be finite$"):
             ProblemParams(dim=2, core_radius=radius, sigma=1.0)
+    # a bool is no number: sigma = True read as 1, the neutral point
+    for value in (True, np.bool_(False), "0.5", None, 0.5j):
+        with pytest.raises(ValueError, match="^sigma must be a real number$"):
+            ProblemParams(dim=2, core_radius=0.5, sigma=value)
+        with pytest.raises(ValueError, match="^radius must be a real number$"):
+            ProblemParams(dim=2, core_radius=value, sigma=1.0)
 
 
 def test_multiplicity_values():
@@ -131,6 +145,11 @@ def test_spec_rejects_non_finite_coefficients():
         with pytest.raises(ValueError, match="^alpha_in must be finite$"):
             PerturbationSpec({ModeIndex(2, 1): (value, 0.0)})
         with pytest.raises(ValueError, match="^alpha_out must be finite$"):
+            PerturbationSpec({ModeIndex(2, 1): (1.0, value)})
+    for value in (True, np.bool_(True), "1.5", None):
+        with pytest.raises(ValueError, match="^alpha_in must be a real number$"):
+            PerturbationSpec({ModeIndex(2, 1): (value, 0.0)})
+        with pytest.raises(ValueError, match="^alpha_out must be a real number$"):
             PerturbationSpec({ModeIndex(2, 1): (1.0, value)})
 
 

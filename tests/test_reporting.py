@@ -1,10 +1,14 @@
-"""Fidelity report, CSV emitter, presets, and property suites."""
+"""Fidelity report, CSV emitter, the README's resonance cases, and property
+suites."""
 
+import json
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from twophase_torsion.params import ModeIndex, ProblemParams, presets, validate
+from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams, validate
 from twophase_torsion import pde_oracle, reporting, second_variation
 from twophase_torsion.reporting import (
     CRITERIA,
@@ -144,26 +148,33 @@ def test_spectrum_csv_rejects_empty_range():
         emit_spectrum_csv(PARAMS, 0, SpectrumPath.ASSEMBLED)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the five resonance cases, typed apart from the README records they check
+RESONANCE_CASES = {
+    "i": PerturbationSpec({ModeIndex(3, 1): (1.0, 0.0), ModeIndex(5, 1): (0.0, 1.0)}),
+    "ii": PerturbationSpec({ModeIndex(5, 1): (1.0, 0.0), ModeIndex(5, 2): (0.0, 1.0)}),
+    "iii": PerturbationSpec({ModeIndex(5, 1): (1.0, 1.0)}),
+    "iv": PerturbationSpec({ModeIndex(5, 1): (1.0, -1.0)}),
+    "v": PerturbationSpec({ModeIndex(1, 1): (1.0, 1.0)}),
+}
+
+
 def test_presets_cover_the_five_resonance_cases():
-    table = presets()
-    assert sorted(table) == ["case-i", "case-ii", "case-iii", "case-iv", "case-v"]
-    # distinct degrees, no resonance
-    case_i = table["case-i"]
-    assert case_i.coefficients(ModeIndex(3, 1)) == (1.0, 0.0)
-    assert case_i.coefficients(ModeIndex(5, 1)) == (0.0, 1.0)
-    # same degree, distinct orders: still no resonance
-    case_ii = table["case-ii"]
-    assert case_ii.coefficients(ModeIndex(5, 1)) == (1.0, 0.0)
-    assert case_ii.coefficients(ModeIndex(5, 2)) == (0.0, 1.0)
-    # same mode, aligned and opposed
-    assert table["case-iii"].coefficients(ModeIndex(5, 1)) == (1.0, 1.0)
-    assert table["case-iv"].coefficients(ModeIndex(5, 1)) == (1.0, -1.0)
-    # the neutral coupled translation-like direction
-    case_v = table["case-v"]
-    assert case_v.coefficients(ModeIndex(1, 1)) == (1.0, 1.0)
-    # only case-v breaks a constraint: the barycenter one, by its outer degree-1 mode
-    assert [name for name, spec in table.items() if validate(spec)] == ["case-v"]
-    assert [index for index, _ in validate(case_v)] == [ModeIndex(1, 1)]
+    # each README row's modes list parses to its case's spec, so the
+    # documented records cannot drift from the cases
+    rows = re.findall(
+        r"^\| \((\w+)\) +\|[^|]*\| `(\[.*\])` \|$",
+        README.read_text(encoding="utf-8"),
+        re.MULTILINE,
+    )
+    assert [case for case, _ in rows] == list(RESONANCE_CASES)
+    for case, modes in rows:
+        config = {"radius": 0.5, "sigma": 2.0, "modes": json.loads(modes)}
+        assert pde_oracle.family_from_config(config).spec == RESONANCE_CASES[case], case
+    # only case (v) breaks a constraint: the barycenter one, by its outer degree-1 mode
+    assert [case for case, spec in RESONANCE_CASES.items() if validate(spec)] == ["v"]
+    assert [index for index, _ in validate(RESONANCE_CASES["v"])] == [ModeIndex(1, 1)]
 
 
 def test_coefficients_suite_passes():

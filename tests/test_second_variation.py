@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_exact_reference import degree_one_underflows
-from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams, presets
+from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
 from twophase_torsion.second_variation import (
     _MODE_POWERS,
     _PRINTED_POWERS,
@@ -394,13 +394,16 @@ def test_total_second_variation_rejects_modes_past_the_table():
     assert total == assemble_spectrum(PARAMS, 2).e_in + assemble_spectrum(PARAMS, 4).e_out
 
 
-# E''(Phi) of the preset case-iii and of a spec mixing degrees 2, 3 and 5,
+# E''(Phi) of resonance case (iii), degree 5 aligned, and of a spec mixing degrees 2, 3 and 5,
 # summed from the assembled table; each is within 1e-16 relative of the sum
 # of the exact reference's entries
 PINNED_TOTALS = [
     (PARAMS, -2.116330185607294, -8.885835510428493),
     (ProblemParams(3, 0.3, 0.2), -0.9477831377298745, -3.8418405755832987),
 ]
+
+
+CASE_III = PerturbationSpec({ModeIndex(5, 1): (1.0, 1.0)})
 
 
 @pytest.mark.parametrize("params, case_iii, mixed", PINNED_TOTALS)
@@ -414,7 +417,7 @@ def test_total_second_variation_reads_one_point_grids(params, case_iii, mixed):
     )
     for kmax in (5, 30):
         table = spectrum_grid((params,), kmax)
-        assert total_second_variation(presets()["case-iii"], table) == case_iii
+        assert total_second_variation(CASE_III, table) == case_iii
         assert total_second_variation(spec, table) == mixed
     with pytest.raises(ValueError, match=r"^the spectrum grid holds 2 points; give the grid of one$"):
         total_second_variation(spec, spectrum_grid((params, PARAMS), 5))
