@@ -42,16 +42,17 @@ theta, with the shear dropped (Concus, Golub & O'Leary 1976): with area and
 bend constant in theta and no shear, K splits by real Fourier mode j into one
 SPD tridiagonal radial chain (the center joins mode 0's), all factored
 together and applied by a real cos and sin analysis matrix, one chain solve
-with the cos and sin parts as its two right-hand sides, and the synthesis
-matrix back.  At t = 0, phi_theta = 0 removes the shear and area and bend
-are already constant in theta, so the preconditioner is the concentric
-operator K(0) itself.  D, the chains' eigenvalues j^2 and the cos and sin
-pair come from one function, angular_operator.  cho_factor and cho_solve are this
-module's names for the LAPACK pttrf and pttrs bindings, kept because the
+with the cos and sin parts as its two right-hand sides (the cos part alone
+on half a sector, below), and the synthesis matrix back.  At t = 0,
+phi_theta = 0 removes the shear and area and bend are already constant in
+theta, so the preconditioner is the concentric operator K(0) itself.  D,
+the chains' eigenvalues j^2 and the cos and sin pair come from one function,
+angular_operator.  cho_factor and cho_solve are this module's names for the LAPACK pttrf and pttrs bindings, kept because the
 benchmark's tracer (bench/spans.py) times and counts the calls through those
-two module attributes.  Each grid, period and thread has one cache, its
-workspace (_Workspace, kept in the bounded _workspace): the sector's angular
-operator and angles, the radial factors of the last core radius solved, and the
+two module attributes.  Each grid, period, mirror flag and thread has one
+cache, its workspace (_Workspace, kept in the bounded _workspace): the
+angular operator and multiplicities of the angles it solves, the normal speeds
+of the last spec and the radial factors of the last core radius solved, and the
 arrays every solve writes by out= and in-place ufuncs, in the order of the
 expressions they replace, so the energies are bit for bit those of fresh
 arrays; only u is new in each solve, as the solutions list keeps it.  Freed
@@ -59,34 +60,55 @@ each step, these 65 KB arrays (at 256x32) left memory past glibc's trim
 threshold at the top of its heap, which went back to the kernel and was
 faulted in again (mallopt(3), M_TRIM_THRESHOLD).
 
-Sectors.  A family whose degrees k >= 1 with a nonzero coefficient share a
-factor g with m/2, on m angles, is unchanged by a rotation of 2 pi/g, which
-moves the grid onto itself; so is the discrete system, and its solution
-repeats g times around the circle (reduction by symmetry: Bossavit,
-Comput. Methods Appl. Mech. Engrg. 56 (1986) 167-215).  solve_energy solves
-on the first m/g angles, g being the family's _period.  On g-periodic
-vectors D acts as g times the differentiation matrix of m/g points, so the
-sector's D is that, and the eigenvalues of its D^T D are g^2 j^2; dtheta
-and the radial factors stay those of the m angles, and the center's row
-and load sum over the sector.  With P the replication of a sector g times,
-the sector's operator is P^T K P/g and its load P^T q/g, so its solution is
-the circle's on the sector and its energy E/g.  At g = 1 the sector is the
-circle and every operation is the full grid's.
+Symmetry.  A family whose degrees k >= 1 with a nonzero coefficient share a
+factor g with m/2, on m angles, is unchanged by a turn of 2 pi/g, which moves
+the grid onto itself; so is the discrete system, and its solution repeats g
+times around the circle (reduction by symmetry: Bossavit, Comput. Methods
+Appl. Mech. Engrg. 56 (1986) 167-215; Fassler & Stiefel, Group Theoretical
+Methods and Their Applications, Birkhauser 1992).  g is the family's _period.
+On g-periodic vectors D acts as g times the differentiation matrix of the
+m' = m/g points of a sector, so the sector's D is that, and the eigenvalues of
+its D^T D are g^2 j^2; dtheta and the radial factors stay those of the m
+angles, and the center's row and load sum over the sector.  With P the
+replication of a sector g times, the sector's operator is P^T K P/g and its
+load P^T q/g, so its solution is the circle's on the sector and its energy
+E/g, which the solve multiplies by g.
+
+When moreover every such mode is even about one grid angle c, the mirror axis
+that _period finds (cos k theta when sin k c = 0, sin k theta when
+cos k c = 0, so a sine's axis is a quarter of its period off 0), so is the
+sector's system: the reflection about c maps the grid onto itself, keeps area
+and bend, negates shear/2 and anticommutes with D; the solution is even about
+c.  The solve then reads the h = m'/2 + 1 angles from c to c + pi/g.  With P
+now the even extension of those angles to the sector's, taking angle i to
+angles i and m' - i, the half sector's operator is P^T K P and its load P^T q:
+_stiffness applies it with the first h rows of D P as its D and each angle's
+rows times its multiplicity w = (1, 2, ..., 2, 1), the number of sector angles
+it stands for, and the load is w q, so the energy is the sector's.  The
+preconditioner is P^T M P for the sector's M, whose rows' sum times w over m'
+is the sector's mean: even data has no sin coefficients about c, so it takes
+the cos rows of the Fourier pair, restricted to the h angles, and one
+right-hand side.  Its r.z and CG's p.Kp are the sector's, so the half sector
+takes the sector's steps.  Without an axis, as for cos 2 theta with
+sin 2 theta, or any sine on m = 2 (mod 4) angles, w = 1 and the whole sector
+is solved; at g = 1 that is the circle, and every operation is the full grid's.
 
 Cell rows.  In the core phi = s rho_D/R, so each coefficient row is a factor
 of s, which the grid alone fixes, times a factor of theta; in the shell one
-reciprocal 1/phi serves all three rows (_cell_rows).  The grid's factors and
-the load's weights (_radial_factors) are rebuilt only when a solve's core
-radius differs from its workspace's last, so a sample computes its angular
-factors, its shell rows and one small product for the load.  At 256x32 on
-one BLAS thread of a 2-vCPU Xeon container a sample's fixed work is about
-0.15 ms of cell rows and 0.09 ms of preconditioner factorization, and a CG
-step about 0.12 ms of preconditioner and 0.08 ms of operator application: a
-7-sample run of 13 steps and 6 warm-start residuals spends about 1.7 ms on
-the samples' fixed work and 3.1 ms on operator and preconditioner
-applications, of about 7 ms in all.  On the same host, at R = 0.5, sigma = 2
-and both boundaries moving, a run of period 2 took 0.60 and one of period 4
-0.42 of a period-1 run's 7.3 ms (medians of 60 runs each, interleaved).
+reciprocal 1/phi serves all three rows (_cell_rows).  The speeds
+(_normal_speeds) are computed only when a solve's spec differs from its
+workspace's last, and the grid's factors and the load's weights
+(_radial_factors) only when its core radius does, so a sample forms both
+boundaries' radii in one stacked pass, its angular factors, its shell rows and
+one small product for the load.  At 256x32 on one BLAS thread of a 2-vCPU
+Xeon container, at period 1, a mirrored sample's fixed work is about 0.10 ms
+of cell rows and 0.08 ms of preconditioner build, and a CG step about 0.06 ms
+of preconditioner and 0.05 ms of operator application, against 0.14, 0.08,
+0.09 and 0.075 ms on the whole circle: a 7-sample run of 12 steps and 6
+warm-start residuals takes about 3.7 ms mirrored and 5.3 ms whole.  On the
+same host, at R = 0.5, sigma = 2 and both boundaries moving, mirrored runs of
+periods 1, 2 and 4 took 0.70, 0.54 and 0.45 of the whole circle's 5.3 ms
+(medians of 60 runs each, interleaved).
 
 The perturbation family reads its normal speeds g of the interface and of
 the outer boundary from a PerturbationSpec, the package's one description of
@@ -141,10 +163,11 @@ ROUNDING_FLOOR = 1e-4
 # outer channel read E(0) = 0.119 for 0.390 and d2 = +0.035 for
 # e_out(2) = -0.52 from sigma = 1e35 up
 SIGMA_CEILING = 1e12
-# (radial_points, angular_modes, thread, period) workspaces kept: a run uses
-# one, the benchmark's 256x32 runs of degrees 1-4 three (periods 1, 2 and 4)
-# and `verify pde` three, (512, 64, 1), (256, 64, 1) and (512, 64, 2); one
-# holds 4.5 MB at the default 512x64 and period 1, 1.1 MB at 256x32
+# (radial_points, angular_modes, thread, period, mirrored) workspaces kept: a
+# run uses one, the benchmark's 256x32 runs of degrees 1-4 three (periods 1, 2
+# and 4) and `verify pde` three, (512, 64, 1), (256, 64, 1) and (512, 64, 2),
+# all mirrored, as a test counts; one holds 2.3 MB at the default 512x64,
+# period 1 and mirrored, 4.6 MB unmirrored, and 0.6 and 1.2 MB at 256x32
 WORKSPACE_CACHE_SIZE = 4
 
 
@@ -156,19 +179,18 @@ class SolveError(RuntimeError):
     """The discrete system could not be solved."""
 
 
-def _normal_speeds(
-    spec: PerturbationSpec, theta: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(g, g') of the interface and (g, g') of the outer boundary on theta.
+def _normal_speeds(spec: PerturbationSpec, theta: np.ndarray) -> np.ndarray:
+    """The normal speeds on theta as a (2, 2, angles) array: (g, g') of the
+    interface, then (g, g') of the outer boundary.
 
     g = sum alpha Y_{k,i} over the spec's nonzero coefficients, in the
     circle's orthonormal basis: 1/sqrt(2 pi) for degree 0, cos(k theta)/sqrt(pi)
     for order 1 and sin(k theta)/sqrt(pi) for order 2.
     """
-    g_in, dg_in, g_out, dg_out = (np.zeros_like(theta) for _ in range(4))
+    speeds = np.zeros((2, 2, len(theta)))
     for index, pair in spec.sorted_items():
         degree = index.degree
-        for coeff, g, dg in zip(pair, (g_in, g_out), (dg_in, dg_out)):
+        for coeff, (g, dg) in zip(pair, speeds):
             if coeff == 0.0:
                 continue
             if degree == 0:
@@ -179,7 +201,7 @@ def _normal_speeds(
             else:
                 g += coeff * np.sin(degree * theta) / math.sqrt(math.pi)
                 dg += coeff * degree * np.cos(degree * theta) / math.sqrt(math.pi)
-    return (g_in, dg_in), (g_out, dg_out)
+    return speeds
 
 
 @dataclass(frozen=True)
@@ -220,42 +242,38 @@ class PerturbedDomainFamily:
     def at(self, t: float) -> "PerturbedDomainFamily":
         return replace(self, t=t)
 
-    def _radius(
-        self, base: float, side: int, g: np.ndarray, dg: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Radius rho(theta) and its theta-derivative at amplitude self.t of
-        the boundary at radius base, whose coefficients are alpha[side]."""
+    def _radii(self, speeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Radii rho(theta) and their theta-derivatives at amplitude self.t,
+        each a (2, angles) array, the interface's row first, from the
+        _normal_speeds array of both boundaries."""
+        g, dg = speeds[:, 0], speeds[:, 1]
+        base = np.array([[self.params.core_radius], [1.0]])
         if not self.exact_area:
-            return base + self.t * g, self.t * dg
-        # the circle average of g^2: the basis is orthonormal
-        mean_square = sum(
-            pair[side] * pair[side] for _, pair in self.spec.sorted_items()
-        ) / (2.0 * math.pi)
-        rho_sq = (
-            base * base
-            + 2.0 * base * self.t * g
-            + self.t * self.t * (g * g - mean_square)
-        )
-        if np.any(rho_sq <= 0.0):
-            raise InterfaceOrderingError("perturbed radius collapsed to zero")
-        rho = np.sqrt(rho_sq)
-        drho = (base * self.t * dg + self.t * self.t * g * dg) / rho
+            rho, drho = base + self.t * g, self.t * dg
+        else:
+            # the circle average of g^2: the basis is orthonormal
+            items = self.spec.sorted_items()
+            squares = [[sum(pair[side] * pair[side] for _, pair in items)] for side in (0, 1)]
+            mean_square = np.array(squares) / (2.0 * math.pi)
+            rho_sq = base * base + 2.0 * base * self.t * g + self.t * self.t * (g * g - mean_square)
+            if np.any(rho_sq <= 0.0):
+                raise InterfaceOrderingError("perturbed radius collapsed to zero")
+            rho = np.sqrt(rho_sq)
+            drho = (base * self.t * dg + self.t * self.t * g * dg) / rho
+        # an overflowing g or g^2 makes a radius NaN, which passes every comparison
+        if not np.isfinite(rho).all():
+            raise InterfaceOrderingError("perturbed radius is not finite")
+        if np.any(rho[0] <= 0.0) or np.any(rho[0] >= rho[1]):
+            raise InterfaceOrderingError(
+                "interface ordering 0 < rho_D < rho_Omega violated"
+            )
         return rho, drho
 
     def boundary_radii(
         self, theta: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(rho_D, rho_D', rho_Omega, rho_Omega') on the angular grid."""
-        inner, outer = _normal_speeds(self.spec, theta)
-        rho_in, drho_in = self._radius(self.params.core_radius, 0, *inner)
-        rho_out, drho_out = self._radius(1.0, 1, *outer)
-        # an overflowing g or g^2 makes a radius NaN, which passes every comparison
-        if not (np.isfinite(rho_in).all() and np.isfinite(rho_out).all()):
-            raise InterfaceOrderingError("perturbed radius is not finite")
-        if np.any(rho_in <= 0.0) or np.any(rho_in >= rho_out):
-            raise InterfaceOrderingError(
-                "interface ordering 0 < rho_D < rho_Omega violated"
-            )
+        (rho_in, rho_out), (drho_in, drho_out) = self._radii(_normal_speeds(self.spec, theta))
         return rho_in, drho_in, rho_out, drho_out
 
 
@@ -350,58 +368,86 @@ def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tu
     return j_in, core, shell, weights
 
 
-def _period(family: PerturbedDomainFamily, angular_modes: int) -> int:
-    """The number g of sectors the family's solve repeats over on the grid:
-    gcd(angular_modes/2, every degree >= 1 with a nonzero coefficient), 1
-    when there is none (module docstring).  Raises ValueError when such a
-    degree is at least angular_modes/2, which the grid cannot resolve; below
-    that, g divides angular_modes/2 and is at most angular_modes/4, so a
-    sector holds an even number of angles, at least 4."""
-    modes = family.spec.modes.items()
-    degrees = [index.degree for index, pair in modes if index.degree and any(pair)]
-    if 2 * max(degrees, default=0) >= angular_modes:
+def _period(family: PerturbedDomainFamily, angular_modes: int) -> tuple[int, int | None]:
+    """The family's symmetry on the grid (module docstring): the number g of
+    sectors its solve repeats over, gcd(angular_modes/2, every degree >= 1
+    with a nonzero coefficient), 1 when there is none; and its mirror axis,
+    the first grid index j in [0, angular_modes/g) about whose angle
+    c = 2 pi j/angular_modes every such mode is even, None when there is no
+    such j.  cos k theta is even about c when 4 k j = 0 and sin k theta when
+    4 k j = angular_modes, modulo 2 angular_modes.  Raises ValueError when
+    a moving degree is at least angular_modes/2, which the grid cannot
+    resolve; below that, g divides angular_modes/2 and is at most
+    angular_modes/4, so a sector holds an even number of angles, at least 4."""
+    m = angular_modes
+    moving = [index for index, pair in family.spec.modes.items() if index.degree and any(pair)]
+    if 2 * max((index.degree for index in moving), default=0) >= m:
         raise ValueError("angular_modes too small for the perturbation degree")
-    return math.gcd(angular_modes // 2, *degrees) if degrees else 1
+    period = math.gcd(m // 2, *(index.degree for index in moving)) if moving else 1
+    residues = [(4 * index.degree, 0 if index.order == 1 else m) for index in moving]
+    axes = (j for j in range(m // period) if all(k * j % (2 * m) == r for k, r in residues))
+    return period, next(axes, None)
 
 
 class _Workspace:
-    """What every solve on one (radial_points, angular_modes) grid and period
-    reads or writes, built once (module docstring): the sector's angular
-    operator, with D scaled by the period and D^T D's eigenvalues by its
-    square, its angles and its arrays."""
+    """What every solve on one (radial_points, angular_modes) grid, period and
+    mirror flag reads or writes, built once (module docstring): the angular
+    operator of the angles solved, with D scaled by the period and D^T D's
+    eigenvalues by its square, each angle's multiplicity in the sector, and
+    the arrays; and the normal speeds of the last spec and the radial factors
+    of the last radius solved."""
 
-    def __init__(self, radial_points: int, angular_modes: int, period: int) -> None:
+    def __init__(self, radial_points: int, angular_modes: int, period: int, mirrored: bool) -> None:
         n, m = radial_points, angular_modes // period
-        self.angular_modes = angular_modes
+        # a mirrored solve reads the half sector's m/2 + 1 angles, and only
+        # the cos half of the Fourier pair
+        count, sides = (m // 2 + 1, 1) if mirrored else (m, 2)
+        self.angular_modes, self.sector_angles = angular_modes, m
         sector = angular_operator(m)
         diff, eigen = period * sector.diff, period * period * sector.eigen
-        diff.flags.writeable = eigen.flags.writeable = False
-        self.angular = sector._replace(diff=diff, eigen=eigen)
-        self.theta = 2.0 * math.pi * np.arange(m) / angular_modes
+        analysis, synthesis = sector.analysis, sector.synthesis
+        self.multiplicity = np.ones(count)
+        if mirrored:
+            # D P, P the even extension of the half sector to the sector
+            extension = np.zeros((m, count))
+            extension[np.arange(count), np.arange(count)] = 1.0
+            extension[m - np.arange(1, count - 1), np.arange(1, count - 1)] = 1.0
+            diff = (diff @ extension)[:count]
+            analysis = np.ascontiguousarray(analysis[:1, :, :count])
+            synthesis = np.ascontiguousarray(synthesis[: m // 2 + 1, :count])
+            self.multiplicity[1:-1] = 2.0  # the angles strictly inside the half sector
+        for array in (diff, eigen, analysis, synthesis, self.multiplicity):
+            array.flags.writeable = False
+        self.angular = AngularOperator(diff, eigen, analysis, synthesis)
+        self.spec = self.speeds = None  # _cell_rows sets both
         self.radius = self.factors = None  # _cell_rows sets both
-        self.rows = np.empty((3, n, m))  # area, shear/2 and bend by cell and angle
-        self.nodes = np.zeros((n + 1, m))  # the node values; the Dirichlet row stays 0
-        self.cells = np.empty((5, n, m))  # _stiffness' delta, slope, f, h and scratch
-        self.rhs = np.empty((2, 1 + (m // 2 + 1) * (n - 1)))  # the chains' right-hand sides
-        self.coefficients = np.empty((m + 2, n - 1))  # the rings' cos and sin coefficients
+        self.rows = np.empty((3, n, count))  # area, shear/2 and bend by cell and angle
+        self.nodes = np.zeros((n + 1, count))  # the node values; the Dirichlet row stays 0
+        self.cells = np.empty((5, n, count))  # _stiffness' delta, slope, f, h and scratch
+        self.rhs = np.empty((sides, 1 + (m // 2 + 1) * (n - 1)))  # the chains' right-hand sides
+        # the rings' Fourier coefficients
+        self.coefficients = np.empty((sides * (m // 2 + 1), n - 1))
         # vectors of unknowns: the load, K v, the preconditioned residual and CG's
         self.load, self.product, self.preconditioned, self.residual, self.direction, self.scaled = (
-            np.empty((6, 1 + (n - 1) * m))
+            np.empty((6, 1 + (n - 1) * count))
         )
 
 
 @functools.lru_cache(maxsize=WORKSPACE_CACHE_SIZE)
-def _workspace(radial_points: int, angular_modes: int, thread: int, period: int) -> _Workspace:
-    """A grid's workspace at one period for one thread, which runs one solve
-    at a time."""
-    return _Workspace(radial_points, angular_modes, period)
+def _workspace(
+    radial_points: int, angular_modes: int, thread: int, period: int, mirrored: bool
+) -> _Workspace:
+    """A grid's workspace at one period and mirror flag for one thread, which
+    runs one solve at a time."""
+    return _Workspace(radial_points, angular_modes, period, mirrored)
 
 
-def _cell_rows(family: PerturbedDomainFamily, work: _Workspace) -> tuple:
+def _cell_rows(family: PerturbedDomainFamily, work: _Workspace, first: int) -> tuple:
     """The (area, shear/2, bend) coefficient rows of every radial cell, and
     the load: the center's, then node 1..n-1's, one angular ring after the
     other (the unknowns' order; the Dirichlet node n is dropped), on the
-    workspace's sector; written to work.rows and work.load.
+    workspace's angles from grid index first on; written to work.rows and
+    work.load, each angle's rows and load times its multiplicity.
 
     A row is dtheta/h A11, dtheta/2 A12 and dtheta h/4 A22 at the cell's
     midpoint s, times sigma in the core.  There phi = s rho_D/R, so each row
@@ -415,27 +461,31 @@ def _cell_rows(family: PerturbedDomainFamily, work: _Workspace) -> tuple:
     radial_points, m = len(area), work.angular_modes
     radius, sigma = family.params.core_radius, family.params.sigma
     dtheta = 2.0 * math.pi / m
-    rho_in, drho_in, rho_out, drho_out = family.boundary_radii(work.theta)
+    if family.spec != work.spec:
+        theta = 2.0 * math.pi * (first + np.arange(area.shape[1])) / m
+        work.spec, work.speeds = family.spec, _normal_speeds(family.spec, theta)
+    (rho_in, rho_out), (drho_in, drho_out) = family._radii(work.speeds)
     if radius != work.radius:
         work.radius, work.factors = radius, _radial_factors(radius, radial_points, m)
     j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = work.factors
+    multiplicity = work.multiplicity
 
     log_slope = drho_in / rho_in
-    np.multiply(core_area, sigma * (1.0 + log_slope * log_slope), out=area[:j_in])
-    half_shear[:j_in] = (-0.5 * sigma * dtheta) * log_slope
-    bend[:j_in] = sigma * core_bend
+    np.multiply(core_area, sigma * (1.0 + log_slope * log_slope) * multiplicity, out=area[:j_in])
+    half_shear[:j_in] = ((-0.5 * sigma * dtheta) * multiplicity) * log_slope
+    np.multiply(sigma * core_bend, multiplicity, out=bend[:j_in])
 
     slope = (rho_out - rho_in) / (1.0 - radius)
     phi = rho_in + offset * slope
     phi_theta = drho_in + offset * ((drho_out - drho_in) / (1.0 - radius))
     reciprocal = 1.0 / phi
     # (phi^2 + phi_theta^2)/(phi phi_s) as (phi + phi_theta^2/phi)/B
-    area[j_in:] = (phi + phi_theta * phi_theta * reciprocal) * (shell_area / slope)
-    half_shear[j_in:] = (-0.5 * dtheta) * phi_theta * reciprocal
-    bend[j_in:] = (shell_bend * slope) * reciprocal
+    area[j_in:] = (phi + phi_theta * phi_theta * reciprocal) * (shell_area / (slope / multiplicity))
+    half_shear[j_in:] = ((-0.5 * dtheta) * multiplicity) * phi_theta * reciprocal
+    bend[j_in:] = (shell_bend * (slope * multiplicity)) * reciprocal
 
     factors = np.stack([rho_in * rho_in / (radius * radius), rho_in * slope, slope * slope])
-    nodes = np.matmul(weights, factors, out=work.cells[-1])
+    nodes = np.matmul(weights, factors * multiplicity, out=work.cells[-1])
     # the center is a single unknown, the constant angular mode
     work.load[0] = np.sum(nodes[0])
     work.load[1:] = nodes[1:].ravel()
@@ -469,19 +519,21 @@ def _stiffness(work: _Workspace, v: np.ndarray) -> np.ndarray:
 
 
 def _preconditioner(work: _Workspace) -> Callable[[np.ndarray], np.ndarray]:
-    """The inverse of the operator of work.rows averaged in theta, shear dropped.
+    """The inverse of the operator of work.rows averaged over the sector's
+    angles, shear dropped.
 
     Its chains are ordered [center, mode 0 | mode 1 | ... | mode m/2]: the
     diagonal takes area + j^2 bend of both cells of a node, the coupling
     across a cell is j^2 bend - area.  The returned function applies the
-    inverse into work.preconditioned by the real Fourier pair: the cos and
-    sin coefficients of each ring are the two right-hand sides of one chain
-    solve; the center's chain unknown is the sector's angle count times its
-    value.
+    inverse into work.preconditioned by the real Fourier pair: the cos and,
+    unmirrored, the sin coefficients of each ring are the right-hand sides of
+    one chain solve; the center's chain unknown is the sector's angle count
+    m times its value.  The rows carry each angle's multiplicity, so their
+    sum over the angles solved, divided by m, is the sector's mean.
     """
     angular, rhs, result = work.angular, work.rhs, work.preconditioned
-    m = work.rows.shape[2]
-    area, bend = work.rows[0].mean(axis=1), work.rows[2].mean(axis=1)
+    m = work.sector_angles
+    area, bend = work.rows[0].sum(axis=1) / m, work.rows[2].sum(axis=1) / m
     angular_part = angular.eigen[:, np.newaxis] * bend
     diagonal, coupling = area + angular_part, angular_part - area
     coupling[:, -1] = 0.0  # the last node's coupling goes to the Dirichlet node
@@ -490,18 +542,19 @@ def _preconditioner(work: _Workspace) -> Callable[[np.ndarray], np.ndarray]:
     d, e, info = cho_factor(d, e, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise SolveError("block factorization failed")
-    rings = len(area) - 1
-    # the rings' cos and sin coefficients by mode, in rhs and in work.coefficients
-    spectra = rhs[:, 1:].reshape(2, m // 2 + 1, rings)
-    coefficients = work.coefficients.reshape(2, m // 2 + 1, rings)
+    rings, sides, modes = len(area) - 1, len(rhs), len(angular.eigen)
+    # the rings' Fourier coefficients by side and mode, in rhs and in work.coefficients
+    spectra = rhs[:, 1:].reshape(sides, modes, rings)
+    coefficients = work.coefficients.reshape(sides, modes, rings)
 
     def precondition(residual: np.ndarray) -> np.ndarray:
-        rhs[:, 0] = residual[0], 0.0
-        np.matmul(angular.analysis, residual[1:].reshape(rings, m).T, out=spectra)
+        rhs[0, 0] = residual[0]
+        rhs[1:, 0] = 0.0
+        np.matmul(angular.analysis, residual[1:].reshape(rings, -1).T, out=spectra)
         solution, _ = cho_solve(d, e, rhs.T, overwrite_b=1)
         result[0] = solution[0, 0] / m
-        np.copyto(coefficients, solution[1:].T.reshape(2, m // 2 + 1, rings))
-        np.matmul(work.coefficients.T, angular.synthesis, out=result[1:].reshape(rings, m))
+        np.copyto(coefficients, solution[1:].T.reshape(sides, modes, rings))
+        np.matmul(work.coefficients.T, angular.synthesis, out=result[1:].reshape(rings, -1))
         return result
 
     return precondition
@@ -528,14 +581,15 @@ def solve_energy(
     """Energy of the perturbed configuration at the family's amplitude.
 
     Preconditioned conjugate gradients (module docstring) on one of the
-    family's _period sectors, from start, or from u = 0 without one, stopped
-    when a step's energy increment alpha r.z is at most eps E or the
-    residual is exactly zero; the energy returned is the period times the
-    sector's.  A start vector, in the sector's unknowns, costs one operator
+    family's _period sectors, or on its half from the mirror axis when it
+    has one, from start, or from u = 0 without one, stopped when a step's
+    energy increment alpha r.z is at most eps E or the residual is exactly
+    zero; the energy returned is the period times the sector's.  A start
+    vector, in the unknowns of the angles solved, costs one operator
     application for its residual r = q - K start, and the energy begins at
     -2 J(start) = start . (q + r); a start whose -2 J is not positive is
-    dropped for u = 0.  With solutions, a list, the sector's discrete u is
-    appended to it.  A non-finite or non-positive r.z or p.Kp raises
+    dropped for u = 0.  With solutions, a list, the discrete u on the angles
+    solved is appended to it.  A non-finite or non-positive r.z or p.Kp raises
     SolveError, as do more steps than unknowns.  The grid, then the degrees
     against it (_period, which refuses a degree the grid cannot resolve), then
     the start's size are checked before the workspace is taken, so a refusal
@@ -545,12 +599,14 @@ def solve_energy(
         raise ValueError("radial_points must be >= 4")
     if angular_modes % 2 != 0 or angular_modes < 4:
         raise ValueError("angular_modes must be even and >= 4")
-    period = _period(family, angular_modes)
-    unknowns = 1 + (radial_points - 1) * (angular_modes // period)
+    period, axis = _period(family, angular_modes)
+    sector = angular_modes // period
+    count = sector if axis is None else sector // 2 + 1
+    unknowns = 1 + (radial_points - 1) * count
     if start is not None and np.shape(start) != (unknowns,):
         raise ValueError(f"start has shape {np.shape(start)}, not the solve's ({unknowns},)")
-    work = _workspace(radial_points, angular_modes, threading.get_ident(), period)
-    _, load = _cell_rows(family, work)
+    work = _workspace(radial_points, angular_modes, threading.get_ident(), period, axis is not None)
+    _, load = _cell_rows(family, work, axis or 0)
     precondition = _preconditioner(work)
 
     residual, direction, scaled = work.residual, work.direction, work.scaled

@@ -477,30 +477,58 @@ def test_report_stdout_is_pinned(capsys, argv):
 
 # sha256 of `oracle`'s stdout at the benchmark's 256x32 shape, one run per
 # boundary channel: (alpha_in, alpha_out, degree, order, radius, sigma); the
-# degree-2 runs solve on two sectors of 16 angles, the degree-3 run on all 32
+# degree-2 runs solve on half of one of two sectors of 16 angles, the
+# degree-3 run on the 17 angles from pi/2 to 3 pi/2, about which sin 3 theta
+# is even.  Re-pinned when the oracle began to solve on half a sector: E
+# moved by at most 2.3e-15 relative, and d2 by 1.5e-8 (inner), 2.9e-10
+# (outer) and 1.2e-10 (coupled) relative
 PINNED_ORACLE = {
     "inner": ((1.0, 0.0, 2, 1, 0.4, 0.5),
-              "3c94625604b1edf6f616d140cab75e8ea7f7ad803b63a08ec5bb11c5d2bffad6"),
+              "0f27e38b974abbc465c7fcf97e2b417a79c8ee112362d450d4ef35b1c29702ec"),
     "outer": ((0.0, 1.0, 3, 2, 0.6, 3.0),
-              "4c57532ece08b4b376e28eaaf1627cf89234336442b3ef508e1fa69d18185942"),
+              "099f4ba4ca0cdd456f190aa21e95a8bb8650de742ca8e48fea841003faac78f3"),
     "coupled": ((1.0, 1.0, 2, 1, 0.5, 2.0),
-                "ed041225a44565015c274d7bd5eb81c8727481bbc7a93f49f2e12983a802e9ae"),
+                "f007c897400666c98d42c848a30b3b6a951176f1d63d42d8c413d6e912359eab"),
+}
+# families with no mirror axis on their grid, solved on whole sectors as
+# before the mirror: (radius, sigma, modes, angular_modes) at 256 radial
+# points.  No grid angle is an axis of both cos 2 theta and sin 2 theta, and
+# sin theta's axes pi/2 and 3 pi/2 are no grid angles of 30
+PINNED_UNMIRRORED_ORACLE = {
+    "cos 2 inner, sin 2 outer": (
+        (0.5, 2.0, [{"degree": 2, "order": 1, "alpha_in": 1.0, "alpha_out": 0.0},
+                    {"degree": 2, "order": 2, "alpha_in": 0.0, "alpha_out": 1.0}], 32),
+        "cc18e4025e9fbf144a6050b8e550e3ffc2206f0baa0c2dd678a1dc647494f5ee"),
+    "sin 1 on 30 angles": (
+        (0.45, 1.5, [{"degree": 1, "order": 2, "alpha_in": 1.0, "alpha_out": 1.0}], 30),
+        "219fc9100078855d26225c1391449a52cd1dfe0c3c42ee6c2561148f57bc16a5"),
 }
 
 
-@pytest.mark.parametrize("channel", PINNED_ORACLE)
-def test_oracle_stdout_is_pinned(tmp_path, capsys, channel):
-    (alpha_in, alpha_out, degree, order, radius, sigma), digest = PINNED_ORACLE[channel]
+def _oracle_digest(tmp_path, capsys, radius, sigma, modes, angular_modes):
     config = {
-        "dim": 2, "radius": radius, "sigma": sigma,
-        "modes": [{"degree": degree, "order": order, "alpha_in": alpha_in, "alpha_out": alpha_out}],
-        "exact_area": True, "t0": 0.01, "levels": 2, "radial_points": 256, "angular_modes": 32,
+        "dim": 2, "radius": radius, "sigma": sigma, "modes": modes,
+        "exact_area": True, "t0": 0.01, "levels": 2, "radial_points": 256,
+        "angular_modes": angular_modes,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     code, out, _ = run_cli(capsys, ["oracle", "--config", str(path)])
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("channel", PINNED_ORACLE)
+def test_oracle_stdout_is_pinned(tmp_path, capsys, channel):
+    (alpha_in, alpha_out, degree, order, radius, sigma), digest = PINNED_ORACLE[channel]
+    modes = [{"degree": degree, "order": order, "alpha_in": alpha_in, "alpha_out": alpha_out}]
+    assert _oracle_digest(tmp_path, capsys, radius, sigma, modes, 32) == digest
+
+
+@pytest.mark.parametrize("family", PINNED_UNMIRRORED_ORACLE)
+def test_an_unmirrored_oracle_stdout_is_pinned(tmp_path, capsys, family):
+    arguments, digest = PINNED_UNMIRRORED_ORACLE[family]
+    assert _oracle_digest(tmp_path, capsys, *arguments) == digest
 
 
 # the encoder's separators and escapes, ASCII controls, and characters

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twophase_torsion import pde_oracle
+from twophase_torsion import pde_oracle, reporting
 from twophase_torsion.exact_state import baseline_energy
 from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
 from twophase_torsion.pde_oracle import (
@@ -33,6 +33,10 @@ from twophase_torsion.pde_oracle import (
 from twophase_torsion.stability import classify
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
+# no grid angle is a mirror axis of both cos theta and sin theta
+UNMIRRORED = PerturbedDomainFamily(
+    PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0), ModeIndex(1, 2): (0.0, 1.0)})
+)
 
 
 def test_spectral_diff_matrix_differentiates_trig_polynomials():
@@ -52,6 +56,19 @@ def test_spectral_diff_matrix_differentiates_trig_polynomials():
         for wave in (np.cos(j * theta), np.sin(j * theta)):
             assert diff.T @ diff @ wave == pytest.approx(value * wave, abs=1e-10)
     assert eigen[-1] == 0.0 and eigen[:-1] == pytest.approx(np.arange(m // 2) ** 2)
+    # a mirrored workspace's D P differentiates the functions even about
+    # angle 0 on the m/2 + 1 angles from 0 to pi, and D^T D's eigenvalues are
+    # the same
+    work = pde_oracle._Workspace(4, m, 1, True)
+    half = theta[: m // 2 + 1]
+    assert work.angular.diff.shape == (m // 2 + 1, m // 2 + 1)
+    assert np.array_equal(work.angular.eigen, eigen)
+    for k in (0, 1, 3, 11):
+        derivative = work.angular.diff @ np.cos(k * half)
+        assert derivative == pytest.approx(-k * np.sin(k * half), abs=1e-11)
+    # the slope of an even function vanishes on the axis and at pi
+    assert not work.angular.diff[[0, -1]].any()
+    assert work.multiplicity.tolist() == [1.0] + [2.0] * (m // 2 - 1) + [1.0]
 
 
 @pytest.mark.parametrize("m", [4, 6, 32, 64])
@@ -60,13 +77,20 @@ def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(monkeypatch, m
     # caller may write to it
     pde_oracle._workspace.cache_clear()
     calls = _count_calls(monkeypatch, "angular_operator")
-    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
+    # cos theta on the interface and sin theta on the outer boundary: no
+    # grid angle is a mirror axis of both, so the solve reads the full circle
+    assert pde_oracle._period(UNMIRRORED, m) == (1, None)
     for t in (0.0, 0.01):
-        solve_energy(family.at(t), 4, m)
+        solve_energy(UNMIRRORED.at(t), 4, m)
     assert calls == {"angular_operator": 1}
-    operator = pde_oracle._workspace(4, m, threading.get_ident(), 1).angular
+    operator = pde_oracle._workspace(4, m, threading.get_ident(), 1, False).angular
     diff = operator.diff
     assert not any(array.flags.writeable for array in operator)
+    # nor to a mirrored workspace's
+    mirrored = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
+    solve_energy(mirrored.at(0.01), 4, m)
+    work = pde_oracle._workspace(4, m, threading.get_ident(), 1, True)
+    assert not any(array.flags.writeable for array in (*work.angular, work.multiplicity))
     assert np.array_equal(diff, -diff.T)
     for k in range(m):
         assert np.array_equal(diff[k], np.roll(diff[0], k))
@@ -104,8 +128,9 @@ def test_normal_speed_evaluation():
     assert not g_in.any()
     assert g == pytest.approx(expected, abs=1e-14)
     family = PerturbedDomainFamily(PARAMS, spec)
-    # degree 2 is resolved on 8 angles, of period 2, and not on 4
-    assert pde_oracle._period(family, 8) == 2
+    # degree 2 is resolved on 8 angles, of period 2 and even about angle 0,
+    # and not on 4
+    assert pde_oracle._period(family, 8) == (2, 0)
     with pytest.raises(ValueError, match="^angular_modes too small for the perturbation degree$"):
         pde_oracle._period(family, 4)
     # L^2 mean square of 3 Y_{2,1} over the circle, 9 / (2 pi): the
@@ -152,10 +177,11 @@ def test_family_validates_its_spec():
     still = PerturbationSpec({ModeIndex(0, 1): (0.0, 0.0)})
     assert PerturbedDomainFamily(PARAMS, still).exact_area
     # only nonzero coefficients count towards the resolved degree: a still
-    # degree 40 next to a moving degree 3 is resolved on 8 angles, of period 1
+    # degree 40 next to a moving degree 3 is resolved on 8 angles, of period 1,
+    # and sin 3 theta is even about pi/2
     zero = PerturbationSpec({ModeIndex(40, 1): (0.0, 0.0), ModeIndex(3, 2): (0.0, 1.0)})
     family = PerturbedDomainFamily(PARAMS, zero)
-    assert pde_oracle._period(family, 8) == 1
+    assert pde_oracle._period(family, 8) == (1, 2)
     assert solve_energy(family.at(0.01), radial_points=4, angular_modes=8) > 0.0
     # a moving degree 4 is not, and is refused before a workspace is built
     moving = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(4, 1): (1.0, 0.0)}))
@@ -241,18 +267,19 @@ def test_solve_energy_validates_the_angular_grid():
 
 
 def test_a_start_of_the_wrong_size_is_refused_in_one_line():
-    # degree 2 on 8 angles solves on a sector of 4: 1 + 3 x 4 = 13 unknowns,
-    # where the full circle has 1 + 3 x 8 = 25
+    # degree 2 on 8 angles solves on half a sector of 4, 3 angles:
+    # 1 + 3 x 3 = 10 unknowns, where the sector has 1 + 3 x 4 = 13 and the
+    # full circle 1 + 3 x 8 = 25
     family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)}))
     pde_oracle._workspace.cache_clear()
-    for start in (np.zeros(9), np.zeros(25), np.zeros((13, 1)), 0.0):
+    for start in (np.zeros(13), np.zeros(25), np.zeros((10, 1)), 0.0):
         shape = re.escape(str(np.shape(start)))
-        message = rf"^start has shape {shape}, not the solve's \(13,\)$"
+        message = rf"^start has shape {shape}, not the solve's \(10,\)$"
         with pytest.raises(ValueError, match=message):
             solve_energy(family.at(0.01), 4, 8, start=start)
     # each is refused before the grid's workspace is built
     assert pde_oracle._workspace.cache_info().currsize == 0
-    assert solve_energy(family.at(0.01), 4, 8, start=np.zeros(13)) > 0.0
+    assert solve_energy(family.at(0.01), 4, 8, start=np.zeros(10)) > 0.0
 
 
 def test_differentiate_energy_returns_a_complete_run():
@@ -364,31 +391,40 @@ def test_a_broken_iteration_never_returns_an_energy(monkeypatch, broken, message
         solve_energy(PERTURBED.at(0.03), radial_points=16, angular_modes=8)
 
 
-def _dense_system(family, radial_points, angular_modes):
-    """The dense K, from the operator's columns, and the load of a solve on
-    the full circle, a period-1 workspace."""
-    work = pde_oracle._Workspace(radial_points, angular_modes, 1)
-    _, load = pde_oracle._cell_rows(family, work)
+def _dense_system(family, radial_points, angular_modes, axis=None):
+    """The dense K, from the operator's columns, the load and the workspace
+    of a period-1 solve: on the full circle, or on the half circle from the
+    mirror axis."""
+    work = pde_oracle._Workspace(radial_points, angular_modes, 1, axis is not None)
+    _, load = pde_oracle._cell_rows(family, work, axis or 0)
     # each product is written to the workspace, so each column is a copy
     columns = [pde_oracle._stiffness(work, unit).copy() for unit in np.eye(load.size)]
-    return np.column_stack(columns), load
+    return np.column_stack(columns), load, work
 
 
 def _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes):
-    matrix, load = _dense_system(family, radial_points, angular_modes)
+    matrix, load, _ = _dense_system(family, radial_points, angular_modes)
     assert np.abs(matrix - matrix.T).max() <= 1e-14 * np.abs(matrix).max()
     solutions = []
-    # solve_energy solves on one of the family's sectors
+    # solve_energy solves on one of the family's sectors, or half of one
     energy = solve_energy(family, radial_points, angular_modes, solutions=solutions)
     exact = np.linalg.solve(matrix, load)
     assert energy == pytest.approx(load @ exact, rel=1e-12)
-    # the circle's u repeats from sector to sector, and the solve hands back
-    # its sector's; a start next to that u finds the same energy
-    period = pde_oracle._period(family, angular_modes)
+    # the circle's u repeats from sector to sector and is even about the
+    # mirror axis, if there is one, and the solve hands back its angles';
+    # a start next to that u finds the same energy
+    period, axis = pde_oracle._period(family, angular_modes)
+    scale = np.abs(exact).max()
     rings = exact[1:].reshape(radial_points - 1, angular_modes)
-    sector = rings[:, : angular_modes // period]
-    assert np.abs(np.tile(sector, period) - rings).max() <= 1e-6 * np.abs(exact).max()
-    exact = np.concatenate([exact[:1], sector.ravel()])
+    sector = angular_modes // period
+    assert np.abs(np.tile(rings[:, :sector], period) - rings).max() <= 1e-6 * scale
+    angles = np.arange(sector)
+    if axis is not None:
+        offsets = np.arange(angular_modes)
+        reflected = rings[:, (axis - offsets) % angular_modes]
+        assert np.abs(reflected - rings[:, (axis + offsets) % angular_modes]).max() <= 1e-6 * scale
+        angles = axis + np.arange(sector // 2 + 1)
+    exact = np.concatenate([exact[:1], rings[:, angles % angular_modes].ravel()])
     (solution,) = solutions
     assert np.abs(solution - exact).max() <= 1e-6 * np.abs(exact).max()
     start = solution * (1.0 + 1e-3 * np.cos(np.arange(solution.size)))
@@ -486,13 +522,49 @@ def test_the_period_is_the_gcd_of_half_the_angles_and_the_moving_degrees(
 ):
     exact_area = ModeIndex(0, 1) not in modes
     family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes), exact_area=exact_area)
-    assert pde_oracle._period(family, angular_modes) == period
+    # every cosine is even about angle 0
+    assert pde_oracle._period(family, angular_modes) == (period, 0)
     # sin k theta is cos k theta turned by a quarter of its period: the same period
     sines = {
         ModeIndex(index.degree, 2 if index.degree else 1): pair for index, pair in modes.items()
     }
     family = PerturbedDomainFamily(PARAMS, PerturbationSpec(sines), exact_area=exact_area)
-    assert pde_oracle._period(family, angular_modes) == period
+    assert pde_oracle._period(family, angular_modes)[0] == period
+
+
+# (modes, angular_modes, the mirror axis as an angle, or None without one)
+MIRROR_AXES = [
+    *(({ModeIndex(k, 1): (1.0, 0.0)}, 32, 0.0) for k in (1, 2, 3, 4)),
+    ({ModeIndex(1, 2): (1.0, 0.0)}, 32, math.pi / 2),
+    ({ModeIndex(2, 2): (0.0, 1.0)}, 32, math.pi / 4),
+    ({ModeIndex(3, 2): (1.0, 1.0)}, 32, math.pi / 2),
+    ({ModeIndex(4, 2): (1.0, 0.0)}, 32, math.pi / 8),
+    ({ModeIndex(2, 1): (1.0, 0.0), ModeIndex(1, 2): (0.0, 1.0)}, 32, math.pi / 2),
+    # cos 2 theta is even about the multiples of pi/2 and sin 2 theta about
+    # the odd multiples of pi/4, so no angle is an axis of both; sin theta is
+    # even about pi/2 and 3 pi/2, which are no grid angles of 30
+    ({ModeIndex(2, 1): (1.0, 0.0), ModeIndex(2, 2): (0.0, 1.0)}, 32, None),
+    ({ModeIndex(1, 2): (1.0, 1.0)}, 30, None),
+]
+
+
+@pytest.mark.parametrize("modes, angular_modes, angle", MIRROR_AXES)
+def test_the_mirror_axis_is_the_first_grid_angle_every_mode_is_even_about(
+    modes, angular_modes, angle
+):
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes))
+    period, axis = pde_oracle._period(family, angular_modes)
+    if angle is None:
+        assert axis is None
+        return
+    assert 2.0 * math.pi * axis / angular_modes == pytest.approx(angle, abs=1e-15)
+    assert 0 <= axis < angular_modes // period
+    # each mode's speeds are even about the axis on the grid
+    theta = 2.0 * math.pi * (axis + np.arange(angular_modes)) / angular_modes
+    mirror = 2.0 * math.pi * (axis - np.arange(angular_modes)) / angular_modes
+    assert pde_oracle._normal_speeds(family.spec, theta)[:, 0] == pytest.approx(
+        pde_oracle._normal_speeds(family.spec, mirror)[:, 0], abs=1e-14
+    )
 
 
 def _scalar_cell_rows(family, radial_points, angular_modes):
@@ -562,12 +634,28 @@ def test_cell_rows_equal_a_scalar_transcription(
     # gap min(R, 1 - R)/2 at |t| <= 0.8 min(R, 1 - R)
     t = 0.8 * min(radius, 1.0 - radius) * reach
     family = PerturbedDomainFamily(params, spec, exact_area=exact_area).at(t)
-    work = pde_oracle._Workspace(radial_points, angular_modes, 1)
-    rows, load = pde_oracle._cell_rows(family, work)
+    work = pde_oracle._Workspace(radial_points, angular_modes, 1, False)
+    rows, load = pde_oracle._cell_rows(family, work, 0)
     expected_rows, expected_load = _scalar_cell_rows(family, radial_points, angular_modes)
     ulp = 4.0 * sys.float_info.epsilon
     for row, expected in zip(rows, expected_rows):
         assert np.abs(row - expected).max() <= ulp * np.abs(expected).max()
+    assert np.abs(load - expected_load).max() <= ulp * np.abs(expected_load).max()
+    # a mirrored workspace's rows and ring loads are the circle's at its
+    # angles, from the axis on, times each angle's multiplicity, and its
+    # center's load is the sector's share of the circle's
+    period, axis = pde_oracle._period(family, angular_modes)
+    if axis is None:
+        return
+    work = pde_oracle._Workspace(radial_points, angular_modes, period, True)
+    rows, load = pde_oracle._cell_rows(family, work, axis)
+    angles = (axis + np.arange(work.multiplicity.size)) % angular_modes
+    for row, expected in zip(rows, expected_rows):
+        expected_half = expected[:, angles] * work.multiplicity
+        assert np.abs(row - expected_half).max() <= ulp * np.abs(expected_half).max()
+    rings = expected_load[1:].reshape(radial_points - 1, angular_modes)[:, angles]
+    rings *= work.multiplicity
+    expected_load = np.concatenate([[expected_load[0] / period], rings.ravel()])
     assert np.abs(load - expected_load).max() <= ulp * np.abs(expected_load).max()
 
 
@@ -581,11 +669,29 @@ def test_a_workspace_builds_its_radial_factors_once_per_radius(monkeypatch):
         differentiate_energy(family, t0=0.02, levels=2, radial_points=16, angular_modes=8)
         assert calls == {"_radial_factors": built}
     # shared by every solve at one radius, so no caller may write to them; the
-    # degree-2 family solves on two sectors
-    period = pde_oracle._period(family, 8)
-    assert period == 2
-    _, core, shell, weights = pde_oracle._workspace(16, 8, threading.get_ident(), period).factors
+    # degree-2 family solves on half of one of two sectors
+    assert pde_oracle._period(family, 8) == (2, 0)
+    _, core, shell, weights = pde_oracle._workspace(16, 8, threading.get_ident(), 2, True).factors
     assert not any(array.flags.writeable for array in (*core, *shell, weights))
+
+
+def test_a_workspace_computes_its_normal_speeds_once_per_spec(monkeypatch):
+    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
+    pde_oracle._workspace.cache_clear()
+    calls = _count_calls(monkeypatch, "_normal_speeds")
+    # a run's seven samples share one spec, and so do later runs of the spec
+    # or of an equal one at any radius and sigma; another spec on the same
+    # workspace computes its own
+    for params, modes, computed in [
+        (PARAMS, spec.modes, 1),
+        (ProblemParams(2, 0.3, 0.5), spec.modes, 1),
+        (PARAMS, dict(spec.modes), 1),
+        (PARAMS, {ModeIndex(2, 1): (1.0, 0.0)}, 2),
+    ]:
+        family = PerturbedDomainFamily(params, PerturbationSpec(modes))
+        differentiate_energy(family, t0=0.02, levels=2, radial_points=16, angular_modes=8)
+        assert calls == {"_normal_speeds": computed}
+    assert pde_oracle._workspace.cache_info().currsize == 1
 
 
 def test_the_workspace_cache_is_bounded():
@@ -605,7 +711,7 @@ def test_only_the_cached_workspaces_keep_their_angular_operators():
     operators = []
     for angular_modes in range(4, 4 + 4 * pde_oracle.WORKSPACE_CACHE_SIZE, 2):
         solve_energy(family.at(0.01), 4, angular_modes)
-        work = pde_oracle._workspace(4, angular_modes, threading.get_ident(), 1)
+        work = pde_oracle._workspace(4, angular_modes, threading.get_ident(), 1, True)
         operators.append(weakref.ref(work.angular.diff))
     del work
     gc.collect()
@@ -626,10 +732,17 @@ def test_a_workspace_reused_after_another_grid_changes_no_energy():
 
 
 def test_threads_on_one_grid_do_not_share_a_workspace():
+    # a workspace keeps the speeds of its last spec: sin 3 theta, of period 1
+    # and even about pi/2, would read the speeds of cos theta, of period 1
+    # and even about 0, from a shared one; the last family has no mirror axis
     families = [
         PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})),
         PerturbedDomainFamily(ProblemParams(2, 0.3, 0.25), PerturbationSpec({ModeIndex(3, 2): (0.0, 1.0)})),
+        PerturbedDomainFamily(MIRROR_PARAMS[4], PerturbationSpec({ModeIndex(1, 1): (1.0, 1.0)})),
+        UNMIRRORED,
     ]
+    symmetries = [pde_oracle._period(family, 16) for family in families]
+    assert symmetries == [(2, 0), (1, 4), (1, 0), (1, None)]
 
     def energies(family):
         return differentiate_energy(family, t0=0.02, levels=2, radial_points=128, angular_modes=16).energies
@@ -651,6 +764,27 @@ def test_threads_on_one_grid_do_not_share_a_workspace():
     assert together == [[expected] * 4 for expected in alone]
 
 
+def test_a_pde_verification_and_the_benchmark_families_fit_the_workspace_cache(monkeypatch):
+    # each builds every workspace it uses once: no workspace is evicted
+    # while a run that uses it is still to come
+    keys = set()
+    cached = pde_oracle._workspace
+
+    def recorded(*key):
+        keys.add(key)
+        return cached(*key)
+
+    monkeypatch.setattr(pde_oracle, "_workspace", recorded)
+    cached.cache_clear()
+    reporting._oracle_run.cache_clear()
+    reporting.run_pde_suite()
+    for params, mode, alphas in MIRRORED_RUNS * 2:
+        family = PerturbedDomainFamily(params, PerturbationSpec({mode: alphas}))
+        differentiate_energy(family, 0.01, 2, 256, 32)
+    # three grid and symmetry keys for each, as WORKSPACE_CACHE_SIZE's comment counts
+    assert cached.cache_info().misses == len(keys) == 6
+
+
 def test_importing_the_oracle_allocates_no_workspace():
     probe = (
         "import twophase_torsion.pde_oracle as oracle; "
@@ -666,20 +800,21 @@ def test_importing_the_oracle_allocates_no_workspace():
     assert result.stdout.split() == ["0", "0"]
 
 
+@pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize(
     "radius, sigma, radial_points, angular_modes",
     [(0.5, 2.0, 4, 4), (0.3, 0.25, 12, 8), (0.7, 4.0, 16, 12)],
 )
 def test_the_preconditioner_is_the_inverse_of_the_concentric_operator(
-    monkeypatch, radius, sigma, radial_points, angular_modes
+    monkeypatch, radius, sigma, radial_points, angular_modes, mirrored
 ):
     params = ProblemParams(2, radius, sigma)
     spec = PerturbationSpec({ModeIndex(1, 2): (1.0, 1.0)})
     concentric = PerturbedDomainFamily(params, spec)  # at t = 0
-    matrix, load = _dense_system(concentric, radial_points, angular_modes)
+    # on the full circle, or on the half circle from the axis of sin theta
+    axis = pde_oracle._period(concentric, angular_modes)[1] if mirrored else None
+    matrix, load, work = _dense_system(concentric, radial_points, angular_modes, axis)
     # the preconditioner a t = 0 solve builds from its own rows
-    work = pde_oracle._Workspace(radial_points, angular_modes, 1)
-    pde_oracle._cell_rows(concentric, work)
     precondition = pde_oracle._preconditioner(work)
     inverse = np.column_stack([precondition(unit).copy() for unit in np.eye(load.size)])
     exact = np.linalg.inv(matrix)
@@ -810,13 +945,84 @@ SECTOR_RUNS = [
 @pytest.mark.parametrize("params, modes", SECTOR_RUNS)
 def test_a_sector_run_is_the_full_circle_run(monkeypatch, params, modes):
     family = PerturbedDomainFamily(params, PerturbationSpec(modes))
-    assert pde_oracle._period(family, 32) > 1
+    period = pde_oracle._period(family, 32)[0]
+    assert period > 1
+    # the turn alone, then neither turn nor mirror
+    monkeypatch.setattr(pde_oracle, "_period", lambda family, angular_modes: (period, None))
     sector = differentiate_energy(family, t0=0.01, levels=2, radial_points=256, angular_modes=32)
-    monkeypatch.setattr(pde_oracle, "_period", lambda family, angular_modes: 1)
+    monkeypatch.setattr(pde_oracle, "_period", lambda family, angular_modes: (1, None))
     circle = differentiate_energy(family, t0=0.01, levels=2, radial_points=256, angular_modes=32)
     # equal to rounding, which the second differences amplify
     assert sector.energies == pytest.approx(circle.energies, rel=1e-14)
     assert sector.d2 == pytest.approx(circle.d2, rel=1e-7)
+
+
+# every benchmark family shape: degrees 1-4 of both orders on the inner,
+# outer and coupled channels, each even about a grid angle of 32
+MIRROR_PARAMS = {
+    1: ProblemParams(2, 0.3, 0.25),
+    2: ProblemParams(2, 0.7, 4.0),
+    3: ProblemParams(2, 0.5, 2.0),
+    4: ProblemParams(2, 0.4, 0.5),
+}
+MIRRORED_RUNS = [
+    (MIRROR_PARAMS[degree], ModeIndex(degree, order), alphas)
+    for degree in (1, 2, 3, 4)
+    for order in (1, 2)
+    for alphas in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+]
+
+
+@pytest.mark.parametrize("params, mode, alphas", MIRRORED_RUNS)
+def test_a_mirrored_run_is_the_full_circle_run(monkeypatch, params, mode, alphas):
+    family = PerturbedDomainFamily(params, PerturbationSpec({mode: alphas}))
+    assert pde_oracle._period(family, 32)[1] is not None
+    mirrored = differentiate_energy(family, t0=0.01, levels=2, radial_points=256, angular_modes=32)
+    monkeypatch.setattr(pde_oracle, "_period", lambda family, angular_modes: (1, None))
+    circle = differentiate_energy(family, t0=0.01, levels=2, radial_points=256, angular_modes=32)
+    # equal to rounding, which the second differences amplify; the coupled
+    # degree-1 direction has d2 near 0 (a rigid translation of both
+    # boundaries), so d2 is held to an absolute floor as well
+    assert mirrored.energies == pytest.approx(circle.energies, rel=1e-14)
+    assert abs(mirrored.d2 - circle.d2) <= 1e-9 + 1e-7 * abs(circle.d2)
+
+
+MIRROR_GRIDS = st.sampled_from([8, 12, 16, 20, 24])
+
+
+@st.composite
+def _mirror_families(draw):
+    """A grid and a family of one to three moving modes on it, at a t."""
+    m = draw(MIRROR_GRIDS)
+    indices = st.builds(ModeIndex, st.integers(1, m // 2 - 1), st.integers(1, 2))
+    coefficient = st.floats(-1.0, 1.0)
+    pairs = st.tuples(coefficient, coefficient)
+    modes = draw(st.dictionaries(indices, pairs, min_size=1, max_size=3))
+    params = ProblemParams(2, draw(st.floats(0.3, 0.7)), math.exp(draw(st.floats(-2.0, 2.0))))
+    # |g| <= 3/sqrt(pi) < 1.7 per boundary, so each radius moves by about
+    # |t g| < 0.07 at |t| <= 0.04, well inside the least gap, 0.3
+    t = draw(st.floats(-0.04, 0.04))
+    return m, PerturbedDomainFamily(params, PerturbationSpec(modes)).at(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_mirror_families(), radial_points=st.integers(4, 16))
+# cos 2 theta, sin theta and sin 3 theta on 12 angles: even about pi/2 and 3 pi/2
+@example(
+    case=(12, PerturbedDomainFamily(PARAMS, PerturbationSpec({
+        ModeIndex(2, 1): (1.0, 0.0), ModeIndex(1, 2): (0.5, 1.0), ModeIndex(3, 2): (0.0, -0.5)
+    })).at(0.03)),
+    radial_points=8,
+)
+def test_a_mirrored_solve_is_the_unmirrored_solve(case, radial_points):
+    angular_modes, family = case
+    period, axis = pde_oracle._period(family, angular_modes)
+    assume(axis is not None)
+    mirrored = solve_energy(family, radial_points, angular_modes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pde_oracle, "_period", lambda family, angular_modes: (period, None))
+        unmirrored = solve_energy(family, radial_points, angular_modes)
+    assert mirrored == pytest.approx(unmirrored, rel=1e-13)
 
 
 # families far from the benchmark's: a degree-15 core at t0 = 0.2, four
