@@ -37,22 +37,33 @@ for the later samples' start vectors.  differentiate_energy solves its samples
 outwards from t = 0 and starts each at the Lagrange polynomial through the five
 nearest solutions already solved (Fischer 1998; Saad 2003, section 6): u(t) is
 analytic in t, so the start is close and each later sample needs a few steps.
-Each solve is preconditioned by the operator of its own cell rows averaged in
-theta, with the shear dropped (Concus, Golub & O'Leary 1976): with area and
-bend constant in theta and no shear, K splits by real Fourier mode j into one
-SPD tridiagonal radial chain (the center joins mode 0's), all factored
-together and applied by a real cos and sin analysis matrix, one chain solve
+Each solve is preconditioned by an operator of cell rows averaged in theta,
+with the shear dropped (Concus, Golub & O'Leary 1976): with area and bend
+constant in theta and no shear, K splits by real Fourier mode j into one SPD
+tridiagonal radial chain (the center joins mode 0's), all factored together
+(_factor) and applied by a real cos and sin analysis matrix, one chain solve
 with the cos and sin parts as its two right-hand sides (the cos part alone
 on half a sector, below), and the synthesis matrix back.  At t = 0,
 phi_theta = 0 removes the shear and area and bend are already constant in
-theta, so the preconditioner is the concentric operator K(0) itself.  D,
-the chains' eigenvalues j^2 and the cos and sin pair come from one function,
-angular_operator.  cho_factor and cho_solve are this module's names for the LAPACK pttrf and pttrs bindings, kept because the
-benchmark's tracer (bench/spans.py) times and counts the calls through those
-two module attributes.  Each grid, period, mirror flag and thread has one
-cache, its workspace (_Workspace, kept in the bounded _workspace): the
-angular operator and multiplicities of the angles it solves, the normal speeds
-of the last spec and the radial factors of the last core radius solved, and the
+theta, so the preconditioner is the concentric operator K(0) itself.  A solve
+on its own factors the chains of its own rows.  differentiate_energy keeps
+the t = 0 solve's, K(0)'s, and hands them to every later sample, which uses
+them while their cell coefficients stay within a factor of 2 of its own
+(_fits) and otherwise factors its own, kept for the samples after it.  For
+mean-free speeds a sample's averaged rows differ from K(0)'s at O(t^2) only,
+so a run of small steps factors once; a degree-15 core at t0 = 0.2 leaves
+K(0)'s chains by 2.5 and 7.3 at t = 0.1 and 0.2, and factors again there.
+The preconditioner changes the steps, not the energy, which every
+sample reads to rounding as a solve on its own does.  D, the chains'
+eigenvalues j^2 and the cos and sin pair come from one function,
+angular_operator.  cho_factor and cho_solve are this module's names for the
+LAPACK pttrf and pttrs bindings, kept because the benchmark's tracer
+(bench/spans.py) times and counts the calls through those two module
+attributes.  Each grid, period, mirror flag and thread has one cache, its
+workspace (_Workspace, kept in the bounded _workspace): the angular operator
+and multiplicities of the angles it solves, the normal speeds of the last
+spec, the radial factors of the last core radius and what the radii read of
+both at every t (PerturbedDomainFamily._motion), and the
 arrays every solve writes by out= and in-place ufuncs, in the order of the
 expressions they replace, so the energies are bit for bit those of fresh
 arrays; only u is new in each solve, as the solutions list keeps it.  Freed
@@ -97,18 +108,22 @@ Cell rows.  In the core phi = s rho_D/R, so each coefficient row is a factor
 of s, which the grid alone fixes, times a factor of theta; in the shell one
 reciprocal 1/phi serves all three rows (_cell_rows).  The speeds
 (_normal_speeds) are computed only when a solve's spec differs from its
-workspace's last, and the grid's factors and the load's weights
-(_radial_factors) only when its core radius does, so a sample forms both
-boundaries' radii in one stacked pass, its angular factors, its shell rows and
-one small product for the load.  At 256x32 on one BLAS thread of a 2-vCPU
-Xeon container, at period 1, a mirrored sample's fixed work is about 0.10 ms
-of cell rows and 0.08 ms of preconditioner build, and a CG step about 0.06 ms
-of preconditioner and 0.05 ms of operator application, against 0.14, 0.08,
-0.09 and 0.075 ms on the whole circle: a 7-sample run of 12 steps and 6
-warm-start residuals takes about 3.7 ms mirrored and 5.3 ms whole.  On the
-same host, at R = 0.5, sigma = 2 and both boundaries moving, mirrored runs of
-periods 1, 2 and 4 took 0.70, 0.54 and 0.45 of the whole circle's 5.3 ms
-(medians of 60 runs each, interleaved).
+workspace's last, the grid's factors and the load's weights
+(_radial_factors) only when its core radius does, and the parts of the radii
+that do not depend on t (PerturbedDomainFamily._motion) only when either
+does, so a sample forms both boundaries' radii in a few array operations,
+its angular factors, its shell rows and one small product for the load.  At
+256x32 on one BLAS thread of a 2-vCPU Xeon container, at period 1, a
+mirrored sample's fixed work is about 0.09 ms of cell rows and 0.007 ms to
+check the held chains (_fits), against 0.06 ms to factor its own, and a CG
+step about 0.045 ms of preconditioner and 0.047 ms of operator application,
+against 0.115, 0.007, 0.065, 0.093 and 0.075 ms on the whole circle: a
+7-sample run of 12 steps, 6 warm-start residuals and one factorization takes
+about 2.9 ms mirrored and 4.2 ms whole, against 3.4 and 5.2 ms when each
+sample factored its own chains.  On the same host, at R = 0.5, sigma = 2
+and both boundaries moving, mirrored runs of periods 1, 2 and 4 took 0.68,
+0.51 and 0.44 of the whole circle's 4.5 ms (medians of 60 runs each,
+interleaved).
 
 The perturbation family reads its normal speeds g of the interface and of
 the outer boundary from a PerturbationSpec, the package's one description of
@@ -141,15 +156,20 @@ DEFAULT_RADIAL_POINTS = 512
 DEFAULT_ANGULAR_MODES = 64
 DEFAULT_STEP = 1e-2
 DEFAULT_LEVELS = 2
-# the largest eps E(0)/delta^2 differentiate_energy accepts, delta being the
-# finest step's boundary displacement t0/2^levels |alpha|: rounding each
+# the largest eps E(0)/(h^2 S) differentiate_energy accepts, h being the
+# finest step t0/2^levels and S = max(E(0), 1) |alpha_in|^2 + |alpha_out|^2
+# the scale of d2: the interface's share of d2 grows like E(0) once E(0) > 1
+# (as 1/sigma at small sigma), the outer boundary's stays O(1).  Rounding each
 # sample's E to about eps E(0) puts an error of about eps E(0)/h^2 into d2 at
-# step h, so the floor holds d2's rounding error near ROUNDING_FLOOR |alpha|^2.
-# At 64x16, R = 0.5, sigma = 2 and unit alpha (E(0) = 0.38) it measured 5.4e-7
+# step h, so the floor holds d2's rounding error near ROUNDING_FLOOR S.  At
+# 64x16, R = 0.5, sigma = 2 and unit alpha (E(0) = 0.38) it measured 5.4e-7
 # at t0 = 1e-4, which passes, and 3.7e-3 at t0 = 1e-6, 3.4 % of d2, which is
-# refused.  At the floor, over R in [0.3, 0.7], sigma in [1e-4, 100] (E(0) from
-# 0.30 to 246), degrees 2 and 4 and each boundary channel, it measured at most
-# 8.7 eps E(0)/h^2 = 8.7 ROUNDING_FLOOR |alpha|^2
+# refused.  At the floor, over R in {0.3, 0.5, 0.7}, sigma in {1e-16, 1e-12,
+# 1e-8, 1e-4, 1e-2, 1, 100} (E(0) from 0.30 to 9.4e14), degrees 2 and 4 and
+# each boundary channel, against d2 at t0 = 1e-2, it measured at most
+# 14.5 eps E(0)/h^2 = 14.5 ROUNDING_FLOOR S, 11.8 where S exceeds |alpha|^2.
+# That is 112 of the 126 runs: in the other 14, outer alone at sigma <= 1e-8,
+# the floor's step collapses a radius or t0 = 1e-2 is itself refused
 ROUNDING_FLOOR = 1e-4
 # the largest sigma the oracle accepts: above it the core's stiffness swamps
 # the shell's in float arithmetic.  Over R in {0.3, 0.5, 0.7}, degree 2 on
@@ -242,24 +262,37 @@ class PerturbedDomainFamily:
     def at(self, t: float) -> "PerturbedDomainFamily":
         return replace(self, t=t)
 
-    def _radii(self, speeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Radii rho(theta) and their theta-derivatives at amplitude self.t,
-        each a (2, angles) array, the interface's row first, from the
-        _normal_speeds array of both boundaries."""
+    def _motion(self, speeds: np.ndarray) -> tuple[np.ndarray, ...]:
+        """What _radii reads of the spec and the core radius, the same at
+        every t, from the _normal_speeds array of both boundaries: with
+        exact_area rho_0^2, 2 rho_0 g, g^2 - mean(g^2), rho_0 g' and g g',
+        without it rho_0, g and g', each a (2, angles) array or a (2, 1)
+        column, the interface's row first."""
         g, dg = speeds[:, 0], speeds[:, 1]
         base = np.array([[self.params.core_radius], [1.0]])
         if not self.exact_area:
-            rho, drho = base + self.t * g, self.t * dg
+            return base, g, dg
+        # the circle average of g^2: the basis is orthonormal
+        items = self.spec.sorted_items()
+        squares = [[sum(pair[side] * pair[side] for _, pair in items)] for side in (0, 1)]
+        mean_square = np.array(squares) / (2.0 * math.pi)
+        return base * base, 2.0 * base * g, g * g - mean_square, base * dg, g * dg
+
+    def _radii(self, motion: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Radii rho(theta) and their theta-derivatives at amplitude self.t,
+        each a (2, angles) array, the interface's row first, from the
+        family's _motion."""
+        t = self.t
+        if not self.exact_area:
+            base, g, dg = motion
+            rho, drho = base + t * g, t * dg
         else:
-            # the circle average of g^2: the basis is orthonormal
-            items = self.spec.sorted_items()
-            squares = [[sum(pair[side] * pair[side] for _, pair in items)] for side in (0, 1)]
-            mean_square = np.array(squares) / (2.0 * math.pi)
-            rho_sq = base * base + 2.0 * base * self.t * g + self.t * self.t * (g * g - mean_square)
+            square, linear, quadratic, base_slope, product = motion
+            rho_sq = square + t * linear + t * t * quadratic
             if np.any(rho_sq <= 0.0):
                 raise InterfaceOrderingError("perturbed radius collapsed to zero")
             rho = np.sqrt(rho_sq)
-            drho = (base * self.t * dg + self.t * self.t * g * dg) / rho
+            drho = (t * base_slope + t * t * product) / rho
         # an overflowing g or g^2 makes a radius NaN, which passes every comparison
         if not np.isfinite(rho).all():
             raise InterfaceOrderingError("perturbed radius is not finite")
@@ -273,7 +306,8 @@ class PerturbedDomainFamily:
         self, theta: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(rho_D, rho_D', rho_Omega, rho_Omega') on the angular grid."""
-        (rho_in, rho_out), (drho_in, drho_out) = self._radii(_normal_speeds(self.spec, theta))
+        motion = self._motion(_normal_speeds(self.spec, theta))
+        (rho_in, rho_out), (drho_in, drho_out) = self._radii(motion)
         return rho_in, drho_in, rho_out, drho_out
 
 
@@ -394,8 +428,8 @@ class _Workspace:
     mirror flag reads or writes, built once (module docstring): the angular
     operator of the angles solved, with D scaled by the period and D^T D's
     eigenvalues by its square, each angle's multiplicity in the sector, and
-    the arrays; and the normal speeds of the last spec and the radial factors
-    of the last radius solved."""
+    the arrays; and the normal speeds of the last spec, the radial factors
+    of the last radius solved and the family's _motion at both."""
 
     def __init__(self, radial_points: int, angular_modes: int, period: int, mirrored: bool) -> None:
         n, m = radial_points, angular_modes // period
@@ -416,11 +450,13 @@ class _Workspace:
             analysis = np.ascontiguousarray(analysis[:1, :, :count])
             synthesis = np.ascontiguousarray(synthesis[: m // 2 + 1, :count])
             self.multiplicity[1:-1] = 2.0  # the angles strictly inside the half sector
-        for array in (diff, eigen, analysis, synthesis, self.multiplicity):
+        self.mean_weights = np.full(count, 1.0 / m)  # _chain_means' weights
+        for array in (diff, eigen, analysis, synthesis, self.multiplicity, self.mean_weights):
             array.flags.writeable = False
         self.angular = AngularOperator(diff, eigen, analysis, synthesis)
         self.spec = self.speeds = None  # _cell_rows sets both
         self.radius = self.factors = None  # _cell_rows sets both
+        self.motion_key = self.motion = None  # _cell_rows sets both
         self.rows = np.empty((3, n, count))  # area, shear/2 and bend by cell and angle
         self.nodes = np.zeros((n + 1, count))  # the node values; the Dirichlet row stays 0
         self.cells = np.empty((5, n, count))  # _stiffness' delta, slope, f, h and scratch
@@ -464,9 +500,12 @@ def _cell_rows(family: PerturbedDomainFamily, work: _Workspace, first: int) -> t
     if family.spec != work.spec:
         theta = 2.0 * math.pi * (first + np.arange(area.shape[1])) / m
         work.spec, work.speeds = family.spec, _normal_speeds(family.spec, theta)
-    (rho_in, rho_out), (drho_in, drho_out) = family._radii(work.speeds)
     if radius != work.radius:
         work.radius, work.factors = radius, _radial_factors(radius, radial_points, m)
+    motion_key = (family.spec, radius, family.exact_area)
+    if motion_key != work.motion_key:
+        work.motion_key, work.motion = motion_key, family._motion(work.speeds)
+    (rho_in, rho_out), (drho_in, drho_out) = family._radii(work.motion)
     j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = work.factors
     multiplicity = work.multiplicity
 
@@ -518,23 +557,33 @@ def _stiffness(work: _Workspace, v: np.ndarray) -> np.ndarray:
     return work.product
 
 
-def _preconditioner(work: _Workspace) -> Callable[[np.ndarray], np.ndarray]:
-    """The inverse of the operator of work.rows averaged over the sector's
-    angles, shear dropped.
+class Factorization(NamedTuple):
+    """The preconditioner's chains, factored (_factor)."""
+
+    means: np.ndarray  # (2, cells) the area and bend coefficients of the chains' cells
+    d: np.ndarray  # pttrf's diagonal factor
+    e: np.ndarray  # pttrf's subdiagonal factor
+
+
+def _chain_means(work: _Workspace) -> np.ndarray:
+    """The area and bend rows of work.rows averaged over the sector's
+    angles, a (2, cells) array.  The rows carry each angle's multiplicity,
+    so their sum over the angles solved, divided by the sector's angle
+    count, is the sector's mean."""
+    return work.rows[::2] @ work.mean_weights
+
+
+def _factor(work: _Workspace) -> Factorization:
+    """The factored chains of the operator of work.rows averaged over the
+    sector's angles, shear dropped.
 
     Its chains are ordered [center, mode 0 | mode 1 | ... | mode m/2]: the
     diagonal takes area + j^2 bend of both cells of a node, the coupling
-    across a cell is j^2 bend - area.  The returned function applies the
-    inverse into work.preconditioned by the real Fourier pair: the cos and,
-    unmirrored, the sin coefficients of each ring are the right-hand sides of
-    one chain solve; the center's chain unknown is the sector's angle count
-    m times its value.  The rows carry each angle's multiplicity, so their
-    sum over the angles solved, divided by m, is the sector's mean.
+    across a cell is j^2 bend - area.
     """
-    angular, rhs, result = work.angular, work.rhs, work.preconditioned
-    m = work.sector_angles
-    area, bend = work.rows[0].sum(axis=1) / m, work.rows[2].sum(axis=1) / m
-    angular_part = angular.eigen[:, np.newaxis] * bend
+    means = _chain_means(work)
+    area, bend = means
+    angular_part = work.angular.eigen[:, np.newaxis] * bend
     diagonal, coupling = area + angular_part, angular_part - area
     coupling[:, -1] = 0.0  # the last node's coupling goes to the Dirichlet node
     d = np.concatenate([[area[0]], (diagonal[:, :-1] + diagonal[:, 1:]).ravel()])
@@ -542,7 +591,35 @@ def _preconditioner(work: _Workspace) -> Callable[[np.ndarray], np.ndarray]:
     d, e, info = cho_factor(d, e, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise SolveError("block factorization failed")
-    rings, sides, modes = len(area) - 1, len(rhs), len(angular.eigen)
+    return Factorization(means, d, e)
+
+
+def _fits(held: Factorization, work: _Workspace) -> bool:
+    """Whether held, chains factored for an earlier solve, precondition the
+    solve of work.rows nearly as well as its own chains: they have the own
+    chains' shape, and the ratios of their cell coefficients spread by at
+    most a factor of 2.  The energy of either set of chains is a sum of the
+    same cell terms, so that spread bounds the held chains' condition number
+    relative to the own ones, and CG's step bound grows by at most sqrt 2."""
+    means = _chain_means(work)
+    if held.means.shape != means.shape or held.d.shape != work.rhs.shape[1:]:
+        return False
+    ratio = means / held.means
+    return bool(ratio.max() <= 2.0 * ratio.min())
+
+
+def _preconditioner(
+    work: _Workspace, factorization: Factorization
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The inverse of the factored chains, applied into work.preconditioned
+    by the real Fourier pair: the cos and, unmirrored, the sin coefficients
+    of each ring are the right-hand sides of one chain solve; the center's
+    chain unknown is the sector's angle count m times its value.
+    """
+    angular, rhs, result = work.angular, work.rhs, work.preconditioned
+    _, d, e = factorization
+    m, rings = work.sector_angles, work.rows.shape[1] - 1
+    sides, modes = len(rhs), len(angular.eigen)
     # the rings' Fourier coefficients by side and mode, in rhs and in work.coefficients
     spectra = rhs[:, 1:].reshape(sides, modes, rings)
     coefficients = work.coefficients.reshape(sides, modes, rings)
@@ -576,6 +653,7 @@ def solve_energy(
     angular_modes: int = DEFAULT_ANGULAR_MODES,
     *,
     start: np.ndarray | None = None,
+    factorization: list[Factorization] | None = None,
     solutions: list[np.ndarray] | None = None,
 ) -> float:
     """Energy of the perturbed configuration at the family's amplitude.
@@ -588,9 +666,13 @@ def solve_energy(
     vector, in the unknowns of the angles solved, costs one operator
     application for its residual r = q - K start, and the energy begins at
     -2 J(start) = start . (q + r); a start whose -2 J is not positive is
-    dropped for u = 0.  With solutions, a list, the discrete u on the angles
-    solved is appended to it.  A non-finite or non-positive r.z or p.Kp raises
-    SolveError, as do more steps than unknowns.  The grid, then the degrees
+    dropped for u = 0.  The preconditioner is the chains of the solve's own
+    rows, factored; with factorization, a list, it is the list's
+    Factorization instead where that _fits the solve, and otherwise the own
+    chains, which then replace the list's content, so a later solve handed
+    the list reuses them.  With solutions, a list, the discrete u on the
+    angles solved is appended to it.  A non-finite or non-positive r.z or
+    p.Kp raises SolveError, as do more steps than unknowns.  The grid, then the degrees
     against it (_period, which refuses a degree the grid cannot resolve), then
     the start's size are checked before the workspace is taken, so a refusal
     leaves none.
@@ -607,7 +689,11 @@ def solve_energy(
         raise ValueError(f"start has shape {np.shape(start)}, not the solve's ({unknowns},)")
     work = _workspace(radial_points, angular_modes, threading.get_ident(), period, axis is not None)
     _, load = _cell_rows(family, work, axis or 0)
-    precondition = _preconditioner(work)
+    if factorization is None:
+        factorization = []
+    if not (factorization and _fits(factorization[0], work)):
+        factorization[:] = [_factor(work)]
+    precondition = _preconditioner(work, factorization[0])
 
     residual, direction, scaled = work.residual, work.direction, work.scaled
     if start is not None:
@@ -621,8 +707,7 @@ def solve_energy(
         residual[:] = load
     if solutions is not None:
         solutions.append(u)  # the loop below updates u in place
-    direction[:] = 0.0
-    previous = math.inf  # r.z of the previous step; the first has no direction
+    previous = None  # r.z of the previous step; the first has no direction
     for _ in range(load.size):
         z = precondition(residual)
         gamma = float(residual @ z)
@@ -631,8 +716,11 @@ def solve_energy(
             # preconditioner is the operator itself (t = 0)
             break
         gamma = _positive(gamma)
-        direction *= gamma / previous
-        direction += z
+        if previous is None:
+            np.copyto(direction, z)
+        else:
+            direction *= gamma / previous
+            direction += z
         product = _stiffness(work, direction)
         step = gamma / _positive(float(direction @ product))
         energy += step * gamma
@@ -705,10 +793,13 @@ def _lagrange(nodes: list[float], values: list[np.ndarray], t: float) -> np.ndar
     4589 at any levels.
     """
     nearest = sorted(range(len(nodes)), key=lambda i: abs(t - nodes[i]))[:5]
-    total = np.zeros_like(values[0])
-    for i in nearest:
-        others = (nodes[j] for j in nearest if j != i)
-        total += math.prod((t - other) / (nodes[i] - other) for other in others) * values[i]
+    weights = [
+        math.prod((t - nodes[j]) / (nodes[i] - nodes[j]) for j in nearest if j != i)
+        for i in nearest
+    ]
+    total = weights[0] * values[nearest[0]]
+    for weight, i in zip(weights[1:], nearest[1:]):
+        total += weight * values[i]
     return total
 
 
@@ -722,12 +813,15 @@ def differentiate_energy(
     """Central differences of E(t) at steps t0, t0/2, ..., extrapolated.
 
     Samples t in {0} union {+-t0/2^l}, solved from t = 0 outwards, each from
-    the samples already solved (module docstring); d1 and d2 are the
-    Richardson limits of the first and second central differences.  A run
-    whose finest displacement delta = t0/2^levels |alpha| has eps E(0)/delta^2
-    above ROUNDING_FLOOR is refused after the t = 0 solve and before any
-    other, since its second differences would be rounding noise.  The family
-    must be at t = 0, the point differentiated at.
+    the samples already solved and preconditioned by the chains the t = 0
+    solve factors, K(0)'s, while they fit its own (module docstring); d1 and
+    d2 are the Richardson limits of the first and second central
+    differences.  A run whose finest step h = t0/2^levels has
+    eps E(0)/(h^2 S) above ROUNDING_FLOOR, with
+    S = max(E(0), 1) |alpha_in|^2 + |alpha_out|^2 the scale of d2, is refused
+    after the t = 0 solve and before any other, since its second differences
+    would be rounding noise.  The family must be at t = 0, the point
+    differentiated at.
     """
     if family.t != 0.0:
         raise ValueError(f"the family must be at t = 0, not t = {family.t:g}")
@@ -741,19 +835,29 @@ def differentiate_energy(
     if not sys.float_info.min <= finest * finest <= sys.float_info.max:
         raise ValueError("t0 out of range: (t0/2^levels)^2 must be a normal float")
     steps = [math.ldexp(t0, -level) for level in range(levels + 1)]
-    # the finest step's boundary displacement, with |alpha| the L^2 norm of g
-    # on the circle over both boundaries
-    delta = finest * math.hypot(*(c for _, pair in family.spec.sorted_items() for c in pair))
+    # |alpha_in| and |alpha_out|, the L^2 norms of g on the circle, and the
+    # finest step's boundary displacement
+    items = family.spec.sorted_items()
+    inner, outer = (math.hypot(*(pair[side] for _, pair in items)) for side in (0, 1))
+    delta = finest * math.hypot(inner, outer)
 
     # from t = 0 outwards, each sample starts at the Lagrange polynomial through
     # the solutions already solved; a motionless family (delta = 0) has the same
-    # system at every t, so it solves each sample cold and its energies are equal
-    solutions = [] if delta > 0.0 else None
-    base = solve_energy(family, radial_points, angular_modes, solutions=solutions)
-    rounding = sys.float_info.epsilon * base / delta / delta if delta > 0.0 else 0.0
+    # system at every t, so it solves each sample cold and its energies are equal.
+    # The samples share the t = 0 solve's factorization, K(0)'s, while it fits
+    factorization, solutions = [], [] if delta > 0.0 else None
+    base = solve_energy(
+        family, radial_points, angular_modes, factorization=factorization, solutions=solutions
+    )
+    # the finest step's displacement on d2's scale: the interface's share of
+    # d2 grows like E(0) where E(0) > 1 (as 1/sigma at small sigma), the
+    # outer boundary's does not
+    scale = finest * math.hypot(math.sqrt(max(base, 1.0)) * inner, outer)
+    rounding = sys.float_info.epsilon * base / scale / scale if delta > 0.0 else 0.0
     if rounding > ROUNDING_FLOOR:
         raise ValueError(
-            f"t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = "
+            "t0 below the rounding floor: eps E(0)/(t0/2^levels)^2/"
+            f"(max(E(0), 1) |alpha_in|^2 + |alpha_out|^2) = "
             f"{rounding:.3g} exceeds {ROUNDING_FLOOR:g}"
         )
     order = [0.0] + [sign * h for h in reversed(steps) for sign in (+1.0, -1.0)]
@@ -761,7 +865,8 @@ def differentiate_energy(
     for count, t in enumerate(order[1:], 1):
         start = _lagrange(order[:count], solutions, t) if solutions else None
         energy_of[t] = solve_energy(
-            family.at(t), radial_points, angular_modes, start=start, solutions=solutions
+            family.at(t), radial_points, angular_modes,
+            start=start, factorization=factorization, solutions=solutions,
         )
     samples = sorted(energy_of)
 

@@ -479,29 +479,34 @@ def test_report_stdout_is_pinned(capsys, argv):
 # boundary channel: (alpha_in, alpha_out, degree, order, radius, sigma); the
 # degree-2 runs solve on half of one of two sectors of 16 angles, the
 # degree-3 run on the 17 angles from pi/2 to 3 pi/2, about which sin 3 theta
-# is even.  Re-pinned when the oracle began to solve on half a sector: E
+# is even.  Re-pinned when the oracle began to solve on half a sector (E
 # moved by at most 2.3e-15 relative, and d2 by 1.5e-8 (inner), 2.9e-10
-# (outer) and 1.2e-10 (coupled) relative
+# (outer) and 1.2e-10 (coupled) relative), and again when a run's samples
+# began to share the t = 0 solve's preconditioner (E by at most 1.2e-15,
+# d2 by 1.5e-10, 1.7e-10 and 5.7e-11)
 PINNED_ORACLE = {
     "inner": ((1.0, 0.0, 2, 1, 0.4, 0.5),
-              "0f27e38b974abbc465c7fcf97e2b417a79c8ee112362d450d4ef35b1c29702ec"),
+              "5b99b32facdcdbfdd3f63975caf95e940995e83ebf5b077ef4360b2ca0dcd9c2"),
     "outer": ((0.0, 1.0, 3, 2, 0.6, 3.0),
-              "099f4ba4ca0cdd456f190aa21e95a8bb8650de742ca8e48fea841003faac78f3"),
+              "221d544bf77c1cde84c15d3e64aaa9b1dc2624743ca3d5ebf10bb241cd92e740"),
     "coupled": ((1.0, 1.0, 2, 1, 0.5, 2.0),
-                "f007c897400666c98d42c848a30b3b6a951176f1d63d42d8c413d6e912359eab"),
+                "08ae981c55f1dda0720b158bd56f503bbade4ec6de95e35462e7ed18ac4c647d"),
 }
 # families with no mirror axis on their grid, solved on whole sectors as
 # before the mirror: (radius, sigma, modes, angular_modes) at 256 radial
 # points.  No grid angle is an axis of both cos 2 theta and sin 2 theta, and
-# sin theta's axes pi/2 and 3 pi/2 are no grid angles of 30
+# sin theta's axes pi/2 and 3 pi/2 are no grid angles of 30.  Re-pinned when
+# a run's samples began to share the t = 0 solve's preconditioner: E moved
+# by at most 1.3e-15 relative, and d2 by 7.6e-12 relative and by 2.0e-10
+# where it is -1.4e-6 (sin theta on both boundaries, nearly a translation)
 PINNED_UNMIRRORED_ORACLE = {
     "cos 2 inner, sin 2 outer": (
         (0.5, 2.0, [{"degree": 2, "order": 1, "alpha_in": 1.0, "alpha_out": 0.0},
                     {"degree": 2, "order": 2, "alpha_in": 0.0, "alpha_out": 1.0}], 32),
-        "cc18e4025e9fbf144a6050b8e550e3ffc2206f0baa0c2dd678a1dc647494f5ee"),
+        "f499bf12188ee26e17134d451564268caddd9208f57ad42012654c8a00d0ecc0"),
     "sin 1 on 30 angles": (
         (0.45, 1.5, [{"degree": 1, "order": 2, "alpha_in": 1.0, "alpha_out": 1.0}], 30),
-        "219fc9100078855d26225c1391449a52cd1dfe0c3c42ee6c2561148f57bc16a5"),
+        "a1c81f56f5f46fb035a9d4acdac01173df6cb3b72bb2231fd38a49f9667c2264"),
 }
 
 
@@ -1005,21 +1010,24 @@ def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
         # d2 = 0.0 where the second variation is about -0.108
         (
             {"t0": 1e-9, "modes": [{"degree": 2, "alpha_in": 1.0}]},
-            "t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = 1.35e+03 "
+            "t0 below the rounding floor: eps E(0)/(t0/2^levels)^2/"
+            "(max(E(0), 1) |alpha_in|^2 + |alpha_out|^2) = 1.35e+03 "
             "exceeds 0.0001",
         ),
         (
             {"t0": 1e-150, "modes": [{"degree": 2, "alpha_in": 1.0}]},
-            "t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = 1.35e+285 "
+            "t0 below the rounding floor: eps E(0)/(t0/2^levels)^2/"
+            "(max(E(0), 1) |alpha_in|^2 + |alpha_out|^2) = 1.35e+285 "
             "exceeds 0.0001",
         ),
         # the outer channel at sigma = 1e-12: unrefused, this gave d2 = -4.08 where
         # e_out(2) = -0.382, since its d2 is O(1) while eps E(0)/delta^2 grows like
-        # 1/sigma; a relaxed floor must keep refusing it
+        # 1/sigma; the floor weighs only |alpha_in|^2 by E(0), so it stays refused
         (
             {"sigma": 1e-12, "radial_points": 64, "angular_modes": 16, "t0": 0.01,
              "modes": [{"degree": 2, "alpha_out": 1.0}]},
-            "t0 below the rounding floor: eps E(0)/(t0/2^levels |alpha|)^2 = 0.872 "
+            "t0 below the rounding floor: eps E(0)/(t0/2^levels)^2/"
+            "(max(E(0), 1) |alpha_in|^2 + |alpha_out|^2) = 0.872 "
             "exceeds 0.0001",
         ),
         # raw text: json.load keeps the last of two equal keys, and this ran

@@ -30,6 +30,7 @@ from twophase_torsion.pde_oracle import (
     run_from_config,
     solve_energy,
 )
+from twophase_torsion.second_variation import assemble_spectrum
 from twophase_torsion.stability import classify
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
@@ -815,7 +816,7 @@ def test_the_preconditioner_is_the_inverse_of_the_concentric_operator(
     axis = pde_oracle._period(concentric, angular_modes)[1] if mirrored else None
     matrix, load, work = _dense_system(concentric, radial_points, angular_modes, axis)
     # the preconditioner a t = 0 solve builds from its own rows
-    precondition = pde_oracle._preconditioner(work)
+    precondition = pde_oracle._preconditioner(work, pde_oracle._factor(work))
     inverse = np.column_stack([precondition(unit).copy() for unit in np.eye(load.size)])
     exact = np.linalg.inv(matrix)
     assert np.abs(inverse - exact).max() <= 1e-13 * np.abs(exact).max()
@@ -911,9 +912,18 @@ BENCH_LIKE = [
 ]
 
 
-@pytest.mark.parametrize("params, mode, alphas", BENCH_LIKE)
+# and a motionless family, and a degree-0 family, which moves its radii
+# linearly (exact_area false, the only family a degree-0 mode has)
+FACTORED_ONCE = BENCH_LIKE + [
+    (ProblemParams(2, 0.5, 2.0), ModeIndex(2, 1), (0.0, 0.0)),
+    (ProblemParams(2, 0.5, 2.0), ModeIndex(0, 1), (1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("params, mode, alphas", FACTORED_ONCE)
 def test_each_run_factors_once_and_solves_once_per_step(monkeypatch, params, mode, alphas):
-    family = PerturbedDomainFamily(params, PerturbationSpec({mode: alphas}))
+    spec = PerturbationSpec({mode: alphas})
+    family = PerturbedDomainFamily(params, spec, exact_area=mode.degree > 0)
     calls = _count_calls(monkeypatch, "cho_factor", "cho_solve", "_stiffness")
     steps = []
     solve = pde_oracle.solve_energy
@@ -926,13 +936,47 @@ def test_each_run_factors_once_and_solves_once_per_step(monkeypatch, params, mod
 
     monkeypatch.setattr(pde_oracle, "solve_energy", counted_solve)
     differentiate_energy(family, t0=0.01, levels=2, radial_points=256, angular_modes=32)
-    # each of the 7 samples factors its own preconditioner once
-    assert calls["cho_factor"] == len(steps) == 7
+    # the t = 0 sample factors its preconditioner, K(0), and the 6 others reuse it
+    assert len(steps) == 7
+    assert calls["cho_factor"] == 1
     # one preconditioner application per step; one operator application per
     # step and one for the residual of each warm start, every sample but t = 0
+    # of a family that moves
     assert calls["cho_solve"] == sum(steps)
-    assert calls["_stiffness"] == sum(steps) + 6
+    assert calls["_stiffness"] == sum(steps) + (6 if any(alphas) else 0)
     assert sum(steps) <= 16
+    # a sample solved on its own factors its own preconditioner
+    calls["cho_factor"] = 0
+    solve_energy(family.at(0.01), 256, 32)
+    assert calls["cho_factor"] == 1
+
+
+def test_a_run_factors_again_where_its_samples_leave_the_held_chains(monkeypatch):
+    # a degree-15 core at t0 = 0.2: at t = 0.1 and 0.2 the samples' own chains
+    # leave K(0)'s by factors of 2.5 and 7.3, where K(0) would take 33 and 92
+    # steps from zero against their own 27 and 51; each factors its own, and
+    # the sample at -t reuses the one at +t
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(15, 1): (1.0, 0.0)}))
+    calls = _count_calls(monkeypatch, "cho_factor", "cho_solve")
+    differentiate_energy(family, 0.2, 2, radial_points=256, angular_modes=32)
+    assert calls["cho_factor"] == 3
+    assert calls["cho_solve"] <= 165
+
+
+def test_a_held_factorization_of_another_grid_is_replaced(monkeypatch):
+    # chains factored on another grid or period cannot precondition a solve:
+    # the solve factors its own, which replace them, and reads its own energy
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)}))
+    other = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
+    calls = _count_calls(monkeypatch, "cho_factor")
+    for held_by, radial_points in [(family, 32), (other, 16)]:
+        factorization = []
+        solve_energy(held_by, radial_points, 8, factorization=factorization)
+        held = factorization[0]
+        energy = solve_energy(family.at(0.01), 16, 8, factorization=factorization)
+        assert energy == pytest.approx(solve_energy(family.at(0.01), 16, 8), rel=1e-14)
+        assert factorization[0] is not held
+    assert calls["cho_factor"] == 6
 
 
 # the benchmark-like families of even degree, of period 2 or 4 at 256x32, and
@@ -1079,9 +1123,40 @@ def test_a_reused_workspace_changes_no_energy(monkeypatch, radial_points):
     run = differentiate_energy(
         family, t0=0.02, levels=2, radial_points=radial_points, angular_modes=8
     )
-    assert calls == {"solve_energy": 7, "cho_factor": 7}
+    assert calls == {"solve_energy": 7, "cho_factor": 1}
     for t, energy in zip(run.t_samples, run.energies):
         assert energy == pytest.approx(solve_energy(family.at(t), radial_points, 8), rel=1e-14)
+
+
+@st.composite
+def _oracle_runs(draw):
+    """A grid, a family on it and a t0: one or two moving modes, mirrored or
+    not, and with a degree-0 mode a family that moves its radii linearly."""
+    m = draw(st.sampled_from([8, 12, 16]))
+    indices = st.builds(ModeIndex, st.integers(1, m // 2 - 1), st.integers(1, 2))
+    coefficient = st.one_of(st.just(0.0), st.floats(0.1, 0.3), st.floats(-0.3, -0.1))
+    pairs = st.tuples(coefficient, coefficient)
+    modes = draw(st.dictionaries(indices, pairs, min_size=1, max_size=2))
+    linear = draw(st.booleans())
+    if linear:
+        modes[ModeIndex(0, 1)] = draw(pairs)
+    params = ProblemParams(2, draw(st.floats(0.3, 0.7)), math.exp(draw(st.floats(-2.0, 2.0))))
+    # |g| <= 3 x 0.3/sqrt(pi) < 0.51 per boundary, so each radius moves by
+    # less than 0.11 at |t| <= 0.2, inside half the least gap, 0.3
+    t0 = draw(st.floats(1e-3, 0.2))
+    return m, PerturbedDomainFamily(params, PerturbationSpec(modes), exact_area=not linear), t0
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_oracle_runs(), radial_points=st.integers(4, 32))
+def test_a_run_reads_the_energies_of_standalone_solves(case, radial_points):
+    # each sample of a run, warm-started and preconditioned by the chains an
+    # earlier sample factored, has the energy of a cold solve with its own
+    angular_modes, family, t0 = case
+    run = differentiate_energy(family, t0, 2, radial_points, angular_modes)
+    for t, energy in zip(run.t_samples, run.energies):
+        alone = solve_energy(family.at(t), radial_points, angular_modes)
+        assert energy == pytest.approx(alone, rel=1e-12)
 
 
 def test_differentiate_energy_single_level_has_no_rate():
@@ -1121,22 +1196,39 @@ def test_differentiate_energy_has_no_rate_below_roundoff():
         (ProblemParams(2, 0.5, 100.0), (0.0, 1.0)),
         (ProblemParams(2, 0.5, 1e-4), (0.0, 1.0)),  # E(0) = 246, 650 times PARAMS'
         (ProblemParams(2, 0.3, 0.25), (1.0, 1.0)),
+        # the interface of a soft core, whose d2 scales with E(0)
+        (ProblemParams(2, 0.5, 1e-4), (1.0, 0.0)),
+        (ProblemParams(2, 0.5, 1e-12), (1.0, 1.0)),  # E(0) = 2.5e10
     ],
 )
 def test_the_rounding_floor_bounds_the_error_of_d2(params, alphas):
-    # at the smallest t0 the floor accepts, eps E(0)/delta^2 = ROUNDING_FLOOR,
-    # d2's rounding error is a few ROUNDING_FLOOR |alpha|^2 whatever E(0) is
-    # (at most 8.7 of them measured over R and sigma); just below it the run
-    # is refused
+    # at the smallest t0 the floor accepts, eps E(0)/(h^2 S) = ROUNDING_FLOOR at
+    # the finest step h, with S = max(E(0), 1) |alpha_in|^2 + |alpha_out|^2,
+    # d2's rounding error is a few ROUNDING_FLOOR S whatever E(0) is (at most
+    # 14.5 of them measured over R, sigma, degree and channel); just below it
+    # the run is refused
     family = PerturbedDomainFamily(params, PerturbationSpec({ModeIndex(2, 1): alphas}))
-    norm = math.hypot(*alphas)
     energy = solve_energy(family.at(0.0), 64, 16)
-    floor = 4.0 * math.sqrt(sys.float_info.epsilon * energy / pde_oracle.ROUNDING_FLOOR) / norm
+    scale = max(energy, 1.0) * alphas[0] ** 2 + alphas[1] ** 2
+    floor = 4.0 * math.sqrt(sys.float_info.epsilon * energy / pde_oracle.ROUNDING_FLOOR / scale)
     reference = differentiate_energy(family, 1e-2, 2, 64, 16).d2
     run = differentiate_energy(family, 1.01 * floor, 2, 64, 16)
-    assert abs(run.d2 - reference) <= 16.0 * pde_oracle.ROUNDING_FLOOR * norm**2
+    assert abs(run.d2 - reference) <= 16.0 * pde_oracle.ROUNDING_FLOOR * scale
     with pytest.raises(ValueError, match="^t0 below the rounding floor"):
         differentiate_energy(family, 0.99 * floor, 2, 64, 16)
+
+
+@pytest.mark.parametrize("sigma", [1e-8, 1e-12, 1e-16])
+def test_the_rounding_floor_accepts_the_interface_of_a_soft_core(sigma):
+    # the interface's d2 grows like E(0), about 1/sigma, and so does the
+    # rounding error of its second differences, so runs that the floor once
+    # refused at sigma <= 1e-12 match e_in(2) as closely as at sigma = 1e-8
+    # (to 1.63e-4, the grid's error); the outer channel stays refused
+    # (test_cli's test_oracle_rejects_malformed_configs)
+    params = ProblemParams(2, 0.5, sigma)
+    family = PerturbedDomainFamily(params, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)}))
+    run = differentiate_energy(family, 0.01, 2, 64, 16)
+    assert run.d2 == pytest.approx(assemble_spectrum(params, 2).e_in, rel=2e-4)
 
 
 def test_config_construction():
