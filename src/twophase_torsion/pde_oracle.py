@@ -47,10 +47,10 @@ on half a sector, below), and the synthesis matrix back.  At t = 0,
 phi_theta = 0 removes the shear and area and bend are already constant in
 theta, so the preconditioner is the concentric operator K(0) itself.  A solve
 on its own factors the chains of its own rows.  differentiate_energy keeps
-the t = 0 solve's, K(0)'s, and hands them to every later sample, which uses
-them while their cell coefficients stay within a factor of 2 of its own
-(_fits) and otherwise factors its own, kept for the samples after it.  For
-mean-free speeds a sample's averaged rows differ from K(0)'s at O(t^2) only,
+the t = 0 solve's, K(0)'s, on its run's workspace for every later sample,
+which uses them while their cell coefficients stay within a factor of 2 of
+its own (_fits) and otherwise factors its own, kept for the samples after
+it.  For mean-free speeds a sample's averaged rows differ from K(0)'s at O(t^2) only,
 so a run of small steps factors once; a degree-15 core at t0 = 0.2 leaves
 K(0)'s chains by 2.5 and 7.3 at t = 0.1 and 0.2, and factors again there.
 The preconditioner changes the steps, not the energy, which every
@@ -59,17 +59,22 @@ eigenvalues j^2 and the cos and sin pair come from one function,
 angular_operator.  cho_factor and cho_solve are this module's names for the
 LAPACK pttrf and pttrs bindings, kept because the benchmark's tracer
 (bench/spans.py) times and counts the calls through those two module
-attributes.  Each grid, period, mirror flag and thread has one cache, its
-workspace (_Workspace, kept in the bounded _workspace): the angular operator
-and multiplicities of the angles it solves, the normal speeds of the last
-spec, the radial factors of the last core radius and what the radii read of
-both at every t (PerturbedDomainFamily._motion), and the
-arrays every solve writes by out= and in-place ufuncs, in the order of the
-expressions they replace, so the energies are bit for bit those of fresh
-arrays; only u is new in each solve, as the solutions list keeps it.  Freed
-each step, these 65 KB arrays (at 256x32) left memory past glibc's trim
-threshold at the top of its heap, which went back to the kernel and was
-faulted in again (mallopt(3), M_TRIM_THRESHOLD).
+attributes.  A run has one workspace (_Workspace), built for its family and
+grid before its first solve and read and written by each of its samples: the
+family's period and mirror axis, the angular operator and multiplicities of
+the angles solved, the radial factors and what the radii read of the normal
+speeds at every t (PerturbedDomainFamily._motion), the held chains and the
+solutions solved, and the arrays every solve writes by out= and in-place
+ufuncs, in the order of the expressions they replace, so the energies are bit
+for bit those of fresh arrays; only u is new in each solve, as the run keeps
+it.  A solve on its own builds its own workspace, and nothing is kept between
+runs.  The arrays are views of one allocation.  glibc raises its trim
+threshold to twice the largest block it has unmapped (mallopt(3),
+M_MMAP_THRESHOLD and M_TRIM_THRESHOLD), so once one run has freed that block
+the next reuses the pages at the top of the heap.  Allocated one by one, the
+largest 0.2 MB at 256x32, they set the threshold below the 0.8 MB a run
+frees, which went back to the kernel and was faulted in again by the next
+run: 116 pages and about 0.4 ms a run, against 1 to 11 pages as one block.
 
 Symmetry.  A family whose degrees k >= 1 with a nonzero coefficient share a
 factor g with m/2, on m angles, is unchanged by a turn of 2 pi/g, which moves
@@ -106,21 +111,22 @@ is solved; at g = 1 that is the circle, and every operation is the full grid's.
 
 Cell rows.  In the core phi = s rho_D/R, so each coefficient row is a factor
 of s, which the grid alone fixes, times a factor of theta; in the shell one
-reciprocal 1/phi serves all three rows (_cell_rows).  The speeds
-(_normal_speeds) are computed only when a solve's spec differs from its
-workspace's last, the grid's factors and the load's weights
-(_radial_factors) only when its core radius does, and the parts of the radii
-that do not depend on t (PerturbedDomainFamily._motion) only when either
-does, so a sample forms both boundaries' radii in a few array operations,
-its angular factors, its shell rows and one small product for the load.  At
-256x32 on one BLAS thread of a 2-vCPU Xeon container, at period 1, a
-mirrored sample's fixed work is about 0.09 ms of cell rows and 0.007 ms to
-check the held chains (_fits), against 0.06 ms to factor its own, and a CG
-step about 0.045 ms of preconditioner and 0.047 ms of operator application,
-against 0.115, 0.007, 0.065, 0.093 and 0.075 ms on the whole circle: a
-7-sample run of 12 steps, 6 warm-start residuals and one factorization takes
-about 2.9 ms mirrored and 4.2 ms whole, against 3.4 and 5.2 ms when each
-sample factored its own chains.  On the same host, at R = 0.5, sigma = 2
+reciprocal 1/phi serves all three rows (_cell_rows).  The grid's factors
+and the load's weights (_radial_factors) and the parts of the radii that do
+not depend on t (PerturbedDomainFamily._motion, from _normal_speeds) are
+built with the run's workspace, so a sample forms both boundaries' radii in
+a few array operations, its angular factors, its shell rows and one small
+product for the load.  At 256x32 on one BLAS thread of a 2-vCPU Xeon
+container, building a mirrored run's workspace takes about 0.15 ms at
+periods 1, 2 and 4 (0.04, 0.03 and 0.025 ms of it the angular operator,
+0.034 ms the radial factors), and at period 1 a mirrored sample's fixed
+work is about 0.09 ms of cell rows and 0.007 ms to check the held chains
+(_fits), against 0.06 ms to factor its own, and a CG step about 0.045 ms
+of preconditioner and 0.047 ms of operator application, against 0.115,
+0.007, 0.065, 0.093 and 0.075 ms on the whole circle: a 7-sample run of
+12 steps, 6 warm-start residuals and one factorization takes about 2.9 ms
+mirrored and 4.2 ms whole, against 3.4 and 5.2 ms when each sample factored
+its own chains.  On the same host, at R = 0.5, sigma = 2
 and both boundaries moving, mirrored runs of periods 1, 2 and 4 took 0.68,
 0.51 and 0.44 of the whole circle's 4.5 ms (medians of 60 runs each,
 interleaved).
@@ -139,10 +145,9 @@ second variation.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import sys
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -183,12 +188,6 @@ ROUNDING_FLOOR = 1e-4
 # outer channel read E(0) = 0.119 for 0.390 and d2 = +0.035 for
 # e_out(2) = -0.52 from sigma = 1e35 up
 SIGMA_CEILING = 1e12
-# (radial_points, angular_modes, thread, period, mirrored) workspaces kept: a
-# run uses one, the benchmark's 256x32 runs of degrees 1-4 three (periods 1, 2
-# and 4) and `verify pde` three, (512, 64, 1), (256, 64, 1) and (512, 64, 2),
-# all mirrored, as a test counts; one holds 2.3 MB at the default 512x64,
-# period 1 and mirrored, 4.6 MB unmirrored, and 0.6 and 1.2 MB at 256x32
-WORKSPACE_CACHE_SIZE = 4
 
 
 class InterfaceOrderingError(RuntimeError):
@@ -278,11 +277,12 @@ class PerturbedDomainFamily:
         mean_square = np.array(squares) / (2.0 * math.pi)
         return base * base, 2.0 * base * g, g * g - mean_square, base * dg, g * dg
 
-    def _radii(self, motion: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Radii rho(theta) and their theta-derivatives at amplitude self.t,
-        each a (2, angles) array, the interface's row first, from the
-        family's _motion."""
-        t = self.t
+    def _radii(
+        self, motion: tuple[np.ndarray, ...], t: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Radii rho(theta) and their theta-derivatives at amplitude t, each a
+        (2, angles) array, the interface's row first, from the family's
+        _motion."""
         if not self.exact_area:
             base, g, dg = motion
             rho, drho = base + t * g, t * dg
@@ -307,7 +307,7 @@ class PerturbedDomainFamily:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(rho_D, rho_D', rho_Omega, rho_Omega') on the angular grid."""
         motion = self._motion(_normal_speeds(self.spec, theta))
-        (rho_in, rho_out), (drho_in, drho_out) = self._radii(motion)
+        (rho_in, rho_out), (drho_in, drho_out) = self._radii(motion, self.t)
         return rho_in, drho_in, rho_out, drho_out
 
 
@@ -324,7 +324,7 @@ def angular_operator(m: int) -> AngularOperator:
     """The periodic spectral differentiation matrix D on m equispaced points,
     the eigenvalues of D^T D by real Fourier mode j = 0..m/2, and the real
     Fourier transform pair of the preconditioner, returned read-only: a
-    workspace shares them with every solve on its grid.  m must be even and
+    workspace shares them with every solve of its run.  m must be even and
     at least 4, as solve_energy checks.
 
     D is the antisymmetric circulant with entries 0.5 (-1)^j cot(j pi / m) at
@@ -369,8 +369,8 @@ def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
 
 def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tuple:
     """What _cell_rows needs of the grid and does not read from the family,
-    returned read-only, as a workspace keeps them for every solve at the
-    same radius: the interface node j_in; the core cells' area and bend
+    returned read-only, as a workspace keeps them for every solve of its
+    run: the interface node j_in; the core cells' area and bend
     factors dtheta s/h and dtheta h/(4 s); the shell cells' offsets s - R and
     their area and bend factors dtheta/h and dtheta h/4, all as (cells, 1)
     columns at the midpoints s; and the (nodes, 3) load weights of
@@ -424,24 +424,35 @@ def _period(family: PerturbedDomainFamily, angular_modes: int) -> tuple[int, int
 
 
 class _Workspace:
-    """What every solve on one (radial_points, angular_modes) grid, period and
-    mirror flag reads or writes, built once (module docstring): the angular
+    """What every solve of one run, of one family on one grid, reads or
+    writes, built once (module docstring): the family's _period; the angular
     operator of the angles solved, with D scaled by the period and D^T D's
-    eigenvalues by its square, each angle's multiplicity in the sector, and
-    the arrays; and the normal speeds of the last spec, the radial factors
-    of the last radius solved and the family's _motion at both."""
+    eigenvalues by its square, and each angle's multiplicity in the sector;
+    the radial factors and the family's _motion; the arrays; and the run's
+    held Factorization and solutions, which solve_energy updates.  The grid,
+    then the degrees against it (_period, which refuses a degree the grid
+    cannot resolve) are checked before anything is built."""
 
-    def __init__(self, radial_points: int, angular_modes: int, period: int, mirrored: bool) -> None:
+    @np.errstate(all="ignore")  # _radii refuses the radii of an overflowing g or g^2
+    def __init__(
+        self, family: PerturbedDomainFamily, radial_points: int, angular_modes: int
+    ) -> None:
+        if radial_points < 4:
+            raise ValueError("radial_points must be >= 4")
+        if angular_modes % 2 != 0 or angular_modes < 4:
+            raise ValueError("angular_modes must be even and >= 4")
+        period, axis = _period(family, angular_modes)
+        self.family, self.grid, self.period = family, (radial_points, angular_modes), period
         n, m = radial_points, angular_modes // period
-        # a mirrored solve reads the half sector's m/2 + 1 angles, and only
-        # the cos half of the Fourier pair
-        count, sides = (m // 2 + 1, 1) if mirrored else (m, 2)
-        self.angular_modes, self.sector_angles = angular_modes, m
+        # a mirrored solve reads the half sector's m/2 + 1 angles from the
+        # axis, and only the cos half of the Fourier pair
+        count, sides = (m, 2) if axis is None else (m // 2 + 1, 1)
+        self.sector_angles = m
         sector = angular_operator(m)
         diff, eigen = period * sector.diff, period * period * sector.eigen
         analysis, synthesis = sector.analysis, sector.synthesis
         self.multiplicity = np.ones(count)
-        if mirrored:
+        if axis is not None:
             # D P, P the even extension of the half sector to the sector
             extension = np.zeros((m, count))
             extension[np.arange(count), np.arange(count)] = 1.0
@@ -454,36 +465,40 @@ class _Workspace:
         for array in (diff, eigen, analysis, synthesis, self.multiplicity, self.mean_weights):
             array.flags.writeable = False
         self.angular = AngularOperator(diff, eigen, analysis, synthesis)
-        self.spec = self.speeds = None  # _cell_rows sets both
-        self.radius = self.factors = None  # _cell_rows sets both
-        self.motion_key = self.motion = None  # _cell_rows sets both
-        self.rows = np.empty((3, n, count))  # area, shear/2 and bend by cell and angle
-        self.nodes = np.zeros((n + 1, count))  # the node values; the Dirichlet row stays 0
-        self.cells = np.empty((5, n, count))  # _stiffness' delta, slope, f, h and scratch
-        self.rhs = np.empty((sides, 1 + (m // 2 + 1) * (n - 1)))  # the chains' right-hand sides
-        # the rings' Fourier coefficients
-        self.coefficients = np.empty((sides * (m // 2 + 1), n - 1))
-        # vectors of unknowns: the load, K v, the preconditioned residual and CG's
+        theta = 2.0 * math.pi * ((axis or 0) + np.arange(count)) / angular_modes
+        self.motion = family._motion(_normal_speeds(family.spec, theta))
+        self.factors = _radial_factors(family.params.core_radius, n, angular_modes)
+        self.factorization = None  # the held chains, solve_energy's
+        self.solutions = []  # each solve's u on the angles solved, in solve order
+        # the arrays, views of one allocation (module docstring)
+        shapes = [
+            (3, n, count),  # rows: area, shear/2 and bend by cell and angle
+            (n + 1, count),  # nodes: the node values; the Dirichlet row stays 0
+            (5, n, count),  # cells: _stiffness' delta, slope, f, h and scratch
+            (sides, 1 + (m // 2 + 1) * (n - 1)),  # rhs: the chains' right-hand sides
+            (sides * (m // 2 + 1), n - 1),  # coefficients: the rings' Fourier coefficients
+            # vectors of unknowns: the load, K v, the preconditioned residual and CG's
+            (6, 1 + (n - 1) * count),
+        ]
+        offsets = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+        memory = np.empty(offsets[-1])
+        self.rows, self.nodes, self.cells, self.rhs, self.coefficients, vectors = (
+            memory[start:end].reshape(shape)
+            for shape, start, end in zip(shapes, offsets, offsets[1:])
+        )
+        self.nodes[-1] = 0.0
         self.load, self.product, self.preconditioned, self.residual, self.direction, self.scaled = (
-            np.empty((6, 1 + (n - 1) * count))
+            vectors
         )
 
 
-@functools.lru_cache(maxsize=WORKSPACE_CACHE_SIZE)
-def _workspace(
-    radial_points: int, angular_modes: int, thread: int, period: int, mirrored: bool
-) -> _Workspace:
-    """A grid's workspace at one period and mirror flag for one thread, which
-    runs one solve at a time."""
-    return _Workspace(radial_points, angular_modes, period, mirrored)
-
-
-def _cell_rows(family: PerturbedDomainFamily, work: _Workspace, first: int) -> tuple:
+def _cell_rows(work: _Workspace, t: float) -> tuple:
     """The (area, shear/2, bend) coefficient rows of every radial cell, and
     the load: the center's, then node 1..n-1's, one angular ring after the
-    other (the unknowns' order; the Dirichlet node n is dropped), on the
-    workspace's angles from grid index first on; written to work.rows and
-    work.load, each angle's rows and load times its multiplicity.
+    other (the unknowns' order; the Dirichlet node n is dropped), of the
+    workspace's family at amplitude t on the angles it solves; written to
+    work.rows and work.load, each angle's rows and load times its
+    multiplicity.
 
     A row is dtheta/h A11, dtheta/2 A12 and dtheta h/4 A22 at the cell's
     midpoint s, times sigma in the core.  There phi = s rho_D/R, so each row
@@ -494,18 +509,9 @@ def _cell_rows(family: PerturbedDomainFamily, work: _Workspace, first: int) -> t
     serves all three rows.
     """
     area, half_shear, bend = work.rows
-    radial_points, m = len(area), work.angular_modes
-    radius, sigma = family.params.core_radius, family.params.sigma
-    dtheta = 2.0 * math.pi / m
-    if family.spec != work.spec:
-        theta = 2.0 * math.pi * (first + np.arange(area.shape[1])) / m
-        work.spec, work.speeds = family.spec, _normal_speeds(family.spec, theta)
-    if radius != work.radius:
-        work.radius, work.factors = radius, _radial_factors(radius, radial_points, m)
-    motion_key = (family.spec, radius, family.exact_area)
-    if motion_key != work.motion_key:
-        work.motion_key, work.motion = motion_key, family._motion(work.speeds)
-    (rho_in, rho_out), (drho_in, drho_out) = family._radii(work.motion)
+    radius, sigma = work.family.params.core_radius, work.family.params.sigma
+    dtheta = 2.0 * math.pi / work.grid[1]
+    (rho_in, rho_out), (drho_in, drho_out) = work.family._radii(work.motion, t)
     j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = work.factors
     multiplicity = work.multiplicity
 
@@ -595,16 +601,13 @@ def _factor(work: _Workspace) -> Factorization:
 
 
 def _fits(held: Factorization, work: _Workspace) -> bool:
-    """Whether held, chains factored for an earlier solve, precondition the
-    solve of work.rows nearly as well as its own chains: they have the own
-    chains' shape, and the ratios of their cell coefficients spread by at
-    most a factor of 2.  The energy of either set of chains is a sum of the
-    same cell terms, so that spread bounds the held chains' condition number
-    relative to the own ones, and CG's step bound grows by at most sqrt 2."""
-    means = _chain_means(work)
-    if held.means.shape != means.shape or held.d.shape != work.rhs.shape[1:]:
-        return False
-    ratio = means / held.means
+    """Whether held, chains factored for an earlier solve of the run,
+    precondition the solve of work.rows nearly as well as its own chains:
+    the ratios of their cell coefficients spread by at most a factor of 2.
+    The energy of either set of chains is a sum of the same cell terms, so
+    that spread bounds the held chains' condition number relative to the own
+    ones, and CG's step bound grows by at most sqrt 2."""
+    ratio = _chain_means(work) / held.means
     return bool(ratio.max() <= 2.0 * ratio.min())
 
 
@@ -653,8 +656,7 @@ def solve_energy(
     angular_modes: int = DEFAULT_ANGULAR_MODES,
     *,
     start: np.ndarray | None = None,
-    factorization: list[Factorization] | None = None,
-    solutions: list[np.ndarray] | None = None,
+    workspace: _Workspace | None = None,
 ) -> float:
     """Energy of the perturbed configuration at the family's amplitude.
 
@@ -666,34 +668,31 @@ def solve_energy(
     vector, in the unknowns of the angles solved, costs one operator
     application for its residual r = q - K start, and the energy begins at
     -2 J(start) = start . (q + r); a start whose -2 J is not positive is
-    dropped for u = 0.  The preconditioner is the chains of the solve's own
-    rows, factored; with factorization, a list, it is the list's
-    Factorization instead where that _fits the solve, and otherwise the own
-    chains, which then replace the list's content, so a later solve handed
-    the list reuses them.  With solutions, a list, the discrete u on the
-    angles solved is appended to it.  A non-finite or non-positive r.z or
-    p.Kp raises SolveError, as do more steps than unknowns.  The grid, then the degrees
-    against it (_period, which refuses a degree the grid cannot resolve), then
-    the start's size are checked before the workspace is taken, so a refusal
-    leaves none.
+    dropped for u = 0.  The solve reads and writes workspace, a _Workspace
+    of the family at any amplitude on the same grid, and without one builds
+    its own, which checks the grid and the degrees first.  The
+    preconditioner is the workspace's held Factorization where that _fits
+    the solve, and otherwise the chains of the solve's own rows, factored,
+    which the workspace then holds for its later solves; the discrete u on
+    the angles solved is appended to the workspace's solutions.  A workspace
+    of another family or grid, and a start of another size than the
+    unknowns, are refused before any row is formed.  A non-finite or
+    non-positive r.z or p.Kp raises SolveError, as do more steps than
+    unknowns.
     """
-    if radial_points < 4:
-        raise ValueError("radial_points must be >= 4")
-    if angular_modes % 2 != 0 or angular_modes < 4:
-        raise ValueError("angular_modes must be even and >= 4")
-    period, axis = _period(family, angular_modes)
-    sector = angular_modes // period
-    count = sector if axis is None else sector // 2 + 1
-    unknowns = 1 + (radial_points - 1) * count
-    if start is not None and np.shape(start) != (unknowns,):
-        raise ValueError(f"start has shape {np.shape(start)}, not the solve's ({unknowns},)")
-    work = _workspace(radial_points, angular_modes, threading.get_ident(), period, axis is not None)
-    _, load = _cell_rows(family, work, axis or 0)
-    if factorization is None:
-        factorization = []
-    if not (factorization and _fits(factorization[0], work)):
-        factorization[:] = [_factor(work)]
-    precondition = _preconditioner(work, factorization[0])
+    # the same family at any t, on the same grid
+    built = workspace and workspace.family
+    if built and (built.params, built.spec, built.exact_area, workspace.grid) != (
+        family.params, family.spec, family.exact_area, (radial_points, angular_modes)
+    ):
+        raise ValueError("the workspace was built for another family or grid")
+    work = workspace or _Workspace(family, radial_points, angular_modes)
+    if start is not None and np.shape(start) != work.load.shape:
+        raise ValueError(f"start has shape {np.shape(start)}, not the solve's {work.load.shape}")
+    _, load = _cell_rows(work, family.t)
+    if work.factorization is None or not _fits(work.factorization, work):
+        work.factorization = _factor(work)
+    precondition = _preconditioner(work, work.factorization)
 
     residual, direction, scaled = work.residual, work.direction, work.scaled
     if start is not None:
@@ -705,8 +704,7 @@ def solve_energy(
         # norm, and starting there keeps the energy sum free of cancellation
         u, energy = np.zeros(load.size), 0.0
         residual[:] = load
-    if solutions is not None:
-        solutions.append(u)  # the loop below updates u in place
+    work.solutions.append(u)  # the loop below updates u in place
     previous = None  # r.z of the previous step; the first has no direction
     for _ in range(load.size):
         z = precondition(residual)
@@ -731,7 +729,7 @@ def solve_energy(
         previous = gamma
     else:
         raise SolveError("iteration did not converge")
-    return _positive(period * energy)
+    return _positive(work.period * energy)
 
 
 @dataclass(frozen=True)
@@ -812,16 +810,17 @@ def differentiate_energy(
 ) -> OracleRun:
     """Central differences of E(t) at steps t0, t0/2, ..., extrapolated.
 
-    Samples t in {0} union {+-t0/2^l}, solved from t = 0 outwards, each from
-    the samples already solved and preconditioned by the chains the t = 0
-    solve factors, K(0)'s, while they fit its own (module docstring); d1 and
-    d2 are the Richardson limits of the first and second central
-    differences.  A run whose finest step h = t0/2^levels has
-    eps E(0)/(h^2 S) above ROUNDING_FLOOR, with
-    S = max(E(0), 1) |alpha_in|^2 + |alpha_out|^2 the scale of d2, is refused
-    after the t = 0 solve and before any other, since its second differences
-    would be rounding noise.  The family must be at t = 0, the point
-    differentiated at.
+    Samples t in {0} union {+-t0/2^l}, solved from t = 0 outwards on one
+    workspace built for the family and grid, each from the samples already
+    solved and preconditioned by the chains the t = 0 solve factors, K(0)'s,
+    while they fit its own (module docstring); d1 and d2 are the Richardson
+    limits of the first and second central differences, whose weights 4^l
+    overflow past levels 511, which is refused before any solve.  A run
+    whose finest step h = t0/2^levels has eps E(0)/(h^2 S) above
+    ROUNDING_FLOOR, with S = max(E(0), 1) |alpha_in|^2 + |alpha_out|^2 the
+    scale of d2, is refused after the t = 0 solve and before any other,
+    since its second differences would be rounding noise.  The family must
+    be at t = 0, the point differentiated at.
     """
     if family.t != 0.0:
         raise ValueError(f"the family must be at t = 0, not t = {family.t:g}")
@@ -834,6 +833,8 @@ def differentiate_energy(
     finest = math.ldexp(t0, -levels)  # checked before the steps are listed
     if not sys.float_info.min <= finest * finest <= sys.float_info.max:
         raise ValueError("t0 out of range: (t0/2^levels)^2 must be a normal float")
+    if levels > 511:  # _richardson's 4.0**levels overflows past it
+        raise ValueError("levels must be <= 511")
     steps = [math.ldexp(t0, -level) for level in range(levels + 1)]
     # |alpha_in| and |alpha_out|, the L^2 norms of g on the circle, and the
     # finest step's boundary displacement
@@ -844,11 +845,9 @@ def differentiate_energy(
     # from t = 0 outwards, each sample starts at the Lagrange polynomial through
     # the solutions already solved; a motionless family (delta = 0) has the same
     # system at every t, so it solves each sample cold and its energies are equal.
-    # The samples share the t = 0 solve's factorization, K(0)'s, while it fits
-    factorization, solutions = [], [] if delta > 0.0 else None
-    base = solve_energy(
-        family, radial_points, angular_modes, factorization=factorization, solutions=solutions
-    )
+    # The samples share the workspace's chains, K(0)'s, while they fit
+    work = _Workspace(family, radial_points, angular_modes)
+    base = solve_energy(family, radial_points, angular_modes, workspace=work)
     # the finest step's displacement on d2's scale: the interface's share of
     # d2 grows like E(0) where E(0) > 1 (as 1/sigma at small sigma), the
     # outer boundary's does not
@@ -863,10 +862,9 @@ def differentiate_energy(
     order = [0.0] + [sign * h for h in reversed(steps) for sign in (+1.0, -1.0)]
     energy_of = {0.0: base}
     for count, t in enumerate(order[1:], 1):
-        start = _lagrange(order[:count], solutions, t) if solutions else None
+        start = _lagrange(order[:count], work.solutions, t) if delta > 0.0 else None
         energy_of[t] = solve_energy(
-            family.at(t), radial_points, angular_modes,
-            start=start, factorization=factorization, solutions=solutions,
+            family.at(t), radial_points, angular_modes, start=start, workspace=work
         )
     samples = sorted(energy_of)
 

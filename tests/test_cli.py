@@ -1030,6 +1030,12 @@ def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
             "(max(E(0), 1) |alpha_in|^2 + |alpha_out|^2) = 0.872 "
             "exceeds 0.0001",
         ),
+        # past levels 511 the Richardson weights 4^levels overflow: unrefused,
+        # this motionless run made 1027 solves and then exited with a raw errno
+        (
+            {"t0": 1e150, "levels": 512, "radial_points": 4, "angular_modes": 4},
+            "levels must be <= 511",
+        ),
         # raw text: json.load keeps the last of two equal keys, and this ran
         # at R = 0.7, sigma = 3 and alpha_in = 5; the mode record closes, and
         # is refused, before the config does

@@ -3,21 +3,18 @@
 import gc
 import json
 import math
-import os
 import re
-import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twophase_torsion import pde_oracle, reporting
+from twophase_torsion import pde_oracle
 from twophase_torsion.exact_state import baseline_energy
 from twophase_torsion.params import ModeIndex, PerturbationSpec, ProblemParams
 from twophase_torsion.pde_oracle import (
@@ -38,6 +35,30 @@ PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
 UNMIRRORED = PerturbedDomainFamily(
     PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0), ModeIndex(1, 2): (0.0, 1.0)})
 )
+# cos theta alone: of period 1 and even about angle 0
+MIRRORED = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
+
+
+def _built_workspaces(monkeypatch):
+    """Weak references to the angular D of each workspace built from here on;
+    a workspace whose checks refuse it is not built."""
+    built = []
+
+    class Recorded(pde_oracle._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self.angular.diff))
+
+    monkeypatch.setattr(pde_oracle, "_Workspace", Recorded)
+    return built
+
+
+def _period_one_workspace(family, radial_points, angular_modes, axis=None):
+    """A period-1 workspace of family: on the full circle, or on the half
+    circle from the axis."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pde_oracle, "_period", lambda family, angular_modes: (1, axis))
+        return pde_oracle._Workspace(family, radial_points, angular_modes)
 
 
 def test_spectral_diff_matrix_differentiates_trig_polynomials():
@@ -60,7 +81,7 @@ def test_spectral_diff_matrix_differentiates_trig_polynomials():
     # a mirrored workspace's D P differentiates the functions even about
     # angle 0 on the m/2 + 1 angles from 0 to pi, and D^T D's eigenvalues are
     # the same
-    work = pde_oracle._Workspace(4, m, 1, True)
+    work = pde_oracle._Workspace(MIRRORED, 4, m)
     half = theta[: m // 2 + 1]
     assert work.angular.diff.shape == (m // 2 + 1, m // 2 + 1)
     assert np.array_equal(work.angular.eigen, eigen)
@@ -74,23 +95,22 @@ def test_spectral_diff_matrix_differentiates_trig_polynomials():
 
 @pytest.mark.parametrize("m", [4, 6, 32, 64])
 def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(monkeypatch, m):
-    # the solves of one grid and thread share one workspace operator, so no
-    # caller may write to it
-    pde_oracle._workspace.cache_clear()
+    # the solves of one run share one workspace operator, so no caller may
+    # write to it
     calls = _count_calls(monkeypatch, "angular_operator")
     # cos theta on the interface and sin theta on the outer boundary: no
     # grid angle is a mirror axis of both, so the solve reads the full circle
     assert pde_oracle._period(UNMIRRORED, m) == (1, None)
+    work = pde_oracle._Workspace(UNMIRRORED, 4, m)
     for t in (0.0, 0.01):
-        solve_energy(UNMIRRORED.at(t), 4, m)
+        solve_energy(UNMIRRORED.at(t), 4, m, workspace=work)
     assert calls == {"angular_operator": 1}
-    operator = pde_oracle._workspace(4, m, threading.get_ident(), 1, False).angular
+    operator = work.angular
     diff = operator.diff
     assert not any(array.flags.writeable for array in operator)
     # nor to a mirrored workspace's
-    mirrored = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
-    solve_energy(mirrored.at(0.01), 4, m)
-    work = pde_oracle._workspace(4, m, threading.get_ident(), 1, True)
+    work = pde_oracle._Workspace(MIRRORED, 4, m)
+    solve_energy(MIRRORED.at(0.01), 4, m, workspace=work)
     assert not any(array.flags.writeable for array in (*work.angular, work.multiplicity))
     assert np.array_equal(diff, -diff.T)
     for k in range(m):
@@ -162,7 +182,7 @@ def test_harmonics_are_orthonormal_on_the_circle():
                 assert inner == pytest.approx(0.0, abs=1e-12)
 
 
-def test_family_validates_its_spec():
+def test_family_validates_its_spec(monkeypatch):
     # an order the circle does not have is named before the dimension
     bad_order = PerturbationSpec({ModeIndex(2, 3): (1.0, 0.0)})
     with pytest.raises(ValueError, match="^order 3 exceeds multiplicity 2"):
@@ -186,10 +206,10 @@ def test_family_validates_its_spec():
     assert solve_energy(family.at(0.01), radial_points=4, angular_modes=8) > 0.0
     # a moving degree 4 is not, and is refused before a workspace is built
     moving = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(4, 1): (1.0, 0.0)}))
-    pde_oracle._workspace.cache_clear()
+    built = _built_workspaces(monkeypatch)
     with pytest.raises(ValueError, match="^angular_modes too small for the perturbation degree$"):
         solve_energy(moving, radial_points=4, angular_modes=8)
-    assert pde_oracle._workspace.cache_info().currsize == 0
+    assert built == []
 
 
 def test_family_boundary_radii_at_zero_are_concentric():
@@ -251,10 +271,10 @@ def test_solve_energy_matches_the_closed_form_on_coarse_grids():
         assert energy == pytest.approx(exact, rel=5e-5)
 
 
-def test_solve_energy_validates_the_angular_grid():
+def test_solve_energy_validates_the_angular_grid(monkeypatch):
     spec = PerturbationSpec({ModeIndex(9, 1): (0.1, 0.0)})
     family = PerturbedDomainFamily(PARAMS, spec)
-    pde_oracle._workspace.cache_clear()
+    built = _built_workspaces(monkeypatch)
     with pytest.raises(ValueError, match="even"):
         solve_energy(family, radial_points=64, angular_modes=15)
     with pytest.raises(ValueError, match=">= 4"):
@@ -264,23 +284,30 @@ def test_solve_energy_validates_the_angular_grid():
     with pytest.raises(ValueError, match="too small for the perturbation"):
         solve_energy(family, radial_points=64, angular_modes=16)
     # each is refused before the grid's workspace is built
-    assert pde_oracle._workspace.cache_info().currsize == 0
+    assert built == []
 
 
-def test_a_start_of_the_wrong_size_is_refused_in_one_line():
+def test_a_start_of_the_wrong_size_is_refused_in_one_line(monkeypatch):
     # degree 2 on 8 angles solves on half a sector of 4, 3 angles:
     # 1 + 3 x 3 = 10 unknowns, where the sector has 1 + 3 x 4 = 13 and the
     # full circle 1 + 3 x 8 = 25
     family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)}))
-    pde_oracle._workspace.cache_clear()
+    work = pde_oracle._Workspace(family, 4, 8)
+    built = _built_workspaces(monkeypatch)
+    calls = _count_calls(monkeypatch, "_cell_rows")
     for start in (np.zeros(13), np.zeros(25), np.zeros((10, 1)), 0.0):
         shape = re.escape(str(np.shape(start)))
         message = rf"^start has shape {shape}, not the solve's \(10,\)$"
         with pytest.raises(ValueError, match=message):
+            solve_energy(family.at(0.01), 4, 8, start=start, workspace=work)
+        # a solve on its own sizes the start by the workspace it builds
+        with pytest.raises(ValueError, match=message):
             solve_energy(family.at(0.01), 4, 8, start=start)
-    # each is refused before the grid's workspace is built
-    assert pde_oracle._workspace.cache_info().currsize == 0
-    assert solve_energy(family.at(0.01), 4, 8, start=np.zeros(10)) > 0.0
+    # each is refused before any row is formed, and on a run's workspace
+    # before another is built
+    assert calls == {"_cell_rows": 0}
+    assert len(built) == 4
+    assert solve_energy(family.at(0.01), 4, 8, start=np.zeros(10), workspace=work) > 0.0
 
 
 def test_differentiate_energy_returns_a_complete_run():
@@ -303,7 +330,7 @@ def test_differentiate_energy_returns_a_complete_run():
     assert document["d2"] == run.d2
 
 
-def test_differentiate_energy_validates_input():
+def test_differentiate_energy_validates_input(monkeypatch):
     family = PerturbedDomainFamily(PARAMS, PerturbationSpec({}))
     with pytest.raises(ValueError, match="^t0 must be positive$"):
         differentiate_energy(family, t0=0.0)
@@ -320,6 +347,17 @@ def test_differentiate_energy_validates_input():
     for t0, levels in ((1e-300, 2), (1e-154, 1), (1e300, 2), (1e-10, 1000)):
         with pytest.raises(ValueError, match=r"^t0 out of range: \(t0/2\^levels\)\^2"):
             differentiate_energy(family, t0=t0, levels=levels)
+    # the Richardson weights 4^levels overflow past levels 511: only a
+    # motionless family gets past the rounding floor that far, and it is
+    # refused before any solve
+    built = _built_workspaces(monkeypatch)
+    for levels in (512, 1000):
+        with pytest.raises(ValueError, match="^levels must be <= 511$"):
+            differentiate_energy(family, t0=1e150, levels=levels, radial_points=4, angular_modes=4)
+    assert built == []
+    run = differentiate_energy(family, t0=1e150, levels=511, radial_points=4, angular_modes=4)
+    assert len(run.t_samples) == 1025
+    assert run.d1 == run.d2 == 0.0
 
 
 def test_differentiate_energy_checks_the_range_before_listing_steps():
@@ -396,8 +434,8 @@ def _dense_system(family, radial_points, angular_modes, axis=None):
     """The dense K, from the operator's columns, the load and the workspace
     of a period-1 solve: on the full circle, or on the half circle from the
     mirror axis."""
-    work = pde_oracle._Workspace(radial_points, angular_modes, 1, axis is not None)
-    _, load = pde_oracle._cell_rows(family, work, axis or 0)
+    work = _period_one_workspace(family, radial_points, angular_modes, axis)
+    _, load = pde_oracle._cell_rows(work, family.t)
     # each product is written to the workspace, so each column is a copy
     columns = [pde_oracle._stiffness(work, unit).copy() for unit in np.eye(load.size)]
     return np.column_stack(columns), load, work
@@ -406,9 +444,9 @@ def _dense_system(family, radial_points, angular_modes, axis=None):
 def _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes):
     matrix, load, _ = _dense_system(family, radial_points, angular_modes)
     assert np.abs(matrix - matrix.T).max() <= 1e-14 * np.abs(matrix).max()
-    solutions = []
+    work = pde_oracle._Workspace(family, radial_points, angular_modes)
     # solve_energy solves on one of the family's sectors, or half of one
-    energy = solve_energy(family, radial_points, angular_modes, solutions=solutions)
+    energy = solve_energy(family, radial_points, angular_modes, workspace=work)
     exact = np.linalg.solve(matrix, load)
     assert energy == pytest.approx(load @ exact, rel=1e-12)
     # the circle's u repeats from sector to sector and is even about the
@@ -426,7 +464,7 @@ def _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes):
         assert np.abs(reflected - rings[:, (axis + offsets) % angular_modes]).max() <= 1e-6 * scale
         angles = axis + np.arange(sector // 2 + 1)
     exact = np.concatenate([exact[:1], rings[:, angles % angular_modes].ravel()])
-    (solution,) = solutions
+    (solution,) = work.solutions
     assert np.abs(solution - exact).max() <= 1e-6 * np.abs(exact).max()
     start = solution * (1.0 + 1e-3 * np.cos(np.arange(solution.size)))
     warm = solve_energy(family, radial_points, angular_modes, start=start)
@@ -635,8 +673,8 @@ def test_cell_rows_equal_a_scalar_transcription(
     # gap min(R, 1 - R)/2 at |t| <= 0.8 min(R, 1 - R)
     t = 0.8 * min(radius, 1.0 - radius) * reach
     family = PerturbedDomainFamily(params, spec, exact_area=exact_area).at(t)
-    work = pde_oracle._Workspace(radial_points, angular_modes, 1, False)
-    rows, load = pde_oracle._cell_rows(family, work, 0)
+    work = _period_one_workspace(family, radial_points, angular_modes)
+    rows, load = pde_oracle._cell_rows(work, t)
     expected_rows, expected_load = _scalar_cell_rows(family, radial_points, angular_modes)
     ulp = 4.0 * sys.float_info.epsilon
     for row, expected in zip(rows, expected_rows):
@@ -648,8 +686,8 @@ def test_cell_rows_equal_a_scalar_transcription(
     period, axis = pde_oracle._period(family, angular_modes)
     if axis is None:
         return
-    work = pde_oracle._Workspace(radial_points, angular_modes, period, True)
-    rows, load = pde_oracle._cell_rows(family, work, axis)
+    work = pde_oracle._Workspace(family, radial_points, angular_modes)
+    rows, load = pde_oracle._cell_rows(work, t)
     angles = (axis + np.arange(work.multiplicity.size)) % angular_modes
     for row, expected in zip(rows, expected_rows):
         expected_half = expected[:, angles] * work.multiplicity
@@ -660,76 +698,37 @@ def test_cell_rows_equal_a_scalar_transcription(
     assert np.abs(load - expected_load).max() <= ulp * np.abs(expected_load).max()
 
 
-def test_a_workspace_builds_its_radial_factors_once_per_radius(monkeypatch):
-    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
-    pde_oracle._workspace.cache_clear()
-    calls = _count_calls(monkeypatch, "_radial_factors")
-    # a run's seven samples share one radius, a second run on it builds none
-    for params, built in [(PARAMS, 1), (PARAMS, 1), (ProblemParams(2, 0.3, 2.0), 2)]:
-        family = PerturbedDomainFamily(params, spec)
-        differentiate_energy(family, t0=0.02, levels=2, radial_points=16, angular_modes=8)
-        assert calls == {"_radial_factors": built}
-    # shared by every solve at one radius, so no caller may write to them; the
-    # degree-2 family solves on half of one of two sectors
-    assert pde_oracle._period(family, 8) == (2, 0)
-    _, core, shell, weights = pde_oracle._workspace(16, 8, threading.get_ident(), 2, True).factors
+def test_a_run_builds_its_workspace_once(monkeypatch):
+    # the family's symmetry, the angular operator, the radial factors and the
+    # normal speeds are the run's, built once for its seven samples; a solve
+    # on its own builds its own
+    names = ("_period", "angular_operator", "_radial_factors", "_normal_speeds")
+    calls = _count_calls(monkeypatch, *names)
+    # sin 3 theta, of period 1 and even about pi/2, whose axis _period scans for
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(3, 2): (1.0, 1.0)}))
+    differentiate_energy(family, t0=0.02, levels=2, radial_points=16, angular_modes=8)
+    assert calls == dict.fromkeys(names, 1)
+    calls.update(dict.fromkeys(names, 0))
+    solve_energy(family.at(0.01), 16, 8)
+    assert calls == dict.fromkeys(names, 1)
+    # shared by every solve of a run, so no caller may write to them
+    work = pde_oracle._Workspace(family, 16, 8)
+    _, core, shell, weights = work.factors
     assert not any(array.flags.writeable for array in (*core, *shell, weights))
+    # the arrays the solves write are views of one allocation (module docstring)
+    arrays = (work.rows, work.nodes, work.cells, work.rhs, work.coefficients, work.load, work.scaled)
+    assert len({id(array.base) for array in arrays}) == 1
 
 
-def test_a_workspace_computes_its_normal_speeds_once_per_spec(monkeypatch):
-    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
-    pde_oracle._workspace.cache_clear()
-    calls = _count_calls(monkeypatch, "_normal_speeds")
-    # a run's seven samples share one spec, and so do later runs of the spec
-    # or of an equal one at any radius and sigma; another spec on the same
-    # workspace computes its own
-    for params, modes, computed in [
-        (PARAMS, spec.modes, 1),
-        (ProblemParams(2, 0.3, 0.5), spec.modes, 1),
-        (PARAMS, dict(spec.modes), 1),
-        (PARAMS, {ModeIndex(2, 1): (1.0, 0.0)}, 2),
-    ]:
-        family = PerturbedDomainFamily(params, PerturbationSpec(modes))
-        differentiate_energy(family, t0=0.02, levels=2, radial_points=16, angular_modes=8)
-        assert calls == {"_normal_speeds": computed}
-    assert pde_oracle._workspace.cache_info().currsize == 1
-
-
-def test_the_workspace_cache_is_bounded():
-    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
-    pde_oracle._workspace.cache_clear()
-    grids = [(radial_points, 4) for radial_points in range(4, 40)]
-    for radial_points, angular_modes in grids:
-        solve_energy(family.at(0.01), radial_points, angular_modes)
-    info = pde_oracle._workspace.cache_info()
-    assert info.misses == len(grids)
-    assert info.currsize <= info.maxsize == pde_oracle.WORKSPACE_CACHE_SIZE
-
-
-def test_only_the_cached_workspaces_keep_their_angular_operators():
-    # the operators of evicted workspaces are freed, however many grids are solved
-    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
-    operators = []
-    for angular_modes in range(4, 4 + 4 * pde_oracle.WORKSPACE_CACHE_SIZE, 2):
-        solve_energy(family.at(0.01), 4, angular_modes)
-        work = pde_oracle._workspace(4, angular_modes, threading.get_ident(), 1, True)
-        operators.append(weakref.ref(work.angular.diff))
-    del work
+def test_a_runs_workspace_is_freed_when_the_run_returns(monkeypatch):
+    # nothing outlives a run or a solve: no workspace is kept for a later one
+    built = _built_workspaces(monkeypatch)
+    for angular_modes in range(4, 20, 2):
+        differentiate_energy(MIRRORED, 0.02, 1, 4, angular_modes)
+        solve_energy(MIRRORED.at(0.01), 4, angular_modes)
     gc.collect()
-    alive = sum(operator() is not None for operator in operators)
-    assert alive <= pde_oracle.WORKSPACE_CACHE_SIZE < len(operators)
-
-
-def test_a_workspace_reused_after_another_grid_changes_no_energy():
-    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)}))
-    pde_oracle._workspace.cache_clear()
-    first, other, again = (
-        differentiate_energy(family, t0=0.02, levels=2, radial_points=n, angular_modes=m)
-        for n, m in [(32, 8), (24, 12), (32, 8)]
-    )
-    assert pde_oracle._workspace.cache_info().hits >= 1
-    assert again.energies == first.energies
-    assert other.energies != first.energies
+    assert len(built) == 16
+    assert not any(diff() is not None for diff in built)
 
 
 def test_threads_on_one_grid_do_not_share_a_workspace():
@@ -763,42 +762,6 @@ def test_threads_on_one_grid_do_not_share_a_workspace():
     for thread in threads:
         thread.join()
     assert together == [[expected] * 4 for expected in alone]
-
-
-def test_a_pde_verification_and_the_benchmark_families_fit_the_workspace_cache(monkeypatch):
-    # each builds every workspace it uses once: no workspace is evicted
-    # while a run that uses it is still to come
-    keys = set()
-    cached = pde_oracle._workspace
-
-    def recorded(*key):
-        keys.add(key)
-        return cached(*key)
-
-    monkeypatch.setattr(pde_oracle, "_workspace", recorded)
-    cached.cache_clear()
-    reporting._oracle_run.cache_clear()
-    reporting.run_pde_suite()
-    for params, mode, alphas in MIRRORED_RUNS * 2:
-        family = PerturbedDomainFamily(params, PerturbationSpec({mode: alphas}))
-        differentiate_energy(family, 0.01, 2, 256, 32)
-    # three grid and symmetry keys for each, as WORKSPACE_CACHE_SIZE's comment counts
-    assert cached.cache_info().misses == len(keys) == 6
-
-
-def test_importing_the_oracle_allocates_no_workspace():
-    probe = (
-        "import twophase_torsion.pde_oracle as oracle; "
-        "info = oracle._workspace.cache_info(); "
-        "print(info.misses, info.currsize)"
-    )
-    paths = [str(Path(pde_oracle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", "0"]
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
@@ -963,20 +926,20 @@ def test_a_run_factors_again_where_its_samples_leave_the_held_chains(monkeypatch
     assert calls["cho_solve"] <= 165
 
 
-def test_a_held_factorization_of_another_grid_is_replaced(monkeypatch):
-    # chains factored on another grid or period cannot precondition a solve:
-    # the solve factors its own, which replace them, and reads its own energy
+def test_a_workspace_of_another_family_or_grid_is_refused():
+    # a workspace holds one family's rows, chains and solutions on one grid,
+    # at any t; any other solve is refused in one line, before any row is formed
     family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)}))
     other = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
-    calls = _count_calls(monkeypatch, "cho_factor")
-    for held_by, radial_points in [(family, 32), (other, 16)]:
-        factorization = []
-        solve_energy(held_by, radial_points, 8, factorization=factorization)
-        held = factorization[0]
-        energy = solve_energy(family.at(0.01), 16, 8, factorization=factorization)
-        assert energy == pytest.approx(solve_energy(family.at(0.01), 16, 8), rel=1e-14)
-        assert factorization[0] is not held
-    assert calls["cho_factor"] == 6
+    softer = PerturbedDomainFamily(ProblemParams(2, 0.5, 0.5), family.spec)
+    for held_by, grid in [(family, (32, 8)), (family, (16, 12)), (other, (16, 8)), (softer, (16, 8))]:
+        work = pde_oracle._Workspace(held_by, *grid)
+        with pytest.raises(ValueError, match="^the workspace was built for another family or grid$"):
+            solve_energy(family.at(0.01), 16, 8, workspace=work)
+        assert work.factorization is None and work.solutions == []
+    work = pde_oracle._Workspace(family, 16, 8)
+    energy = solve_energy(family.at(0.01), 16, 8, workspace=work)
+    assert energy == solve_energy(family.at(0.01), 16, 8)
 
 
 # the benchmark-like families of even degree, of period 2 or 4 at 256x32, and
