@@ -698,19 +698,20 @@ def test_cell_rows_equal_a_scalar_transcription(
     assert np.abs(load - expected_load).max() <= ulp * np.abs(expected_load).max()
 
 
-def test_a_run_builds_its_workspace_once(monkeypatch):
-    # the family's symmetry, the angular operator, the radial factors and the
-    # normal speeds are the run's, built once for its seven samples; a solve
-    # on its own builds its own
-    names = ("_period", "angular_operator", "_radial_factors", "_normal_speeds")
+def test_a_workspace_builds_its_radial_factors_once_per_radius(monkeypatch):
+    # the family's symmetry, the angular operator and the radial factors of a
+    # run's one radius are the run's, built once for its seven samples; a
+    # second run, at that radius or another, and a solve on its own build their own
+    names = ("_period", "angular_operator", "_radial_factors")
     calls = _count_calls(monkeypatch, *names)
-    # sin 3 theta, of period 1 and even about pi/2, whose axis _period scans for
-    family = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(3, 2): (1.0, 1.0)}))
-    differentiate_energy(family, t0=0.02, levels=2, radial_points=16, angular_modes=8)
-    assert calls == dict.fromkeys(names, 1)
-    calls.update(dict.fromkeys(names, 0))
+    spec = PerturbationSpec({ModeIndex(3, 2): (1.0, 1.0)})
+    for params, built in [(PARAMS, 1), (PARAMS, 2), (ProblemParams(2, 0.3, 2.0), 3)]:
+        # sin 3 theta, of period 1 and even about pi/2, whose axis _period scans for
+        family = PerturbedDomainFamily(params, spec)
+        differentiate_energy(family, t0=0.02, levels=2, radial_points=16, angular_modes=8)
+        assert calls == dict.fromkeys(names, built)
     solve_energy(family.at(0.01), 16, 8)
-    assert calls == dict.fromkeys(names, 1)
+    assert calls == dict.fromkeys(names, 4)
     # shared by every solve of a run, so no caller may write to them
     work = pde_oracle._Workspace(family, 16, 8)
     _, core, shell, weights = work.factors
@@ -718,6 +719,24 @@ def test_a_run_builds_its_workspace_once(monkeypatch):
     # the arrays the solves write are views of one allocation (module docstring)
     arrays = (work.rows, work.nodes, work.cells, work.rhs, work.coefficients, work.load, work.scaled)
     assert len({id(array.base) for array in arrays}) == 1
+
+
+def test_a_workspace_computes_its_normal_speeds_once_per_spec(monkeypatch):
+    # a run's seven samples share one spec and its speeds; a later run of the
+    # spec, of an equal one or of another, and a solve on its own compute their own
+    spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
+    calls = _count_calls(monkeypatch, "_normal_speeds")
+    for params, modes, computed in [
+        (PARAMS, spec.modes, 1),
+        (ProblemParams(2, 0.3, 0.5), spec.modes, 2),
+        (PARAMS, dict(spec.modes), 3),
+        (PARAMS, {ModeIndex(2, 1): (1.0, 0.0)}, 4),
+    ]:
+        family = PerturbedDomainFamily(params, PerturbationSpec(modes))
+        differentiate_energy(family, t0=0.02, levels=2, radial_points=16, angular_modes=8)
+        assert calls == {"_normal_speeds": computed}
+    solve_energy(family.at(0.01), 16, 8)
+    assert calls == {"_normal_speeds": 5}
 
 
 def test_a_runs_workspace_is_freed_when_the_run_returns(monkeypatch):
