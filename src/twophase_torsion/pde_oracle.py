@@ -1,11 +1,9 @@
 """Independent numerical ground truth for the planar (N=2) problem.
 
 Solves -div(sigma grad u) = 1, u = 0 on the outer boundary, on perturbed
-two-phase disks, and recovers first and second t-derivatives of the energy
-E(t) = int sigma |grad u_t|^2 by Richardson-extrapolated central differences.
-A run reports its samples t, their energies and the two derivatives, and
-nothing else: any further figure, such as the t-order of the raw second
-differences, is recomputed from the samples and energies.
+two-phase disks, and differentiates the discrete energy of the perturbation
+amplitude t exactly at t = 0: a run reports E(0) and the first and second
+t-derivatives d1 and d2, and nothing else.
 
 Discretization.  The perturbed domain is mapped to reference coordinates
 (s, theta) by a piecewise-linear radial map placing the material interface
@@ -27,109 +25,62 @@ midpoints (conservative, second order) and theta-derivatives applied by the
 periodic spectral differentiation matrix D.  The center collapses to a
 single unknown.  The system K u = q is symmetric positive definite, with
 the load q integrated exactly for the piecewise-linear Jacobian; the energy
-of the discrete solution is E = u . q = q^T K^{-1} q.
+of the discrete solution is E = q^T K^{-1} q.  K is applied cell by cell,
+never formed (_stiffness), and is linear in the cell rows (_cell_rows).
 
-Solver.  K is applied cell by cell, never formed (_stiffness).  E is the sum
-of the step increments alpha r.z of conjugate gradients (Hestenes & Stiefel),
-begun at -2 J(u0) = u0 . (q + r0) for a start vector u0 with residual r0, or
-at u = 0 when that is not positive; u is formed alongside, one axpy per step,
-for the later samples' start vectors.  differentiate_energy solves its samples
-outwards from t = 0 and starts each at the Lagrange polynomial through the five
-nearest solutions already solved (Fischer 1998; Saad 2003, section 6): u(t) is
-analytic in t, so the start is close and each later sample needs a few steps.
-Each solve is preconditioned by an operator of cell rows averaged in theta,
-with the shear dropped (Concus, Golub & O'Leary 1976): with area and bend
-constant in theta and no shear, K splits by real Fourier mode j into one SPD
-tridiagonal radial chain (the center joins mode 0's), all factored together
-(_factor) and applied by a real cos and sin analysis matrix, one chain solve
-with the cos and sin parts as its two right-hand sides (the cos part alone
-on half a sector, below), and the synthesis matrix back.  At t = 0,
-phi_theta = 0 removes the shear and area and bend are already constant in
-theta, so the preconditioner is the concentric operator K(0) itself.  A solve
-on its own factors the chains of its own rows.  differentiate_energy keeps
-the t = 0 solve's, K(0)'s, on its run's workspace for every later sample,
-which uses them while their cell coefficients stay within a factor of 2 of
-its own (_fits) and otherwise factors its own, kept for the samples after
-it.  For mean-free speeds a sample's averaged rows differ from K(0)'s at O(t^2) only,
-so a run of small steps factors once; a degree-15 core at t0 = 0.2 leaves
-K(0)'s chains by 2.5 and 7.3 at t = 0.1 and 0.2, and factors again there.
-The preconditioner changes the steps, not the energy, which every
-sample reads to rounding as a solve on its own does.  D, the chains'
-eigenvalues j^2 and the cos and sin pair come from one function,
-angular_operator.  cho_factor and cho_solve are this module's names for the
-LAPACK pttrf and pttrs bindings, kept because the benchmark's tracer
-(bench/spans.py) times and counts the calls through those two module
-attributes.  A run has one workspace (_Workspace), built for its family and
-grid before its first solve and read and written by each of its samples: the
-family's period and mirror axis, the angular operator and multiplicities of
-the angles solved, the radial factors and what the radii read of the normal
-speeds at every t (PerturbedDomainFamily._motion), the held chains and the
-solutions solved, and the arrays every solve writes by out= and in-place
-ufuncs, in the order of the expressions they replace, so the energies are bit
-for bit those of fresh arrays; only u is new in each solve, as the run keeps
-it.  A solve on its own builds its own workspace, and nothing is kept between
-runs.  The arrays are views of one allocation.  glibc raises its trim
-threshold to twice the largest block it has unmapped (mallopt(3),
-M_MMAP_THRESHOLD and M_TRIM_THRESHOLD), so once one run has freed that block
-the next reuses the pages at the top of the heap.  Allocated one by one, the
-largest 0.2 MB at 256x32, they set the threshold below the 0.8 MB a run
-frees, which went back to the kernel and was faulted in again by the next
-run: 116 pages and about 0.4 ms a run, against 1 to 11 pages as one block.
+Derivatives.  E(t) = max_v 2 q(t).v - v.K(t) v is analytic in t.  With K_n
+and q_n the t^n Taylor coefficients of the operator and the load, K_n being
+K of the rows' t^n coefficients (_taylor_rows: the rows and the load in
+truncated series arithmetic; Griewank & Walther, Evaluating Derivatives,
+2nd ed., SIAM 2008, ch. 13), u = K_0^{-1} q_0 and w = q_1 - K_1 u,
+
+    d1 = 2 q_1.u - u.K_1 u                                (envelope theorem),
+    d2 = 4 q_2.u - 2 u.K_2 u + 2 w.K_0^{-1} w.
+
+They are the exact derivatives of the discrete energy, with the grid's h^2
+error and no error in t.
+
+Solver.  The preconditioner averages the cell rows over the angles and drops
+the shear (Concus, Golub & O'Leary 1976), so that K splits by real Fourier
+mode j into one SPD tridiagonal radial chain (the center joins mode 0's),
+all factored together (_factor) and applied by a real cos and sin analysis
+matrix, one chain solve with the cos and sin parts as its two right-hand
+sides, and the synthesis matrix back.  At t = 0 phi_theta = 0, so there is
+no shear and area and bend are constant in theta: the preconditioner is K_0
+itself, and each K_0^{-1} of a run is one chain solve.  solve_energy, the
+energy at any t, sums the step increments alpha r.z of conjugate gradients
+(Hestenes & Stiefel) from u = 0, preconditioned by its own rows' chains.
+cho_factor and cho_solve are this module's names for the LAPACK pttrf and
+pttrs bindings, through which the benchmark's tracer (bench/spans.py) times
+and counts the calls.  A run or a solve builds one workspace (_Workspace)
+for its family and grid: the family's symmetry, the radial factors, what
+the radii read of the normal speeds (PerturbedDomainFamily._motion), and
+the arrays written by out= and in-place ufuncs, views of one allocation so
+that the next run reuses the pages one frees.  Only the angular pieces of
+a grid and symmetry (_angular_pieces) outlive it, shared read-only.
 
 Symmetry.  A family whose degrees k >= 1 with a nonzero coefficient share a
 factor g with m/2, on m angles, is unchanged by a turn of 2 pi/g, which moves
-the grid onto itself; so is the discrete system, and its solution repeats g
-times around the circle (reduction by symmetry: Bossavit, Comput. Methods
-Appl. Mech. Engrg. 56 (1986) 167-215; Fassler & Stiefel, Group Theoretical
-Methods and Their Applications, Birkhauser 1992).  g is the family's _period.
-On g-periodic vectors D acts as g times the differentiation matrix of the
-m' = m/g points of a sector, so the sector's D is that, and the eigenvalues of
-its D^T D are g^2 j^2; dtheta and the radial factors stay those of the m
-angles, and the center's row and load sum over the sector.  With P the
-replication of a sector g times, the sector's operator is P^T K P/g and its
-load P^T q/g, so its solution is the circle's on the sector and its energy
-E/g, which the solve multiplies by g.
-
-When moreover every such mode is even about one grid angle c, the mirror axis
-that _period finds (cos k theta when sin k c = 0, sin k theta when
-cos k c = 0, so a sine's axis is a quarter of its period off 0), so is the
-sector's system: the reflection about c maps the grid onto itself, keeps area
-and bend, negates shear/2 and anticommutes with D; the solution is even about
-c.  The solve then reads the h = m'/2 + 1 angles from c to c + pi/g.  With P
-now the even extension of those angles to the sector's, taking angle i to
-angles i and m' - i, the half sector's operator is P^T K P and its load P^T q:
-_stiffness applies it with the first h rows of D P as its D and each angle's
-rows times its multiplicity w = (1, 2, ..., 2, 1), the number of sector angles
-it stands for, and the load is w q, so the energy is the sector's.  The
-preconditioner is P^T M P for the sector's M, whose rows' sum times w over m'
-is the sector's mean: even data has no sin coefficients about c, so it takes
-the cos rows of the Fourier pair, restricted to the h angles, and one
-right-hand side.  Its r.z and CG's p.Kp are the sector's, so the half sector
-takes the sector's steps.  Without an axis, as for cos 2 theta with
-sin 2 theta, or any sine on m = 2 (mod 4) angles, w = 1 and the whole sector
-is solved; at g = 1 that is the circle, and every operation is the full grid's.
-
-Cell rows.  In the core phi = s rho_D/R, so each coefficient row is a factor
-of s, which the grid alone fixes, times a factor of theta; in the shell one
-reciprocal 1/phi serves all three rows (_cell_rows).  The grid's factors
-and the load's weights (_radial_factors) and the parts of the radii that do
-not depend on t (PerturbedDomainFamily._motion, from _normal_speeds) are
-built with the run's workspace, so a sample forms both boundaries' radii in
-a few array operations, its angular factors, its shell rows and one small
-product for the load.  At 256x32 on one BLAS thread of a 2-vCPU Xeon
-container, building a mirrored run's workspace takes about 0.15 ms at
-periods 1, 2 and 4 (0.04, 0.03 and 0.025 ms of it the angular operator,
-0.034 ms the radial factors), and at period 1 a mirrored sample's fixed
-work is about 0.09 ms of cell rows and 0.007 ms to check the held chains
-(_fits), against 0.06 ms to factor its own, and a CG step about 0.045 ms
-of preconditioner and 0.047 ms of operator application, against 0.115,
-0.007, 0.065, 0.093 and 0.075 ms on the whole circle: a 7-sample run of
-12 steps, 6 warm-start residuals and one factorization takes about 2.9 ms
-mirrored and 4.2 ms whole, against 3.4 and 5.2 ms when each sample factored
-its own chains.  On the same host, at R = 0.5, sigma = 2
-and both boundaries moving, mirrored runs of periods 1, 2 and 4 took 0.68,
-0.51 and 0.44 of the whole circle's 4.5 ms (medians of 60 runs each,
-interleaved).
+the grid onto itself; so is the discrete system (reduction by symmetry:
+Bossavit, Comput. Methods Appl. Mech. Engrg. 56 (1986) 167-215; Fassler &
+Stiefel, Group Theoretical Methods and Their Applications, Birkhauser 1992).
+g is the family's _period.  With P the replication of one sector of
+m' = m/g angles g times, the sector's operator is P^T K P/g and its load
+P^T q/g: its D is g times the sector's differentiation matrix, D^T D's
+eigenvalues are g^2 j^2, dtheta and the radial factors stay those of the m
+angles, the center's row and load sum over the sector, and every energy and
+derivative is g times the sector's.  When moreover every such mode is even
+about one grid angle c, the mirror axis that _period finds (cos k theta when
+sin k c = 0, sin k theta when cos k c = 0), the reflection about c keeps area
+and bend, negates shear/2 and anticommutes with D, and the system is solved
+on the h = m'/2 + 1 angles from c to c + pi/g.  With P now the even
+extension of those angles to the sector's, taking angle i to angles i and
+m' - i, the half sector's operator is P^T K P and its load P^T q: D is the
+first h rows of D P, each angle's rows and load carry its multiplicity
+w = (1, 2, ..., 2, 1), the number of sector angles it stands for, and the
+preconditioner takes the cos rows of the Fourier pair alone, restricted to
+the h angles.  Without an axis, as for cos 2 theta with sin 2 theta, or any
+sine on m = 2 (mod 4) angles, w = 1 and the whole sector is solved.
 
 The perturbation family reads its normal speeds g of the interface and of
 the outer boundary from a PerturbationSpec, the package's one description of
@@ -138,13 +89,13 @@ For mean-free g the family
 
     rho(theta, t)^2 = rho_0^2 + 2 rho_0 t g(theta) + t^2 (g^2 - mean(g^2))
 
-preserves the enclosed area of both regions exactly for every t, so the
-measured second difference of E is directly comparable to the analytic
-second variation.
+preserves the enclosed area of both regions exactly for every t, so d2 is
+directly comparable to the analytic second variation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -159,23 +110,6 @@ from .params import ModeIndex, PerturbationSpec, ProblemParams
 
 DEFAULT_RADIAL_POINTS = 512
 DEFAULT_ANGULAR_MODES = 64
-DEFAULT_STEP = 1e-2
-DEFAULT_LEVELS = 2
-# the largest eps E(0)/(h^2 S) differentiate_energy accepts, h being the
-# finest step t0/2^levels and S = max(E(0), 1) |alpha_in|^2 + |alpha_out|^2
-# the scale of d2: the interface's share of d2 grows like E(0) once E(0) > 1
-# (as 1/sigma at small sigma), the outer boundary's stays O(1).  Rounding each
-# sample's E to about eps E(0) puts an error of about eps E(0)/h^2 into d2 at
-# step h, so the floor holds d2's rounding error near ROUNDING_FLOOR S.  At
-# 64x16, R = 0.5, sigma = 2 and unit alpha (E(0) = 0.38) it measured 5.4e-7
-# at t0 = 1e-4, which passes, and 3.7e-3 at t0 = 1e-6, 3.4 % of d2, which is
-# refused.  At the floor, over R in {0.3, 0.5, 0.7}, sigma in {1e-16, 1e-12,
-# 1e-8, 1e-4, 1e-2, 1, 100} (E(0) from 0.30 to 9.4e14), degrees 2 and 4 and
-# each boundary channel, against d2 at t0 = 1e-2, it measured at most
-# 14.5 eps E(0)/h^2 = 14.5 ROUNDING_FLOOR S, 11.8 where S exceeds |alpha|^2.
-# That is 112 of the 126 runs: in the other 14, outer alone at sigma <= 1e-8,
-# the floor's step collapses a radius or t0 = 1e-2 is itself refused
-ROUNDING_FLOOR = 1e-4
 # the largest sigma the oracle accepts: above it the core's stiffness swamps
 # the shell's in float arithmetic.  Over R in {0.3, 0.5, 0.7}, degree 2 on
 # each boundary channel and sigma from 1e10 in quarter decades, every run at
@@ -302,6 +236,27 @@ class PerturbedDomainFamily:
             )
         return rho, drho
 
+    def _radius_series(self, motion: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The t^0, t^1 and t^2 Taylor coefficients at t = 0 of the radii and
+        of their theta-derivatives, each a (3, 2, angles) array, from the
+        family's _motion: with exact_area the square root of rho^2 and the
+        quotient by rho as truncated series (_reciprocal).  Raises
+        InterfaceOrderingError when a coefficient is not finite, as _radii
+        does for the radii."""
+        if not self.exact_area:
+            base, g, dg = motion
+            zero = np.zeros_like(g)
+            rho, drho = np.stack(np.broadcast_arrays(base, g, zero)), np.stack([zero, dg, zero])
+        else:
+            square, linear, quadratic, base_slope, product = motion
+            base = np.sqrt(square)
+            first = linear / (2.0 * base)
+            rho = np.stack(np.broadcast_arrays(base, first, (quadratic - first * first) / (2.0 * base)))
+            drho = _product(np.stack([np.zeros_like(product), base_slope, product]), _reciprocal(rho))
+        if not (np.isfinite(rho).all() and np.isfinite(drho).all()):
+            raise InterfaceOrderingError("perturbed radius is not finite")
+        return rho, drho
+
     def boundary_radii(
         self, theta: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -309,6 +264,22 @@ class PerturbedDomainFamily:
         motion = self._motion(_normal_speeds(self.spec, theta))
         (rho_in, rho_out), (drho_in, drho_out) = self._radii(motion, self.t)
         return rho_in, drho_in, rho_out, drho_out
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two series in t truncated after as many terms as they
+    have, each an array of its coefficients of t^0, t^1, ... along its first
+    axis: the coefficient of t^k is the sum of a_i b_(k-i) over i <= k.  With
+    one term, the product of two values."""
+    return np.stack([sum((a[i] * b[k - i] for i in range(1, k + 1)), a[0] * b[k]) for k in range(len(a))])
+
+
+def _reciprocal(a: np.ndarray) -> np.ndarray:
+    """1/a for a series a truncated after its terms, as _product takes them."""
+    terms = [1.0 / a[0]]
+    for k in range(1, len(a)):
+        terms.append(-sum(a[i] * terms[k - i] for i in range(1, k + 1)) * terms[0])
+    return np.stack(terms)
 
 
 class AngularOperator(NamedTuple):
@@ -323,9 +294,9 @@ class AngularOperator(NamedTuple):
 def angular_operator(m: int) -> AngularOperator:
     """The periodic spectral differentiation matrix D on m equispaced points,
     the eigenvalues of D^T D by real Fourier mode j = 0..m/2, and the real
-    Fourier transform pair of the preconditioner, returned read-only: a
-    workspace shares them with every solve of its run.  m must be even and
-    at least 4, as solve_energy checks.
+    Fourier transform pair of the preconditioner, returned read-only, as
+    _angular_pieces shares them with every workspace of the grid.  m must be
+    even and at least 4, as _Workspace checks.
 
     D is the antisymmetric circulant with entries 0.5 (-1)^j cot(j pi / m) at
     offset j, built from one coefficient row with c_{m-j} = -c_j and
@@ -361,16 +332,14 @@ def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
     j_in = int(round(radial_points * radius))
     j_in = max(1, min(radial_points - 1, j_in))
     inner = radius * np.arange(j_in + 1) / j_in
-    outer = radius + (1.0 - radius) * np.arange(1, radial_points - j_in + 1) / (
-        radial_points - j_in
-    )
+    outer = radius + (1.0 - radius) * np.arange(1, radial_points - j_in + 1) / (radial_points - j_in)
     return np.concatenate([inner, outer]), j_in
 
 
 def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tuple:
     """What _cell_rows needs of the grid and does not read from the family,
-    returned read-only, as a workspace keeps them for every solve of its
-    run: the interface node j_in; the core cells' area and bend
+    returned read-only, as a workspace keeps them for every row it forms:
+    the interface node j_in; the core cells' area and bend
     factors dtheta s/h and dtheta h/(4 s); the shell cells' offsets s - R and
     their area and bend factors dtheta/h and dtheta h/4, all as (cells, 1)
     columns at the midpoints s; and the (nodes, 3) load weights of
@@ -423,17 +392,46 @@ def _period(family: PerturbedDomainFamily, angular_modes: int) -> tuple[int, int
     return period, next(axes, None)
 
 
-class _Workspace:
-    """What every solve of one run, of one family on one grid, reads or
-    writes, built once (module docstring): the family's _period; the angular
-    operator of the angles solved, with D scaled by the period and D^T D's
-    eigenvalues by its square, and each angle's multiplicity in the sector;
-    the radial factors and the family's _motion; the arrays; and the run's
-    held Factorization and solutions, which solve_energy updates.  The grid,
-    then the degrees against it (_period, which refuses a degree the grid
-    cannot resolve) are checked before anything is built."""
+@functools.lru_cache(maxsize=8)  # a process runs a few grids; an operator at m = 256 is 1.5 MB
+def _angular_pieces(
+    angular_modes: int, period: int, mirrored: bool
+) -> tuple[AngularOperator, np.ndarray]:
+    """The angular operator of the angles a workspace solves, with D scaled
+    by the period and D^T D's eigenvalues by its square, and each angle's
+    multiplicity in the sector (module docstring): the sector's m =
+    angular_modes/period angles, or mirrored the m/2 + 1 angles of half a
+    sector with the cos half of the Fourier pair.  Built once per key and
+    returned read-only, as every workspace of the key shares them."""
+    m = angular_modes // period
+    count = m // 2 + 1 if mirrored else m
+    sector = angular_operator(m)
+    diff, eigen = period * sector.diff, period * period * sector.eigen
+    analysis, synthesis = sector.analysis, sector.synthesis
+    multiplicity = np.ones(count)
+    if mirrored:
+        # D P, P the even extension of the half sector to the sector
+        extension = np.zeros((m, count))
+        extension[np.arange(count), np.arange(count)] = 1.0
+        extension[m - np.arange(1, count - 1), np.arange(1, count - 1)] = 1.0
+        diff = (diff @ extension)[:count]
+        analysis = np.ascontiguousarray(analysis[:1, :, :count])
+        synthesis = np.ascontiguousarray(synthesis[: m // 2 + 1, :count])
+        multiplicity[1:-1] = 2.0  # the angles strictly inside the half sector
+    operator = AngularOperator(diff, eigen, analysis, synthesis)
+    for array in (*operator, multiplicity):
+        array.flags.writeable = False
+    return operator, multiplicity
 
-    @np.errstate(all="ignore")  # _radii refuses the radii of an overflowing g or g^2
+
+class _Workspace:
+    """What a run or a solve of one family on one grid reads or writes,
+    built once (module docstring): the family's _period, the shared
+    _angular_pieces of the angles solved, the radial factors, the family's
+    _motion and the arrays.  The grid, then the degrees against it
+    (_period, which refuses a degree the grid cannot resolve) are checked
+    before anything is built."""
+
+    @np.errstate(all="ignore")  # the radii's checks refuse an overflowing g or g^2
     def __init__(
         self, family: PerturbedDomainFamily, radial_points: int, angular_modes: int
     ) -> None:
@@ -444,61 +442,47 @@ class _Workspace:
         period, axis = _period(family, angular_modes)
         self.family, self.grid, self.period = family, (radial_points, angular_modes), period
         n, m = radial_points, angular_modes // period
-        # a mirrored solve reads the half sector's m/2 + 1 angles from the
-        # axis, and only the cos half of the Fourier pair
-        count, sides = (m, 2) if axis is None else (m // 2 + 1, 1)
         self.sector_angles = m
-        sector = angular_operator(m)
-        diff, eigen = period * sector.diff, period * period * sector.eigen
-        analysis, synthesis = sector.analysis, sector.synthesis
-        self.multiplicity = np.ones(count)
-        if axis is not None:
-            # D P, P the even extension of the half sector to the sector
-            extension = np.zeros((m, count))
-            extension[np.arange(count), np.arange(count)] = 1.0
-            extension[m - np.arange(1, count - 1), np.arange(1, count - 1)] = 1.0
-            diff = (diff @ extension)[:count]
-            analysis = np.ascontiguousarray(analysis[:1, :, :count])
-            synthesis = np.ascontiguousarray(synthesis[: m // 2 + 1, :count])
-            self.multiplicity[1:-1] = 2.0  # the angles strictly inside the half sector
-        self.mean_weights = np.full(count, 1.0 / m)  # _chain_means' weights
-        for array in (diff, eigen, analysis, synthesis, self.multiplicity, self.mean_weights):
-            array.flags.writeable = False
-        self.angular = AngularOperator(diff, eigen, analysis, synthesis)
+        self.angular, self.multiplicity = _angular_pieces(angular_modes, period, axis is not None)
+        count, sides = self.multiplicity.size, len(self.angular.analysis)
         theta = 2.0 * math.pi * ((axis or 0) + np.arange(count)) / angular_modes
         self.motion = family._motion(_normal_speeds(family.spec, theta))
         self.factors = _radial_factors(family.params.core_radius, n, angular_modes)
-        self.factorization = None  # the held chains, solve_energy's
-        self.solutions = []  # each solve's u on the angles solved, in solve order
-        # the arrays, views of one allocation (module docstring)
         shapes = [
-            (3, n, count),  # rows: area, shear/2 and bend by cell and angle
+            # rows: area, shear/2 and bend by cell and angle, or their t^0, t^1
+            # and t^2 Taylor coefficients (_taylor_rows), order first
+            (3, 3, n, count),
+            (3, 1 + (n - 1) * count),  # loads: the load, or its Taylor coefficients
             (n + 1, count),  # nodes: the node values; the Dirichlet row stays 0
             (5, n, count),  # cells: _stiffness' delta, slope, f, h and scratch
             (sides, 1 + (m // 2 + 1) * (n - 1)),  # rhs: the chains' right-hand sides
             (sides * (m // 2 + 1), n - 1),  # coefficients: the rings' Fourier coefficients
-            # vectors of unknowns: the load, K v, the preconditioned residual and CG's
-            (6, 1 + (n - 1) * count),
+            # vectors of unknowns: K v, the preconditioned residual and CG's
+            (5, 1 + (n - 1) * count),
         ]
         offsets = list(itertools.accumulate(map(math.prod, shapes), initial=0))
         memory = np.empty(offsets[-1])
-        self.rows, self.nodes, self.cells, self.rhs, self.coefficients, vectors = (
+        self.rows, self.loads, self.nodes, self.cells, self.rhs, self.coefficients, vectors = (
             memory[start:end].reshape(shape)
             for shape, start, end in zip(shapes, offsets, offsets[1:])
         )
         self.nodes[-1] = 0.0
-        self.load, self.product, self.preconditioned, self.residual, self.direction, self.scaled = (
-            vectors
-        )
+        self.product, self.preconditioned, self.residual, self.direction, self.scaled = vectors
 
 
-def _cell_rows(work: _Workspace, t: float) -> tuple:
+def _cell_rows(
+    work: _Workspace, rho: np.ndarray, drho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The (area, shear/2, bend) coefficient rows of every radial cell, and
     the load: the center's, then node 1..n-1's, one angular ring after the
-    other (the unknowns' order; the Dirichlet node n is dropped), of the
-    workspace's family at amplitude t on the angles it solves; written to
-    work.rows and work.load, each angle's rows and load times its
-    multiplicity.
+    other (the unknowns' order; the Dirichlet node n is dropped), on the
+    angles the workspace solves, from the radii rho and their
+    theta-derivatives drho, each a (terms, 2, angles) array, the interface's
+    row first.  Each is a series in t truncated after its terms, evaluated in
+    truncated series arithmetic (_product, _reciprocal): one term is the
+    value at one t, and three are the t^0, t^1 and t^2 Taylor coefficients
+    (_taylor_rows).  Written to work.rows and work.loads, terms first, each
+    angle's rows and load times its multiplicity.
 
     A row is dtheta/h A11, dtheta/2 A12 and dtheta h/4 A22 at the cell's
     midpoint s, times sigma in the core.  There phi = s rho_D/R, so each row
@@ -508,44 +492,58 @@ def _cell_rows(work: _Workspace, t: float) -> tuple:
     A = rho_D and B = (rho_Omega - rho_D)/(1 - R), and one reciprocal 1/phi
     serves all three rows.
     """
-    area, half_shear, bend = work.rows
     radius, sigma = work.family.params.core_radius, work.family.params.sigma
     dtheta = 2.0 * math.pi / work.grid[1]
-    (rho_in, rho_out), (drho_in, drho_out) = work.family._radii(work.motion, t)
+    (rho_in, rho_out), (drho_in, drho_out) = rho.swapaxes(0, 1), drho.swapaxes(0, 1)
     j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = work.factors
     multiplicity = work.multiplicity
+    rows, loads = work.rows[: len(rho)], work.loads[: len(rho)]
+    area, half_shear, bend = rows.swapaxes(0, 1)
 
-    log_slope = drho_in / rho_in
-    np.multiply(core_area, sigma * (1.0 + log_slope * log_slope) * multiplicity, out=area[:j_in])
-    half_shear[:j_in] = ((-0.5 * sigma * dtheta) * multiplicity) * log_slope
-    np.multiply(sigma * core_bend, multiplicity, out=bend[:j_in])
+    log_slope = _product(drho_in, _reciprocal(rho_in))
+    stretch = _product(log_slope, log_slope)  # (rho_D'/rho_D)^2, then 1 + it
+    stretch[0] += 1.0
+    area[:, :j_in] = core_area * (sigma * multiplicity * stretch)[:, np.newaxis]
+    half_shear[:, :j_in] = ((-0.5 * sigma * dtheta) * multiplicity * log_slope)[:, np.newaxis]
+    bend[0, :j_in] = sigma * core_bend * multiplicity
+    bend[1:, :j_in] = 0.0
 
     slope = (rho_out - rho_in) / (1.0 - radius)
-    phi = rho_in + offset * slope
-    phi_theta = drho_in + offset * ((drho_out - drho_in) / (1.0 - radius))
-    reciprocal = 1.0 / phi
+    phi = rho_in[:, np.newaxis] + offset * slope[:, np.newaxis]
+    phi_theta = drho_in[:, np.newaxis] + offset * ((drho_out - drho_in) / (1.0 - radius))[:, np.newaxis]
+    reciprocal = _reciprocal(phi)
+    shear_ratio = _product(phi_theta, reciprocal)  # phi_theta/phi
     # (phi^2 + phi_theta^2)/(phi phi_s) as (phi + phi_theta^2/phi)/B
-    area[j_in:] = (phi + phi_theta * phi_theta * reciprocal) * (shell_area / (slope / multiplicity))
-    half_shear[j_in:] = ((-0.5 * dtheta) * multiplicity) * phi_theta * reciprocal
-    bend[j_in:] = (shell_bend * (slope * multiplicity)) * reciprocal
+    stretched = phi + _product(phi_theta, shear_ratio)
+    area[:, j_in:] = _product(stretched, _reciprocal(slope)[:, np.newaxis]) * (shell_area * multiplicity)
+    half_shear[:, j_in:] = ((-0.5 * dtheta) * multiplicity) * shear_ratio
+    bend[:, j_in:] = _product(slope[:, np.newaxis], reciprocal) * (shell_bend * multiplicity)
 
-    factors = np.stack([rho_in * rho_in / (radius * radius), rho_in * slope, slope * slope])
-    nodes = np.matmul(weights, factors * multiplicity, out=work.cells[-1])
+    factors = [_product(rho_in, rho_in) / (radius * radius), _product(rho_in, slope), _product(slope, slope)]
+    nodes = weights @ (np.stack(factors, axis=1) * multiplicity)
     # the center is a single unknown, the constant angular mode
-    work.load[0] = np.sum(nodes[0])
-    work.load[1:] = nodes[1:].ravel()
-    return work.rows, work.load
+    loads[:, 0] = nodes[:, 0].sum(axis=-1)
+    loads[:, 1:] = nodes[:, 1:].reshape(len(loads), -1)
+    return rows, loads
 
 
-def _stiffness(work: _Workspace, v: np.ndarray) -> np.ndarray:
-    """K v into work.product, cell by cell, for the unknowns v in load order.
+def _taylor_rows(work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """The t^0, t^1 and t^2 Taylor coefficients at t = 0 of the cell rows
+    and the load, a (3, 3, cells, angles) and a (3, unknowns) array, from
+    the family's _motion (_cell_rows, PerturbedDomainFamily._radius_series)."""
+    return _cell_rows(work, *work.family._radius_series(work.motion))
+
+
+def _stiffness(work: _Workspace, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K v into work.product, cell by cell, for the (area, shear/2, bend)
+    rows of K and the unknowns v in load order.
 
     A cell's energy area Delta^2 + 2 (shear/2) Delta P + bend P^2 has the
     gradient F + H at its right node and H - F at its left node, with
     F = area Delta + (shear/2) P and H = D^T ((shear/2) Delta + bend P).
     The center's row is the theta-sum of cell 0's left gradient.
     """
-    (area, half_shear, bend), diff, nodes = work.rows, work.angular.diff, work.nodes
+    (area, half_shear, bend), diff, nodes = rows, work.angular.diff, work.nodes
     delta, slope, f, h, scratch = work.cells
     nodes[0] = v[0]
     nodes[1:-1] = v[1:].reshape(len(area) - 1, -1)
@@ -563,32 +561,17 @@ def _stiffness(work: _Workspace, v: np.ndarray) -> np.ndarray:
     return work.product
 
 
-class Factorization(NamedTuple):
-    """The preconditioner's chains, factored (_factor)."""
-
-    means: np.ndarray  # (2, cells) the area and bend coefficients of the chains' cells
-    d: np.ndarray  # pttrf's diagonal factor
-    e: np.ndarray  # pttrf's subdiagonal factor
-
-
-def _chain_means(work: _Workspace) -> np.ndarray:
-    """The area and bend rows of work.rows averaged over the sector's
-    angles, a (2, cells) array.  The rows carry each angle's multiplicity,
-    so their sum over the angles solved, divided by the sector's angle
-    count, is the sector's mean."""
-    return work.rows[::2] @ work.mean_weights
-
-
-def _factor(work: _Workspace) -> Factorization:
-    """The factored chains of the operator of work.rows averaged over the
-    sector's angles, shear dropped.
+def _factor(work: _Workspace, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pttrf's diagonal and subdiagonal factors of the chains of the
+    operator of the rows averaged over the sector's angles, shear dropped.
+    The rows carry each angle's multiplicity, so their sum over the angles
+    solved, divided by the sector's angle count, is the sector's mean.
 
     Its chains are ordered [center, mode 0 | mode 1 | ... | mode m/2]: the
     diagonal takes area + j^2 bend of both cells of a node, the coupling
     across a cell is j^2 bend - area.
     """
-    means = _chain_means(work)
-    area, bend = means
+    area, bend = rows[::2].sum(axis=-1) / work.sector_angles
     angular_part = work.angular.eigen[:, np.newaxis] * bend
     diagonal, coupling = area + angular_part, angular_part - area
     coupling[:, -1] = 0.0  # the last node's coupling goes to the Dirichlet node
@@ -597,22 +580,11 @@ def _factor(work: _Workspace) -> Factorization:
     d, e, info = cho_factor(d, e, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise SolveError("block factorization failed")
-    return Factorization(means, d, e)
-
-
-def _fits(held: Factorization, work: _Workspace) -> bool:
-    """Whether held, chains factored for an earlier solve of the run,
-    precondition the solve of work.rows nearly as well as its own chains:
-    the ratios of their cell coefficients spread by at most a factor of 2.
-    The energy of either set of chains is a sum of the same cell terms, so
-    that spread bounds the held chains' condition number relative to the own
-    ones, and CG's step bound grows by at most sqrt 2."""
-    ratio = _chain_means(work) / held.means
-    return bool(ratio.max() <= 2.0 * ratio.min())
+    return d, e
 
 
 def _preconditioner(
-    work: _Workspace, factorization: Factorization
+    work: _Workspace, factors: tuple[np.ndarray, np.ndarray]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The inverse of the factored chains, applied into work.preconditioned
     by the real Fourier pair: the cos and, unmirrored, the sin coefficients
@@ -620,8 +592,8 @@ def _preconditioner(
     chain unknown is the sector's angle count m times its value.
     """
     angular, rhs, result = work.angular, work.rhs, work.preconditioned
-    _, d, e = factorization
-    m, rings = work.sector_angles, work.rows.shape[1] - 1
+    d, e = factors
+    m, rings = work.sector_angles, work.grid[0] - 1
     sides, modes = len(rhs), len(angular.eigen)
     # the rings' Fourier coefficients by side and mode, in rhs and in work.coefficients
     spectra = rhs[:, 1:].reshape(sides, modes, rings)
@@ -641,7 +613,7 @@ def _preconditioner(
 
 
 def _positive(value: float) -> float:
-    """value, which must be finite and positive (r.z and p.Kp in CG)."""
+    """value, which must be finite and positive (r.z and p.Kp in CG, E(0))."""
     if not math.isfinite(value):
         raise SolveError("energy is not finite")
     if value <= 0.0:
@@ -654,57 +626,25 @@ def solve_energy(
     family: PerturbedDomainFamily,
     radial_points: int = DEFAULT_RADIAL_POINTS,
     angular_modes: int = DEFAULT_ANGULAR_MODES,
-    *,
-    start: np.ndarray | None = None,
-    workspace: _Workspace | None = None,
 ) -> float:
     """Energy of the perturbed configuration at the family's amplitude.
 
-    Preconditioned conjugate gradients (module docstring) on one of the
-    family's _period sectors, or on its half from the mirror axis when it
-    has one, from start, or from u = 0 without one, stopped when a step's
-    energy increment alpha r.z is at most eps E or the residual is exactly
-    zero; the energy returned is the period times the sector's.  A start
-    vector, in the unknowns of the angles solved, costs one operator
-    application for its residual r = q - K start, and the energy begins at
-    -2 J(start) = start . (q + r); a start whose -2 J is not positive is
-    dropped for u = 0.  The solve reads and writes workspace, a _Workspace
-    of the family at any amplitude on the same grid, and without one builds
-    its own, which checks the grid and the degrees first.  The
-    preconditioner is the workspace's held Factorization where that _fits
-    the solve, and otherwise the chains of the solve's own rows, factored,
-    which the workspace then holds for its later solves; the discrete u on
-    the angles solved is appended to the workspace's solutions.  A workspace
-    of another family or grid, and a start of another size than the
-    unknowns, are refused before any row is formed.  A non-finite or
-    non-positive r.z or p.Kp raises SolveError, as do more steps than
-    unknowns.
+    Conjugate gradients from u = 0, preconditioned by the factored chains of
+    the solve's own rows (module docstring), on one of the family's _period
+    sectors, or on its half from the mirror axis when it has one, stopped
+    when a step's energy increment alpha r.z is at most eps E or the
+    residual is exactly zero; the energy returned is the period times the
+    sector's.  The workspace checks the grid and the degrees before anything
+    is built.  A non-finite or non-positive r.z or p.Kp raises SolveError,
+    as do more steps than unknowns.
     """
-    # the same family at any t, on the same grid
-    built = workspace and workspace.family
-    if built and (built.params, built.spec, built.exact_area, workspace.grid) != (
-        family.params, family.spec, family.exact_area, (radial_points, angular_modes)
-    ):
-        raise ValueError("the workspace was built for another family or grid")
-    work = workspace or _Workspace(family, radial_points, angular_modes)
-    if start is not None and np.shape(start) != work.load.shape:
-        raise ValueError(f"start has shape {np.shape(start)}, not the solve's {work.load.shape}")
-    _, load = _cell_rows(work, family.t)
-    if work.factorization is None or not _fits(work.factorization, work):
-        work.factorization = _factor(work)
-    precondition = _preconditioner(work, work.factorization)
-
+    work = _Workspace(family, radial_points, angular_modes)
+    rho, drho = family._radii(work.motion, family.t)
+    (rows,), (load,) = _cell_rows(work, rho[np.newaxis], drho[np.newaxis])  # the values at t
+    precondition = _preconditioner(work, _factor(work, rows))
     residual, direction, scaled = work.residual, work.direction, work.scaled
-    if start is not None:
-        u = np.array(start, dtype=float)
-        np.subtract(load, _stiffness(work, u), out=residual)
-        energy = float(u @ np.add(load, residual, out=scaled))
-    if start is None or not energy > 0.0:
-        # J(start) >= J(0): u = 0 is as near the solution in the energy
-        # norm, and starting there keeps the energy sum free of cancellation
-        u, energy = np.zeros(load.size), 0.0
-        residual[:] = load
-    work.solutions.append(u)  # the loop below updates u in place
+    np.copyto(residual, load)
+    energy = 0.0
     previous = None  # r.z of the previous step; the first has no direction
     for _ in range(load.size):
         z = precondition(residual)
@@ -719,10 +659,9 @@ def solve_energy(
         else:
             direction *= gamma / previous
             direction += z
-        product = _stiffness(work, direction)
+        product = _stiffness(work, rows, direction)
         step = gamma / _positive(float(direction @ product))
         energy += step * gamma
-        u += np.multiply(direction, step, out=scaled)
         if step * gamma <= sys.float_info.epsilon * energy:
             break
         residual -= np.multiply(product, step, out=scaled)
@@ -734,19 +673,15 @@ def solve_energy(
 
 @dataclass(frozen=True)
 class OracleRun:
-    """One finite-difference differentiation experiment on E(t): the
-    samples, their energies and the extrapolated derivatives d1 and d2."""
+    """One oracle run: E(0) and the exact t-derivatives d1 and d2 of the
+    discrete energy at t = 0."""
 
     family: PerturbedDomainFamily
     radial_points: int
     angular_modes: int
-    t_samples: tuple[float, ...]
-    energies: tuple[float, ...]
+    energy: float
     d1: float
     d2: float
-
-    def energy_at(self, t: float) -> float:
-        return self.energies[self.t_samples.index(t)]
 
     def to_document(self) -> dict:
         return {
@@ -759,128 +694,41 @@ class OracleRun:
             "exact_area": self.family.exact_area,
             "radial_points": self.radial_points,
             "angular_modes": self.angular_modes,
-            "t_samples": list(self.t_samples),
-            "energies": list(self.energies),
+            # E(0) as the one sample at t = 0, where bench/checks.py reads it
+            "t_samples": [0.0],
+            "energies": [self.energy],
             "d1": self.d1,
             "d2": self.d2,
         }
 
 
-def _richardson(estimates: list[float]) -> float:
-    """Extrapolate a step-halving sequence with an h^2 error series."""
-    table = [list(estimates)]
-    for level in range(1, len(estimates)):
-        previous = table[-1]
-        factor = 4.0**level
-        table.append(
-            [
-                (factor * previous[i + 1] - previous[i]) / (factor - 1.0)
-                for i in range(len(previous) - 1)
-            ]
-        )
-    return table[-1][0]
-
-
-def _lagrange(nodes: list[float], values: list[np.ndarray], t: float) -> np.ndarray:
-    """The polynomial through the five nodes nearest t and their values, at t,
-    in Lagrange form.
-
-    Through every node the basis weights would grow like 2^(levels^2), the
-    samples clustering geometrically at t = 0, and would multiply the solved
-    values' errors; through the five nearest their absolute sum is at most
-    4589 at any levels.
-    """
-    nearest = sorted(range(len(nodes)), key=lambda i: abs(t - nodes[i]))[:5]
-    weights = [
-        math.prod((t - nodes[j]) / (nodes[i] - nodes[j]) for j in nearest if j != i)
-        for i in nearest
-    ]
-    total = weights[0] * values[nearest[0]]
-    for weight, i in zip(weights[1:], nearest[1:]):
-        total += weight * values[i]
-    return total
-
-
+@np.errstate(all="ignore")  # a non-finite energy or derivative raises instead
 def differentiate_energy(
     family: PerturbedDomainFamily,
-    t0: float = DEFAULT_STEP,
-    levels: int = DEFAULT_LEVELS,
     radial_points: int = DEFAULT_RADIAL_POINTS,
     angular_modes: int = DEFAULT_ANGULAR_MODES,
 ) -> OracleRun:
-    """Central differences of E(t) at steps t0, t0/2, ..., extrapolated.
-
-    Samples t in {0} union {+-t0/2^l}, solved from t = 0 outwards on one
-    workspace built for the family and grid, each from the samples already
-    solved and preconditioned by the chains the t = 0 solve factors, K(0)'s,
-    while they fit its own (module docstring); d1 and d2 are the Richardson
-    limits of the first and second central differences, whose weights 4^l
-    overflow past levels 511, which is refused before any solve.  A run
-    whose finest step h = t0/2^levels has eps E(0)/(h^2 S) above
-    ROUNDING_FLOOR, with S = max(E(0), 1) |alpha_in|^2 + |alpha_out|^2 the
-    scale of d2, is refused after the t = 0 solve and before any other,
-    since its second differences would be rounding noise.  The family must
-    be at t = 0, the point differentiated at.
+    """E(0) and its exact first and second t-derivatives at t = 0 (module
+    docstring): one workspace, the Taylor terms of its rows and load
+    (_taylor_rows), one factorization of K_0's chains, whose inverse is K_0's,
+    and two chain solves.  The family must be at t = 0, the point
+    differentiated at.  A non-finite term of the radii raises
+    InterfaceOrderingError, and a non-finite E(0), d1 or d2 SolveError.
     """
     if family.t != 0.0:
         raise ValueError(f"the family must be at t = 0, not t = {family.t:g}")
-    if not math.isfinite(t0):
-        raise ValueError("t0 must be finite")
-    if t0 <= 0.0:
-        raise ValueError("t0 must be positive")
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    finest = math.ldexp(t0, -levels)  # checked before the steps are listed
-    if not sys.float_info.min <= finest * finest <= sys.float_info.max:
-        raise ValueError("t0 out of range: (t0/2^levels)^2 must be a normal float")
-    if levels > 511:  # _richardson's 4.0**levels overflows past it
-        raise ValueError("levels must be <= 511")
-    steps = [math.ldexp(t0, -level) for level in range(levels + 1)]
-    # |alpha_in| and |alpha_out|, the L^2 norms of g on the circle, and the
-    # finest step's boundary displacement
-    items = family.spec.sorted_items()
-    inner, outer = (math.hypot(*(pair[side] for _, pair in items)) for side in (0, 1))
-    delta = finest * math.hypot(inner, outer)
-
-    # from t = 0 outwards, each sample starts at the Lagrange polynomial through
-    # the solutions already solved; a motionless family (delta = 0) has the same
-    # system at every t, so it solves each sample cold and its energies are equal.
-    # The samples share the workspace's chains, K(0)'s, while they fit
     work = _Workspace(family, radial_points, angular_modes)
-    base = solve_energy(family, radial_points, angular_modes, workspace=work)
-    # the finest step's displacement on d2's scale: the interface's share of
-    # d2 grows like E(0) where E(0) > 1 (as 1/sigma at small sigma), the
-    # outer boundary's does not
-    scale = finest * math.hypot(math.sqrt(max(base, 1.0)) * inner, outer)
-    rounding = sys.float_info.epsilon * base / scale / scale if delta > 0.0 else 0.0
-    if rounding > ROUNDING_FLOOR:
-        raise ValueError(
-            "t0 below the rounding floor: eps E(0)/(t0/2^levels)^2/"
-            f"(max(E(0), 1) |alpha_in|^2 + |alpha_out|^2) = "
-            f"{rounding:.3g} exceeds {ROUNDING_FLOOR:g}"
-        )
-    order = [0.0] + [sign * h for h in reversed(steps) for sign in (+1.0, -1.0)]
-    energy_of = {0.0: base}
-    for count, t in enumerate(order[1:], 1):
-        start = _lagrange(order[:count], work.solutions, t) if delta > 0.0 else None
-        energy_of[t] = solve_energy(
-            family.at(t), radial_points, angular_modes, start=start, workspace=work
-        )
-    samples = sorted(energy_of)
-
-    d1_raw = [(energy_of[h] - energy_of[-h]) / (2.0 * h) for h in steps]
-    d2_raw = [(energy_of[h] - 2.0 * base + energy_of[-h]) / (h * h) for h in steps]
-    d1 = _richardson(d1_raw)
-    d2 = _richardson(d2_raw)
-    return OracleRun(
-        family=family,
-        radial_points=radial_points,
-        angular_modes=angular_modes,
-        t_samples=tuple(samples),
-        energies=tuple(energy_of[t] for t in samples),
-        d1=d1,
-        d2=d2,
-    )
+    rows, loads = _taylor_rows(work)
+    inverse = _preconditioner(work, _factor(work, rows[0]))
+    u = inverse(loads[0]).copy()
+    product = _stiffness(work, rows[1], u)  # K_1 u
+    d1 = 2.0 * (loads[1] @ u) - u @ product
+    w = loads[1] - product
+    d2 = 4.0 * (loads[2] @ u) - 2.0 * (u @ _stiffness(work, rows[2], u)) + 2.0 * (w @ inverse(w))
+    energy, d1, d2 = (work.period * float(value) for value in (loads[0] @ u, d1, d2))
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        raise SolveError("energy is not finite")
+    return OracleRun(family, radial_points, angular_modes, _positive(energy), d1, d2)
 
 
 _CONFIG_KEYS = frozenset(
@@ -963,12 +811,14 @@ def family_from_config(config: dict) -> PerturbedDomainFamily:
 
 
 def run_from_config(config: dict) -> OracleRun:
-    """Run differentiate_energy as described by a configuration dictionary."""
+    """Run differentiate_energy as described by a configuration dictionary.
+    t0 and levels, the steps of an earlier sampled differentiation, are
+    type-checked and not read."""
     family = family_from_config(config)
+    for key, kind in (("t0", float), ("levels", int)):
+        _field(config, key, kind, kind())
     return differentiate_energy(
         family,
-        t0=_field(config, "t0", float, DEFAULT_STEP),
-        levels=_field(config, "levels", int, DEFAULT_LEVELS),
         radial_points=_field(config, "radial_points", int, DEFAULT_RADIAL_POINTS),
         angular_modes=_field(config, "angular_modes", int, DEFAULT_ANGULAR_MODES),
     )

@@ -469,12 +469,12 @@ def pde_baseline() -> CheckResult:
 
 
 def first_variation_vanishes() -> CheckResult:
-    """10. Fitted first derivatives vanish for volume-preserving families."""
+    """10. First derivatives at t = 0 vanish for volume-preserving families."""
     failures = []
     for degree in FIRST_VARIATION_DEGREES:
         for channel, alpha in _CHANNELS:
             run = _harder_run(degree, alpha)
-            bound = FIRST_VARIATION_TOL * abs(run.energy_at(0.0))
+            bound = FIRST_VARIATION_TOL * abs(run.energy)
             if not abs(run.d1) < bound:
                 failures.append(
                     f"k={degree} {channel}: |d1|={abs(run.d1):.3e} vs bound {bound:.3e}"
@@ -485,7 +485,7 @@ def first_variation_vanishes() -> CheckResult:
 
 
 def second_variation_match() -> CheckResult:
-    """11. Fitted second derivatives match the assembled spectrum, and the
+    """11. Second derivatives at t = 0 match the assembled spectrum, and the
     coupled run recovers the cross term."""
     runs = {
         channel: _harder_run(CROSS_DEGREE, alpha)

@@ -483,14 +483,17 @@ def test_report_stdout_is_pinned(capsys, argv):
 # moved by at most 2.3e-15 relative, and d2 by 1.5e-8 (inner), 2.9e-10
 # (outer) and 1.2e-10 (coupled) relative), and again when a run's samples
 # began to share the t = 0 solve's preconditioner (E by at most 1.2e-15,
-# d2 by 1.5e-10, 1.7e-10 and 5.7e-11)
+# d2 by 1.5e-10, 1.7e-10 and 5.7e-11), and again when d1 and d2 became the
+# exact derivatives at t = 0, in place of Richardson-extrapolated second
+# differences (E by 2.9e-13, 3.8e-13 and 3.1e-13 relative, and d2 by
+# 1.7e-10, 9.2e-11 and 4.2e-11 absolute)
 PINNED_ORACLE = {
     "inner": ((1.0, 0.0, 2, 1, 0.4, 0.5),
-              "5b99b32facdcdbfdd3f63975caf95e940995e83ebf5b077ef4360b2ca0dcd9c2"),
+              "3f1a062f3c701d69b88f1b79cdc565c1b32396304e62cbb7ac5ef6b350ee3684"),
     "outer": ((0.0, 1.0, 3, 2, 0.6, 3.0),
-              "221d544bf77c1cde84c15d3e64aaa9b1dc2624743ca3d5ebf10bb241cd92e740"),
+              "4d5ea96d8bd1da2be5ad3a8d99638f33b7286353235c9d5416dac428ef90b467"),
     "coupled": ((1.0, 1.0, 2, 1, 0.5, 2.0),
-                "08ae981c55f1dda0720b158bd56f503bbade4ec6de95e35462e7ed18ac4c647d"),
+                "a33417f2a1d42f8b389312524fa43960390fa372a154262766bc0aa5ec28ed89"),
 }
 # families with no mirror axis on their grid, solved on whole sectors as
 # before the mirror: (radius, sigma, modes, angular_modes) at 256 radial
@@ -498,15 +501,17 @@ PINNED_ORACLE = {
 # sin theta's axes pi/2 and 3 pi/2 are no grid angles of 30.  Re-pinned when
 # a run's samples began to share the t = 0 solve's preconditioner: E moved
 # by at most 1.3e-15 relative, and d2 by 7.6e-12 relative and by 2.0e-10
-# where it is -1.4e-6 (sin theta on both boundaries, nearly a translation)
+# where it is -1.4e-6 (sin theta on both boundaries, nearly a translation);
+# and again for the exact derivatives: E by 2.5e-13 and 2.9e-13 relative,
+# d2 by 4.4e-11 and 1.3e-10 absolute
 PINNED_UNMIRRORED_ORACLE = {
     "cos 2 inner, sin 2 outer": (
         (0.5, 2.0, [{"degree": 2, "order": 1, "alpha_in": 1.0, "alpha_out": 0.0},
                     {"degree": 2, "order": 2, "alpha_in": 0.0, "alpha_out": 1.0}], 32),
-        "f499bf12188ee26e17134d451564268caddd9208f57ad42012654c8a00d0ecc0"),
+        "21a436ceedd41c5fbce57775a68cb07b1aab750fda34d5dd14ca04a1bda3039d"),
     "sin 1 on 30 angles": (
         (0.45, 1.5, [{"degree": 1, "order": 2, "alpha_in": 1.0, "alpha_out": 1.0}], 30),
-        "a1c81f56f5f46fb035a9d4acdac01173df6cb3b72bb2231fd38a49f9667c2264"),
+        "21377f6898cca1222a33ff242a7616ba6d7a4f9c03dfe09f34ffe860a60bfc14"),
 }
 
 
@@ -789,7 +794,7 @@ def test_oracle_runs_from_a_config_file(tmp_path, capsys):
     assert code == 0
     document = json.loads(out)
     assert document["radial_points"] == 64
-    assert len(document["energies"]) == 5
+    assert document["t_samples"] == [0.0] and len(document["energies"]) == 1
     assert "d1" in document and "d2" in document
 
 
@@ -897,8 +902,6 @@ def test_non_finite_parameters_are_rejected(tmp_path, capsys):
     path = tmp_path / "infinite.json"
     for entries, message in (
         ('"sigma": Infinity', "sigma must be finite"),
-        ('"sigma": 2.0, "t0": Infinity', "t0 must be finite"),
-        ('"sigma": 2.0, "t0": NaN', "t0 must be finite"),
         ('"sigma": 2.0, "modes": [{"degree": 2, "alpha_in": NaN}]', "alpha_in must be finite"),
         (
             '"sigma": 2.0, "modes": [{"degree": 2, "alpha_out": Infinity}]',
@@ -914,17 +917,16 @@ def test_non_finite_parameters_are_rejected(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        # InterfaceOrderingError: the outer boundary dips inside the core
-        (
-            {"t0": 0.9, "modes": [{"degree": 2, "alpha_out": 1.0}]},
-            "interface ordering 0 < rho_D < rho_Omega violated",
-        ),
+        # SolveError: a chain solve that returns NaN, so E(0) and its
+        # derivatives are not finite
+        ({"cho_solve": lambda d, e, b, **_: (b * math.nan, 0)}, "energy is not finite"),
         # SolveError: LAPACK reports that the preconditioner's factorization
         # failed, which the scan behind SIGMA_CEILING saw only above it
         ({"cho_factor": lambda d, e, **_: (d, e, 1)}, "block factorization failed"),
-        # SolveError: the energy overflows on an outer circle of radius 1e97
+        # SolveError: the square of the outer radius' t-coefficient, 4e199,
+        # overflows in the second-order terms
         (
-            {"modes": [{"degree": 0, "alpha_out": 1e100}], "exact_area": False},
+            {"modes": [{"degree": 0, "alpha_out": 1e200}], "exact_area": False},
             "energy is not finite",
         ),
         # InterfaceOrderingError: g^2 overflows, and the NaN radii it makes
@@ -953,6 +955,27 @@ def test_oracle_reports_solver_failures(tmp_path, capsys, monkeypatch, overrides
     assert code == 2
     assert out == ""
     assert err == f"oracle failed: {message}\n"
+
+
+def test_an_outer_speed_of_1e100_is_answered(tmp_path, capsys):
+    # the energy of this outer circle at t = 0.01, of order rho^4 = 1e388,
+    # overflows, but its derivatives at t = 0 are 1e100 and 1e200 times
+    # those of unit speed, as the radius is 1 + t alpha_out/sqrt(2 pi)
+    documents = []
+    for alpha in (1.0, 1e100):
+        config = {
+            "radius": 0.5, "sigma": 2.0, "modes": [{"degree": 0, "alpha_out": alpha}],
+            "exact_area": False, "radial_points": 16, "angular_modes": 8,
+        }
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, _ = run_cli(capsys, ["oracle", "--config", str(path)])
+        assert code == 0
+        documents.append(json.loads(out))
+    unit, fast = documents
+    assert fast["energies"] == unit["energies"]
+    assert fast["d1"] == pytest.approx(1e100 * unit["d1"], rel=1e-14)
+    assert fast["d2"] == pytest.approx(1e200 * unit["d2"], rel=1e-14)
 
 
 def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
@@ -1005,36 +1028,6 @@ def test_oracle_refuses_sigma_above_its_ceiling(tmp_path, capsys):
             {"modes": [{"degree": 0, "alpha_in": 1.0}]},
             "exact_area needs modes of degree >= 1; "
             "set exact_area to false for degree-0 modes",
-        ),
-        # steps below the rounding floor: unrefused, these gave d2 = -7387 and
-        # d2 = 0.0 where the second variation is about -0.108
-        (
-            {"t0": 1e-9, "modes": [{"degree": 2, "alpha_in": 1.0}]},
-            "t0 below the rounding floor: eps E(0)/(t0/2^levels)^2/"
-            "(max(E(0), 1) |alpha_in|^2 + |alpha_out|^2) = 1.35e+03 "
-            "exceeds 0.0001",
-        ),
-        (
-            {"t0": 1e-150, "modes": [{"degree": 2, "alpha_in": 1.0}]},
-            "t0 below the rounding floor: eps E(0)/(t0/2^levels)^2/"
-            "(max(E(0), 1) |alpha_in|^2 + |alpha_out|^2) = 1.35e+285 "
-            "exceeds 0.0001",
-        ),
-        # the outer channel at sigma = 1e-12: unrefused, this gave d2 = -4.08 where
-        # e_out(2) = -0.382, since its d2 is O(1) while eps E(0)/delta^2 grows like
-        # 1/sigma; the floor weighs only |alpha_in|^2 by E(0), so it stays refused
-        (
-            {"sigma": 1e-12, "radial_points": 64, "angular_modes": 16, "t0": 0.01,
-             "modes": [{"degree": 2, "alpha_out": 1.0}]},
-            "t0 below the rounding floor: eps E(0)/(t0/2^levels)^2/"
-            "(max(E(0), 1) |alpha_in|^2 + |alpha_out|^2) = 0.872 "
-            "exceeds 0.0001",
-        ),
-        # past levels 511 the Richardson weights 4^levels overflow: unrefused,
-        # this motionless run made 1027 solves and then exited with a raw errno
-        (
-            {"t0": 1e150, "levels": 512, "radial_points": 4, "angular_modes": 4},
-            "levels must be <= 511",
         ),
         # raw text: json.load keeps the last of two equal keys, and this ran
         # at R = 0.7, sigma = 3 and alpha_in = 5; the mode record closes, and

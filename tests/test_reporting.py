@@ -284,7 +284,7 @@ def oracle_calls(monkeypatch):
 
     def run(family, *args, **kwargs):
         calls["runs"] += 1
-        return SimpleNamespace(d1=0.0, d2=1.0, energy_at=lambda t: 1.0)
+        return SimpleNamespace(energy=1.0, d1=0.0, d2=1.0)
 
     def solve(family, *args, **kwargs):
         calls["solves"] += 1
