@@ -28,11 +28,14 @@ the load q integrated exactly for the piecewise-linear Jacobian; the energy
 of the discrete solution is E = q^T K^{-1} q.  K is applied cell by cell,
 never formed (_stiffness), and is linear in the cell rows (_cell_rows).
 
-Derivatives.  E(t) = max_v 2 q(t).v - v.K(t) v is analytic in t.  With K_n
-and q_n the t^n Taylor coefficients of the operator and the load, K_n being
-K of the rows' t^n coefficients (_taylor_rows: the rows and the load in
-truncated series arithmetic; Griewank & Walther, Evaluating Derivatives,
-2nd ed., SIAM 2008, ch. 13), u = K_0^{-1} q_0 and w = q_1 - K_1 u,
+Derivatives.  E(t) = max_v 2 q(t).v - v.K(t) v is analytic in t, and reads t
+through the radii, whose jet at t = 0 is rho = rho_0 + t g - t^2 m/(2 rho_0)
+and rho' = t g' to O(t^3), m being the circle mean of g^2 under exact_area
+(the family below) and 0 without it.  With K_n and q_n the t^n Taylor
+coefficients of the operator and the load, K_n being K of the rows' t^n
+coefficients (_taylor_rows: the rows and the load of that jet in truncated
+series arithmetic; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+SIAM 2008, ch. 13), u = K_0^{-1} q_0 and w = q_1 - K_1 u,
 
     d1 = 2 q_1.u - u.K_1 u                                (envelope theorem),
     d2 = 4 q_2.u - 2 u.K_2 u + 2 w.K_0^{-1} w.
@@ -125,7 +128,8 @@ SIGMA_CEILING = 1e12
 
 
 class InterfaceOrderingError(RuntimeError):
-    """The perturbed interface touched or crossed the outer boundary."""
+    """A perturbed radius collapsed to zero, a radius or a Taylor coefficient
+    of one is not finite, or the interface touched or crossed the outer boundary."""
 
 
 class SolveError(RuntimeError):
@@ -196,20 +200,19 @@ class PerturbedDomainFamily:
         return replace(self, t=t)
 
     def _motion(self, speeds: np.ndarray) -> tuple[np.ndarray, ...]:
-        """What _radii reads of the spec and the core radius, the same at
-        every t, from the _normal_speeds array of both boundaries: with
-        exact_area rho_0^2, 2 rho_0 g, g^2 - mean(g^2), rho_0 g' and g g',
-        without it rho_0, g and g', each a (2, angles) array or a (2, 1)
-        column, the interface's row first."""
-        g, dg = speeds[:, 0], speeds[:, 1]
+        """What the radii read of the spec and the core radius, the same at
+        every t, from the _normal_speeds array of both boundaries: rho_0, g,
+        g' and m, the circle mean of g^2 with exact_area and 0 without it,
+        each a (2, angles) array or a (2, 1) column, the interface's row
+        first."""
         base = np.array([[self.params.core_radius], [1.0]])
-        if not self.exact_area:
-            return base, g, dg
-        # the circle average of g^2: the basis is orthonormal
-        items = self.spec.sorted_items()
-        squares = [[sum(pair[side] * pair[side] for _, pair in items)] for side in (0, 1)]
-        mean_square = np.array(squares) / (2.0 * math.pi)
-        return base * base, 2.0 * base * g, g * g - mean_square, base * dg, g * dg
+        mean_square = np.zeros_like(base)
+        if self.exact_area:
+            # the circle average of g^2: the basis is orthonormal
+            items = self.spec.sorted_items()
+            squares = [[sum(pair[side] * pair[side] for _, pair in items)] for side in (0, 1)]
+            mean_square = np.array(squares) / (2.0 * math.pi)
+        return base, speeds[:, 0], speeds[:, 1], mean_square
 
     def _radii(
         self, motion: tuple[np.ndarray, ...], t: float
@@ -217,16 +220,15 @@ class PerturbedDomainFamily:
         """Radii rho(theta) and their theta-derivatives at amplitude t, each a
         (2, angles) array, the interface's row first, from the family's
         _motion."""
+        base, g, dg, mean_square = motion
         if not self.exact_area:
-            base, g, dg = motion
             rho, drho = base + t * g, t * dg
         else:
-            square, linear, quadratic, base_slope, product = motion
-            rho_sq = square + t * linear + t * t * quadratic
+            rho_sq = base * base + t * (2.0 * base * g) + t * t * (g * g - mean_square)
             if np.any(rho_sq <= 0.0):
                 raise InterfaceOrderingError("perturbed radius collapsed to zero")
             rho = np.sqrt(rho_sq)
-            drho = (t * base_slope + t * t * product) / rho
+            drho = (t * (base * dg) + t * t * (g * dg)) / rho
         # an overflowing g or g^2 makes a radius NaN, which passes every comparison
         if not np.isfinite(rho).all():
             raise InterfaceOrderingError("perturbed radius is not finite")
@@ -234,27 +236,6 @@ class PerturbedDomainFamily:
             raise InterfaceOrderingError(
                 "interface ordering 0 < rho_D < rho_Omega violated"
             )
-        return rho, drho
-
-    def _radius_series(self, motion: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The t^0, t^1 and t^2 Taylor coefficients at t = 0 of the radii and
-        of their theta-derivatives, each a (3, 2, angles) array, from the
-        family's _motion: with exact_area the square root of rho^2 and the
-        quotient by rho as truncated series (_reciprocal).  Raises
-        InterfaceOrderingError when a coefficient is not finite, as _radii
-        does for the radii."""
-        if not self.exact_area:
-            base, g, dg = motion
-            zero = np.zeros_like(g)
-            rho, drho = np.stack(np.broadcast_arrays(base, g, zero)), np.stack([zero, dg, zero])
-        else:
-            square, linear, quadratic, base_slope, product = motion
-            base = np.sqrt(square)
-            first = linear / (2.0 * base)
-            rho = np.stack(np.broadcast_arrays(base, first, (quadratic - first * first) / (2.0 * base)))
-            drho = _product(np.stack([np.zeros_like(product), base_slope, product]), _reciprocal(rho))
-        if not (np.isfinite(rho).all() and np.isfinite(drho).all()):
-            raise InterfaceOrderingError("perturbed radius is not finite")
         return rho, drho
 
     def boundary_radii(
@@ -529,9 +510,16 @@ def _cell_rows(
 
 def _taylor_rows(work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """The t^0, t^1 and t^2 Taylor coefficients at t = 0 of the cell rows
-    and the load, a (3, 3, cells, angles) and a (3, unknowns) array, from
-    the family's _motion (_cell_rows, PerturbedDomainFamily._radius_series)."""
-    return _cell_rows(work, *work.family._radius_series(work.motion))
+    and the load, a (3, 3, cells, angles) and a (3, unknowns) array
+    (_cell_rows), of the radii's jet in the family's _motion (module
+    docstring).  Raises InterfaceOrderingError when a coefficient is not
+    finite, as _radii does for the radii."""
+    base, g, dg, mean_square = work.motion
+    rho = np.stack(np.broadcast_arrays(base, g, -mean_square / (2.0 * base)))
+    drho = np.stack([np.zeros_like(dg), dg, np.zeros_like(dg)])
+    if not (np.isfinite(rho).all() and np.isfinite(drho).all()):
+        raise InterfaceOrderingError("perturbed radius is not finite")
+    return _cell_rows(work, rho, drho)
 
 
 def _stiffness(work: _Workspace, rows: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 The criteria and their tolerances are defined in `reporting.CRITERIA`, the
 same definitions `verify` prints; each test asserts one of them, so a
 verbose pytest run emits exactly one pass/fail line per criterion.  Each
-oracle criterion computes only what it reads: criterion 9 solves its four
-baseline energies, criterion 10 makes its six runs, criterion 11 reuses two
+oracle criterion computes only what it reads: criterion 9 makes its four
+baseline runs, criterion 10 makes its six runs, criterion 11 reuses two
 of them through the cache `reporting._oracle_run` and adds the coupled run,
 and criterion 12 makes the runs of its two witnesses.  The budget of an
 oracle criterion covers the runs it is the first to need.

@@ -445,12 +445,13 @@ def test_fidelity_document(capsys):
 # condition below sigma = 1/2 moved criterion 4's worst deviation in `verify
 # secondvar` from 1.142e-15 at (3, 0.2, 0.1) to 2.612e-16 at (4, 0.8, 0.1),
 # and the fidelity report's E_res_k1_perfect_square from 1.33e-15 to
-# 3.81e-16.
+# 3.81e-16.  `verify pde` moved when criterion 11's line came to read
+# "second derivatives" for "second differences", as its d2 are exact ones.
 PINNED_STDOUT = {
     ("verify", "coefficients"): "e7391afa28efc87ae3576f6f9fbeaae5301e07429fc09f3032ea94fed1c5c190",
     ("verify", "secondvar"): "39de8a81607cf5ae3b1acfd6c4bc7a3d2d8d950e8342e298a3680a7ed4e7d56e",
     ("verify", "monotonicity"): "a77897d84503e4da0212ec7accdfd4a67728f56fe7e7deefd295b1c4af281cd5",
-    ("verify", "pde"): "976e05ee8da08ff47d451660ba9ab7af456004d6d61ccb738e423568d8e9a82e",
+    ("verify", "pde"): "3e401d0dfcb872e5b0da21a54b97f6821867e33334c794914a4dfb056b9af386",
     ("fidelity",): "97d9a138c7944787db26b402f200036fda531390599fefdc89da4cefed450c3a",
     ("classify", "--dim", "3", "--radius", "0.4", "--sigma", "2.5", "--kmax", "50"):
         "e3b70accd9b6c786808712a7cac020db3a2259d9200a33cf52323382e76638da",
@@ -486,10 +487,12 @@ def test_report_stdout_is_pinned(capsys, argv):
 # d2 by 1.5e-10, 1.7e-10 and 5.7e-11), and again when d1 and d2 became the
 # exact derivatives at t = 0, in place of Richardson-extrapolated second
 # differences (E by 2.9e-13, 3.8e-13 and 3.1e-13 relative, and d2 by
-# 1.7e-10, 9.2e-11 and 4.2e-11 absolute)
+# 1.7e-10, 9.2e-11 and 4.2e-11 absolute); and the inner run again when the
+# radii's Taylor coefficients took their closed form (E unchanged, d1 from
+# -2.05e-17 to -1.56e-17, d2 by 1.1e-16 absolute)
 PINNED_ORACLE = {
     "inner": ((1.0, 0.0, 2, 1, 0.4, 0.5),
-              "3f1a062f3c701d69b88f1b79cdc565c1b32396304e62cbb7ac5ef6b350ee3684"),
+              "e90b91776a7052e873670c62861b67179ee47723d8c4fd2f966e2045199ad5ca"),
     "outer": ((0.0, 1.0, 3, 2, 0.6, 3.0),
               "4d5ea96d8bd1da2be5ad3a8d99638f33b7286353235c9d5416dac428ef90b467"),
     "coupled": ((1.0, 1.0, 2, 1, 0.5, 2.0),
@@ -503,7 +506,9 @@ PINNED_ORACLE = {
 # by at most 1.3e-15 relative, and d2 by 7.6e-12 relative and by 2.0e-10
 # where it is -1.4e-6 (sin theta on both boundaries, nearly a translation);
 # and again for the exact derivatives: E by 2.5e-13 and 2.9e-13 relative,
-# d2 by 4.4e-11 and 1.3e-10 absolute
+# d2 by 4.4e-11 and 1.3e-10 absolute; and sin theta's again for the closed
+# form of the radii's Taylor coefficients: E unchanged, d1 from 6.62e-17 to
+# 5.58e-17, d2 by 6.9e-18 absolute
 PINNED_UNMIRRORED_ORACLE = {
     "cos 2 inner, sin 2 outer": (
         (0.5, 2.0, [{"degree": 2, "order": 1, "alpha_in": 1.0, "alpha_out": 0.0},
@@ -511,7 +516,7 @@ PINNED_UNMIRRORED_ORACLE = {
         "21a436ceedd41c5fbce57775a68cb07b1aab750fda34d5dd14ca04a1bda3039d"),
     "sin 1 on 30 angles": (
         (0.45, 1.5, [{"degree": 1, "order": 2, "alpha_in": 1.0, "alpha_out": 1.0}], 30),
-        "21377f6898cca1222a33ff242a7616ba6d7a4f9c03dfe09f34ffe860a60bfc14"),
+        "1deacc9edd40403270d76602cb7666a06ed21295af1d2d470e9fa14ee7467ce2"),
 }
 
 

@@ -1029,26 +1029,19 @@ def test_exact_derivatives_are_the_richardson_limits_of_sampled_solves(
     assert abs(run.d2 - d2) <= RICHARDSON_GAP
 
 
-@pytest.mark.parametrize("sigma", [1e-8, 1e-12, 1e-16])
-def test_the_rounding_floor_accepts_the_interface_of_a_soft_core(sigma):
-    # the interface's d2 grows like E(0), about 1/sigma, and no rounding
-    # floor holds the exact derivatives back: these runs match e_in(2) as
-    # closely as at sigma = 1e-8 (to 1.63e-4, the grid's error)
+@pytest.mark.parametrize(
+    "channel, sigma", [("e_in", 1e-8), ("e_in", 1e-12), ("e_in", 1e-16), ("e_out", 1e-12)]
+)
+def test_a_soft_core_matches_the_second_variation_of_its_channel(channel, sigma):
+    # E(0) grows like 1/sigma; the interface's d2 grows with it, while the
+    # outer boundary's stays O(1) (e_out(2) = -0.382 at sigma = 1e-12).  Both
+    # match the assembled coefficient to the grid's error: 1.63e-4 (e_in)
+    # and 1.24e-4 (e_out)
     params = ProblemParams(2, 0.5, sigma)
-    family = PerturbedDomainFamily(params, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)}))
+    alpha = (1.0, 0.0) if channel == "e_in" else (0.0, 1.0)
+    family = PerturbedDomainFamily(params, PerturbationSpec({ModeIndex(2, 1): alpha}))
     run = differentiate_energy(family, 64, 16)
-    assert run.d2 == pytest.approx(assemble_spectrum(params, 2).e_in, rel=2e-4)
-
-
-def test_the_outer_channel_of_a_soft_core_matches_e_out():
-    # the outer boundary's d2 stays O(1) while E(0) grows like 1/sigma, so
-    # the rounding of E(0) swamps second differences of sampled energies
-    # (-4.08 at t0 = 0.01); the exact d2 matches e_out(2) = -0.382 to the
-    # grid's error, 1.24e-4
-    params = ProblemParams(2, 0.5, 1e-12)
-    family = PerturbedDomainFamily(params, PerturbationSpec({ModeIndex(2, 1): (0.0, 1.0)}))
-    run = differentiate_energy(family, 64, 16)
-    assert run.d2 == pytest.approx(assemble_spectrum(params, 2).e_out, rel=2e-4)
+    assert run.d2 == pytest.approx(getattr(assemble_spectrum(params, 2), channel), rel=2e-4)
 
 
 def test_config_construction():

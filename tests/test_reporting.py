@@ -302,8 +302,9 @@ def test_each_oracle_criterion_computes_only_what_it_reads(oracle_calls):
     for number in (9, 10, 11, 12):
         CRITERIA[number]()
         counts.append((oracle_calls["runs"], oracle_calls["solves"]))
-    # 4 baseline solves; 6 first-variation runs; the coupled run, with the
-    # two direct ones shared; the two witnesses
-    assert counts == [(0, 4), (6, 4), (7, 4), (9, 4)]
+    # 4 baseline runs; 6 first-variation runs; the coupled run, with the
+    # two direct ones shared; the two witnesses; and no finite-t solve
+    assert counts == [(4, 0), (10, 0), (11, 0), (13, 0)]
     run_pde_suite()
-    assert oracle_calls["runs"] == 9
+    # only the baseline runs, which the cache does not hold, are made again
+    assert oracle_calls["runs"] == 17
