@@ -33,15 +33,20 @@ through the radii, whose jet at t = 0 is rho = rho_0 + t g - t^2 m/(2 rho_0)
 and rho' = t g' to O(t^3), m being the circle mean of g^2 under exact_area
 (the family below) and 0 without it.  With K_n and q_n the t^n Taylor
 coefficients of the operator and the load, K_n being K of the rows' t^n
-coefficients (_taylor_rows: the rows and the load of that jet in truncated
-series arithmetic; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
-SIAM 2008, ch. 13), u = K_0^{-1} q_0 and w = q_1 - K_1 u,
+coefficients, u = K_0^{-1} q_0 and w = q_1 - K_1 u,
 
     d1 = 2 q_1.u - u.K_1 u                                (envelope theorem),
     d2 = 4 q_2.u - 2 u.K_2 u + 2 w.K_0^{-1} w.
 
 They are the exact derivatives of the discrete energy, with the grid's h^2
-error and no error in t.
+error and no error in t.  At t = 0 the disk is concentric: K_0 and q_0 are
+the same at every angle, so u is one value per ring (reduction by symmetry,
+below) and its slope P = D u vanishes.  K_1 u then reads the t^1 area and
+shear/2 rows alone, u.K_2 u = sum over cells of Delta^2 times the angle sum
+of the t^2 area row, and q_n.u = sum over nodes of u times the angle sum of
+q_n.  So d1 reads q_1 and K_1 u, and d2 reads w and the angle sums of the
+t^2 area row and of q_2.  _jet forms these terms in closed form from the
+radii's jet; no t^2 shear/2 or bend row is formed.
 
 Solver.  The preconditioner averages the cell rows over the angles and drops
 the shear (Concus, Golub & O'Leary 1976), so that K splits by real Fourier
@@ -50,8 +55,10 @@ all factored together (_factor) and applied by a real cos and sin analysis
 matrix, one chain solve with the cos and sin parts as its two right-hand
 sides, and the synthesis matrix back.  At t = 0 phi_theta = 0, so there is
 no shear and area and bend are constant in theta: the preconditioner is K_0
-itself, and each K_0^{-1} of a run is one chain solve.  solve_energy, the
-energy at any t, sums the step increments alpha r.z of conjugate gradients
+itself.  A run factors K_0's chains from its radial rows, solves for the
+radial u on the first chain alone (the center and mode 0) with the load of
+one angle, and applies the whole preconditioner once, to w.  solve_energy,
+the energy at any t, sums the step increments alpha r.z of conjugate gradients
 (Hestenes & Stiefel) from u = 0, preconditioned by its own rows' chains.
 cho_factor and cho_solve are this module's names for the LAPACK pttrf and
 pttrs bindings, through which the benchmark's tracer (bench/spans.py) times
@@ -128,8 +135,9 @@ SIGMA_CEILING = 1e12
 
 
 class InterfaceOrderingError(RuntimeError):
-    """A perturbed radius collapsed to zero, a radius or a Taylor coefficient
-    of one is not finite, or the interface touched or crossed the outer boundary."""
+    """A perturbed radius collapsed to zero, a radius or a term of the radii's
+    jet at t = 0 is not finite, or the interface touched or crossed the outer
+    boundary."""
 
 
 class SolveError(RuntimeError):
@@ -245,22 +253,6 @@ class PerturbedDomainFamily:
         motion = self._motion(_normal_speeds(self.spec, theta))
         (rho_in, rho_out), (drho_in, drho_out) = self._radii(motion, self.t)
         return rho_in, drho_in, rho_out, drho_out
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product of two series in t truncated after as many terms as they
-    have, each an array of its coefficients of t^0, t^1, ... along its first
-    axis: the coefficient of t^k is the sum of a_i b_(k-i) over i <= k.  With
-    one term, the product of two values."""
-    return np.stack([sum((a[i] * b[k - i] for i in range(1, k + 1)), a[0] * b[k]) for k in range(len(a))])
-
-
-def _reciprocal(a: np.ndarray) -> np.ndarray:
-    """1/a for a series a truncated after its terms, as _product takes them."""
-    terms = [1.0 / a[0]]
-    for k in range(1, len(a)):
-        terms.append(-sum(a[i] * terms[k - i] for i in range(1, k + 1)) * terms[0])
-    return np.stack(terms)
 
 
 class AngularOperator(NamedTuple):
@@ -430,10 +422,10 @@ class _Workspace:
         self.motion = family._motion(_normal_speeds(family.spec, theta))
         self.factors = _radial_factors(family.params.core_radius, n, angular_modes)
         shapes = [
-            # rows: area, shear/2 and bend by cell and angle, or their t^0, t^1
-            # and t^2 Taylor coefficients (_taylor_rows), order first
-            (3, 3, n, count),
-            (3, 1 + (n - 1) * count),  # loads: the load, or its Taylor coefficients
+            # rows: area, shear/2 and bend by cell and angle (_cell_rows), or
+            # the t^1 area and shear/2 rows (_jet)
+            (3, n, count),
+            (1 + (n - 1) * count,),  # load: the load, or its t^1 coefficient
             (n + 1, count),  # nodes: the node values; the Dirichlet row stays 0
             (5, n, count),  # cells: _stiffness' delta, slope, f, h and scratch
             (sides, 1 + (m // 2 + 1) * (n - 1)),  # rhs: the chains' right-hand sides
@@ -443,7 +435,7 @@ class _Workspace:
         ]
         offsets = list(itertools.accumulate(map(math.prod, shapes), initial=0))
         memory = np.empty(offsets[-1])
-        self.rows, self.loads, self.nodes, self.cells, self.rhs, self.coefficients, vectors = (
+        self.rows, self.load, self.nodes, self.cells, self.rhs, self.coefficients, vectors = (
             memory[start:end].reshape(shape)
             for shape, start, end in zip(shapes, offsets, offsets[1:])
         )
@@ -458,12 +450,9 @@ def _cell_rows(
     the load: the center's, then node 1..n-1's, one angular ring after the
     other (the unknowns' order; the Dirichlet node n is dropped), on the
     angles the workspace solves, from the radii rho and their
-    theta-derivatives drho, each a (terms, 2, angles) array, the interface's
-    row first.  Each is a series in t truncated after its terms, evaluated in
-    truncated series arithmetic (_product, _reciprocal): one term is the
-    value at one t, and three are the t^0, t^1 and t^2 Taylor coefficients
-    (_taylor_rows).  Written to work.rows and work.loads, terms first, each
-    angle's rows and load times its multiplicity.
+    theta-derivatives drho at one t, each a (2, angles) array, the
+    interface's row first.  Written to work.rows and work.load, each angle's
+    rows and load times its multiplicity.
 
     A row is dtheta/h A11, dtheta/2 A12 and dtheta h/4 A22 at the cell's
     midpoint s, times sigma in the core.  There phi = s rho_D/R, so each row
@@ -475,51 +464,103 @@ def _cell_rows(
     """
     radius, sigma = work.family.params.core_radius, work.family.params.sigma
     dtheta = 2.0 * math.pi / work.grid[1]
-    (rho_in, rho_out), (drho_in, drho_out) = rho.swapaxes(0, 1), drho.swapaxes(0, 1)
-    j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = work.factors
+    (rho_in, rho_out), (drho_in, drho_out) = rho, drho
+    j_in, (core_area, core_bend), (offset, shell_area, shell_bend), _ = work.factors
     multiplicity = work.multiplicity
-    rows, loads = work.rows[: len(rho)], work.loads[: len(rho)]
-    area, half_shear, bend = rows.swapaxes(0, 1)
+    area, half_shear, bend = work.rows
 
-    log_slope = _product(drho_in, _reciprocal(rho_in))
-    stretch = _product(log_slope, log_slope)  # (rho_D'/rho_D)^2, then 1 + it
-    stretch[0] += 1.0
-    area[:, :j_in] = core_area * (sigma * multiplicity * stretch)[:, np.newaxis]
-    half_shear[:, :j_in] = ((-0.5 * sigma * dtheta) * multiplicity * log_slope)[:, np.newaxis]
-    bend[0, :j_in] = sigma * core_bend * multiplicity
-    bend[1:, :j_in] = 0.0
+    log_slope = drho_in * (1.0 / rho_in)
+    area[:j_in] = core_area * (sigma * multiplicity * (log_slope * log_slope + 1.0))
+    half_shear[:j_in] = (-0.5 * sigma * dtheta) * multiplicity * log_slope
+    bend[:j_in] = sigma * core_bend * multiplicity
 
     slope = (rho_out - rho_in) / (1.0 - radius)
-    phi = rho_in[:, np.newaxis] + offset * slope[:, np.newaxis]
-    phi_theta = drho_in[:, np.newaxis] + offset * ((drho_out - drho_in) / (1.0 - radius))[:, np.newaxis]
-    reciprocal = _reciprocal(phi)
-    shear_ratio = _product(phi_theta, reciprocal)  # phi_theta/phi
+    phi = rho_in + offset * slope
+    phi_theta = drho_in + offset * ((drho_out - drho_in) / (1.0 - radius))
+    reciprocal = 1.0 / phi
+    shear_ratio = phi_theta * reciprocal  # phi_theta/phi
     # (phi^2 + phi_theta^2)/(phi phi_s) as (phi + phi_theta^2/phi)/B
-    stretched = phi + _product(phi_theta, shear_ratio)
-    area[:, j_in:] = _product(stretched, _reciprocal(slope)[:, np.newaxis]) * (shell_area * multiplicity)
-    half_shear[:, j_in:] = ((-0.5 * dtheta) * multiplicity) * shear_ratio
-    bend[:, j_in:] = _product(slope[:, np.newaxis], reciprocal) * (shell_bend * multiplicity)
+    area[j_in:] = (phi + phi_theta * shear_ratio) * (1.0 / slope) * (shell_area * multiplicity)
+    half_shear[j_in:] = ((-0.5 * dtheta) * multiplicity) * shear_ratio
+    bend[j_in:] = slope * reciprocal * (shell_bend * multiplicity)
 
-    factors = [_product(rho_in, rho_in) / (radius * radius), _product(rho_in, slope), _product(slope, slope)]
-    nodes = weights @ (np.stack(factors, axis=1) * multiplicity)
-    # the center is a single unknown, the constant angular mode
-    loads[:, 0] = nodes[:, 0].sum(axis=-1)
-    loads[:, 1:] = nodes[:, 1:].reshape(len(loads), -1)
-    return rows, loads
+    factors = np.stack([rho_in * rho_in / (radius * radius), rho_in * slope, slope * slope])
+    _load(work, factors * multiplicity)
+    return work.rows, work.load
 
 
-def _taylor_rows(work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """The t^0, t^1 and t^2 Taylor coefficients at t = 0 of the cell rows
-    and the load, a (3, 3, cells, angles) and a (3, unknowns) array
-    (_cell_rows), of the radii's jet in the family's _motion (module
-    docstring).  Raises InterfaceOrderingError when a coefficient is not
-    finite, as _radii does for the radii."""
+def _load(work: _Workspace, factors: np.ndarray) -> None:
+    """The load into work.load from the (3, angles) load factors rho_D^2/R^2,
+    rho_D B and B^2 (_radial_factors) of each angle solved, times its
+    multiplicity; the center is a single unknown, the constant angular mode."""
+    nodes = np.matmul(work.factors[-1], factors, out=work.cells[-1])
+    work.load[0] = np.sum(nodes[0])
+    work.load[1:] = nodes[1:].ravel()
+
+
+def _jet(work: _Workspace) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The terms of the cell rows and the load (_cell_rows) at t = 0 that a
+    run reads (module docstring), in closed form from the family's _motion
+    (rho_0, g, g', m), by order in t: K_0's area and bend rows by cell and
+    q_0 by node, the center's first, at one angle without its multiplicity,
+    as they are the same at every angle; the t^1 area and shear/2 rows and
+    q_1, written to work.rows[:2] and work.load; and the angle sums of the
+    t^2 area row by cell and of q_2 by node.
+
+    With rho_2 = -m/(2 rho_0), B_n the t^n terms of the shell's slope
+    B = (rho_Omega - rho_D)/(1 - R), and phi_0 = R + (s - R) and
+    phi_theta,1 = g_D' + (s - R)(g_Omega' - g_D')/(1 - R) the shell's map:
+
+        core area      sigma core_area (1, 0, (g_D'/R)^2)
+        core shear/2   t^1: -sigma dtheta/2 g_D'/R
+        shell area     shell_area (phi_0, g_D - R B_1, rho_D,2 - g_D B_1
+                       + R (B_1^2 - B_2) + phi_theta,1^2/phi_0)
+        shell shear/2  t^1: -dtheta/2 phi_theta,1/phi_0
+        load factors   (1, R, 1), (2 g_D/R, g_D + R B_1, 2 B_1),
+                       ((g_D^2 - m_D)/R^2, rho_D,2 + g_D B_1 + R B_2,
+                       B_1^2 + 2 B_2)
+
+    The (s - R) terms of the shell's t^2 area cancel.  Raises
+    InterfaceOrderingError when g, g' or m is not finite, as _radii does for
+    the radii.
+    """
     base, g, dg, mean_square = work.motion
-    rho = np.stack(np.broadcast_arrays(base, g, -mean_square / (2.0 * base)))
-    drho = np.stack([np.zeros_like(dg), dg, np.zeros_like(dg)])
-    if not (np.isfinite(rho).all() and np.isfinite(drho).all()):
+    if not (np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(mean_square).all()):
         raise InterfaceOrderingError("perturbed radius is not finite")
-    return _cell_rows(work, rho, drho)
+    radius, sigma = work.family.params.core_radius, work.family.params.sigma
+    dtheta = 2.0 * math.pi / work.grid[1]
+    j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = work.factors
+    multiplicity = work.multiplicity
+    (g_in, g_out), (dg_in, dg_out) = g, dg
+    rho_2 = -mean_square[:, 0] / (2.0 * base[:, 0])
+    slope, slope_2 = (g_out - g_in) / (1.0 - radius), (rho_2[1] - rho_2[0]) / (1.0 - radius)
+    phi = radius + offset
+
+    area = np.concatenate([sigma * core_area, shell_area * phi])[:, 0]
+    bend = np.concatenate([sigma * core_bend, shell_bend / phi])[:, 0]
+    load = weights @ np.array([1.0, radius, 1.0])
+
+    rows = work.rows[:2]
+    rows[0, :j_in] = 0.0
+    np.multiply(shell_area, multiplicity * (g_in - radius * slope), out=rows[0, j_in:])
+    rows[1, :j_in] = (-0.5 * sigma * dtheta / radius) * multiplicity * dg_in
+    shear_ratio = (dg_in + offset * ((dg_out - dg_in) / (1.0 - radius))) / phi  # phi_theta,1/phi_0
+    np.multiply((-0.5 * dtheta) * multiplicity, shear_ratio, out=rows[1, j_in:])
+    factors = np.stack([(2.0 / radius) * g_in, g_in + radius * slope, 2.0 * slope])
+    _load(work, factors * multiplicity)
+
+    factors = np.stack([
+        (g_in * g_in - mean_square[0]) / (radius * radius),
+        rho_2[0] + g_in * slope + radius * slope_2,
+        slope * slope + 2.0 * slope_2,
+    ])
+    load_sums = weights @ (factors @ multiplicity)
+    core = (sigma / (radius * radius) * ((dg_in * dg_in) @ multiplicity)) * core_area
+    # the shell's t^2 area by angle is level + phi_theta,1^2/phi_0
+    level = (rho_2[0] - g_in * slope + radius * (slope * slope - slope_2)) @ multiplicity
+    shell = shell_area * (level + phi * ((shear_ratio * shear_ratio) @ multiplicity)[:, np.newaxis])
+    area_sums = np.concatenate([core, shell])[:, 0]
+    return (area, bend, load), (rows, work.load), (area_sums, load_sums)
 
 
 def _stiffness(work: _Workspace, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -542,24 +583,46 @@ def _stiffness(work: _Workspace, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     np.multiply(half_shear, delta, out=scratch)
     scratch += np.multiply(bend, slope, out=h)
     np.matmul(scratch, diff, out=h)
+    return _gather(work, f, h)
+
+
+def _radial_product(work: _Workspace, rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """K v into work.product, as _stiffness, for the (area, shear/2) rows of
+    K and a v of one value per ring, given by its differences delta across
+    the cells: its slope P = D v vanishes, so F = area Delta,
+    H = D^T ((shear/2) Delta), and bend drops out."""
+    (area, half_shear), column = rows, delta[:, np.newaxis]
+    _, _, f, h, scratch = work.cells
+    np.multiply(area, column, out=f)
+    np.matmul(np.multiply(half_shear, column, out=scratch), work.angular.diff, out=h)
+    return _gather(work, f, h)
+
+
+def _gather(work: _Workspace, f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """K v into work.product from each cell's F and H (_stiffness)."""
     work.product[0] = np.sum(h[0] - f[0])
-    rings = np.add(f[:-1], h[:-1], out=work.product[1:].reshape(len(area) - 1, -1))
+    rings = np.add(f[:-1], h[:-1], out=work.product[1:].reshape(len(f) - 1, -1))
     rings += h[1:]
     rings -= f[1:]
     return work.product
 
 
-def _factor(work: _Workspace, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _radial_dot(v: np.ndarray, u: np.ndarray) -> float:
+    """v.u for v in load order and u one value per node, the center's first."""
+    return v[0] * u[0] + (u[1:] @ v[1:].reshape(len(u) - 1, -1)).sum()
+
+
+def _factor(work: _Workspace, area: np.ndarray, bend: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """pttrf's diagonal and subdiagonal factors of the chains of the
-    operator of the rows averaged over the sector's angles, shear dropped.
-    The rows carry each angle's multiplicity, so their sum over the angles
-    solved, divided by the sector's angle count, is the sector's mean.
+    concentric operator whose area and bend rows are the same at every angle
+    and take the given values by cell: K_0's (_jet), or the mean of a
+    solve's rows over the sector's angles, shear dropped (solve_energy).
 
     Its chains are ordered [center, mode 0 | mode 1 | ... | mode m/2]: the
     diagonal takes area + j^2 bend of both cells of a node, the coupling
-    across a cell is j^2 bend - area.
+    across a cell is j^2 bend - area.  The first chain, of the first
+    radial_points entries, is the center's and mode 0's.
     """
-    area, bend = rows[::2].sum(axis=-1) / work.sector_angles
     angular_part = work.angular.eigen[:, np.newaxis] * bend
     diagonal, coupling = area + angular_part, angular_part - area
     coupling[:, -1] = 0.0  # the last node's coupling goes to the Dirichlet node
@@ -628,8 +691,11 @@ def solve_energy(
     """
     work = _Workspace(family, radial_points, angular_modes)
     rho, drho = family._radii(work.motion, family.t)
-    (rows,), (load,) = _cell_rows(work, rho[np.newaxis], drho[np.newaxis])  # the values at t
-    precondition = _preconditioner(work, _factor(work, rows))
+    rows, load = _cell_rows(work, rho, drho)
+    # the rows carry each angle's multiplicity, so their sum over the angles
+    # solved, divided by the sector's angle count, is the sector's mean
+    area, bend = rows[::2].sum(axis=-1) / work.sector_angles
+    precondition = _preconditioner(work, _factor(work, area, bend))
     residual, direction, scaled = work.residual, work.direction, work.scaled
     np.copyto(residual, load)
     energy = 0.0
@@ -697,23 +763,37 @@ def differentiate_energy(
     angular_modes: int = DEFAULT_ANGULAR_MODES,
 ) -> OracleRun:
     """E(0) and its exact first and second t-derivatives at t = 0 (module
-    docstring): one workspace, the Taylor terms of its rows and load
-    (_taylor_rows), one factorization of K_0's chains, whose inverse is K_0's,
-    and two chain solves.  The family must be at t = 0, the point
-    differentiated at.  A non-finite term of the radii raises
-    InterfaceOrderingError, and a non-finite E(0), d1 or d2 SolveError.
+    docstring): one workspace, the jet of its rows and load (_jet), one
+    factorization of K_0's chains, one chain solve on the first chain for
+    the radial u = K_0^{-1} q_0, K_1 u from the t^1 area and shear/2 rows
+    (_radial_product), and one preconditioner solve, whose inverse is
+    K_0's, for w.K_0^{-1} w; q_2.u and u.K_2 u read the jet's angle sums.
+    The family must be at t = 0, the point differentiated at.  A non-finite
+    term of the radii's jet raises InterfaceOrderingError, and a non-finite
+    E(0), d1 or d2 SolveError.
     """
     if family.t != 0.0:
         raise ValueError(f"the family must be at t = 0, not t = {family.t:g}")
     work = _Workspace(family, radial_points, angular_modes)
-    rows, loads = _taylor_rows(work)
-    inverse = _preconditioner(work, _factor(work, rows[0]))
-    u = inverse(loads[0]).copy()
-    product = _stiffness(work, rows[1], u)  # K_1 u
-    d1 = 2.0 * (loads[1] @ u) - u @ product
-    w = loads[1] - product
-    d2 = 4.0 * (loads[2] @ u) - 2.0 * (u @ _stiffness(work, rows[2], u)) + 2.0 * (w @ inverse(w))
-    energy, d1, d2 = (work.period * float(value) for value in (loads[0] @ u, d1, d2))
+    (area, bend, load), (rows, load_1), (area_sums, load_sums) = _jet(work)
+    factors = d, e = _factor(work, area, bend)
+    # u by node, the center's first: q_0 and K_0 are the same at every angle,
+    # so u is, and the first chain solves for it with the load of one angle
+    u, _ = cho_solve(d[:radial_points], e[: radial_points - 1], load)
+    # u's differences across the cells, the Dirichlet node's u being 0
+    delta = -u
+    delta[:-1] += u[1:]
+    product = _radial_product(work, rows, delta)  # K_1 u
+    d1 = 2.0 * _radial_dot(load_1, u) - _radial_dot(product, u)
+    w = np.subtract(load_1, product, out=product)
+    d2 = (
+        4.0 * (load_sums @ u)
+        - 2.0 * (area_sums @ (delta * delta))
+        + 2.0 * (w @ _preconditioner(work, factors)(w))
+    )
+    # q_0.u sums load @ u over the sector's angles
+    energy = work.sector_angles * (load @ u)
+    energy, d1, d2 = (work.period * float(value) for value in (energy, d1, d2))
     if not (math.isfinite(d1) and math.isfinite(d2)):
         raise SolveError("energy is not finite")
     return OracleRun(family, radial_points, angular_modes, _positive(energy), d1, d2)

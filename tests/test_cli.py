@@ -489,14 +489,17 @@ def test_report_stdout_is_pinned(capsys, argv):
 # differences (E by 2.9e-13, 3.8e-13 and 3.1e-13 relative, and d2 by
 # 1.7e-10, 9.2e-11 and 4.2e-11 absolute); and the inner run again when the
 # radii's Taylor coefficients took their closed form (E unchanged, d1 from
-# -2.05e-17 to -1.56e-17, d2 by 1.1e-16 absolute)
+# -2.05e-17 to -1.56e-17, d2 by 1.1e-16 absolute); and all three again when
+# the run began to solve for the radial u on its first chain and to read the
+# t^2 terms' angle sums (E by 2.9e-14, 1.4e-14 and 6.7e-14 relative, d2 by
+# 3.2e-14, 3.8e-15 and 5.4e-14 absolute)
 PINNED_ORACLE = {
     "inner": ((1.0, 0.0, 2, 1, 0.4, 0.5),
-              "e90b91776a7052e873670c62861b67179ee47723d8c4fd2f966e2045199ad5ca"),
+              "77dac30b0f8f66e9e320dbe59edf7ec91c4e0383c293a0598d95a6bc5c95ce45"),
     "outer": ((0.0, 1.0, 3, 2, 0.6, 3.0),
-              "4d5ea96d8bd1da2be5ad3a8d99638f33b7286353235c9d5416dac428ef90b467"),
+              "f319537711f02f0171a5f1216a9049d332a9ca068898702b4a36aa65764c9787"),
     "coupled": ((1.0, 1.0, 2, 1, 0.5, 2.0),
-                "a33417f2a1d42f8b389312524fa43960390fa372a154262766bc0aa5ec28ed89"),
+                "fb13a1657a0bea68b51c0a1576d8617bf32e4e89b922cb8234d5ad32b13dc41b"),
 }
 # families with no mirror axis on their grid, solved on whole sectors as
 # before the mirror: (radius, sigma, modes, angular_modes) at 256 radial
@@ -508,15 +511,17 @@ PINNED_ORACLE = {
 # and again for the exact derivatives: E by 2.5e-13 and 2.9e-13 relative,
 # d2 by 4.4e-11 and 1.3e-10 absolute; and sin theta's again for the closed
 # form of the radii's Taylor coefficients: E unchanged, d1 from 6.62e-17 to
-# 5.58e-17, d2 by 6.9e-18 absolute
+# 5.58e-17, d2 by 6.9e-18 absolute; and both again for the radial u on the
+# first chain: E by 1.8e-16 and 4.9e-13 relative, d2 by 1.1e-16 and
+# 3.7e-14 absolute
 PINNED_UNMIRRORED_ORACLE = {
     "cos 2 inner, sin 2 outer": (
         (0.5, 2.0, [{"degree": 2, "order": 1, "alpha_in": 1.0, "alpha_out": 0.0},
                     {"degree": 2, "order": 2, "alpha_in": 0.0, "alpha_out": 1.0}], 32),
-        "21a436ceedd41c5fbce57775a68cb07b1aab750fda34d5dd14ca04a1bda3039d"),
+        "ad390f0195e78c1267a703512d88ab8f5f296bae00a2937392599a4f5cf20d17"),
     "sin 1 on 30 angles": (
         (0.45, 1.5, [{"degree": 1, "order": 2, "alpha_in": 1.0, "alpha_out": 1.0}], 30),
-        "1deacc9edd40403270d76602cb7666a06ed21295af1d2d470e9fa14ee7467ce2"),
+        "0808022f2fee66d394645c906c606e2ae665d2b79ab669ee9f93ab915cc2db33"),
 }
 
 

@@ -316,6 +316,28 @@ def test_differentiate_energy_validates_input(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "modes, exact_area, finite",
+    [
+        # g overflows to inf on the outer boundary
+        ({ModeIndex(k, 1): (0.0, 1.79e308) for k in (0, 1, 2)}, False, (False, False, True)),
+        # g' = -4e308 sin 4 theta/sqrt(pi) overflows where g does not
+        ({ModeIndex(4, 1): (1e308, 0.0)}, False, (True, False, True)),
+        # the circle mean m of g^2 = 1e400 cos^2 theta/pi overflows
+        ({ModeIndex(1, 1): (1e200, 0.0)}, True, (True, True, False)),
+    ],
+)
+def test_a_jet_of_a_non_finite_motion_is_refused(modes, exact_area, finite):
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes), exact_area=exact_area)
+    work = pde_oracle._Workspace(family, 16, 16)
+    _, g, dg, mean_square = work.motion
+    assert tuple(bool(np.isfinite(x).all()) for x in (g, dg, mean_square)) == finite
+    with pytest.raises(InterfaceOrderingError, match="^perturbed radius is not finite$"):
+        pde_oracle._jet(work)
+    with pytest.raises(InterfaceOrderingError, match="^perturbed radius is not finite$"):
+        differentiate_energy(family, 16, 16)
+
+
 def test_solve_energy_raises_when_the_energy_is_not_finite(monkeypatch):
     # an outer circle of radius 1e97: the energy, of order rho^4, overflows
     huge = PerturbationSpec({ModeIndex(0, 1): (0.0, 1e100)})
@@ -374,11 +396,11 @@ def test_a_broken_iteration_never_returns_an_energy(monkeypatch, broken, message
 
 
 def _cell_rows_at(work, t):
-    """The cell rows and the load of the workspace's family at t, as
-    solve_energy forms them."""
+    """Copies of the cell rows and the load of the workspace's family at t,
+    as solve_energy forms them in the workspace."""
     rho, drho = work.family._radii(work.motion, t)
-    (rows,), (load,) = pde_oracle._cell_rows(work, rho[np.newaxis], drho[np.newaxis])
-    return rows, load
+    rows, load = pde_oracle._cell_rows(work, rho, drho)
+    return rows.copy(), load.copy()
 
 
 def _dense_system(family, radial_points, angular_modes, axis=None):
@@ -636,20 +658,82 @@ def test_cell_rows_equal_a_scalar_transcription(
     assert np.abs(load - expected_load).max() <= ulp * np.abs(expected_load).max()
 
 
+def _jet_workspace(exact_area, mirrored):
+    """A 16x8 workspace of PERTURBED's modes, of period 1 and even about pi/2
+    on 8 angles: on the half circle from that axis, or on the full circle;
+    without exact_area with a degree-0 mode besides, which moves the mean
+    radii."""
+    modes = dict(PERTURBED.spec.modes)
+    if not exact_area:
+        modes[ModeIndex(0, 1)] = (0.3, -0.2)
+    family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes), exact_area=exact_area)
+    if mirrored:
+        assert pde_oracle._period(family, 8) == (1, 2)
+        return pde_oracle._Workspace(family, 16, 8)
+    return _period_one_workspace(family, 16, 8)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize("exact_area", [True, False])
-def test_the_taylor_rows_are_the_t_derivatives_of_the_cell_rows(exact_area):
-    # the t^1 and t^2 coefficients are the first and half the second central
-    # differences of the rows and the load at t = +-h, to their h^2 error
-    # and rounding, at most 6e-8 of the largest entry here
-    family = PerturbedDomainFamily(PARAMS, PERTURBED.spec, exact_area=exact_area)
-    work = pde_oracle._Workspace(family, 16, 8)
-    taylor = [np.concatenate([rows.ravel(), load]) for rows, load in zip(*pde_oracle._taylor_rows(work))]
+def test_the_jet_is_the_t_derivatives_of_the_cell_rows(exact_area, mirrored):
+    # the t^1 terms are the first central differences of the rows and the
+    # load at t = +-h, and the t^2 angle sums the angle sums of half the
+    # second differences, to their h^2 error and rounding: at most 4.0e-8
+    # (t^1) and 2.3e-7 (t^2) of the largest entry here
+    work = _jet_workspace(exact_area, mirrored)
     h = 1e-4
-    plus, zero, minus = (np.concatenate([x.ravel() for x in _cell_rows_at(work, t)]) for t in (h, 0.0, -h))
-    scale = np.abs(zero).max()
-    assert np.abs(taylor[0] - zero).max() <= 1e-14 * scale
-    assert np.abs(taylor[1] - (plus - minus) / (2.0 * h)).max() <= 1e-6 * scale
-    assert np.abs(taylor[2] - (plus - 2.0 * zero + minus) / (2.0 * h * h)).max() <= 1e-6 * scale
+    (plus, plus_load), (zero, zero_load), (minus, minus_load) = (_cell_rows_at(work, t) for t in (h, 0.0, -h))
+    (area, bend, load), (rows, load_1), (area_sums, load_sums) = pde_oracle._jet(work)
+    scale = max(np.abs(zero).max(), np.abs(zero_load).max())
+    # t^0: each angle's rows and ring load are the jet's times its
+    # multiplicity, and the center's load the sector's angle count times it
+    multiplicity, m = work.multiplicity, work.sector_angles
+    assert np.abs(zero[0] - np.outer(area, multiplicity)).max() <= 1e-14 * scale
+    assert not zero[1].any()
+    assert np.abs(zero[2] - np.outer(bend, multiplicity)).max() <= 1e-14 * scale
+    rings = np.outer(load[1:], multiplicity).ravel()
+    assert np.abs(zero_load - np.concatenate([[m * load[0]], rings])).max() <= 1e-14 * scale
+    # t^1: the area and shear/2 rows and the load
+    first, first_load = (plus - minus) / (2.0 * h), (plus_load - minus_load) / (2.0 * h)
+    assert np.abs(rows - first[:2]).max() <= 1e-6 * scale
+    assert np.abs(load_1 - first_load).max() <= 1e-6 * scale
+    # t^2: the angle sums of the area row and of the load
+    second = (plus - 2.0 * zero + minus) / (2.0 * h * h)
+    second_load = (plus_load - 2.0 * zero_load + minus_load) / (2.0 * h * h)
+    ring_sums = second_load[1:].reshape(work.grid[0] - 1, -1).sum(axis=-1)
+    expected_load = np.concatenate([second_load[:1], ring_sums])  # by node, the center's first
+    assert np.abs(area_sums - second[0].sum(axis=-1)).max() <= 1e-6 * scale
+    assert np.abs(load_sums - expected_load).max() <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("symmetry", ["mirrored", "unmirrored", "sector"])
+def test_the_concentric_solution_is_radial(symmetry):
+    # at t = 0 K_0 and q_0 are the same at every angle, so u = K_0^-1 q_0 is
+    # one value per ring, the first chain's solution: the full
+    # preconditioner applied to q_0 returns it at every angle.  Its slope
+    # D u vanishes, so K_1 u reads no bend row: the run's K_1 u is the full
+    # product with the t^1 rows of central differences, bend included
+    if symmetry == "sector":
+        # cos 2 theta on the interface and sin 4 theta on the outer boundary,
+        # of period 2 on 16 angles, with no axis of both
+        modes = {ModeIndex(2, 1): (1.0, 0.0), ModeIndex(4, 2): (0.0, 1.0)}
+        family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes))
+        assert pde_oracle._period(family, 16) == (2, None)
+        work = pde_oracle._Workspace(family, 16, 16)
+    else:
+        work = _jet_workspace(True, symmetry == "mirrored")
+    n, h = work.grid[0], 1e-4
+    (plus, _), (_, q_0), (minus, _) = (_cell_rows_at(work, t) for t in (h, 0.0, -h))
+    (area, bend, load), (rows, _), _ = pde_oracle._jet(work)
+    factors = d, e = pde_oracle._factor(work, area, bend)
+    u, info = pde_oracle.cho_solve(d[:n], e[: n - 1], load)
+    assert info == 0
+    radial = np.concatenate([u[:1], np.repeat(u[1:], work.multiplicity.size)])
+    solution = pde_oracle._preconditioner(work, factors)(q_0)
+    assert np.abs(solution - radial).max() <= 1e-13 * np.abs(u).max()
+    product = pde_oracle._radial_product(work, rows, np.diff(u, append=0.0)).copy()
+    expected = pde_oracle._stiffness(work, (plus - minus) / (2.0 * h), radial)
+    assert np.abs(product - expected).max() <= 1e-6 * np.abs(expected).max()
 
 
 def test_a_workspace_builds_its_radial_factors_once_per_radius(monkeypatch):
@@ -671,12 +755,12 @@ def test_a_workspace_builds_its_radial_factors_once_per_radius(monkeypatch):
     _, core, shell, weights = work.factors
     assert not any(array.flags.writeable for array in (*core, *shell, weights))
     # the arrays the solves write are views of one allocation (module docstring)
-    arrays = (work.rows, work.loads, work.nodes, work.cells, work.rhs, work.coefficients, work.scaled)
+    arrays = (work.rows, work.load, work.nodes, work.cells, work.rhs, work.coefficients, work.scaled)
     assert len({id(array.base) for array in arrays}) == 1
 
 
 def test_a_workspace_computes_its_normal_speeds_once_per_spec(monkeypatch):
-    # a run's Taylor terms read one spec's speeds; a later run of the spec, of
+    # a run's jet reads one spec's speeds; a later run of the spec, of
     # an equal one or of another, and a solve on its own compute their own
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
     calls = _count_calls(monkeypatch, "_normal_speeds")
@@ -752,8 +836,10 @@ def test_the_preconditioner_is_the_inverse_of_the_concentric_operator(
     # on the full circle, or on the half circle from the axis of sin theta
     axis = pde_oracle._period(concentric, angular_modes)[1] if mirrored else None
     matrix, load, work = _dense_system(concentric, radial_points, angular_modes, axis)
-    # the preconditioner a t = 0 solve builds from its own rows
-    precondition = pde_oracle._preconditioner(work, pde_oracle._factor(work, work.rows[0]))
+    # the preconditioner a t = 0 solve builds from its own rows' means
+    rows = pde_oracle._cell_rows(work, *concentric._radii(work.motion, 0.0))[0]
+    area, bend = rows[::2].sum(axis=-1) / work.sector_angles
+    precondition = pde_oracle._preconditioner(work, pde_oracle._factor(work, area, bend))
     inverse = np.column_stack([precondition(unit).copy() for unit in np.eye(load.size)])
     exact = np.linalg.inv(matrix)
     assert np.abs(inverse - exact).max() <= 1e-13 * np.abs(exact).max()
@@ -860,15 +946,17 @@ FACTORED_ONCE = BENCH_LIKE + [
 @pytest.mark.parametrize("params, mode, alphas", FACTORED_ONCE)
 def test_each_run_factors_once_and_solves_once_per_step(monkeypatch, params, mode, alphas):
     # a run solves at t = 0 alone: one workspace, one factorization of
-    # K_0's chains, one chain solve for each of K_0^-1 q_0 and K_0^-1 w, the
-    # products K_1 u and K_2 u, and no conjugate-gradient step
+    # K_0's chains, one chain solve for each of K_0^-1 q_0 (the first chain)
+    # and K_0^-1 w, the product K_1 u of the radial u, no full operator
+    # product and no conjugate-gradient step
     spec = PerturbationSpec({mode: alphas})
     family = PerturbedDomainFamily(params, spec, exact_area=mode.degree > 0)
     built = _built_workspaces(monkeypatch)
-    calls = _count_calls(monkeypatch, "cho_factor", "cho_solve", "_stiffness", "solve_energy")
+    names = ("cho_factor", "cho_solve", "_stiffness", "_radial_product", "solve_energy")
+    calls = _count_calls(monkeypatch, *names)
     run = differentiate_energy(family, radial_points=256, angular_modes=32)
     assert len(built) == 1
-    assert calls == {"cho_factor": 1, "cho_solve": 2, "_stiffness": 2, "solve_energy": 0}
+    assert calls == dict(zip(names, (1, 2, 0, 1, 0)))
     if not any(alphas):  # the motionless family's system is the same at every t
         assert run.d1 == run.d2 == 0.0
 
@@ -965,7 +1053,7 @@ def test_a_mirrored_solve_is_the_unmirrored_solve(case, radial_points):
 
 @pytest.mark.parametrize("radial_points", [4, 16])
 def test_a_reused_workspace_changes_no_energy(radial_points):
-    # a run's E(0), from its workspace's Taylor terms and one chain solve, is
+    # a run's E(0), from its workspace's jet and one chain solve, is
     # a standalone conjugate-gradient solve's to rounding; the coupled
     # channel: both boundaries move
     spec = PerturbationSpec({ModeIndex(2, 1): (1.0, 1.0)})
