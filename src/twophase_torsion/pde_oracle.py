@@ -32,55 +32,55 @@ Derivatives.  E(t) = max_v 2 q(t).v - v.K(t) v is analytic in t, and reads t
 through the radii, whose jet at t = 0 is rho = rho_0 + t g - t^2 m/(2 rho_0)
 and rho' = t g' to O(t^3), m being the circle mean of g^2 under exact_area
 (the family below) and 0 without it.  With K_n and q_n the t^n Taylor
-coefficients of the operator and the load, K_n being K of the rows' t^n
-coefficients, u = K_0^{-1} q_0 and w = q_1 - K_1 u,
+coefficients of the operator and the load, u = K_0^{-1} q_0 and
+w = q_1 - K_1 u,
 
     d1 = 2 q_1.u - u.K_1 u                                (envelope theorem),
     d2 = 4 q_2.u - 2 u.K_2 u + 2 w.K_0^{-1} w.
 
 They are the exact derivatives of the discrete energy, with the grid's h^2
-error and no error in t.  At t = 0 the disk is concentric: K_0 and q_0 are
-the same at every angle, so u is one value per ring (reduction by symmetry,
-below) and its slope P = D u vanishes.  K_1 u then reads the t^1 area and
-shear/2 rows alone, u.K_2 u = sum over cells of Delta^2 times the angle sum
-of the t^2 area row, and q_n.u = sum over nodes of u times the angle sum of
-q_n.  So d1 reads q_1 and K_1 u, and d2 reads w and the angle sums of the
-t^2 area row and of q_2.  _jet forms these terms in closed form from the
-radii's jet; no t^2 shear/2 or bend row is formed.
+error and no error in t.  At t = 0 the disk is concentric and the run works
+one degree at a time, as the paper's second variation does, on radial
+arrays per unit angle: no angle is formed.  K_0 and q_0 are the same at
+every angle, so u is radial, and each cell's flux on the mode-0 chain is
+minus the load inside it: area Delta = -cumsum(q_0) gives u's differences
+with no subtraction, and E(0) = 2 pi sum area Delta^2.  The t^1 terms are
+linear in g and g', and the t^2 terms of q_2.u and u.K_2 u are angle sums of
+quadratics in them, which the trapezoid rule gives exactly below degree m/2
+(Parseval): sums of alpha alpha^T over the modes, weighted by 1 or k^2.  On
+degree k, D^T D = k^2, so w = q_1 - K_1 u per unit inner or outer speed is a
+radial pair W = W_area + k^2 W_shear in closed form, K_0 is one radial
+chain, and w.K_0^{-1} w sums alpha^T H_k alpha over the degree's orders,
+H_k = W^T chain_k^{-1} W.  A degree-0 mode (exact_area false) reads
+the mode-0 chain with the center, which its flux inverts, and is the one
+mode with d1 != 0.  The angle count only bounds the degree.
 
-Solver.  The preconditioner averages the cell rows over the angles and drops
-the shear (Concus, Golub & O'Leary 1976), so that K splits by real Fourier
-mode j into one SPD tridiagonal radial chain (the center joins mode 0's),
-all factored together (_factor) and applied by a real cos and sin analysis
-matrix, one chain solve with the cos and sin parts as its two right-hand
-sides, and the synthesis matrix back.  At t = 0 phi_theta = 0, so there is
-no shear and area and bend are constant in theta: the preconditioner is K_0
-itself.  A run factors K_0's chains from its radial rows, solves for the
-radial u on the first chain alone (the center and mode 0) with the load of
-one angle, and applies the whole preconditioner once, to w.  solve_energy,
-the energy at any t, sums the step increments alpha r.z of conjugate gradients
-(Hestenes & Stiefel) from u = 0, preconditioned by its own rows' chains.
-cho_factor and cho_solve are this module's names for the LAPACK pttrf and
-pttrs bindings, through which the benchmark's tracer (bench/spans.py) times
-and counts the calls.  A run or a solve builds one workspace (_Workspace)
-for its family and grid: the family's symmetry, the radial factors, what
-the radii read of the normal speeds (PerturbedDomainFamily._motion), and
-the arrays written by out= and in-place ufuncs, views of one allocation so
-that the next run reuses the pages one frees.  Only the angular pieces of
-a grid and symmetry (_angular_pieces) outlive it, shared read-only.
+Solver.  A run factors one chain per distinct moving degree k >= 1 on the
+n - 1 ring nodes, with diagonal area + k^2 bend from both cells of a node
+and coupling k^2 bend - area across a cell, and solves it once with W's two
+columns.  cho_factor and cho_solve are this module's names for the LAPACK
+pttrf and pttrs bindings, through which the benchmark's tracer
+(bench/spans.py) times and counts the calls.  solve_energy, the energy at
+any t, runs conjugate gradients (Hestenes & Stiefel) on the angular grid,
+preconditioned by its rows' angular mean without the shear (Concus, Golub &
+O'Leary 1976): one chain per real Fourier mode j (the center joins mode
+0's), factored together (_factor) and applied through the real Fourier pair.
+A solve builds one workspace (_Workspace) of its arrays, the family's
+symmetry and _motion; the angular pieces (_angular_pieces) and the radial
+factors outlive it, shared read-only.
 
-Symmetry.  A family whose degrees k >= 1 with a nonzero coefficient share a
-factor g with m/2, on m angles, is unchanged by a turn of 2 pi/g, which moves
-the grid onto itself; so is the discrete system (reduction by symmetry:
-Bossavit, Comput. Methods Appl. Mech. Engrg. 56 (1986) 167-215; Fassler &
-Stiefel, Group Theoretical Methods and Their Applications, Birkhauser 1992).
-g is the family's _period.  With P the replication of one sector of
-m' = m/g angles g times, the sector's operator is P^T K P/g and its load
-P^T q/g: its D is g times the sector's differentiation matrix, D^T D's
-eigenvalues are g^2 j^2, dtheta and the radial factors stay those of the m
-angles, the center's row and load sum over the sector, and every energy and
-derivative is g times the sector's.  When moreover every such mode is even
-about one grid angle c, the mirror axis that _period finds (cos k theta when
+Symmetry (solve_energy's).  A family whose degrees k >= 1 with a nonzero
+coefficient share a factor g with m/2, on m angles, is unchanged by a turn of
+2 pi/g, which moves the grid onto itself; so is the discrete system
+(reduction by symmetry: Bossavit, Comput. Methods Appl. Mech. Engrg. 56
+(1986) 167-215; Fassler & Stiefel, Group Theoretical Methods and Their
+Applications, Birkhauser 1992).  g is the family's _period.  With P the
+replication of one sector of m' = m/g angles g times, the sector's operator
+is P^T K P/g and its load P^T q/g: its D is g times the sector's
+differentiation matrix, D^T D's eigenvalues are g^2 j^2, dtheta stays that of
+the m angles, the center's row and load sum over the sector, and the energy
+is g times the sector's.  When moreover every such mode is even about one
+grid angle c, the mirror axis that _period finds (cos k theta when
 sin k c = 0, sin k theta when cos k c = 0), the reflection about c keeps area
 and bend, negates shear/2 and anticommutes with D, and the system is solved
 on the h = m'/2 + 1 angles from c to c + pi/g.  With P now the even
@@ -120,17 +120,16 @@ from .params import ModeIndex, PerturbationSpec, ProblemParams
 
 DEFAULT_RADIAL_POINTS = 512
 DEFAULT_ANGULAR_MODES = 64
-# the largest sigma the oracle accepts: above it the core's stiffness swamps
-# the shell's in float arithmetic.  Over R in {0.3, 0.5, 0.7}, degree 2 on
-# each boundary channel and sigma from 1e10 in quarter decades, every run at
-# 64x16 and 256x32 up to sigma = 3.2e12, and at 512x64 up to 1e12, matched
-# the sigma = 1e9 run to 3.2e-10 in E(0) and 4.5e-9 in d2 (relative), the
-# sigma -> infinity limit's own drift.  Above that runs fail in the
-# preconditioner's factorization, from 3.2e12 at 512x64, 5.6e12 at 256x32 and
-# 5.6e13 at 64x16, and some end silently wrong instead: in a scan by decades
-# to 1e307, 54 runs at 256x32 and 272 at 64x16, from 1e21; at R = 0.3 the
-# outer channel read E(0) = 0.119 for 0.390 and d2 = +0.035 for
-# e_out(2) = -0.52 from sigma = 1e35 up
+# the largest sigma the oracle accepts.  Over R in {0.3, 0.5, 0.7}, degree 2
+# on each boundary channel and sigma from 1e10 to 1e12 in quarter decades,
+# every run at 64x16, 256x32, 512x64 and 1024x16 factored its chain and
+# matched the sigma = 1e9 run to 3.2e-10 in E(0) and 3.0e-9 in d2, the
+# sigma -> infinity limit's own drift; above it runs stay right until d2
+# overflows, from 1e305.  The ceiling is solve_energy's, whose mode-0 chain
+# fails to factor at 1e12 on 1024x16 and mostly from 1e13 at 256x32; in a
+# scan of its t = 0 solves by decades to 1e307, 597 at 256x32 and 747 at
+# 64x16 ended silently wrong by over 1 %, from 1e28 and 1e30: at R = 0.3 and
+# sigma = 1e30 the inner channel read E = 0.320 for 0.390
 SIGMA_CEILING = 1e12
 
 
@@ -309,20 +308,19 @@ def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
     return np.concatenate([inner, outer]), j_in
 
 
-def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tuple:
-    """What _cell_rows needs of the grid and does not read from the family,
-    returned read-only, as a workspace keeps them for every row it forms:
-    the interface node j_in; the core cells' area and bend
-    factors dtheta s/h and dtheta h/(4 s); the shell cells' offsets s - R and
-    their area and bend factors dtheta/h and dtheta h/4, all as (cells, 1)
-    columns at the midpoints s; and the (nodes, 3) load weights of
-    rho_D^2/R^2, rho_D B and B^2, the center's row first.
+@functools.lru_cache(maxsize=16)  # a few grids per process; 20 kB each at 512 points
+def _radial_factors(radius: float, radial_points: int, dtheta: float) -> tuple:
+    """What the rows and the load read of the grid at the angle step dtheta
+    (1 for a run), built once per key and shared read-only: the interface
+    node j_in; the core cells' area and bend factors dtheta s/h and
+    dtheta h/(4 s); the shell cells' offsets s - R and their factors dtheta/h
+    and dtheta h/4, as (cells, 1) columns at the midpoints s; and the
+    (nodes, 3) load weights of rho_D^2/R^2, rho_D B and B^2, the center's first.
 
     Each cell's load is the exact integral of its Jacobian phi phi_s, linear
     in s: s rho_D^2/R^2 in the core and rho_D B + (s - R) B^2 in the shell.
     """
     s_nodes, j_in = _radial_grid(radius, radial_points)
-    dtheta = 2.0 * math.pi / angular_modes
     inner, outer = slice(None, j_in), slice(j_in, None)
     left, right = s_nodes[:-1, np.newaxis], s_nodes[1:, np.newaxis]
     h = right - left
@@ -344,6 +342,26 @@ def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tu
     return j_in, core, shell, weights
 
 
+def _check_grid(radial_points: int, angular_modes: int) -> None:
+    """Refuse fewer than 4 radial points, or an odd angle count or below 4."""
+    if radial_points < 4:
+        raise ValueError("radial_points must be >= 4")
+    if angular_modes % 2 != 0 or angular_modes < 4:
+        raise ValueError("angular_modes must be even and >= 4")
+
+
+def _moving_modes(
+    spec: PerturbationSpec, angular_modes: int
+) -> list[tuple[ModeIndex, tuple[float, float]]]:
+    """The spec's modes with a nonzero coefficient, by (degree, order).
+    Raises ValueError when such a degree is at least angular_modes/2, which
+    the grid cannot resolve."""
+    moving = [(index, pair) for index, pair in spec.sorted_items() if any(pair)]
+    if moving and 2 * moving[-1][0].degree >= angular_modes:
+        raise ValueError("angular_modes too small for the perturbation degree")
+    return moving
+
+
 def _period(family: PerturbedDomainFamily, angular_modes: int) -> tuple[int, int | None]:
     """The family's symmetry on the grid (module docstring): the number g of
     sectors its solve repeats over, gcd(angular_modes/2, every degree >= 1
@@ -351,14 +369,12 @@ def _period(family: PerturbedDomainFamily, angular_modes: int) -> tuple[int, int
     the first grid index j in [0, angular_modes/g) about whose angle
     c = 2 pi j/angular_modes every such mode is even, None when there is no
     such j.  cos k theta is even about c when 4 k j = 0 and sin k theta when
-    4 k j = angular_modes, modulo 2 angular_modes.  Raises ValueError when
-    a moving degree is at least angular_modes/2, which the grid cannot
-    resolve; below that, g divides angular_modes/2 and is at most
-    angular_modes/4, so a sector holds an even number of angles, at least 4."""
+    4 k j = angular_modes, modulo 2 angular_modes.  Raises ValueError as
+    _moving_modes does; below that degree, g divides angular_modes/2 and is
+    at most angular_modes/4, so a sector holds an even number of angles, at
+    least 4."""
     m = angular_modes
-    moving = [index for index, pair in family.spec.modes.items() if index.degree and any(pair)]
-    if 2 * max((index.degree for index in moving), default=0) >= m:
-        raise ValueError("angular_modes too small for the perturbation degree")
+    moving = [index for index, _ in _moving_modes(family.spec, m) if index.degree]
     period = math.gcd(m // 2, *(index.degree for index in moving)) if moving else 1
     residues = [(4 * index.degree, 0 if index.order == 1 else m) for index in moving]
     axes = (j for j in range(m // period) if all(k * j % (2 * m) == r for k, r in residues))
@@ -397,21 +413,17 @@ def _angular_pieces(
 
 
 class _Workspace:
-    """What a run or a solve of one family on one grid reads or writes,
-    built once (module docstring): the family's _period, the shared
-    _angular_pieces of the angles solved, the radial factors, the family's
-    _motion and the arrays.  The grid, then the degrees against it
-    (_period, which refuses a degree the grid cannot resolve) are checked
-    before anything is built."""
+    """What a solve of one family on one grid reads or writes, built once
+    (module docstring): the family's _period, the shared _angular_pieces of
+    the angles solved, the radial factors, the family's _motion and the
+    arrays.  The grid, then the degrees against it (_period, which refuses a
+    degree the grid cannot resolve) are checked before anything is built."""
 
     @np.errstate(all="ignore")  # the radii's checks refuse an overflowing g or g^2
     def __init__(
         self, family: PerturbedDomainFamily, radial_points: int, angular_modes: int
     ) -> None:
-        if radial_points < 4:
-            raise ValueError("radial_points must be >= 4")
-        if angular_modes % 2 != 0 or angular_modes < 4:
-            raise ValueError("angular_modes must be even and >= 4")
+        _check_grid(radial_points, angular_modes)
         period, axis = _period(family, angular_modes)
         self.family, self.grid, self.period = family, (radial_points, angular_modes), period
         n, m = radial_points, angular_modes // period
@@ -420,12 +432,10 @@ class _Workspace:
         count, sides = self.multiplicity.size, len(self.angular.analysis)
         theta = 2.0 * math.pi * ((axis or 0) + np.arange(count)) / angular_modes
         self.motion = family._motion(_normal_speeds(family.spec, theta))
-        self.factors = _radial_factors(family.params.core_radius, n, angular_modes)
+        self.factors = _radial_factors(family.params.core_radius, n, 2.0 * math.pi / angular_modes)
         shapes = [
-            # rows: area, shear/2 and bend by cell and angle (_cell_rows), or
-            # the t^1 area and shear/2 rows (_jet)
-            (3, n, count),
-            (1 + (n - 1) * count,),  # load: the load, or its t^1 coefficient
+            (3, n, count),  # rows: area, shear/2 and bend by cell and angle (_cell_rows)
+            (1 + (n - 1) * count,),  # load
             (n + 1, count),  # nodes: the node values; the Dirichlet row stays 0
             (5, n, count),  # cells: _stiffness' delta, slope, f, h and scratch
             (sides, 1 + (m // 2 + 1) * (n - 1)),  # rhs: the chains' right-hand sides
@@ -484,83 +494,13 @@ def _cell_rows(
     half_shear[j_in:] = ((-0.5 * dtheta) * multiplicity) * shear_ratio
     bend[j_in:] = slope * reciprocal * (shell_bend * multiplicity)
 
+    # the load from the load factors rho_D^2/R^2, rho_D B and B^2 of each
+    # angle; the center is a single unknown, the constant angular mode
     factors = np.stack([rho_in * rho_in / (radius * radius), rho_in * slope, slope * slope])
-    _load(work, factors * multiplicity)
-    return work.rows, work.load
-
-
-def _load(work: _Workspace, factors: np.ndarray) -> None:
-    """The load into work.load from the (3, angles) load factors rho_D^2/R^2,
-    rho_D B and B^2 (_radial_factors) of each angle solved, times its
-    multiplicity; the center is a single unknown, the constant angular mode."""
-    nodes = np.matmul(work.factors[-1], factors, out=work.cells[-1])
+    nodes = np.matmul(work.factors[-1], factors * multiplicity, out=work.cells[-1])
     work.load[0] = np.sum(nodes[0])
     work.load[1:] = nodes[1:].ravel()
-
-
-def _jet(work: _Workspace) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The terms of the cell rows and the load (_cell_rows) at t = 0 that a
-    run reads (module docstring), in closed form from the family's _motion
-    (rho_0, g, g', m), by order in t: K_0's area and bend rows by cell and
-    q_0 by node, the center's first, at one angle without its multiplicity,
-    as they are the same at every angle; the t^1 area and shear/2 rows and
-    q_1, written to work.rows[:2] and work.load; and the angle sums of the
-    t^2 area row by cell and of q_2 by node.
-
-    With rho_2 = -m/(2 rho_0), B_n the t^n terms of the shell's slope
-    B = (rho_Omega - rho_D)/(1 - R), and phi_0 = R + (s - R) and
-    phi_theta,1 = g_D' + (s - R)(g_Omega' - g_D')/(1 - R) the shell's map:
-
-        core area      sigma core_area (1, 0, (g_D'/R)^2)
-        core shear/2   t^1: -sigma dtheta/2 g_D'/R
-        shell area     shell_area (phi_0, g_D - R B_1, rho_D,2 - g_D B_1
-                       + R (B_1^2 - B_2) + phi_theta,1^2/phi_0)
-        shell shear/2  t^1: -dtheta/2 phi_theta,1/phi_0
-        load factors   (1, R, 1), (2 g_D/R, g_D + R B_1, 2 B_1),
-                       ((g_D^2 - m_D)/R^2, rho_D,2 + g_D B_1 + R B_2,
-                       B_1^2 + 2 B_2)
-
-    The (s - R) terms of the shell's t^2 area cancel.  Raises
-    InterfaceOrderingError when g, g' or m is not finite, as _radii does for
-    the radii.
-    """
-    base, g, dg, mean_square = work.motion
-    if not (np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(mean_square).all()):
-        raise InterfaceOrderingError("perturbed radius is not finite")
-    radius, sigma = work.family.params.core_radius, work.family.params.sigma
-    dtheta = 2.0 * math.pi / work.grid[1]
-    j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = work.factors
-    multiplicity = work.multiplicity
-    (g_in, g_out), (dg_in, dg_out) = g, dg
-    rho_2 = -mean_square[:, 0] / (2.0 * base[:, 0])
-    slope, slope_2 = (g_out - g_in) / (1.0 - radius), (rho_2[1] - rho_2[0]) / (1.0 - radius)
-    phi = radius + offset
-
-    area = np.concatenate([sigma * core_area, shell_area * phi])[:, 0]
-    bend = np.concatenate([sigma * core_bend, shell_bend / phi])[:, 0]
-    load = weights @ np.array([1.0, radius, 1.0])
-
-    rows = work.rows[:2]
-    rows[0, :j_in] = 0.0
-    np.multiply(shell_area, multiplicity * (g_in - radius * slope), out=rows[0, j_in:])
-    rows[1, :j_in] = (-0.5 * sigma * dtheta / radius) * multiplicity * dg_in
-    shear_ratio = (dg_in + offset * ((dg_out - dg_in) / (1.0 - radius))) / phi  # phi_theta,1/phi_0
-    np.multiply((-0.5 * dtheta) * multiplicity, shear_ratio, out=rows[1, j_in:])
-    factors = np.stack([(2.0 / radius) * g_in, g_in + radius * slope, 2.0 * slope])
-    _load(work, factors * multiplicity)
-
-    factors = np.stack([
-        (g_in * g_in - mean_square[0]) / (radius * radius),
-        rho_2[0] + g_in * slope + radius * slope_2,
-        slope * slope + 2.0 * slope_2,
-    ])
-    load_sums = weights @ (factors @ multiplicity)
-    core = (sigma / (radius * radius) * ((dg_in * dg_in) @ multiplicity)) * core_area
-    # the shell's t^2 area by angle is level + phi_theta,1^2/phi_0
-    level = (rho_2[0] - g_in * slope + radius * (slope * slope - slope_2)) @ multiplicity
-    shell = shell_area * (level + phi * ((shear_ratio * shear_ratio) @ multiplicity)[:, np.newaxis])
-    area_sums = np.concatenate([core, shell])[:, 0]
-    return (area, bend, load), (rows, work.load), (area_sums, load_sums)
+    return work.rows, work.load
 
 
 def _stiffness(work: _Workspace, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -583,23 +523,6 @@ def _stiffness(work: _Workspace, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     np.multiply(half_shear, delta, out=scratch)
     scratch += np.multiply(bend, slope, out=h)
     np.matmul(scratch, diff, out=h)
-    return _gather(work, f, h)
-
-
-def _radial_product(work: _Workspace, rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """K v into work.product, as _stiffness, for the (area, shear/2) rows of
-    K and a v of one value per ring, given by its differences delta across
-    the cells: its slope P = D v vanishes, so F = area Delta,
-    H = D^T ((shear/2) Delta), and bend drops out."""
-    (area, half_shear), column = rows, delta[:, np.newaxis]
-    _, _, f, h, scratch = work.cells
-    np.multiply(area, column, out=f)
-    np.matmul(np.multiply(half_shear, column, out=scratch), work.angular.diff, out=h)
-    return _gather(work, f, h)
-
-
-def _gather(work: _Workspace, f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """K v into work.product from each cell's F and H (_stiffness)."""
     work.product[0] = np.sum(h[0] - f[0])
     rings = np.add(f[:-1], h[:-1], out=work.product[1:].reshape(len(f) - 1, -1))
     rings += h[1:]
@@ -607,16 +530,11 @@ def _gather(work: _Workspace, f: np.ndarray, h: np.ndarray) -> np.ndarray:
     return work.product
 
 
-def _radial_dot(v: np.ndarray, u: np.ndarray) -> float:
-    """v.u for v in load order and u one value per node, the center's first."""
-    return v[0] * u[0] + (u[1:] @ v[1:].reshape(len(u) - 1, -1)).sum()
-
-
 def _factor(work: _Workspace, area: np.ndarray, bend: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """pttrf's diagonal and subdiagonal factors of the chains of the
     concentric operator whose area and bend rows are the same at every angle
-    and take the given values by cell: K_0's (_jet), or the mean of a
-    solve's rows over the sector's angles, shear dropped (solve_energy).
+    and take the given values by cell: the mean of a solve's rows over the
+    sector's angles, shear dropped (solve_energy).
 
     Its chains are ordered [center, mode 0 | mode 1 | ... | mode m/2]: the
     diagonal takes area + j^2 bend of both cells of a node, the coupling
@@ -762,38 +680,116 @@ def differentiate_energy(
     radial_points: int = DEFAULT_RADIAL_POINTS,
     angular_modes: int = DEFAULT_ANGULAR_MODES,
 ) -> OracleRun:
-    """E(0) and its exact first and second t-derivatives at t = 0 (module
-    docstring): one workspace, the jet of its rows and load (_jet), one
-    factorization of K_0's chains, one chain solve on the first chain for
-    the radial u = K_0^{-1} q_0, K_1 u from the t^1 area and shear/2 rows
-    (_radial_product), and one preconditioner solve, whose inverse is
-    K_0's, for w.K_0^{-1} w; q_2.u and u.K_2 u read the jet's angle sums.
-    The family must be at t = 0, the point differentiated at.  A non-finite
-    term of the radii's jet raises InterfaceOrderingError, and a non-finite
-    E(0), d1 or d2 SolveError.
+    """E(0) and its exact t-derivatives d1 and d2 at t = 0, degree by degree
+    (module docstring).  The family must be at t = 0; the grid and the
+    degrees are checked as solve_energy checks them.  A non-finite term of
+    the radii's jet raises InterfaceOrderingError, and a non-finite E(0), d1
+    or d2 SolveError.
+
+    Per unit angle, with s the cell midpoints, phi_0 = s, beta = 1/(1 - R)
+    and a = beta (s - R), the shell's slope B has the t^n terms
+    B_1 = beta (g_out - g_in) and B_2 = beta (rho_Omega,2 - rho_D,2),
+    rho_2 = -m/(2 rho_0), and its phi_theta theta_1 = (1 - a) g_in' + a g_out',
+    so that the rows and load factors (_cell_rows) read
+
+        area       sigma s/h, s/h;  bend  sigma h/(4 s), h/(4 s)
+        t^1 area   0, (g_in - R B_1)/h
+        t^1 shear  -sigma g_in'/(2 R), -theta_1/(2 s)
+        t^2 area   sigma g_in'^2/(R^2) s/h,
+                   (rho_D,2 - g_in B_1 + R (B_1^2 - B_2) + theta_1^2/s)/h
+        load       (1, R, 1), (2 g_in/R, g_in + R B_1, 2 B_1),
+                   ((g_in^2 - m_in)/R^2, rho_D,2 + g_in B_1 + R B_2,
+                   B_1^2 + 2 B_2)
+
+    in the core and the shell, and the t^2 terms are summed over the circle.
     """
     if family.t != 0.0:
         raise ValueError(f"the family must be at t = 0, not t = {family.t:g}")
-    work = _Workspace(family, radial_points, angular_modes)
-    (area, bend, load), (rows, load_1), (area_sums, load_sums) = _jet(work)
-    factors = d, e = _factor(work, area, bend)
-    # u by node, the center's first: q_0 and K_0 are the same at every angle,
-    # so u is, and the first chain solves for it with the load of one angle
-    u, _ = cho_solve(d[:radial_points], e[: radial_points - 1], load)
-    # u's differences across the cells, the Dirichlet node's u being 0
-    delta = -u
-    delta[:-1] += u[1:]
-    product = _radial_product(work, rows, delta)  # K_1 u
-    d1 = 2.0 * _radial_dot(load_1, u) - _radial_dot(product, u)
-    w = np.subtract(load_1, product, out=product)
-    d2 = (
-        4.0 * (load_sums @ u)
-        - 2.0 * (area_sums @ (delta * delta))
-        + 2.0 * (w @ _preconditioner(work, factors)(w))
+    _check_grid(radial_points, angular_modes)
+    modes = _moving_modes(family.spec, angular_modes)
+    radius, sigma, tau = family.params.core_radius, family.params.sigma, 2.0 * math.pi
+    # the circle integrals of g_in^2, g_in g_out and g_out^2 and of the same
+    # products of g' are sums of alpha alpha^T weighted by 1 and k^2, as the
+    # basis is orthonormal; the jet is finite where m and bounds of |g| and
+    # |g'| are: sqrt(pi) max |Y| is 1/sqrt(2) on degree 0 and 1 above, and
+    # sqrt(pi) max |Y'| is k
+    alphas = np.array([pair for _, pair in modes], dtype=float).reshape(-1, 2)
+    by_mode = np.array(
+        [[1.0, index.degree**2, 1.0 if index.degree else math.sqrt(0.5), index.degree]
+         for index, _ in modes]
+    ).reshape(-1, 4)
+    integrals = np.einsum("mk,mi,mj->kij", by_mode[:, :2], alphas, alphas).reshape(2, 4)
+    m_in, m_out = (integrals[0, [0, 3]] / tau).tolist() if family.exact_area else (0.0, 0.0)
+    if not (np.isfinite(np.abs(alphas).T @ by_mode[:, 2:]).all() and math.isfinite(m_in + m_out)):
+        raise InterfaceOrderingError("perturbed radius is not finite")
+    (g_ii, g_io, g_oo), (t_ii, t_io, t_oo) = integrals[:, [0, 1, 3]].tolist()
+    j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = _radial_factors(
+        radius, radial_points, 1.0
     )
-    # q_0.u sums load @ u over the sector's angles
-    energy = work.sector_angles * (load @ u)
-    energy, d1, d2 = (work.period * float(value) for value in (energy, d1, d2))
+    n, s = radial_points, radius + offset
+    area = np.concatenate([sigma * core_area, shell_area * s])[:, 0]
+    bend = np.concatenate([sigma * core_bend, shell_bend / s])[:, 0]
+    # the t^1 rows by cell, per unit inner and outer speed (the columns)
+    beta = 1.0 / (1.0 - radius)
+    a = beta * offset
+    area_1 = np.zeros((n, 2))
+    area_1[j_in:] = shell_area * np.array([1.0 + radius * beta, -radius * beta])
+    shear_1 = np.empty((n, 2))
+    shear_1[:j_in] = (-0.5 * sigma / radius, 0.0)
+    shear_1[j_in:] = (-0.5 / s) * np.concatenate([1.0 - a, a], axis=1)
+    # the t^2 area row summed over the circle, by cell
+    rho_in, rho_out = -m_in / (2.0 * radius), -m_out / 2.0
+    slope_2 = beta * (rho_out - rho_in)
+    in_slope, slope_slope = beta * (g_io - g_ii), beta * beta * (g_ii - 2.0 * g_io + g_oo)
+    level = tau * rho_in - in_slope + radius * (slope_slope - tau * slope_2)
+    theta_theta = t_ii + a * (2.0 * (t_io - t_ii) + a * (t_ii - 2.0 * t_io + t_oo))
+    area_2 = np.concatenate([
+        (sigma * t_ii / (radius * radius)) * core_area, shell_area * (level + theta_theta / s)
+    ])[:, 0]
+    # the load by node, the center's first: q_0, q_1 per unit speed and q_2
+    # summed over the circle
+    factors = np.array([
+        [1.0, 2.0 / radius, 0.0, (g_ii - tau * m_in) / (radius * radius)],
+        [radius, 1.0 - radius * beta, radius * beta, tau * (rho_in + radius * slope_2) + in_slope],
+        [1.0, -2.0 * beta, 2.0 * beta, slope_slope + 2.0 * tau * slope_2],
+    ])
+    loads = weights @ factors
+    load_1 = loads[:, 1:3]
+
+    # the flux through each cell is minus the load inside it
+    flux = np.cumsum(loads[:, 0])
+    delta = -flux / area
+    u = -np.cumsum(delta[::-1])[::-1]  # the Dirichlet node's u is 0
+    energy = -tau * (flux @ delta)
+    # w = q_1 - K_1 u per unit speed: its area part on mode 0, the center's
+    # first, and its shear/2 part on degree k over k^2, on the rings
+    f = area_1 * delta[:, np.newaxis]
+    w_area = load_1 + f
+    w_area[1:] -= f[:-1]
+    sheared = shear_1 * delta[:, np.newaxis]
+    w_shear = -(sheared[:-1] + sheared[1:])
+
+    d1, d2 = 0.0, 4.0 * (loads[:, 3] @ u) - 2.0 * (area_2 @ (delta * delta))
+    for degree, group in itertools.groupby(modes, key=lambda mode: mode[0].degree):
+        pairs = [pair for _, pair in group]
+        if degree == 0:
+            d1 = math.sqrt(tau) * ((2.0 * (u @ load_1) - delta @ f) @ pairs[0])
+            # the mode-0 chain with the center, inverted by its flux
+            inside = np.cumsum(w_area, axis=0)
+            form = inside.T @ (inside / area[:, np.newaxis])
+        else:
+            k2 = float(degree * degree)
+            w = w_area[1:] + k2 * w_shear
+            diagonal = area + k2 * bend
+            d, e, info = cho_factor(
+                diagonal[:-1] + diagonal[1:], (k2 * bend - area)[1:-1], overwrite_d=1, overwrite_e=1
+            )
+            if info != 0:
+                raise SolveError("block factorization failed")
+            form = w.T @ cho_solve(d, e, w)[0]
+        (h_ii, h_io), (_, h_oo) = form.tolist()
+        d2 += 2.0 * sum(x * x * h_ii + 2.0 * x * y * h_io + y * y * h_oo for x, y in pairs)
+    energy, d1, d2 = float(energy), float(d1), float(d2)
     if not (math.isfinite(d1) and math.isfinite(d2)):
         raise SolveError("energy is not finite")
     return OracleRun(family, radial_points, angular_modes, _positive(energy), d1, d2)

@@ -492,14 +492,17 @@ def test_report_stdout_is_pinned(capsys, argv):
 # -2.05e-17 to -1.56e-17, d2 by 1.1e-16 absolute); and all three again when
 # the run began to solve for the radial u on its first chain and to read the
 # t^2 terms' angle sums (E by 2.9e-14, 1.4e-14 and 6.7e-14 relative, d2 by
-# 3.2e-14, 3.8e-15 and 5.4e-14 absolute)
+# 3.2e-14, 3.8e-15 and 5.4e-14 absolute); and all three again when the run
+# took u from its flux and one chain per degree (E by 2.6e-13, 3.9e-13 and
+# 2.5e-13 relative, d1 from rounding, at most 2.2e-16, to exactly 0, d2 by
+# 3.0e-15, 8.0e-13 and 1.9e-13 absolute)
 PINNED_ORACLE = {
     "inner": ((1.0, 0.0, 2, 1, 0.4, 0.5),
-              "77dac30b0f8f66e9e320dbe59edf7ec91c4e0383c293a0598d95a6bc5c95ce45"),
+              "dd56d7d6631111281faf64937b536570039102ef69fbaa67412f2972c38c7a40"),
     "outer": ((0.0, 1.0, 3, 2, 0.6, 3.0),
-              "f319537711f02f0171a5f1216a9049d332a9ca068898702b4a36aa65764c9787"),
+              "63144d8f9dec8ce6c80418629964c824c5d7fd904927e73cc51e0d2c32f761b0"),
     "coupled": ((1.0, 1.0, 2, 1, 0.5, 2.0),
-                "fb13a1657a0bea68b51c0a1576d8617bf32e4e89b922cb8234d5ad32b13dc41b"),
+                "9a7b9dc71e591017dd0b3e4996e91fd8440f1dacc02a042647f5ca812176f315"),
 }
 # families with no mirror axis on their grid, solved on whole sectors as
 # before the mirror: (radius, sigma, modes, angular_modes) at 256 radial
@@ -513,15 +516,18 @@ PINNED_ORACLE = {
 # form of the radii's Taylor coefficients: E unchanged, d1 from 6.62e-17 to
 # 5.58e-17, d2 by 6.9e-18 absolute; and both again for the radial u on the
 # first chain: E by 1.8e-16 and 4.9e-13 relative, d2 by 1.1e-16 and
-# 3.7e-14 absolute
+# 3.7e-14 absolute; and both again for u from its flux and one chain per
+# degree, which no longer reads the angles (E by 2.5e-13 and 1.9e-13
+# relative, d1 from 2.1e-17 and 7.4e-17 to exactly 0, d2 by 3.3e-13 and
+# 2.3e-14 absolute)
 PINNED_UNMIRRORED_ORACLE = {
     "cos 2 inner, sin 2 outer": (
         (0.5, 2.0, [{"degree": 2, "order": 1, "alpha_in": 1.0, "alpha_out": 0.0},
                     {"degree": 2, "order": 2, "alpha_in": 0.0, "alpha_out": 1.0}], 32),
-        "ad390f0195e78c1267a703512d88ab8f5f296bae00a2937392599a4f5cf20d17"),
+        "94f31f80e9882131824eae3ae0cc5ed10eb4408043d3f6ecf1a79c032d027215"),
     "sin 1 on 30 angles": (
         (0.45, 1.5, [{"degree": 1, "order": 2, "alpha_in": 1.0, "alpha_out": 1.0}], 30),
-        "0808022f2fee66d394645c906c606e2ae665d2b79ab669ee9f93ab915cc2db33"),
+        "ff1753440dc34abfa80ac2782caaedd71cf10228eb8f4e4f9b5be9d22499735a"),
 }
 
 
@@ -927,12 +933,19 @@ def test_non_finite_parameters_are_rejected(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        # SolveError: a chain solve that returns NaN, so E(0) and its
-        # derivatives are not finite
-        ({"cho_solve": lambda d, e, b, **_: (b * math.nan, 0)}, "energy is not finite"),
-        # SolveError: LAPACK reports that the preconditioner's factorization
+        # SolveError: a chain solve that returns NaN, so d2 is not finite;
+        # a run solves one chain per moving degree, here degree 2
+        (
+            {"cho_solve": lambda d, e, b, **_: (b * math.nan, 0),
+             "modes": [{"degree": 2, "alpha_in": 1.0}]},
+            "energy is not finite",
+        ),
+        # SolveError: LAPACK reports that a degree's chain factorization
         # failed, which the scan behind SIGMA_CEILING saw only above it
-        ({"cho_factor": lambda d, e, **_: (d, e, 1)}, "block factorization failed"),
+        (
+            {"cho_factor": lambda d, e, **_: (d, e, 1), "modes": [{"degree": 2, "alpha_in": 1.0}]},
+            "block factorization failed",
+        ),
         # SolveError: the square of the outer radius' t-coefficient, 4e199,
         # overflows in the second-order terms
         (
