@@ -65,9 +65,9 @@ any t, runs conjugate gradients (Hestenes & Stiefel) on the angular grid,
 preconditioned by its rows' angular mean without the shear (Concus, Golub &
 O'Leary 1976): one chain per real Fourier mode j (the center joins mode
 0's), factored together (_factor) and applied through the real Fourier pair.
-A solve builds one workspace (_Workspace) of its arrays, the family's
-symmetry and _motion; the angular pieces (_angular_pieces) and the radial
-factors outlive it, shared read-only.
+A solve builds one workspace (_Workspace) of its arrays, radial factors,
+the family's symmetry and _motion; the angular pieces (_angular_pieces)
+outlive it, shared read-only.
 
 Symmetry (solve_energy's).  A family whose degrees k >= 1 with a nonzero
 coefficient share a factor g with m/2, on m angles, is unchanged by a turn of
@@ -308,35 +308,38 @@ def _radial_grid(radius: float, radial_points: int) -> tuple[np.ndarray, int]:
     return np.concatenate([inner, outer]), j_in
 
 
-@functools.lru_cache(maxsize=16)  # a few grids per process; 20 kB each at 512 points
-def _radial_factors(radius: float, radial_points: int, dtheta: float) -> tuple:
-    """What the rows and the load read of the grid at the angle step dtheta
-    (1 for a run), built once per key and shared read-only: the interface
-    node j_in; the core cells' area and bend factors dtheta s/h and
-    dtheta h/(4 s); the shell cells' offsets s - R and their factors dtheta/h
-    and dtheta h/4, as (cells, 1) columns at the midpoints s; and the
-    (nodes, 3) load weights of rho_D^2/R^2, rho_D B and B^2, the center's first.
-
-    Each cell's load is the exact integral of its Jacobian phi phi_s, linear
-    in s: s rho_D^2/R^2 in the core and rho_D B + (s - R) B^2 in the shell.
-    """
-    s_nodes, j_in = _radial_grid(radius, radial_points)
+def _load_weights(s_nodes: np.ndarray, j_in: int, radius: float, dtheta: float) -> np.ndarray:
+    """The (nodes, 3) load weights of rho_D^2/R^2, rho_D B and B^2 at the angle
+    step dtheta, the center's row first: each cell's load is the exact
+    integral of its Jacobian phi phi_s, s rho_D^2/R^2 in the core and
+    rho_D B + (s - R) B^2 in the shell."""
     inner, outer = slice(None, j_in), slice(j_in, None)
     left, right = s_nodes[:-1, np.newaxis], s_nodes[1:, np.newaxis]
-    h = right - left
-    s = 0.5 * (left + right)
-    core = (dtheta * s[inner] / h[inner], dtheta * h[inner] / (4.0 * s[inner]))
-    shell = (s[outer] - radius, dtheta / h[outer], dtheta * h[outer] / 4.0)
-    # the Jacobian at each cell's left and right node, as coefficients of the
-    # three load factors
-    jacobian_left, jacobian_right = np.zeros((2, radial_points, 3))
+    # the Jacobian at each cell's left and right node, by load factor
+    jacobian_left, jacobian_right = np.zeros((2, left.size, 3))
     jacobian_left[inner, :1], jacobian_right[inner, :1] = left[inner], right[inner]
     jacobian_left[outer, 1] = jacobian_right[outer, 1] = 1.0
     jacobian_left[outer, 2:] = left[outer] - radius
     jacobian_right[outer, 2:] = right[outer] - radius
-    width = dtheta * h / 6.0
+    width = dtheta * (right - left) / 6.0
     weights = width * (2.0 * jacobian_left + jacobian_right)  # each cell's left node
     weights[1:] += width[:-1] * (jacobian_left[:-1] + 2.0 * jacobian_right[:-1])
+    return weights
+
+
+def _radial_factors(radius: float, radial_points: int, angular_modes: int) -> tuple:
+    """What _cell_rows reads of the grid, read-only as a workspace keeps them:
+    the interface node j_in; the core cells' factors dtheta s/h and
+    dtheta h/(4 s); the shell cells' offsets s - R and factors dtheta/h and
+    dtheta h/4, as (cells, 1) columns at the midpoints s; the _load_weights."""
+    s_nodes, j_in = _radial_grid(radius, radial_points)
+    dtheta = 2.0 * math.pi / angular_modes
+    inner, outer = slice(None, j_in), slice(j_in, None)
+    left, right = s_nodes[:-1, np.newaxis], s_nodes[1:, np.newaxis]
+    h, s = right - left, 0.5 * (left + right)
+    core = (dtheta * s[inner] / h[inner], dtheta * h[inner] / (4.0 * s[inner]))
+    shell = (s[outer] - radius, dtheta / h[outer], dtheta * h[outer] / 4.0)
+    weights = _load_weights(s_nodes, j_in, radius, dtheta)
     for array in (*core, *shell, weights):
         array.flags.writeable = False
     return j_in, core, shell, weights
@@ -432,7 +435,7 @@ class _Workspace:
         count, sides = self.multiplicity.size, len(self.angular.analysis)
         theta = 2.0 * math.pi * ((axis or 0) + np.arange(count)) / angular_modes
         self.motion = family._motion(_normal_speeds(family.spec, theta))
-        self.factors = _radial_factors(family.params.core_radius, n, 2.0 * math.pi / angular_modes)
+        self.factors = _radial_factors(family.params.core_radius, n, angular_modes)
         shapes = [
             (3, n, count),  # rows: area, shear/2 and bend by cell and angle (_cell_rows)
             (1 + (n - 1) * count,),  # load
@@ -723,29 +726,29 @@ def differentiate_energy(
     if not (np.isfinite(np.abs(alphas).T @ by_mode[:, 2:]).all() and math.isfinite(m_in + m_out)):
         raise InterfaceOrderingError("perturbed radius is not finite")
     (g_ii, g_io, g_oo), (t_ii, t_io, t_oo) = integrals[:, [0, 1, 3]].tolist()
-    j_in, (core_area, core_bend), (offset, shell_area, shell_bend), weights = _radial_factors(
-        radius, radial_points, 1.0
-    )
-    n, s = radial_points, radius + offset
-    area = np.concatenate([sigma * core_area, shell_area * s])[:, 0]
-    bend = np.concatenate([sigma * core_bend, shell_bend / s])[:, 0]
+    s_nodes, j_in = _radial_grid(radius, radial_points)
+    n, core, shell = radial_points, slice(None, j_in), slice(j_in, None)
+    h, s = s_nodes[1:] - s_nodes[:-1], 0.5 * (s_nodes[:-1] + s_nodes[1:])
+    area, bend = s / h, h / (4.0 * s)
+    area[core], bend[core] = sigma * area[core], sigma * bend[core]
     # the t^1 rows by cell, per unit inner and outer speed (the columns)
     beta = 1.0 / (1.0 - radius)
-    a = beta * offset
+    s_shell, h_shell = s[shell], h[shell]
+    a = beta * (s_shell - radius)
     area_1 = np.zeros((n, 2))
-    area_1[j_in:] = shell_area * np.array([1.0 + radius * beta, -radius * beta])
+    area_1[shell] = np.outer(1.0 / h_shell, (1.0 + radius * beta, -radius * beta))
     shear_1 = np.empty((n, 2))
-    shear_1[:j_in] = (-0.5 * sigma / radius, 0.0)
-    shear_1[j_in:] = (-0.5 / s) * np.concatenate([1.0 - a, a], axis=1)
+    shear_1[core] = (-0.5 * sigma / radius, 0.0)
+    shear_1[shell] = np.column_stack([1.0 - a, a]) * (-0.5 / s_shell)[:, np.newaxis]
     # the t^2 area row summed over the circle, by cell
     rho_in, rho_out = -m_in / (2.0 * radius), -m_out / 2.0
     slope_2 = beta * (rho_out - rho_in)
     in_slope, slope_slope = beta * (g_io - g_ii), beta * beta * (g_ii - 2.0 * g_io + g_oo)
     level = tau * rho_in - in_slope + radius * (slope_slope - tau * slope_2)
     theta_theta = t_ii + a * (2.0 * (t_io - t_ii) + a * (t_ii - 2.0 * t_io + t_oo))
-    area_2 = np.concatenate([
-        (sigma * t_ii / (radius * radius)) * core_area, shell_area * (level + theta_theta / s)
-    ])[:, 0]
+    area_2 = np.empty(n)
+    area_2[core] = (t_ii / (radius * radius)) * area[core]
+    area_2[shell] = (level + theta_theta / s_shell) / h_shell
     # the load by node, the center's first: q_0, q_1 per unit speed and q_2
     # summed over the circle
     factors = np.array([
@@ -753,7 +756,7 @@ def differentiate_energy(
         [radius, 1.0 - radius * beta, radius * beta, tau * (rho_in + radius * slope_2) + in_slope],
         [1.0, -2.0 * beta, 2.0 * beta, slope_slope + 2.0 * tau * slope_2],
     ])
-    loads = weights @ factors
+    loads = _load_weights(s_nodes, j_in, radius, 1.0) @ factors
     load_1 = loads[:, 1:3]
 
     # the flux through each cell is minus the load inside it
@@ -780,10 +783,9 @@ def differentiate_energy(
         else:
             k2 = float(degree * degree)
             w = w_area[1:] + k2 * w_shear
-            diagonal = area + k2 * bend
-            d, e, info = cho_factor(
-                diagonal[:-1] + diagonal[1:], (k2 * bend - area)[1:-1], overwrite_d=1, overwrite_e=1
-            )
+            chain = area + k2 * bend
+            diagonal, coupling = chain[:-1] + chain[1:], (k2 * bend - area)[1:-1]
+            d, e, info = cho_factor(diagonal, coupling, overwrite_d=1, overwrite_e=1)
             if info != 0:
                 raise SolveError("block factorization failed")
             form = w.T @ cho_solve(d, e, w)[0]

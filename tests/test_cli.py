@@ -495,10 +495,10 @@ def test_report_stdout_is_pinned(capsys, argv):
 # 3.2e-14, 3.8e-15 and 5.4e-14 absolute); and all three again when the run
 # took u from its flux and one chain per degree (E by 2.6e-13, 3.9e-13 and
 # 2.5e-13 relative, d1 from rounding, at most 2.2e-16, to exactly 0, d2 by
-# 3.0e-15, 8.0e-13 and 1.9e-13 absolute)
+# 1.6e-14, 8.0e-13 and 1.9e-13 absolute)
 PINNED_ORACLE = {
     "inner": ((1.0, 0.0, 2, 1, 0.4, 0.5),
-              "dd56d7d6631111281faf64937b536570039102ef69fbaa67412f2972c38c7a40"),
+              "6ab39d7697834b3bd1b4f11c8d3710b5cd6522474c096215a7212b6950b124e8"),
     "outer": ((0.0, 1.0, 3, 2, 0.6, 3.0),
               "63144d8f9dec8ce6c80418629964c824c5d7fd904927e73cc51e0d2c32f761b0"),
     "coupled": ((1.0, 1.0, 2, 1, 0.5, 2.0),
@@ -527,7 +527,7 @@ PINNED_UNMIRRORED_ORACLE = {
         "94f31f80e9882131824eae3ae0cc5ed10eb4408043d3f6ecf1a79c032d027215"),
     "sin 1 on 30 angles": (
         (0.45, 1.5, [{"degree": 1, "order": 2, "alpha_in": 1.0, "alpha_out": 1.0}], 30),
-        "ff1753440dc34abfa80ac2782caaedd71cf10228eb8f4e4f9b5be9d22499735a"),
+        "62df3a99eafd762c349b533aa49ba95dc6c412a6a74b74d4bfe72c13fd62e83c"),
 }
 
 

@@ -752,21 +752,19 @@ def test_the_concentric_solution_is_radial(symmetry):
 
 
 def test_a_workspace_builds_its_radial_factors_once_per_radius(monkeypatch):
-    # the radial factors are built once per radius, radial grid and angle
-    # step, and shared: a run works per unit angle and a solve at its own
-    # step; a run reads no symmetry, and each solve's workspace finds its own
-    pde_oracle._radial_factors.cache_clear()
-    calls = _count_calls(monkeypatch, "_period")
+    # a run builds its radial arrays per unit angle, its load weights once,
+    # and reads no symmetry; each solve's workspace builds its own radial
+    # factors, with their load weights, and finds its own symmetry, once
+    names = ("_period", "_radial_factors", "_load_weights")
+    calls = _count_calls(monkeypatch, *names)
     spec = PerturbationSpec({ModeIndex(3, 2): (1.0, 1.0)})
-    for params, built in [(PARAMS, 1), (PARAMS, 1), (ProblemParams(2, 0.3, 2.0), 2)]:
+    for params, built in [(PARAMS, 1), (PARAMS, 2), (ProblemParams(2, 0.3, 2.0), 3)]:
         family = PerturbedDomainFamily(params, spec)
         differentiate_energy(family, radial_points=16, angular_modes=8)
-        assert pde_oracle._radial_factors.cache_info().misses == built
-    assert calls == {"_period": 0}
-    for _ in range(2):
+        assert calls == {"_period": 0, "_radial_factors": 0, "_load_weights": built}
+    for solved in (1, 2):
         solve_energy(family.at(0.01), 16, 8)
-    assert pde_oracle._radial_factors.cache_info().misses == 3
-    assert calls == {"_period": 2}
+        assert calls == {"_period": solved, "_radial_factors": solved, "_load_weights": 3 + solved}
     # read by every row a workspace forms, so no caller may write to them
     work = pde_oracle._Workspace(family, 16, 8)
     _, core, shell, weights = work.factors
