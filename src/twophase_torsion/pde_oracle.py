@@ -61,36 +61,13 @@ and coupling k^2 bend - area across a cell, and solves it once with W's two
 columns.  cho_factor and cho_solve are this module's names for the LAPACK
 pttrf and pttrs bindings, through which the benchmark's tracer
 (bench/spans.py) times and counts the calls.  solve_energy, the energy at
-any t, runs conjugate gradients (Hestenes & Stiefel) on the angular grid,
-preconditioned by its rows' angular mean without the shear (Concus, Golub &
-O'Leary 1976): one chain per real Fourier mode j (the center joins mode
-0's), factored together (_factor) and applied through the real Fourier pair.
-A solve builds one workspace (_Workspace) of its arrays, radial factors,
-the family's symmetry and _motion; the angular pieces (_angular_pieces)
-outlive it, shared read-only.
-
-Symmetry (solve_energy's).  A family whose degrees k >= 1 with a nonzero
-coefficient share a factor g with m/2, on m angles, is unchanged by a turn of
-2 pi/g, which moves the grid onto itself; so is the discrete system
-(reduction by symmetry: Bossavit, Comput. Methods Appl. Mech. Engrg. 56
-(1986) 167-215; Fassler & Stiefel, Group Theoretical Methods and Their
-Applications, Birkhauser 1992).  g is the family's _period.  With P the
-replication of one sector of m' = m/g angles g times, the sector's operator
-is P^T K P/g and its load P^T q/g: its D is g times the sector's
-differentiation matrix, D^T D's eigenvalues are g^2 j^2, dtheta stays that of
-the m angles, the center's row and load sum over the sector, and the energy
-is g times the sector's.  When moreover every such mode is even about one
-grid angle c, the mirror axis that _period finds (cos k theta when
-sin k c = 0, sin k theta when cos k c = 0), the reflection about c keeps area
-and bend, negates shear/2 and anticommutes with D, and the system is solved
-on the h = m'/2 + 1 angles from c to c + pi/g.  With P now the even
-extension of those angles to the sector's, taking angle i to angles i and
-m' - i, the half sector's operator is P^T K P and its load P^T q: D is the
-first h rows of D P, each angle's rows and load carry its multiplicity
-w = (1, 2, ..., 2, 1), the number of sector angles it stands for, and the
-preconditioner takes the cos rows of the Fourier pair alone, restricted to
-the h angles.  Without an axis, as for cos 2 theta with sin 2 theta, or any
-sine on m = 2 (mod 4) angles, w = 1 and the whole sector is solved.
+any t, runs conjugate gradients (Hestenes & Stiefel) on the full angular
+grid, preconditioned by its rows' angular mean without the shear (Concus,
+Golub & O'Leary 1976): one chain per real Fourier mode j (the center joins
+mode 0's), factored together (_factor) and applied through the real Fourier
+pair.  A solve builds one workspace (_Workspace) of its arrays, radial
+factors and _motion; the angular_operator of its grid outlives it, shared
+read-only.
 
 The perturbation family reads its normal speeds g of the interface and of
 the outer boundary from a PerturbationSpec, the package's one description of
@@ -125,11 +102,14 @@ DEFAULT_ANGULAR_MODES = 64
 # every run at 64x16, 256x32, 512x64 and 1024x16 factored its chain and
 # matched the sigma = 1e9 run to 3.2e-10 in E(0) and 3.0e-9 in d2, the
 # sigma -> infinity limit's own drift; above it runs stay right until d2
-# overflows, from 1e305.  The ceiling is solve_energy's, whose mode-0 chain
-# fails to factor at 1e12 on 1024x16 and mostly from 1e13 at 256x32; in a
-# scan of its t = 0 solves by decades to 1e307, 597 at 256x32 and 747 at
-# 64x16 ended silently wrong by over 1 %, from 1e28 and 1e30: at R = 0.3 and
-# sigma = 1e30 the inner channel read E = 0.320 for 0.390
+# overflows, from 1e305.  The ceiling is solve_energy's.  Its solves of the
+# same families at t = 0 and 0.01 matched the sigma = 1e9 solve to 3.2e-10
+# up to 1e12 on 64x16, 256x32 and 512x64, but on 1024x16 15 of the 36 at
+# 5.6e11 and 1e12 failed to factor the mode-0 chain.  By decades to 1e307
+# most fail to factor from 1e14 at 256x32 and 1e15 at 64x16, and 573 and
+# 771 of the 2655 t = 0 solves there ended silently wrong by over 1 %, from
+# 1e30: at R = 0.3 and sigma = 1e30 on 64x16 each channel read E = 0.402
+# for 0.390
 SIGMA_CEILING = 1e12
 
 
@@ -263,12 +243,13 @@ class AngularOperator(NamedTuple):
     synthesis: np.ndarray  # (m + 2, m) the inverse of analysis on real data
 
 
+@functools.lru_cache(maxsize=8)  # a process runs a few grids; an operator at m = 256 is 1.5 MB
 def angular_operator(m: int) -> AngularOperator:
     """The periodic spectral differentiation matrix D on m equispaced points,
     the eigenvalues of D^T D by real Fourier mode j = 0..m/2, and the real
-    Fourier transform pair of the preconditioner, returned read-only, as
-    _angular_pieces shares them with every workspace of the grid.  m must be
-    even and at least 4, as _Workspace checks.
+    Fourier transform pair of the preconditioner, built once per m and
+    returned read-only, as every workspace of the grid shares them.  m must
+    be even and at least 4, as _Workspace checks.
 
     D is the antisymmetric circulant with entries 0.5 (-1)^j cot(j pi / m) at
     offset j, built from one coefficient row with c_{m-j} = -c_j and
@@ -365,86 +346,34 @@ def _moving_modes(
     return moving
 
 
-def _period(family: PerturbedDomainFamily, angular_modes: int) -> tuple[int, int | None]:
-    """The family's symmetry on the grid (module docstring): the number g of
-    sectors its solve repeats over, gcd(angular_modes/2, every degree >= 1
-    with a nonzero coefficient), 1 when there is none; and its mirror axis,
-    the first grid index j in [0, angular_modes/g) about whose angle
-    c = 2 pi j/angular_modes every such mode is even, None when there is no
-    such j.  cos k theta is even about c when 4 k j = 0 and sin k theta when
-    4 k j = angular_modes, modulo 2 angular_modes.  Raises ValueError as
-    _moving_modes does; below that degree, g divides angular_modes/2 and is
-    at most angular_modes/4, so a sector holds an even number of angles, at
-    least 4."""
-    m = angular_modes
-    moving = [index for index, _ in _moving_modes(family.spec, m) if index.degree]
-    period = math.gcd(m // 2, *(index.degree for index in moving)) if moving else 1
-    residues = [(4 * index.degree, 0 if index.order == 1 else m) for index in moving]
-    axes = (j for j in range(m // period) if all(k * j % (2 * m) == r for k, r in residues))
-    return period, next(axes, None)
-
-
-@functools.lru_cache(maxsize=8)  # a process runs a few grids; an operator at m = 256 is 1.5 MB
-def _angular_pieces(
-    angular_modes: int, period: int, mirrored: bool
-) -> tuple[AngularOperator, np.ndarray]:
-    """The angular operator of the angles a workspace solves, with D scaled
-    by the period and D^T D's eigenvalues by its square, and each angle's
-    multiplicity in the sector (module docstring): the sector's m =
-    angular_modes/period angles, or mirrored the m/2 + 1 angles of half a
-    sector with the cos half of the Fourier pair.  Built once per key and
-    returned read-only, as every workspace of the key shares them."""
-    m = angular_modes // period
-    count = m // 2 + 1 if mirrored else m
-    sector = angular_operator(m)
-    diff, eigen = period * sector.diff, period * period * sector.eigen
-    analysis, synthesis = sector.analysis, sector.synthesis
-    multiplicity = np.ones(count)
-    if mirrored:
-        # D P, P the even extension of the half sector to the sector
-        extension = np.zeros((m, count))
-        extension[np.arange(count), np.arange(count)] = 1.0
-        extension[m - np.arange(1, count - 1), np.arange(1, count - 1)] = 1.0
-        diff = (diff @ extension)[:count]
-        analysis = np.ascontiguousarray(analysis[:1, :, :count])
-        synthesis = np.ascontiguousarray(synthesis[: m // 2 + 1, :count])
-        multiplicity[1:-1] = 2.0  # the angles strictly inside the half sector
-    operator = AngularOperator(diff, eigen, analysis, synthesis)
-    for array in (*operator, multiplicity):
-        array.flags.writeable = False
-    return operator, multiplicity
-
-
 class _Workspace:
     """What a solve of one family on one grid reads or writes, built once
-    (module docstring): the family's _period, the shared _angular_pieces of
-    the angles solved, the radial factors, the family's _motion and the
-    arrays.  The grid, then the degrees against it (_period, which refuses a
-    degree the grid cannot resolve) are checked before anything is built."""
+    (module docstring): the grid's shared angular_operator, the radial
+    factors, the family's _motion and the arrays.  The grid, then the
+    degrees against it (_moving_modes, which refuses a degree the grid
+    cannot resolve) are checked before anything is built."""
 
     @np.errstate(all="ignore")  # the radii's checks refuse an overflowing g or g^2
     def __init__(
         self, family: PerturbedDomainFamily, radial_points: int, angular_modes: int
     ) -> None:
         _check_grid(radial_points, angular_modes)
-        period, axis = _period(family, angular_modes)
-        self.family, self.grid, self.period = family, (radial_points, angular_modes), period
-        n, m = radial_points, angular_modes // period
-        self.sector_angles = m
-        self.angular, self.multiplicity = _angular_pieces(angular_modes, period, axis is not None)
-        count, sides = self.multiplicity.size, len(self.angular.analysis)
-        theta = 2.0 * math.pi * ((axis or 0) + np.arange(count)) / angular_modes
+        _moving_modes(family.spec, angular_modes)
+        self.family, self.grid = family, (radial_points, angular_modes)
+        n, m = radial_points, angular_modes
+        self.angular = angular_operator(m)
+        theta = 2.0 * math.pi * np.arange(m) / m
         self.motion = family._motion(_normal_speeds(family.spec, theta))
-        self.factors = _radial_factors(family.params.core_radius, n, angular_modes)
+        self.factors = _radial_factors(family.params.core_radius, n, m)
         shapes = [
-            (3, n, count),  # rows: area, shear/2 and bend by cell and angle (_cell_rows)
-            (1 + (n - 1) * count,),  # load
-            (n + 1, count),  # nodes: the node values; the Dirichlet row stays 0
-            (5, n, count),  # cells: _stiffness' delta, slope, f, h and scratch
-            (sides, 1 + (m // 2 + 1) * (n - 1)),  # rhs: the chains' right-hand sides
-            (sides * (m // 2 + 1), n - 1),  # coefficients: the rings' Fourier coefficients
+            (3, n, m),  # rows: area, shear/2 and bend by cell and angle (_cell_rows)
+            (1 + (n - 1) * m,),  # load
+            (n + 1, m),  # nodes: the node values; the Dirichlet row stays 0
+            (5, n, m),  # cells: _stiffness' delta, slope, f, h and scratch
+            (2, 1 + (m // 2 + 1) * (n - 1)),  # rhs: the chains' cos and sin right-hand sides
+            (2 * (m // 2 + 1), n - 1),  # coefficients: the rings' Fourier coefficients
             # vectors of unknowns: K v, the preconditioned residual and CG's
-            (5, 1 + (n - 1) * count),
+            (5, 1 + (n - 1) * m),
         ]
         offsets = list(itertools.accumulate(map(math.prod, shapes), initial=0))
         memory = np.empty(offsets[-1])
@@ -461,11 +390,9 @@ def _cell_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (area, shear/2, bend) coefficient rows of every radial cell, and
     the load: the center's, then node 1..n-1's, one angular ring after the
-    other (the unknowns' order; the Dirichlet node n is dropped), on the
-    angles the workspace solves, from the radii rho and their
-    theta-derivatives drho at one t, each a (2, angles) array, the
-    interface's row first.  Written to work.rows and work.load, each angle's
-    rows and load times its multiplicity.
+    other (the unknowns' order; the Dirichlet node n is dropped), from the
+    radii rho and their theta-derivatives drho at one t, each a (2, angles)
+    array, the interface's row first.  Written to work.rows and work.load.
 
     A row is dtheta/h A11, dtheta/2 A12 and dtheta h/4 A22 at the cell's
     midpoint s, times sigma in the core.  There phi = s rho_D/R, so each row
@@ -479,13 +406,12 @@ def _cell_rows(
     dtheta = 2.0 * math.pi / work.grid[1]
     (rho_in, rho_out), (drho_in, drho_out) = rho, drho
     j_in, (core_area, core_bend), (offset, shell_area, shell_bend), _ = work.factors
-    multiplicity = work.multiplicity
     area, half_shear, bend = work.rows
 
     log_slope = drho_in * (1.0 / rho_in)
-    area[:j_in] = core_area * (sigma * multiplicity * (log_slope * log_slope + 1.0))
-    half_shear[:j_in] = (-0.5 * sigma * dtheta) * multiplicity * log_slope
-    bend[:j_in] = sigma * core_bend * multiplicity
+    area[:j_in] = core_area * (sigma * (log_slope * log_slope + 1.0))
+    half_shear[:j_in] = (-0.5 * sigma * dtheta) * log_slope
+    bend[:j_in] = sigma * core_bend
 
     slope = (rho_out - rho_in) / (1.0 - radius)
     phi = rho_in + offset * slope
@@ -493,14 +419,14 @@ def _cell_rows(
     reciprocal = 1.0 / phi
     shear_ratio = phi_theta * reciprocal  # phi_theta/phi
     # (phi^2 + phi_theta^2)/(phi phi_s) as (phi + phi_theta^2/phi)/B
-    area[j_in:] = (phi + phi_theta * shear_ratio) * (1.0 / slope) * (shell_area * multiplicity)
-    half_shear[j_in:] = ((-0.5 * dtheta) * multiplicity) * shear_ratio
-    bend[j_in:] = slope * reciprocal * (shell_bend * multiplicity)
+    area[j_in:] = (phi + phi_theta * shear_ratio) * (1.0 / slope) * shell_area
+    half_shear[j_in:] = (-0.5 * dtheta) * shear_ratio
+    bend[j_in:] = slope * reciprocal * shell_bend
 
     # the load from the load factors rho_D^2/R^2, rho_D B and B^2 of each
     # angle; the center is a single unknown, the constant angular mode
     factors = np.stack([rho_in * rho_in / (radius * radius), rho_in * slope, slope * slope])
-    nodes = np.matmul(work.factors[-1], factors * multiplicity, out=work.cells[-1])
+    nodes = np.matmul(work.factors[-1], factors, out=work.cells[-1])
     work.load[0] = np.sum(nodes[0])
     work.load[1:] = nodes[1:].ravel()
     return work.rows, work.load
@@ -537,7 +463,7 @@ def _factor(work: _Workspace, area: np.ndarray, bend: np.ndarray) -> tuple[np.nd
     """pttrf's diagonal and subdiagonal factors of the chains of the
     concentric operator whose area and bend rows are the same at every angle
     and take the given values by cell: the mean of a solve's rows over the
-    sector's angles, shear dropped (solve_energy).
+    angles, shear dropped (solve_energy).
 
     Its chains are ordered [center, mode 0 | mode 1 | ... | mode m/2]: the
     diagonal takes area + j^2 bend of both cells of a node, the coupling
@@ -559,17 +485,17 @@ def _preconditioner(
     work: _Workspace, factors: tuple[np.ndarray, np.ndarray]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The inverse of the factored chains, applied into work.preconditioned
-    by the real Fourier pair: the cos and, unmirrored, the sin coefficients
-    of each ring are the right-hand sides of one chain solve; the center's
-    chain unknown is the sector's angle count m times its value.
+    by the real Fourier pair: the cos and the sin coefficients of each ring
+    are the right-hand sides of one chain solve; the center's chain unknown
+    is the angle count m times its value.
     """
     angular, rhs, result = work.angular, work.rhs, work.preconditioned
     d, e = factors
-    m, rings = work.sector_angles, work.grid[0] - 1
-    sides, modes = len(rhs), len(angular.eigen)
+    rings, m = work.grid[0] - 1, work.grid[1]
+    modes = len(angular.eigen)
     # the rings' Fourier coefficients by side and mode, in rhs and in work.coefficients
-    spectra = rhs[:, 1:].reshape(sides, modes, rings)
-    coefficients = work.coefficients.reshape(sides, modes, rings)
+    spectra = rhs[:, 1:].reshape(2, modes, rings)
+    coefficients = work.coefficients.reshape(2, modes, rings)
 
     def precondition(residual: np.ndarray) -> np.ndarray:
         rhs[0, 0] = residual[0]
@@ -577,7 +503,7 @@ def _preconditioner(
         np.matmul(angular.analysis, residual[1:].reshape(rings, -1).T, out=spectra)
         solution, _ = cho_solve(d, e, rhs.T, overwrite_b=1)
         result[0] = solution[0, 0] / m
-        np.copyto(coefficients, solution[1:].T.reshape(sides, modes, rings))
+        np.copyto(coefficients, solution[1:].T.reshape(2, modes, rings))
         np.matmul(work.coefficients.T, angular.synthesis, out=result[1:].reshape(rings, -1))
         return result
 
@@ -601,21 +527,17 @@ def solve_energy(
 ) -> float:
     """Energy of the perturbed configuration at the family's amplitude.
 
-    Conjugate gradients from u = 0, preconditioned by the factored chains of
-    the solve's own rows (module docstring), on one of the family's _period
-    sectors, or on its half from the mirror axis when it has one, stopped
-    when a step's energy increment alpha r.z is at most eps E or the
-    residual is exactly zero; the energy returned is the period times the
-    sector's.  The workspace checks the grid and the degrees before anything
-    is built.  A non-finite or non-positive r.z or p.Kp raises SolveError,
-    as do more steps than unknowns.
+    Conjugate gradients from u = 0 on the full angular grid, preconditioned
+    by the factored chains of the solve's own rows (module docstring),
+    stopped when a step's energy increment alpha r.z is at most eps E or the
+    residual is exactly zero.  The workspace checks the grid and the degrees
+    before anything is built.  A non-finite or non-positive r.z or p.Kp
+    raises SolveError, as do more steps than unknowns.
     """
     work = _Workspace(family, radial_points, angular_modes)
     rho, drho = family._radii(work.motion, family.t)
     rows, load = _cell_rows(work, rho, drho)
-    # the rows carry each angle's multiplicity, so their sum over the angles
-    # solved, divided by the sector's angle count, is the sector's mean
-    area, bend = rows[::2].sum(axis=-1) / work.sector_angles
+    area, bend = rows[::2].mean(axis=-1)
     precondition = _preconditioner(work, _factor(work, area, bend))
     residual, direction, scaled = work.residual, work.direction, work.scaled
     np.copyto(residual, load)
@@ -643,7 +565,7 @@ def solve_energy(
         previous = gamma
     else:
         raise SolveError("iteration did not converge")
-    return _positive(work.period * energy)
+    return _positive(energy)
 
 
 @dataclass(frozen=True)

@@ -477,10 +477,8 @@ def test_report_stdout_is_pinned(capsys, argv):
 
 
 # sha256 of `oracle`'s stdout at the benchmark's 256x32 shape, one run per
-# boundary channel: (alpha_in, alpha_out, degree, order, radius, sigma); the
-# degree-2 runs solve on half of one of two sectors of 16 angles, the
-# degree-3 run on the 17 angles from pi/2 to 3 pi/2, about which sin 3 theta
-# is even.  Re-pinned when the oracle began to solve on half a sector (E
+# boundary channel: (alpha_in, alpha_out, degree, order, radius, sigma).
+# Re-pinned when the oracle began to solve on half a sector (E
 # moved by at most 2.3e-15 relative, and d2 by 1.5e-8 (inner), 2.9e-10
 # (outer) and 1.2e-10 (coupled) relative), and again when a run's samples
 # began to share the t = 0 solve's preconditioner (E by at most 1.2e-15,
@@ -504,8 +502,8 @@ PINNED_ORACLE = {
     "coupled": ((1.0, 1.0, 2, 1, 0.5, 2.0),
                 "9a7b9dc71e591017dd0b3e4996e91fd8440f1dacc02a042647f5ca812176f315"),
 }
-# families with no mirror axis on their grid, solved on whole sectors as
-# before the mirror: (radius, sigma, modes, angular_modes) at 256 radial
+# families with no mirror axis on their grid, pinned while runs still solved
+# on the angles: (radius, sigma, modes, angular_modes) at 256 radial
 # points.  No grid angle is an axis of both cos 2 theta and sin 2 theta, and
 # sin theta's axes pi/2 and 3 pi/2 are no grid angles of 30.  Re-pinned when
 # a run's samples began to share the t = 0 solve's preconditioner: E moved

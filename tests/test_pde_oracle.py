@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twophase_torsion import pde_oracle
@@ -29,12 +29,10 @@ from twophase_torsion.second_variation import assemble_spectrum
 from twophase_torsion.stability import classify
 
 PARAMS = ProblemParams(dim=2, core_radius=0.5, sigma=2.0)
-# no grid angle is a mirror axis of both cos theta and sin theta
-UNMIRRORED = PerturbedDomainFamily(
+# cos theta on the interface and sin theta on the outer boundary
+DEGREE_ONE = PerturbedDomainFamily(
     PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0), ModeIndex(1, 2): (0.0, 1.0)})
 )
-# cos theta alone: of period 1 and even about angle 0
-MIRRORED = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(1, 1): (1.0, 0.0)}))
 
 
 def _built_workspaces(monkeypatch):
@@ -49,14 +47,6 @@ def _built_workspaces(monkeypatch):
 
     monkeypatch.setattr(pde_oracle, "_Workspace", Recorded)
     return built
-
-
-def _period_one_workspace(family, radial_points, angular_modes, axis=None):
-    """A period-1 workspace of family: on the full circle, or on the half
-    circle from the axis."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pde_oracle, "_period", lambda family, angular_modes: (1, axis))
-        return pde_oracle._Workspace(family, radial_points, angular_modes)
 
 
 def test_spectral_diff_matrix_differentiates_trig_polynomials():
@@ -76,41 +66,22 @@ def test_spectral_diff_matrix_differentiates_trig_polynomials():
         for wave in (np.cos(j * theta), np.sin(j * theta)):
             assert diff.T @ diff @ wave == pytest.approx(value * wave, abs=1e-10)
     assert eigen[-1] == 0.0 and eigen[:-1] == pytest.approx(np.arange(m // 2) ** 2)
-    # a mirrored workspace's D P differentiates the functions even about
-    # angle 0 on the m/2 + 1 angles from 0 to pi, and D^T D's eigenvalues are
-    # the same
-    work = pde_oracle._Workspace(MIRRORED, 4, m)
-    half = theta[: m // 2 + 1]
-    assert work.angular.diff.shape == (m // 2 + 1, m // 2 + 1)
-    assert np.array_equal(work.angular.eigen, eigen)
-    for k in (0, 1, 3, 11):
-        derivative = work.angular.diff @ np.cos(k * half)
-        assert derivative == pytest.approx(-k * np.sin(k * half), abs=1e-11)
-    # the slope of an even function vanishes on the axis and at pi
-    assert not work.angular.diff[[0, -1]].any()
-    assert work.multiplicity.tolist() == [1.0] + [2.0] * (m // 2 - 1) + [1.0]
 
 
 @pytest.mark.parametrize("m", [4, 6, 32, 64])
-def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(monkeypatch, m):
-    # every workspace of one grid, period and mirror flag shares one angular
-    # operator, built once, so no caller may write to it
-    pde_oracle._angular_pieces.cache_clear()
-    calls = _count_calls(monkeypatch, "angular_operator")
-    # cos theta on the interface and sin theta on the outer boundary: no
-    # grid angle is a mirror axis of both, so the solve reads the full circle
-    assert pde_oracle._period(UNMIRRORED, m) == (1, None)
-    work = pde_oracle._Workspace(UNMIRRORED, 4, m)
-    differentiate_energy(UNMIRRORED, 4, m)
-    solve_energy(UNMIRRORED.at(0.01), 4, m)
-    assert calls == {"angular_operator": 1}
+def test_spectral_diff_matrix_is_an_exact_antisymmetric_circulant(m):
+    # every workspace of one grid shares one angular operator, built once,
+    # so no caller may write to it; a run reads none
+    angular_operator.cache_clear()
+    work = pde_oracle._Workspace(DEGREE_ONE, 4, m)
+    differentiate_energy(DEGREE_ONE, 4, m)
+    solve_energy(DEGREE_ONE.at(0.01), 4, m)
+    info = angular_operator.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     operator = work.angular
-    assert pde_oracle._Workspace(UNMIRRORED.at(0.01), 4, m).angular is operator
+    assert pde_oracle._Workspace(DEGREE_ONE.at(0.01), 4, m).angular is operator
     diff = operator.diff
     assert not any(array.flags.writeable for array in operator)
-    # nor to a mirrored workspace's
-    work = pde_oracle._Workspace(MIRRORED, 4, m)
-    assert not any(array.flags.writeable for array in (*work.angular, work.multiplicity))
     assert np.array_equal(diff, -diff.T)
     for k in range(m):
         assert np.array_equal(diff[k], np.roll(diff[0], k))
@@ -148,11 +119,10 @@ def test_normal_speed_evaluation():
     assert not g_in.any()
     assert g == pytest.approx(expected, abs=1e-14)
     family = PerturbedDomainFamily(PARAMS, spec)
-    # degree 2 is resolved on 8 angles, of period 2 and even about angle 0,
-    # and not on 4
-    assert pde_oracle._period(family, 8) == (2, 0)
+    # degree 2 is resolved on 8 angles, and not on 4
+    assert pde_oracle._moving_modes(spec, 8) == [(ModeIndex(2, 1), (3.0, 0.0))]
     with pytest.raises(ValueError, match="^angular_modes too small for the perturbation degree$"):
-        pde_oracle._period(family, 4)
+        pde_oracle._moving_modes(spec, 4)
     # L^2 mean square of 3 Y_{2,1} over the circle, 9 / (2 pi): the
     # exact-area radius is sqrt(rho_0^2 + 2 rho_0 t g + t^2 (g^2 - 9/(2 pi)))
     t = 0.01
@@ -197,11 +167,9 @@ def test_family_validates_its_spec(monkeypatch):
     still = PerturbationSpec({ModeIndex(0, 1): (0.0, 0.0)})
     assert PerturbedDomainFamily(PARAMS, still).exact_area
     # only nonzero coefficients count towards the resolved degree: a still
-    # degree 40 next to a moving degree 3 is resolved on 8 angles, of period 1,
-    # and sin 3 theta is even about pi/2
+    # degree 40 next to a moving degree 3 is resolved on 8 angles
     zero = PerturbationSpec({ModeIndex(40, 1): (0.0, 0.0), ModeIndex(3, 2): (0.0, 1.0)})
     family = PerturbedDomainFamily(PARAMS, zero)
-    assert pde_oracle._period(family, 8) == (1, 2)
     assert solve_energy(family.at(0.01), radial_points=4, angular_modes=8) > 0.0
     # a moving degree 4 is not, and is refused before a workspace is built
     moving = PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(4, 1): (1.0, 0.0)}))
@@ -362,7 +330,7 @@ def test_solve_energy_raises_when_the_energy_is_not_finite(monkeypatch):
 
 def test_the_family_refuses_sigma_above_the_ceiling():
     # above it solves fail in the factorization or, worse, answer wrong:
-    # E = 0.320 for 0.390 at R = 0.3 and sigma = 1e30 on 64x16
+    # E = 0.402 for 0.390 at R = 0.3 and sigma = 1e30 on 64x16
     spec = PerturbationSpec({ModeIndex(2, 1): (0.0, 1.0)})
     ceiling = pde_oracle.SIGMA_CEILING
     for sigma in (math.nextafter(ceiling, math.inf), 3.2e59, 1e308):
@@ -421,31 +389,18 @@ def _dense_at(work, t):
     return np.column_stack(columns), load
 
 
-def _dense_system(family, radial_points, angular_modes, axis=None):
-    """The dense K, the load and the workspace of a period-1 solve: on the
-    full circle, or on the half circle from the mirror axis."""
-    work = _period_one_workspace(family, radial_points, angular_modes, axis)
+def _dense_system(family, radial_points, angular_modes):
+    """The dense K, the load and the workspace of a solve."""
+    work = pde_oracle._Workspace(family, radial_points, angular_modes)
     return (*_dense_at(work, family.t), work)
 
 
 def _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes):
     matrix, load, _ = _dense_system(family, radial_points, angular_modes)
     assert np.abs(matrix - matrix.T).max() <= 1e-14 * np.abs(matrix).max()
-    # solve_energy solves on one of the family's sectors, or half of one
     energy = solve_energy(family, radial_points, angular_modes)
     exact = np.linalg.solve(matrix, load)
     assert energy == pytest.approx(load @ exact, rel=1e-12)
-    # as it may: the circle's u repeats from sector to sector and is even
-    # about the mirror axis, if there is one
-    period, axis = pde_oracle._period(family, angular_modes)
-    scale = np.abs(exact).max()
-    rings = exact[1:].reshape(radial_points - 1, angular_modes)
-    sector = angular_modes // period
-    assert np.abs(np.tile(rings[:, :sector], period) - rings).max() <= 1e-6 * scale
-    if axis is not None:
-        offsets = np.arange(angular_modes)
-        reflected = rings[:, (axis - offsets) % angular_modes]
-        assert np.abs(reflected - rings[:, (axis + offsets) % angular_modes]).max() <= 1e-6 * scale
 
 
 @pytest.mark.parametrize("radial_points", [16, 4])
@@ -498,11 +453,6 @@ ANGULAR_GRIDS = st.sampled_from([4, 6, 8, 12]).flatmap(
     t=0.0,
     radial_points=4,
 )
-# a solve on two sectors of 4 angles and on four sectors of 4 angles
-@example(radius=0.5, log_sigma=0.0, grid=(8, 2), order=2, alphas=(1.0, 1.0), t=0.02,
-         radial_points=6)
-@example(radius=0.4, log_sigma=1.0, grid=(16, 4), order=1, alphas=(0.0, 1.0), t=-0.03,
-         radial_points=5)
 def test_conjugate_gradients_equal_a_dense_solve_everywhere(
     radius, log_sigma, grid, order, alphas, t, radial_points
 ):
@@ -511,73 +461,6 @@ def test_conjugate_gradients_equal_a_dense_solve_everywhere(
     spec = PerturbationSpec({ModeIndex(degree, order): alphas})
     family = PerturbedDomainFamily(params, spec).at(t)
     _assert_cg_equals_a_dense_solve(family, radial_points, angular_modes)
-
-
-@pytest.mark.parametrize(
-    "modes, angular_modes, period",
-    [
-        ({ModeIndex(2, 1): (1.0, 0.0), ModeIndex(4, 1): (0.0, 1.0)}, 32, 2),
-        ({ModeIndex(4, 1): (1.0, 1.0)}, 32, 4),
-        ({ModeIndex(4, 1): (1.0, 1.0)}, 12, 2),
-        ({ModeIndex(2, 1): (1.0, 0.0), ModeIndex(3, 1): (0.0, 1.0)}, 32, 1),
-        ({ModeIndex(6, 1): (0.0, 1.0)}, 64, 2),
-        ({ModeIndex(8, 1): (1.0, 0.0)}, 64, 8),
-        ({}, 32, 1),
-        # a zero coefficient moves nothing, so its degree sets no period
-        ({ModeIndex(4, 1): (1.0, 0.0), ModeIndex(3, 1): (0.0, 0.0)}, 32, 4),
-        # a degree-0 mode is unchanged by every rotation (a linear family)
-        ({ModeIndex(0, 1): (1.0, 0.0)}, 32, 1),
-        ({ModeIndex(0, 1): (1.0, 0.0), ModeIndex(2, 1): (0.0, 1.0)}, 32, 2),
-    ],
-)
-def test_the_period_is_the_gcd_of_half_the_angles_and_the_moving_degrees(
-    modes, angular_modes, period
-):
-    exact_area = ModeIndex(0, 1) not in modes
-    family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes), exact_area=exact_area)
-    # every cosine is even about angle 0
-    assert pde_oracle._period(family, angular_modes) == (period, 0)
-    # sin k theta is cos k theta turned by a quarter of its period: the same period
-    sines = {
-        ModeIndex(index.degree, 2 if index.degree else 1): pair for index, pair in modes.items()
-    }
-    family = PerturbedDomainFamily(PARAMS, PerturbationSpec(sines), exact_area=exact_area)
-    assert pde_oracle._period(family, angular_modes)[0] == period
-
-
-# (modes, angular_modes, the mirror axis as an angle, or None without one)
-MIRROR_AXES = [
-    *(({ModeIndex(k, 1): (1.0, 0.0)}, 32, 0.0) for k in (1, 2, 3, 4)),
-    ({ModeIndex(1, 2): (1.0, 0.0)}, 32, math.pi / 2),
-    ({ModeIndex(2, 2): (0.0, 1.0)}, 32, math.pi / 4),
-    ({ModeIndex(3, 2): (1.0, 1.0)}, 32, math.pi / 2),
-    ({ModeIndex(4, 2): (1.0, 0.0)}, 32, math.pi / 8),
-    ({ModeIndex(2, 1): (1.0, 0.0), ModeIndex(1, 2): (0.0, 1.0)}, 32, math.pi / 2),
-    # cos 2 theta is even about the multiples of pi/2 and sin 2 theta about
-    # the odd multiples of pi/4, so no angle is an axis of both; sin theta is
-    # even about pi/2 and 3 pi/2, which are no grid angles of 30
-    ({ModeIndex(2, 1): (1.0, 0.0), ModeIndex(2, 2): (0.0, 1.0)}, 32, None),
-    ({ModeIndex(1, 2): (1.0, 1.0)}, 30, None),
-]
-
-
-@pytest.mark.parametrize("modes, angular_modes, angle", MIRROR_AXES)
-def test_the_mirror_axis_is_the_first_grid_angle_every_mode_is_even_about(
-    modes, angular_modes, angle
-):
-    family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes))
-    period, axis = pde_oracle._period(family, angular_modes)
-    if angle is None:
-        assert axis is None
-        return
-    assert 2.0 * math.pi * axis / angular_modes == pytest.approx(angle, abs=1e-15)
-    assert 0 <= axis < angular_modes // period
-    # each mode's speeds are even about the axis on the grid
-    theta = 2.0 * math.pi * (axis + np.arange(angular_modes)) / angular_modes
-    mirror = 2.0 * math.pi * (axis - np.arange(angular_modes)) / angular_modes
-    assert pde_oracle._normal_speeds(family.spec, theta)[:, 0] == pytest.approx(
-        pde_oracle._normal_speeds(family.spec, mirror)[:, 0], abs=1e-14
-    )
 
 
 def _scalar_cell_rows(family, radial_points, angular_modes):
@@ -647,44 +530,23 @@ def test_cell_rows_equal_a_scalar_transcription(
     # gap min(R, 1 - R)/2 at |t| <= 0.8 min(R, 1 - R)
     t = 0.8 * min(radius, 1.0 - radius) * reach
     family = PerturbedDomainFamily(params, spec, exact_area=exact_area).at(t)
-    work = _period_one_workspace(family, radial_points, angular_modes)
+    work = pde_oracle._Workspace(family, radial_points, angular_modes)
     rows, load = _cell_rows_at(work, t)
     expected_rows, expected_load = _scalar_cell_rows(family, radial_points, angular_modes)
     ulp = 4.0 * sys.float_info.epsilon
     for row, expected in zip(rows, expected_rows):
         assert np.abs(row - expected).max() <= ulp * np.abs(expected).max()
     assert np.abs(load - expected_load).max() <= ulp * np.abs(expected_load).max()
-    # a mirrored workspace's rows and ring loads are the circle's at its
-    # angles, from the axis on, times each angle's multiplicity, and its
-    # center's load is the sector's share of the circle's
-    period, axis = pde_oracle._period(family, angular_modes)
-    if axis is None:
-        return
-    work = pde_oracle._Workspace(family, radial_points, angular_modes)
-    rows, load = _cell_rows_at(work, t)
-    angles = (axis + np.arange(work.multiplicity.size)) % angular_modes
-    for row, expected in zip(rows, expected_rows):
-        expected_half = expected[:, angles] * work.multiplicity
-        assert np.abs(row - expected_half).max() <= ulp * np.abs(expected_half).max()
-    rings = expected_load[1:].reshape(radial_points - 1, angular_modes)[:, angles]
-    rings *= work.multiplicity
-    expected_load = np.concatenate([[expected_load[0] / period], rings.ravel()])
-    assert np.abs(load - expected_load).max() <= ulp * np.abs(expected_load).max()
 
 
-def _jet_workspace(exact_area, mirrored):
-    """A 16x8 workspace of PERTURBED's modes, of period 1 and even about pi/2
-    on 8 angles: on the half circle from that axis, or on the full circle;
-    without exact_area with a degree-0 mode besides, which moves the mean
-    radii."""
+def _jet_workspace(exact_area):
+    """A 16x8 workspace of PERTURBED's modes; without exact_area with a
+    degree-0 mode besides, which moves the mean radii."""
     modes = dict(PERTURBED.spec.modes)
     if not exact_area:
         modes[ModeIndex(0, 1)] = (0.3, -0.2)
     family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes), exact_area=exact_area)
-    if mirrored:
-        assert pde_oracle._period(family, 8) == (1, 2)
-        return pde_oracle._Workspace(family, 16, 8)
-    return _period_one_workspace(family, 16, 8)
+    return pde_oracle._Workspace(family, 16, 8)
 
 
 def _taylor_terms(work, h=1e-3):
@@ -702,18 +564,17 @@ def _taylor_terms(work, h=1e-3):
     return (k_0, q_0), first, second
 
 
-@pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize("exact_area", [True, False])
-def test_the_jet_is_the_t_derivatives_of_the_cell_rows(exact_area, mirrored):
+def test_the_jet_is_the_t_derivatives_of_the_cell_rows(exact_area):
     # the run reads the rows' jet in closed form, per unit speed and per
     # degree, and never forms an angle; its d1 and d2 are the Taylor terms
     # of the dense system that the rows and the load (_cell_rows) make on
-    # the full circle or the half circle from the mirror axis:
-    # d1 = 2 q_1.u - u.K_1 u and d2 = 4 q_2.u - 2 u.K_2 u + 2 w.K_0^-1 w,
+    # the angular grid: d1 = 2 q_1.u - u.K_1 u and
+    # d2 = 4 q_2.u - 2 u.K_2 u + 2 w.K_0^-1 w,
     # with u = K_0^-1 q_0 and w = q_1 - K_1 u.  Two degrees with both
     # boundaries moving, and a degree-0 mode without exact_area.  The
     # differences' error here is at most 1.1e-11 E(0) in d1 and 2.8e-9 in d2
-    work = _jet_workspace(exact_area, mirrored)
+    work = _jet_workspace(exact_area)
     (k_0, q_0), (k_1, q_1), (k_2, q_2) = _taylor_terms(work)
     u = np.linalg.solve(k_0, q_0)
     w = q_1 - k_1 @ u
@@ -727,44 +588,35 @@ def test_the_jet_is_the_t_derivatives_of_the_cell_rows(exact_area, mirrored):
         assert run.d1 == 0.0
 
 
-@pytest.mark.parametrize("symmetry", ["mirrored", "unmirrored", "sector"])
-def test_the_concentric_solution_is_radial(symmetry):
+def test_the_concentric_solution_is_radial():
     # at t = 0 K_0 and q_0 are the same at every angle, so the dense solve
-    # of K_0 u = q_0 on the angles of a solve's workspace is one value per
-    # ring, and its energy, times the workspace's period, is the run's E(0)
-    # from the flux, area Delta = -cumsum(q_0), which solves no chain
-    if symmetry == "sector":
-        # cos 2 theta on the interface and sin 4 theta on the outer boundary,
-        # of period 2 on 16 angles, with no axis of both
-        modes = {ModeIndex(2, 1): (1.0, 0.0), ModeIndex(4, 2): (0.0, 1.0)}
-        family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes))
-        assert pde_oracle._period(family, 16) == (2, None)
-        work = pde_oracle._Workspace(family, 16, 16)
-    else:
-        work = _jet_workspace(True, symmetry == "mirrored")
+    # of K_0 u = q_0 on a solve's angular grid is one value per ring, and its
+    # energy is the run's E(0) from the flux, area Delta = -cumsum(q_0),
+    # which solves no chain
+    work = _jet_workspace(True)
     k_0, q_0 = _dense_at(work, 0.0)
     u = np.linalg.solve(k_0, q_0)
     rings = u[1:].reshape(work.grid[0] - 1, -1)
     assert np.abs(rings - rings[:, :1]).max() <= 1e-13 * np.abs(u).max()
     assert np.abs(rings[0, 0] - u[0]) > 0.0  # the center is a node of its own
     run = differentiate_energy(work.family, *work.grid)
-    assert run.energy == pytest.approx(work.period * (q_0 @ u), rel=1e-13)
+    assert run.energy == pytest.approx(q_0 @ u, rel=1e-13)
 
 
 def test_a_workspace_builds_its_radial_factors_once_per_radius(monkeypatch):
-    # a run builds its radial arrays per unit angle, its load weights once,
-    # and reads no symmetry; each solve's workspace builds its own radial
-    # factors, with their load weights, and finds its own symmetry, once
-    names = ("_period", "_radial_factors", "_load_weights")
+    # a run builds its radial arrays per unit angle and its load weights
+    # once; each solve's workspace builds its own radial factors, with their
+    # load weights, once
+    names = ("_radial_factors", "_load_weights")
     calls = _count_calls(monkeypatch, *names)
     spec = PerturbationSpec({ModeIndex(3, 2): (1.0, 1.0)})
     for params, built in [(PARAMS, 1), (PARAMS, 2), (ProblemParams(2, 0.3, 2.0), 3)]:
         family = PerturbedDomainFamily(params, spec)
         differentiate_energy(family, radial_points=16, angular_modes=8)
-        assert calls == {"_period": 0, "_radial_factors": 0, "_load_weights": built}
+        assert calls == {"_radial_factors": 0, "_load_weights": built}
     for solved in (1, 2):
         solve_energy(family.at(0.01), 16, 8)
-        assert calls == {"_period": solved, "_radial_factors": solved, "_load_weights": 3 + solved}
+        assert calls == {"_radial_factors": solved, "_load_weights": 3 + solved}
     # read by every row a workspace forms, so no caller may write to them
     work = pde_oracle._Workspace(family, 16, 8)
     _, core, shell, weights = work.factors
@@ -797,27 +649,23 @@ def test_a_runs_workspace_is_freed_when_the_run_returns(monkeypatch):
     # is kept for a later one
     built = _built_workspaces(monkeypatch)
     for angular_modes in range(4, 20, 2):
-        differentiate_energy(MIRRORED, 4, angular_modes)
-        solve_energy(MIRRORED.at(0.01), 4, angular_modes)
+        differentiate_energy(DEGREE_ONE, 4, angular_modes)
+        solve_energy(DEGREE_ONE.at(0.01), 4, angular_modes)
     gc.collect()
     assert len(built) == 8
     assert not any(work() is not None for work in built)
 
 
 def test_threads_on_one_grid_do_not_share_a_workspace():
-    # a solve's workspace keeps the speeds of its last spec: sin 3 theta, of
-    # period 1 and even about pi/2, would read the speeds of cos theta, of
-    # period 1 and even about 0, from a shared one; the last family has no
-    # mirror axis.  Runs build no workspace, and share the radial factors of
-    # a radius read-only
+    # a solve's workspace keeps the speeds of its last spec: sin 3 theta
+    # would read the speeds of cos theta from a shared one.  Runs build no
+    # workspace, and solves share the grid's angular operator read-only
     families = [
         PerturbedDomainFamily(PARAMS, PerturbationSpec({ModeIndex(2, 1): (1.0, 0.0)})),
         PerturbedDomainFamily(ProblemParams(2, 0.3, 0.25), PerturbationSpec({ModeIndex(3, 2): (0.0, 1.0)})),
-        PerturbedDomainFamily(MIRROR_PARAMS[4], PerturbationSpec({ModeIndex(1, 1): (1.0, 1.0)})),
-        UNMIRRORED,
+        PerturbedDomainFamily(ProblemParams(2, 0.4, 0.5), PerturbationSpec({ModeIndex(1, 1): (1.0, 1.0)})),
+        DEGREE_ONE,
     ]
-    symmetries = [pde_oracle._period(family, 16) for family in families]
-    assert symmetries == [(2, 0), (1, 4), (1, 0), (1, None)]
 
     def energies(family):
         run = differentiate_energy(family, radial_points=128, angular_modes=16)
@@ -840,23 +688,20 @@ def test_threads_on_one_grid_do_not_share_a_workspace():
     assert together == [[expected] * 4 for expected in alone]
 
 
-@pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize(
     "radius, sigma, radial_points, angular_modes",
     [(0.5, 2.0, 4, 4), (0.3, 0.25, 12, 8), (0.7, 4.0, 16, 12)],
 )
 def test_the_preconditioner_is_the_inverse_of_the_concentric_operator(
-    monkeypatch, radius, sigma, radial_points, angular_modes, mirrored
+    monkeypatch, radius, sigma, radial_points, angular_modes
 ):
     params = ProblemParams(2, radius, sigma)
     spec = PerturbationSpec({ModeIndex(1, 2): (1.0, 1.0)})
     concentric = PerturbedDomainFamily(params, spec)  # at t = 0
-    # on the full circle, or on the half circle from the axis of sin theta
-    axis = pde_oracle._period(concentric, angular_modes)[1] if mirrored else None
-    matrix, load, work = _dense_system(concentric, radial_points, angular_modes, axis)
+    matrix, load, work = _dense_system(concentric, radial_points, angular_modes)
     # the preconditioner a t = 0 solve builds from its own rows' means
     rows = pde_oracle._cell_rows(work, *concentric._radii(work.motion, 0.0))[0]
-    area, bend = rows[::2].sum(axis=-1) / work.sector_angles
+    area, bend = rows[::2].mean(axis=-1)
     precondition = pde_oracle._preconditioner(work, pde_oracle._factor(work, area, bend))
     inverse = np.column_stack([precondition(unit).copy() for unit in np.eye(load.size)])
     exact = np.linalg.inv(matrix)
@@ -1006,107 +851,6 @@ def test_a_run_factors_one_chain_per_moving_degree(monkeypatch, modes, chains):
     exact_area = ModeIndex(0, 1) not in modes
     family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes), exact_area=exact_area)
     _assert_one_chain_per_moving_degree(monkeypatch, family, chains)
-
-
-# the benchmark-like families of even degree, of period 2 or 4 at 256x32, and
-# one moving degree 2 on its interface and degree 4 on its outer boundary
-SECTOR_RUNS = [
-    (params, {mode: alphas}) for params, mode, alphas in BENCH_LIKE if mode.degree % 2 == 0
-] + [(ProblemParams(2, 0.45, 1.5), {ModeIndex(2, 2): (1.0, 0.0), ModeIndex(4, 1): (0.0, 1.0)})]
-
-
-def _solves_at_three_amplitudes(family, period, axis=None):
-    """Solves of family at t = -0.01, 0 and 0.01 on 256x32, with _period
-    returning (period, axis) when period is given, and their second
-    difference, of d2's order."""
-    with pytest.MonkeyPatch.context() as patch:
-        if period is not None:
-            patch.setattr(pde_oracle, "_period", lambda family, angular_modes: (period, axis))
-        energies = [solve_energy(family.at(t), 256, 32) for t in (-0.01, 0.0, 0.01)]
-    return energies, (energies[0] - 2.0 * energies[1] + energies[2]) / 1e-4
-
-
-@pytest.mark.parametrize("params, modes", SECTOR_RUNS)
-def test_a_sector_run_is_the_full_circle_run(params, modes):
-    # a run reads no angle; solves at t != 0 work on one of the family's
-    # sectors
-    family = PerturbedDomainFamily(params, PerturbationSpec(modes))
-    period = pde_oracle._period(family, 32)[0]
-    assert period > 1
-    # the turn alone, then neither turn nor mirror
-    sector, sector_d2 = _solves_at_three_amplitudes(family, period)
-    circle, circle_d2 = _solves_at_three_amplitudes(family, 1)
-    # equal to rounding
-    assert sector == pytest.approx(circle, rel=1e-14)
-    assert sector_d2 == pytest.approx(circle_d2, rel=1e-7)
-
-
-# every benchmark family shape: degrees 1-4 of both orders on the inner,
-# outer and coupled channels, each even about a grid angle of 32
-MIRROR_PARAMS = {
-    1: ProblemParams(2, 0.3, 0.25),
-    2: ProblemParams(2, 0.7, 4.0),
-    3: ProblemParams(2, 0.5, 2.0),
-    4: ProblemParams(2, 0.4, 0.5),
-}
-MIRRORED_RUNS = [
-    (MIRROR_PARAMS[degree], ModeIndex(degree, order), alphas)
-    for degree in (1, 2, 3, 4)
-    for order in (1, 2)
-    for alphas in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
-]
-
-
-@pytest.mark.parametrize("params, mode, alphas", MIRRORED_RUNS)
-def test_a_mirrored_run_is_the_full_circle_run(params, mode, alphas):
-    # solves at t != 0 work on the half circle from the mirror axis
-    family = PerturbedDomainFamily(params, PerturbationSpec({mode: alphas}))
-    assert pde_oracle._period(family, 32)[1] is not None
-    mirrored, mirrored_d2 = _solves_at_three_amplitudes(family, None)
-    circle, circle_d2 = _solves_at_three_amplitudes(family, 1)
-    # equal to rounding; the coupled degree-1 direction has d2 near 0 (a
-    # rigid translation of both boundaries), so d2 is held to an absolute
-    # floor as well
-    assert mirrored == pytest.approx(circle, rel=1e-14)
-    assert abs(mirrored_d2 - circle_d2) <= 1e-9 + 1e-7 * abs(circle_d2)
-
-
-MIRROR_GRIDS = st.sampled_from([8, 12, 16, 20, 24])
-
-
-@st.composite
-def _mirror_families(draw):
-    """A grid and a family of one to three moving modes on it, at a t."""
-    m = draw(MIRROR_GRIDS)
-    indices = st.builds(ModeIndex, st.integers(1, m // 2 - 1), st.integers(1, 2))
-    coefficient = st.floats(-1.0, 1.0)
-    pairs = st.tuples(coefficient, coefficient)
-    modes = draw(st.dictionaries(indices, pairs, min_size=1, max_size=3))
-    params = ProblemParams(2, draw(st.floats(0.3, 0.7)), math.exp(draw(st.floats(-2.0, 2.0))))
-    # |g| <= 3/sqrt(pi) < 1.7 per boundary, so each radius moves by about
-    # |t g| < 0.07 at |t| <= 0.04, well inside the least gap, 0.3
-    t = draw(st.floats(-0.04, 0.04))
-    return m, PerturbedDomainFamily(params, PerturbationSpec(modes)).at(t)
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=_mirror_families(), radial_points=st.integers(4, 16))
-# cos 2 theta, sin theta and sin 3 theta on 12 angles: even about pi/2 and 3 pi/2
-@example(
-    case=(12, PerturbedDomainFamily(PARAMS, PerturbationSpec({
-        ModeIndex(2, 1): (1.0, 0.0), ModeIndex(1, 2): (0.5, 1.0), ModeIndex(3, 2): (0.0, -0.5)
-    })).at(0.03)),
-    radial_points=8,
-)
-def test_a_mirrored_solve_is_the_unmirrored_solve(case, radial_points):
-    angular_modes, family = case
-    period, axis = pde_oracle._period(family, angular_modes)
-    assume(axis is not None)
-    mirrored = solve_energy(family, radial_points, angular_modes)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pde_oracle, "_period", lambda family, angular_modes: (period, None))
-        unmirrored = solve_energy(family, radial_points, angular_modes)
-    assert mirrored == pytest.approx(unmirrored, rel=1e-13)
 
 
 @pytest.mark.parametrize("radial_points", [4, 16])
