@@ -539,13 +539,35 @@ def test_cell_rows_equal_a_scalar_transcription(
     assert np.abs(load - expected_load).max() <= ulp * np.abs(expected_load).max()
 
 
-def _jet_workspace(exact_area):
-    """A 16x8 workspace of PERTURBED's modes; without exact_area with a
-    degree-0 mode besides, which moves the mean radii."""
+def _mirror_image(spec, angle):
+    """spec's speeds reflected about the line at angle: g(2 angle - theta).
+    Each degree k's (cos, sin) pair turns by the reflection of angle k angle,
+    and degree 0 stays."""
+    modes = {}
+    for degree in {index.degree for index in spec.modes}:
+        cos_pair = spec.coefficients(ModeIndex(degree, 1))
+        if degree == 0:
+            modes[ModeIndex(0, 1)] = cos_pair
+            continue
+        sin_pair = spec.coefficients(ModeIndex(degree, 2))
+        c, s = math.cos(2.0 * degree * angle), math.sin(2.0 * degree * angle)
+        modes[ModeIndex(degree, 1)] = tuple(c * a + s * b for a, b in zip(cos_pair, sin_pair))
+        modes[ModeIndex(degree, 2)] = tuple(s * a - c * b for a, b in zip(cos_pair, sin_pair))
+    return PerturbationSpec(modes)
+
+
+def _jet_workspace(exact_area, mirrored=False):
+    """A 16x8 workspace of PERTURBED's modes, of period 1 and even about pi/2
+    on 8 angles, or of their mirror image about pi/8, which maps the 8 angles
+    onto themselves and mixes both orders of each degree; without exact_area
+    with a degree-0 mode besides, which moves the mean radii."""
     modes = dict(PERTURBED.spec.modes)
     if not exact_area:
         modes[ModeIndex(0, 1)] = (0.3, -0.2)
-    family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes), exact_area=exact_area)
+    spec = PerturbationSpec(modes)
+    if mirrored:
+        spec = _mirror_image(spec, math.pi / 8)
+    family = PerturbedDomainFamily(PARAMS, spec, exact_area=exact_area)
     return pde_oracle._Workspace(family, 16, 8)
 
 
@@ -564,17 +586,19 @@ def _taylor_terms(work, h=1e-3):
     return (k_0, q_0), first, second
 
 
+@pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize("exact_area", [True, False])
-def test_the_jet_is_the_t_derivatives_of_the_cell_rows(exact_area):
+def test_the_jet_is_the_t_derivatives_of_the_cell_rows(exact_area, mirrored):
     # the run reads the rows' jet in closed form, per unit speed and per
     # degree, and never forms an angle; its d1 and d2 are the Taylor terms
     # of the dense system that the rows and the load (_cell_rows) make on
     # the angular grid: d1 = 2 q_1.u - u.K_1 u and
     # d2 = 4 q_2.u - 2 u.K_2 u + 2 w.K_0^-1 w,
     # with u = K_0^-1 q_0 and w = q_1 - K_1 u.  Two degrees with both
-    # boundaries moving, and a degree-0 mode without exact_area.  The
-    # differences' error here is at most 1.1e-11 E(0) in d1 and 2.8e-9 in d2
-    work = _jet_workspace(exact_area)
+    # boundaries moving, and a degree-0 mode without exact_area, or their
+    # mirror image.  The differences' error here is at most 1.1e-11 E(0) in
+    # d1 and 2.8e-9 in d2
+    work = _jet_workspace(exact_area, mirrored)
     (k_0, q_0), (k_1, q_1), (k_2, q_2) = _taylor_terms(work)
     u = np.linalg.solve(k_0, q_0)
     w = q_1 - k_1 @ u
@@ -586,14 +610,31 @@ def test_the_jet_is_the_t_derivatives_of_the_cell_rows(exact_area):
     assert abs(run.d2 - d2) <= 1e-8 * max(1.0, abs(d2))
     if exact_area:
         assert run.d1 == 0.0
+    if mirrored:
+        # a mirror image of the domains, whose run is the unmirrored one's
+        unmirrored = differentiate_energy(_jet_workspace(exact_area).family, *work.grid)
+        assert run.energy == pytest.approx(unmirrored.energy, rel=1e-13)
+        assert abs(run.d1 - unmirrored.d1) <= 1e-13 * run.energy
+        assert run.d2 == pytest.approx(unmirrored.d2, rel=1e-12)
 
 
-def test_the_concentric_solution_is_radial():
+@pytest.mark.parametrize("symmetry", ["mirrored", "unmirrored", "sector"])
+def test_the_concentric_solution_is_radial(symmetry):
     # at t = 0 K_0 and q_0 are the same at every angle, so the dense solve
-    # of K_0 u = q_0 on a solve's angular grid is one value per ring, and its
-    # energy is the run's E(0) from the flux, area Delta = -cumsum(q_0),
-    # which solves no chain
-    work = _jet_workspace(True)
+    # of K_0 u = q_0 on a solve's full angular grid is one value per ring,
+    # whatever the family's symmetry, and its energy is the run's E(0) from
+    # the flux, area Delta = -cumsum(q_0), which solves no chain
+    if symmetry == "sector":
+        # cos 2 theta on the interface and sin 4 theta on the outer boundary,
+        # of period 2 on 16 angles, with no axis of both
+        modes = {ModeIndex(2, 1): (1.0, 0.0), ModeIndex(4, 2): (0.0, 1.0)}
+        family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes))
+        work = pde_oracle._Workspace(family, 16, 16)
+    elif symmetry == "unmirrored":
+        # no grid angle is a mirror axis of both cos theta and sin theta
+        work = pde_oracle._Workspace(DEGREE_ONE, 16, 8)
+    else:
+        work = _jet_workspace(True)
     k_0, q_0 = _dense_at(work, 0.0)
     u = np.linalg.solve(k_0, q_0)
     rings = u[1:].reshape(work.grid[0] - 1, -1)
@@ -851,6 +892,47 @@ def test_a_run_factors_one_chain_per_moving_degree(monkeypatch, modes, chains):
     exact_area = ModeIndex(0, 1) not in modes
     family = PerturbedDomainFamily(PARAMS, PerturbationSpec(modes), exact_area=exact_area)
     _assert_one_chain_per_moving_degree(monkeypatch, family, chains)
+
+
+# every benchmark family shape: degrees 1-4 of both orders on the inner,
+# outer and coupled channels
+MIRROR_PARAMS = {
+    1: ProblemParams(2, 0.3, 0.25),
+    2: ProblemParams(2, 0.7, 4.0),
+    3: ProblemParams(2, 0.5, 2.0),
+    4: ProblemParams(2, 0.4, 0.5),
+}
+MIRRORED_RUNS = [
+    (MIRROR_PARAMS[degree], ModeIndex(degree, order), alphas)
+    for degree in (1, 2, 3, 4)
+    for order in (1, 2)
+    for alphas in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+]
+
+
+def _solves_at_three_amplitudes(family):
+    """Solves of family at t = -0.01, 0 and 0.01 on 256x32, and their second
+    difference, of d2's order."""
+    energies = [solve_energy(family.at(t), 256, 32) for t in (-0.01, 0.0, 0.01)]
+    return energies, (energies[0] - 2.0 * energies[1] + energies[2]) / 1e-4
+
+
+@pytest.mark.parametrize("params, mode, alphas", MIRRORED_RUNS)
+def test_a_mirrored_run_is_the_full_circle_run(params, mode, alphas):
+    # the mirror image of a family about pi/32, half a grid step, which maps
+    # the 32 angles onto themselves: its perturbed disks are the family's,
+    # reflected, and its solves on the full circle, which mix both orders of
+    # the degree, are the family's
+    family = PerturbedDomainFamily(params, PerturbationSpec({mode: alphas}))
+    image = PerturbedDomainFamily(params, _mirror_image(family.spec, math.pi / 32))
+    assert all(any(image.spec.coefficients(ModeIndex(mode.degree, order))) for order in (1, 2))
+    mirrored, mirrored_d2 = _solves_at_three_amplitudes(image)
+    circle, circle_d2 = _solves_at_three_amplitudes(family)
+    # equal to rounding; the coupled degree-1 direction has d2 near 0 (a
+    # rigid translation of both boundaries), so d2 is held to an absolute
+    # floor as well
+    assert mirrored == pytest.approx(circle, rel=1e-14)
+    assert abs(mirrored_d2 - circle_d2) <= 1e-9 + 1e-7 * abs(circle_d2)
 
 
 @pytest.mark.parametrize("radial_points", [4, 16])
