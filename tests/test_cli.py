@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -157,8 +158,9 @@ def test_a_negative_value_with_an_exponent_or_an_infinity_is_a_value(
 
 
 def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
-    # main shares one parser between calls: failed calls, in parsing and
-    # after it, must leave nothing behind for the calls that follow
+    # main shares its command table and caches between calls: failed calls,
+    # in parsing and after it, must leave nothing behind for the calls that
+    # follow
     config = tmp_path / "run.json"
     config.write_text(
         json.dumps({"radius": 0.5, "sigma": 2.0, "levels": 1,
@@ -555,9 +557,10 @@ def test_an_unmirrored_oracle_stdout_is_pinned(tmp_path, capsys, family):
     assert _oracle_digest(tmp_path, capsys, *arguments) == digest
 
 
-# the encoder's separators and escapes, ASCII controls, and characters
-# from Latin-1, the BMP and beyond it (a surrogate pair under ensure_ascii)
-_TEXT = st.text(',\n{}[]":\\\t\x00\x7f a\xe9\u20ac\U0001f600', max_size=4)
+# the encoder's separators and escapes, the record template's %, ASCII
+# controls, and characters from Latin-1, the BMP and beyond it (a surrogate
+# pair under ensure_ascii)
+_TEXT = st.text(',\n{}[]":%\\\t\x00\x7f a\xe9\u20ac\U0001f600', max_size=4)
 _LEAVES = (
     st.none() | st.booleans() | st.integers() | _TEXT
     | st.floats(allow_nan=False, allow_infinity=False)
@@ -567,13 +570,28 @@ _LEAVES = (
 _KEYS = _TEXT | st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
 
 
+# the values of a numeric record: the extremes json.dumps writes as int and
+# float reprs, and a bool, which it writes as true or false
+_NUMBERS = (
+    st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e308, 2**63, -(2**63), 10**400, True])
+)
+
+
+def _numeric_records(keys):
+    """Lists of numeric records that share the key order `keys`, the shape
+    of `mode_table`."""
+    return st.lists(st.fixed_dictionaries(dict.fromkeys(keys, _NUMBERS)), min_size=1, max_size=3)
+
+
 def _containers(children):
     return (
         st.lists(children, max_size=3)
         | st.lists(children, max_size=3).map(tuple)
         | st.dictionaries(_KEYS, children, max_size=3)
-        # the shape of mode_table: a list of flat records
+        # a list of flat records, as positive_modes
         | st.lists(st.dictionaries(_KEYS, _LEAVES, min_size=1, max_size=3), min_size=1, max_size=3)
+        | st.lists(_KEYS, min_size=1, max_size=3, unique=True).flatmap(_numeric_records)
     )
 
 
@@ -591,6 +609,12 @@ def _planted(draw, bad):
     """A document that holds `bad` at a drawn depth and place, and the path
     of that place."""
     value, path = bad, ""
+    if draw(st.booleans()):  # a field of a numeric record list
+        keys = draw(st.lists(_TEXT, min_size=1, max_size=3, unique=True))
+        records = draw(_numeric_records(keys))
+        at, key = draw(st.integers(0, len(records) - 1)), draw(st.sampled_from(keys))
+        records[at][key] = value
+        value, path = records, f"[{at}].{key}"
     for _ in range(draw(st.integers(1, 4))):
         siblings = draw(st.lists(_LEAVES | _containers(_LEAVES), max_size=3))
         at = draw(st.integers(0, len(siblings)))
@@ -1081,6 +1105,125 @@ def test_oracle_rejects_malformed_configs(tmp_path, capsys, config, message):
 POINT = ["--dim", "2", "--radius", "0.5", "--sigma", "2"]
 
 
+COMMANDS = ("classify", "spectrum", "verify", "fidelity", "oracle")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (
+            ["bogus"],
+            "argument command: invalid choice: 'bogus' "
+            "(choose from 'classify', 'spectrum', 'verify', 'fidelity', 'oracle')",
+        ),
+        (["classify"], "the following arguments are required: --dim, --radius, --sigma"),
+        (["spectrum", "--radius", "0.5"], "the following arguments are required: --dim, --sigma"),
+        (["oracle"], "the following arguments are required: --config"),
+        (["verify"], "the following arguments are required: suite"),
+        (["classify", *POINT, "--kmax"], "argument --kmax: expected one argument"),
+        (["verify", "pde", "--out"], "argument --out: expected one argument"),
+        (["classify", "--dim", "x", "--radius", "0.5", "--sigma", "2"],
+         "argument --dim: invalid int value: 'x'"),
+        (["classify", *POINT, "--kmax", "2.5"], "argument --kmax: invalid int value: '2.5'"),
+        (["spectrum", "--dim", "2", "--radius", "x", "--sigma", "2"],
+         "argument --radius: invalid float value: 'x'"),
+        (["spectrum", *POINT, "--path", "bogus"],
+         "argument --path: invalid choice: 'bogus' (choose from 'assembled', 'printed')"),
+        (
+            ["verify", "everything"],
+            "argument suite: invalid choice: 'everything' "
+            "(choose from 'coefficients', 'monotonicity', 'pde', 'secondvar')",
+        ),
+        (["classify", *POINT, "--foo"], "unrecognized arguments: --foo"),
+        (["classify", *POINT, "--foo", "1"], "unrecognized arguments: --foo 1"),
+        (["fidelity", "x"], "unrecognized arguments: x"),
+        (["verify", "pde", "pde"], "unrecognized arguments: pde"),
+        # a missing flag is named before an unknown one
+        (["oracle", "--foo"], "the following arguments are required: --config"),
+    ],
+)
+def test_an_argument_error_is_one_line_in_argparse_wording(capsys, argv, message):
+    assert run_cli(capsys, argv) == (2, "", message + "\n")
+
+
+def _exit_status(capsys, argv) -> tuple[int, str, str]:
+    """The status the console script exits with, whether main returns it or
+    raises SystemExit, and stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[flag] for flag in ("-h", "--help")]
+    + [[command, flag] for command in COMMANDS for flag in ("-h", "--help")]
+    + [["classify", "--dim", "2", "--help"], ["verify", "pde", "-h"]],
+    ids=" ".join,
+)
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    code, out, err = _exit_status(capsys, argv)
+    assert (code, err) == (0, "")
+    command = argv[0] if argv[0] in COMMANDS else ""
+    assert out.startswith(f"usage: twophase-torsion {command}".rstrip() + " ")
+    # every flag the command takes is listed
+    for flag in {
+        "classify": ["--dim", "--radius", "--sigma", "--kmax", "--out"],
+        "spectrum": ["--dim", "--radius", "--sigma", "--kmax", "--path", "--out"],
+        "verify": ["--out"],
+        "fidelity": ["--out"],
+        "oracle": ["--config", "--out"],
+        "": list(COMMANDS),
+    }[command]:
+        assert flag in out
+
+
+_SMALL_ORACLE = {"radius": 0.5, "sigma": 2.0, "radial_points": 16, "angular_modes": 8,
+                 "modes": [{"degree": 2, "alpha_in": 1.0}]}
+
+
+def _spelled(draw, head, flags, decoys):
+    """`head` and `flags` in a drawn order: some flags as --flag=value, some
+    given first with their decoy value, and a positional anywhere."""
+    positional = [] if len(head) == 1 else head[1:]
+    argv = []
+    for name, value in draw(st.permutations(list(flags.items()))):
+        if name in decoys and draw(st.booleans()):  # a repeated flag: the last one wins
+            argv += [name, decoys[name]]
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    at = draw(st.integers(0, len(argv))) if positional else 0
+    while at < len(argv) and argv[at - 1:at] and argv[at - 1] in flags:
+        at += 1  # not between a flag and its value
+    return [head[0], *argv[:at], *positional, *argv[at:]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), command=st.sampled_from(COMMANDS), radius=st.sampled_from(["0.5", "1.5"]))
+def test_every_spelling_of_an_argv_has_its_output(tmp_path_factory, data, command, radius):
+    work = tmp_path_factory.getbasetemp()
+    config = work / "spelled-oracle.json"
+    config.write_text(json.dumps({**_SMALL_ORACLE, "radius": float(radius)}), encoding="utf-8")
+    decoys = {"--dim": "3", "--radius": "0.25", "--sigma": "0.5", "--kmax": "3",
+              "--path": "printed", "--out": str(work / "decoy.txt"),
+              "--config": str(work / "missing.json")}
+    head, flags = {
+        "classify": (["classify"], {"--dim": "2", "--radius": radius, "--sigma": "2",
+                                    "--kmax": "6"}),
+        "spectrum": (["spectrum"], {"--dim": "3", "--radius": radius, "--sigma": "0.5",
+                                    "--kmax": "5", "--path": "assembled"}),
+        "verify": (["verify", "monotonicity"], {"--out": str(work / "spelled.txt")}),
+        "fidelity": (["fidelity"], {}),
+        "oracle": (["oracle"], {"--config": str(config)}),
+    }[command]
+    canonical = [*head, *chain.from_iterable(flags.items())]
+    argv = _spelled(data.draw, head, flags, decoys)
+    assert _answered(argv) == _answered(canonical)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1108,6 +1251,29 @@ def test_unwritable_output_is_diagnosed(tmp_path, capsys, argv):
     assert err.startswith("cannot write output: ")
     assert len(err.splitlines()) == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", *POINT], ["spectrum", *POINT], ["fidelity"], ["verify", "monotonicity"],
+     ["oracle"]],
+    ids=["classify", "spectrum", "fidelity", "verify", "oracle"],
+)
+def test_a_short_write_still_writes_the_whole_output(tmp_path, capsys, monkeypatch, argv):
+    if argv == ["oracle"]:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(_SMALL_ORACLE), encoding="utf-8")
+        argv = ["oracle", "--config", str(config)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    write = os.write
+    # a file system that takes at most 7 bytes per call
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:7])))
+    target = tmp_path / "out.txt"
+    code, printed, err = run_cli(capsys, [*argv, "--out", str(target)])
+    assert (code, err) == (0, "")
+    assert printed == (out if argv[0] == "verify" else "")
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 # runs the command line in a process whose address space is capped at 4 GiB
